@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..errors import UnknownExtension, UnsupportedLanguage
+from ..errors import ParseFailure, UnknownExtension, UnsupportedLanguage
 from . import clike_backend, python_backend
 from .tree import AstNode
 
@@ -65,14 +65,18 @@ def parse_source(text: str, language: str) -> AstNode:
     """Parse source text in the given language into an AST.
 
     Raises UnsupportedLanguage when no backend is registered for the
-    language, ParseFailure when the backend cannot produce a tree at all.
+    language, ParseFailure when the backend cannot produce a tree at all,
+    including input nested deeper than the interpreter's recursion limit.
     Trees containing ERROR nodes are returned, not rejected.
     """
     lang = normalize_language(language)
     backend = _BACKENDS.get(lang)
     if backend is None:
         raise UnsupportedLanguage(f"no grammar backend registered for {lang!r}")
-    return backend(text)
+    try:
+        return backend(text)
+    except RecursionError as exc:
+        raise ParseFailure(f"{lang} source nests too deeply to parse") from exc
 
 
 register_backend("c", clike_backend.parse_c)

@@ -2,8 +2,8 @@
 
 Everything is a [rows x cols] float64 matrix; scalars live as [1,1].  Ops
 record a backward closure on the output when any input participates in
-gradient computation, so constant subgraphs (masks, adjacency matrices,
-one-hot features) cost nothing on the tape.
+gradient computation, so constant subgraphs (masks, one-hot labels) cost
+nothing on the tape; graph structure enters as integer edge lists.
 
 backward() accumulates into .grad: calling it twice without zero_grads in
 between doubles the gradients.  Pass accumulate=False to reset the grads of
@@ -244,6 +244,33 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
             np.add.at(a.grad, idx, g)
 
     return _node(a.data[idx], (a,), bw)
+
+
+def propagate(h: Tensor, edges: np.ndarray) -> Tensor:
+    """Â h for the renormalized adjacency Â = D^-1/2 (A + I) D^-1/2.
+
+    A is given as an [E x 2] list of distinct undirected edges.  Â h is a
+    self term plus a scatter-add over both edge directions, O(E * cols).
+    Â is symmetric, so the backward pass applies the same map.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    src, dst = edges[:, 0], edges[:, 1]
+    deg = 1.0 + np.bincount(edges.ravel(), minlength=h.shape[0])
+    # entries are 1 / sqrt(d_i * d_j), bit for bit as the dense form has them
+    self_w = (1.0 / np.sqrt(deg * deg))[:, None]
+    edge_w = (1.0 / np.sqrt(deg[src] * deg[dst]))[:, None]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        out = self_w * x
+        np.add.at(out, src, edge_w * x[dst])
+        np.add.at(out, dst, edge_w * x[src])
+        return out
+
+    def bw(g):
+        if h.requires_grad:
+            _accum(h, apply(g))
+
+    return _node(apply(h.data), (h,), bw)
 
 
 def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:

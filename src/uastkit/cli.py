@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .ast_frontend import (
@@ -61,26 +61,22 @@ from .train_eval import (
 
 TABLE_ENV = "UASTKIT_TABLE"
 
+# batch-64 Adam settings over the model defaults, mirroring the published
+# setup; leetcode is exactly this base
+_BASE_PROFILE: dict = {
+    **{f.name: f.default for f in fields(ModelConfig)
+       if f.default is not MISSING and f.name != "mode"},
+    "epochs": 5, "batch_size": 64, "lr": 0.001,
+}
 PROFILES: dict[str, dict] = {
-    # batch-64 Adam profiles mirroring the published setup; they differ in
-    # sequence length, which tracks each dataset's path-length distribution
-    "leetcode": dict(L=200, N=400, d=200, heads=4, attn_dropout=0.2, h=64,
-                     lstm_layers=2, lstm_dropout=0.5, gcn_layers=2,
-                     gcn_hidden=200, d_out=64, gcn_activation="relu",
-                     pooling="mean", learned_projections=False,
-                     epochs=5, batch_size=64, lr=0.001),
-    "jc": dict(L=700, N=400, d=200, heads=4, attn_dropout=0.2, h=64,
-               lstm_layers=2, lstm_dropout=0.5, gcn_layers=2,
-               gcn_hidden=200, d_out=64, gcn_activation="relu",
-               pooling="mean", learned_projections=False,
-               epochs=5, batch_size=64, lr=0.001),
+    "leetcode": dict(_BASE_PROFILE),
+    # longer sequences, tracking that dataset's path-length distribution
+    "jc": {**_BASE_PROFILE, "L": 700},
     # small and regularization-free: sized to memorize the bundled corpora
     # quickly on one core
-    "toy": dict(L=96, N=96, d=32, heads=4, attn_dropout=0.0, h=16,
-                lstm_layers=2, lstm_dropout=0.0, gcn_layers=2,
-                gcn_hidden=32, d_out=16, gcn_activation="relu",
-                pooling="mean", learned_projections=False,
-                epochs=50, batch_size=8, lr=0.01),
+    "toy": {**_BASE_PROFILE, "L": 96, "N": 96, "d": 32, "attn_dropout": 0.0,
+            "h": 16, "lstm_dropout": 0.0, "gcn_hidden": 32, "d_out": 16,
+            "epochs": 50, "batch_size": 8, "lr": 0.01},
 }
 DEFAULT_PROFILE = "leetcode"
 
@@ -125,16 +121,15 @@ class RunConfig:
 
     def model_config(self, vocab_size: int, k: int) -> ModelConfig:
         return ModelConfig(
-            vocab_size=vocab_size, k=k, mode=self.mode, L=self.L, d=self.d,
-            heads=self.heads, attn_dropout=self.attn_dropout, h=self.h,
-            lstm_layers=self.lstm_layers, lstm_dropout=self.lstm_dropout,
-            N=self.N, gcn_layers=self.gcn_layers, gcn_hidden=self.gcn_hidden,
-            d_out=self.d_out, gcn_activation=self.gcn_activation,
-            pooling=self.pooling,
-            learned_projections=self.learned_projections).validate()
+            vocab_size=vocab_size, k=k,
+            **{name: getattr(self, name) for name in _MODEL_FIELD_NAMES},
+        ).validate()
 
 
 _RUN_FIELD_NAMES = {f.name for f in fields(RunConfig)}
+# every ModelConfig field but the corpus-derived sizes is a run setting
+_MODEL_FIELD_NAMES = tuple(f.name for f in fields(ModelConfig)
+                           if f.name not in ("vocab_size", "k"))
 
 
 def _parse_ratios(text: str) -> tuple[int, int, int]:
@@ -409,16 +404,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for value in values:
         if args.param == "path-length":
-            run = RunConfig(**{**rc.to_dict(), "L": value,
-                               "ratios": rc.ratios,
-                               "mask_names": rc.mask_names})
+            run = replace(rc, L=value)
             for name in ("train", "validation", "test"):
                 featurize_with_vocab(splits[name], table, rc.unified, vocab,
                                      run.L, run.N, keep_trees=True)
         else:
-            run = RunConfig(**{**rc.to_dict(), "gcn_layers": value,
-                               "ratios": rc.ratios,
-                               "mask_names": rc.mask_names})
+            run = replace(rc, gcn_layers=value)
         out_dir = Path(rc.out_dir) / f"{args.param}-{value}" \
             if rc.out_dir else None
         result, cfg = _train_once(run, table, splits, vocab, labels,

@@ -1,13 +1,11 @@
 """Model inputs derived from unified ASTs.
 
-Each tree yields two views sharing one pre-order numbering: the flattened
-kind-index sequence (padded or truncated to L) and the degree-normalized
-adjacency over the first N nodes.  Both views are input constants, so the
-normalization happens here rather than inside the model.
+Each tree yields two views from one pre-order walk, sharing its numbering:
+the flattened kind-index sequence (padded or truncated to L) and the first
+N nodes' kinds with their parent-child edge list, which the model
+propagates over.  The dense GraphSample.norm_adj is only a test reference.
 
-A featurized corpus is serializable to a single binary file; the dense
-normalized adjacency is never stored, only the sparse parent-child edge
-list, and norm_adj is rebuilt on load.
+A featurized corpus is serializable to a single binary file of edge lists.
 """
 
 from __future__ import annotations
@@ -17,11 +15,12 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .ast_frontend import AstNode, Vocabulary, vocabulary_from_kinds
+from .ast_frontend import node_count as tree_size
 from .errors import DataError, EmptyCorpus
 
 MAGIC = b"UASTFEAT"
@@ -59,7 +58,8 @@ class GraphSample:
         """Dense N x N matrix with entry (i, j) = a~_ij / sqrt(d_i * d_j).
 
         a~ is the undirected adjacency plus self-loops over the real nodes;
-        rows and columns at or beyond node_count stay zero.
+        rows and columns at or beyond node_count stay zero.  The model never
+        builds it; the tests check the edge-list path against it.
         """
         size = self.N
         out = np.zeros((size, size), dtype=np.float64)
@@ -77,48 +77,16 @@ class GraphSample:
         return out
 
 
-def _preorder_walk(root: AstNode) -> Iterator[tuple[int, AstNode]]:
-    """Yield (parent_index, node) in pre-order; the root's parent is -1."""
-    stack: list[tuple[int, AstNode]] = [(-1, root)]
-    counter = 0
-    while stack:
-        parent, node = stack.pop()
-        yield parent, node
-        my_index = counter
-        counter += 1
-        for child in reversed(node.children):
-            stack.append((my_index, child))
-
-
-def preorder_path(ast: AstNode, vocab: Vocabulary, L: int) -> PathSequence:
-    """Flatten the tree in pre-order into a fixed-length index vector."""
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
+def _views(prefix: np.ndarray, true_length: int, node_count: int,
+           edges: tuple[tuple[int, int], ...], L: int,
+           N: int) -> tuple[PathSequence, GraphSample]:
+    """Both views, zero-padded to L and N, from a pre-order kind prefix."""
     indices = np.zeros(L, dtype=np.int64)
-    count = 0
-    for _, node in _preorder_walk(ast):
-        if count == L:
-            break
-        indices[count] = vocab.index_of(node.kind)
-        count += 1
-    return PathSequence(indices=indices, true_length=count)
-
-
-def build_graph(ast: AstNode, vocab: Vocabulary, N: int) -> GraphSample:
-    """Graph view over the first N pre-order nodes with parent-child edges."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    indices[:true_length] = prefix[:true_length]
     kinds = np.zeros(N, dtype=np.int64)
-    edges: list[tuple[int, int]] = []
-    count = 0
-    for parent, node in _preorder_walk(ast):
-        if count == N:
-            break
-        kinds[count] = vocab.index_of(node.kind)
-        if parent >= 0:  # parent precedes child in pre-order, so parent < N holds
-            edges.append((parent, count))
-        count += 1
-    return GraphSample(node_kinds=kinds, node_count=count, edges=tuple(edges))
+    kinds[:node_count] = prefix[:node_count]
+    return (PathSequence(indices=indices, true_length=true_length),
+            GraphSample(node_kinds=kinds, node_count=node_count, edges=edges))
 
 
 def featurize_sample(ast: AstNode, vocab: Vocabulary, L: int,
@@ -129,23 +97,26 @@ def featurize_sample(ast: AstNode, vocab: Vocabulary, L: int,
     limit = max(L, N)
     prefix = np.zeros(limit, dtype=np.int64)
     edges: list[tuple[int, int]] = []
+    stack: list[tuple[int, AstNode]] = [(-1, ast)]  # (parent index, node)
     count = 0
-    for parent, node in _preorder_walk(ast):
-        if count == limit:
-            break
+    while stack and count < limit:
+        parent, node = stack.pop()
         prefix[count] = vocab.index_of(node.kind)
-        if 0 <= parent and count < N:
+        if 0 <= parent and count < N:  # a parent precedes its children
             edges.append((parent, count))
+        stack.extend((count, child) for child in reversed(node.children))
         count += 1
-    true_length = min(count, L)
-    node_count = min(count, N)
-    path_idx = np.zeros(L, dtype=np.int64)
-    path_idx[:true_length] = prefix[:true_length]
-    kinds = np.zeros(N, dtype=np.int64)
-    kinds[:node_count] = prefix[:node_count]
-    return (PathSequence(indices=path_idx, true_length=true_length),
-            GraphSample(node_kinds=kinds, node_count=node_count,
-                        edges=tuple(edges)))
+    return _views(prefix, min(count, L), min(count, N), tuple(edges), L, N)
+
+
+def preorder_path(ast: AstNode, vocab: Vocabulary, L: int) -> PathSequence:
+    """Flatten the tree in pre-order into a fixed-length index vector."""
+    return featurize_sample(ast, vocab, L, 1)[0]
+
+
+def build_graph(ast: AstNode, vocab: Vocabulary, N: int) -> GraphSample:
+    """Graph view over the first N pre-order nodes with parent-child edges."""
+    return featurize_sample(ast, vocab, 1, N)[1]
 
 
 # --- corpus statistics ----------------------------------------------------
@@ -169,12 +140,7 @@ def _nearest_rank(sorted_values: list[int], pct: float) -> int:
 
 def path_length_stats(corpus: Iterable[AstNode]) -> StatsReport:
     """Distribution of untruncated pre-order lengths across a corpus."""
-    lengths: list[int] = []
-    for root in corpus:
-        n = 0
-        for _ in _preorder_walk(root):
-            n += 1
-        lengths.append(n)
+    lengths = [tree_size(root) for root in corpus]
     if not lengths:
         raise EmptyCorpus("no trees to take statistics over")
     lengths.sort()
@@ -288,15 +254,11 @@ def read_featurized(path: str | Path) -> FeaturizedSet:
                 edges = tuple((int(a), int(b))
                               for a, b in flat.reshape(-1, 2))
                 offset += 8 * edge_count
-            indices = np.zeros(L, dtype=np.int64)
-            indices[:true_length] = prefix[:true_length]
-            kinds = np.zeros(N, dtype=np.int64)
-            kinds[:node_count] = prefix[:node_count]
+            path_seq, graph = _views(prefix, true_length, node_count, edges,
+                                     L, N)
             records.append(SampleRecord(
                 label=label, language=language, split=TAG_SPLITS[tag],
-                path=PathSequence(indices=indices, true_length=true_length),
-                graph=GraphSample(node_kinds=kinds, node_count=node_count,
-                                  edges=edges)))
+                path=path_seq, graph=graph))
     except (struct.error, ValueError) as exc:
         raise DataError(f"{path}: truncated record data: {exc}") from exc
     if offset != len(data):

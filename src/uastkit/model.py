@@ -3,9 +3,10 @@
 The sequence side embeds the pre-order path, runs multi-head self-attention
 with Q = K = V (no input projections unless the learned_projections variant
 is switched on), and feeds a stacked bidirectional LSTM whose recurrence is
-masked to the true sequence length.  The graph side runs GCN layers over the
-precomputed normalized adjacency and mean-pools real nodes.  Features fuse
-by concatenation, sequence side first, into a softmax classifier.
+masked to the true sequence length.  The graph side runs GCN layers that
+propagate over the tree's parent-child edge list (no dense N x N adjacency)
+and pools its real nodes; a batch runs as one disjoint union of its graphs.
+Features fuse by concatenation, sequence side first, into a softmax classifier.
 
 Two entry points compute the same function: the per-sample ops (embed,
 self_attention, bilstm_encode, gcn_forward, graph_pool, fuse, classify,
@@ -358,34 +359,33 @@ def bilstm_encode(x: Tensor, true_length: int, params: ModelParams,
 
 # --- graph side --------------------------------------------------------------
 
-def _adjacency_tensor(graph: GraphSample) -> Tensor:
-    return Tensor(graph.norm_adj)
-
-
-def _gcn_from_adj(adj: Tensor, node_kinds: np.ndarray, params: ModelParams,
-                  cfg: ModelConfig) -> Tensor:
+def _gcn_layers(node_kinds: np.ndarray, edges: np.ndarray,
+                params: ModelParams, cfg: ModelConfig) -> Tensor:
+    """Stacked act(Â H W); one-hot rows times W0 is the row gather W0[kinds]."""
     act = _ACT[cfg.gcn_activation]
-    # one-hot rows times W0 is exactly a row gather; PAD rows pick row 0 of
-    # W0 but the zero rows/cols of adj erase them, matching one-hot algebra
-    h = ag.gather_rows(params.gcn[0], node_kinds)
-    h = act(ag.matmul(adj, h))
+    h = act(ag.propagate(ag.gather_rows(params.gcn[0], node_kinds), edges))
     for w in params.gcn[1:]:
-        h = act(ag.matmul(adj, ag.matmul(h, w)))
+        h = act(ag.propagate(ag.matmul(h, w), edges))
     return h
 
 
 def gcn_forward(graph: GraphSample, params: ModelParams,
                 cfg: ModelConfig) -> Tensor:
-    """[N x d_out] node features after the stacked propagation layers."""
+    """[node_count x d_out] node features after the stacked GCN layers.
+
+    Each layer propagates over the graph's edge list: no N x N matrix, and
+    padding nodes beyond node_count never enter.
+    """
     if graph.N != cfg.N:
         raise ShapeMismatch(f"gcn_forward: graph N={graph.N} vs config N={cfg.N}")
     if int(graph.node_kinds.max(initial=0)) >= cfg.vocab_size:
         raise ShapeMismatch("gcn_forward: node kind index outside vocabulary")
-    return _gcn_from_adj(_adjacency_tensor(graph), graph.node_kinds, params, cfg)
+    return _gcn_layers(graph.node_kinds[:graph.node_count], graph.edges,
+                       params, cfg)
 
 
 def graph_pool(h: Tensor, node_count: int, pooling: str = "mean") -> Tensor:
-    """[N x d_out] -> [1 x d_out] over the first node_count rows."""
+    """[rows x d_out] -> [1 x d_out] over the first node_count rows."""
     if node_count < 1:
         raise ZeroNodes("graph_pool: node_count must be >= 1")
     real = ag.slice_rows(h, 0, node_count)
@@ -408,10 +408,13 @@ def classify(h_code: Tensor, params: ModelParams) -> Tensor:
 
 @dataclass
 class PreparedSample:
-    """A featurized record with its graph constants materialized once."""
+    """A featurized record with its graph constants materialized once.
+
+    adj is the int64 [E x 2] edge list; node_kinds holds the real nodes.
+    """
     path: PathSequence | None
     true_length: int
-    adj: Tensor | None
+    adj: np.ndarray | None
     node_kinds: np.ndarray | None
     node_count: int
     label: int
@@ -425,9 +428,9 @@ def prepare_sample(path: PathSequence | None, graph: GraphSample | None,
     if cfg.uses_graph:
         if graph is None:
             raise ShapeMismatch("this mode needs the graph view")
-        adj = _adjacency_tensor(graph)
-        kinds = graph.node_kinds
+        adj = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
         count = graph.node_count
+        kinds = graph.node_kinds[:count]
     true_length = 0
     if cfg.uses_path:
         if path is None:
@@ -464,9 +467,16 @@ def forward_batch(batch: list[PreparedSample], params: ModelParams,
                                            training, rng))
 
     if cfg.uses_graph:
-        pooled = [graph_pool(_gcn_from_adj(s.adj, s.node_kinds, params, cfg),
-                             s.node_count, cfg.pooling)
-                  for s in batch]
+        # one disjoint union: each sample's edges shift by its first node
+        counts = [s.node_count for s in batch]
+        starts = np.cumsum([0] + counts)
+        edges = np.concatenate([s.adj + start
+                                for s, start in zip(batch, starts)])
+        h = _gcn_layers(np.concatenate([s.node_kinds for s in batch]), edges,
+                        params, cfg)
+        pooled = [graph_pool(ag.slice_rows(h, start, start + n), n,
+                             cfg.pooling)
+                  for start, n in zip(starts, counts)]
         features.append(ag.concat(pooled, axis=0) if len(pooled) > 1
                         else pooled[0])
 

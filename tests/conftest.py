@@ -12,6 +12,17 @@ from uastkit.model import ModelConfig
 TOY_CORPUS = Path(__file__).resolve().parents[1] / "src" / "uastkit" / \
     "data" / "toy_corpus"
 
+# sources nested past the interpreter's recursion limit; the recursive
+# parsers must refuse them with ParseFailure rather than crash
+DEEP_SOURCES = {
+    "java_parens": ("java", "class A { int f() { return "
+                    + "(" * 3000 + "1" + ")" * 3000 + "; } }"),
+    "java_else_if": ("java", "class A { void f(int x) { if (x == 0) { } "
+                     + "".join(f"else if (x == {i}) {{ }} "
+                               for i in range(1, 1000)) + "} }"),
+    "python_unary": ("python", "x = " + "-" * 5000 + "1\n"),
+}
+
 # verdict lines queued by the acceptance tests; printed after the run so
 # they survive output capture
 ACCEPTANCE_LINES: list[str] = []

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from conftest import random_tree
 from uastkit import autograd as ag
+from uastkit.ast_frontend import AstNode, vocabulary_from_kinds
 from uastkit.autograd import Tensor
 from uastkit.errors import (
     IndexOutOfVocab,
@@ -12,6 +14,7 @@ from uastkit.errors import (
     NonScalarLoss,
     ShapeMismatch,
 )
+from uastkit.featurizer import build_graph
 from uastkit.optim import adam_init, adam_step
 
 EPS = 1e-5
@@ -101,6 +104,21 @@ class TestGradients:
         idx = np.array([2, 0, 2, 2])
         fd_check(lambda: ag.sum_all(ag.tanh(ag.gather_rows(a, idx))), [a])
 
+    def test_propagate_over_edge_list(self):
+        # a star with a tail: node 0 has three children, node 2 one
+        edges = np.array([[0, 1], [0, 2], [0, 3], [2, 4]])
+        h = leaf(self.rng, 5, 3)
+        w = Tensor(self.rng.uniform(-1, 1, (5, 3)))
+        fd_check(lambda: ag.sum_all(ag.mul(ag.tanh(ag.propagate(h, edges)),
+                                           w)), [h])
+
+    def test_propagate_without_edges_scales_by_self_loop(self):
+        h = leaf(self.rng, 1, 4)
+        fd_check(lambda: ag.sum_all(ag.tanh(ag.propagate(
+            h, np.zeros((0, 2), dtype=np.int64)))), [h])
+        assert np.array_equal(
+            ag.propagate(h, np.zeros((0, 2), dtype=np.int64)).data, h.data)
+
     def test_embedding_lookup(self):
         table = leaf(self.rng, 5, 3)
         idx = np.array([0, 4, 1, 0])
@@ -155,6 +173,32 @@ class TestGradients:
 # --- op semantics -----------------------------------------------------------------
 
 class TestOpValues:
+    def test_propagate_weights_equal_dense_form_bitwise(self):
+        # propagating the identity scatters the op's weights into a dense
+        # matrix; each entry is one weight times 1.0 added to 0.0, so exact
+        rng = np.random.default_rng(3)
+        vocab = vocabulary_from_kinds(("alpha", "beta", "gamma", "delta",
+                                       "epsilon"))
+        graphs = [build_graph(random_tree(rng, max_nodes=40), vocab, N=25)
+                  for _ in range(40)]
+        graphs.append(build_graph(AstNode("alpha"), vocab, N=3))
+        for graph in graphs:
+            n = graph.node_count
+            dense = np.zeros((graph.N, graph.N))
+            dense[:n, :n] = ag.propagate(Tensor(np.eye(n)), graph.edges).data
+            assert np.array_equal(dense, graph.norm_adj)
+
+    def test_propagate_matches_dense_product(self):
+        rng = np.random.default_rng(4)
+        vocab = vocabulary_from_kinds(("alpha", "beta"))
+        graph = build_graph(random_tree(rng, max_nodes=30,
+                                        kinds=("alpha", "beta")), vocab, N=30)
+        n = graph.node_count
+        h = rng.normal(size=(n, 3))
+        got = ag.propagate(Tensor(h), np.array(graph.edges).reshape(-1, 2))
+        want = graph.norm_adj[:n, :n] @ h
+        assert np.max(np.abs(got.data - want)) < 1e-14
+
     def test_tensors_are_strictly_2d(self):
         with pytest.raises(ValueError):
             Tensor(np.zeros(3))

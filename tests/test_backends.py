@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import DEEP_SOURCES
 from uastkit.ast_frontend import (
     node_count,
     parse_source,
@@ -138,6 +139,12 @@ class TestRecovery:
     def test_pure_garbage_raises(self, language):
         with pytest.raises(ParseFailure):
             parse_source("@@@@ ]]]] ~~~~", language)
+
+    @pytest.mark.parametrize("name", sorted(DEEP_SOURCES))
+    def test_too_deep_nesting_raises_parse_failure(self, name):
+        language, src = DEEP_SOURCES[name]
+        with pytest.raises(ParseFailure, match="nests too deeply"):
+            parse_source(src, language)
 
     def test_python_syntax_error_raises(self):
         # the python backend has no recovery; any syntax error fails the file

@@ -1,13 +1,15 @@
 """Command-line interface: every subcommand plus exit codes and layering."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import TOY_CORPUS
-from uastkit.cli import PROFILES, main
+from uastkit.cli import PROFILES, RunConfig, main
 from uastkit.featurizer import read_featurized
 from uastkit.train_eval import load_checkpoint
 
@@ -63,6 +65,17 @@ class TestExitCodes:
         odd = tmp_path / "listing.txt"
         odd.write_text("x = 1\n")
         assert run(capsys, "parse", str(odd))[0] == 2
+
+    def test_module_runs_without_installation(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]]
+                     if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run([sys.executable, "-m", "uastkit", "--help"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert "parse" in proc.stdout and "train" in proc.stdout
+        assert proc.stdout.startswith("usage: uast")
 
     def test_console_script_is_installed(self):
         proc = subprocess.run(["uast", "--help"], capture_output=True,
@@ -175,6 +188,28 @@ class TestConfigLayering:
         assert PROFILES["jc"]["L"] == 700
         assert PROFILES["leetcode"]["L"] == 200
         assert PROFILES["toy"]["epochs"] == 50
+
+    def test_profiles_resolve_to_their_published_settings(self):
+        base = dict(L=200, N=400, d=200, heads=4, attn_dropout=0.2, h=64,
+                    lstm_layers=2, lstm_dropout=0.5, gcn_layers=2,
+                    gcn_hidden=200, d_out=64, gcn_activation="relu",
+                    pooling="mean", learned_projections=False,
+                    epochs=5, batch_size=64, lr=0.001)
+        assert PROFILES["leetcode"] == base
+        assert PROFILES["jc"] == {**base, "L": 700}
+        assert PROFILES["toy"] == {
+            **base, "L": 96, "N": 96, "d": 32, "attn_dropout": 0.0, "h": 16,
+            "lstm_dropout": 0.0, "gcn_hidden": 32, "d_out": 16,
+            "epochs": 50, "batch_size": 8, "lr": 0.01}
+
+    def test_run_config_builds_the_model_config(self):
+        rc = RunConfig(mode="gast", d=12, heads=3, gcn_activation="tanh",
+                       pooling="sum", learned_projections=True, N=7)
+        cfg = rc.model_config(vocab_size=9, k=4)
+        assert (cfg.vocab_size, cfg.k, cfg.mode, cfg.d, cfg.heads, cfg.N,
+                cfg.gcn_activation, cfg.pooling, cfg.learned_projections) == \
+            (9, 4, "gast", 12, 3, 7, "tanh", "sum", True)
+        assert cfg.L == rc.L and cfg.lstm_dropout == rc.lstm_dropout
 
     def test_config_file_overrides_profile(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

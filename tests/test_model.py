@@ -6,11 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_graph, make_path
+from conftest import make_graph, make_path, random_tree
 from uastkit import autograd as ag
+from uastkit.ast_frontend import AstNode, vocabulary_from_kinds
 from uastkit.autograd import Tensor, cross_entropy_loss, zero_grads
 from uastkit.errors import ConfigError, ShapeMismatch, ZeroNodes
+from uastkit.featurizer import featurize_sample
 from uastkit.model import (
+    GCN_ACTIVATIONS,
+    POOLINGS,
     ModelConfig,
     bilstm_encode,
     classify,
@@ -319,6 +323,116 @@ class TestForward:
         mean = graph_pool(h, 4, "mean").data
         total = graph_pool(h, 4, "sum").data
         assert np.max(np.abs(total - 4 * mean)) < 1e-12
+
+
+# --- edge-list GCN against the dense composition -------------------------------------
+
+ORACLE_KINDS = ("alpha", "beta", "gamma", "delta", "epsilon")
+_ACTIVATIONS = {"relu": ag.relu, "sigmoid": ag.sigmoid, "tanh": ag.tanh}
+
+
+def dense_graph_oracle(graph, params, cfg) -> Tensor:
+    """Pooled [1 x d_out] features through the dense renormalized Â.
+
+    Every row is padded to N: padding rows gather W0's row 0 and stay out
+    of the result only because Â's zero rows and columns erase them.
+    """
+    act = _ACTIVATIONS[cfg.gcn_activation]
+    adj = Tensor(graph.norm_adj)
+    h = act(ag.matmul(adj, ag.gather_rows(params.gcn[0], graph.node_kinds)))
+    for w in params.gcn[1:]:
+        h = act(ag.matmul(adj, ag.matmul(h, w)))
+    return graph_pool(h, graph.node_count, cfg.pooling)
+
+
+def oracle_probs(pairs, params, cfg) -> Tensor:
+    """The old per-sample composition: dense graph side, per-sample paths."""
+    rows = []
+    for path, graph in pairs:
+        features = []
+        if cfg.uses_path:
+            att = self_attention(embed(path, params), path.true_length, cfg,
+                                 params)
+            features.append(bilstm_encode(att, path.true_length, params, cfg))
+        if cfg.uses_graph:
+            features.append(dense_graph_oracle(graph, params, cfg))
+        rows.append(fuse(*features) if len(features) == 2 else features[0])
+    return classify(ag.concat(rows, axis=0), params)
+
+
+def oracle_batch(rng, cfg, sizes):
+    """Random trees of mixed sizes (some beyond N) plus a single node."""
+    vocab = vocabulary_from_kinds(ORACLE_KINDS)
+    trees = [random_tree(rng, max_nodes=m, kinds=ORACLE_KINDS) for m in sizes]
+    trees.append(AstNode("gamma"))
+    return [featurize_sample(t, vocab, cfg.L, cfg.N) for t in trees]
+
+
+class TestEdgeListOracle:
+    def _config(self, tiny_config, **changes):
+        return variant(tiny_config, vocab_size=len(ORACLE_KINDS) + 2, L=12,
+                       N=9, **changes)
+
+    def _compare(self, cfg, seed):
+        rng = np.random.default_rng(seed)
+        pairs = oracle_batch(rng, cfg, (3, 30, 1, 9, 14, 40, 2))
+        assert {g.node_count for _, g in pairs} >= {1, cfg.N}
+        labels = [i % cfg.k for i in range(len(pairs))]
+        params = init_params(cfg, seed)
+        tensors = params.parameters()
+
+        zero_grads(tensors)
+        want = oracle_probs(pairs, params, cfg)
+        cross_entropy_loss(want, labels).backward()
+        want_grads = [t.grad.copy() for t in tensors]
+
+        zero_grads(tensors)
+        batch = [prepare_sample(p, g, cfg) for p, g in pairs]
+        got = forward_batch(batch, params, cfg)
+        cross_entropy_loss(got, labels).backward()
+
+        assert np.max(np.abs(got.data - want.data)) < 1e-12
+        for (name, t), g in zip(params.manifest(), want_grads):
+            assert np.max(np.abs(t.grad - g)) < 1e-12, name
+
+    @pytest.mark.parametrize("activation", GCN_ACTIVATIONS)
+    @pytest.mark.parametrize("pooling", POOLINGS)
+    def test_graph_mode_matches_dense(self, tiny_config, activation, pooling):
+        cfg = self._config(tiny_config, mode="gast",
+                           gcn_activation=activation, pooling=pooling)
+        self._compare(cfg, seed=len(activation) + len(pooling))
+
+    def test_fused_mode_matches_dense(self, tiny_config):
+        cfg = self._config(tiny_config, gcn_activation="sigmoid",
+                           gcn_layers=3)
+        self._compare(cfg, seed=11)
+
+    def test_single_node_graph_alone(self, tiny_config):
+        cfg = self._config(tiny_config, mode="gast", gcn_activation="tanh")
+        vocab = vocabulary_from_kinds(ORACLE_KINDS)
+        pairs = [featurize_sample(AstNode("beta"), vocab, cfg.L, cfg.N)]
+        params = init_params(cfg, 2)
+        got = forward_batch([prepare_sample(*pairs[0], cfg)], params, cfg)
+        want = oracle_probs(pairs, params, cfg)
+        assert np.max(np.abs(got.data - want.data)) < 1e-12
+
+    def test_prepared_graph_is_an_edge_list(self, tiny_config):
+        cfg = self._config(tiny_config)
+        for path, graph in oracle_batch(np.random.default_rng(1), cfg,
+                                        (40, 5)):
+            p = prepare_sample(path, graph, cfg)
+            assert p.adj.dtype == np.int64 and p.adj.flags.c_contiguous
+            assert p.adj.shape == (len(graph.edges), 2)
+            assert p.adj.tolist() == [list(e) for e in graph.edges]
+            assert p.node_kinds.tolist() == \
+                graph.node_kinds[:graph.node_count].tolist()
+
+    def test_gcn_forward_returns_real_rows_only(self, tiny_config):
+        cfg = self._config(tiny_config)
+        params = init_params(cfg, 0)
+        for _, graph in oracle_batch(np.random.default_rng(5), cfg, (6, 40)):
+            h = gcn_forward(graph, params, cfg)
+            assert h.shape == (graph.node_count, cfg.d_out)
 
 
 # --- short optimization runs -----------------------------------------------------

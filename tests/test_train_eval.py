@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_tree
+from conftest import DEEP_SOURCES, TOY_CORPUS, chain_tree
 from uastkit.ast_frontend import identity_table, load_default_table, preorder
 from uastkit.errors import (
     CheckpointError,
@@ -18,9 +18,11 @@ from uastkit.errors import (
     EmptyClass,
     EmptyCorpus,
     EmptySplit,
+    UastError,
     UnknownExtension,
     UnsupportedLanguage,
 )
+from uastkit.featurizer import GraphSample
 from uastkit.model import ModelConfig, init_params
 from uastkit.train_eval import (
     Checkpoint,
@@ -125,6 +127,23 @@ class TestIngest:
             samples = ingest_corpus(tmp_path)
         assert len(samples) == 1
         assert any("unparseable" in r.message for r in caplog.records)
+
+    def test_too_deeply_nested_files_skipped_with_warning(self, tmp_path,
+                                                          caplog):
+        write_corpus(tmp_path, {"deep": {
+            "java": [JAVA_ADD % 0] + [src for language, src in
+                                      DEEP_SOURCES.values()
+                                      if language == "java"],
+            "python": [PY_ADD % 0, DEEP_SOURCES["python_unary"][1]]}})
+        with caplog.at_level(logging.WARNING, logger="uastkit.corpus"):
+            samples = ingest_corpus(tmp_path)
+        assert sorted(s.source_path for s in samples) == [
+            str(tmp_path / "deep" / "java" / "s0.java"),
+            str(tmp_path / "deep" / "python" / "s0.py")]
+        skipped = [r.getMessage() for r in caplog.records
+                   if "unparseable" in r.getMessage()]
+        assert len(skipped) == 3
+        assert all("nests too deeply" in m for m in skipped)
 
     def test_class_of_only_unparseable_files_raises(self, tmp_path):
         write_corpus(tmp_path, {"good": {"python": [PY_ADD % 0]}})
@@ -523,6 +542,13 @@ class TestTrain:
         assert probs.shape == (2,)
         assert abs(probs.sum() - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("name", sorted(DEEP_SOURCES))
+    def test_predict_refuses_too_deep_source(self, name):
+        _, table, _, _, result = self._fit(epochs=1)
+        language, src = DEEP_SOURCES[name]
+        with pytest.raises(UastError):
+            predict_one(result.checkpoint, src, language, table)
+
     def test_predict_parses_real_source(self, two_class_dir):
         samples = ingest_corpus(two_class_dir)
         splits = {"train": samples, "validation": [], "test": []}
@@ -541,6 +567,28 @@ class TestTrain:
         report = evaluate_samples(splits["train"], result.checkpoint.params,
                                   cfg)
         assert report.accuracy >= 0.9
+
+
+    @pytest.mark.parametrize("mode", ["uast", "sast", "gast"])
+    def test_no_dense_adjacency_on_the_model_path(self, mode, monkeypatch):
+        def refuse(graph):
+            raise AssertionError("dense N x N adjacency built")
+
+        monkeypatch.setattr(GraphSample, "norm_adj", property(refuse))
+        table = load_default_table()
+        splits = split_dataset(ingest_corpus(TOY_CORPUS), seed=0)
+        labels = corpus_labels(splits["train"])
+        vocab = build_features(splits, table, True, L=96, N=96)
+        cfg = ModelConfig(vocab_size=vocab.size, k=len(labels), mode=mode,
+                          L=96, d=8, heads=2, attn_dropout=0.1, h=4,
+                          lstm_layers=1, lstm_dropout=0.0, N=96,
+                          gcn_layers=2, gcn_hidden=6, d_out=4)
+        result = train(splits, cfg, vocab, labels, ["java", "python"],
+                       table.table_hash, True, seed=0, epochs=1,
+                       batch_size=8, max_steps=2)
+        text = (TOY_CORPUS / "matrix_mult" / "java" / "v1.java").read_text()
+        label, probs = predict_one(result.checkpoint, text, "java", table)
+        assert label in labels and abs(probs.sum() - 1.0) < 1e-9
 
 
 # --- checkpoint file -------------------------------------------------------------
