@@ -273,6 +273,32 @@ def propagate(h: Tensor, edges: np.ndarray) -> Tensor:
     return _node(apply(h.data), (h,), bw)
 
 
+def segment_pool(a: Tensor, counts, mean: bool) -> Tensor:
+    """[len(counts) x cols]: sum or mean of consecutive row segments of a.
+
+    Segment i covers the counts[i] rows after the previous segments; rows
+    past sum(counts) take no part.
+    """
+    counts = np.asarray(counts, dtype=np.int64).ravel()
+    if counts.size == 0 or counts.min() < 1 or counts.sum() > a.shape[0]:
+        raise ShapeMismatch(f"segment_pool: counts {counts.tolist()} "
+                            f"over {a.shape[0]} rows")
+    total = int(counts.sum())
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    out = np.add.reduceat(a.data[:total], starts, axis=0)
+    if mean:
+        out = out / counts[:, None]
+
+    def bw(g):
+        if a.requires_grad:
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            per_row = g / counts[:, None] if mean else g
+            a.grad[:total] += np.repeat(per_row, counts, axis=0)
+
+    return _node(out, (a,), bw)
+
+
 def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64).ravel()
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
@@ -285,12 +311,8 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
 # --- nonlinearities ---------------------------------------------------------
 
 def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    with np.errstate(over="ignore"):  # e^-x = inf below -709 gives 0
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -350,22 +372,183 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _node(s, (a,), bw)
 
 
-def dropout(a: Tensor, rate: float, training: bool,
-            rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout; the identity map when not training or rate is 0."""
+def _dropout_mask(shape, rate: float, training: bool,
+                  rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted-dropout factors of one draw, or None for the identity map."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return a
+        return None
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    mask = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def dropout(a: Tensor, rate: float, training: bool,
+            rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout; the identity map when not training or rate is 0."""
+    mask = _dropout_mask(a.data.shape, rate, training, rng)
+    if mask is None:
+        return a
 
     def bw(g):
         if a.requires_grad:
             _accum(a, g * mask)
 
     return _node(a.data * mask, (a,), bw)
+
+
+# --- fused sequence ops ------------------------------------------------------
+#
+# Both take a batch of B sequences padded to T steps as [B*T x cols], row
+# b*T + t holding step t of sequence b, with each sequence's true length.
+# Each records one tape node with a hand-written backward.
+
+def _sequence_batch(x: Tensor, lengths) -> tuple[np.ndarray, int]:
+    lengths = np.asarray(lengths, dtype=np.int64).ravel()
+    if lengths.size == 0 or x.shape[0] % lengths.size:
+        raise ShapeMismatch(
+            f"{x.shape[0]} rows do not split into {lengths.size} sequences")
+    steps = x.shape[0] // lengths.size
+    if lengths.min() < 1 or lengths.max() > steps:
+        raise ShapeMismatch(f"lengths {lengths.tolist()} outside [1, {steps}]")
+    return lengths, steps
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, lengths, heads: int,
+              rate: float = 0.0, training: bool = False,
+              rng: np.random.Generator | None = None) -> Tensor:
+    """Multi-head attention with keys masked past each sequence's length.
+
+    q, k and v are [B*T x d] and may be one tensor.  Head j uses columns
+    j*d/heads to (j+1)*d/heads: softmax(q k^T / sqrt(d/heads)) over the keys
+    before lengths[b], under inverted dropout drawn once over
+    [B, heads, T, T], times v.  Every query row attends, padded ones too.
+    """
+    lengths, steps = _sequence_batch(q, lengths)
+    rows, d = q.shape
+    if k.shape != q.shape or v.shape != q.shape or d % heads:
+        raise ShapeMismatch(f"attention: q {q.shape}, k {k.shape}, "
+                            f"v {v.shape}, {heads} heads")
+    batch, hd = lengths.size, d // heads
+    inv_sqrt = 1.0 / np.sqrt(hd)
+
+    def split(a: np.ndarray) -> np.ndarray:  # -> [B, heads, T, hd]
+        return a.reshape(batch, steps, heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(a: np.ndarray) -> np.ndarray:  # -> [B*T x d]
+        return a.transpose(0, 2, 1, 3).reshape(rows, d)
+
+    qs, ks, vs = split(q.data), split(k.data), split(v.data)
+    # [B, heads, T, T] arrays are large: scores turn into probs in place
+    probs = qs @ ks.transpose(0, 1, 3, 2)
+    probs *= inv_sqrt
+    probs += np.where(np.arange(steps) >= lengths[:, None], -np.inf,
+                      0.0)[:, None, None, :]
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    mask = _dropout_mask(probs.shape, rate, training, rng)
+    weights = probs if mask is None else probs * mask
+
+    def bw(g):
+        gs = split(g)
+        d_scores = gs @ vs.transpose(0, 1, 3, 2)  # d weights, at first
+        if mask is not None:
+            d_scores *= mask
+        d_scores *= probs
+        d_scores -= probs * d_scores.sum(axis=-1, keepdims=True)
+        d_scores *= inv_sqrt
+        for t, grad in ((q, d_scores @ ks),
+                        (k, d_scores.transpose(0, 1, 3, 2) @ qs),
+                        (v, weights.transpose(0, 1, 3, 2) @ gs)):
+            if t.requires_grad:
+                _accum(t, merge(grad))
+
+    return _node(merge(weights @ vs), (q, k, v), bw)
+
+
+def lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, lengths,
+                   reverse: bool = False) -> Tensor:
+    """One direction of an LSTM layer over a batch, as [B*T x h] states.
+
+    x is [B*T x in]; w_all is [(h + in) x 4h], recurrent rows first, and
+    b_all is [1 x 4h], gate columns in the order i, f, o, c.  From step
+    lengths[b] on, sequence b holds its state, which stays zero when
+    reverse runs the steps from T-1 down to 0.  Every step's input
+    projection is one GEMM before the recurrence.
+    """
+    lengths, steps = _sequence_batch(x, lengths)
+    rows, in_dim = x.shape
+    batch, h = lengths.size, b_all.shape[1] // 4
+    if b_all.shape != (1, 4 * h) or w_all.shape != (h + in_dim, 4 * h):
+        raise ShapeMismatch(f"lstm_direction: x {x.shape}, w_all "
+                            f"{w_all.shape}, b_all {b_all.shape}")
+    w_h, w_x = w_all.data[:h], w_all.data[h:]
+    dead = (np.arange(steps)[:, None] >= lengths)[:, :, None]  # [T, B, 1]
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    # slot of the state entering each step; slot T (also reached as -1)
+    # holds the zero start state
+    enter = np.arange(steps) + (1 if reverse else -1)
+
+    # per-step buffers are time-major, so each step's slice is contiguous;
+    # gates holds every step's input projection, from one GEMM, and turns
+    # into that step's gate activations in place
+    gates = np.ascontiguousarray(
+        (x.data @ w_x + b_all.data).reshape(batch, steps, 4 * h)
+        .transpose(1, 0, 2))
+    hs = np.zeros((steps + 1, batch, h))
+    cs = np.zeros((steps + 1, batch, h))
+    c_tanh = np.empty((steps, batch, h))
+    for t in order:
+        act = gates[t]
+        act += hs[enter[t]] @ w_h
+        act[:, :3 * h] = _sigmoid_values(act[:, :3 * h])
+        np.tanh(act[:, 3 * h:], out=act[:, 3 * h:])
+        i_g, f_g, o_g, c_hat = (act[:, j * h:(j + 1) * h] for j in range(4))
+        np.multiply(f_g, cs[enter[t]], out=cs[t])
+        cs[t] += i_g * c_hat
+        np.copyto(cs[t], cs[enter[t]], where=dead[t])
+        np.tanh(cs[t], out=c_tanh[t])
+        np.multiply(o_g, c_tanh[t], out=hs[t])
+        np.copyto(hs[t], hs[enter[t]], where=dead[t])
+
+    def bw(g):
+        d_hs = g.reshape(batch, steps, h).transpose(1, 0, 2)
+        d_pre = np.empty((steps, batch, 4 * h))
+        held = dead.astype(np.float64)
+        live = 1.0 - held
+        dh = np.zeros((batch, h))
+        dc = np.zeros((batch, h))
+        for t in reversed(order):
+            ifo, c_hat = gates[t, :, :3 * h], gates[t, :, 3 * h:]
+            i_g, f_g, o_g = ifo[:, :h], ifo[:, h:2 * h], ifo[:, 2 * h:]
+            dh += d_hs[t]
+            dh_new = dh * live[t]
+            dc += dh_new * o_g * (1.0 - c_tanh[t] * c_tanh[t])
+            dc_new = dc * live[t]
+            d_sig = ifo * (1.0 - ifo)
+            dp = d_pre[t]
+            np.multiply(dc_new * c_hat, d_sig[:, :h], out=dp[:, :h])
+            np.multiply(dc_new * cs[enter[t]], d_sig[:, h:2 * h],
+                        out=dp[:, h:2 * h])
+            np.multiply(dh_new * c_tanh[t], d_sig[:, 2 * h:],
+                        out=dp[:, 2 * h:3 * h])
+            np.multiply(dc_new * i_g, 1.0 - c_hat * c_hat, out=dp[:, 3 * h:])
+            dh = dh * held[t] + dp @ w_h.T
+            dc = dc_new * f_g + dc * held[t]
+        d_pre_rows = d_pre.transpose(1, 0, 2).reshape(rows, 4 * h)
+        if x.requires_grad:
+            _accum(x, d_pre_rows @ w_x.T)
+        if w_all.requires_grad:
+            _accum(w_all, np.vstack([
+                hs[enter].reshape(-1, h).T @ d_pre.reshape(-1, 4 * h),
+                x.data.T @ d_pre_rows]))
+        if b_all.requires_grad:
+            _accum(b_all, d_pre.reshape(-1, 4 * h).sum(axis=0, keepdims=True))
+
+    return _node(hs[:steps].transpose(1, 0, 2).reshape(rows, h),
+                 (x, w_all, b_all), bw)
 
 
 # --- reductions --------------------------------------------------------------

@@ -10,13 +10,16 @@ Settings resolve in three layers: a named profile supplies defaults, a JSON
 config file overrides the profile, and explicit flags override both.  The
 resolved run configuration is embedded in every checkpoint, history file,
 and report for provenance.  The UASTKIT_TABLE environment variable points
-at an alternative unification table; --table wins over it.
+at an alternative unification table; --table wins over it.  Log records,
+such as the warning for each skipped corpus file, go to stderr from
+--log-level up (warning by default; -v means info).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -79,6 +82,7 @@ PROFILES: dict[str, dict] = {
             "epochs": 50, "batch_size": 8, "lr": 0.01},
 }
 DEFAULT_PROFILE = "leetcode"
+LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
 
 @dataclass
@@ -485,6 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="uast",
         description="Cross-language program classification over unified "
                     "syntax trees")
+    parser.add_argument("--log-level", dest="log_level", default="warning",
+                        choices=LOG_LEVELS,
+                        help="least severe log records written to stderr "
+                             "(default warning)")
+    parser.add_argument("-v", dest="log_level", action="store_const",
+                        const="info", help="same as --log-level info")
     commands = parser.add_subparsers(dest="command", metavar="command")
 
     p = commands.add_parser("parse", help="print S-expression ASTs")
@@ -565,6 +575,12 @@ def main(argv: list[str] | None = None) -> int:
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return 1
+    logger = logging.getLogger("uastkit")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+    kept_level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(args.log_level.upper())
     try:
         return args.func(args) or 0
     except UastError as exc:
@@ -573,6 +589,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(kept_level)
 
 
 def entry() -> None:

@@ -215,6 +215,31 @@ def write_featurized(path: str | Path, fset: FeaturizedSet) -> None:
                 fh.write(flat.tobytes())
 
 
+def _record_problem(header: dict, vocab: Vocabulary, label: int,
+                    language: int, prefix: np.ndarray, true_length: int,
+                    node_count: int, pairs: np.ndarray) -> str | None:
+    """Why a record read back could not have been written from a sample."""
+    if true_length > header["L"]:
+        return f"true_length {true_length} exceeds L={header['L']}"
+    if node_count > header["N"]:
+        return f"node_count {node_count} exceeds N={header['N']}"
+    for name, index, size in (
+            ("label", label, len(header["labels"])),
+            ("language", language, len(header["languages"])),
+            ("kind", int(prefix.max(initial=0)), vocab.size)):
+        if index >= size:
+            return f"{name} index {index} outside [0, {size})"
+    if pairs.size:
+        if pairs.max() >= node_count:
+            return f"edge endpoint {pairs.max()} outside [0, {node_count})"
+        low, high = pairs.min(axis=1), pairs.max(axis=1)
+        if (low == high).any():
+            return f"self edge at node {low[low == high][0]}"
+        if np.unique(low * node_count + high).size < len(pairs):
+            return "repeated edge"
+    return None
+
+
 def read_featurized(path: str | Path) -> FeaturizedSet:
     try:
         data = Path(path).read_bytes()
@@ -232,6 +257,7 @@ def read_featurized(path: str | Path) -> FeaturizedSet:
         raise DataError(f"{path}: corrupt header: {exc}") from exc
     offset += header_len
     L, N = header["L"], header["N"]
+    vocab = vocabulary_from_kinds(header["kinds"])
     records: list[SampleRecord] = []
     try:
         for _ in range(header["count"]):
@@ -245,15 +271,16 @@ def read_featurized(path: str | Path) -> FeaturizedSet:
             offset += 4 * m
             (edge_count,) = struct.unpack_from("<I", data, offset)
             offset += 4
-            edges: tuple[tuple[int, int], ...] = ()
-            if edge_count:
-                if offset + 8 * edge_count > len(data):
-                    raise DataError(f"{path}: corrupt record")
-                flat = np.frombuffer(data, dtype="<u4", count=2 * edge_count,
-                                     offset=offset).astype(np.int64)
-                edges = tuple((int(a), int(b))
-                              for a, b in flat.reshape(-1, 2))
-                offset += 8 * edge_count
+            if offset + 8 * edge_count > len(data):
+                raise DataError(f"{path}: corrupt record")
+            pairs = np.frombuffer(data, dtype="<u4", count=2 * edge_count,
+                                  offset=offset).astype(np.int64).reshape(-1, 2)
+            offset += 8 * edge_count
+            problem = _record_problem(header, vocab, label, language, prefix,
+                                      true_length, node_count, pairs)
+            if problem:
+                raise DataError(f"{path}: record {len(records)}: {problem}")
+            edges = tuple((int(a), int(b)) for a, b in pairs)
             path_seq, graph = _views(prefix, true_length, node_count, edges,
                                      L, N)
             records.append(SampleRecord(
@@ -264,7 +291,7 @@ def read_featurized(path: str | Path) -> FeaturizedSet:
     if offset != len(data):
         raise DataError(f"{path}: {len(data) - offset} trailing bytes")
     return FeaturizedSet(
-        L=L, N=N, vocab=vocabulary_from_kinds(header["kinds"]),
+        L=L, N=N, vocab=vocab,
         labels=tuple(header["labels"]), languages=tuple(header["languages"]),
         unified=header["unified"], table_hash=header["table_hash"],
         records=tuple(records))

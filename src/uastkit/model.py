@@ -3,16 +3,20 @@
 The sequence side embeds the pre-order path, runs multi-head self-attention
 with Q = K = V (no input projections unless the learned_projections variant
 is switched on), and feeds a stacked bidirectional LSTM whose recurrence is
-masked to the true sequence length.  The graph side runs GCN layers that
-propagate over the tree's parent-child edge list (no dense N x N adjacency)
-and pools its real nodes; a batch runs as one disjoint union of its graphs.
-Features fuse by concatenation, sequence side first, into a softmax classifier.
+masked to the true sequence length.  A batch embeds only its first
+T = max(true_length) steps, laid out as [B*T x d]; attention is one fused
+op over every sample and head, and each LSTM direction is one fused op
+(autograd.attention, autograd.lstm_direction).  The graph side runs GCN
+layers that propagate over the tree's parent-child edge list (no dense
+N x N adjacency) and pools its real nodes; a batch runs as one disjoint
+union of its graphs.  Features fuse by concatenation, sequence side first,
+into a softmax classifier.
 
 Two entry points compute the same function: the per-sample ops (embed,
 self_attention, bilstm_encode, gcn_forward, graph_pool, fuse, classify,
-forward) and forward_batch, which shares one tape across a whole batch so
-tape length does not grow with batch size.  Training uses forward_batch;
-the per-sample ops are the contract surface and delegate where practical.
+forward) and forward_batch.  Training uses forward_batch, whose tape holds
+the same number of nodes whatever the batch size and path lengths; the
+per-sample ops are the contract surface and run the same ops at B=1.
 """
 
 from __future__ import annotations
@@ -231,41 +235,19 @@ def embed(path: PathSequence, params: ModelParams) -> Tensor:
     return ag.embedding_lookup(params.embedding, path.indices)
 
 
-def _attention_mask(L: int, true_length: int) -> Tensor | None:
-    if true_length >= L:
-        return None
-    row = np.zeros((1, L))
-    row[0, true_length:] = -np.inf
-    return Tensor(row)
-
-
-def _attend_one(x: Tensor, mask: Tensor | None, cfg: ModelConfig,
-                params: ModelParams | None, training: bool,
-                rng: np.random.Generator | None) -> Tensor:
-    """Multi-head attention over one sample's [L x d] rows."""
+def _attend(x: Tensor, lengths: np.ndarray, cfg: ModelConfig,
+            params: ModelParams | None, training: bool,
+            rng: np.random.Generator | None) -> Tensor:
+    """Multi-head attention over a batch's [B*T x d] rows."""
     if cfg.learned_projections:
         if params is None or params.proj_q is None:
             raise ConfigError("learned_projections on but no projection weights")
-        q_all = ag.matmul(x, params.proj_q)
-        k_all = ag.matmul(x, params.proj_k)
-        v_all = ag.matmul(x, params.proj_v)
+        q, k, v = (ag.matmul(x, w)
+                   for w in (params.proj_q, params.proj_k, params.proj_v))
     else:
-        q_all = k_all = v_all = x
-    hd = cfg.head_dim
-    inv_sqrt = 1.0 / math.sqrt(hd)
-    heads_out: list[Tensor] = []
-    for head in range(cfg.heads):
-        lo, hi = head * hd, (head + 1) * hd
-        q = ag.slice_cols(q_all, lo, hi)
-        k = q if k_all is q_all else ag.slice_cols(k_all, lo, hi)
-        v = q if v_all is q_all else ag.slice_cols(v_all, lo, hi)
-        scores = ag.scale(ag.matmul(q, ag.transpose(k)), inv_sqrt)
-        if mask is not None:
-            scores = ag.add(scores, mask)
-        weights = ag.softmax_rows(scores)
-        weights = ag.dropout(weights, cfg.attn_dropout, training, rng)
-        heads_out.append(ag.matmul(weights, v))
-    return ag.concat(heads_out, axis=1) if len(heads_out) > 1 else heads_out[0]
+        q = k = v = x
+    return ag.attention(q, k, v, lengths, cfg.heads, cfg.attn_dropout,
+                        training, rng)
 
 
 def self_attention(x: Tensor, true_length: int, cfg: ModelConfig,
@@ -276,73 +258,38 @@ def self_attention(x: Tensor, true_length: int, cfg: ModelConfig,
         raise ShapeMismatch(f"self_attention: {x.shape} vs ({cfg.L}, {cfg.d})")
     if true_length < 1:
         raise ShapeMismatch("self_attention: true_length must be >= 1")
-    return _attend_one(x, _attention_mask(cfg.L, true_length), cfg, params,
-                       training, rng)
+    return _attend(x, np.array([min(true_length, cfg.L)]), cfg, params,
+                   training, rng)
 
 
-def _masks_for_batch(true_lengths: list[int], T: int) -> list[tuple]:
-    """Per-step (mask, inv_mask) tensor pairs; None when every row is live."""
-    arr = np.asarray(true_lengths)
-    out = []
-    for t in range(T):
-        live = (arr > t).astype(np.float64).reshape(-1, 1)
-        if live.all():
-            out.append((None, None))
-        else:
-            out.append((Tensor(live), Tensor(1.0 - live)))
-    return out
-
-
-def _lstm_direction(xs: list[Tensor], masks: list[tuple], gates: LstmGates,
-                    h_dim: int, reverse: bool) -> tuple[list[Tensor], Tensor]:
-    """Run one direction over the step list; returns per-step h and final h."""
-    batch = xs[0].shape[0]
+def _gate_matrices(gates: LstmGates) -> tuple[Tensor, Tensor]:
+    """w_all [(h + in) x 4h] and b_all [1 x 4h], gates in the order i f o c."""
     w_all = ag.transpose(ag.concat(
-        [gates.w_i, gates.w_f, gates.w_o, gates.w_c], axis=0))  # [(h+in) x 4h]
+        [gates.w_i, gates.w_f, gates.w_o, gates.w_c], axis=0))
     b_all = ag.concat([gates.b_i, gates.b_f, gates.b_o, gates.b_c], axis=1)
-    h = Tensor(np.zeros((batch, h_dim)))
-    c = Tensor(np.zeros((batch, h_dim)))
-    steps = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
-    outs: list[Tensor | None] = [None] * len(xs)
-    for t in steps:
-        z = ag.concat([h, xs[t]], axis=1)
-        pre = ag.add(ag.matmul(z, w_all), b_all)
-        i_g = ag.sigmoid(ag.slice_cols(pre, 0, h_dim))
-        f_g = ag.sigmoid(ag.slice_cols(pre, h_dim, 2 * h_dim))
-        o_g = ag.sigmoid(ag.slice_cols(pre, 2 * h_dim, 3 * h_dim))
-        c_hat = ag.tanh(ag.slice_cols(pre, 3 * h_dim, 4 * h_dim))
-        c_new = ag.add(ag.mul(f_g, c), ag.mul(i_g, c_hat))
-        live, dead = masks[t]
-        if live is None:
-            c = c_new
-        else:
-            c = ag.add(ag.mul(c_new, live), ag.mul(c, dead))
-        h_new = ag.mul(o_g, ag.tanh(c))
-        if live is None:
-            h = h_new
-        else:
-            h = ag.add(ag.mul(h_new, live), ag.mul(h, dead))
-        outs[t] = h
-    return outs, h  # type: ignore[return-value]
+    return w_all, b_all
 
 
-def _bilstm_over_steps(xs: list[Tensor], true_lengths: list[int],
-                       params: ModelParams, cfg: ModelConfig, training: bool,
-                       rng: np.random.Generator | None) -> Tensor:
-    masks = _masks_for_batch(true_lengths, len(xs))
-    inputs = xs
-    final_fwd: Tensor | None = None
-    final_bwd: Tensor | None = None
+def _bilstm(x: Tensor, lengths: np.ndarray, params: ModelParams,
+            cfg: ModelConfig, training: bool,
+            rng: np.random.Generator | None) -> Tensor:
+    """[B*T x d] -> [B x 2h]: top layer's forward and backward finals.
+
+    States are held past each true length, so the forward final is the
+    row at step T-1 and the backward final the row at step 0.
+    """
+    inputs = x
     for layer, (fwd_gates, bwd_gates) in enumerate(params.lstm):
-        outs_f, final_fwd = _lstm_direction(inputs, masks, fwd_gates,
-                                            cfg.h, reverse=False)
-        outs_b, final_bwd = _lstm_direction(inputs, masks, bwd_gates,
-                                            cfg.h, reverse=True)
-        if layer + 1 < len(params.lstm):
-            inputs = [ag.dropout(ag.concat([f, b], axis=1), cfg.lstm_dropout,
-                                 training, rng)
-                      for f, b in zip(outs_f, outs_b)]
-    return ag.concat([final_fwd, final_bwd], axis=1)
+        if layer:
+            inputs = ag.dropout(ag.concat([out_f, out_b], axis=1),
+                                cfg.lstm_dropout, training, rng)
+        out_f = ag.lstm_direction(inputs, *_gate_matrices(fwd_gates), lengths)
+        out_b = ag.lstm_direction(inputs, *_gate_matrices(bwd_gates), lengths,
+                                  reverse=True)
+    steps = x.shape[0] // len(lengths)
+    firsts = np.arange(len(lengths)) * steps
+    return ag.concat([ag.gather_rows(out_f, firsts + steps - 1),
+                      ag.gather_rows(out_b, firsts)], axis=1)
 
 
 def bilstm_encode(x: Tensor, true_length: int, params: ModelParams,
@@ -353,8 +300,9 @@ def bilstm_encode(x: Tensor, true_length: int, params: ModelParams,
         raise ShapeMismatch("bilstm_encode: true_length must be >= 1")
     if x.shape[1] != cfg.d:
         raise ShapeMismatch(f"bilstm_encode: {x.shape} vs (*, {cfg.d})")
-    steps = [ag.slice_rows(x, t, t + 1) for t in range(min(true_length, x.shape[0]))]
-    return _bilstm_over_steps(steps, [len(steps)], params, cfg, training, rng)
+    steps = min(true_length, x.shape[0])
+    return _bilstm(ag.slice_rows(x, 0, steps), np.array([steps]), params, cfg,
+                   training, rng)
 
 
 # --- graph side --------------------------------------------------------------
@@ -388,8 +336,7 @@ def graph_pool(h: Tensor, node_count: int, pooling: str = "mean") -> Tensor:
     """[rows x d_out] -> [1 x d_out] over the first node_count rows."""
     if node_count < 1:
         raise ZeroNodes("graph_pool: node_count must be >= 1")
-    real = ag.slice_rows(h, 0, node_count)
-    return ag.mean_axis(real, 0) if pooling == "mean" else ag.sum_axis(real, 0)
+    return ag.segment_pool(h, [node_count], pooling == "mean")
 
 
 # --- fusion and head ----------------------------------------------------------
@@ -450,21 +397,13 @@ def forward_batch(batch: list[PreparedSample], params: ModelParams,
     features: list[Tensor] = []
 
     if cfg.uses_path:
-        L = cfg.L
-        flat = np.concatenate([s.path.indices for s in batch])
-        x_all = ag.embedding_lookup(params.embedding, flat)
-        atts: list[Tensor] = []
-        for b, s in enumerate(batch):
-            xb = ag.slice_rows(x_all, b * L, (b + 1) * L)
-            atts.append(_attend_one(xb, _attention_mask(L, s.true_length),
-                                    cfg, params, training, rng))
-        att_all = ag.concat(atts, axis=0) if len(atts) > 1 else atts[0]
-        lengths = [s.true_length for s in batch]
-        T = max(lengths)
-        base = np.arange(len(batch)) * L
-        steps = [ag.gather_rows(att_all, base + t) for t in range(T)]
-        features.append(_bilstm_over_steps(steps, lengths, params, cfg,
-                                           training, rng))
+        # only the first T = max(true_length) steps of each path enter
+        lengths = np.array([s.true_length for s in batch])
+        T = int(lengths.max())
+        x = ag.embedding_lookup(
+            params.embedding, np.concatenate([s.path.indices[:T] for s in batch]))
+        features.append(_bilstm(_attend(x, lengths, cfg, params, training, rng),
+                                lengths, params, cfg, training, rng))
 
     if cfg.uses_graph:
         # one disjoint union: each sample's edges shift by its first node
@@ -474,11 +413,7 @@ def forward_batch(batch: list[PreparedSample], params: ModelParams,
                                 for s, start in zip(batch, starts)])
         h = _gcn_layers(np.concatenate([s.node_kinds for s in batch]), edges,
                         params, cfg)
-        pooled = [graph_pool(ag.slice_rows(h, start, start + n), n,
-                             cfg.pooling)
-                  for start, n in zip(starts, counts)]
-        features.append(ag.concat(pooled, axis=0) if len(pooled) > 1
-                        else pooled[0])
+        features.append(ag.segment_pool(h, counts, cfg.pooling == "mean"))
 
     h_code = fuse(features[0], features[1]) if len(features) == 2 else features[0]
     return classify(h_code, params)

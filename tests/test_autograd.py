@@ -301,6 +301,86 @@ class TestAccumulation:
         assert a.grad is not None
 
 
+# --- fused sequence ops -----------------------------------------------------------
+
+class TestFusedSequenceGradients:
+    """Both fused ops against central differences, with padded sequences."""
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(21)
+        self.lengths = [3, 1, 4]  # B=3 sequences padded to T=4
+
+    def _weighted(self, out):
+        w = Tensor(np.random.default_rng(22).uniform(-1, 1, out.shape))
+        return ag.sum_all(ag.mul(out, w))
+
+    def test_attention_shared_qkv_masked(self):
+        x = leaf(self.rng, 12, 4)
+        fd_check(lambda: self._weighted(ag.attention(x, x, x, self.lengths,
+                                                     heads=2)), [x])
+
+    def test_attention_separate_qkv_under_fixed_dropout(self):
+        q, k, v = (leaf(self.rng, 12, 6) for _ in range(3))
+        fd_check(lambda: self._weighted(ag.attention(
+            q, k, v, self.lengths, heads=3, rate=0.4, training=True,
+            rng=np.random.default_rng(5))), [q, k, v])
+
+    def test_attention_ignores_padded_keys(self):
+        x = self.rng.normal(size=(12, 4))
+        moved = x.copy()
+        moved[[3, 5, 6, 7]] += self.rng.normal(size=(4, 4))  # padded steps
+        base = ag.attention(Tensor(x), Tensor(x), Tensor(x), self.lengths, 2)
+        other = ag.attention(Tensor(x), Tensor(moved), Tensor(moved),
+                             self.lengths, 2)
+        assert np.array_equal(base.data, other.data)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm_direction_masked(self, reverse):
+        x = leaf(self.rng, 12, 3)
+        w_all = leaf(self.rng, 2 + 3, 8)
+        b_all = leaf(self.rng, 1, 8)
+        fd_check(lambda: self._weighted(ag.lstm_direction(
+            x, w_all, b_all, self.lengths, reverse)), [x, w_all, b_all])
+
+    def test_lstm_holds_state_past_each_length(self):
+        x = Tensor(self.rng.normal(size=(12, 3)))
+        w_all = Tensor(self.rng.uniform(-1, 1, (5, 8)))
+        b_all = Tensor(self.rng.uniform(-1, 1, (1, 8)))
+        fwd = ag.lstm_direction(x, w_all, b_all, self.lengths).data
+        bwd = ag.lstm_direction(x, w_all, b_all, self.lengths, True).data
+        for b, n in enumerate(self.lengths):
+            rows = slice(4 * b + n, 4 * b + 4)
+            assert (fwd[rows] == fwd[4 * b + n - 1]).all()
+            assert (bwd[rows] == 0.0).all()
+
+    def test_sequence_shape_guards(self):
+        x = Tensor(np.zeros((12, 4)))
+        with pytest.raises(ShapeMismatch):
+            ag.attention(x, x, x, [3, 1, 4, 2], heads=2)  # 12 rows, B=4
+        with pytest.raises(ShapeMismatch):
+            ag.attention(x, x, x, [3, 0, 4], heads=2)
+        with pytest.raises(ShapeMismatch):
+            ag.attention(x, x, x, [3, 5, 4], heads=2)
+        with pytest.raises(ShapeMismatch):
+            ag.attention(x, x, x, [3, 1, 4], heads=3)
+        with pytest.raises(ShapeMismatch):
+            ag.lstm_direction(x, Tensor(np.zeros((5, 8))),
+                              Tensor(np.zeros((1, 8))), [3, 1, 4])
+
+    def test_segment_pool(self):
+        a = leaf(self.rng, 6, 3)
+        for mean in (True, False):
+            fd_check(lambda: self._weighted(ag.segment_pool(a, [2, 1, 2],
+                                                            mean)), [a])
+        pooled = ag.segment_pool(a, [2, 1, 2], mean=True).data
+        assert np.allclose(pooled[0], a.data[:2].mean(axis=0))
+        assert np.array_equal(pooled[1], a.data[2])
+        with pytest.raises(ShapeMismatch):
+            ag.segment_pool(a, [2, 0], mean=True)
+        with pytest.raises(ShapeMismatch):
+            ag.segment_pool(a, [4, 3], mean=False)
+
+
 # --- dropout ---------------------------------------------------------------------
 
 class TestDropout:

@@ -1,6 +1,8 @@
 """Per-language parsers: structure, recovery, and the language registry."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DEEP_SOURCES
 from uastkit.ast_frontend import (
@@ -16,7 +18,12 @@ from uastkit.ast_frontend.backends import (
     normalize_language,
     registered_languages,
 )
-from uastkit.errors import ParseFailure, UnknownExtension, UnsupportedLanguage
+from uastkit.errors import (
+    ParseFailure,
+    UastError,
+    UnknownExtension,
+    UnsupportedLanguage,
+)
 
 ADD_SNIPPETS = {
     "java": "public class A { static int add(int a, int b) { return a + b; } }",
@@ -150,6 +157,43 @@ class TestRecovery:
         # the python backend has no recovery; any syntax error fails the file
         with pytest.raises(ParseFailure):
             parse_source("def g(:\n    pass\n", "python")
+
+
+# tokens of all five languages, so generated files reach deep into the parsers
+SOURCE_TOKENS = (
+    "{", "}", "(", ")", "[", "]", ";", ",", ".", ":", "?", "=", "==", "+",
+    "-", "*", "/", "%", "<", ">", "<<", "&&", "||", "!", "&", "|", "^", "~",
+    "++", "--", "->", "::", "=>", "@", "#", "\\", "\"", "'", "`", "\n",
+    "    ", "\t", "0", "1.5e3", "0x1F", "'c'", '"s"', "x", "foo", "int",
+    "void", "class", "public", "static", "return", "if", "else", "for",
+    "while", "do", "switch", "case", "default", "break", "continue", "new",
+    "function", "let", "var", "const", "def", "lambda", "import", "from",
+    "try", "except", "catch", "finally", "struct", "template", "typename",
+    "namespace", "using", "#include", "/*", "*/", "//", "async", "await",
+    "yield", "with", "pass", "None", "null", "this", "self", "throw",
+)
+
+
+class TestNoEscapingErrors:
+    """No input string makes parse_source raise outside UastError."""
+
+    @given(text=st.text(max_size=300),
+           language=st.sampled_from(sorted(ADD_SNIPPETS)))
+    @settings(max_examples=150, deadline=2000)
+    def test_arbitrary_text(self, text, language):
+        try:
+            parse_source(text, language)
+        except UastError:
+            pass
+
+    @given(tokens=st.lists(st.sampled_from(SOURCE_TOKENS), max_size=120),
+           language=st.sampled_from(sorted(ADD_SNIPPETS)))
+    @settings(max_examples=250, deadline=2000)
+    def test_token_soup(self, tokens, language):
+        try:
+            parse_source(" ".join(tokens), language)
+        except UastError:
+            pass
 
 
 # --- registry -----------------------------------------------------------------

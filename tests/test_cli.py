@@ -1,6 +1,7 @@
 """Command-line interface: every subcommand plus exit codes and layering."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import TOY_CORPUS
-from uastkit.cli import PROFILES, RunConfig, main
+from uastkit.cli import PROFILES, RunConfig, build_parser, main
 from uastkit.featurizer import read_featurized
 from uastkit.train_eval import load_checkpoint
 
@@ -147,6 +148,52 @@ class TestStats:
         lines = dict(line.split() for line in out.strip().splitlines())
         assert lines["files"] == "32"
         assert lines["p80"] == "69"
+
+
+# --- logging ---------------------------------------------------------------------
+
+class TestLogging:
+    @pytest.fixture
+    def corpus_with_broken_file(self, tmp_path):
+        folder = tmp_path / "corpus" / "adds" / "python"
+        folder.mkdir(parents=True)
+        (folder / "good.py").write_text("def add(a, b):\n    return a + b\n")
+        (folder / "broken.py").write_text("def add(a, b:\n")
+        return tmp_path / "corpus"
+
+    def test_skip_warning_reaches_stderr_by_default(self, capsys,
+                                                    corpus_with_broken_file):
+        code, _, err = run(capsys, "stats", "--corpus",
+                           str(corpus_with_broken_file))
+        assert code == 0
+        assert "WARNING: unparseable file skipped" in err
+        assert "broken.py" in err
+
+    def test_log_level_error_silences_it(self, capsys,
+                                         corpus_with_broken_file):
+        code, _, err = run(capsys, "--log-level", "error", "stats",
+                           "--corpus", str(corpus_with_broken_file))
+        assert code == 0
+        assert "skipped" not in err
+
+    def test_v_is_log_level_info(self):
+        assert build_parser().parse_args(["-v", "parse", PY_SAMPLE]) \
+            .log_level == "info"
+        assert build_parser().parse_args(["parse", PY_SAMPLE]) \
+            .log_level == "warning"
+
+    def test_each_run_attaches_and_removes_one_handler(
+            self, capsys, corpus_with_broken_file):
+        for _ in range(2):
+            code, _, err = run(capsys, "-v", "stats", "--corpus",
+                               str(corpus_with_broken_file))
+            assert code == 0
+            assert err.count("unparseable file skipped") == 1
+        assert not logging.getLogger("uastkit").handlers
+        assert logging.getLogger("uastkit").level == logging.NOTSET
+
+    def test_unknown_level_is_usage(self, capsys):
+        assert run(capsys, "--log-level", "loud", "parse", PY_SAMPLE)[0] == 1
 
 
 # --- featurize ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Path sequences, graph views, corpus statistics, and the featurized file."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -303,4 +305,68 @@ class TestFeaturizedFile:
         write_featurized(out, _toy_set(vocab))
         out.write_bytes(out.read_bytes() + b"\x00\x01")
         with pytest.raises(DataError):
+            read_featurized(out)
+
+
+def _bad_record(vocab, **changes) -> FeaturizedSet:
+    """The toy set with its first record's graph or fields replaced."""
+    fset = _toy_set(vocab)
+    first = fset.records[0]
+    graph = changes.pop("graph", None)
+    if graph is not None:
+        kinds, count, edges = graph
+        arr = np.zeros(fset.N, dtype=np.int64)
+        arr[:len(kinds)] = kinds
+        changes["graph"] = GraphSample(node_kinds=arr, node_count=count,
+                                       edges=edges)
+    records = (dataclasses.replace(first, **changes),) + fset.records[1:]
+    return dataclasses.replace(fset, records=records)
+
+
+class TestFeaturizedRecordChecks:
+    """Records no featurized sample can produce are refused on reading."""
+
+    @pytest.mark.parametrize("graph, reason", [
+        # such a record once read back silently and then broke propagate
+        (([1, 2, 3], 3, ((0, 5),)), "edge endpoint 5 outside [0, 3)"),
+        (([1, 2, 3], 3, ((0, 1), (1, 1))), "self edge"),
+        (([1, 2, 3], 3, ((0, 1), (1, 2), (1, 0))), "repeated edge"),
+        (([1, 2, 3], 3, ((0, 1), (0, 1))), "repeated edge"),
+    ])
+    def test_bad_edges_raise_data_error(self, vocab, tmp_path, graph, reason):
+        out = tmp_path / "bad.feat"
+        write_featurized(out, _bad_record(vocab, graph=graph))
+        with pytest.raises(DataError, match=re.escape("record 0: " + reason)):
+            read_featurized(out)
+
+    def test_lengths_beyond_the_header_raise(self, vocab, tmp_path):
+        fset = _toy_set(vocab)
+        long_path, big_graph = featurize_sample(
+            chain_tree(["alpha"] * 20), vocab, L=fset.L + 1, N=fset.N + 1)
+        for changes, reason in (({"path": long_path}, "true_length 13"),
+                                ({"graph": big_graph}, "node_count 11")):
+            records = (dataclasses.replace(fset.records[0], **changes),) \
+                + fset.records[1:]
+            out = tmp_path / "bad.feat"
+            write_featurized(out, dataclasses.replace(fset, records=records))
+            with pytest.raises(DataError, match=reason):
+                read_featurized(out)
+
+    @pytest.mark.parametrize("changes, reason", [
+        ({"label": 2}, "label index 2 outside [0, 2)"),
+        ({"language": 3}, "language index 3 outside [0, 3)"),
+    ])
+    def test_indices_outside_header_lists_raise(self, vocab, tmp_path,
+                                                changes, reason):
+        out = tmp_path / "bad.feat"
+        write_featurized(out, _bad_record(vocab, **changes))
+        with pytest.raises(DataError, match=re.escape(reason)):
+            read_featurized(out)
+
+    def test_kind_outside_vocabulary_raises(self, vocab, tmp_path):
+        fset = _toy_set(vocab)
+        small = vocabulary_from_kinds(KINDS[:1])
+        out = tmp_path / "bad.feat"
+        write_featurized(out, dataclasses.replace(fset, vocab=small))
+        with pytest.raises(DataError, match="kind index"):
             read_featurized(out)

@@ -435,6 +435,216 @@ class TestEdgeListOracle:
             assert h.shape == (graph.node_count, cfg.d_out)
 
 
+# --- fused sequence encoder against the op-by-op composition ------------------------
+#
+# The sequence side as it ran before the fused attention and LSTM ops: one
+# attention chain per sample and head over all L rows, one LSTM tape chain
+# per step and direction over the batch's longest true length.
+
+def _attention_mask(L: int, true_length: int) -> Tensor | None:
+    if true_length >= L:
+        return None
+    row = np.zeros((1, L))
+    row[0, true_length:] = -np.inf
+    return Tensor(row)
+
+
+def _attend_one(x: Tensor, mask: Tensor | None, cfg, params) -> Tensor:
+    """Multi-head attention over one sample's [L x d] rows, eval mode."""
+    if cfg.learned_projections:
+        q_all = ag.matmul(x, params.proj_q)
+        k_all = ag.matmul(x, params.proj_k)
+        v_all = ag.matmul(x, params.proj_v)
+    else:
+        q_all = k_all = v_all = x
+    hd = cfg.head_dim
+    heads_out = []
+    for head in range(cfg.heads):
+        lo, hi = head * hd, (head + 1) * hd
+        q = ag.slice_cols(q_all, lo, hi)
+        k = q if k_all is q_all else ag.slice_cols(k_all, lo, hi)
+        v = q if v_all is q_all else ag.slice_cols(v_all, lo, hi)
+        scores = ag.scale(ag.matmul(q, ag.transpose(k)), 1.0 / math.sqrt(hd))
+        if mask is not None:
+            scores = ag.add(scores, mask)
+        heads_out.append(ag.matmul(ag.softmax_rows(scores), v))
+    return ag.concat(heads_out, axis=1) if len(heads_out) > 1 else heads_out[0]
+
+
+def _masks_for_batch(true_lengths, T: int) -> list[tuple]:
+    """Per-step (mask, inv_mask) tensor pairs; None when every row is live."""
+    arr = np.asarray(true_lengths)
+    out = []
+    for t in range(T):
+        live = (arr > t).astype(np.float64).reshape(-1, 1)
+        if live.all():
+            out.append((None, None))
+        else:
+            out.append((Tensor(live), Tensor(1.0 - live)))
+    return out
+
+
+def _lstm_direction(xs, masks, gates, h_dim: int, reverse: bool):
+    """One direction over the step list; returns per-step h and final h."""
+    batch = xs[0].shape[0]
+    w_all = ag.transpose(ag.concat(
+        [gates.w_i, gates.w_f, gates.w_o, gates.w_c], axis=0))
+    b_all = ag.concat([gates.b_i, gates.b_f, gates.b_o, gates.b_c], axis=1)
+    h = Tensor(np.zeros((batch, h_dim)))
+    c = Tensor(np.zeros((batch, h_dim)))
+    steps = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
+    outs = [None] * len(xs)
+    for t in steps:
+        pre = ag.add(ag.matmul(ag.concat([h, xs[t]], axis=1), w_all), b_all)
+        i_g = ag.sigmoid(ag.slice_cols(pre, 0, h_dim))
+        f_g = ag.sigmoid(ag.slice_cols(pre, h_dim, 2 * h_dim))
+        o_g = ag.sigmoid(ag.slice_cols(pre, 2 * h_dim, 3 * h_dim))
+        c_hat = ag.tanh(ag.slice_cols(pre, 3 * h_dim, 4 * h_dim))
+        c_new = ag.add(ag.mul(f_g, c), ag.mul(i_g, c_hat))
+        live, dead = masks[t]
+        c = c_new if live is None else ag.add(ag.mul(c_new, live),
+                                              ag.mul(c, dead))
+        h_new = ag.mul(o_g, ag.tanh(c))
+        h = h_new if live is None else ag.add(ag.mul(h_new, live),
+                                              ag.mul(h, dead))
+        outs[t] = h
+    return outs, h
+
+
+def _bilstm_over_steps(xs, true_lengths, params, cfg) -> Tensor:
+    masks = _masks_for_batch(true_lengths, len(xs))
+    inputs = xs
+    for layer, (fwd_gates, bwd_gates) in enumerate(params.lstm):
+        outs_f, final_fwd = _lstm_direction(inputs, masks, fwd_gates, cfg.h,
+                                            reverse=False)
+        outs_b, final_bwd = _lstm_direction(inputs, masks, bwd_gates, cfg.h,
+                                            reverse=True)
+        inputs = [ag.concat([f, b], axis=1) for f, b in zip(outs_f, outs_b)]
+    return ag.concat([final_fwd, final_bwd], axis=1)
+
+
+def composed_sequence(paths, params, cfg) -> Tensor:
+    """[B x 2h] sequence features of a batch, eval mode, op by op."""
+    L = cfg.L
+    lengths = [max(1, p.true_length) for p in paths]
+    x_all = ag.embedding_lookup(params.embedding,
+                                np.concatenate([p.indices for p in paths]))
+    atts = [_attend_one(ag.slice_rows(x_all, b * L, (b + 1) * L),
+                        _attention_mask(L, n), cfg, params)
+            for b, n in enumerate(lengths)]
+    att_all = ag.concat(atts, axis=0) if len(atts) > 1 else atts[0]
+    base = np.arange(len(paths)) * L
+    steps = [ag.gather_rows(att_all, base + t) for t in range(max(lengths))]
+    return _bilstm_over_steps(steps, lengths, params, cfg)
+
+
+def composed_probs(pairs, params, cfg) -> Tensor:
+    features = [composed_sequence([p for p, _ in pairs], params, cfg)]
+    if cfg.uses_graph:
+        features.append(ag.concat([dense_graph_oracle(g, params, cfg)
+                                   for _, g in pairs], axis=0))
+    return classify(fuse(*features) if len(features) == 2 else features[0],
+                    params)
+
+
+def mixed_length_pairs(rng, cfg, lengths):
+    pairs = []
+    for n in lengths:
+        idx = rng.integers(1, cfg.vocab_size, size=n).tolist()
+        count = min(n, cfg.N)
+        pairs.append((make_path(idx, cfg.L),
+                      make_graph(idx[:count],
+                                 [(i // 2, i) for i in range(1, count)],
+                                 cfg.N)))
+    return pairs
+
+
+class TestFusedSequenceOracle:
+    def _config(self, tiny_config, **changes):
+        return variant(tiny_config, L=9, N=9, **changes)
+
+    @pytest.mark.parametrize("mode", ["uast", "sast"])
+    @pytest.mark.parametrize("projections", [False, True])
+    def test_forward_batch_matches_composition(self, tiny_config, mode,
+                                               projections):
+        cfg = self._config(tiny_config, mode=mode,
+                           learned_projections=projections)
+        rng = np.random.default_rng(len(mode) + projections)
+        for lengths in ((1, 9, 4, 2, 7), (3, 1, 3), (9,), (1,)):
+            pairs = mixed_length_pairs(rng, cfg, lengths)
+            labels = [i % cfg.k for i in range(len(pairs))]
+            params = init_params(cfg, len(lengths))
+            tensors = params.parameters()
+
+            zero_grads(tensors)
+            want = composed_probs(pairs, params, cfg)
+            cross_entropy_loss(want, labels).backward()
+            want_grads = [t.grad.copy() for t in tensors]
+
+            zero_grads(tensors)
+            got = forward_batch([prepare_sample(p, g, cfg) for p, g in pairs],
+                                params, cfg)
+            cross_entropy_loss(got, labels).backward()
+
+            assert np.max(np.abs(got.data - want.data)) < 1e-12
+            for (name, t), g in zip(params.manifest(), want_grads):
+                assert np.max(np.abs(t.grad - g)) < 1e-12, (lengths, name)
+
+    def test_self_attention_matches_composition(self, tiny_config):
+        cfg = variant(tiny_config, learned_projections=True)
+        params = init_params(cfg, 4)
+        x = Tensor(np.random.default_rng(6).normal(size=(cfg.L, cfg.d)))
+        for n in (1, 3, cfg.L):
+            got = self_attention(x, n, cfg, params).data
+            want = _attend_one(x, _attention_mask(cfg.L, n), cfg, params).data
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_training_draws_repeat_with_the_seed(self, tiny_config):
+        params = init_params(tiny_config, 0)
+        pairs = mixed_length_pairs(np.random.default_rng(8), tiny_config,
+                                   (1, 6, 3))
+        batch = [prepare_sample(p, g, tiny_config) for p, g in pairs]
+        runs = [forward_batch(batch, params, tiny_config, training=True,
+                              rng=np.random.default_rng(2)).data
+                for _ in range(2)]
+        assert np.array_equal(runs[0], runs[1])
+        assert not np.array_equal(runs[0],
+                                  forward_batch(batch, params,
+                                                tiny_config).data)
+
+
+def tape_nodes(out: Tensor) -> int:
+    """Tensors reachable from out through _parents, out and leaves included."""
+    seen: set[int] = set()
+    stack = [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
+
+
+class TestTapeSize:
+    @pytest.mark.parametrize("mode", ["uast", "sast"])
+    def test_training_tape_does_not_grow_with_steps_or_batch(self, tiny_config,
+                                                             mode):
+        cfg = variant(tiny_config, mode=mode, L=9, N=9)
+        params = init_params(cfg, 0)
+
+        def count(lengths) -> int:
+            pairs = mixed_length_pairs(np.random.default_rng(1), cfg, lengths)
+            batch = [prepare_sample(p, g, cfg) for p, g in pairs]
+            probs = forward_batch(batch, params, cfg, training=True,
+                                  rng=np.random.default_rng(0))
+            return tape_nodes(probs)
+
+        short_pair = count((3, 2))
+        assert count((9, 2)) == short_pair
+        assert count((3, 2, 1, 3, 2)) == short_pair
+        assert count((9, 4, 9, 1, 5)) == short_pair
+
+
 # --- short optimization runs -----------------------------------------------------
 
 class TestTrainingSteps:
