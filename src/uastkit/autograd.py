@@ -56,21 +56,6 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
@@ -116,27 +101,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, (a, b), bw)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if not _broadcastable(a.shape, b.shape):
-        raise ShapeMismatch(f"sub: {a.shape} vs {b.shape}")
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.shape))
-
-    return _node(a.data - b.data, (a, b), bw)
-
-
-def neg(a: Tensor) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, -g)
-
-    return _node(-a.data, (a,), bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if not _broadcastable(a.shape, b.shape):
         raise ShapeMismatch(f"mul: {a.shape} vs {b.shape}")
@@ -150,14 +114,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data * b.data, (a, b), bw)
 
 
-def scale(a: Tensor, alpha: float, shift: float = 0.0) -> Tensor:
-    """alpha * a + shift, with python-float coefficients."""
+def scale(a: Tensor, alpha: float) -> Tensor:
+    """alpha * a, with a python-float coefficient."""
 
     def bw(g):
         if a.requires_grad:
             _accum(a, g * alpha)
 
-    return _node(alpha * a.data + shift, (a,), bw)
+    return _node(alpha * a.data, (a,), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -561,41 +525,6 @@ def sum_all(a: Tensor) -> Tensor:
             a.grad += g[0, 0]
 
     return _node(np.array([[a.data.sum()]]), (a,), bw)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    size = a.data.size
-
-    def bw(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad += g[0, 0] / size
-
-    return _node(np.array([[a.data.mean()]]), (a,), bw)
-
-
-def sum_axis(a: Tensor, axis: int) -> Tensor:
-    if axis not in (0, 1):
-        raise ShapeMismatch(f"sum_axis: axis must be 0 or 1, got {axis}")
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, np.broadcast_to(g, a.data.shape))
-
-    return _node(a.data.sum(axis=axis, keepdims=True), (a,), bw)
-
-
-def mean_axis(a: Tensor, axis: int) -> Tensor:
-    if axis not in (0, 1):
-        raise ShapeMismatch(f"mean_axis: axis must be 0 or 1, got {axis}")
-    n = a.data.shape[axis]
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, np.broadcast_to(g / n, a.data.shape))
-
-    return _node(a.data.mean(axis=axis, keepdims=True), (a,), bw)
 
 
 # --- loss --------------------------------------------------------------------

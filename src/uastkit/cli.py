@@ -401,8 +401,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     samples = _ingest(rc)
     splits = split_dataset(samples, rc.seed, rc.ratios)
     labels, languages = corpus_labels(samples), corpus_languages(samples)
-    # one parse and one vocabulary serve every setting; only featurization
-    # (for path-length) and training repeat
+    # one parse, one unification and one vocabulary serve every setting;
+    # only featurization (for path-length) and training repeat
     vocab = build_features(splits, table, rc.unified, rc.L, rc.N,
                            keep_trees=True)
     rows = []
@@ -410,7 +410,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.param == "path-length":
             run = replace(rc, L=value)
             for name in ("train", "validation", "test"):
-                featurize_with_vocab(splits[name], table, rc.unified, vocab,
+                featurize_with_vocab(splits[name], table, False, vocab,
                                      run.L, run.N, keep_trees=True)
         else:
             run = replace(rc, gcn_layers=value)

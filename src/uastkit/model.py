@@ -6,7 +6,9 @@ is switched on), and feeds a stacked bidirectional LSTM whose recurrence is
 masked to the true sequence length.  A batch embeds only its first
 T = max(true_length) steps, laid out as [B*T x d]; attention is one fused
 op over every sample and head, and each LSTM direction is one fused op
-(autograd.attention, autograd.lstm_direction).  The graph side runs GCN
+(autograd.attention, autograd.lstm_direction).  Each direction keeps its
+parameters as that op reads them: one weight [(h + in) x 4h] and one bias
+[1 x 4h], gate columns in the order i, f, o, c.  The graph side runs GCN
 layers that propagate over the tree's parent-child edge list (no dense
 N x N adjacency) and pools its real nodes; a batch runs as one disjoint
 union of its graphs.  Features fuse by concatenation, sequence side first,
@@ -103,26 +105,17 @@ class ModelConfig:
 
 
 @dataclass
-class LstmGates:
-    """One direction of one layer; weights are [h x (h + in_dim)]."""
-    w_i: Tensor
-    w_f: Tensor
-    w_o: Tensor
-    w_c: Tensor
-    b_i: Tensor
-    b_f: Tensor
-    b_o: Tensor
-    b_c: Tensor
-
-
-@dataclass
 class ModelParams:
     config: ModelConfig
     embedding: Tensor | None = None
     proj_q: Tensor | None = None
     proj_k: Tensor | None = None
     proj_v: Tensor | None = None
-    lstm: list[tuple[LstmGates, LstmGates]] = field(default_factory=list)
+    # per layer, (fwd, bwd); each direction is (w, b) as lstm_direction
+    # reads them: w [(h + in) x 4h], recurrent rows first, b [1 x 4h],
+    # gate columns in the order i, f, o, c
+    lstm: list[tuple[tuple[Tensor, Tensor], tuple[Tensor, Tensor]]] = \
+        field(default_factory=list)
     gcn: list[Tensor] = field(default_factory=list)
     clf_w: Tensor | None = None
     clf_b: Tensor | None = None
@@ -137,11 +130,9 @@ class ModelParams:
             if t is not None:
                 out.append((name, t))
         for layer, (fwd, bwd) in enumerate(self.lstm):
-            for direction, gates in (("fwd", fwd), ("bwd", bwd)):
-                for gate in ("w_i", "w_f", "w_o", "w_c",
-                             "b_i", "b_f", "b_o", "b_c"):
-                    out.append((f"lstm.{layer}.{direction}.{gate}",
-                                getattr(gates, gate)))
+            for direction, (w, b) in (("fwd", fwd), ("bwd", bwd)):
+                out.append((f"lstm.{layer}.{direction}.w", w))
+                out.append((f"lstm.{layer}.{direction}.b", b))
         for i, w in enumerate(self.gcn):
             out.append((f"gcn.{i}", w))
         out.append(("classifier.w", self.clf_w))
@@ -176,16 +167,17 @@ def _build_params(cfg: ModelConfig, uniform, bias) -> ModelParams:
             params.proj_q = uniform(cfg.d, cfg.d, cfg.d)
             params.proj_k = uniform(cfg.d, cfg.d, cfg.d)
             params.proj_v = uniform(cfg.d, cfg.d, cfg.d)
+        forget_one = np.repeat([0.0, 1.0, 0.0, 0.0], cfg.h)
         in_dim = cfg.d
         for _ in range(cfg.lstm_layers):
             directions = []
             for _ in range(2):
+                # the gates' [h x fan] blocks as one [4h x fan] draw, stored
+                # transposed
                 fan = cfg.h + in_dim
-                directions.append(LstmGates(
-                    w_i=uniform(cfg.h, fan, fan), w_f=uniform(cfg.h, fan, fan),
-                    w_o=uniform(cfg.h, fan, fan), w_c=uniform(cfg.h, fan, fan),
-                    b_i=bias(cfg.h), b_f=bias(cfg.h, 1.0),
-                    b_o=bias(cfg.h), b_c=bias(cfg.h)))
+                w = uniform(4 * cfg.h, fan, fan)
+                w.data = np.ascontiguousarray(w.data.T)
+                directions.append((w, bias(4 * cfg.h, forget_one)))
             params.lstm.append((directions[0], directions[1]))
             in_dim = 2 * cfg.h
     if cfg.uses_graph:
@@ -206,7 +198,7 @@ def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
         return Tensor(rng.uniform(-bound, bound, size=(rows, cols)),
                       requires_grad=True)
 
-    def bias(cols: int, value: float = 0.0) -> Tensor:
+    def bias(cols: int, value: float | np.ndarray = 0.0) -> Tensor:
         return Tensor(np.full((1, cols), value), requires_grad=True)
 
     params = _build_params(cfg, uniform, bias)
@@ -222,7 +214,7 @@ def empty_params(cfg: ModelConfig) -> ModelParams:
     def uniform(rows: int, cols: int, fan_in: int) -> Tensor:
         return Tensor(np.zeros((rows, cols)), requires_grad=True)
 
-    def bias(cols: int, value: float = 0.0) -> Tensor:
+    def bias(cols: int, value: float | np.ndarray = 0.0) -> Tensor:
         return Tensor(np.zeros((1, cols)), requires_grad=True)
 
     return _build_params(cfg, uniform, bias)
@@ -262,14 +254,6 @@ def self_attention(x: Tensor, true_length: int, cfg: ModelConfig,
                    training, rng)
 
 
-def _gate_matrices(gates: LstmGates) -> tuple[Tensor, Tensor]:
-    """w_all [(h + in) x 4h] and b_all [1 x 4h], gates in the order i f o c."""
-    w_all = ag.transpose(ag.concat(
-        [gates.w_i, gates.w_f, gates.w_o, gates.w_c], axis=0))
-    b_all = ag.concat([gates.b_i, gates.b_f, gates.b_o, gates.b_c], axis=1)
-    return w_all, b_all
-
-
 def _bilstm(x: Tensor, lengths: np.ndarray, params: ModelParams,
             cfg: ModelConfig, training: bool,
             rng: np.random.Generator | None) -> Tensor:
@@ -279,13 +263,12 @@ def _bilstm(x: Tensor, lengths: np.ndarray, params: ModelParams,
     row at step T-1 and the backward final the row at step 0.
     """
     inputs = x
-    for layer, (fwd_gates, bwd_gates) in enumerate(params.lstm):
+    for layer, (fwd, bwd) in enumerate(params.lstm):
         if layer:
             inputs = ag.dropout(ag.concat([out_f, out_b], axis=1),
                                 cfg.lstm_dropout, training, rng)
-        out_f = ag.lstm_direction(inputs, *_gate_matrices(fwd_gates), lengths)
-        out_b = ag.lstm_direction(inputs, *_gate_matrices(bwd_gates), lengths,
-                                  reverse=True)
+        out_f = ag.lstm_direction(inputs, *fwd, lengths)
+        out_b = ag.lstm_direction(inputs, *bwd, lengths, reverse=True)
     steps = x.shape[0] // len(lengths)
     firsts = np.arange(len(lengths)) * steps
     return ag.concat([ag.gather_rows(out_f, firsts + steps - 1),

@@ -22,7 +22,7 @@ from ..errors import CheckpointError
 from ..model import ModelConfig, ModelParams, empty_params
 
 MAGIC = b"UASTCKPT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass

@@ -76,14 +76,20 @@ def featurize_with_vocab(samples: list[LabeledSample],
 def build_features(splits: dict[str, list[LabeledSample]],
                    table: UnificationTable, unified: bool, L: int, N: int,
                    keep_trees: bool = False) -> Vocabulary:
-    """Fit the vocabulary on the train split, then featurize every split."""
+    """Fit the vocabulary on the train split, then featurize every split.
+
+    Each tree is unified once: its unified view replaces the parse on the
+    sample, so trees kept with keep_trees are unified ones.
+    """
     if not splits.get("train"):
         raise EmptySplit("cannot fit a vocabulary: train split is empty")
-    vocab = build_vocabulary(
-        unified_view(s, table, unified) for s in splits["train"])
-    for name in ("train", "validation", "test"):
-        featurize_with_vocab(splits.get(name, []), table, unified, vocab,
-                             L, N, keep_trees)
+    parts = [splits.get(name, []) for name in ("train", "validation", "test")]
+    for samples in parts:
+        for s in samples:
+            s.tree = unified_view(s, table, unified)
+    vocab = build_vocabulary(s.tree for s in splits["train"])
+    for samples in parts:
+        featurize_with_vocab(samples, table, False, vocab, L, N, keep_trees)
     return vocab
 
 

@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from conftest import TOY_CORPUS
 from uastkit.cli import PROFILES, RunConfig, build_parser, main
 from uastkit.featurizer import read_featurized
-from uastkit.train_eval import load_checkpoint
+from uastkit.train_eval import ingest_corpus, load_checkpoint, training
 
 TINY_DIMS = ["--L", "16", "--N", "16", "--d", "8", "--heads", "2", "--h", "4",
              "--lstm-layers", "1", "--gcn-layers", "1", "--gcn-hidden", "8",
@@ -66,6 +67,14 @@ class TestExitCodes:
         odd = tmp_path / "listing.txt"
         odd.write_text("x = 1\n")
         assert run(capsys, "parse", str(odd))[0] == 2
+
+    def test_old_checkpoint_version_is_a_data_problem(self, tmp_path, capsys):
+        old = tmp_path / "v1.ckpt"
+        old.write_bytes(b"UASTCKPT" + struct.pack("<IQ", 1, 0))
+        code, _, err = run(capsys, "predict", PY_SAMPLE,
+                           "--checkpoint", str(old))
+        assert code == 2
+        assert "version 1" in err
 
     def test_module_runs_without_installation(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -399,7 +408,11 @@ class TestTrainEvalPredict:
 # --- sweep -----------------------------------------------------------------------------
 
 class TestSweep:
-    def test_table_over_two_settings(self, capsys):
+    def test_table_over_two_settings(self, capsys, monkeypatch):
+        calls = []
+        unify = training.unify_ast
+        monkeypatch.setattr(training, "unify_ast",
+                            lambda *a: calls.append(a) or unify(*a))
         code, out, _ = run(capsys, "sweep", "--corpus", str(TOY_CORPUS),
                            "--profile", "toy", *TINY_DIMS,
                            "--epochs", "1", "--max-steps", "2",
@@ -408,6 +421,8 @@ class TestSweep:
         lines = out.strip().splitlines()
         assert "path-length" in lines[0]
         assert len(lines) == 3
+        # every tree is unified once, not once per setting
+        assert len(calls) == len(ingest_corpus(TOY_CORPUS))
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "sweep", "--corpus", str(TOY_CORPUS),

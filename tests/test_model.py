@@ -14,6 +14,7 @@ from uastkit.errors import ConfigError, ShapeMismatch, ZeroNodes
 from uastkit.featurizer import featurize_sample
 from uastkit.model import (
     GCN_ACTIVATIONS,
+    INIT_STREAM,
     POOLINGS,
     ModelConfig,
     bilstm_encode,
@@ -85,7 +86,7 @@ class TestInit:
         names = [n for n, _ in init_params(tiny_config, 0).manifest()]
         assert names[0] == "embedding"
         assert names[-2:] == ["classifier.w", "classifier.b"]
-        assert "lstm.1.bwd.w_c" in names
+        assert "lstm.1.bwd.w" in names and "lstm.1.bwd.b" in names
         assert "gcn.0" in names and "gcn.1" in names
 
         sast = [n for n, _ in
@@ -112,14 +113,46 @@ class TestInit:
         b = init_params(tiny_config, 8)
         assert not np.array_equal(a.embedding.data, b.embedding.data)
 
+    def test_lstm_directions_are_one_weight_and_one_bias(self, tiny_config):
+        cfg = tiny_config
+        lstm = [(n, t.shape) for n, t in init_params(cfg, 0).manifest()
+                if n.startswith("lstm.")]
+        h, in1 = cfg.h, 2 * cfg.h
+        assert lstm == [
+            ("lstm.0.fwd.w", (h + cfg.d, 4 * h)), ("lstm.0.fwd.b", (1, 4 * h)),
+            ("lstm.0.bwd.w", (h + cfg.d, 4 * h)), ("lstm.0.bwd.b", (1, 4 * h)),
+            ("lstm.1.fwd.w", (h + in1, 4 * h)), ("lstm.1.fwd.b", (1, 4 * h)),
+            ("lstm.1.bwd.w", (h + in1, 4 * h)), ("lstm.1.bwd.b", (1, 4 * h))]
+
     def test_forget_gate_bias_starts_at_one(self, tiny_config):
+        h = tiny_config.h
         params = init_params(tiny_config, 0)
         for fwd, bwd in params.lstm:
-            for gates in (fwd, bwd):
-                assert (gates.b_f.data == 1.0).all()
-                assert (gates.b_i.data == 0.0).all()
-                assert (gates.b_o.data == 0.0).all()
-                assert (gates.b_c.data == 0.0).all()
+            for _, b in (fwd, bwd):
+                assert (b.data[:, h:2 * h] == 1.0).all()     # f
+                assert (b.data[:, :h] == 0.0).all()          # i
+                assert (b.data[:, 2 * h:] == 0.0).all()      # o, c
+
+    def test_lstm_weight_holds_four_gate_draws(self, tiny_config):
+        # the layout of four [h x fan] draws, one per gate in the order
+        # i f o c, each transposed into its column block
+        cfg = tiny_config
+        params = init_params(cfg, 5)
+        rng = np.random.default_rng([5, INIT_STREAM])
+        bound = math.sqrt(1 / cfg.d)
+        rng.uniform(-bound, bound, size=(cfg.vocab_size, cfg.d))  # embedding
+        in_dim = cfg.d
+        for fwd, bwd in params.lstm:
+            fan = cfg.h + in_dim
+            bound = math.sqrt(1 / fan)
+            for w, _ in (fwd, bwd):
+                gates = [rng.uniform(-bound, bound, size=(cfg.h, fan))
+                         for _ in range(4)]
+                assert w.data.flags.c_contiguous
+                for j, gate in enumerate(gates):
+                    block = w.data[:, j * cfg.h:(j + 1) * cfg.h]
+                    assert np.array_equal(block.T, gate)
+            in_dim = 2 * cfg.h
 
     def test_pad_embedding_row_starts_zero(self, tiny_config):
         params = init_params(tiny_config, 3)
@@ -131,9 +164,11 @@ class TestInit:
         params = init_params(cfg, 1)
         assert np.abs(params.embedding.data).max() <= math.sqrt(1 / cfg.d)
         fan0 = cfg.h + cfg.d
-        assert np.abs(params.lstm[0][0].w_i.data).max() <= math.sqrt(1 / fan0)
+        for w, _ in params.lstm[0]:
+            assert np.abs(w.data).max() <= math.sqrt(1 / fan0)
         fan1 = cfg.h + 2 * cfg.h
-        assert np.abs(params.lstm[1][1].w_c.data).max() <= math.sqrt(1 / fan1)
+        for w, _ in params.lstm[1]:
+            assert np.abs(w.data).max() <= math.sqrt(1 / fan1)
         assert np.abs(params.gcn[0].data).max() <= math.sqrt(1 / cfg.vocab_size)
         assert np.abs(params.clf_w.data).max() <= math.sqrt(1 / cfg.fusion_dim)
 
@@ -484,12 +519,9 @@ def _masks_for_batch(true_lengths, T: int) -> list[tuple]:
     return out
 
 
-def _lstm_direction(xs, masks, gates, h_dim: int, reverse: bool):
+def _lstm_direction(xs, masks, w_all, b_all, h_dim: int, reverse: bool):
     """One direction over the step list; returns per-step h and final h."""
     batch = xs[0].shape[0]
-    w_all = ag.transpose(ag.concat(
-        [gates.w_i, gates.w_f, gates.w_o, gates.w_c], axis=0))
-    b_all = ag.concat([gates.b_i, gates.b_f, gates.b_o, gates.b_c], axis=1)
     h = Tensor(np.zeros((batch, h_dim)))
     c = Tensor(np.zeros((batch, h_dim)))
     steps = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
@@ -514,10 +546,10 @@ def _lstm_direction(xs, masks, gates, h_dim: int, reverse: bool):
 def _bilstm_over_steps(xs, true_lengths, params, cfg) -> Tensor:
     masks = _masks_for_batch(true_lengths, len(xs))
     inputs = xs
-    for layer, (fwd_gates, bwd_gates) in enumerate(params.lstm):
-        outs_f, final_fwd = _lstm_direction(inputs, masks, fwd_gates, cfg.h,
+    for fwd, bwd in params.lstm:
+        outs_f, final_fwd = _lstm_direction(inputs, masks, *fwd, cfg.h,
                                             reverse=False)
-        outs_b, final_bwd = _lstm_direction(inputs, masks, bwd_gates, cfg.h,
+        outs_b, final_bwd = _lstm_direction(inputs, masks, *bwd, cfg.h,
                                             reverse=True)
         inputs = [ag.concat([f, b], axis=1) for f, b in zip(outs_f, outs_b)]
     return ag.concat([final_fwd, final_bwd], axis=1)
@@ -613,16 +645,16 @@ class TestFusedSequenceOracle:
                                                 tiny_config).data)
 
 
-def tape_nodes(out: Tensor) -> int:
+def tape_tensors(out: Tensor) -> list[Tensor]:
     """Tensors reachable from out through _parents, out and leaves included."""
-    seen: set[int] = set()
+    seen: dict[int, Tensor] = {}
     stack = [out]
     while stack:
         t = stack.pop()
         if id(t) not in seen:
-            seen.add(id(t))
+            seen[id(t)] = t
             stack.extend(t._parents)
-    return len(seen)
+    return list(seen.values())
 
 
 class TestTapeSize:
@@ -637,12 +669,31 @@ class TestTapeSize:
             batch = [prepare_sample(p, g, cfg) for p, g in pairs]
             probs = forward_batch(batch, params, cfg, training=True,
                                   rng=np.random.default_rng(0))
-            return tape_nodes(probs)
+            return len(tape_tensors(probs))
 
         short_pair = count((3, 2))
         assert count((9, 2)) == short_pair
         assert count((3, 2, 1, 3, 2)) == short_pair
         assert count((9, 4, 9, 1, 5)) == short_pair
+
+    def test_parameters_enter_the_tape_unpacked(self, tiny_config):
+        # every parameter is a leaf of the tape, and none is concatenated
+        # or transposed on it
+        cfg = variant(tiny_config, L=9, N=9)
+        params = init_params(cfg, 0)
+        rng = np.random.default_rng(3)
+        pairs = mixed_length_pairs(rng, cfg, rng.integers(1, 10, size=64))
+        probs = forward_batch([prepare_sample(p, g, cfg) for p, g in pairs],
+                              params, cfg, training=True,
+                              rng=np.random.default_rng(0))
+        tape = tape_tensors(probs)
+        leaves = {id(t) for t in tape if t.requires_grad and not t._parents}
+        ids = {id(t) for t in params.parameters()}
+        assert leaves == ids and len(ids) == 13
+        for t in tape:
+            if any(id(p) in ids for p in t._parents):
+                op = t._backward_fn.__qualname__.split(".")[0]
+                assert op not in ("concat", "transpose"), op
 
 
 # --- short optimization runs -----------------------------------------------------

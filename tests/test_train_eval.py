@@ -2,6 +2,7 @@
 
 import json
 import logging
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DEEP_SOURCES, TOY_CORPUS, chain_tree
-from uastkit.ast_frontend import identity_table, load_default_table, preorder
+from uastkit.ast_frontend import (
+    build_vocabulary,
+    identity_table,
+    load_default_table,
+    preorder,
+    unify_ast,
+)
 from uastkit.errors import (
     CheckpointError,
     ConfigError,
@@ -22,9 +29,10 @@ from uastkit.errors import (
     UnknownExtension,
     UnsupportedLanguage,
 )
-from uastkit.featurizer import GraphSample
+from uastkit.featurizer import GraphSample, featurize_sample
 from uastkit.model import ModelConfig, init_params
 from uastkit.train_eval import (
+    SPLIT_NAMES,
     Checkpoint,
     LabeledSample,
     build_features,
@@ -39,6 +47,7 @@ from uastkit.train_eval import (
     save_checkpoint,
     split_dataset,
     train,
+    training,
 )
 
 JAVA_ADD = ("public class C%d { static int f(int a, int b) "
@@ -402,6 +411,42 @@ def memorizable_splits(per_class=6, with_val=False):
     return {"train": a + b, "validation": [], "test": []}
 
 
+class TestBuildFeatures:
+    def test_each_tree_is_unified_once(self, monkeypatch):
+        table = load_default_table()
+        splits = split_dataset(ingest_corpus(TOY_CORPUS), seed=0)
+        samples = [s for name in SPLIT_NAMES for s in splits[name]]
+        unified = [unify_ast(s.tree, s.language, table) for s in samples]
+        calls = []
+
+        def counting(tree, language, table):
+            calls.append(language)
+            return unify_ast(tree, language, table)
+
+        monkeypatch.setattr(training, "unify_ast", counting)
+        vocab = build_features(splits, table, True, L=96, N=96)
+        assert len(calls) == len(samples)
+
+        # the same vocabulary and features as unifying afresh
+        assert vocab == build_vocabulary(unified[:len(splits["train"])])
+        for s, tree in zip(samples, unified):
+            path, graph = featurize_sample(tree, vocab, 96, 96)
+            assert s.tree is None
+            assert np.array_equal(s.path_seq.indices, path.indices)
+            assert s.path_seq.true_length == path.true_length
+            assert np.array_equal(s.graph.node_kinds, graph.node_kinds)
+            assert (s.graph.node_count, s.graph.edges) == \
+                (graph.node_count, graph.edges)
+
+    def test_kept_trees_are_the_unified_views(self):
+        table = load_default_table()
+        splits = split_dataset(ingest_corpus(TOY_CORPUS), seed=0)
+        samples = [s for name in SPLIT_NAMES for s in splits[name]]
+        unified = [unify_ast(s.tree, s.language, table) for s in samples]
+        build_features(splits, table, True, L=96, N=96, keep_trees=True)
+        assert [s.tree for s in samples] == unified
+
+
 def small_config(vocab_size, mode="uast"):
     return ModelConfig(vocab_size=vocab_size, k=2, mode=mode, L=8, d=4,
                        heads=2, attn_dropout=0.0, h=3, lstm_layers=1,
@@ -643,6 +688,16 @@ class TestCheckpoint:
         save_checkpoint(self._ckpt(), path)
         path.write_bytes(mangle(path.read_bytes()))
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_version_one_checkpoint_is_refused(self, tmp_path):
+        # version 1 stored each LSTM gate as its own tensor
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._ckpt(), path)
+        data = path.read_bytes()
+        assert struct.unpack_from("<I", data, 8) == (2,)
+        path.write_bytes(data[:8] + struct.pack("<I", 1) + data[12:])
+        with pytest.raises(CheckpointError, match="format version 1"):
             load_checkpoint(path)
 
     def test_loaded_parameters_are_trainable(self, tmp_path):
