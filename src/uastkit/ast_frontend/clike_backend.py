@@ -826,12 +826,23 @@ class _Parser:
         return AstNode(self.k["decl"], [type_node] + decls)
 
     def if_statement(self) -> AstNode:
-        self.expect("if")
-        cond = self.paren_expression()
-        children = [cond, self.statement()]
-        if self.accept("else"):
-            children.append(AstNode("else_clause", [self.statement()]))
-        return AstNode("if_statement", children)
+        # an else-if chain is read in this loop and nested bottom-up, so its
+        # length costs no stack; each else holds the next if_statement
+        branches = []
+        tail = None
+        while True:
+            self.expect("if")
+            branches.append([self.paren_expression(), self.statement()])
+            if not self.accept("else"):
+                break
+            if not self.at("if"):
+                tail = self.statement()
+                break
+        for children in reversed(branches):
+            if tail is not None:
+                children.append(AstNode("else_clause", [tail]))
+            tail = AstNode("if_statement", children)
+        return tail
 
     def paren_expression(self) -> AstNode:
         self.expect("(")

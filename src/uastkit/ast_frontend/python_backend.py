@@ -157,10 +157,20 @@ def _convert(node: ast.AST) -> AstNode:
     if isinstance(node, ast.Expr):
         return AstNode("expression_statement", [_convert(node.value)])
     if isinstance(node, ast.If):
-        children = [_convert(node.test), _block(node.body)]
-        if node.orelse:
-            children.append(AstNode("else_clause", [_block(node.orelse)]))
-        return AstNode("if_statement", children)
+        # an elif chain is walked in this loop and nested bottom-up, so its
+        # length costs no stack; each else block holds the next if_statement
+        chain = [node]
+        while len(chain[-1].orelse) == 1 and isinstance(chain[-1].orelse[0], ast.If):
+            chain.append(chain[-1].orelse[0])
+        out = None
+        for link in reversed(chain):
+            children = [_convert(link.test), _block(link.body)]
+            if out is not None:
+                children.append(AstNode("else_clause", [AstNode("block", [out])]))
+            elif link.orelse:
+                children.append(AstNode("else_clause", [_block(link.orelse)]))
+            out = AstNode("if_statement", children)
+        return out
     if isinstance(node, ast.While):
         children = [_convert(node.test), _block(node.body)]
         if node.orelse:

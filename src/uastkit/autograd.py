@@ -137,14 +137,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data @ b.data, (a, b), bw)
 
 
-def transpose(a: Tensor) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g.T)
-
-    return _node(np.ascontiguousarray(a.data.T), (a,), bw)
-
-
 # --- structure --------------------------------------------------------------
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
@@ -170,32 +162,6 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis),
                  tuple(tensors), bw)
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start <= stop <= a.shape[0]):
-        raise ShapeMismatch(f"slice_rows: [{start}:{stop}] of {a.shape}")
-
-    def bw(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[start:stop] += g
-
-    return _node(a.data[start:stop].copy(), (a,), bw)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start <= stop <= a.shape[1]):
-        raise ShapeMismatch(f"slice_cols: [{start}:{stop}] of {a.shape}")
-
-    def bw(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[:, start:stop] += g
-
-    return _node(a.data[:, start:stop].copy(), (a,), bw)
 
 
 def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:

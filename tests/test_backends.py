@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEEP_SOURCES
+from conftest import DEEP_SOURCES, else_if_chain
 from uastkit.ast_frontend import (
+    AstNode,
     node_count,
     parse_source,
     preorder,
@@ -157,6 +158,41 @@ class TestRecovery:
         # the python backend has no recovery; any syntax error fails the file
         with pytest.raises(ParseFailure):
             parse_source("def g(:\n    pass\n", "python")
+
+
+class TestLongElseIfChains:
+    """An else-if or elif chain parses however long it is."""
+
+    @staticmethod
+    def _extended(short: AstNode, branches: int) -> AstNode:
+        # short is a two-branch chain; the tree of a longer one nests the
+        # outer link's pattern around the inner if_statement again and again
+        outer, inner = [n for n in preorder(short)
+                        if n.kind == "if_statement"][:2]
+
+        def swap(node: AstNode, old: AstNode, new: AstNode) -> AstNode:
+            if node is old:
+                return new
+            return AstNode(node.kind, [swap(c, old, new)
+                                       for c in node.children])
+
+        chain = inner
+        for _ in range(branches - 2):
+            chain = swap(outer, inner, chain)
+        return swap(short, outer, swap(outer, inner, chain))
+
+    @pytest.mark.parametrize("final_else", [False, True],
+                             ids=["plain", "else"])
+    @pytest.mark.parametrize("language", sorted(ADD_SNIPPETS))
+    def test_thousand_branches_parse_as_a_short_chain_extended(
+            self, language, final_else):
+        short = parse_source(else_if_chain(language, 2, final_else), language)
+        assert "ERROR" not in kinds_of(short)
+        for branches in (3, 1000):
+            tree = parse_source(else_if_chain(language, branches, final_else),
+                                language)
+            assert tree == self._extended(short, branches)
+            assert kinds_of(tree).count("if_statement") == branches
 
 
 # tokens of all five languages, so generated files reach deep into the parsers

@@ -10,7 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import TOY_CORPUS
+from conftest import (
+    BAD_CHECKPOINT_HEADERS,
+    TOY_CORPUS,
+    rewrite_checkpoint_header,
+)
 from uastkit.cli import PROFILES, RunConfig, build_parser, main
 from uastkit.featurizer import read_featurized
 from uastkit.train_eval import ingest_corpus, load_checkpoint, training
@@ -75,6 +79,19 @@ class TestExitCodes:
                            "--checkpoint", str(old))
         assert code == 2
         assert "version 1" in err
+
+    @pytest.mark.parametrize("name", sorted(BAD_CHECKPOINT_HEADERS))
+    def test_inconsistent_checkpoint_is_a_data_problem(self, tmp_path, capsys,
+                                                       name):
+        change, reason = BAD_CHECKPOINT_HEADERS[name]
+        ckpt = quick_train(tmp_path, capsys, "--mode", "gast")
+        assert run(capsys, "predict", PY_SAMPLE, "--checkpoint",
+                   str(ckpt))[0] == 0
+        rewrite_checkpoint_header(ckpt, change)
+        code, _, err = run(capsys, "predict", PY_SAMPLE,
+                           "--checkpoint", str(ckpt))
+        assert code == 2
+        assert reason in err
 
     def test_module_runs_without_installation(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -21,12 +21,11 @@ from uastkit.errors import DataError, EmptyCorpus
 from uastkit.featurizer import (
     FeaturizedSet,
     GraphSample,
+    PathSequence,
     SampleRecord,
     StatsReport,
-    build_graph,
     featurize_sample,
     path_length_stats,
-    preorder_path,
     read_featurized,
     write_featurized,
 )
@@ -48,7 +47,7 @@ def vocab():
 class TestPreorderPath:
     def test_matches_preorder_and_pads(self, vocab):
         tree = load_ast_sexpr("(alpha (beta (gamma) (delta)) (epsilon))")
-        seq = preorder_path(tree, vocab, L=8)
+        seq = featurize_sample(tree, vocab, L=8, N=1)[0]
         want = expected_indices(tree, vocab)
         assert seq.true_length == 5
         assert seq.indices[:5].tolist() == want
@@ -56,18 +55,18 @@ class TestPreorderPath:
 
     def test_truncates_long_trees(self, vocab):
         tree = chain_tree(["alpha"] * 20)
-        seq = preorder_path(tree, vocab, L=6)
+        seq = featurize_sample(tree, vocab, L=6, N=1)[0]
         assert seq.true_length == 6
         assert seq.indices.shape == (6,)
         assert (seq.indices == vocab.index_of("alpha")).all()
 
     def test_unknown_kinds_become_unk(self, vocab):
-        seq = preorder_path(AstNode("mystery"), vocab, L=3)
+        seq = featurize_sample(AstNode("mystery"), vocab, L=3, N=1)[0]
         assert seq.indices[0] == vocab.unk_index
 
     def test_rejects_nonpositive_length(self, vocab):
         with pytest.raises(ValueError):
-            preorder_path(AstNode("alpha"), vocab, L=0)
+            featurize_sample(AstNode("alpha"), vocab, L=0, N=1)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
     @settings(max_examples=200, deadline=None)
@@ -75,7 +74,7 @@ class TestPreorderPath:
         vocab = vocabulary_from_kinds(KINDS)
         tree = random_tree(np.random.default_rng(seed), max_nodes=50,
                            kinds=KINDS)
-        seq = preorder_path(tree, vocab, L)
+        seq = featurize_sample(tree, vocab, L, 1)[0]
         n = node_count(tree)
         want = expected_indices(tree, vocab)
         assert seq.true_length == min(n, L)
@@ -109,7 +108,7 @@ def oracle_norm_adj(graph: GraphSample) -> np.ndarray:
 class TestGraph:
     def test_edges_follow_preorder_numbering(self, vocab):
         tree = load_ast_sexpr("(alpha (beta (gamma)) (delta))")
-        graph = build_graph(tree, vocab, N=6)
+        graph = featurize_sample(tree, vocab, L=1, N=6)[1]
         assert graph.node_count == 4
         assert graph.edges == ((0, 1), (1, 2), (0, 3))
         assert graph.node_kinds[:4].tolist() == expected_indices(tree, vocab)
@@ -117,7 +116,7 @@ class TestGraph:
 
     def test_truncation_drops_edges_to_cut_nodes(self, vocab):
         tree = chain_tree(["alpha"] * 10)
-        graph = build_graph(tree, vocab, N=4)
+        graph = featurize_sample(tree, vocab, L=1, N=4)[1]
         assert graph.node_count == 4
         assert graph.edges == ((0, 1), (1, 2), (2, 3))
 
@@ -125,12 +124,12 @@ class TestGraph:
         rng = np.random.default_rng(11)
         for _ in range(100):
             tree = random_tree(rng, max_nodes=30, kinds=KINDS)
-            graph = build_graph(tree, vocab, N=35)
+            graph = featurize_sample(tree, vocab, L=1, N=35)[1]
             assert np.array_equal(graph.norm_adj, oracle_norm_adj(graph))
 
     def test_norm_adj_structure(self, vocab):
         tree = load_ast_sexpr("(alpha (beta) (gamma) (delta))")
-        adj = build_graph(tree, vocab, N=6).norm_adj
+        adj = featurize_sample(tree, vocab, L=1, N=6)[1].norm_adj
         # root: degree 4 (three children plus self loop); leaves: degree 2
         assert adj[0, 0] == pytest.approx(1 / 4)
         assert adj[1, 1] == pytest.approx(1 / 2)
@@ -140,7 +139,7 @@ class TestGraph:
         assert (adj[:, 4:] == 0).all()
 
     def test_single_node_graph(self, vocab):
-        adj = build_graph(AstNode("alpha"), vocab, N=3).norm_adj
+        adj = featurize_sample(AstNode("alpha"), vocab, L=1, N=3)[1].norm_adj
         want = np.zeros((3, 3))
         want[0, 0] = 1.0
         assert np.array_equal(adj, want)
@@ -151,7 +150,7 @@ class TestGraph:
         vocab = vocabulary_from_kinds(KINDS)
         tree = random_tree(np.random.default_rng(seed), max_nodes=30,
                            kinds=KINDS)
-        graph = build_graph(tree, vocab, N)
+        graph = featurize_sample(tree, vocab, 1, N)[1]
         assert graph.node_count == min(node_count(tree), N)
         for parent, child in graph.edges:
             assert 0 <= parent < child < graph.node_count
@@ -165,12 +164,13 @@ class TestSharedNumbering:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 20))
     @settings(max_examples=100, deadline=None)
     def test_combined_equals_separate(self, seed, L, N):
+        # truncating one view to its limit leaves the other as it is
         vocab = vocabulary_from_kinds(KINDS)
         tree = random_tree(np.random.default_rng(seed), max_nodes=30,
                            kinds=KINDS)
         path, graph = featurize_sample(tree, vocab, L, N)
-        alone_path = preorder_path(tree, vocab, L)
-        alone_graph = build_graph(tree, vocab, N)
+        alone_path = featurize_sample(tree, vocab, L, 1)[0]
+        alone_graph = featurize_sample(tree, vocab, 1, N)[1]
         assert np.array_equal(path.indices, alone_path.indices)
         assert path.true_length == alone_path.true_length
         assert np.array_equal(graph.node_kinds, alone_graph.node_kinds)
@@ -337,6 +337,19 @@ class TestFeaturizedRecordChecks:
         out = tmp_path / "bad.feat"
         write_featurized(out, _bad_record(vocab, graph=graph))
         with pytest.raises(DataError, match=re.escape("record 0: " + reason)):
+            read_featurized(out)
+
+    @pytest.mark.parametrize("view, name", [("path", "true_length"),
+                                            ("graph", "node_count")])
+    def test_empty_views_raise(self, vocab, tmp_path, view, name):
+        # every tree has its root, so no sample has an empty view; a sast
+        # model once read such a record back and classified it
+        empty = {"path": PathSequence(indices=np.zeros(12, dtype=np.int64),
+                                      true_length=0),
+                 "graph": ([], 0, ())}
+        out = tmp_path / "bad.feat"
+        write_featurized(out, _bad_record(vocab, **{view: empty[view]}))
+        with pytest.raises(DataError, match=f"record 0: {name} 0"):
             read_featurized(out)
 
     def test_lengths_beyond_the_header_raise(self, vocab, tmp_path):

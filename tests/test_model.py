@@ -7,26 +7,26 @@ import numpy as np
 import pytest
 
 from conftest import make_graph, make_path, random_tree
+from oracle import (
+    attend_one,
+    attention_mask,
+    dense_gcn_nodes,
+    oracle_probs,
+)
 from uastkit import autograd as ag
 from uastkit.ast_frontend import AstNode, vocabulary_from_kinds
 from uastkit.autograd import Tensor, cross_entropy_loss, zero_grads
-from uastkit.errors import ConfigError, ShapeMismatch, ZeroNodes
-from uastkit.featurizer import featurize_sample
+from uastkit.errors import ConfigError, ShapeMismatch
+from uastkit.featurizer import GraphSample, PathSequence, featurize_sample
 from uastkit.model import (
     GCN_ACTIVATIONS,
     INIT_STREAM,
     POOLINGS,
     ModelConfig,
-    bilstm_encode,
-    classify,
-    embed,
     empty_params,
     forward,
     forward_batch,
     freeze_pad_gradient,
-    fuse,
-    gcn_forward,
-    graph_pool,
     init_params,
     prepare_sample,
     self_attention,
@@ -266,14 +266,9 @@ class TestForward:
     def test_composed_stages_equal_forward(self, tiny_config):
         params = init_params(tiny_config, 0)
         path, graph = sample_inputs(self.rng, tiny_config)
-        x = embed(path, params)
-        att = self_attention(x, path.true_length, tiny_config, params)
-        h_seq = bilstm_encode(att, path.true_length, params, tiny_config)
-        h_graph = graph_pool(gcn_forward(graph, params, tiny_config),
-                             graph.node_count, tiny_config.pooling)
-        by_stages = classify(fuse(h_seq, h_graph), params).data
+        by_stages = oracle_probs([(path, graph)], params, tiny_config).data
         whole = forward(path, graph, params, tiny_config).data
-        assert np.array_equal(by_stages, whole)
+        assert np.max(np.abs(by_stages - whole)) < 1e-12
 
     def test_padding_region_content_is_ignored(self, tiny_config):
         params = init_params(tiny_config, 0)
@@ -284,7 +279,6 @@ class TestForward:
         dirty_idx[path.true_length:] = tiny_config.vocab_size - 1
         dirty_kinds = graph.node_kinds.copy()
         dirty_kinds[graph.node_count:] = tiny_config.vocab_size - 1
-        from uastkit.featurizer import GraphSample, PathSequence
         dirty = forward(
             PathSequence(indices=dirty_idx, true_length=path.true_length),
             GraphSample(node_kinds=dirty_kinds, node_count=graph.node_count,
@@ -293,12 +287,28 @@ class TestForward:
         assert np.array_equal(clean, dirty)
 
     def test_fusion_layout_sequence_first(self, tiny_config):
+        # with the head's first 2h rows zero, the path no longer counts and
+        # the graph still does; with its last d_out rows zero, the reverse
         h = tiny_config.h
-        seq = Tensor(np.arange(2 * h, dtype=np.float64).reshape(1, -1))
-        gra = Tensor(-np.ones((1, tiny_config.d_out)))
-        fused = fuse(seq, gra).data
-        assert np.array_equal(fused[0, :2 * h], seq.data[0])
-        assert np.array_equal(fused[0, 2 * h:], gra.data[0])
+        params = init_params(tiny_config, 0)
+        path_a, graph_a = sample_inputs(self.rng, tiny_config)
+        path_b, graph_b = sample_inputs(self.rng, tiny_config, n_nodes=4)
+        weights = params.clf_w.data.copy()
+
+        def moves(rows: slice, which: str) -> bool:
+            params.clf_w.data = weights.copy()
+            params.clf_w.data[rows] = 0.0
+            base = forward(path_a, graph_a, params, tiny_config).data
+            other = forward(path_b if which == "path" else path_a,
+                            graph_b if which == "graph" else graph_a,
+                            params, tiny_config).data
+            return not np.array_equal(base, other)
+
+        assert params.clf_w.shape[0] == 2 * h + tiny_config.d_out
+        assert not moves(slice(0, 2 * h), "path")
+        assert moves(slice(0, 2 * h), "graph")
+        assert not moves(slice(2 * h, None), "graph")
+        assert moves(slice(2 * h, None), "path")
 
     def test_sequence_only_mode_ignores_graph(self, tiny_config):
         cfg = variant(tiny_config, mode="sast")
@@ -333,12 +343,14 @@ class TestForward:
             forward_batch([], params, tiny_config)
 
     def test_graph_shape_guards(self, tiny_config):
+        # a graph or a path without a root cannot be pooled or attended over
         params = init_params(tiny_config, 0)
-        bad = make_graph([1, 2], [(0, 1)], tiny_config.N + 1)
+        path, graph = sample_inputs(self.rng, tiny_config)
         with pytest.raises(ShapeMismatch):
-            gcn_forward(bad, params, tiny_config)
-        with pytest.raises(ZeroNodes):
-            graph_pool(Tensor(np.ones((4, 2))), 0)
+            forward(path, make_graph([], [], tiny_config.N), params,
+                    tiny_config)
+        with pytest.raises(ShapeMismatch):
+            forward(make_path([], tiny_config.L), graph, params, tiny_config)
 
     def test_training_dropout_is_seeded(self, tiny_config):
         params = init_params(tiny_config, 0)
@@ -354,45 +366,15 @@ class TestForward:
     def test_mean_and_sum_pooling_differ_consistently(self, tiny_config):
         params = init_params(tiny_config, 0)
         _, graph = sample_inputs(self.rng, tiny_config, n_nodes=4)
-        h = gcn_forward(graph, params, tiny_config)
-        mean = graph_pool(h, 4, "mean").data
-        total = graph_pool(h, 4, "sum").data
+        h = dense_gcn_nodes(graph, params, tiny_config)
+        mean = ag.segment_pool(h, [4], mean=True).data
+        total = ag.segment_pool(h, [4], mean=False).data
         assert np.max(np.abs(total - 4 * mean)) < 1e-12
 
 
 # --- edge-list GCN against the dense composition -------------------------------------
 
 ORACLE_KINDS = ("alpha", "beta", "gamma", "delta", "epsilon")
-_ACTIVATIONS = {"relu": ag.relu, "sigmoid": ag.sigmoid, "tanh": ag.tanh}
-
-
-def dense_graph_oracle(graph, params, cfg) -> Tensor:
-    """Pooled [1 x d_out] features through the dense renormalized Â.
-
-    Every row is padded to N: padding rows gather W0's row 0 and stay out
-    of the result only because Â's zero rows and columns erase them.
-    """
-    act = _ACTIVATIONS[cfg.gcn_activation]
-    adj = Tensor(graph.norm_adj)
-    h = act(ag.matmul(adj, ag.gather_rows(params.gcn[0], graph.node_kinds)))
-    for w in params.gcn[1:]:
-        h = act(ag.matmul(adj, ag.matmul(h, w)))
-    return graph_pool(h, graph.node_count, cfg.pooling)
-
-
-def oracle_probs(pairs, params, cfg) -> Tensor:
-    """The old per-sample composition: dense graph side, per-sample paths."""
-    rows = []
-    for path, graph in pairs:
-        features = []
-        if cfg.uses_path:
-            att = self_attention(embed(path, params), path.true_length, cfg,
-                                 params)
-            features.append(bilstm_encode(att, path.true_length, params, cfg))
-        if cfg.uses_graph:
-            features.append(dense_graph_oracle(graph, params, cfg))
-        rows.append(fuse(*features) if len(features) == 2 else features[0])
-    return classify(ag.concat(rows, axis=0), params)
 
 
 def oracle_batch(rng, cfg, sizes):
@@ -462,122 +444,31 @@ class TestEdgeListOracle:
             assert p.node_kinds.tolist() == \
                 graph.node_kinds[:graph.node_count].tolist()
 
-    def test_gcn_forward_returns_real_rows_only(self, tiny_config):
-        cfg = self._config(tiny_config)
+    def test_graph_side_reads_real_rows_only(self, tiny_config):
+        # padding nodes hold a kind no real node has; W0's row for that
+        # kind must get no gradient
+        cfg = variant(self._config(tiny_config, mode="gast"),
+                      vocab_size=len(ORACLE_KINDS) + 3)
         params = init_params(cfg, 0)
-        for _, graph in oracle_batch(np.random.default_rng(5), cfg, (6, 40)):
-            h = gcn_forward(graph, params, cfg)
-            assert h.shape == (graph.node_count, cfg.d_out)
+        spare = cfg.vocab_size - 1
+        pairs = oracle_batch(np.random.default_rng(5), cfg, (6, 40, 2))
+        batch = []
+        for _, graph in pairs:
+            kinds = graph.node_kinds.copy()
+            assert spare not in kinds[:graph.node_count]
+            kinds[graph.node_count:] = spare
+            batch.append(prepare_sample(None, GraphSample(
+                node_kinds=kinds, node_count=graph.node_count,
+                edges=graph.edges), cfg))
+        assert {s.node_count for s in batch} != {cfg.N}
+        zero_grads(params.parameters())
+        probs = forward_batch(batch, params, cfg)
+        cross_entropy_loss(probs, [0] * len(batch)).backward()
+        assert not params.gcn[0].grad[spare].any()
+        assert params.gcn[0].grad[1:spare].any()
 
 
 # --- fused sequence encoder against the op-by-op composition ------------------------
-#
-# The sequence side as it ran before the fused attention and LSTM ops: one
-# attention chain per sample and head over all L rows, one LSTM tape chain
-# per step and direction over the batch's longest true length.
-
-def _attention_mask(L: int, true_length: int) -> Tensor | None:
-    if true_length >= L:
-        return None
-    row = np.zeros((1, L))
-    row[0, true_length:] = -np.inf
-    return Tensor(row)
-
-
-def _attend_one(x: Tensor, mask: Tensor | None, cfg, params) -> Tensor:
-    """Multi-head attention over one sample's [L x d] rows, eval mode."""
-    if cfg.learned_projections:
-        q_all = ag.matmul(x, params.proj_q)
-        k_all = ag.matmul(x, params.proj_k)
-        v_all = ag.matmul(x, params.proj_v)
-    else:
-        q_all = k_all = v_all = x
-    hd = cfg.head_dim
-    heads_out = []
-    for head in range(cfg.heads):
-        lo, hi = head * hd, (head + 1) * hd
-        q = ag.slice_cols(q_all, lo, hi)
-        k = q if k_all is q_all else ag.slice_cols(k_all, lo, hi)
-        v = q if v_all is q_all else ag.slice_cols(v_all, lo, hi)
-        scores = ag.scale(ag.matmul(q, ag.transpose(k)), 1.0 / math.sqrt(hd))
-        if mask is not None:
-            scores = ag.add(scores, mask)
-        heads_out.append(ag.matmul(ag.softmax_rows(scores), v))
-    return ag.concat(heads_out, axis=1) if len(heads_out) > 1 else heads_out[0]
-
-
-def _masks_for_batch(true_lengths, T: int) -> list[tuple]:
-    """Per-step (mask, inv_mask) tensor pairs; None when every row is live."""
-    arr = np.asarray(true_lengths)
-    out = []
-    for t in range(T):
-        live = (arr > t).astype(np.float64).reshape(-1, 1)
-        if live.all():
-            out.append((None, None))
-        else:
-            out.append((Tensor(live), Tensor(1.0 - live)))
-    return out
-
-
-def _lstm_direction(xs, masks, w_all, b_all, h_dim: int, reverse: bool):
-    """One direction over the step list; returns per-step h and final h."""
-    batch = xs[0].shape[0]
-    h = Tensor(np.zeros((batch, h_dim)))
-    c = Tensor(np.zeros((batch, h_dim)))
-    steps = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
-    outs = [None] * len(xs)
-    for t in steps:
-        pre = ag.add(ag.matmul(ag.concat([h, xs[t]], axis=1), w_all), b_all)
-        i_g = ag.sigmoid(ag.slice_cols(pre, 0, h_dim))
-        f_g = ag.sigmoid(ag.slice_cols(pre, h_dim, 2 * h_dim))
-        o_g = ag.sigmoid(ag.slice_cols(pre, 2 * h_dim, 3 * h_dim))
-        c_hat = ag.tanh(ag.slice_cols(pre, 3 * h_dim, 4 * h_dim))
-        c_new = ag.add(ag.mul(f_g, c), ag.mul(i_g, c_hat))
-        live, dead = masks[t]
-        c = c_new if live is None else ag.add(ag.mul(c_new, live),
-                                              ag.mul(c, dead))
-        h_new = ag.mul(o_g, ag.tanh(c))
-        h = h_new if live is None else ag.add(ag.mul(h_new, live),
-                                              ag.mul(h, dead))
-        outs[t] = h
-    return outs, h
-
-
-def _bilstm_over_steps(xs, true_lengths, params, cfg) -> Tensor:
-    masks = _masks_for_batch(true_lengths, len(xs))
-    inputs = xs
-    for fwd, bwd in params.lstm:
-        outs_f, final_fwd = _lstm_direction(inputs, masks, *fwd, cfg.h,
-                                            reverse=False)
-        outs_b, final_bwd = _lstm_direction(inputs, masks, *bwd, cfg.h,
-                                            reverse=True)
-        inputs = [ag.concat([f, b], axis=1) for f, b in zip(outs_f, outs_b)]
-    return ag.concat([final_fwd, final_bwd], axis=1)
-
-
-def composed_sequence(paths, params, cfg) -> Tensor:
-    """[B x 2h] sequence features of a batch, eval mode, op by op."""
-    L = cfg.L
-    lengths = [max(1, p.true_length) for p in paths]
-    x_all = ag.embedding_lookup(params.embedding,
-                                np.concatenate([p.indices for p in paths]))
-    atts = [_attend_one(ag.slice_rows(x_all, b * L, (b + 1) * L),
-                        _attention_mask(L, n), cfg, params)
-            for b, n in enumerate(lengths)]
-    att_all = ag.concat(atts, axis=0) if len(atts) > 1 else atts[0]
-    base = np.arange(len(paths)) * L
-    steps = [ag.gather_rows(att_all, base + t) for t in range(max(lengths))]
-    return _bilstm_over_steps(steps, lengths, params, cfg)
-
-
-def composed_probs(pairs, params, cfg) -> Tensor:
-    features = [composed_sequence([p for p, _ in pairs], params, cfg)]
-    if cfg.uses_graph:
-        features.append(ag.concat([dense_graph_oracle(g, params, cfg)
-                                   for _, g in pairs], axis=0))
-    return classify(fuse(*features) if len(features) == 2 else features[0],
-                    params)
-
 
 def mixed_length_pairs(rng, cfg, lengths):
     pairs = []
@@ -609,7 +500,7 @@ class TestFusedSequenceOracle:
             tensors = params.parameters()
 
             zero_grads(tensors)
-            want = composed_probs(pairs, params, cfg)
+            want = oracle_probs(pairs, params, cfg)
             cross_entropy_loss(want, labels).backward()
             want_grads = [t.grad.copy() for t in tensors]
 
@@ -628,7 +519,7 @@ class TestFusedSequenceOracle:
         x = Tensor(np.random.default_rng(6).normal(size=(cfg.L, cfg.d)))
         for n in (1, 3, cfg.L):
             got = self_attention(x, n, cfg, params).data
-            want = _attend_one(x, _attention_mask(cfg.L, n), cfg, params).data
+            want = attend_one(x, attention_mask(cfg.L, n), cfg, params).data
             assert np.max(np.abs(got - want)) < 1e-12
 
     def test_training_draws_repeat_with_the_seed(self, tiny_config):

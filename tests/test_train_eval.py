@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEEP_SOURCES, TOY_CORPUS, chain_tree
+from conftest import (
+    BAD_CHECKPOINT_HEADERS,
+    DEEP_SOURCES,
+    TOY_CORPUS,
+    chain_tree,
+    else_if_chain,
+    rewrite_checkpoint_header,
+)
 from uastkit.ast_frontend import (
     build_vocabulary,
     identity_table,
@@ -151,8 +158,18 @@ class TestIngest:
             str(tmp_path / "deep" / "python" / "s0.py")]
         skipped = [r.getMessage() for r in caplog.records
                    if "unparseable" in r.getMessage()]
-        assert len(skipped) == 3
+        assert len(skipped) == 2
         assert all("nests too deeply" in m for m in skipped)
+
+    def test_long_else_if_chains_are_ingested(self, tmp_path, caplog):
+        write_corpus(tmp_path, {"chains": {
+            language: [else_if_chain(language, 1000, final_else=True)]
+            for language in ("java", "python", "cpp")}})
+        with caplog.at_level(logging.WARNING, logger="uastkit.corpus"):
+            samples = ingest_corpus(tmp_path)
+        assert sorted(s.language for s in samples) == ["cpp", "java",
+                                                       "python"]
+        assert not caplog.records
 
     def test_class_of_only_unparseable_files_raises(self, tmp_path):
         write_corpus(tmp_path, {"good": {"python": [PY_ADD % 0]}})
@@ -594,6 +611,15 @@ class TestTrain:
         with pytest.raises(UastError):
             predict_one(result.checkpoint, src, language, table)
 
+    def test_predict_classifies_long_else_if_chain(self):
+        # such a chain once nested past the recursion limit and was refused
+        _, table, _, _, result = self._fit(epochs=1)
+        label, probs = predict_one(result.checkpoint,
+                                   else_if_chain("java", 1000, False), "java",
+                                   table)
+        assert label in ("alpha", "beta")
+        assert abs(probs.sum() - 1.0) < 1e-9
+
     def test_predict_parses_real_source(self, two_class_dir):
         samples = ingest_corpus(two_class_dir)
         splits = {"train": samples, "validation": [], "test": []}
@@ -698,6 +724,17 @@ class TestCheckpoint:
         assert struct.unpack_from("<I", data, 8) == (2,)
         path.write_bytes(data[:8] + struct.pack("<I", 1) + data[12:])
         with pytest.raises(CheckpointError, match="format version 1"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", sorted(BAD_CHECKPOINT_HEADERS))
+    def test_header_inconsistent_with_parameters_is_refused(self, tmp_path,
+                                                            name):
+        change, reason = BAD_CHECKPOINT_HEADERS[name]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._ckpt(), path)
+        load_checkpoint(path)
+        rewrite_checkpoint_header(path, change)
+        with pytest.raises(CheckpointError, match=reason):
             load_checkpoint(path)
 
     def test_loaded_parameters_are_trainable(self, tmp_path):
