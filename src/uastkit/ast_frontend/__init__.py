@@ -12,7 +12,6 @@ from .backends import (
 from .tree import (
     ERROR_KIND,
     AstNode,
-    has_error_nodes,
     load_ast_sexpr,
     node_count,
     preorder,
@@ -36,7 +35,7 @@ from .vocab import (
 )
 
 __all__ = [
-    "AstNode", "ERROR_KIND", "preorder", "node_count", "has_error_nodes",
+    "AstNode", "ERROR_KIND", "preorder", "node_count",
     "load_ast_sexpr", "render_sexpr",
     "parse_source", "register_backend", "registered_languages",
     "normalize_language", "language_for_extension",

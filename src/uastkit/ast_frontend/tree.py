@@ -54,10 +54,6 @@ def node_count(root: AstNode) -> int:
     return sum(1 for _ in preorder(root))
 
 
-def has_error_nodes(root: AstNode) -> bool:
-    return any(n.kind == ERROR_KIND for n in preorder(root))
-
-
 # --- S-expression interchange -------------------------------------------------
 #
 # Grammar (one tree per document):

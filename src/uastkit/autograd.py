@@ -315,11 +315,18 @@ def _dropout_mask(shape, rate: float, training: bool,
 
 
 def dropout(a: Tensor, rate: float, training: bool,
-            rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout; the identity map when not training or rate is 0."""
-    mask = _dropout_mask(a.data.shape, rate, training, rng)
+            rng: np.random.Generator | None = None,
+            packing: "Packing | None" = None) -> Tensor:
+    """Inverted dropout; the identity map when not training or rate is 0.
+
+    With a packing, a holds a packed batch's rows: the mask is drawn over
+    the padded [B*T x cols] layout, and each row takes its padded row's.
+    """
+    rows = a.shape[0] if packing is None else packing.batch * packing.steps
+    mask = _dropout_mask((rows, a.shape[1]), rate, training, rng)
     if mask is None:
         return a
+    mask = mask if packing is None else mask[packing.padded]
 
     def bw(g):
         if a.requires_grad:
@@ -328,157 +335,178 @@ def dropout(a: Tensor, rate: float, training: bool,
     return _node(a.data * mask, (a,), bw)
 
 
-# --- fused sequence ops ------------------------------------------------------
+# --- packed sequence ops -----------------------------------------------------
 #
-# Both take a batch of B sequences padded to T steps as [B*T x cols], row
-# b*T + t holding step t of sequence b, with each sequence's true length.
-# Each records one tape node with a hand-written backward.
+# A batch of B sequences lies in [S x cols] rows, sequence b at rows
+# starts[b] : starts[b] + lengths[b], like the graph side's disjoint union.
+# Each op records one tape node with a hand-written backward.
 
-def _sequence_batch(x: Tensor, lengths) -> tuple[np.ndarray, int]:
-    lengths = np.asarray(lengths, dtype=np.int64).ravel()
-    if lengths.size == 0 or x.shape[0] % lengths.size:
-        raise ShapeMismatch(
-            f"{x.shape[0]} rows do not split into {lengths.size} sequences")
-    steps = x.shape[0] // lengths.size
-    if lengths.min() < 1 or lengths.max() > steps:
-        raise ShapeMismatch(f"lengths {lengths.tolist()} outside [1, {steps}]")
-    return lengths, steps
+class Packing:
+    """The row bookkeeping of one packed batch, computed once per batch.
+
+    A recurrence visits rows in time-major slots, longest sequence first
+    (stable), so step t's live[t] sequences are a prefix of step t-1's.
+    spans holds each step's (first slot, count); prev, each later slot's
+    slot one step earlier; slots[reverse], each slot's row, stepping back
+    from each end when reverse; padded, each row's b*T + t, T = max length.
+    """
+
+    def __init__(self, lengths):
+        n = np.asarray(lengths, dtype=np.int64).ravel()
+        if n.size == 0 or n.min() < 1:
+            raise ShapeMismatch(f"lengths {n.tolist()} must all be >= 1")
+        self.lengths, self.batch, self.steps = n, n.size, int(n.max())
+        self.total = int(n.sum())
+        self.starts = np.cumsum(n) - n
+        order = np.argsort(-n, kind="stable")
+        step, seq = np.nonzero(np.arange(self.steps)[:, None] < n[order])
+        seq = order[seq]
+        self.live = np.bincount(step)
+        self.spans = list(zip((np.cumsum(self.live) - self.live).tolist(),
+                              self.live.tolist()))
+        self.prev = (np.arange(self.live[0], self.total)
+                     - np.repeat(self.live[:-1], self.live[1:]))
+        self.slots = (self.starts[seq] + step,
+                      self.starts[seq] + n[seq] - 1 - step)
+        self.padded = np.arange(self.total) + np.repeat(
+            np.arange(self.batch) * self.steps - self.starts, n)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, lengths, heads: int,
+def attention(q: Tensor, k: Tensor, v: Tensor, packing: Packing, heads: int,
               rate: float = 0.0, training: bool = False,
               rng: np.random.Generator | None = None) -> Tensor:
-    """Multi-head attention with keys masked past each sequence's length.
+    """Multi-head self-attention within each sequence of a packed batch.
 
-    q, k and v are [B*T x d] and may be one tensor.  Head j uses columns
-    j*d/heads to (j+1)*d/heads: softmax(q k^T / sqrt(d/heads)) over the keys
-    before lengths[b], under inverted dropout drawn once over
-    [B, heads, T, T], times v.  Every query row attends, padded ones too.
+    q, k and v are [S x d] and may be one tensor.  Head j uses columns
+    j*d/heads to (j+1)*d/heads: per sequence, softmax(q k^T / sqrt(d/heads))
+    over its own keys, under inverted dropout, times v.  The dropout mask
+    is drawn once over [B, heads, T, T]; sequence b uses [b, :, :n_b, :n_b].
     """
-    lengths, steps = _sequence_batch(q, lengths)
     rows, d = q.shape
-    if k.shape != q.shape or v.shape != q.shape or d % heads:
-        raise ShapeMismatch(f"attention: q {q.shape}, k {k.shape}, "
-                            f"v {v.shape}, {heads} heads")
-    batch, hd = lengths.size, d // heads
+    if (rows != packing.total or k.shape != q.shape or v.shape != q.shape
+            or d % heads):
+        raise ShapeMismatch(f"attention: q {q.shape}, k {k.shape}, v "
+                            f"{v.shape}, {heads} heads, {packing.total} rows")
+    hd = d // heads
     inv_sqrt = 1.0 / np.sqrt(hd)
+    mask = _dropout_mask((packing.batch, heads, packing.steps, packing.steps),
+                         rate, training, rng)
+    spans = [slice(s, s + n) for s, n in
+             zip(packing.starts.tolist(), packing.lengths.tolist())]
 
-    def split(a: np.ndarray) -> np.ndarray:  # -> [B, heads, T, hd]
-        return a.reshape(batch, steps, heads, hd).transpose(0, 2, 1, 3)
+    def by_head(a: np.ndarray) -> np.ndarray:  # [S x d] -> [heads, S, hd]
+        return a.reshape(rows, heads, hd).transpose(1, 0, 2)
 
-    def merge(a: np.ndarray) -> np.ndarray:  # -> [B*T x d]
-        return a.transpose(0, 2, 1, 3).reshape(rows, d)
-
-    qs, ks, vs = split(q.data), split(k.data), split(v.data)
-    # [B, heads, T, T] arrays are large: scores turn into probs in place
-    probs = qs @ ks.transpose(0, 1, 3, 2)
-    probs *= inv_sqrt
-    probs += np.where(np.arange(steps) >= lengths[:, None], -np.inf,
-                      0.0)[:, None, None, :]
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    mask = _dropout_mask(probs.shape, rate, training, rng)
-    weights = probs if mask is None else probs * mask
+    qs, ks, vs = by_head(q.data), by_head(k.data), by_head(v.data)
+    out = np.empty((heads, rows, hd))
+    saved = []  # per sequence: probs, dropout factors, weights
+    for b, span in enumerate(spans):
+        n = span.stop - span.start
+        probs = qs[:, span] @ ks[:, span].transpose(0, 2, 1)
+        probs *= inv_sqrt
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        drop = None if mask is None else mask[b, :, :n, :n]
+        weights = probs if drop is None else probs * drop
+        out[:, span] = weights @ vs[:, span]
+        saved.append((probs, drop, weights))
 
     def bw(g):
-        gs = split(g)
-        d_scores = gs @ vs.transpose(0, 1, 3, 2)  # d weights, at first
-        if mask is not None:
-            d_scores *= mask
-        d_scores *= probs
-        d_scores -= probs * d_scores.sum(axis=-1, keepdims=True)
-        d_scores *= inv_sqrt
-        for t, grad in ((q, d_scores @ ks),
-                        (k, d_scores.transpose(0, 1, 3, 2) @ qs),
-                        (v, weights.transpose(0, 1, 3, 2) @ gs)):
+        gs, grads = by_head(g), np.empty((3, heads, rows, hd))
+        for span, (probs, drop, weights) in zip(spans, saved):
+            d_scores = gs[:, span] @ vs[:, span].transpose(0, 2, 1)
+            if drop is not None:
+                d_scores *= drop
+            d_scores *= probs
+            d_scores -= probs * d_scores.sum(axis=-1, keepdims=True)
+            d_scores *= inv_sqrt
+            grads[0][:, span] = d_scores @ ks[:, span]
+            grads[1][:, span] = d_scores.transpose(0, 2, 1) @ qs[:, span]
+            grads[2][:, span] = weights.transpose(0, 2, 1) @ gs[:, span]
+        for t, grad in zip((q, k, v), grads):
             if t.requires_grad:
-                _accum(t, merge(grad))
+                _accum(t, grad.transpose(1, 0, 2).reshape(rows, d))
 
-    return _node(merge(weights @ vs), (q, k, v), bw)
+    return _node(out.transpose(1, 0, 2).reshape(rows, d), (q, k, v), bw)
 
 
-def lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, lengths,
+def lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, packing: Packing,
                    reverse: bool = False) -> Tensor:
-    """One direction of an LSTM layer over a batch, as [B*T x h] states.
+    """One direction of an LSTM layer over a packed batch, as [S x h] states.
 
-    x is [B*T x in]; w_all is [(h + in) x 4h], recurrent rows first, and
-    b_all is [1 x 4h], gate columns in the order i, f, o, c.  From step
-    lengths[b] on, sequence b holds its state, which stays zero when
-    reverse runs the steps from T-1 down to 0.  Every step's input
-    projection is one GEMM before the recurrence.
+    x is [S x in]; w_all is [(h + in) x 4h], recurrent rows first, and
+    b_all is [1 x 4h], gate columns in the order i, f, o, c.  Each sequence
+    starts from a zero state at its first row, or at its last when reverse.
+    Every row's input projection is one GEMM before the recurrence, whose
+    step t updates only the packing's live[t] sequences.
     """
-    lengths, steps = _sequence_batch(x, lengths)
     rows, in_dim = x.shape
-    batch, h = lengths.size, b_all.shape[1] // 4
-    if b_all.shape != (1, 4 * h) or w_all.shape != (h + in_dim, 4 * h):
-        raise ShapeMismatch(f"lstm_direction: x {x.shape}, w_all "
-                            f"{w_all.shape}, b_all {b_all.shape}")
+    h = b_all.shape[1] // 4
+    if (rows != packing.total or b_all.shape != (1, 4 * h)
+            or w_all.shape != (h + in_dim, 4 * h)):
+        raise ShapeMismatch(f"lstm_direction: x {x.shape}, w_all {w_all.shape}"
+                            f", b_all {b_all.shape}, {packing.total} rows")
     w_h, w_x = w_all.data[:h], w_all.data[h:]
-    dead = (np.arange(steps)[:, None] >= lengths)[:, :, None]  # [T, B, 1]
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    # slot of the state entering each step; slot T (also reached as -1)
-    # holds the zero start state
-    enter = np.arange(steps) + (1 if reverse else -1)
-
-    # per-step buffers are time-major, so each step's slice is contiguous;
-    # gates holds every step's input projection, from one GEMM, and turns
-    # into that step's gate activations in place
-    gates = np.ascontiguousarray(
-        (x.data @ w_x + b_all.data).reshape(batch, steps, 4 * h)
-        .transpose(1, 0, 2))
-    hs = np.zeros((steps + 1, batch, h))
-    cs = np.zeros((steps + 1, batch, h))
-    c_tanh = np.empty((steps, batch, h))
-    for t in order:
-        act = gates[t]
-        act += hs[enter[t]] @ w_h
+    slots, first = packing.slots[reverse], packing.live[0]
+    # every buffer is indexed by slot, so each step's rows are contiguous;
+    # gates holds the input projections and turns into the gate
+    # activations in place
+    gates = (x.data @ w_x + b_all.data)[slots]
+    hs, cs, c_tanh = (np.empty((rows, h)) for _ in range(3))
+    back = 0  # the step before's first slot
+    for lo, n in packing.spans:
+        act, hi = gates[lo:lo + n], lo + n
+        if lo:
+            act += hs[back:back + n] @ w_h
         act[:, :3 * h] = _sigmoid_values(act[:, :3 * h])
         np.tanh(act[:, 3 * h:], out=act[:, 3 * h:])
-        i_g, f_g, o_g, c_hat = (act[:, j * h:(j + 1) * h] for j in range(4))
-        np.multiply(f_g, cs[enter[t]], out=cs[t])
-        cs[t] += i_g * c_hat
-        np.copyto(cs[t], cs[enter[t]], where=dead[t])
-        np.tanh(cs[t], out=c_tanh[t])
-        np.multiply(o_g, c_tanh[t], out=hs[t])
-        np.copyto(hs[t], hs[enter[t]], where=dead[t])
+        np.multiply(act[:, :h], act[:, 3 * h:], out=cs[lo:hi])
+        if lo:
+            cs[lo:hi] += act[:, h:2 * h] * cs[back:back + n]
+        np.tanh(cs[lo:hi], out=c_tanh[lo:hi])
+        np.multiply(act[:, 2 * h:3 * h], c_tanh[lo:hi], out=hs[lo:hi])
+        back = lo
+    out = np.empty((rows, h))
+    out[slots] = hs
 
     def bw(g):
-        d_hs = g.reshape(batch, steps, h).transpose(1, 0, 2)
-        d_pre = np.empty((steps, batch, 4 * h))
-        held = dead.astype(np.float64)
-        live = 1.0 - held
-        dh = np.zeros((batch, h))
-        dc = np.zeros((batch, h))
-        for t in reversed(order):
-            ifo, c_hat = gates[t, :, :3 * h], gates[t, :, 3 * h:]
-            i_g, f_g, o_g = ifo[:, :h], ifo[:, h:2 * h], ifo[:, 2 * h:]
-            dh += d_hs[t]
-            dh_new = dh * live[t]
-            dc += dh_new * o_g * (1.0 - c_tanh[t] * c_tanh[t])
-            dc_new = dc * live[t]
-            d_sig = ifo * (1.0 - ifo)
-            dp = d_pre[t]
-            np.multiply(dc_new * c_hat, d_sig[:, :h], out=dp[:, :h])
-            np.multiply(dc_new * cs[enter[t]], d_sig[:, h:2 * h],
+        i_g, f_g, o_g, c_hat = (gates[:, j * h:(j + 1) * h] for j in range(4))
+        # every factor that does not depend on the carried dh and dc, over
+        # all slots at once, and the cell state entering each slot
+        dc_dh = o_g * (1.0 - c_tanh * c_tanh)
+        d_sig = gates[:, :3 * h] * (1.0 - gates[:, :3 * h])
+        d_tanh = 1.0 - c_hat * c_hat
+        c_prev = np.zeros((rows, h))
+        c_prev[first:] = cs[packing.prev]
+        d_h, d_pre = g[slots], np.empty((rows, 4 * h))
+        # carried into the step before, whose first slots they update
+        dh_carry = dc_carry = np.zeros((0, h))
+        for lo, n in reversed(packing.spans):
+            hi = lo + n
+            dh = d_h[lo:hi]
+            dh[:len(dh_carry)] += dh_carry
+            dc = dh * dc_dh[lo:hi]
+            dc[:len(dc_carry)] += dc_carry
+            dp, sig = d_pre[lo:hi], d_sig[lo:hi]
+            np.multiply(dc * c_hat[lo:hi], sig[:, :h], out=dp[:, :h])
+            np.multiply(dc * c_prev[lo:hi], sig[:, h:2 * h],
                         out=dp[:, h:2 * h])
-            np.multiply(dh_new * c_tanh[t], d_sig[:, 2 * h:],
+            np.multiply(dh * c_tanh[lo:hi], sig[:, 2 * h:],
                         out=dp[:, 2 * h:3 * h])
-            np.multiply(dc_new * i_g, 1.0 - c_hat * c_hat, out=dp[:, 3 * h:])
-            dh = dh * held[t] + dp @ w_h.T
-            dc = dc_new * f_g + dc * held[t]
-        d_pre_rows = d_pre.transpose(1, 0, 2).reshape(rows, 4 * h)
+            np.multiply(dc * i_g[lo:hi], d_tanh[lo:hi], out=dp[:, 3 * h:])
+            dh_carry, dc_carry = dp @ w_h.T, dc * f_g[lo:hi]
+        d_rows = np.empty_like(d_pre)
+        d_rows[slots] = d_pre
         if x.requires_grad:
-            _accum(x, d_pre_rows @ w_x.T)
+            _accum(x, d_rows @ w_x.T)
         if w_all.requires_grad:
-            _accum(w_all, np.vstack([
-                hs[enter].reshape(-1, h).T @ d_pre.reshape(-1, 4 * h),
-                x.data.T @ d_pre_rows]))
+            _accum(w_all, np.vstack([hs[packing.prev].T @ d_pre[first:],
+                                     x.data.T @ d_rows]))
         if b_all.requires_grad:
-            _accum(b_all, d_pre.reshape(-1, 4 * h).sum(axis=0, keepdims=True))
+            _accum(b_all, d_pre.sum(axis=0, keepdims=True))
 
-    return _node(hs[:steps].transpose(1, 0, 2).reshape(rows, h),
-                 (x, w_all, b_all), bw)
+    return _node(out, (x, w_all, b_all), bw)
 
 
 # --- reductions --------------------------------------------------------------

@@ -234,12 +234,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     else:
         print(f"files   {report.count}")
         print(f"mean    {report.mean:.1f}")
-        print(f"median  {report.median}")
-        print(f"p70     {report.p70}")
-        print(f"p80     {report.p80}")
-        print(f"p90     {report.p90}")
-        print(f"min     {report.min}")
-        print(f"max     {report.max}")
+        for name in ("median", "p70", "p80", "p90", "min", "max"):
+            print(f"{name:<8}{getattr(report, name)}")
     return 0
 
 

@@ -2,17 +2,16 @@
 
 The sequence side embeds the pre-order path, runs multi-head self-attention
 with Q = K = V (no input projections unless the learned_projections variant
-is switched on), and feeds a stacked bidirectional LSTM whose recurrence is
-masked to the true sequence length.  A batch embeds only its first
-T = max(true_length) steps, laid out as [B*T x d]; attention is one fused
-op over every sample and head, and each LSTM direction is one fused op
-(autograd.attention, autograd.lstm_direction).  Each direction keeps its
-parameters as that op reads them: one weight [(h + in) x 4h] and one bias
-[1 x 4h], gate columns in the order i, f, o, c.  The graph side runs GCN
-layers that propagate over the tree's parent-child edge list (no dense
-N x N adjacency) and pools its real nodes; a batch runs as one disjoint
-union of its graphs.  Features fuse by concatenation, sequence side first,
-into a softmax classifier.
+is switched on), and feeds a stacked bidirectional LSTM.  A batch runs on
+its paths' true steps only, packed one after another as [S x cols] rows
+(autograd.Packing), with attention within each path and a recurrence that
+steps only the paths still running (autograd.attention, lstm_direction).
+Each LSTM direction keeps its parameters as that op reads them: one weight
+[(h + in) x 4h] and one bias [1 x 4h], gate columns i, f, o, c.  The graph
+side runs GCN layers that propagate over the trees' parent-child edge
+lists (no dense N x N adjacency), as one disjoint union of the batch's
+graphs, and pools each graph's nodes.  Features fuse by concatenation,
+sequence side first, into a softmax classifier.
 
 One function composes the two encoders: forward_batch, which training,
 evaluation and prediction all run.  Its tape holds the same number of nodes
@@ -232,10 +231,10 @@ def embed(path: PathSequence, params: ModelParams) -> Tensor:
     return ag.embedding_lookup(params.embedding, path.indices)
 
 
-def _attend(x: Tensor, lengths: np.ndarray, cfg: ModelConfig,
+def _attend(x: Tensor, packing: ag.Packing, cfg: ModelConfig,
             params: ModelParams | None, training: bool,
             rng: np.random.Generator | None) -> Tensor:
-    """Multi-head attention over a batch's [B*T x d] rows."""
+    """Multi-head attention over a packed batch's [S x d] rows."""
     if cfg.learned_projections:
         if params is None or params.proj_q is None:
             raise ConfigError("learned_projections on but no projection weights")
@@ -243,45 +242,43 @@ def _attend(x: Tensor, lengths: np.ndarray, cfg: ModelConfig,
                    for w in (params.proj_q, params.proj_k, params.proj_v))
     else:
         q = k = v = x
-    return ag.attention(q, k, v, lengths, cfg.heads, cfg.attn_dropout,
+    return ag.attention(q, k, v, packing, cfg.heads, cfg.attn_dropout,
                         training, rng)
 
 
 def self_attention(x: Tensor, true_length: int, cfg: ModelConfig,
                    params: ModelParams | None = None, training: bool = False,
                    rng: np.random.Generator | None = None) -> Tensor:
-    """[L x d] -> [L x d]; keys at padded positions masked to -inf.
+    """[L x d] -> [true_length x d]: attention over the real rows only.
 
-    The attention op of forward_batch at B=1 over all L rows; the
-    benchmark's per-layer probe (perfbench/layers.py) times it.
+    The attention op of forward_batch at B=1; the benchmark's per-layer
+    probe (perfbench/layers.py) times it.
     """
     if x.shape != (cfg.L, cfg.d):
         raise ShapeMismatch(f"self_attention: {x.shape} vs ({cfg.L}, {cfg.d})")
-    if true_length < 1:
-        raise ShapeMismatch("self_attention: true_length must be >= 1")
-    return _attend(x, np.array([min(true_length, cfg.L)]), cfg, params,
-                   training, rng)
+    packing = ag.Packing([min(true_length, cfg.L)])  # refuses length 0
+    return _attend(ag.gather_rows(x, np.arange(packing.total)), packing, cfg,
+                   params, training, rng)
 
 
-def _bilstm(x: Tensor, lengths: np.ndarray, params: ModelParams,
+def _bilstm(x: Tensor, packing: ag.Packing, params: ModelParams,
             cfg: ModelConfig, training: bool,
             rng: np.random.Generator | None) -> Tensor:
-    """[B*T x d] -> [B x 2h]: top layer's forward and backward finals.
+    """[S x d] -> [B x 2h]: top layer's forward and backward finals.
 
-    States are held past each true length, so the forward final is the
-    row at step T-1 and the backward final the row at step 0.
+    The forward final is each sequence's state at its last row, the
+    backward final at its first.
     """
     inputs = x
     for layer, (fwd, bwd) in enumerate(params.lstm):
         if layer:
             inputs = ag.dropout(ag.concat([out_f, out_b], axis=1),
-                                cfg.lstm_dropout, training, rng)
-        out_f = ag.lstm_direction(inputs, *fwd, lengths)
-        out_b = ag.lstm_direction(inputs, *bwd, lengths, reverse=True)
-    steps = x.shape[0] // len(lengths)
-    firsts = np.arange(len(lengths)) * steps
-    return ag.concat([ag.gather_rows(out_f, firsts + steps - 1),
-                      ag.gather_rows(out_b, firsts)], axis=1)
+                                cfg.lstm_dropout, training, rng, packing)
+        out_f = ag.lstm_direction(inputs, *fwd, packing)
+        out_b = ag.lstm_direction(inputs, *bwd, packing, reverse=True)
+    return ag.concat([
+        ag.gather_rows(out_f, packing.starts + packing.lengths - 1),
+        ag.gather_rows(out_b, packing.starts)], axis=1)
 
 
 # --- graph side --------------------------------------------------------------
@@ -343,13 +340,12 @@ def forward_batch(batch: list[PreparedSample], params: ModelParams,
     features: list[Tensor] = []
 
     if cfg.uses_path:
-        # only the first T = max(true_length) steps of each path enter
-        lengths = np.array([s.true_length for s in batch])
-        T = int(lengths.max())
-        x = ag.embedding_lookup(
-            params.embedding, np.concatenate([s.path.indices[:T] for s in batch]))
-        features.append(_bilstm(_attend(x, lengths, cfg, params, training, rng),
-                                lengths, params, cfg, training, rng))
+        # the paths' true steps only, one after another
+        packing = ag.Packing([s.true_length for s in batch])
+        x = ag.embedding_lookup(params.embedding, np.concatenate(
+            [s.path.indices[:s.true_length] for s in batch]))
+        features.append(_bilstm(_attend(x, packing, cfg, params, training, rng),
+                                packing, params, cfg, training, rng))
 
     if cfg.uses_graph:
         # one disjoint union: each sample's edges shift by its first node

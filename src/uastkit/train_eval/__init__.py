@@ -12,7 +12,7 @@ from .corpus import (
     mask_function_names,
     split_dataset,
 )
-from .metrics import METRIC_NAMES, MetricsReport, compute_metrics
+from .metrics import MetricsReport, compute_metrics
 from .training import (
     TrainResult,
     build_features,
@@ -30,7 +30,6 @@ __all__ = [
     "DEFAULT_RATIOS",
     "LabeledSample",
     "MASK_TOKEN",
-    "METRIC_NAMES",
     "MetricsReport",
     "SPLIT_NAMES",
     "TrainResult",

@@ -96,6 +96,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         vocab = vocabulary_from_kinds(header["vocab_kinds"])
         labels = list(header["labels"])
         declared = header["params"]
+        fields = dict(
+            languages=list(header["languages"]),
+            table_hash=header["table_hash"], unified=bool(header["unified"]),
+            seed=int(header["seed"]), epoch=int(header["epoch"]),
+            step=int(header["step"]), run_config=header.get("run_config"),
+            val_metrics=header.get("val_metrics"))
     except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
     # the model indexes its embedding and GCN rows by kind and its output
@@ -126,10 +132,5 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         at += nbytes
     if at != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after parameters")
-    return Checkpoint(
-        config=config, params=params, vocab=vocab, labels=labels,
-        languages=list(header["languages"]),
-        table_hash=header["table_hash"], unified=bool(header["unified"]),
-        seed=int(header["seed"]), epoch=int(header["epoch"]),
-        step=int(header["step"]), run_config=header.get("run_config"),
-        val_metrics=header.get("val_metrics"))
+    return Checkpoint(config=config, params=params, vocab=vocab,
+                      labels=labels, **fields)

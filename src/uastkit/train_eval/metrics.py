@@ -11,14 +11,11 @@ true negatives, which differs from the plain one whenever k > 2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..errors import DataError
-
-METRIC_NAMES = ("precision", "recall", "f1", "accuracy")
-
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -37,21 +34,9 @@ class MetricsReport:
     accuracy_tn_weighted: float
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "total": self.total,
-            "confusion": self.confusion.tolist(),
-            "tp": self.tp.tolist(),
-            "fp": self.fp.tolist(),
-            "fn": self.fn.tolist(),
-            "tn": self.tn.tolist(),
-            "support": self.support.tolist(),
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "accuracy": self.accuracy,
-            "accuracy_tn_weighted": self.accuracy_tn_weighted,
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: v.tolist() if isinstance(v, np.ndarray) else v
+                for name, v in values.items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

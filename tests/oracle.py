@@ -1,11 +1,13 @@
 """Independent compositions of the model, for checking forward_batch.
 
 The model runs each encoder as a few fused ops over a whole batch.  The
-oracles here compute the same function the slow way: the graph side as
-dense matrix products with GraphSample.norm_adj, the sequence side as one
-attention chain per sample and head and one LSTM tape chain per step and
-direction.  transpose, slice_rows and slice_cols are autograd ops that only
-these compositions use.
+oracles here compute the same function other ways: the graph side as dense
+matrix products with GraphSample.norm_adj; the sequence side op by op, with
+one attention chain per sample and head and one LSTM tape chain per step
+and direction; and the sequence side as it ran before packing, with the
+padded attention and LSTM ops over [B*T x cols] rows, which draws the same
+dropout masks.  transpose, slice_rows and slice_cols are autograd ops that
+only these compositions use.
 """
 
 import math
@@ -13,7 +15,13 @@ import math
 import numpy as np
 
 from uastkit import autograd as ag
-from uastkit.autograd import Tensor, _accum, _node
+from uastkit.autograd import (
+    Tensor,
+    _accum,
+    _dropout_mask,
+    _node,
+    _sigmoid_values,
+)
 from uastkit.errors import ShapeMismatch
 
 # --- ops only the oracles use -------------------------------------------------
@@ -51,6 +59,189 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
             a.grad[:, start:stop] += g
 
     return _node(a.data[:, start:stop].copy(), (a,), bw)
+
+
+# --- the padded sequence ops ---------------------------------------------------
+#
+# The model's attention and LSTM ops before they ran on packed rows.  Both
+# take a batch of B sequences padded to T steps as [B*T x cols], row
+# b*T + t holding step t of sequence b, with each sequence's true length.
+
+
+def _sequence_batch(x: Tensor, lengths) -> tuple[np.ndarray, int]:
+    lengths = np.asarray(lengths, dtype=np.int64).ravel()
+    if lengths.size == 0 or x.shape[0] % lengths.size:
+        raise ShapeMismatch(
+            f"{x.shape[0]} rows do not split into {lengths.size} sequences")
+    steps = x.shape[0] // lengths.size
+    if lengths.min() < 1 or lengths.max() > steps:
+        raise ShapeMismatch(f"lengths {lengths.tolist()} outside [1, {steps}]")
+    return lengths, steps
+
+
+def padded_attention(q: Tensor, k: Tensor, v: Tensor, lengths, heads: int,
+                     rate: float = 0.0, training: bool = False,
+                     rng: np.random.Generator | None = None) -> Tensor:
+    """Multi-head attention with keys masked past each sequence's length.
+
+    q, k and v are [B*T x d] and may be one tensor.  Head j uses columns
+    j*d/heads to (j+1)*d/heads: softmax(q k^T / sqrt(d/heads)) over the keys
+    before lengths[b], under inverted dropout drawn once over
+    [B, heads, T, T], times v.  Every query row attends, padded ones too.
+    """
+    lengths, steps = _sequence_batch(q, lengths)
+    rows, d = q.shape
+    if k.shape != q.shape or v.shape != q.shape or d % heads:
+        raise ShapeMismatch(f"attention: q {q.shape}, k {k.shape}, "
+                            f"v {v.shape}, {heads} heads")
+    batch, hd = lengths.size, d // heads
+    inv_sqrt = 1.0 / np.sqrt(hd)
+
+    def split(a: np.ndarray) -> np.ndarray:  # -> [B, heads, T, hd]
+        return a.reshape(batch, steps, heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(a: np.ndarray) -> np.ndarray:  # -> [B*T x d]
+        return a.transpose(0, 2, 1, 3).reshape(rows, d)
+
+    qs, ks, vs = split(q.data), split(k.data), split(v.data)
+    # [B, heads, T, T] arrays are large: scores turn into probs in place
+    probs = qs @ ks.transpose(0, 1, 3, 2)
+    probs *= inv_sqrt
+    probs += np.where(np.arange(steps) >= lengths[:, None], -np.inf,
+                      0.0)[:, None, None, :]
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    mask = _dropout_mask(probs.shape, rate, training, rng)
+    weights = probs if mask is None else probs * mask
+
+    def bw(g):
+        gs = split(g)
+        d_scores = gs @ vs.transpose(0, 1, 3, 2)  # d weights, at first
+        if mask is not None:
+            d_scores *= mask
+        d_scores *= probs
+        d_scores -= probs * d_scores.sum(axis=-1, keepdims=True)
+        d_scores *= inv_sqrt
+        for t, grad in ((q, d_scores @ ks),
+                        (k, d_scores.transpose(0, 1, 3, 2) @ qs),
+                        (v, weights.transpose(0, 1, 3, 2) @ gs)):
+            if t.requires_grad:
+                _accum(t, merge(grad))
+
+    return _node(merge(weights @ vs), (q, k, v), bw)
+
+
+def padded_lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, lengths,
+                          reverse: bool = False) -> Tensor:
+    """One direction of an LSTM layer over a batch, as [B*T x h] states.
+
+    x is [B*T x in]; w_all is [(h + in) x 4h], recurrent rows first, and
+    b_all is [1 x 4h], gate columns in the order i, f, o, c.  From step
+    lengths[b] on, sequence b holds its state, which stays zero when
+    reverse runs the steps from T-1 down to 0.  Every step's input
+    projection is one GEMM before the recurrence.
+    """
+    lengths, steps = _sequence_batch(x, lengths)
+    rows, in_dim = x.shape
+    batch, h = lengths.size, b_all.shape[1] // 4
+    if b_all.shape != (1, 4 * h) or w_all.shape != (h + in_dim, 4 * h):
+        raise ShapeMismatch(f"lstm_direction: x {x.shape}, w_all "
+                            f"{w_all.shape}, b_all {b_all.shape}")
+    w_h, w_x = w_all.data[:h], w_all.data[h:]
+    dead = (np.arange(steps)[:, None] >= lengths)[:, :, None]  # [T, B, 1]
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    # slot of the state entering each step; slot T (also reached as -1)
+    # holds the zero start state
+    enter = np.arange(steps) + (1 if reverse else -1)
+
+    # per-step buffers are time-major, so each step's slice is contiguous;
+    # gates holds every step's input projection, from one GEMM, and turns
+    # into that step's gate activations in place
+    gates = np.ascontiguousarray(
+        (x.data @ w_x + b_all.data).reshape(batch, steps, 4 * h)
+        .transpose(1, 0, 2))
+    hs = np.zeros((steps + 1, batch, h))
+    cs = np.zeros((steps + 1, batch, h))
+    c_tanh = np.empty((steps, batch, h))
+    for t in order:
+        act = gates[t]
+        act += hs[enter[t]] @ w_h
+        act[:, :3 * h] = _sigmoid_values(act[:, :3 * h])
+        np.tanh(act[:, 3 * h:], out=act[:, 3 * h:])
+        i_g, f_g, o_g, c_hat = (act[:, j * h:(j + 1) * h] for j in range(4))
+        np.multiply(f_g, cs[enter[t]], out=cs[t])
+        cs[t] += i_g * c_hat
+        np.copyto(cs[t], cs[enter[t]], where=dead[t])
+        np.tanh(cs[t], out=c_tanh[t])
+        np.multiply(o_g, c_tanh[t], out=hs[t])
+        np.copyto(hs[t], hs[enter[t]], where=dead[t])
+
+    def bw(g):
+        d_hs = g.reshape(batch, steps, h).transpose(1, 0, 2)
+        d_pre = np.empty((steps, batch, 4 * h))
+        held = dead.astype(np.float64)
+        live = 1.0 - held
+        dh = np.zeros((batch, h))
+        dc = np.zeros((batch, h))
+        for t in reversed(order):
+            ifo, c_hat = gates[t, :, :3 * h], gates[t, :, 3 * h:]
+            i_g, f_g, o_g = ifo[:, :h], ifo[:, h:2 * h], ifo[:, 2 * h:]
+            dh += d_hs[t]
+            dh_new = dh * live[t]
+            dc += dh_new * o_g * (1.0 - c_tanh[t] * c_tanh[t])
+            dc_new = dc * live[t]
+            d_sig = ifo * (1.0 - ifo)
+            dp = d_pre[t]
+            np.multiply(dc_new * c_hat, d_sig[:, :h], out=dp[:, :h])
+            np.multiply(dc_new * cs[enter[t]], d_sig[:, h:2 * h],
+                        out=dp[:, h:2 * h])
+            np.multiply(dh_new * c_tanh[t], d_sig[:, 2 * h:],
+                        out=dp[:, 2 * h:3 * h])
+            np.multiply(dc_new * i_g, 1.0 - c_hat * c_hat, out=dp[:, 3 * h:])
+            dh = dh * held[t] + dp @ w_h.T
+            dc = dc_new * f_g + dc * held[t]
+        d_pre_rows = d_pre.transpose(1, 0, 2).reshape(rows, 4 * h)
+        if x.requires_grad:
+            _accum(x, d_pre_rows @ w_x.T)
+        if w_all.requires_grad:
+            _accum(w_all, np.vstack([
+                hs[enter].reshape(-1, h).T @ d_pre.reshape(-1, 4 * h),
+                x.data.T @ d_pre_rows]))
+        if b_all.requires_grad:
+            _accum(b_all, d_pre.reshape(-1, 4 * h).sum(axis=0, keepdims=True))
+
+    return _node(hs[:steps].transpose(1, 0, 2).reshape(rows, h),
+                 (x, w_all, b_all), bw)
+
+
+def padded_sequence(paths, params, cfg, training=False, rng=None) -> Tensor:
+    """[B x 2h] sequence features over [B*T x cols] padded rows.
+
+    The sequence side of forward_batch as it ran before packing: the same
+    ops in the same order, so in training mode it draws the same dropout
+    masks from rng.
+    """
+    lengths = np.array([p.true_length for p in paths])
+    T = int(lengths.max())
+    x = ag.embedding_lookup(params.embedding,
+                            np.concatenate([p.indices[:T] for p in paths]))
+    if cfg.learned_projections:
+        q, k, v = (ag.matmul(x, w)
+                   for w in (params.proj_q, params.proj_k, params.proj_v))
+    else:
+        q = k = v = x
+    inputs = padded_attention(q, k, v, lengths, cfg.heads, cfg.attn_dropout,
+                              training, rng)
+    for layer, (fwd, bwd) in enumerate(params.lstm):
+        if layer:
+            inputs = ag.dropout(ag.concat([out_f, out_b], axis=1),
+                                cfg.lstm_dropout, training, rng)
+        out_f = padded_lstm_direction(inputs, *fwd, lengths)
+        out_b = padded_lstm_direction(inputs, *bwd, lengths, reverse=True)
+    firsts = np.arange(len(lengths)) * T
+    return ag.concat([ag.gather_rows(out_f, firsts + T - 1),
+                      ag.gather_rows(out_b, firsts)], axis=1)
 
 
 # --- graph side: dense renormalized adjacency -----------------------------------
@@ -178,18 +369,34 @@ def composed_sequence(paths, params, cfg) -> Tensor:
 # --- the whole model ---------------------------------------------------------------
 
 
-def oracle_probs(pairs, params, cfg) -> Tensor:
-    """[B x k] eval-mode probabilities of (path, graph) pairs.
-
-    The sequence side is composed_sequence, the graph side one dense
-    oracle per sample; their rows are concatenated, sequence side first,
-    into the softmax head.
-    """
-    features = []
-    if cfg.uses_path:
-        features.append(composed_sequence([p for p, _ in pairs], params, cfg))
+def _classify(sequence, pairs, params, cfg) -> Tensor:
+    """The softmax head over the sequence features (or None) and one
+    dense graph oracle per sample, sequence side first."""
+    features = [] if sequence is None else [sequence]
     if cfg.uses_graph:
         features.append(ag.concat([dense_graph_oracle(g, params, cfg)
                                    for _, g in pairs], axis=0))
     h = ag.concat(features, axis=1) if len(features) == 2 else features[0]
     return ag.softmax_rows(ag.add(ag.matmul(h, params.clf_w), params.clf_b))
+
+
+def oracle_probs(pairs, params, cfg) -> Tensor:
+    """[B x k] eval-mode probabilities of (path, graph) pairs.
+
+    The sequence side is composed_sequence, the graph side one dense
+    oracle per sample.
+    """
+    paths = [p for p, _ in pairs]
+    return _classify(composed_sequence(paths, params, cfg)
+                     if cfg.uses_path else None, pairs, params, cfg)
+
+
+def padded_probs(pairs, params, cfg, training=False, rng=None) -> Tensor:
+    """[B x k] probabilities with the sequence side of padded_sequence.
+
+    In training mode it draws the dropout masks forward_batch draws from
+    the same rng.
+    """
+    paths = [p for p, _ in pairs]
+    return _classify(padded_sequence(paths, params, cfg, training, rng)
+                     if cfg.uses_path else None, pairs, params, cfg)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import random_tree
-from oracle import slice_cols, slice_rows, transpose
+from oracle import (
+    padded_attention,
+    padded_lstm_direction,
+    slice_cols,
+    slice_rows,
+    transpose,
+)
 from uastkit import autograd as ag
 from uastkit.ast_frontend import AstNode, vocabulary_from_kinds
 from uastkit.autograd import Tensor
@@ -295,68 +301,123 @@ class TestAccumulation:
 # --- fused sequence ops -----------------------------------------------------------
 
 class TestFusedSequenceGradients:
-    """Both fused ops against central differences, with padded sequences."""
+    """Both packed sequence ops against central differences and against
+    the padded ops they replaced (tests/oracle.py)."""
+
+    # unsorted with a length of 1, and all lengths equal
+    LENGTHS = ([3, 1, 4, 2], [3, 3, 3])
 
     def setup_method(self):
         self.rng = np.random.default_rng(21)
-        self.lengths = [3, 1, 4]  # B=3 sequences padded to T=4
 
     def _weighted(self, out):
         w = Tensor(np.random.default_rng(22).uniform(-1, 1, out.shape))
         return ag.sum_all(ag.mul(out, w))
 
+    def test_packing_layout(self):
+        p = ag.Packing([3, 1, 4])
+        assert p.starts.tolist() == [0, 3, 4] and p.total == 8
+        assert (p.batch, p.steps) == (3, 4)
+        # longest first, stably: sequence 2, then 0, then 1
+        assert p.live.tolist() == [3, 2, 2, 1]
+        assert p.spans == [(0, 3), (3, 2), (5, 2), (7, 1)]
+        assert p.slots[False].tolist() == [4, 0, 3, 5, 1, 6, 2, 7]
+        assert p.slots[True].tolist() == [7, 2, 3, 6, 1, 5, 0, 4]
+        assert p.prev.tolist() == [0, 1, 3, 4, 5]
+        assert p.padded.tolist() == [0, 1, 2, 4, 8, 9, 10, 11]
+
     def test_attention_shared_qkv_masked(self):
-        x = leaf(self.rng, 12, 4)
-        fd_check(lambda: self._weighted(ag.attention(x, x, x, self.lengths,
-                                                     heads=2)), [x])
+        for lengths in self.LENGTHS:
+            x = leaf(self.rng, sum(lengths), 4)
+            fd_check(lambda: self._weighted(ag.attention(
+                x, x, x, ag.Packing(lengths), heads=2)), [x])
 
     def test_attention_separate_qkv_under_fixed_dropout(self):
-        q, k, v = (leaf(self.rng, 12, 6) for _ in range(3))
-        fd_check(lambda: self._weighted(ag.attention(
-            q, k, v, self.lengths, heads=3, rate=0.4, training=True,
-            rng=np.random.default_rng(5))), [q, k, v])
-
-    def test_attention_ignores_padded_keys(self):
-        x = self.rng.normal(size=(12, 4))
-        moved = x.copy()
-        moved[[3, 5, 6, 7]] += self.rng.normal(size=(4, 4))  # padded steps
-        base = ag.attention(Tensor(x), Tensor(x), Tensor(x), self.lengths, 2)
-        other = ag.attention(Tensor(x), Tensor(moved), Tensor(moved),
-                             self.lengths, 2)
-        assert np.array_equal(base.data, other.data)
+        for lengths in self.LENGTHS:
+            q, k, v = (leaf(self.rng, sum(lengths), 6) for _ in range(3))
+            fd_check(lambda: self._weighted(ag.attention(
+                q, k, v, ag.Packing(lengths), heads=3, rate=0.4,
+                training=True, rng=np.random.default_rng(5))), [q, k, v])
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm_direction_masked(self, reverse):
-        x = leaf(self.rng, 12, 3)
-        w_all = leaf(self.rng, 2 + 3, 8)
-        b_all = leaf(self.rng, 1, 8)
-        fd_check(lambda: self._weighted(ag.lstm_direction(
-            x, w_all, b_all, self.lengths, reverse)), [x, w_all, b_all])
+        for lengths in self.LENGTHS:
+            x = leaf(self.rng, sum(lengths), 3)
+            w_all = leaf(self.rng, 2 + 3, 8)
+            b_all = leaf(self.rng, 1, 8)
+            fd_check(lambda: self._weighted(ag.lstm_direction(
+                x, w_all, b_all, ag.Packing(lengths), reverse)),
+                [x, w_all, b_all])
 
-    def test_lstm_holds_state_past_each_length(self):
-        x = Tensor(self.rng.normal(size=(12, 3)))
-        w_all = Tensor(self.rng.uniform(-1, 1, (5, 8)))
-        b_all = Tensor(self.rng.uniform(-1, 1, (1, 8)))
-        fwd = ag.lstm_direction(x, w_all, b_all, self.lengths).data
-        bwd = ag.lstm_direction(x, w_all, b_all, self.lengths, True).data
-        for b, n in enumerate(self.lengths):
-            rows = slice(4 * b + n, 4 * b + 4)
-            assert (fwd[rows] == fwd[4 * b + n - 1]).all()
-            assert (bwd[rows] == 0.0).all()
+    def _live_rows_match(self, lengths, packed, padded, rows, shared=()):
+        """A packed op against its padded oracle on the live rows.
+
+        packed(packing, *inputs) and padded(lengths, *inputs) take the row
+        inputs, then the shared ones.  rows are [B*T x cols] padded arrays,
+        of which the packed op gets the live rows.  The loss weighs only
+        live output rows, so every gradient must agree too.
+        """
+        packing = ag.Packing(lengths)
+        live = packing.padded
+        runs = []
+        every = slice(None)
+        # (op, its layout, the padded rows it reads, its rows to compare)
+        for op, layout, take, keep in ((packed, packing, live, every),
+                                       (padded, lengths, every, live)):
+            leaves = [Tensor(a[take], requires_grad=True) for a in rows]
+            params = [Tensor(a, requires_grad=True) for a in shared]
+            out = op(layout, *leaves, *params)
+            if not runs:
+                weight = np.zeros((len(rows[0]), out.shape[1]))
+                weight[live] = self.rng.normal(size=out.shape)
+            ag.sum_all(ag.mul(out, Tensor(weight[take]))).backward()
+            runs.append([out.data[keep]] + [t.grad[keep] for t in leaves]
+                        + [t.grad for t in params])
+        for got, want in zip(*runs):
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_attention_matches_padded_oracle_on_live_rows(self):
+        for lengths in self.LENGTHS:
+            rows = len(lengths) * max(lengths)
+            x = self.rng.normal(size=(rows, 4))
+            self._live_rows_match(
+                lengths, lambda p, a, b, c: ag.attention(a, b, c, p, 2),
+                lambda n, a, b, c: padded_attention(a, b, c, n, 2), [x] * 3)
+            # both draw one dropout mask over [B, heads, T, T]
+            self._live_rows_match(
+                lengths,
+                lambda p, a, b, c: ag.attention(
+                    a, b, c, p, 3, 0.4, True, np.random.default_rng(5)),
+                lambda n, a, b, c: padded_attention(
+                    a, b, c, n, 3, 0.4, True, np.random.default_rng(5)),
+                [self.rng.normal(size=(rows, 6)) for _ in range(3)])
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm_direction_matches_padded_oracle_on_live_rows(self, reverse):
+        for lengths in self.LENGTHS:
+            self._live_rows_match(
+                lengths,
+                lambda p, x, w, b: ag.lstm_direction(x, w, b, p, reverse),
+                lambda n, x, w, b: padded_lstm_direction(x, w, b, n, reverse),
+                [self.rng.normal(size=(len(lengths) * max(lengths), 3))],
+                [self.rng.uniform(-1, 1, (5, 8)),
+                 self.rng.uniform(-1, 1, (1, 8))])
 
     def test_sequence_shape_guards(self):
-        x = Tensor(np.zeros((12, 4)))
+        x = Tensor(np.zeros((8, 4)))
+        for lengths in ([3, 1, 4, 2], [3, 1, 3], [3, 0, 5]):
+            with pytest.raises(ShapeMismatch):
+                ag.attention(x, x, x, ag.Packing(lengths), heads=2)
         with pytest.raises(ShapeMismatch):
-            ag.attention(x, x, x, [3, 1, 4, 2], heads=2)  # 12 rows, B=4
+            ag.Packing([])
         with pytest.raises(ShapeMismatch):
-            ag.attention(x, x, x, [3, 0, 4], heads=2)
-        with pytest.raises(ShapeMismatch):
-            ag.attention(x, x, x, [3, 5, 4], heads=2)
-        with pytest.raises(ShapeMismatch):
-            ag.attention(x, x, x, [3, 1, 4], heads=3)
+            ag.attention(x, x, x, ag.Packing([3, 1, 4]), heads=3)
         with pytest.raises(ShapeMismatch):
             ag.lstm_direction(x, Tensor(np.zeros((5, 8))),
-                              Tensor(np.zeros((1, 8))), [3, 1, 4])
+                              Tensor(np.zeros((1, 8))), ag.Packing([3, 1, 4]))
+        with pytest.raises(ShapeMismatch):
+            ag.lstm_direction(x, Tensor(np.zeros((6, 8))),
+                              Tensor(np.zeros((1, 8))), ag.Packing([3, 1]))
 
     def test_segment_pool(self):
         a = leaf(self.rng, 6, 3)

@@ -3,6 +3,7 @@
 import json
 import logging
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 from conftest import (
     BAD_CHECKPOINT_HEADERS,
+    MALFORMED_CHECKPOINT_HEADERS,
     TOY_CORPUS,
     rewrite_checkpoint_header,
 )
@@ -41,6 +43,12 @@ def quick_train(tmp_path, capsys=None, *extra):
     if capsys is not None:
         capsys.readouterr()  # drain so later captures see only their command
     return tmp_path / "final.ckpt"
+
+
+@pytest.fixture(scope="module")
+def trained_gast(tmp_path_factory):
+    """One gast-mode checkpoint, trained once for the tests that copy it."""
+    return quick_train(tmp_path_factory.mktemp("gast"), None, "--mode", "gast")
 
 
 # --- exit codes --------------------------------------------------------------------
@@ -87,6 +95,18 @@ class TestExitCodes:
         ckpt = quick_train(tmp_path, capsys, "--mode", "gast")
         assert run(capsys, "predict", PY_SAMPLE, "--checkpoint",
                    str(ckpt))[0] == 0
+        rewrite_checkpoint_header(ckpt, change)
+        code, _, err = run(capsys, "predict", PY_SAMPLE,
+                           "--checkpoint", str(ckpt))
+        assert code == 2
+        assert reason in err
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CHECKPOINT_HEADERS))
+    def test_malformed_checkpoint_is_a_data_problem(self, trained_gast,
+                                                    tmp_path, capsys, name):
+        change, reason = MALFORMED_CHECKPOINT_HEADERS[name]
+        ckpt = tmp_path / "model.ckpt"
+        shutil.copyfile(trained_gast, ckpt)
         rewrite_checkpoint_header(ckpt, change)
         code, _, err = run(capsys, "predict", PY_SAMPLE,
                            "--checkpoint", str(ckpt))

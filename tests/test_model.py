@@ -12,6 +12,7 @@ from oracle import (
     attention_mask,
     dense_gcn_nodes,
     oracle_probs,
+    padded_probs,
 )
 from uastkit import autograd as ag
 from uastkit.ast_frontend import AstNode, vocabulary_from_kinds
@@ -210,7 +211,19 @@ class TestAttention:
         for true_length in (1, 3, tiny_config.L):
             got = self_attention(Tensor(x), true_length, tiny_config).data
             want = oracle_attention(x, true_length, tiny_config.heads)
-            assert np.max(np.abs(got - want)) < 1e-12
+            assert got.shape == (true_length, tiny_config.d)
+            assert np.max(np.abs(got - want[:true_length])) < 1e-12
+
+    def test_packed_batch_matches_numpy_oracle(self, tiny_config):
+        # each sequence of the packed rows attends within itself only
+        rng = np.random.default_rng(3)
+        lengths = [3, 1, tiny_config.L, 3]
+        xs = [rng.normal(size=(n, tiny_config.d)) for n in lengths]
+        got = ag.attention(*[Tensor(np.concatenate(xs))] * 3,
+                           ag.Packing(lengths), tiny_config.heads).data
+        want = np.concatenate([oracle_attention(x, len(x), tiny_config.heads)
+                               for x in xs])
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_rows_attend_only_to_real_keys(self, tiny_config):
         rng = np.random.default_rng(4)
@@ -219,7 +232,8 @@ class TestAttention:
         noisy = x.copy()
         noisy[3:] += rng.normal(size=noisy[3:].shape)
         moved = self_attention(Tensor(noisy), 3, tiny_config).data
-        assert np.array_equal(base[:3], moved[:3])
+        assert base.shape == (3, tiny_config.d)
+        assert np.array_equal(base, moved)
 
     def test_shape_guards(self, tiny_config):
         with pytest.raises(ShapeMismatch):
@@ -493,7 +507,8 @@ class TestFusedSequenceOracle:
         cfg = self._config(tiny_config, mode=mode,
                            learned_projections=projections)
         rng = np.random.default_rng(len(mode) + projections)
-        for lengths in ((1, 9, 4, 2, 7), (3, 1, 3), (9,), (1,)):
+        for lengths in ((1, 9, 4, 2, 7), (3, 1, 3), (5, 5, 5), (9,),
+                        (1,)):
             pairs = mixed_length_pairs(rng, cfg, lengths)
             labels = [i % cfg.k for i in range(len(pairs))]
             params = init_params(cfg, len(lengths))
@@ -520,7 +535,41 @@ class TestFusedSequenceOracle:
         for n in (1, 3, cfg.L):
             got = self_attention(x, n, cfg, params).data
             want = attend_one(x, attention_mask(cfg.L, n), cfg, params).data
-            assert np.max(np.abs(got - want)) < 1e-12
+            assert np.max(np.abs(got - want[:n])) < 1e-12
+
+    @pytest.mark.parametrize("mode", ["uast", "sast"])
+    @pytest.mark.parametrize("projections", [False, True])
+    def test_training_matches_padded_composition(self, tiny_config, mode,
+                                                 projections):
+        # the packed encoder takes its dropout masks from the padded
+        # layout's draws, so the same rng gives the same numbers
+        cfg = self._config(tiny_config, mode=mode, attn_dropout=0.2,
+                           lstm_dropout=0.5, learned_projections=projections)
+        pairs = mixed_length_pairs(np.random.default_rng(9), cfg,
+                                   (4, 9, 1, 6, 9, 2))
+        labels = [i % cfg.k for i in range(len(pairs))]
+        params = init_params(cfg, 7)
+        tensors = params.parameters()
+        runs = []
+        for probs_of in (
+                lambda rng: padded_probs(pairs, params, cfg, True, rng),
+                lambda rng: forward_batch(
+                    [prepare_sample(p, g, cfg) for p, g in pairs], params,
+                    cfg, training=True, rng=rng)):
+            zero_grads(tensors)
+            probs = probs_of(np.random.default_rng(13))
+            loss = cross_entropy_loss(probs, labels)
+            loss.backward()
+            runs.append((loss.item(), probs.data,
+                         [t.grad.copy() for t in tensors]))
+        (want_loss, want, want_grads), (loss, got, grads) = runs
+        assert abs(loss - want_loss) < 1e-12
+        assert np.max(np.abs(got - want)) < 1e-12
+        for (name, _), g, w in zip(params.manifest(), grads, want_grads):
+            assert np.max(np.abs(g - w)) < 1e-12, name
+        eval_probs = forward_batch([prepare_sample(p, g, cfg)
+                                    for p, g in pairs], params, cfg).data
+        assert not np.allclose(got, eval_probs)
 
     def test_training_draws_repeat_with_the_seed(self, tiny_config):
         params = init_params(tiny_config, 0)

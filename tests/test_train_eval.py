@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     BAD_CHECKPOINT_HEADERS,
+    MALFORMED_CHECKPOINT_HEADERS,
     DEEP_SOURCES,
     TOY_CORPUS,
     chain_tree,
@@ -733,6 +734,15 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(self._ckpt(), path)
         load_checkpoint(path)
+        rewrite_checkpoint_header(path, change)
+        with pytest.raises(CheckpointError, match=reason):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CHECKPOINT_HEADERS))
+    def test_malformed_header_is_refused(self, tmp_path, name):
+        change, reason = MALFORMED_CHECKPOINT_HEADERS[name]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._ckpt(), path)
         rewrite_checkpoint_header(path, change)
         with pytest.raises(CheckpointError, match=reason):
             load_checkpoint(path)
