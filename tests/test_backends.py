@@ -1,5 +1,7 @@
 """Per-language parsers: structure, recovery, and the language registry."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from uastkit.ast_frontend.backends import (
     normalize_language,
     registered_languages,
 )
+from uastkit.cli import main
 from uastkit.errors import (
     ParseFailure,
     UastError,
@@ -33,6 +36,13 @@ ADD_SNIPPETS = {
     "javascript": "function add(a, b) { return a + b; }",
     "python": "def add(a, b):\n    return a + b\n",
 }
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+GOLDEN_SOURCES = sorted(p.name for p in GOLDEN.iterdir()
+                        if p.suffix != ".sexpr"
+                        and p.stem.lower() != "nothing")
+NOTHING_SOURCES = sorted(p.name for p in GOLDEN.glob("[Nn]othing.*"))
 
 
 def kinds_of(tree):
@@ -158,6 +168,34 @@ class TestRecovery:
         # the python backend has no recovery; any syntax error fails the file
         with pytest.raises(ParseFailure):
             parse_source("def g(:\n    pass\n", "python")
+
+
+class TestGoldenTrees:
+    """`uast parse` prints the stored trees for every golden source.
+
+    The sources in tests/data/golden were written to execute every
+    reachable statement of both backends, ERROR recovery included; the
+    trees beside them are the reference rendering of each.
+    """
+
+    @pytest.mark.parametrize("view", ["raw", "unified"])
+    @pytest.mark.parametrize("name", GOLDEN_SOURCES)
+    def test_source_gives_its_golden_tree(self, capsys, name, view):
+        argv = ["parse", "--pretty", str(GOLDEN / name)]
+        if view == "raw":
+            argv.insert(1, "--raw")
+        assert main(argv) == 0
+        expected = (GOLDEN / f"{name}.{view}.sexpr").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("name", NOTHING_SOURCES)
+    def test_source_with_nothing_parseable_fails(self, capsys, name):
+        assert main(["parse", str(GOLDEN / name)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        path = GOLDEN / name
+        with pytest.raises(ParseFailure):
+            parse_source(path.read_text(encoding="utf-8"),
+                         language_for_extension(path.suffix))
 
 
 class TestLongElseIfChains:
