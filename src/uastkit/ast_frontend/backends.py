@@ -8,6 +8,7 @@ refuses it.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from ..errors import ParseFailure, UnknownExtension, UnsupportedLanguage
@@ -79,8 +80,6 @@ def parse_source(text: str, language: str) -> AstNode:
         raise ParseFailure(f"{lang} source nests too deeply to parse") from exc
 
 
-register_backend("c", clike_backend.parse_c)
-register_backend("cpp", clike_backend.parse_cpp)
-register_backend("java", clike_backend.parse_java)
-register_backend("javascript", clike_backend.parse_javascript)
+for _language in ("c", "cpp", "java", "javascript"):
+    register_backend(_language, partial(clike_backend.parse, language=_language))
 register_backend("python", python_backend.parse_python)

@@ -1,10 +1,13 @@
 """Recursive-descent parsing for the curly-brace languages.
 
-One tokenizer and one parser cover c, cpp, java, and javascript; a small
-per-language kind table plus a handful of structural branches account for the
-differences that matter here (root kind, block kind, declaration shapes,
-method-call shapes).  Kind labels follow the tree-sitter grammars for each
-language so one unification table serves every backend.
+One tokenizer and one parser, ``parse(text, language)``, cover c, cpp, java
+and javascript.  Each production is written once.  A difference between the
+languages that is only a kind name lives in the ``_KINDS`` table; one that a
+language's keyword set already decides (a token is a keyword in that language
+or it is not) needs no language test at all.  What is left are the structural
+branches: declaration shapes, method-call shapes, and the forms only one
+language has.  Kind labels follow the tree-sitter grammars for each language
+so one unification table serves every backend.
 
 This is deliberately a subset grammar: enough for the function-level programs
 the classifier consumes.  Anything outside the subset becomes an ERROR node
@@ -97,9 +100,12 @@ _KINDS = {
         "call": "call_expression", "args": "argument_list",
         "params": "parameter_list", "param": "parameter_declaration",
         "int": "number_literal", "float": "number_literal", "hex": "number_literal",
-        "string": "string_literal", "char": "char_literal",
+        "string": "string_literal", "char": "char_literal", "null": "null",
         "ternary": "conditional_expression", "subscript": "subscript_expression",
-        "member": "field_expression", "decl": "declaration",
+        "member": "field_expression", "property": "identifier",
+        "empty": "expression_statement", "switch_body": "compound_statement",
+        "catch_param": "identifier", "brace_init": "initializer_list",
+        "compound_assign": "assignment_expression",
     },
     "java": {
         "root": "program", "block": "block",
@@ -107,21 +113,37 @@ _KINDS = {
         "params": "formal_parameters", "param": "formal_parameter",
         "int": "decimal_integer_literal", "float": "decimal_floating_point_literal",
         "hex": "hex_integer_literal",
-        "string": "string_literal", "char": "character_literal",
+        "string": "string_literal", "char": "character_literal", "null": "null_literal",
         "ternary": "ternary_expression", "subscript": "array_access",
-        "member": "field_access", "decl": "local_variable_declaration",
+        "member": "field_access", "property": "identifier",
+        "empty": "empty_statement", "switch_body": "switch_block",
+        "catch_param": "catch_formal_parameter", "brace_init": "array_initializer",
+        "compound_assign": "assignment_expression",
+        "instanceof": "instanceof_expression",
     },
     "javascript": {
         "root": "program", "block": "statement_block",
         "call": "call_expression", "args": "arguments",
         "params": "formal_parameters", "param": "identifier",
         "int": "number", "float": "number", "hex": "number",
-        "string": "string", "char": "string",
+        "string": "string", "char": "string", "null": "null",
         "ternary": "ternary_expression", "subscript": "subscript_expression",
-        "member": "member_expression", "decl": "variable_declaration",
+        "member": "member_expression", "property": "property_identifier",
+        "empty": "empty_statement", "switch_body": "switch_body",
+        "catch_param": "identifier",
+        "compound_assign": "augmented_assignment_expression",
+        "instanceof": "binary_expression",
     },
 }
 _KINDS["cpp"] = _KINDS["c"]
+
+_RECORD_KINDS = {"struct": "struct_specifier", "class": "class_specifier",
+                 "union": "union_specifier", "enum": "enum_specifier"}
+
+# keywords that stand alone as a literal; "null" names a _KINDS entry
+_KEYWORD_LITERALS = {"true": "true", "false": "false", "null": "null",
+                     "nullptr": "null", "undefined": "undefined",
+                     "this": "this", "super": "super"}
 
 
 @dataclass(frozen=True)
@@ -143,8 +165,6 @@ def tokenize(text: str, language: str) -> list[_Token]:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             ch = text[pos]
-            if ch == "/" and text.startswith("/*", pos):
-                break  # unterminated block comment swallows the tail
             if ch in "\"'`":
                 nl = text.find("\n", pos)  # unterminated literal: recover at EOL
                 tokens.append(_Token("str", text[pos: n if nl < 0 else nl], pos))
@@ -175,6 +195,8 @@ class _Parser:
         self.pos = 0
         self.lang = language
         self.k = _KINDS[language]
+        self.primitives = _JAVA_PRIMITIVES if language == "java" else _C_PRIMITIVES
+        self.class_name: str | None = None
 
     # --- token cursor -------------------------------------------------
 
@@ -252,24 +274,37 @@ class _Parser:
         except _Unexpected:
             return self._resync()
 
+    def _guarded_until_brace(self, production) -> list[AstNode]:
+        """Guarded productions up to the closing '}', which is consumed."""
+        items: list[AstNode] = []
+        while not self.at("}") and not self.done():
+            items.append(self._guarded(production))
+        self.expect("}")
+        return items
+
+    def _comma_list(self, close: str, item) -> list[AstNode]:
+        """`item, item, ...` up to close, which is consumed."""
+        items: list[AstNode] = []
+        while not self.at(close) and not self.done():
+            items.append(item())
+            if not self.accept(","):
+                break
+        self.expect(close)
+        return items
+
     # --- entry points ---------------------------------------------------
 
     def parse(self) -> AstNode:
+        top_level = {"java": self.java_top_level,
+                     "javascript": self.statement}.get(self.lang, self.c_top_level)
         items: list[AstNode] = []
         while not self.done():
-            items.append(self._guarded(self.top_level))
+            items.append(self._guarded(top_level))
         root = AstNode(self.k["root"], items)
         real = [c for c in items if c.kind != ERROR_KIND]
         if items and not real:
             raise ParseFailure(f"{self.lang}: no parseable content")
         return root
-
-    def top_level(self) -> AstNode:
-        if self.lang == "java":
-            return self.java_top_level()
-        if self.lang == "javascript":
-            return self.statement()
-        return self.c_top_level()
 
     # --- java ----------------------------------------------------------
 
@@ -315,16 +350,10 @@ class _Parser:
         name = AstNode("identifier")
         if self.at("<"):
             self.pos = self._angle_end(self.pos)
-        while self.at("extends") or self.at("implements"):
-            self.next()
-            self.java_type()
-            while self.accept(","):
-                self.java_type()
+        while self.accept("extends") or self.accept("implements"):
+            self.java_type_list()
         self.expect("{")
-        members: list[AstNode] = []
-        while not self.at("}") and not self.done():
-            members.append(self._guarded(self.java_member))
-        self.expect("}")
+        members = self._guarded_until_brace(self.java_member)
         body_kind = "class_body" if kw != "interface" else "interface_body"
         return AstNode(kind, mods + [name, AstNode(body_kind, members)])
 
@@ -335,7 +364,7 @@ class _Parser:
         if self.at("class") or self.at("interface") or self.at("enum"):
             return self.java_class(mods)
         tok = self.peek()
-        if tok.type == "id" and tok.value == getattr(self, "class_name", None) \
+        if tok.type == "id" and tok.value == self.class_name \
                 and self.peek(1).value == "(":
             self.next()
             params = self.java_params()
@@ -345,65 +374,66 @@ class _Parser:
         type_node = self.java_type()
         if self.peek().type != "id":
             raise _Unexpected("expected member name")
+        if self.peek(1).value != "(":
+            return AstNode("field_declaration",
+                           mods + [type_node] + self.java_declarators())
         self.next()
-        name = AstNode("identifier")
-        if self.at("("):
-            params = self.java_params()
-            while self.at("throws"):
-                self.next()
-                self.java_type()
-                while self.accept(","):
-                    self.java_type()
-            if self.accept(";"):
-                body_children = mods + [type_node, name, params]
-                return AstNode("method_declaration", body_children)
-            body = self.block(self.k["block"])
-            return AstNode("method_declaration", mods + [type_node, name, params, body])
-        decls = [self.java_declarator_tail(name)]
-        while self.accept(","):
+        children = mods + [type_node, AstNode("identifier"), self.java_params()]
+        while self.accept("throws"):
+            self.java_type_list()
+        if not self.accept(";"):
+            children.append(self.block(self.k["block"]))
+        return AstNode("method_declaration", children)
+
+    def java_declarators(self) -> list[AstNode]:
+        """`name[] = init, ...;` after the type of a field or a local."""
+        decls: list[AstNode] = []
+        while True:
             if self.peek().type != "id":
-                raise _Unexpected("expected field name")
+                raise _Unexpected("expected variable name")
             self.next()
-            decls.append(self.java_declarator_tail(AstNode("identifier")))
+            children = [AstNode("identifier")]
+            while self.accept("["):
+                self.expect("]")
+            if self.accept("="):
+                children.append(self.initializer())
+            decls.append(AstNode("variable_declarator", children))
+            if not self.accept(","):
+                break
         self.expect(";")
-        return AstNode("field_declaration", mods + [type_node] + decls)
+        return decls
 
-    def java_declarator_tail(self, name: AstNode) -> AstNode:
-        children = [name]
-        while self.accept("["):
-            self.expect("]")
-        if self.accept("="):
-            children.append(self.java_initializer())
-        return AstNode("variable_declarator", children)
+    def java_local_declaration(self) -> AstNode:
+        self.accept("final")
+        type_node = self.java_type()
+        return AstNode("local_variable_declaration",
+                       [type_node] + self.java_declarators())
 
-    def java_initializer(self) -> AstNode:
-        if self.at("{"):
-            self.next()
-            elems: list[AstNode] = []
-            while not self.at("}") and not self.done():
-                elems.append(self.java_initializer())
-                if not self.accept(","):
-                    break
-            self.expect("}")
-            return AstNode("array_initializer", elems)
-        return self.expression()
+    def initializer(self) -> AstNode:
+        """An expression, or a brace list of initializers (c, cpp, java)."""
+        if not self.accept("{"):
+            return self.expression()
+        return AstNode(self.k["brace_init"], self._comma_list("}", self.initializer))
 
     def java_params(self) -> AstNode:
         self.expect("(")
-        params: list[AstNode] = []
-        while not self.at(")") and not self.done():
-            t = self.java_type()
-            self.accept("...")
-            if self.peek().type != "id":
-                raise _Unexpected("expected parameter name")
-            self.next()
-            while self.accept("["):
-                self.expect("]")
-            params.append(AstNode(self.k["param"], [t, AstNode("identifier")]))
-            if not self.accept(","):
-                break
-        self.expect(")")
-        return AstNode(self.k["params"], params)
+        return AstNode(self.k["params"], self._comma_list(")", self.java_param))
+
+    def java_param(self) -> AstNode:
+        t = self.java_type()
+        self.accept("...")
+        if self.peek().type != "id":
+            raise _Unexpected("expected parameter name")
+        self.next()
+        while self.accept("["):
+            self.expect("]")
+        return AstNode(self.k["param"], [t, AstNode("identifier")])
+
+    def java_type_list(self) -> None:
+        """`Type, Type, ...` after extends, implements or throws."""
+        self.java_type()
+        while self.accept(","):
+            self.java_type()
 
     def java_type(self) -> AstNode:
         tok = self.peek()
@@ -472,10 +502,7 @@ class _Parser:
             if self.peek().type == "id":
                 self.next()
             self.expect("{")
-            items: list[AstNode] = []
-            while not self.at("}") and not self.done():
-                items.append(self._guarded(self.c_top_level))
-            self.expect("}")
+            items = self._guarded_until_brace(self.c_top_level)
             return AstNode("namespace_definition",
                            [AstNode("identifier"), AstNode("declaration_list", items)])
         if self.at("template"):
@@ -484,25 +511,22 @@ class _Parser:
                 self.pos = self._angle_end(self.pos)
             inner = self.c_top_level()
             return AstNode("template_declaration", [inner])
-        if (self.at("struct") or self.at("class") or self.at("union") or self.at("enum")) \
-                and self.peek(2).value == "{":
+        if tok.type == "kw" and tok.value in _RECORD_KINDS and self.peek(2).value == "{":
             return self.c_record()
         if self.at("typedef"):
             self.next()
             self._skip_to(";")
             return AstNode("type_definition")
-        return self.c_declaration(top_level=True)
+        return self.c_declaration()
 
     def c_record(self) -> AstNode:
         kw = self.next().value
-        kind = {"struct": "struct_specifier", "class": "class_specifier",
-                "union": "union_specifier", "enum": "enum_specifier"}[kw]
         if self.peek().type == "id":
             self.next()
         name = AstNode("type_identifier")
         self.expect("{")
-        members: list[AstNode] = []
         if kw == "enum":
+            members: list[AstNode] = []
             while not self.at("}") and not self.done():
                 if self.peek().type == "id":
                     self.next()
@@ -511,29 +535,27 @@ class _Parser:
                         self.expression()
                 if not self.accept(","):
                     break
+            self.expect("}")
             body = AstNode("enumerator_list", members)
         else:
-            while not self.at("}") and not self.done():
-                if self.lang == "cpp" and self.peek().type == "kw" \
-                        and self.peek().value in ("public", "private", "protected") \
-                        and self.peek(1).value == ":":
-                    self.next()
-                    self.next()
-                    members.append(AstNode("access_specifier"))
-                    continue
-                members.append(self._guarded(self.c_member))
-            body = AstNode("field_declaration_list", members)
-        self.expect("}")
+            body = AstNode("field_declaration_list",
+                           self._guarded_until_brace(self.c_member))
         self.accept(";")
-        return AstNode(kind, [name, body])
+        return AstNode(_RECORD_KINDS[kw], [name, body])
 
     def c_member(self) -> AstNode:
-        node = self.c_declaration(top_level=True)
+        tok = self.peek()
+        if tok.type == "kw" and tok.value in ("public", "private", "protected") \
+                and self.peek(1).value == ":":
+            self.next()
+            self.next()
+            return AstNode("access_specifier")
+        node = self.c_declaration()
         if node.kind == "declaration":
             return AstNode("field_declaration", node.children)
         return node
 
-    def c_declaration(self, top_level: bool) -> AstNode:
+    def c_declaration(self) -> AstNode:
         type_node = self.c_type()
         if self.accept(";"):  # bare `struct S;` style
             return AstNode("declaration", [type_node])
@@ -557,20 +579,8 @@ class _Parser:
 
     def c_init_tail(self, declarator: AstNode) -> AstNode:
         if self.accept("="):
-            return AstNode("init_declarator", [declarator, self.c_initializer()])
+            return AstNode("init_declarator", [declarator, self.initializer()])
         return declarator
-
-    def c_initializer(self) -> AstNode:
-        if self.at("{"):
-            self.next()
-            elems: list[AstNode] = []
-            while not self.at("}") and not self.done():
-                elems.append(self.c_initializer())
-                if not self.accept(","):
-                    break
-            self.expect("}")
-            return AstNode("initializer_list", elems)
-        return self.expression()
 
     def c_type(self) -> AstNode:
         saw_primitive = False
@@ -582,14 +592,11 @@ class _Parser:
             elif tok.type == "kw" and tok.value in _C_PRIMITIVES:
                 self.next()
                 saw_primitive = True
-            elif tok.type == "kw" and tok.value in ("struct", "class", "union", "enum"):
+            elif tok.type == "kw" and tok.value in _RECORD_KINDS:
                 self.next()
                 if self.peek().type == "id":
                     self.next()
-                return AstNode({"struct": "struct_specifier", "class": "class_specifier",
-                                "union": "union_specifier",
-                                "enum": "enum_specifier"}[tok.value],
-                               [AstNode("type_identifier")])
+                return AstNode(_RECORD_KINDS[tok.value], [AstNode("type_identifier")])
             elif tok.type == "id" and not saw_primitive and not saw_name:
                 self.next()
                 while self.at("::") and self.peek(1).type == "id":
@@ -674,19 +681,14 @@ class _Parser:
 
     def block(self, kind: str) -> AstNode:
         self.expect("{")
-        stmts: list[AstNode] = []
-        while not self.at("}") and not self.done():
-            stmts.append(self._guarded(self.statement))
-        self.expect("}")
-        return AstNode(kind, stmts)
+        return AstNode(kind, self._guarded_until_brace(self.statement))
 
     def statement(self) -> AstNode:
         tok = self.peek()
         if self.at("{"):
             return self.block(self.k["block"])
         if self.accept(";"):
-            return AstNode("empty_statement" if self.lang in ("java", "javascript")
-                           else "expression_statement")
+            return AstNode(self.k["empty"])
         if self.at("if"):
             return self.if_statement()
         if self.at("while"):
@@ -709,18 +711,12 @@ class _Parser:
                 children.append(self.expression())
             self._end_statement()
             return AstNode("return_statement", children)
-        if self.at("break"):
-            self.next()
+        if self.at("break") or self.at("continue"):
+            kind = f"{self.next().value}_statement"
             if self.peek().type == "id":
-                self.next()
+                self.next()  # a label
             self._end_statement()
-            return AstNode("break_statement")
-        if self.at("continue"):
-            self.next()
-            if self.peek().type == "id":
-                self.next()
-            self._end_statement()
-            return AstNode("continue_statement")
+            return AstNode(kind)
         if self.at("switch"):
             return self.switch_statement()
         if self.at("throw"):
@@ -730,18 +726,13 @@ class _Parser:
             return AstNode("throw_statement", [value])
         if self.at("try"):
             return self.try_statement()
-        if self.lang == "javascript":
-            if self.at("function"):
-                return self.js_function()
-            if self.at("class"):
-                return self.js_class()
-            if self.at("var") or self.at("let") or self.at("const"):
-                return self.js_declaration()
-        else:
-            if self._looks_like_declaration():
-                node = self.c_declaration(top_level=False) if self.lang != "java" \
-                    else self.java_local_declaration()
-                return node
+        if self.at("function"):
+            return self.js_function("function_declaration")
+        if self.lang == "javascript" and self.at("class"):
+            return self.js_class()
+        decl = self.local_declaration()
+        if decl is not None:
+            return decl
         if tok.type == "preproc":
             self.next()
             return AstNode("preproc_call")
@@ -760,13 +751,24 @@ class _Parser:
             self.next()
         self.accept(value)
 
+    def local_declaration(self) -> AstNode | None:
+        """The declaration that starts here in a block or a for header, or None."""
+        if self.lang == "javascript":
+            if self.at("var") or self.at("let") or self.at("const"):
+                return self.js_declaration()
+            return None
+        if not self._looks_like_declaration():
+            return None
+        if self.lang == "java":
+            return self.java_local_declaration()
+        return self.c_declaration()
+
     def _looks_like_declaration(self) -> bool:
         tok = self.peek()
-        primitives = _JAVA_PRIMITIVES if self.lang == "java" else _C_PRIMITIVES
         if tok.type == "kw":
-            if tok.value in primitives or tok.value in ("struct", "union", "enum"):
+            if tok.value in self.primitives or tok.value in ("struct", "union", "enum"):
                 return True
-            if self.lang == "java" and tok.value in ("var", "final"):
+            if tok.value in ("var", "final"):  # java
                 return True
             if self.lang == "cpp" and tok.value in ("const", "static", "class"):
                 return True
@@ -809,21 +811,6 @@ class _Parser:
             return True
         return tok.value in ("*", "&") and end + 1 < len(self.toks) \
             and self.toks[end + 1].type == "id"
-
-    def java_local_declaration(self) -> AstNode:
-        self.accept("final")
-        type_node = self.java_type()
-        if self.peek().type != "id":
-            raise _Unexpected("expected variable name")
-        self.next()
-        decls = [self.java_declarator_tail(AstNode("identifier"))]
-        while self.accept(","):
-            if self.peek().type != "id":
-                raise _Unexpected("expected variable name")
-            self.next()
-            decls.append(self.java_declarator_tail(AstNode("identifier")))
-        self.expect(";")
-        return AstNode(self.k["decl"], [type_node] + decls)
 
     def if_statement(self) -> AstNode:
         # an else-if chain is read in this loop and nested bottom-up, so its
@@ -882,15 +869,11 @@ class _Parser:
             self.pos = mark
         init: list[AstNode] = []
         if not self.accept(";"):
-            if self.lang == "javascript" and (self.at("var") or self.at("let")
-                                              or self.at("const")):
-                init.append(self.js_declaration())
-            elif self.lang != "javascript" and self._looks_like_declaration():
-                init.append(self.c_declaration(top_level=False) if self.lang != "java"
-                            else self.java_local_declaration())
-            else:
-                init.append(self.expression())
+            decl = self.local_declaration()
+            if decl is None:
+                decl = self.expression()
                 self.expect(";")
+            init.append(decl)
         cond: list[AstNode] = []
         if not self.at(";"):
             cond.append(self.expression())
@@ -920,9 +903,7 @@ class _Parser:
             else:
                 cases.append(self._guarded(self.statement))
         self.expect("}")
-        body_kind = {"java": "switch_block", "javascript": "switch_body"}.get(
-            self.lang, self.k["block"])
-        return AstNode("switch_statement", [cond, AstNode(body_kind, cases)])
+        return AstNode("switch_statement", [cond, AstNode(self.k["switch_body"], cases)])
 
     def case_body(self) -> list[AstNode]:
         stmts: list[AstNode] = []
@@ -942,8 +923,7 @@ class _Parser:
                 while not self.at(")") and not self.done():
                     self.next()
                 self.expect(")")
-                param.append(AstNode("catch_formal_parameter" if self.lang == "java"
-                                     else "identifier"))
+                param.append(AstNode(self.k["catch_param"]))
             children.append(AstNode("catch_clause", param + [self.block(self.k["block"])]))
         if self.accept("finally"):
             children.append(AstNode("finally_clause", [self.block(self.k["block"])]))
@@ -951,36 +931,30 @@ class _Parser:
 
     # --- javascript-only forms ---------------------------------------------
 
-    def js_function(self) -> AstNode:
+    def js_function(self, kind: str) -> AstNode:
+        """`function [name](params) {body}`, as a declaration or an expression."""
         self.expect("function")
         if self.peek().type == "id":
             self.next()
         params = self.js_params()
         body = self.block(self.k["block"])
-        return AstNode("function_declaration", [AstNode("identifier"), params, body])
+        return AstNode(kind, [AstNode("identifier"), params, body])
 
     def js_params(self) -> AstNode:
         self.expect("(")
-        params: list[AstNode] = []
-        while not self.at(")") and not self.done():
-            if self.accept("..."):
-                if self.peek().type == "id":
-                    self.next()
-                params.append(AstNode("rest_pattern", [AstNode("identifier")]))
-            elif self.peek().type == "id":
+        return AstNode(self.k["params"], self._comma_list(")", self.js_param))
+
+    def js_param(self) -> AstNode:
+        if self.accept("..."):
+            if self.peek().type == "id":
                 self.next()
-                if self.accept("="):
-                    default = self.expression()
-                    params.append(AstNode("assignment_pattern",
-                                          [AstNode("identifier"), default]))
-                else:
-                    params.append(AstNode("identifier"))
-            else:
-                raise _Unexpected(f"expected parameter, found {self.peek().value!r}")
-            if not self.accept(","):
-                break
-        self.expect(")")
-        return AstNode(self.k["params"], params)
+            return AstNode("rest_pattern", [AstNode("identifier")])
+        if self.peek().type != "id":
+            raise _Unexpected(f"expected parameter, found {self.peek().value!r}")
+        self.next()
+        if self.accept("="):
+            return AstNode("assignment_pattern", [AstNode("identifier"), self.expression()])
+        return AstNode("identifier")
 
     def js_class(self) -> AstNode:
         self.expect("class")
@@ -988,7 +962,7 @@ class _Parser:
             self.next()
         name = AstNode("identifier")
         if self.accept("extends"):
-            self.expression_no_assign()
+            self.ternary()
         self.expect("{")
         members: list[AstNode] = []
         while not self.at("}") and not self.done():
@@ -1019,7 +993,7 @@ class _Parser:
             self.next()
             children = [AstNode("identifier")]
             if self.accept("="):
-                children.append(self.expression_no_assign())
+                children.append(self.ternary())
             decls.append(AstNode("variable_declarator", children))
             if not self.accept(","):
                 break
@@ -1029,20 +1003,14 @@ class _Parser:
     # --- expressions -------------------------------------------------------
 
     def expression(self) -> AstNode:
-        left = self.expression_no_assign()
+        left = self.ternary()
         tok = self.peek()
         if tok.type == "punct" and tok.value in _ASSIGN_OPS:
             op = self.next().value
             right = self.expression()
-            if self.lang == "javascript" and op != "=":
-                kind = "augmented_assignment_expression"
-            else:
-                kind = "assignment_expression"
+            kind = "assignment_expression" if op == "=" else self.k["compound_assign"]
             return AstNode(kind, [left, right])
         return left
-
-    def expression_no_assign(self) -> AstNode:
-        return self.ternary()
 
     def ternary(self) -> AstNode:
         cond = self.binary(1)
@@ -1058,14 +1026,8 @@ class _Parser:
         while True:
             tok = self.peek()
             value = tok.value
-            if tok.type == "kw":
-                if value == "instanceof" and self.lang in ("java", "javascript"):
-                    pass
-                elif value == "in" and self.lang == "javascript":
-                    pass
-                else:
-                    break
-            elif tok.type != "punct":
+            if tok.type != "punct" and not (tok.type == "kw"
+                                            and value in ("instanceof", "in")):
                 break
             prec = _BINOP_PREC.get(value)
             if prec is None or prec < min_prec:
@@ -1074,8 +1036,7 @@ class _Parser:
                 break
             self.next()
             right = self.binary(prec + 1)
-            kind = "instanceof_expression" if value == "instanceof" and self.lang == "java" \
-                else "binary_expression"
+            kind = self.k["instanceof"] if value == "instanceof" else "binary_expression"
             left = AstNode(kind, [left, right])
         return left
 
@@ -1094,12 +1055,12 @@ class _Parser:
             if tok.value in ("typeof", "delete", "void") and self.lang == "javascript":
                 self.next()
                 return AstNode("unary_expression", [self.unary()])
-            if tok.value == "await" and self.lang == "javascript":
+            if tok.value == "await":
                 self.next()
                 return AstNode("await_expression", [self.unary()])
             if tok.value == "new":
                 return self.new_expression()
-            if tok.value == "sizeof" and self.lang in ("c", "cpp"):
+            if tok.value == "sizeof":
                 self.next()
                 if self.at("("):
                     self.next()
@@ -1122,8 +1083,7 @@ class _Parser:
 
     def _try_cast(self) -> AstNode | None:
         nxt = self.peek(1)
-        primitives = _JAVA_PRIMITIVES if self.lang == "java" else _C_PRIMITIVES
-        if nxt.type != "kw" or nxt.value not in primitives:
+        if nxt.type != "kw" or nxt.value not in self.primitives:
             return None
         end = self._match_bracket(self.pos)
         if end >= len(self.toks):
@@ -1153,7 +1113,7 @@ class _Parser:
                     self.expect("]")
                 init: list[AstNode] = []
                 if self.at("{"):
-                    init.append(self.java_initializer())
+                    init.append(self.initializer())
                 return AstNode("array_creation_expression", [t] + dims + init)
             args = self.call_args()
             node = AstNode("object_creation_expression", [t, args])
@@ -1176,16 +1136,12 @@ class _Parser:
 
     def call_args(self) -> AstNode:
         self.expect("(")
-        args: list[AstNode] = []
-        while not self.at(")") and not self.done():
-            if self.lang == "javascript" and self.accept("..."):
-                args.append(AstNode("spread_element", [self.expression_no_assign()]))
-            else:
-                args.append(self.expression_no_assign())
-            if not self.accept(","):
-                break
-        self.expect(")")
-        return AstNode(self.k["args"], args)
+        return AstNode(self.k["args"], self._comma_list(")", self.argument))
+
+    def argument(self) -> AstNode:
+        if self.lang == "javascript" and self.accept("..."):
+            return AstNode("spread_element", [self.ternary()])
+        return self.ternary()
 
     def postfix(self, no_call: bool = False) -> AstNode:
         node = self.primary()
@@ -1199,11 +1155,7 @@ class _Parser:
             elif self.at(".") and self.peek(1).type in ("id", "kw"):
                 self.next()
                 self.next()
-                if self.lang == "javascript":
-                    node = AstNode(self.k["member"],
-                                   [node, AstNode("property_identifier")])
-                else:
-                    node = AstNode(self.k["member"], [node, AstNode("identifier")])
+                node = AstNode(self.k["member"], [node, AstNode(self.k["property"])])
             elif self.at("->") and self.lang in ("c", "cpp") \
                     and self.peek(1).type == "id":
                 self.next()
@@ -1251,33 +1203,12 @@ class _Parser:
             self.next()
             return AstNode(self.k["char"])
         if tok.type == "kw":
-            kw = tok.value
-            if kw in ("true", "false"):
+            kind = _KEYWORD_LITERALS.get(tok.value)
+            if kind is not None:
                 self.next()
-                return AstNode(kw)
-            if kw == "null":
-                self.next()
-                return AstNode("null_literal" if self.lang == "java" else "null")
-            if kw == "nullptr":
-                self.next()
-                return AstNode("null")
-            if kw == "undefined":
-                self.next()
-                return AstNode("undefined")
-            if kw == "this":
-                self.next()
-                return AstNode("this")
-            if kw == "super":
-                self.next()
-                return AstNode("super")
-            if kw == "function" and self.lang == "javascript":
-                self.next()
-                if self.peek().type == "id":
-                    self.next()
-                params = self.js_params()
-                body = self.block(self.k["block"])
-                return AstNode("function_expression",
-                               [AstNode("identifier"), params, body])
+                return AstNode(self.k.get(kind, kind))
+            if tok.value == "function":
+                return self.js_function("function_expression")
         if tok.type == "id":
             if self.lang == "javascript" and self.peek(1).value == "=>":
                 self.next()
@@ -1297,13 +1228,7 @@ class _Parser:
             return AstNode("parenthesized_expression", [inner])
         if tok.value == "[" and self.lang == "javascript":
             self.next()
-            elems: list[AstNode] = []
-            while not self.at("]") and not self.done():
-                elems.append(self.expression_no_assign())
-                if not self.accept(","):
-                    break
-            self.expect("]")
-            return AstNode("array", elems)
+            return AstNode("array", self._comma_list("]", self.ternary))
         if tok.value == "{" and self.lang == "javascript":
             return self.js_object()
         raise _Unexpected(f"unexpected token {tok.value!r}")
@@ -1316,44 +1241,23 @@ class _Parser:
         if self.at("{"):
             body = self.block(self.k["block"])
         else:
-            body = self.expression_no_assign()
+            body = self.ternary()
         return AstNode("arrow_function", [params, body])
 
     def js_object(self) -> AstNode:
         self.expect("{")
-        pairs: list[AstNode] = []
-        while not self.at("}") and not self.done():
-            key_tok = self.peek()
-            if key_tok.type in ("id", "kw", "str", "num"):
-                self.next()
-            else:
-                raise _Unexpected(f"bad object key {key_tok.value!r}")
-            if self.accept(":"):
-                value = self.expression_no_assign()
-                pairs.append(AstNode("pair", [AstNode("property_identifier"), value]))
-            else:
-                pairs.append(AstNode("shorthand_property_identifier"))
-            if not self.accept(","):
-                break
-        self.expect("}")
-        return AstNode("object", pairs)
+        return AstNode("object", self._comma_list("}", self.js_property))
+
+    def js_property(self) -> AstNode:
+        key_tok = self.peek()
+        if key_tok.type not in ("id", "kw", "str", "num"):
+            raise _Unexpected(f"bad object key {key_tok.value!r}")
+        self.next()
+        if self.accept(":"):
+            return AstNode("pair", [AstNode("property_identifier"), self.ternary()])
+        return AstNode("shorthand_property_identifier")
 
 
-def _parse(text: str, language: str) -> AstNode:
+def parse(text: str, language: str) -> AstNode:
+    """Parse c, cpp, java or javascript source into its tree of kinds."""
     return _Parser(tokenize(text, language), language).parse()
-
-
-def parse_c(text: str) -> AstNode:
-    return _parse(text, "c")
-
-
-def parse_cpp(text: str) -> AstNode:
-    return _parse(text, "cpp")
-
-
-def parse_java(text: str) -> AstNode:
-    return _parse(text, "java")
-
-
-def parse_javascript(text: str) -> AstNode:
-    return _parse(text, "javascript")

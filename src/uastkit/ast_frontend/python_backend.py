@@ -2,21 +2,26 @@
 
 Emits kind labels aligned with the tree-sitter-python grammar so the default
 unification table applies to all built-in backends uniformly.  Token text is
-dropped; only kind labels survive.  Syntax errors are unrecoverable here (the
-stdlib parser has no error recovery), so they surface as ParseFailure.
+dropped; only kind labels survive.  A node class whose children are the
+stdlib's own, operators aside, takes the generic path: its kind from
+``_KIND_MAP`` (or its snake_case class name) over its converted children.
+Only the classes whose tree-sitter shape differs have a branch of their own.
+Syntax errors are unrecoverable here (the stdlib parser has no error
+recovery), so they surface as ParseFailure.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+from functools import cache
 
 from ..errors import ParseFailure
 from .tree import AstNode
 
-# stdlib node class -> emitted kind, for nodes that map one-to-one
+# stdlib node class -> emitted kind, where the kind is not the class name in
+# snake_case
 _KIND_MAP = {
-    "Module": "module",
     "Return": "return_statement",
     "Break": "break_statement",
     "Continue": "continue_statement",
@@ -31,32 +36,24 @@ _KIND_MAP = {
     "BinOp": "binary_operator",
     "BoolOp": "boolean_operator",
     "Compare": "comparison_operator",
-    "Call": "call",
-    "Attribute": "attribute",
-    "Subscript": "subscript",
     "Starred": "list_splat",
-    "List": "list",
-    "Tuple": "tuple",
-    "Dict": "dictionary",
-    "Set": "set",
     "ListComp": "list_comprehension",
     "SetComp": "set_comprehension",
     "DictComp": "dictionary_comprehension",
     "GeneratorExp": "generator_expression",
     "IfExp": "conditional_expression",
     "NamedExpr": "named_expression",
-    "Lambda": "lambda",
-    "Await": "await",
-    "Yield": "yield",
     "YieldFrom": "yield",
-    "Slice": "slice",
     "JoinedStr": "string",
     "FormattedValue": "interpolation",
 }
 
+# node classes that are no tree node of their own: operators and contexts
+_NO_KIND = (ast.expr_context, ast.operator, ast.boolop, ast.unaryop, ast.cmpop)
 _CAMEL = re.compile(r"(?<!^)(?=[A-Z])")
 
 
+@cache
 def _snake(name: str) -> str:
     return _CAMEL.sub("_", name).lower()
 
@@ -114,22 +111,14 @@ def _constant_kind(value) -> str:
         return "none"
     if isinstance(value, int):
         return "integer"
-    if isinstance(value, float):
+    if isinstance(value, (float, complex)):
         return "float"
-    if isinstance(value, str):
+    if isinstance(value, (str, bytes)):
         return "string"
-    if isinstance(value, bytes):
-        return "string"
-    if isinstance(value, complex):
-        return "float"
     return "ellipsis"
 
 
 def _convert(node: ast.AST) -> AstNode:
-    name = type(node).__name__
-
-    if isinstance(node, ast.Module):
-        return AstNode("module", [_convert(s) for s in node.body])
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         defn = AstNode("function_definition",
                        [AstNode("identifier"), _parameters(node.args), _block(node.body)])
@@ -140,9 +129,6 @@ def _convert(node: ast.AST) -> AstNode:
             children.append(AstNode("argument_list", [_convert(b) for b in node.bases]))
         children.append(_block(node.body))
         return _decorated(AstNode("class_definition", children), node)
-    if isinstance(node, ast.Return):
-        children = [] if node.value is None else [_convert(node.value)]
-        return AstNode("return_statement", children)
     if isinstance(node, ast.Assign):
         inner = AstNode("assignment", [_convert(t) for t in node.targets] + [_convert(node.value)])
         return AstNode("expression_statement", [inner])
@@ -205,18 +191,9 @@ def _convert(node: ast.AST) -> AstNode:
         return AstNode("call", [_convert(node.func), _arguments(node)])
     if isinstance(node, ast.Attribute):
         return AstNode("attribute", [_convert(node.value), AstNode("identifier")])
-    if isinstance(node, ast.Subscript):
-        return AstNode("subscript", [_convert(node.value), _convert(node.slice)])
     if isinstance(node, ast.UnaryOp):
         kind = "not_operator" if isinstance(node.op, ast.Not) else "unary_operator"
         return AstNode(kind, [_convert(node.operand)])
-    if isinstance(node, ast.BinOp):
-        return AstNode("binary_operator", [_convert(node.left), _convert(node.right)])
-    if isinstance(node, ast.BoolOp):
-        return AstNode("boolean_operator", [_convert(v) for v in node.values])
-    if isinstance(node, ast.Compare):
-        children = [_convert(node.left)] + [_convert(c) for c in node.comparators]
-        return AstNode("comparison_operator", children)
     if isinstance(node, ast.Lambda):
         return AstNode("lambda", [_parameters(node.args), _convert(node.body)])
     if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
@@ -235,22 +212,13 @@ def _convert(node: ast.AST) -> AstNode:
         pairs = [AstNode("pair", [_convert(k), _convert(v)])
                  for k, v in zip(node.keys, node.values) if k is not None]
         return AstNode("dictionary", pairs)
-    if isinstance(node, ast.Slice):
-        parts = [_convert(p) for p in (node.lower, node.upper, node.step) if p is not None]
-        return AstNode("slice", parts)
 
-    kind = _KIND_MAP.get(name)
-    if kind is not None:
-        generic = [_convert(c) for c in ast.iter_child_nodes(node)
-                   if not isinstance(c, (ast.expr_context, ast.operator,
-                                         ast.boolop, ast.unaryop, ast.cmpop))]
-        return AstNode(kind, generic)
-
-    # anything unanticipated keeps a snake_case kind and generic children
+    # the generic path: the mapped kind, else the class name in snake_case,
+    # over the children less operators and expression contexts
+    name = type(node).__name__
     generic = [_convert(c) for c in ast.iter_child_nodes(node)
-               if not isinstance(c, (ast.expr_context, ast.operator,
-                                     ast.boolop, ast.unaryop, ast.cmpop))]
-    return AstNode(_snake(name), generic)
+               if not isinstance(c, _NO_KIND)]
+    return AstNode(_KIND_MAP.get(name) or _snake(name), generic)
 
 
 def _decorated(defn: AstNode, node) -> AstNode:

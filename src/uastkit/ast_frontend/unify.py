@@ -12,6 +12,8 @@ touching code:
 
 Within a section, every mapping target must itself be a fixed point (either
 absent from the keys or mapped to itself); this keeps unification idempotent.
+``unify_ast`` relabels a parsed tree in place: each caller replaces its tree
+with the unified one and has no further use for the raw kinds.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 
 from ..errors import DuplicateMapping, TableFormatError, UnsupportedLanguage
 from .backends import normalize_language
-from .tree import AstNode
+from .tree import AstNode, preorder
 
 DEFAULT_TABLE_RESOURCE = "default_unification.tbl"
 
@@ -110,7 +112,7 @@ def load_unification_table(path: str | Path) -> UnificationTable:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TableFormatError(f"{p}: {exc}", 0) from exc
     return parse_unification_table(text, source=str(p))
 
@@ -127,27 +129,15 @@ def identity_table() -> UnificationTable:
 
 
 def unify_ast(root: AstNode, language: str, table: UnificationTable) -> AstNode:
-    """Rebuild the tree with each kind replaced by its unified label.
+    """Replace each kind in the tree with its unified label, in place.
 
-    Shape and child order are preserved exactly; the input tree is not
-    mutated.  Iterative so arbitrarily deep trees are safe.
+    Returns root, so a caller writes ``tree = unify_ast(tree, ...)``.  Shape
+    and child order are untouched.  Unifying a tree twice changes nothing
+    more, since every mapping target is a fixed point.  Iterative so
+    arbitrarily deep trees are safe.
     """
     section = table.sections.get(_canon_language(language))
-    if not section:
-        mapped = lambda kind: kind  # noqa: E731 - trivial pass-through
-    else:
-        mapped = lambda kind: section.get(kind, kind)  # noqa: E731
-
-    out_stack: list[list[AstNode]] = [[]]
-    work: list[tuple[AstNode, bool]] = [(root, False)]
-    while work:
-        node, expanded = work.pop()
-        if expanded:
-            children = out_stack.pop()
-            out_stack[-1].append(AstNode(mapped(node.kind), children))
-        else:
-            work.append((node, True))
-            out_stack.append([])
-            for child in reversed(node.children):
-                work.append((child, False))
-    return out_stack[0][0]
+    if section:
+        for node in preorder(root):
+            node.kind = section.get(node.kind, node.kind)
+    return root

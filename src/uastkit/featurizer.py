@@ -174,6 +174,10 @@ class FeaturizedSet:
         return [r for r in self.records if r.split == split]
 
 
+_HEADER_KEYS = frozenset(("L", "N", "kinds", "labels", "languages", "unified",
+                          "table_hash", "count"))
+
+
 def write_featurized(path: str | Path, fset: FeaturizedSet) -> None:
     header = {
         "L": fset.L,
@@ -243,14 +247,21 @@ def read_featurized(path: str | Path) -> FeaturizedSet:
         raise DataError(f"{path}: {exc}") from exc
     if data[:8] != MAGIC:
         raise DataError(f"{path}: not a featurized corpus file")
+    offset = 8 + 12
+    if len(data) < offset:
+        raise DataError(f"{path}: truncated header")
     version, header_len = struct.unpack_from("<IQ", data, 8)
     if version != FORMAT_VERSION:
         raise DataError(f"{path}: unsupported format version {version}")
-    offset = 8 + 12
     try:
         header = json.loads(data[offset:offset + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: corrupt header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: corrupt header: not a JSON object")
+    missing = sorted(_HEADER_KEYS - header.keys())
+    if missing:
+        raise DataError(f"{path}: corrupt header: no {', '.join(missing)}")
     offset += header_len
     L, N = header["L"], header["N"]
     vocab = vocabulary_from_kinds(header["kinds"])

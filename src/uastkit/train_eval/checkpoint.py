@@ -96,6 +96,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         vocab = vocabulary_from_kinds(header["vocab_kinds"])
         labels = list(header["labels"])
         declared = header["params"]
+        if not isinstance(declared, list) \
+                or not all(isinstance(entry, dict) for entry in declared):
+            raise CheckpointError(
+                f"{path}: corrupt header: params is not a list of objects")
         fields = dict(
             languages=list(header["languages"]),
             table_hash=header["table_hash"], unified=bool(header["unified"]),

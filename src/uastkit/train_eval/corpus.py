@@ -119,7 +119,7 @@ def _enumerate_manifest(manifest: Path) -> list[tuple[Path, str, str | None]]:
                 language = row[2].strip() if len(row) > 2 and row[2].strip() \
                     else None
                 rows.append((path, row[1].strip(), language))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read manifest {manifest}: {exc}") from exc
     if not rows:
         raise EmptyCorpus(f"{manifest}: no rows")

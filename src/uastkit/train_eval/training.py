@@ -49,6 +49,7 @@ BATCH_ORDER_STREAM = 3
 
 def unified_view(sample: LabeledSample, table: UnificationTable,
                  unified: bool) -> AstNode:
+    """The sample's tree with unified kinds; unify_ast relabels it in place."""
     if sample.tree is None:
         raise EmptyCorpus(f"{sample.source_path}: tree already released")
     if not unified:

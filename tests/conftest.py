@@ -108,11 +108,15 @@ MALFORMED_CHECKPOINT_HEADERS = {
        for key in ("config", "vocab_kinds", "labels", "params", "languages",
                    "table_hash", "unified", "seed", "epoch", "step")},
     "seed_not_int": (lambda h: h.update(seed="abc"), "corrupt header"),
+    "params_not_list": (lambda h: h.update(params=13), "corrupt header"),
+    "params_not_objects": (lambda h: h.update(params=[1] * len(h["params"])),
+                           "corrupt header"),
 }
 
 
-def rewrite_checkpoint_header(path: Path, change) -> None:
-    """Apply change to the JSON header of the checkpoint at path."""
+def rewrite_json_header(path: Path, change) -> None:
+    """Apply change to the JSON header of the checkpoint or featurized file
+    at path; both frame it as magic, u32 version and u64 header length."""
     data = path.read_bytes()
     (length,) = struct.unpack_from("<Q", data, 12)
     header = json.loads(data[20:20 + length])

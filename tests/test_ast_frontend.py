@@ -167,10 +167,16 @@ class TestUnifyAst:
     def test_renames_and_preserves_shape(self):
         table = parse_unification_table("[java]\nprogram = unit\n")
         tree = load_ast_sexpr("(program (method (program)))")
+        before = render_sexpr(tree)
+        nodes = list(preorder(tree))
         out = unify_ast(tree, "java", table)
+        assert before == "(program (method (program)))"
         assert render_sexpr(out) == "(unit (method (unit)))"
-        # the input tree is untouched
-        assert tree.kind == "program"
+        # the tree is relabeled in place: the same root and the same nodes
+        assert out is tree
+        assert all(a is b for a, b in zip(preorder(out), nodes))
+        # and a second pass changes nothing more
+        assert render_sexpr(unify_ast(out, "java", table)) == "(unit (method (unit)))"
 
     def test_identity_table_is_noop(self):
         tree = load_ast_sexpr("(a (b) (c (d)))")
@@ -182,9 +188,11 @@ class TestUnifyAst:
             tree = random_tree(rng, max_nodes=60,
                                kinds=("program", "block", "identifier",
                                       "binary_operator"))
+            before = load_ast_sexpr(render_sexpr(tree))  # taken before the call
             out = unify_ast(tree, "python", default_table)
-            pairs = list(zip(preorder(tree), preorder(out)))
-            assert len(pairs) == node_count(tree)
+            assert out is tree
+            pairs = list(zip(preorder(before), preorder(out)))
+            assert len(pairs) == node_count(before) == node_count(out)
             for src, dst in pairs:
                 assert len(src.children) == len(dst.children)
                 assert dst.kind == default_table.lookup("python", src.kind)

@@ -15,7 +15,7 @@ from conftest import (
     BAD_CHECKPOINT_HEADERS,
     MALFORMED_CHECKPOINT_HEADERS,
     TOY_CORPUS,
-    rewrite_checkpoint_header,
+    rewrite_json_header,
 )
 from uastkit.cli import PROFILES, RunConfig, build_parser, main
 from uastkit.featurizer import read_featurized
@@ -95,7 +95,7 @@ class TestExitCodes:
         ckpt = quick_train(tmp_path, capsys, "--mode", "gast")
         assert run(capsys, "predict", PY_SAMPLE, "--checkpoint",
                    str(ckpt))[0] == 0
-        rewrite_checkpoint_header(ckpt, change)
+        rewrite_json_header(ckpt, change)
         code, _, err = run(capsys, "predict", PY_SAMPLE,
                            "--checkpoint", str(ckpt))
         assert code == 2
@@ -107,7 +107,7 @@ class TestExitCodes:
         change, reason = MALFORMED_CHECKPOINT_HEADERS[name]
         ckpt = tmp_path / "model.ckpt"
         shutil.copyfile(trained_gast, ckpt)
-        rewrite_checkpoint_header(ckpt, change)
+        rewrite_json_header(ckpt, change)
         code, _, err = run(capsys, "predict", PY_SAMPLE,
                            "--checkpoint", str(ckpt))
         assert code == 2
@@ -340,6 +340,30 @@ class TestConfigLayering:
         code, out, _ = run(capsys, "parse", PY_SAMPLE)
         assert code == 0
         assert out.startswith("(shoebox ")
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_table_that_is_not_utf8_is_a_data_problem(
+            self, tmp_path, capsys, monkeypatch, source):
+        table = tmp_path / "latin1.table"
+        table.write_bytes("[python]\nmodule = caf\u00e9\n".encode("latin-1"))
+        argv = ["parse", PY_SAMPLE]
+        if source == "flag":
+            argv[1:1] = ["--table", str(table)]
+        else:
+            monkeypatch.setenv("UASTKIT_TABLE", str(table))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "latin1.table" in err and "utf-8" in err
+
+    def test_manifest_that_is_not_utf8_is_a_data_problem(self, tmp_path,
+                                                          capsys):
+        manifest = tmp_path / "files.csv"
+        manifest.write_bytes("caf\u00e9.py,addition\n".encode("latin-1"))
+        code, _, err = run(capsys, "stats", "--manifest", str(manifest))
+        assert code == 2
+        assert err.startswith("error: cannot read manifest")
+        assert err.count("\n") == 1
 
     def test_table_flag_beats_env_var(self, tmp_path, capsys, monkeypatch):
         env_table = tmp_path / "env.table"

@@ -3,13 +3,14 @@
 import dataclasses
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_tree, random_tree
+from conftest import chain_tree, random_tree, rewrite_json_header
 from uastkit.ast_frontend import (
     AstNode,
     load_ast_sexpr,
@@ -19,6 +20,8 @@ from uastkit.ast_frontend import (
 )
 from uastkit.errors import DataError, EmptyCorpus
 from uastkit.featurizer import (
+    FORMAT_VERSION,
+    MAGIC,
     FeaturizedSet,
     GraphSample,
     PathSequence,
@@ -305,6 +308,28 @@ class TestFeaturizedFile:
         write_featurized(out, _toy_set(vocab))
         out.write_bytes(out.read_bytes() + b"\x00\x01")
         with pytest.raises(DataError):
+            read_featurized(out)
+
+    @pytest.mark.parametrize("key", ["L", "N", "kinds", "count"])
+    def test_header_without_a_field(self, vocab, tmp_path, key):
+        out = tmp_path / "c.feat"
+        write_featurized(out, _toy_set(vocab))
+        rewrite_json_header(out, lambda h: h.pop(key))
+        with pytest.raises(DataError, match=f"corrupt header: no {key}$"):
+            read_featurized(out)
+
+    def test_file_shorter_than_its_frame(self, tmp_path):
+        out = tmp_path / "c.feat"
+        out.write_bytes(MAGIC + b"\x01\x00")
+        with pytest.raises(DataError, match="truncated header"):
+            read_featurized(out)
+
+    def test_header_that_is_not_an_object(self, tmp_path):
+        out = tmp_path / "c.feat"
+        blob = b"[1, 2, 3]"
+        out.write_bytes(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob))
+                        + blob)
+        with pytest.raises(DataError, match="not a JSON object"):
             read_featurized(out)
 
 

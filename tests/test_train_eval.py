@@ -16,7 +16,7 @@ from conftest import (
     TOY_CORPUS,
     chain_tree,
     else_if_chain,
-    rewrite_checkpoint_header,
+    rewrite_json_header,
 )
 from uastkit.ast_frontend import (
     build_vocabulary,
@@ -734,7 +734,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(self._ckpt(), path)
         load_checkpoint(path)
-        rewrite_checkpoint_header(path, change)
+        rewrite_json_header(path, change)
         with pytest.raises(CheckpointError, match=reason):
             load_checkpoint(path)
 
@@ -743,7 +743,7 @@ class TestCheckpoint:
         change, reason = MALFORMED_CHECKPOINT_HEADERS[name]
         path = tmp_path / "model.ckpt"
         save_checkpoint(self._ckpt(), path)
-        rewrite_checkpoint_header(path, change)
+        rewrite_json_header(path, change)
         with pytest.raises(CheckpointError, match=reason):
             load_checkpoint(path)
 
