@@ -174,10 +174,6 @@ class FeaturizedSet:
         return [r for r in self.records if r.split == split]
 
 
-_HEADER_KEYS = frozenset(("L", "N", "kinds", "labels", "languages", "unified",
-                          "table_hash", "count"))
-
-
 def write_featurized(path: str | Path, fset: FeaturizedSet) -> None:
     header = {
         "L": fset.L,
@@ -259,15 +255,18 @@ def read_featurized(path: str | Path) -> FeaturizedSet:
         raise DataError(f"{path}: corrupt header: {exc}") from exc
     if not isinstance(header, dict):
         raise DataError(f"{path}: corrupt header: not a JSON object")
-    missing = sorted(_HEADER_KEYS - header.keys())
-    if missing:
-        raise DataError(f"{path}: corrupt header: no {', '.join(missing)}")
+    try:
+        L, N, count = header["L"], header["N"], header["count"]
+        vocab = vocabulary_from_kinds(header["kinds"])
+        labels = tuple(header["labels"])
+        languages = tuple(header["languages"])
+        unified, table_hash = header["unified"], header["table_hash"]
+    except KeyError as exc:
+        raise DataError(f"{path}: corrupt header: no {exc.args[0]}") from exc
     offset += header_len
-    L, N = header["L"], header["N"]
-    vocab = vocabulary_from_kinds(header["kinds"])
     records: list[SampleRecord] = []
     try:
-        for _ in range(header["count"]):
+        for _ in range(count):
             (label, language, tag, true_length, node_count,
              m) = struct.unpack_from("<HHBIII", data, offset)
             offset += struct.calcsize("<HHBIII")
@@ -298,7 +297,5 @@ def read_featurized(path: str | Path) -> FeaturizedSet:
     if offset != len(data):
         raise DataError(f"{path}: {len(data) - offset} trailing bytes")
     return FeaturizedSet(
-        L=L, N=N, vocab=vocab,
-        labels=tuple(header["labels"]), languages=tuple(header["languages"]),
-        unified=header["unified"], table_hash=header["table_hash"],
-        records=tuple(records))
+        L=L, N=N, vocab=vocab, labels=labels, languages=languages,
+        unified=unified, table_hash=table_hash, records=tuple(records))

@@ -21,8 +21,10 @@ from conftest import (
 from uastkit.ast_frontend import (
     build_vocabulary,
     identity_table,
+    load_ast_sexpr,
     load_default_table,
     preorder,
+    render_sexpr,
     unify_ast,
 )
 from uastkit.errors import (
@@ -429,12 +431,27 @@ def memorizable_splits(per_class=6, with_val=False):
     return {"train": a + b, "validation": [], "test": []}
 
 
+def unified_copies(samples, table):
+    """Unified views of the samples' trees, built from copies taken first.
+
+    The samples' own trees stay raw, and at least one copy differs from
+    its raw tree, so a check against these copies fails when the code
+    under test does not unify.
+    """
+    raw = [render_sexpr(s.tree) for s in samples]
+    unified = [unify_ast(load_ast_sexpr(text), s.language, table)
+               for text, s in zip(raw, samples)]
+    assert [render_sexpr(s.tree) for s in samples] == raw
+    assert any(render_sexpr(tree) != text for tree, text in zip(unified, raw))
+    return unified
+
+
 class TestBuildFeatures:
     def test_each_tree_is_unified_once(self, monkeypatch):
         table = load_default_table()
         splits = split_dataset(ingest_corpus(TOY_CORPUS), seed=0)
         samples = [s for name in SPLIT_NAMES for s in splits[name]]
-        unified = [unify_ast(s.tree, s.language, table) for s in samples]
+        unified = unified_copies(samples, table)
         calls = []
 
         def counting(tree, language, table):
@@ -460,9 +477,10 @@ class TestBuildFeatures:
         table = load_default_table()
         splits = split_dataset(ingest_corpus(TOY_CORPUS), seed=0)
         samples = [s for name in SPLIT_NAMES for s in splits[name]]
-        unified = [unify_ast(s.tree, s.language, table) for s in samples]
+        unified = unified_copies(samples, table)
         build_features(splits, table, True, L=96, N=96, keep_trees=True)
-        assert [s.tree for s in samples] == unified
+        assert [render_sexpr(s.tree) for s in samples] == \
+            [render_sexpr(tree) for tree in unified]
 
 
 def small_config(vocab_size, mode="uast"):
