@@ -3,7 +3,8 @@
 Everything is a [rows x cols] float64 matrix; scalars live as [1,1].  Ops
 record a backward closure on the output when any input participates in
 gradient computation, so constant subgraphs (masks, one-hot labels) cost
-nothing on the tape; graph structure enters as integer edge lists.
+nothing on the tape.  Graph structure enters as a Graph: Â's weights and
+scatter rounds, built once per batch from an integer edge list.
 
 backward() accumulates into .grad: calling it twice without zero_grads in
 between doubles the gradients.  Pass accumulate=False to reset the grads of
@@ -176,31 +177,47 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     return _node(a.data[idx], (a,), bw)
 
 
-def propagate(h: Tensor, edges: np.ndarray) -> Tensor:
-    """Â h for the renormalized adjacency Â = D^-1/2 (A + I) D^-1/2.
+class Graph:
+    """Â = D^-1/2 (A + I) D^-1/2 for an [E x 2] edge list over n nodes.
 
-    A is given as an [E x 2] list of distinct undirected edges.  Â h is a
-    self term plus a scatter-add over both edge directions, O(E * cols).
-    Â is symmetric, so the backward pass applies the same map.
+    Each scatter direction splits into rounds, round r holding every
+    target's r-th occurrence in edge order: no round repeats a target, and
+    the rounds in turn do np.add.at's additions in its order.
     """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    src, dst = edges[:, 0], edges[:, 1]
-    deg = 1.0 + np.bincount(edges.ravel(), minlength=h.shape[0])
-    # entries are 1 / sqrt(d_i * d_j), bit for bit as the dense form has them
-    self_w = (1.0 / np.sqrt(deg * deg))[:, None]
-    edge_w = (1.0 / np.sqrt(deg[src] * deg[dst]))[:, None]
 
-    def apply(x: np.ndarray) -> np.ndarray:
-        out = self_w * x
-        np.add.at(out, src, edge_w * x[dst])
-        np.add.at(out, dst, edge_w * x[src])
+    def __init__(self, edges, n: int):
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        src, dst = edges[:, 0], edges[:, 1]
+        deg = 1.0 + np.bincount(edges.ravel(), minlength=n)
+        # 1 / sqrt(d_i * d_j), bit for bit as the dense form has them
+        self.self_w = (1.0 / np.sqrt(deg * deg))[:, None]
+        edge_w = (1.0 / np.sqrt(deg[src] * deg[dst]))[:, None]
+        self.rounds = []  # (to, frm, weights) per round
+        for to, frm in ((src, dst), (dst, src)):
+            # each edge's rank: how many edges before it share its target
+            order = np.argsort(to, kind="stable")
+            rank, ranked = np.empty_like(to), to[order]
+            rank[order] = np.arange(to.size) - np.searchsorted(ranked, ranked)
+            for pos in np.split(np.argsort(rank, kind="stable"),
+                                np.cumsum(np.bincount(rank))[:-1]):
+                self.rounds.append((to[pos], frm[pos], edge_w[pos]))
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Â x: the self term, then each round's scatter-add."""
+        out = self.self_w * x
+        for to, frm, w in self.rounds:
+            out[to] += w * x[frm]
         return out
+
+
+def propagate(h: Tensor, graph: Graph) -> Tensor:
+    """Â h in O(E * cols), the sums np.add.at gives; its backward is Â g."""
 
     def bw(g):
         if h.requires_grad:
-            _accum(h, apply(g))
+            _accum(h, graph.apply(g))
 
-    return _node(apply(h.data), (h,), bw)
+    return _node(graph.apply(h.data), (h,), bw)
 
 
 def segment_pool(a: Tensor, counts, mean: bool) -> Tensor:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -256,13 +257,16 @@ def read_featurized(path: str | Path) -> FeaturizedSet:
     if not isinstance(header, dict):
         raise DataError(f"{path}: corrupt header: not a JSON object")
     try:
-        L, N, count = header["L"], header["N"], header["count"]
+        L, N, count = (operator.index(header[key])
+                       for key in ("L", "N", "count"))
         vocab = vocabulary_from_kinds(header["kinds"])
         labels = tuple(header["labels"])
         languages = tuple(header["languages"])
         unified, table_hash = header["unified"], header["table_hash"]
     except KeyError as exc:
         raise DataError(f"{path}: corrupt header: no {exc.args[0]}") from exc
+    except TypeError as exc:
+        raise DataError(f"{path}: corrupt header: {exc}") from exc
     offset += header_len
     records: list[SampleRecord] = []
     try:

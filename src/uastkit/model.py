@@ -8,10 +8,11 @@ its paths' true steps only, packed one after another as [S x cols] rows
 steps only the paths still running (autograd.attention, lstm_direction).
 Each LSTM direction keeps its parameters as that op reads them: one weight
 [(h + in) x 4h] and one bias [1 x 4h], gate columns i, f, o, c.  The graph
-side runs GCN layers that propagate over the trees' parent-child edge
-lists (no dense N x N adjacency), as one disjoint union of the batch's
-graphs, and pools each graph's nodes.  Features fuse by concatenation,
-sequence side first, into a softmax classifier.
+side builds Â (autograd.Graph) once per batch, one disjoint union of the
+trees' edge lists; its first GCN layer is the constant Â X (X the one-hot
+kinds) times W0, later ones propagate, and each tree's nodes are pooled.
+Features fuse by concatenation, sequence side first, into a softmax
+classifier.
 
 One function composes the two encoders: forward_batch, which training,
 evaluation and prediction all run.  Its tape holds the same number of nodes
@@ -283,13 +284,15 @@ def _bilstm(x: Tensor, packing: ag.Packing, params: ModelParams,
 
 # --- graph side --------------------------------------------------------------
 
-def _gcn_layers(node_kinds: np.ndarray, edges: np.ndarray,
+def _gcn_layers(node_kinds: np.ndarray, graph: ag.Graph,
                 params: ModelParams, cfg: ModelConfig) -> Tensor:
-    """Stacked act(Â H W); one-hot rows times W0 is the row gather W0[kinds]."""
+    """Stacked act(Â H W), the first as act((Â X) W0): X's one-hot rows are
+    the identity's, looked up by kind as embeddings are."""
     act = _ACT[cfg.gcn_activation]
-    h = act(ag.propagate(ag.gather_rows(params.gcn[0], node_kinds), edges))
+    x = ag.embedding_lookup(Tensor(np.eye(cfg.vocab_size)), node_kinds)
+    h = act(ag.matmul(Tensor(graph.apply(x.data)), params.gcn[0]))
     for w in params.gcn[1:]:
-        h = act(ag.propagate(ag.matmul(h, w), edges))
+        h = act(ag.propagate(ag.matmul(h, w), graph))
     return h
 
 
@@ -351,9 +354,9 @@ def forward_batch(batch: list[PreparedSample], params: ModelParams,
         # one disjoint union: each sample's edges shift by its first node
         counts = [s.node_count for s in batch]
         starts = np.cumsum([0] + counts)
-        edges = np.concatenate([s.adj + start
-                                for s, start in zip(batch, starts)])
-        h = _gcn_layers(np.concatenate([s.node_kinds for s in batch]), edges,
+        graph = ag.Graph(np.concatenate([s.adj + start for s, start
+                                         in zip(batch, starts)]), starts[-1])
+        h = _gcn_layers(np.concatenate([s.node_kinds for s in batch]), graph,
                         params, cfg)
         features.append(ag.segment_pool(h, counts, cfg.pooling == "mean"))
 

@@ -7,7 +7,8 @@ one attention chain per sample and head and one LSTM tape chain per step
 and direction; and the sequence side as it ran before packing, with the
 padded attention and LSTM ops over [B*T x cols] rows, which draws the same
 dropout masks.  transpose, slice_rows and slice_cols are autograd ops that
-only these compositions use.
+only these compositions use; add_at_propagate is the model's propagation as
+it ran before autograd.Graph, with np.add.at.
 """
 
 import math
@@ -59,6 +60,33 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
             a.grad[:, start:stop] += g
 
     return _node(a.data[:, start:stop].copy(), (a,), bw)
+
+
+def add_at_propagate(h: Tensor, edges: np.ndarray) -> Tensor:
+    """Â h for the renormalized adjacency Â = D^-1/2 (A + I) D^-1/2.
+
+    A is given as an [E x 2] list of distinct undirected edges.  Â h is a
+    self term plus a scatter-add over both edge directions, O(E * cols).
+    Â is symmetric, so the backward pass applies the same map.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    src, dst = edges[:, 0], edges[:, 1]
+    deg = 1.0 + np.bincount(edges.ravel(), minlength=h.shape[0])
+    # entries are 1 / sqrt(d_i * d_j), bit for bit as the dense form has them
+    self_w = (1.0 / np.sqrt(deg * deg))[:, None]
+    edge_w = (1.0 / np.sqrt(deg[src] * deg[dst]))[:, None]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        out = self_w * x
+        np.add.at(out, src, edge_w * x[dst])
+        np.add.at(out, dst, edge_w * x[src])
+        return out
+
+    def bw(g):
+        if h.requires_grad:
+            _accum(h, apply(g))
+
+    return _node(apply(h.data), (h,), bw)
 
 
 # --- the padded sequence ops ---------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_tree
 from oracle import (
+    add_at_propagate,
     padded_attention,
     padded_lstm_direction,
     slice_cols,
@@ -108,19 +109,21 @@ class TestGradients:
         fd_check(lambda: ag.sum_all(ag.tanh(ag.gather_rows(a, idx))), [a])
 
     def test_propagate_over_edge_list(self):
-        # a star with a tail: node 0 has three children, node 2 one
-        edges = np.array([[0, 1], [0, 2], [0, 3], [2, 4]])
-        h = leaf(self.rng, 5, 3)
-        w = Tensor(self.rng.uniform(-1, 1, (5, 3)))
-        fd_check(lambda: ag.sum_all(ag.mul(ag.tanh(ag.propagate(h, edges)),
-                                           w)), [h])
+        # a star with a tail: node 0 has three children, node 2 one; then
+        # a ring in which node 1 has two parents
+        for edges in ([[0, 1], [0, 2], [0, 3], [2, 4]],
+                      [[0, 1], [0, 2], [3, 1], [2, 3]]):
+            graph = ag.Graph(np.array(edges), 5)
+            h = leaf(self.rng, 5, 3)
+            w = Tensor(self.rng.uniform(-1, 1, (5, 3)))
+            fd_check(lambda: ag.sum_all(ag.mul(ag.tanh(ag.propagate(
+                h, graph)), w)), [h])
 
     def test_propagate_without_edges_scales_by_self_loop(self):
         h = leaf(self.rng, 1, 4)
-        fd_check(lambda: ag.sum_all(ag.tanh(ag.propagate(
-            h, np.zeros((0, 2), dtype=np.int64)))), [h])
-        assert np.array_equal(
-            ag.propagate(h, np.zeros((0, 2), dtype=np.int64)).data, h.data)
+        graph = ag.Graph(np.zeros((0, 2), dtype=np.int64), 1)
+        fd_check(lambda: ag.sum_all(ag.tanh(ag.propagate(h, graph))), [h])
+        assert np.array_equal(ag.propagate(h, graph).data, h.data)
 
     def test_embedding_lookup(self):
         table = leaf(self.rng, 5, 3)
@@ -181,7 +184,8 @@ class TestOpValues:
         for graph in graphs:
             n = graph.node_count
             dense = np.zeros((graph.N, graph.N))
-            dense[:n, :n] = ag.propagate(Tensor(np.eye(n)), graph.edges).data
+            dense[:n, :n] = ag.propagate(Tensor(np.eye(n)),
+                                         ag.Graph(graph.edges, n)).data
             assert np.array_equal(dense, graph.norm_adj)
 
     def test_propagate_matches_dense_product(self):
@@ -192,7 +196,7 @@ class TestOpValues:
                                  vocab, 1, 30)[1]
         n = graph.node_count
         h = rng.normal(size=(n, 3))
-        got = ag.propagate(Tensor(h), np.array(graph.edges).reshape(-1, 2))
+        got = ag.propagate(Tensor(h), ag.Graph(graph.edges, n))
         want = graph.norm_adj[:n, :n] @ h
         assert np.max(np.abs(got.data - want)) < 1e-14
 
@@ -266,6 +270,80 @@ class TestOpValues:
         a = Tensor(np.zeros((2, 2)), requires_grad=True)
         with pytest.raises(NonScalarLoss):
             ag.add(a, a).backward()
+
+
+# --- propagate against the np.add.at oracle ----------------------------------------
+
+def wide_tree_edges(rng, max_fanout: int) -> tuple[np.ndarray, int]:
+    """A random tree of up to max_fanout children per node, its nodes
+    relabelled and its edges shuffled and flipped at random."""
+    n, edges, frontier = int(rng.integers(2, 400)), [], [0]
+    while frontier and len(edges) < n - 1:
+        parent = frontier.pop(0)
+        for _ in range(min(int(rng.integers(0, max_fanout + 1)),
+                           n - 1 - len(edges))):
+            edges.append((parent, len(edges) + 1))
+            frontier.append(len(edges))
+    n = len(edges) + 1
+    edges = rng.permutation(n)[np.array(edges, dtype=np.int64).reshape(-1, 2)]
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip][:, ::-1]
+    return edges[rng.permutation(len(edges))], n
+
+
+def distinct_edge_graphs() -> list[tuple[np.ndarray, int]]:
+    """Non-trees with distinct edges and no self edge, as read_featurized
+    accepts them: a node with two parents, a hub of degree 100 whose
+    leaves also form a ring, and a dense random graph."""
+    two_parents = np.array([[0, 1], [0, 2], [1, 3], [2, 3], [3, 4]])
+    leaves = np.arange(1, 101)
+    hub = np.concatenate([np.stack([np.zeros(100, np.int64), leaves], 1),
+                          np.stack([leaves, np.roll(leaves, 1)], 1)])
+    pairs = np.argwhere(np.triu(np.random.default_rng(9).random((30, 30))
+                                < 0.3, k=1))
+    return [(two_parents, 5), (hub[::-1].copy(), 101), (pairs, 30)]
+
+
+class TestPropagateOracle:
+    def _assert_bitwise(self, rng, edges, n, cols=7):
+        h = rng.normal(size=(n, cols))
+        g = Tensor(rng.normal(size=(n, cols)))
+        got_h, want_h = (Tensor(h.copy(), requires_grad=True)
+                         for _ in range(2))
+        got = ag.propagate(got_h, ag.Graph(edges, n))
+        want = add_at_propagate(want_h, edges)
+        ag.sum_all(ag.mul(got, g)).backward()
+        ag.sum_all(ag.mul(want, g)).backward()
+        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(got_h.grad, want_h.grad)
+
+    def test_random_trees_up_to_fanout_fifty(self):
+        rng = np.random.default_rng(21)
+        fanouts = []
+        for _ in range(30):
+            edges, n = wide_tree_edges(rng, 50)
+            fanouts.append(np.bincount(edges.ravel()).max())
+            self._assert_bitwise(rng, edges, n)
+        assert max(fanouts) > 40
+
+    def test_distinct_edge_non_trees(self):
+        rng = np.random.default_rng(22)
+        for edges, n in distinct_edge_graphs():
+            self._assert_bitwise(rng, edges, n)
+
+    def test_no_edges_and_a_single_node(self):
+        rng = np.random.default_rng(23)
+        for n in (1, 4):
+            self._assert_bitwise(rng, np.zeros((0, 2), dtype=np.int64), n)
+
+    def test_rounds_hold_each_target_once(self):
+        edges, n = distinct_edge_graphs()[1]
+        graph = ag.Graph(edges, n)
+        for to, _, _ in graph.rounds:
+            assert np.unique(to).size == to.size
+        # one side holds each leaf twice (spoke and ring), the other the
+        # hub once per leaf
+        assert len(graph.rounds) == 2 + 100
 
 
 # --- accumulation protocol ---------------------------------------------------------

@@ -318,6 +318,16 @@ class TestFeaturizedFile:
         with pytest.raises(DataError, match=f"corrupt header: no {key}$"):
             read_featurized(out)
 
+    @pytest.mark.parametrize("key, value", [("count", "x"), ("L", "x"),
+                                            ("N", 2.5), ("kinds", 5)])
+    def test_header_field_of_the_wrong_type(self, vocab, tmp_path, key,
+                                            value):
+        out = tmp_path / "c.feat"
+        write_featurized(out, _toy_set(vocab))
+        rewrite_json_header(out, lambda h: h.update({key: value}))
+        with pytest.raises(DataError, match="corrupt header"):
+            read_featurized(out)
+
     def test_file_shorter_than_its_frame(self, tmp_path):
         out = tmp_path / "c.feat"
         out.write_bytes(MAGIC + b"\x01\x00")

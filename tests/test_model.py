@@ -17,7 +17,7 @@ from oracle import (
 from uastkit import autograd as ag
 from uastkit.ast_frontend import AstNode, vocabulary_from_kinds
 from uastkit.autograd import Tensor, cross_entropy_loss, zero_grads
-from uastkit.errors import ConfigError, ShapeMismatch
+from uastkit.errors import ConfigError, IndexOutOfVocab, ShapeMismatch
 from uastkit.featurizer import GraphSample, PathSequence, featurize_sample
 from uastkit.model import (
     GCN_ACTIVATIONS,
@@ -404,9 +404,10 @@ class TestEdgeListOracle:
         return variant(tiny_config, vocab_size=len(ORACLE_KINDS) + 2, L=12,
                        N=9, **changes)
 
-    def _compare(self, cfg, seed):
-        rng = np.random.default_rng(seed)
-        pairs = oracle_batch(rng, cfg, (3, 30, 1, 9, 14, 40, 2))
+    def _compare(self, cfg, seed, pairs=None):
+        if pairs is None:
+            pairs = oracle_batch(np.random.default_rng(seed), cfg,
+                                 (3, 30, 1, 9, 14, 40, 2))
         assert {g.node_count for _, g in pairs} >= {1, cfg.N}
         labels = [i % cfg.k for i in range(len(pairs))]
         params = init_params(cfg, seed)
@@ -437,6 +438,33 @@ class TestEdgeListOracle:
         cfg = self._config(tiny_config, gcn_activation="sigmoid",
                            gcn_layers=3)
         self._compare(cfg, seed=11)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_wide_vocabulary_matches_dense(self, tiny_config, layers):
+        # the first layer multiplies (Â X) by W0; at V = 140 that GEMM sums
+        # over 140 kinds where the dense oracle gathers W0's rows
+        kinds = tuple(f"kind{i}" for i in range(138))
+        vocab = vocabulary_from_kinds(kinds)
+        cfg = variant(tiny_config, mode="gast", vocab_size=vocab.size, L=12,
+                      N=40, gcn_layers=layers, gcn_hidden=16)
+        assert cfg.vocab_size == 140
+        rng = np.random.default_rng(layers)
+        pairs = [featurize_sample(random_tree(rng, max_nodes=m, kinds=kinds),
+                                  vocab, cfg.L, cfg.N)
+                 for m in (300, 200, 5, 1, 30)]
+        self._compare(cfg, seed=layers, pairs=pairs)
+
+    def test_kind_outside_the_vocabulary_is_refused(self, tiny_config):
+        cfg = self._config(tiny_config, mode="gast")
+        params = init_params(cfg, 0)
+        _, graph = oracle_batch(np.random.default_rng(6), cfg, (8,))[0]
+        kinds = graph.node_kinds.copy()
+        kinds[graph.node_count - 1] = cfg.vocab_size
+        bad = GraphSample(node_kinds=kinds, node_count=graph.node_count,
+                          edges=graph.edges)
+        good = prepare_sample(None, graph, cfg)
+        with pytest.raises(IndexOutOfVocab):
+            forward_batch([good, prepare_sample(None, bad, cfg)], params, cfg)
 
     def test_single_node_graph_alone(self, tiny_config):
         cfg = self._config(tiny_config, mode="gast", gcn_activation="tanh")
