@@ -1,13 +1,14 @@
 """Recursive-descent parsing for the curly-brace languages.
 
 One tokenizer and one parser, ``parse(text, language)``, cover c, cpp, java
-and javascript.  Each production is written once.  A difference between the
-languages that is only a kind name lives in the ``_KINDS`` table; one that a
-language's keyword set already decides (a token is a keyword in that language
-or it is not) needs no language test at all.  What is left are the structural
-branches: declaration shapes, method-call shapes, and the forms only one
-language has.  Kind labels follow the tree-sitter grammars for each language
-so one unification table serves every backend.
+and javascript.  The tokenizer is one ``finditer`` pass of a pattern that
+matches at every offset, and it drops whitespace and comments before building
+a ``(type, value)`` token.  The parser also keeps each token's text where it
+is punctuation or a keyword, so testing for a word is one index and one
+compare.  Each production is written once.  A difference between the
+languages that is only a kind name lives in ``_KINDS``; one that a language's
+keyword set already decides needs no language test at all.  Kind labels
+follow the tree-sitter grammars so one unification table serves every backend.
 
 This is deliberately a subset grammar: enough for the function-level programs
 the classifier consumes.  Anything outside the subset becomes an ERROR node
@@ -18,7 +19,7 @@ with no parseable content at all raises ParseFailure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ParseFailure
 from .tree import ERROR_KIND, AstNode
@@ -36,6 +37,8 @@ _TOKEN_RE = re.compile(
     | (?P<id>[A-Za-z_$][A-Za-z0-9_$]*)
     | (?P<punct>>>>=|<<=|>>=|===|!==|>>>|\.\.\.|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\|
                 |\+=|-=|\*=|/=|%=|&=|\|=|\^=|=>|->|::|[-+*/%<>=!&|^~?:;,.(){}\[\]@])
+    | (?P<open_str>["'`][^\n]*)  # an unterminated literal runs to the end of its line
+    | (?P<stray>.)
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -146,42 +149,30 @@ _KEYWORD_LITERALS = {"true": "true", "false": "false", "null": "null",
                      "this": "this", "super": "super"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     type: str   # id | kw | num | str | chr | template | punct | preproc
     value: str
-    offset: int
 
 
-_EOF = _Token("eof", "", -1)
+_EOF = _Token("eof", "")
+_SKIPPED = frozenset(("ws", "line_comment", "block_comment"))
+_RETYPED = {"open_str": "str", "stray": "punct"}
 
 
 def tokenize(text: str, language: str) -> list[_Token]:
     keywords = _KEYWORDS[language]
     tokens: list[_Token] = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            ch = text[pos]
-            if ch in "\"'`":
-                nl = text.find("\n", pos)  # unterminated literal: recover at EOL
-                tokens.append(_Token("str", text[pos: n if nl < 0 else nl], pos))
-                pos = n if nl < 0 else nl
-                continue
-            tokens.append(_Token("punct", ch, pos))
-            pos += 1
-            continue
+    for m in _TOKEN_RE.finditer(text):  # some group matches at every offset
         kind = m.lastgroup
+        if kind in _SKIPPED:
+            continue
         value = m.group()
-        if kind in ("ws", "line_comment", "block_comment"):
-            pass
-        elif kind == "id" and value in keywords:
-            tokens.append(_Token("kw", value, pos))
-        else:
-            tokens.append(_Token(kind, value, pos))
-        pos = m.end()
+        if kind == "id":
+            if value in keywords:
+                kind = "kw"
+        elif kind in _RETYPED:
+            kind = _RETYPED[kind]
+        tokens.append(_Token(kind, value))
     return tokens
 
 
@@ -192,6 +183,9 @@ class _Unexpected(Exception):
 class _Parser:
     def __init__(self, tokens: list[_Token], language: str):
         self.toks = tokens
+        # each token's text where it is punctuation or a keyword, else None
+        self.syntax = [value if type in ("punct", "kw") else None
+                       for type, value in tokens]
         self.pos = 0
         self.lang = language
         self.k = _KINDS[language]
@@ -201,8 +195,10 @@ class _Parser:
     # --- token cursor -------------------------------------------------
 
     def peek(self, ahead: int = 0) -> _Token:
-        i = self.pos + ahead
-        return self.toks[i] if i < len(self.toks) else _EOF
+        try:
+            return self.toks[self.pos + ahead]
+        except IndexError:
+            return _EOF
 
     def next(self) -> _Token:
         tok = self.peek()
@@ -210,8 +206,17 @@ class _Parser:
         return tok
 
     def at(self, value: str) -> bool:
-        tok = self.peek()
-        return tok.value == value and tok.type in ("punct", "kw")
+        try:
+            return self.syntax[self.pos] == value
+        except IndexError:
+            return False
+
+    def word(self) -> str | None:
+        """The punctuation or keyword at the cursor, else None."""
+        try:
+            return self.syntax[self.pos]
+        except IndexError:
+            return None
 
     def accept(self, value: str) -> bool:
         if self.at(value):
@@ -229,22 +234,17 @@ class _Parser:
 
     def _match_bracket(self, start: int) -> int:
         """Index just past the bracket matching toks[start], or len(toks)."""
-        pairs = {"(": ")", "[": "]", "{": "}"}
-        close = pairs[self.toks[start].value]
-        opened = self.toks[start].value
+        opened = self.syntax[start]
+        close = {"(": ")", "[": "]", "{": "}"}[opened]
         depth = 0
-        i = start
-        while i < len(self.toks):
-            v = self.toks[i].value
-            if self.toks[i].type == "punct":
-                if v == opened:
-                    depth += 1
-                elif v == close:
-                    depth -= 1
-                    if depth == 0:
-                        return i + 1
-            i += 1
-        return len(self.toks)
+        for i in range(start, len(self.syntax)):
+            if self.syntax[i] == opened:
+                depth += 1
+            elif self.syntax[i] == close:
+                depth -= 1
+                if depth == 0:
+                    return i + 1
+        return len(self.syntax)
 
     # --- error recovery -----------------------------------------------
 
@@ -252,17 +252,15 @@ class _Parser:
         start = self.pos
         depth = 0
         while not self.done():
-            tok = self.peek()
-            if tok.type == "punct" and tok.value == "}" and depth == 0:
+            word = self.word()
+            if word == "}" and depth == 0:
                 break  # leave the brace for the enclosing block
-            self.next()
-            if tok.type != "punct":
-                continue
-            if tok.value == "{":
+            self.pos += 1
+            if word == "{":
                 depth += 1
-            elif tok.value == "}":
+            elif word == "}":
                 depth -= 1
-            elif tok.value == ";" and depth == 0:
+            elif word == ";" and depth == 0:
                 break
         if self.pos == start:  # stray '}' or EOF: still must make progress
             self.pos += 1
@@ -309,14 +307,10 @@ class _Parser:
     # --- java ----------------------------------------------------------
 
     def java_top_level(self) -> AstNode:
-        if self.at("package"):
-            self.next()
+        word = self.word()
+        if word in ("package", "import"):
             self._skip_to(";")
-            return AstNode("package_declaration")
-        if self.at("import"):
-            self.next()
-            self._skip_to(";")
-            return AstNode("import_declaration")
+            return AstNode(f"{word}_declaration")
         mods = self.java_modifiers()
         if self.at("class") or self.at("interface") or self.at("enum"):
             return self.java_class(mods)
@@ -330,8 +324,7 @@ class _Parser:
                 self.next()
                 seen = True
             elif tok.value == "@" and self.peek(1).type == "id":
-                self.next()
-                self.next()
+                self.pos += 2
                 if self.at("("):
                     self.pos = self._match_bracket(self.pos)
                 seen = True
@@ -449,8 +442,7 @@ class _Parser:
         elif tok.type == "id":
             self.next()
             while self.at(".") and self.peek(1).type == "id":
-                self.next()
-                self.next()
+                self.pos += 2
             node = AstNode("type_identifier")
             if self.at("<"):
                 end = self._angle_end(self.pos)
@@ -459,16 +451,14 @@ class _Parser:
         else:
             raise _Unexpected(f"expected type, found {tok.value!r}")
         while self.at("[") and self.peek(1).value == "]":
-            self.next()
-            self.next()
+            self.pos += 2
             node = AstNode("array_type", [node])
         return node
 
     def _angle_end(self, start: int) -> int:
         depth = 0
-        i = start
-        while i < len(self.toks):
-            v = self.toks[i].value
+        for i in range(start, len(self.syntax)):
+            v = self.syntax[i]
             if v == "<":
                 depth += 1
             elif v == ">":
@@ -481,7 +471,6 @@ class _Parser:
                     return i + 1
             elif v in (";", "{"):
                 break
-            i += 1
         raise _Unexpected("unclosed type arguments")
 
     # --- c / cpp ---------------------------------------------------------
@@ -494,7 +483,6 @@ class _Parser:
                 else "preproc_call"
             return AstNode(kind)
         if self.at("using"):
-            self.next()
             self._skip_to(";")
             return AstNode("using_declaration")
         if self.at("namespace"):
@@ -514,7 +502,6 @@ class _Parser:
         if tok.type == "kw" and tok.value in _RECORD_KINDS and self.peek(2).value == "{":
             return self.c_record()
         if self.at("typedef"):
-            self.next()
             self._skip_to(";")
             return AstNode("type_definition")
         return self.c_declaration()
@@ -547,8 +534,7 @@ class _Parser:
         tok = self.peek()
         if tok.type == "kw" and tok.value in ("public", "private", "protected") \
                 and self.peek(1).value == ":":
-            self.next()
-            self.next()
+            self.pos += 2
             return AstNode("access_specifier")
         node = self.c_declaration()
         if node.kind == "declaration":
@@ -600,8 +586,7 @@ class _Parser:
             elif tok.type == "id" and not saw_primitive and not saw_name:
                 self.next()
                 while self.at("::") and self.peek(1).type == "id":
-                    self.next()
-                    self.next()
+                    self.pos += 2
                 saw_name = True
                 if self.at("<"):
                     end = self._angle_end(self.pos)
@@ -628,8 +613,7 @@ class _Parser:
         self.next()
         if self.lang == "cpp":
             while self.at("::") and self.peek(1).type == "id":
-                self.next()
-                self.next()
+                self.pos += 2
         node = AstNode("identifier")
         while True:
             if self.at("("):
@@ -684,56 +668,56 @@ class _Parser:
         return AstNode(kind, self._guarded_until_brace(self.statement))
 
     def statement(self) -> AstNode:
-        tok = self.peek()
-        if self.at("{"):
+        word = self.word()
+        if word == "{":
             return self.block(self.k["block"])
         if self.accept(";"):
             return AstNode(self.k["empty"])
-        if self.at("if"):
+        if word == "if":
             return self.if_statement()
-        if self.at("while"):
+        if word == "while":
             self.next()
             cond = self.paren_expression()
             return AstNode("while_statement", [cond, self.statement()])
-        if self.at("do"):
+        if word == "do":
             self.next()
             body = self.statement()
             self.expect("while")
             cond = self.paren_expression()
             self._end_statement()
             return AstNode("do_statement", [body, cond])
-        if self.at("for"):
+        if word == "for":
             return self.for_statement()
-        if self.at("return"):
+        if word == "return":
             self.next()
             children = []
             if not self.at(";") and not self.at("}") and not self.done():
                 children.append(self.expression())
             self._end_statement()
             return AstNode("return_statement", children)
-        if self.at("break") or self.at("continue"):
+        if word in ("break", "continue"):
             kind = f"{self.next().value}_statement"
             if self.peek().type == "id":
                 self.next()  # a label
             self._end_statement()
             return AstNode(kind)
-        if self.at("switch"):
+        if word == "switch":
             return self.switch_statement()
-        if self.at("throw"):
+        if word == "throw":
             self.next()
             value = self.expression()
             self._end_statement()
             return AstNode("throw_statement", [value])
-        if self.at("try"):
+        if word == "try":
             return self.try_statement()
-        if self.at("function"):
+        if word == "function":
             return self.js_function("function_declaration")
-        if self.lang == "javascript" and self.at("class"):
+        if self.lang == "javascript" and word == "class":
             return self.js_class()
         decl = self.local_declaration()
         if decl is not None:
             return decl
-        if tok.type == "preproc":
+        if self.peek().type == "preproc":
             self.next()
             return AstNode("preproc_call")
         expr = self.expression()
@@ -846,8 +830,7 @@ class _Parser:
                 self.accept("final")
                 t = self.java_type()
                 if self.peek().type == "id" and self.peek(1).value == ":":
-                    self.next()
-                    self.next()
+                    self.pos += 2
                     seq = self.expression()
                     self.expect(")")
                     return AstNode("enhanced_for_statement",
@@ -860,8 +843,7 @@ class _Parser:
             if self.at("var") or self.at("let") or self.at("const"):
                 self.next()
             if self.peek().type == "id" and self.peek(1).value in ("in", "of"):
-                self.next()
-                self.next()
+                self.pos += 2
                 seq = self.expression()
                 self.expect(")")
                 return AstNode("for_in_statement",
@@ -1004,8 +986,7 @@ class _Parser:
 
     def expression(self) -> AstNode:
         left = self.ternary()
-        tok = self.peek()
-        if tok.type == "punct" and tok.value in _ASSIGN_OPS:
+        if self.word() in _ASSIGN_OPS:
             op = self.next().value
             right = self.expression()
             kind = "assignment_expression" if op == "=" else self.k["compound_assign"]
@@ -1024,17 +1005,13 @@ class _Parser:
     def binary(self, min_prec: int) -> AstNode:
         left = self.unary()
         while True:
-            tok = self.peek()
-            value = tok.value
-            if tok.type != "punct" and not (tok.type == "kw"
-                                            and value in ("instanceof", "in")):
-                break
+            value = self.word()
             prec = _BINOP_PREC.get(value)
             if prec is None or prec < min_prec:
                 break
             if value in ("===", "!==") and self.lang != "javascript":
                 break
-            self.next()
+            self.pos += 1
             right = self.binary(prec + 1)
             kind = self.k["instanceof"] if value == "instanceof" else "binary_expression"
             left = AstNode(kind, [left, right])
@@ -1085,10 +1062,7 @@ class _Parser:
         nxt = self.peek(1)
         if nxt.type != "kw" or nxt.value not in self.primitives:
             return None
-        end = self._match_bracket(self.pos)
-        if end >= len(self.toks):
-            return None
-        after = self.toks[end]
+        after = self.peek(self._match_bracket(self.pos) - self.pos)
         if after.type not in ("id", "num", "str", "chr") and after.value != "(":
             return None
         self.next()
@@ -1149,28 +1123,26 @@ class _Parser:
 
     def postfix_tail(self, node: AstNode, no_call: bool = False) -> AstNode:
         while True:
-            if self.at("(") and not no_call:
+            word = self.word()
+            if word == "(" and not no_call:
                 args = self.call_args()
                 node = self._make_call(node, args)
-            elif self.at(".") and self.peek(1).type in ("id", "kw"):
-                self.next()
-                self.next()
+            elif word == "." and self.peek(1).type in ("id", "kw"):
+                self.pos += 2
                 node = AstNode(self.k["member"], [node, AstNode(self.k["property"])])
-            elif self.at("->") and self.lang in ("c", "cpp") \
+            elif word == "->" and self.lang in ("c", "cpp") \
                     and self.peek(1).type == "id":
-                self.next()
-                self.next()
+                self.pos += 2
                 node = AstNode("field_expression", [node, AstNode("identifier")])
-            elif self.at("::") and self.lang == "cpp" and self.peek(1).type == "id":
-                self.next()
-                self.next()
+            elif word == "::" and self.lang == "cpp" and self.peek(1).type == "id":
+                self.pos += 2
                 node = AstNode("qualified_identifier", [node, AstNode("identifier")])
-            elif self.at("["):
+            elif word == "[":
                 self.next()
                 index = self.expression()
                 self.expect("]")
                 node = AstNode(self.k["subscript"], [node, index])
-            elif self.at("++") or self.at("--"):
+            elif word in ("++", "--"):
                 self.next()
                 node = AstNode("update_expression", [node])
             else:
@@ -1211,8 +1183,7 @@ class _Parser:
                 return self.js_function("function_expression")
         if tok.type == "id":
             if self.lang == "javascript" and self.peek(1).value == "=>":
-                self.next()
-                self.next()
+                self.pos += 2
                 return self._arrow_body(AstNode("formal_parameters",
                                                 [AstNode("identifier")]))
             self.next()

@@ -14,7 +14,7 @@ from ..errors import MalformedSExpr
 ERROR_KIND = "ERROR"
 
 
-@dataclass
+@dataclass(slots=True)
 class AstNode:
     """One node of a parse tree: a kind label and an ordered child list."""
 

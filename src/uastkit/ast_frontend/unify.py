@@ -25,7 +25,7 @@ from pathlib import Path
 
 from ..errors import DuplicateMapping, TableFormatError, UnsupportedLanguage
 from .backends import normalize_language
-from .tree import AstNode, preorder
+from .tree import AstNode
 
 DEFAULT_TABLE_RESOURCE = "default_unification.tbl"
 
@@ -138,6 +138,9 @@ def unify_ast(root: AstNode, language: str, table: UnificationTable) -> AstNode:
     """
     section = table.sections.get(_canon_language(language))
     if section:
-        for node in preorder(root):
+        stack = [root]
+        while stack:
+            node = stack.pop()
             node.kind = section.get(node.kind, node.kind)
+            stack.extend(node.children)
     return root

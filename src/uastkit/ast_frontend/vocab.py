@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..errors import EmptyCorpus
-from .tree import AstNode, preorder
+from .tree import AstNode
 
 PAD_INDEX = 0
 PAD_LABEL = "<pad>"
@@ -23,10 +23,10 @@ UNK_LABEL = "<unk>"
 @dataclass(frozen=True)
 class Vocabulary:
     kinds: tuple[str, ...]  # real kinds in index order, index = position + 1
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_index",
+        object.__setattr__(self, "index",
                            {kind: i + 1 for i, kind in enumerate(self.kinds)})
 
     @property
@@ -39,7 +39,7 @@ class Vocabulary:
         return len(self.kinds) + 2
 
     def index_of(self, kind: str) -> int:
-        return self._index.get(kind, self.unk_index)
+        return self.index.get(kind, self.unk_index)
 
     def kind_of(self, index: int) -> str:
         if index == PAD_INDEX:
@@ -62,14 +62,14 @@ def build_vocabulary(corpus: Iterable[AstNode]) -> Vocabulary:
     Kinds are sorted lexicographically and indexed from 1; raises
     EmptyCorpus when the iterator yields nothing.
     """
-    seen: set[str] = set()
-    count = 0
-    for root in corpus:
-        count += 1
-        for node in preorder(root):
-            seen.add(node.kind)
-    if count == 0:
+    stack = list(corpus)
+    if not stack:
         raise EmptyCorpus("cannot build a vocabulary from zero trees")
+    seen: set[str] = set()
+    while stack:
+        node = stack.pop()
+        seen.add(node.kind)
+        stack.extend(node.children)
     return Vocabulary(tuple(sorted(seen)))
 
 

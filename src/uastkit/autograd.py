@@ -257,13 +257,16 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
 
 # --- nonlinearities ---------------------------------------------------------
 
-def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):  # e^-x = inf below -709 gives 0
-        return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = 1 / (1 + e^-x), where out may be x.  e^-x = inf below -709
+    gives 0; the caller enters np.errstate(over="ignore") for that."""
+    np.exp(np.negative(x, out=out), out=out)
+    return np.divide(1.0, np.add(out, 1.0, out=out), out=out)
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid_values(a.data)
+    with np.errstate(over="ignore"):
+        s = _sigmoid(a.data, np.empty(a.data.shape))
 
     def bw(g):
         if a.requires_grad:
@@ -472,18 +475,19 @@ def lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, packing: Packing,
     gates = (x.data @ w_x + b_all.data)[slots]
     hs, cs, c_tanh = (np.empty((rows, h)) for _ in range(3))
     back = 0  # the step before's first slot
-    for lo, n in packing.spans:
-        act, hi = gates[lo:lo + n], lo + n
-        if lo:
-            act += hs[back:back + n] @ w_h
-        act[:, :3 * h] = _sigmoid_values(act[:, :3 * h])
-        np.tanh(act[:, 3 * h:], out=act[:, 3 * h:])
-        np.multiply(act[:, :h], act[:, 3 * h:], out=cs[lo:hi])
-        if lo:
-            cs[lo:hi] += act[:, h:2 * h] * cs[back:back + n]
-        np.tanh(cs[lo:hi], out=c_tanh[lo:hi])
-        np.multiply(act[:, 2 * h:3 * h], c_tanh[lo:hi], out=hs[lo:hi])
-        back = lo
+    with np.errstate(over="ignore"):  # for the gates' sigmoid
+        for lo, n in packing.spans:
+            act, hi = gates[lo:lo + n], lo + n
+            if lo:
+                act += hs[back:back + n] @ w_h
+            _sigmoid(act[:, :3 * h], act[:, :3 * h])
+            np.tanh(act[:, 3 * h:], out=act[:, 3 * h:])
+            np.multiply(act[:, :h], act[:, 3 * h:], out=cs[lo:hi])
+            if lo:
+                cs[lo:hi] += act[:, h:2 * h] * cs[back:back + n]
+            np.tanh(cs[lo:hi], out=c_tanh[lo:hi])
+            np.multiply(act[:, 2 * h:3 * h], c_tanh[lo:hi], out=hs[lo:hi])
+            back = lo
     out = np.empty((rows, h))
     out[slots] = hs
 

@@ -98,18 +98,20 @@ def featurize_sample(ast: AstNode, vocab: Vocabulary, L: int,
     if L < 1 or N < 1:
         raise ValueError(f"L and N must be >= 1, got L={L} N={N}")
     limit = max(L, N)
-    prefix = np.zeros(limit, dtype=np.int64)
-    edges: list[tuple[int, int]] = []
-    stack: list[tuple[int, AstNode]] = [(-1, ast)]  # (parent index, node)
-    count = 0
-    while stack and count < limit:
-        parent, node = stack.pop()
-        prefix[count] = vocab.index_of(node.kind)
+    index, unk = vocab.index, vocab.unk_index
+    prefix, edges = [], []  # kind indices in pre-order, parent-child pairs
+    nodes, parents = [ast], [-1]  # a stack of nodes, with their parents' indices
+    while nodes and len(prefix) < limit:
+        node, parent, count = nodes.pop(), parents.pop(), len(prefix)
+        prefix.append(index.get(node.kind, unk))
         if 0 <= parent and count < N:  # a parent precedes its children
             edges.append((parent, count))
-        stack.extend((count, child) for child in reversed(node.children))
-        count += 1
-    return _views(prefix, min(count, L), min(count, N), tuple(edges), L, N)
+        if node.children:
+            nodes.extend(reversed(node.children))
+            parents.extend([count] * len(node.children))
+    count = len(prefix)
+    return _views(np.array(prefix, dtype=np.int64), min(count, L),
+                  min(count, N), tuple(edges), L, N)
 
 
 # --- corpus statistics ----------------------------------------------------
@@ -259,6 +261,10 @@ def read_featurized(path: str | Path) -> FeaturizedSet:
     try:
         L, N, count = (operator.index(header[key])
                        for key in ("L", "N", "count"))
+        for key in ("kinds", "labels", "languages"):
+            if not (isinstance(header[key], list)
+                    and all(isinstance(name, str) for name in header[key])):
+                raise TypeError(f"{key} is not a list of strings")
         vocab = vocabulary_from_kinds(header["kinds"])
         labels = tuple(header["labels"])
         languages = tuple(header["languages"])

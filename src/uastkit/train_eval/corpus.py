@@ -57,9 +57,6 @@ class LabeledSample:
     path_seq: PathSequence | None = None
     graph: GraphSample | None = None
 
-    def drop_tree(self) -> None:
-        self.tree = None
-
 
 def mask_function_names(text: str, names: set[str] | frozenset[str]) -> str:
     """Replace whole-word occurrences of each name with the mask token."""

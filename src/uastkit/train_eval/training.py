@@ -71,7 +71,7 @@ def featurize_with_vocab(samples: list[LabeledSample],
         tree = unified_view(s, table, unified)
         s.path_seq, s.graph = featurize_sample(tree, vocab, L, N)
         if not keep_trees:
-            s.drop_tree()
+            s.tree = None
 
 
 def build_features(splits: dict[str, list[LabeledSample]],

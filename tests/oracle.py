@@ -8,10 +8,12 @@ and direction; and the sequence side as it ran before packing, with the
 padded attention and LSTM ops over [B*T x cols] rows, which draws the same
 dropout masks.  transpose, slice_rows and slice_cols are autograd ops that
 only these compositions use; add_at_propagate is the model's propagation as
-it ran before autograd.Graph, with np.add.at.
+it ran before autograd.Graph, with np.add.at.  tokenize is the C-like
+tokenizer as it ran before it matched every offset with one finditer pass.
 """
 
 import math
+import re
 
 import numpy as np
 
@@ -21,8 +23,8 @@ from uastkit.autograd import (
     _accum,
     _dropout_mask,
     _node,
-    _sigmoid_values,
 )
+from uastkit.ast_frontend.clike_backend import _KEYWORDS
 from uastkit.errors import ShapeMismatch
 
 # --- ops only the oracles use -------------------------------------------------
@@ -195,7 +197,8 @@ def padded_lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, lengths,
     for t in order:
         act = gates[t]
         act += hs[enter[t]] @ w_h
-        act[:, :3 * h] = _sigmoid_values(act[:, :3 * h])
+        with np.errstate(over="ignore"):  # e^-x = inf below -709 gives 0
+            act[:, :3 * h] = 1.0 / (1.0 + np.exp(-act[:, :3 * h]))
         np.tanh(act[:, 3 * h:], out=act[:, 3 * h:])
         i_g, f_g, o_g, c_hat = (act[:, j * h:(j + 1) * h] for j in range(4))
         np.multiply(f_g, cs[enter[t]], out=cs[t])
@@ -428,3 +431,53 @@ def padded_probs(pairs, params, cfg, training=False, rng=None) -> Tensor:
     paths = [p for p, _ in pairs]
     return _classify(padded_sequence(paths, params, cfg, training, rng)
                      if cfg.uses_path else None, pairs, params, cfg)
+
+
+# --- the C-like tokenizer -----------------------------------------------------
+
+TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>\s+)
+    | (?P<line_comment>//[^\n]*)
+    | (?P<block_comment>/\*.*?\*/)
+    | (?P<preproc>\#[^\n]*)
+    | (?P<num>(?:0[xX][0-9a-fA-F]+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)[fFlLuUdD]*)
+    | (?P<str>"(?:\\.|[^"\\\n])*")
+    | (?P<chr>'(?:\\.|[^'\\\n])*')
+    | (?P<template>`(?:\\.|[^`\\])*`)
+    | (?P<id>[A-Za-z_$][A-Za-z0-9_$]*)
+    | (?P<punct>>>>=|<<=|>>=|===|!==|>>>|\.\.\.|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\|
+                |\+=|-=|\*=|/=|%=|&=|\|=|\^=|=>|->|::|[-+*/%<>=!&|^~?:;,.(){}\[\]@])
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def tokenize(text: str, language: str) -> list[tuple[str, str]]:
+    """(type, value) of each token, one regex match at a time."""
+    keywords = _KEYWORDS[language]
+    tokens: list[tuple[str, str]] = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        m = TOKEN_RE.match(text, pos)
+        if m is None:
+            ch = text[pos]
+            if ch in "\"'`":
+                nl = text.find("\n", pos)  # unterminated literal: recover at EOL
+                tokens.append(("str", text[pos: n if nl < 0 else nl]))
+                pos = n if nl < 0 else nl
+                continue
+            tokens.append(("punct", ch))
+            pos += 1
+            continue
+        kind = m.lastgroup
+        value = m.group()
+        if kind in ("ws", "line_comment", "block_comment"):
+            pass
+        elif kind == "id" and value in keywords:
+            tokens.append(("kw", value))
+        else:
+            tokens.append((kind, value))
+        pos = m.end()
+    return tokens

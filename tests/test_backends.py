@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from conftest import DEEP_SOURCES, else_if_chain
 from uastkit.ast_frontend import (
     AstNode,
@@ -14,6 +15,7 @@ from uastkit.ast_frontend import (
     preorder,
     unify_ast,
 )
+from uastkit.ast_frontend.clike_backend import _KEYWORDS, _Parser, tokenize
 from uastkit.ast_frontend.backends import (
     EXTENSION_LANGUAGES,
     SEXPR_EXTENSION,
@@ -268,6 +270,54 @@ class TestNoEscapingErrors:
             parse_source(" ".join(tokens), language)
         except UastError:
             pass
+
+
+# text that runs every branch of the C-like tokenizer: stray characters,
+# literals left open at a newline or at the end, comments and keywords
+TOKENIZER_FRAGMENTS = (
+    *SOURCE_TOKENS, *sorted(set().union(*_KEYWORDS.values())), "$x", "_9", "\x00", "\r\n", "\u00e9", "\u2028", "\u0663", "\\\"", "'\\'", '"a\\\nb"',
+    "`a\nb`", '"open', "'o", "`t", "/*open", "/**/", "// c\n", "#define X 1\n",
+    "1.", ".5", "1e+", "2E-3f", "0xZ", "07L", "...", ">>>=", "!==", "<<=",
+)
+
+
+class TestTokenizer:
+    """tokenize gives the tokens of the match-at-a-time loop in oracle.py."""
+
+    @given(parts=st.lists(st.sampled_from(TOKENIZER_FRAGMENTS)
+                          | st.sampled_from(("", " ", "\n"))
+                          | st.text(max_size=3), max_size=80),
+           language=st.sampled_from(sorted(_KEYWORDS)))
+    @settings(max_examples=300, deadline=2000)
+    def test_matches_the_oracle(self, parts, language):
+        text = "".join(parts)
+        tokens = tokenize(text, language)
+        assert [(t.type, t.value) for t in tokens] \
+            == oracle.tokenize(text, language)
+        # the parser's cursor reads the same tokens at every position
+        parser = _Parser(tokens, language)
+        for pos in range(len(tokens) + 2):
+            parser.pos = pos
+            tok = tokens[pos] if pos < len(tokens) else None
+            word = tok.value if tok and tok.type in ("punct", "kw") else None
+            for ahead in range(3):
+                at = pos + ahead
+                assert parser.peek(ahead) == (tokens[at] if at < len(tokens)
+                                              else ("eof", ""))
+            assert parser.word() == word
+            for value in {";", "(", "if", tok.value if tok else ""}:
+                assert parser.at(value) == (value == word)
+                assert parser.accept(value) == (value == word)
+                assert parser.pos == pos + (value == word)
+                parser.pos = pos
+
+    @pytest.mark.parametrize("name", [n for n in GOLDEN_SOURCES
+                                      if not n.endswith(".py")])
+    def test_golden_sources_match_the_oracle(self, name):
+        text = (GOLDEN / name).read_text(encoding="utf-8")
+        for language in sorted(_KEYWORDS):
+            assert [tuple(t) for t in tokenize(text, language)] \
+                == oracle.tokenize(text, language)
 
 
 # --- registry -----------------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +14,15 @@ from hypothesis import strategies as st
 from conftest import chain_tree, random_tree, rewrite_json_header
 from uastkit.ast_frontend import (
     AstNode,
+    build_vocabulary,
     load_ast_sexpr,
     node_count,
+    parse_source,
     preorder,
+    unify_ast,
     vocabulary_from_kinds,
 )
+from uastkit.datagen import generate_corpus
 from uastkit.errors import DataError, EmptyCorpus
 from uastkit.featurizer import (
     FORMAT_VERSION,
@@ -181,6 +186,55 @@ class TestSharedNumbering:
         assert graph.edges == alone_graph.edges
 
 
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+
+@pytest.fixture(scope="module")
+def corpus_trees(tmp_path_factory, default_table):
+    """Raw and unified trees of the seed-1 datagen corpus and the golden
+    files, with a vocabulary fitted to half of the unified ones."""
+    root = tmp_path_factory.mktemp("datagen")
+    generate_corpus(root, seed=1)
+    trees, unified = [], []
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        text, language = path.read_text(encoding="utf-8"), path.parent.name
+        trees.append(parse_source(text, language))
+        unified.append(unify_ast(parse_source(text, language), language,
+                                 default_table))
+    golden = [load_ast_sexpr(p.read_text(encoding="utf-8"))
+              for p in sorted(GOLDEN.glob("*.sexpr"))]
+    return trees + unified + golden, build_vocabulary(unified[::2])
+
+
+def reference_views(tree, vocab, L, N):
+    """featurize_sample's fields, from preorder and Vocabulary.index_of."""
+    nodes = list(preorder(tree))
+    number = {id(node): i for i, node in enumerate(nodes)}
+    parent = {number[id(child)]: i for i, node in enumerate(nodes)
+              for child in node.children}
+    indices = [vocab.index_of(node.kind) for node in nodes]
+    true_length, node_count = min(len(nodes), L), min(len(nodes), N)
+    return (indices[:L] + [0] * (L - true_length), true_length,
+            indices[:N] + [0] * (N - node_count), node_count,
+            tuple((parent[i], i) for i in range(1, node_count)))
+
+
+class TestAgainstPreorder:
+    @pytest.mark.parametrize("L, N", [(200, 400), (16, 24), (40, 12)])
+    def test_every_corpus_tree(self, corpus_trees, L, N):
+        trees, vocab = corpus_trees
+        truncated = 0
+        for tree in trees:
+            path, graph = featurize_sample(tree, vocab, L, N)
+            got = (path.indices.tolist(), path.true_length,
+                   graph.node_kinds.tolist(), graph.node_count, graph.edges)
+            assert got == reference_views(tree, vocab, L, N)
+            assert path.indices.dtype == graph.node_kinds.dtype == np.int64
+            truncated += node_count(tree) > max(L, N)
+        # the small limits cut most trees; the larger ones a few
+        assert truncated > (len(trees) // 2 if max(L, N) < 50 else 0)
+
+
 # --- statistics -----------------------------------------------------------------
 
 class TestStats:
@@ -326,6 +380,17 @@ class TestFeaturizedFile:
         write_featurized(out, _toy_set(vocab))
         rewrite_json_header(out, lambda h: h.update({key: value}))
         with pytest.raises(DataError, match="corrupt header"):
+            read_featurized(out)
+
+    @pytest.mark.parametrize("key", ["labels", "languages", "kinds"])
+    @pytest.mark.parametrize("value", ["xy", [1, 2], ["x", None], {"x": 1}])
+    def test_header_names_that_are_not_a_list_of_strings(self, vocab, tmp_path,
+                                                         key, value):
+        out = tmp_path / "c.feat"
+        write_featurized(out, _toy_set(vocab))
+        rewrite_json_header(out, lambda h: h.update({key: value}))
+        with pytest.raises(DataError,
+                           match=f"corrupt header: {key} is not a list of strings"):
             read_featurized(out)
 
     def test_file_shorter_than_its_frame(self, tmp_path):
