@@ -8,6 +8,8 @@ refuses it.
 
 from __future__ import annotations
 
+import logging
+import warnings
 from functools import partial
 from typing import Callable
 
@@ -16,6 +18,8 @@ from . import clike_backend, python_backend
 from .tree import AstNode
 
 Backend = Callable[[str], AstNode]
+
+log = logging.getLogger("uastkit.frontend")
 
 # alias -> canonical id; keys are casefolded before lookup
 _ALIASES = {
@@ -62,22 +66,32 @@ def registered_languages() -> list[str]:
     return sorted(_BACKENDS)
 
 
-def parse_source(text: str, language: str) -> AstNode:
+def parse_source(text: str, language: str, path: str | None = None
+                 ) -> AstNode:
     """Parse source text in the given language into an AST.
 
     Raises UnsupportedLanguage when no backend is registered for the
     language, ParseFailure when the backend cannot produce a tree at all,
     including input nested deeper than the interpreter's recursion limit.
-    Trees containing ERROR nodes are returned, not rejected.
+    Trees containing ERROR nodes are returned, not rejected.  Warnings a
+    successful parse raises (the stdlib parser's SyntaxWarnings) go to the
+    `uastkit.frontend` logger, each naming `path` when one is given.
     """
     lang = normalize_language(language)
     backend = _BACKENDS.get(lang)
     if backend is None:
         raise UnsupportedLanguage(f"no grammar backend registered for {lang!r}")
-    try:
-        return backend(text)
-    except RecursionError as exc:
-        raise ParseFailure(f"{lang} source nests too deeply to parse") from exc
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", SyntaxWarning)
+        try:
+            tree = backend(text)
+        except RecursionError as exc:
+            raise ParseFailure(
+                f"{lang} source nests too deeply to parse") from exc
+    for w in caught:
+        log.warning("%s:%s: %s: %s", path or w.filename, w.lineno,
+                    w.category.__name__, w.message)
+    return tree
 
 
 for _language in ("c", "cpp", "java", "javascript"):

@@ -218,7 +218,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
         else:
             language = normalize_language(args.lang) if args.lang else \
                 language_for_extension(path.suffix)
-            tree = parse_source(text, language)
+            tree = parse_source(text, language, path=name)
         if not args.raw and language:
             tree = unify_ast(tree, language, table)
         print(render_sexpr(tree, pretty=args.pretty))

@@ -12,11 +12,13 @@ same disjoint, covering split.
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import logging
 import math
 import re
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,27 @@ class LabeledSample:
     tree: AstNode | None = None
     path_seq: PathSequence | None = None
     graph: GraphSample | None = None
+
+
+@contextmanager
+def collector_paused():
+    """Run the body with the cyclic GC off, then freeze what it left alive.
+
+    Trees hold no reference cycles, so collecting while they are built frees
+    nothing, yet each full collection would rescan every tree kept so far.
+    If the collector was on at entry, a body that completes moves every
+    object alive into the permanent generation (`gc.freeze`), and the
+    collector is turned back on however the body exits.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+        if was_enabled:
+            gc.freeze()
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def mask_function_names(text: str, names: set[str] | frozenset[str]) -> str:
@@ -129,7 +152,8 @@ def ingest_corpus(root: str | Path, manifest: str | Path | None = None,
     """Read, dedup, and parse a corpus into labeled samples.
 
     Byte-identical files after the first (in sorted path order) are dropped,
-    as are files the parser rejects; both log warnings.  Label indices are
+    as are files the parser rejects; both log warnings, and one INFO line
+    counts the files attempted, parsed and skipped.  Label indices are
     assigned lexicographically over the labels that survive.
     """
     root = Path(root)
@@ -144,32 +168,36 @@ def ingest_corpus(root: str | Path, manifest: str | Path | None = None,
     seen: dict[str, Path] = {}
     parsed: list[tuple[str, str, Path, AstNode]] = []
     label_seen: dict[str, int] = {}
-    for path, label, declared in rows:
-        label_seen.setdefault(label, 0)
-        language = _language_for(path, declared)
-        try:
-            blob = path.read_bytes()
-        except OSError as exc:
-            raise DataError(f"cannot read {path}: {exc}") from exc
-        digest = hashlib.sha256(blob).hexdigest()
-        if digest in seen:
-            log.warning("duplicate file skipped: %s (same bytes as %s)",
-                        path, seen[digest])
-            continue
-        seen[digest] = path
-        text = blob.decode("utf-8", errors="replace")
-        if mask_names:
-            text = mask_function_names(text, mask_names)
-        try:
-            if path.suffix.lower() == SEXPR_EXTENSION:
-                tree = load_ast_sexpr(text)
-            else:
-                tree = parse_source(text, language)
-        except (ParseFailure, MalformedSExpr) as exc:
-            log.warning("unparseable file skipped: %s (%s)", path, exc)
-            continue
-        parsed.append((label, language, path, tree))
-        label_seen[label] += 1
+    with collector_paused():
+        for path, label, declared in rows:
+            label_seen.setdefault(label, 0)
+            language = _language_for(path, declared)
+            try:
+                blob = path.read_bytes()
+            except OSError as exc:
+                raise DataError(f"cannot read {path}: {exc}") from exc
+            digest = hashlib.sha256(blob).hexdigest()
+            if digest in seen:
+                log.warning("duplicate file skipped: %s (same bytes as %s)",
+                            path, seen[digest])
+                continue
+            seen[digest] = path
+            text = blob.decode("utf-8", errors="replace")
+            if mask_names:
+                text = mask_function_names(text, mask_names)
+            try:
+                if path.suffix.lower() == SEXPR_EXTENSION:
+                    tree = load_ast_sexpr(text)
+                else:
+                    tree = parse_source(text, language, path=str(path))
+            except (ParseFailure, MalformedSExpr) as exc:
+                log.warning("unparseable file skipped: %s (%s)", path, exc)
+                continue
+            parsed.append((label, language, path, tree))
+            label_seen[label] += 1
+    log.info("ingested %s: %d files attempted, %d parsed, %d duplicates "
+             "skipped, %d unparseable skipped", manifest or root, len(rows),
+             len(parsed), len(rows) - len(seen), len(seen) - len(parsed))
 
     for label, count in sorted(label_seen.items()):
         if count == 0:

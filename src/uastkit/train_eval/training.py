@@ -38,7 +38,7 @@ from ..featurizer import featurize_sample
 from ..model import ModelConfig, ModelParams, PreparedSample
 from ..optim import adam_init, adam_step
 from .checkpoint import Checkpoint, save_checkpoint
-from .corpus import LabeledSample
+from .corpus import LabeledSample, collector_paused
 from .metrics import MetricsReport, compute_metrics
 
 log = logging.getLogger("uastkit.train")
@@ -67,11 +67,12 @@ def featurize_with_vocab(samples: list[LabeledSample],
     released afterwards to bound memory unless keep_trees is set (a sweep
     refeaturizes the same parse at several lengths).
     """
-    for s in samples:
-        tree = unified_view(s, table, unified)
-        s.path_seq, s.graph = featurize_sample(tree, vocab, L, N)
-        if not keep_trees:
-            s.tree = None
+    with collector_paused():
+        for s in samples:
+            tree = unified_view(s, table, unified)
+            s.path_seq, s.graph = featurize_sample(tree, vocab, L, N)
+            if not keep_trees:
+                s.tree = None
 
 
 def build_features(splits: dict[str, list[LabeledSample]],
@@ -85,12 +86,14 @@ def build_features(splits: dict[str, list[LabeledSample]],
     if not splits.get("train"):
         raise EmptySplit("cannot fit a vocabulary: train split is empty")
     parts = [splits.get(name, []) for name in ("train", "validation", "test")]
-    for samples in parts:
-        for s in samples:
-            s.tree = unified_view(s, table, unified)
-    vocab = build_vocabulary(s.tree for s in splits["train"])
-    for samples in parts:
-        featurize_with_vocab(samples, table, False, vocab, L, N, keep_trees)
+    with collector_paused():
+        for samples in parts:
+            for s in samples:
+                s.tree = unified_view(s, table, unified)
+        vocab = build_vocabulary(s.tree for s in splits["train"])
+        for samples in parts:
+            featurize_with_vocab(samples, table, False, vocab, L, N,
+                                 keep_trees)
     return vocab
 
 

@@ -1,5 +1,8 @@
 """Trees, the S-expression interchange, tables, vocabulary, and unification."""
 
+import logging
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,3 +263,17 @@ class TestPythonBackend:
 
     def test_empty_source_gives_bare_root(self):
         assert node_count(parse_source("", "python")) == 1
+
+    @pytest.mark.parametrize("path, where", [("w.py", "w.py"),
+                                             (None, "<unknown>")])
+    def test_syntax_warnings_go_to_the_logger(self, capfd, caplog, path,
+                                              where):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning that escapes fails
+            with caplog.at_level(logging.WARNING, logger="uastkit"):
+                tree = parse_source("x = 1if y else 2\n", "python", path=path)
+        assert tree.kind == "module"
+        assert "SyntaxWarning" not in capfd.readouterr().err
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("uastkit.frontend",
+             f"{where}:1: SyntaxWarning: invalid decimal literal")]

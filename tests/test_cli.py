@@ -241,6 +241,32 @@ class TestLogging:
     def test_unknown_level_is_usage(self, capsys):
         assert run(capsys, "--log-level", "loud", "parse", PY_SAMPLE)[0] == 1
 
+    def test_v_reports_the_ingest_counts(self, capsys,
+                                         corpus_with_broken_file):
+        code, _, err = run(capsys, "-v", "stats", "--corpus",
+                           str(corpus_with_broken_file))
+        assert code == 0
+        assert "2 files attempted, 1 parsed, 0 duplicates skipped, " \
+            "1 unparseable skipped" in err
+
+    @pytest.mark.parametrize("level, expected", [
+        ("warning", "WARNING: {}:1: SyntaxWarning: invalid decimal literal\n"),
+        ("error", "")])
+    def test_syntax_warnings_follow_the_log_level(self, tmp_path, level,
+                                                  expected):
+        # a fresh interpreter, so no warnings filter of the test run applies
+        source = tmp_path / "warns.py"
+        source.write_text("x = 1if y else 2\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]]
+                     if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run([sys.executable, "-m", "uastkit", "--log-level",
+                               level, "parse", str(source)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0 and proc.stdout.startswith("(unit")
+        assert proc.stderr == expected.format(source)
+
 
 # --- featurize ----------------------------------------------------------------------
 

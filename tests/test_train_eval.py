@@ -1,8 +1,11 @@
 """Ingestion, splitting, metrics, the training loop, and checkpoints."""
 
+import gc
 import json
 import logging
+import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from uastkit.ast_frontend import (
     render_sexpr,
     unify_ast,
 )
+from uastkit.datagen import generate_corpus
 from uastkit.errors import (
     CheckpointError,
     ConfigError,
@@ -146,6 +150,31 @@ class TestIngest:
             samples = ingest_corpus(tmp_path)
         assert len(samples) == 1
         assert any("unparseable" in r.message for r in caplog.records)
+
+    def test_one_info_line_counts_the_files(self, tmp_path, caplog):
+        d = tmp_path / "only" / "python"
+        d.mkdir(parents=True)
+        (d / "a.py").write_text(PY_ADD % 0)
+        (d / "b.py").write_text(PY_ADD % 0)
+        (d / "bad.py").write_text("def broken(:\n")
+        (d / "c.py").write_text(PY_ADD % 1)
+        with caplog.at_level(logging.INFO, logger="uastkit.corpus"):
+            samples = ingest_corpus(tmp_path)
+        assert len(samples) == 2
+        assert [r.getMessage() for r in caplog.records
+                if r.levelno == logging.INFO] == [
+            f"ingested {tmp_path}: 4 files attempted, 2 parsed, "
+            "1 duplicates skipped, 1 unparseable skipped"]
+
+    def test_syntax_warnings_name_the_file(self, tmp_path, capfd, caplog):
+        d = tmp_path / "only" / "python"
+        d.mkdir(parents=True)
+        (d / "warns.py").write_text("x = 1if y else 2\n")
+        with caplog.at_level(logging.WARNING, logger="uastkit"):
+            assert len(ingest_corpus(tmp_path)) == 1
+        assert "SyntaxWarning" not in capfd.readouterr().err
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{d / 'warns.py'}:1: SyntaxWarning: invalid decimal literal"]
 
     def test_too_deeply_nested_files_skipped_with_warning(self, tmp_path,
                                                           caplog):
@@ -481,6 +510,112 @@ class TestBuildFeatures:
         build_features(splits, table, True, L=96, N=96, keep_trees=True)
         assert [render_sexpr(s.tree) for s in samples] == \
             [render_sexpr(tree) for tree in unified]
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+
+def planted_corpus(root, per_pair=60):
+    """The seed-1 datagen corpus with byte-identical copies, unparseable
+    Python files and one that raises a SyntaxWarning."""
+    generate_corpus(root, seed=1, per_pair=per_pair)
+    for folder in sorted(p for p in root.glob("*/*") if p.is_dir()):
+        files = sorted(folder.iterdir())
+        for i, src in enumerate(files[:3]):
+            shutil.copyfile(src, src.with_name(f"copy_{i}{src.suffix}"))
+        if folder.name == "python":
+            (folder / "broken.py").write_text(files[0].read_text()
+                                              + "broken = (\n")
+            (folder / "warns.py").write_text("x = 1if y else 2\n")
+    return root
+
+
+def golden_corpus(root):
+    """Every golden source, one label, languages from the extensions."""
+    folder = root / "golden"
+    folder.mkdir(parents=True)
+    for src in GOLDEN.iterdir():
+        if src.suffix != ".sexpr":
+            shutil.copyfile(src, folder / src.name)
+    return root
+
+
+def ingest_and_featurize(root):
+    splits = split_dataset(ingest_corpus(root), seed=0)
+    build_features(splits, load_default_table(), True, L=96, N=96)
+    return splits
+
+
+class TestCollector:
+    """Ingest and featurization pause the cyclic GC and freeze what they
+    keep; that is safe only because they leave no reference cycles."""
+
+    @pytest.fixture
+    def collector_on_exit(self):
+        was_enabled = gc.isenabled()
+        yield
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_ingest_leaves_no_cyclic_garbage(self, tmp_path,
+                                             collector_on_exit):
+        roots = [planted_corpus(tmp_path / "datagen"),
+                 golden_corpus(tmp_path / "golden")]
+        gc.unfreeze()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        for root in roots:
+            splits = ingest_and_featurize(root)
+            assert splits["train"]
+            del splits
+        gc.unfreeze()
+        assert gc.collect() == 0, gc.garbage[:10]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_callers_state_is_kept(self, tmp_path, collector_on_exit,
+                                       enabled):
+        (gc.enable if enabled else gc.disable)()
+        samples = ingest_corpus(planted_corpus(tmp_path))
+        assert gc.isenabled() == enabled
+        splits = split_dataset(samples, seed=0)
+        build_features(splits, load_default_table(), True, L=96, N=96)
+        assert gc.isenabled() == enabled
+
+    @pytest.mark.parametrize("name, text, error", [
+        ("x.py", "def broken(:\n", EmptyClass),  # raised after the parse loop
+        ("x.rb", "def f; end", UnknownExtension)])  # raised inside it
+    def test_a_failed_ingest_turns_the_collector_back_on(
+            self, tmp_path, collector_on_exit, name, text, error):
+        (tmp_path / "only").mkdir()
+        (tmp_path / "only" / name).write_text(text)
+        gc.enable()
+        with pytest.raises(error):
+            ingest_corpus(tmp_path)
+        assert gc.isenabled()
+
+    def test_no_full_collection_while_ingesting(self, tmp_path,
+                                                collector_on_exit):
+        # big enough that ingest with the collector on runs full collections
+        root = planted_corpus(tmp_path, per_pair=300)
+        generations = []
+
+        def record(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        gc.enable()
+        gc.collect()  # start every generation's count from zero
+        gc.callbacks.append(record)
+        try:
+            ingest_and_featurize(root)
+        finally:
+            gc.callbacks.remove(record)
+        assert 2 not in generations
 
 
 def small_config(vocab_size, mode="uast"):
