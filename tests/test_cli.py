@@ -1,5 +1,6 @@
 """Command-line interface: every subcommand plus exit codes and layering."""
 
+import hashlib
 import json
 import logging
 import os
@@ -26,6 +27,13 @@ TINY_DIMS = ["--L", "16", "--N", "16", "--d", "8", "--heads", "2", "--h", "4",
              "--d-out", "4"]
 PY_SAMPLE = str(TOY_CORPUS / "sum_loop" / "python" / "v1.py")
 JAVA_SAMPLE = str(TOY_CORPUS / "sum_loop" / "java" / "v1.java")
+# sha256 of `uast featurize` output: the bundled toy corpus at the toy
+# profile, and a `datagen --seed 1 --count 4` corpus at leetcode
+GOLDEN_FEATURES = {
+    "toy": "f1714065cfc0a7827c56cf956d269f7d50facbb51f2c83ada3df27bbcbb918ab",
+    "datagen":
+        "073ee52707bf56e8f54202d70d0a113c3041461a1bbdffe490ef6f97e6ee6069",
+}
 
 
 def run(capsys, *argv):
@@ -286,6 +294,23 @@ class TestFeaturize:
         assert fset.unified is True
         assert len(fset.records) == 32
         assert {r.split for r in fset.records} == {"train", "val", "test"}
+
+    @pytest.mark.parametrize("corpus, profile", [("toy", "toy"),
+                                                 ("datagen", "leetcode")])
+    def test_feature_file_bytes_are_pinned(self, tmp_path, capsys, corpus,
+                                           profile):
+        # the record layout must not drift: any change to these bytes is a
+        # format change and needs a new FORMAT_VERSION
+        root = TOY_CORPUS
+        if corpus == "datagen":
+            root = tmp_path / "gen"
+            assert run(capsys, "datagen", "--out", str(root), "--seed", "1",
+                       "--count", "4")[0] == 0
+        out_file = tmp_path / "pinned.feat"
+        assert run(capsys, "featurize", "--corpus", str(root), "--profile",
+                   profile, "--out", str(out_file))[0] == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == \
+            GOLDEN_FEATURES[corpus]
 
     def test_no_unified_vocab_keeps_raw_kinds(self, tmp_path, capsys):
         out_file = tmp_path / "raw.feat"

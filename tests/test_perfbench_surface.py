@@ -2,7 +2,8 @@
 
 perfbench/ imports uastkit from src/ and calls into it by name, some of it
 only in traced runs.  A cleanup that deletes or renames one of those names
-would break the benchmark without failing any other test.
+would break the benchmark without failing any other test.  The probe
+itself also runs once, on the bundled toy corpus.
 """
 
 import ast
@@ -11,6 +12,9 @@ from pathlib import Path
 from types import ModuleType
 
 import pytest
+
+from conftest import TOY_CORPUS
+from uastkit.ast_frontend import load_default_table
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SCRIPTS = sorted(PERFBENCH.glob("*.py"))
@@ -71,3 +75,39 @@ def test_a_missing_name_is_reported():
               "M.forward_batch\nM.no_such_function\n")
     assert missing_names(source) == ["uastkit.featurizer.gone",
                                      "uastkit.model.no_such_function"]
+
+
+def test_the_probe_runs_on_the_toy_corpus(tmp_path, monkeypatch):
+    # the probe reads attributes and shapes, not just names: the views'
+    # arrays, the prepared samples' fields, embed's output as
+    # self_attention's input, and the dense norm_adj
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from tracer import Tracer
+    from uastkit.cli import PROFILES
+    from uastkit.train_eval import build_features, ingest_corpus, split_dataset
+
+    seed = 1
+    table = load_default_table()
+    samples = ingest_corpus(TOY_CORPUS)
+    splits = split_dataset(samples, seed)
+    toy = PROFILES["toy"]
+    vocab = build_features(splits, table, True, toy["L"], toy["N"])
+    labels = sorted({s.label for s in samples})
+    train = splits["train"]
+    inp = layers.LayerInputs(
+        cfg=layers.model_config(toy, vocab.size, len(labels), "uast"),
+        table=table, vocab=vocab, labels=labels,
+        languages=sorted({s.language for s in samples}), train=train,
+        batches=[train[:layers.TOY_BATCH]], training=True,
+        files=[(Path(s.source_path).read_text(encoding="utf-8"), s.language)
+               for s in samples])
+    tr = Tracer()
+    layers.probe(tr, inp, seed, tmp_path)
+    assert {name for _, _, _, name, _, _ in tr.spans} >= {
+        "featurizer.featurize", "featurizer.norm_adj", "model.prepare",
+        "model.forward", "model.seq.embed", "model.seq.attention_fwd",
+        "model.seq.attention_bwd", "model.graph.bwd", "checkpoint.load",
+        "predict.model", "toy.uast.fwd_bwd", "toy.gast.fwd_bwd"}
+    assert all(end is not None for *_, end in tr.spans)
+    assert tr.last_count("model.prepared_mb") > 0
