@@ -1,9 +1,10 @@
 """Frozen kind vocabulary shared by both model inputs.
 
-Index 0 is reserved for padding and never assigned to a real kind; the
-unknown-kind index sits one past the last real kind.  Construction happens
-once, over the training split only, and the result never changes afterwards:
-kinds first seen at inference map to the unknown index.
+Index 0 (PAD) is reserved and never assigned to a real kind; no feature
+view holds it, since the views are unpadded.  The unknown-kind index sits
+one past the last real kind.  Construction happens once, over the training
+split only, and the result never changes afterwards: kinds first seen at
+inference map to the unknown index.
 """
 
 from __future__ import annotations

@@ -40,7 +40,6 @@ from .ast_frontend import (
 )
 from .datagen import generate_corpus
 from .errors import (
-    ConfigError,
     DataError,
     EmptySplit,
     UastError,
@@ -48,8 +47,10 @@ from .errors import (
     VocabularyMismatch,
 )
 from .featurizer import FeaturizedSet, SampleRecord, path_length_stats, write_featurized
-from .model import ModelConfig
+from .model import GCN_ACTIVATIONS, MODES, POOLINGS, ModelConfig
 from .train_eval import (
+    DEFAULT_RATIOS,
+    SPLIT_NAMES,
     corpus_labels,
     corpus_languages,
     evaluate_samples,
@@ -97,7 +98,7 @@ class RunConfig:
     unified: bool = True
     seed: int = 0
     mask_names: tuple[str, ...] = ()
-    ratios: tuple[int, int, int] = (3, 1, 1)
+    ratios: tuple[int, int, int] = DEFAULT_RATIOS
     epochs: int = 5
     batch_size: int = 64
     lr: float = 0.001
@@ -320,11 +321,10 @@ def _eval_corpus_with_checkpoint(ckpt, rc: RunConfig, table, split_name: str):
             f"{list(ckpt.labels)}")
     run = ckpt.run_config or {}
     seed = ckpt.seed
-    ratios = tuple(run.get("ratios", (3, 1, 1)))
+    ratios = tuple(run.get("ratios", DEFAULT_RATIOS))
     splits = split_dataset(samples, seed, ratios)
     if split_name == "all":
-        chosen = [s for name in ("train", "validation", "test")
-                  for s in splits[name]]
+        chosen = [s for name in SPLIT_NAMES for s in splits[name]]
     else:
         chosen = splits[split_name]
     if not chosen:
@@ -367,7 +367,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     else:
         language = normalize_language(args.lang) if args.lang else \
             language_for_extension(path.suffix)
-    label, probs = predict_one(ckpt, text, language, table, is_sexpr)
+    label, probs = predict_one(ckpt, text, language, table, is_sexpr,
+                               path=args.file)
     if args.json:
         print(json.dumps({"label": label,
                           "probabilities": dict(zip(ckpt.labels,
@@ -405,7 +406,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for value in values:
         if args.param == "path-length":
             run = replace(rc, L=value)
-            for name in ("train", "validation", "test"):
+            for name in SPLIT_NAMES:
                 featurize_with_vocab(splits[name], table, False, vocab,
                                      run.L, run.N, keep_trees=True)
         else:
@@ -458,7 +459,7 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
                                      f"(or ${TABLE_ENV})")
     sub.add_argument("--seed", type=int)
     sub.add_argument("--ratios", help="split ratios, e.g. 3,1,1")
-    sub.add_argument("--mode", choices=("uast", "sast", "gast"))
+    sub.add_argument("--mode", choices=MODES)
     sub.add_argument("--no-unified-vocab", dest="unified",
                      action="store_const", const=False,
                      help="skip kind unification; use raw per-language kinds")
@@ -472,8 +473,8 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--attn-dropout", dest="attn_dropout", type=float)
     sub.add_argument("--lstm-dropout", dest="lstm_dropout", type=float)
     sub.add_argument("--gcn-activation", dest="gcn_activation",
-                     choices=("relu", "sigmoid", "tanh"))
-    sub.add_argument("--pooling", choices=("mean", "sum"))
+                     choices=GCN_ACTIVATIONS)
+    sub.add_argument("--pooling", choices=POOLINGS)
     sub.add_argument("--learned-projections", dest="learned_projections",
                      action="store_const", const=True,
                      help="learn attention input projections instead of "
@@ -527,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test",
-                   choices=("train", "validation", "test", "all"))
+                   choices=(*SPLIT_NAMES, "all"))
     p.add_argument("--table")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_eval)

@@ -1,11 +1,12 @@
 """Model inputs derived from unified ASTs.
 
 Each tree yields two views from one pre-order walk, sharing its numbering:
-the flattened kind-index sequence (padded or truncated to L) and the first
-N nodes' kinds with their parent-child edge list, which the model
-propagates over.  The model never builds the dense GraphSample.norm_adj:
-the tests check the edge-list propagation against it, and the benchmark's
-per-layer probe times it.
+the first L kind indices as the path, and the first N nodes' kinds with
+their parent-child edges as the graph, which the model propagates over.
+Both views are slices of one int64 array of kind indices, nothing is
+padded, and the edges are one int64 [E x 2] array.  The model never builds
+the dense GraphSample.norm_adj: the tests check the edge-list propagation
+against it, and the benchmark's per-layer probe times it.
 
 A featurized corpus is serializable to a single binary file of edge lists.
 """
@@ -35,83 +36,66 @@ TAG_SPLITS = {v: k for k, v in SPLIT_TAGS.items()}
 
 @dataclass(frozen=True)
 class PathSequence:
-    indices: np.ndarray  # int64, fixed length L; 0 beyond true_length
-    true_length: int
+    indices: np.ndarray  # int64 kind indices of the first nodes in pre-order
 
     def __post_init__(self):
         assert self.indices.ndim == 1
 
     @property
-    def L(self) -> int:
-        return int(self.indices.shape[0])
+    def true_length(self) -> int:
+        return len(self.indices)
 
 
 @dataclass(frozen=True)
 class GraphSample:
-    node_kinds: np.ndarray  # int64, fixed length N; 0 beyond node_count
-    node_count: int
-    edges: tuple[tuple[int, int], ...]  # parent-child pairs, both < node_count
+    node_kinds: np.ndarray  # int64 kind indices of the first nodes in pre-order
+    edges: np.ndarray  # int64 [E x 2] parent-child pairs, both < node_count
 
     @property
-    def N(self) -> int:
-        return int(self.node_kinds.shape[0])
+    def node_count(self) -> int:
+        return len(self.node_kinds)
 
     @property
     def norm_adj(self) -> np.ndarray:
-        """Dense N x N matrix with entry (i, j) = a~_ij / sqrt(d_i * d_j).
+        """Dense [node_count x node_count], (i, j) = a~_ij / sqrt(d_i * d_j).
 
-        a~ is the undirected adjacency plus self-loops over the real nodes;
-        rows and columns at or beyond node_count stay zero.  The model never
+        a~ is the undirected adjacency plus self-loops.  The model never
         builds it; the tests check the edge-list path against it.
         """
-        size = self.N
-        out = np.zeros((size, size), dtype=np.float64)
-        n = self.node_count
-        if n == 0:
-            return out
-        tilde = np.zeros((n, n), dtype=np.float64)
-        idx = np.arange(n)
-        tilde[idx, idx] = 1.0
-        for i, j in self.edges:
-            tilde[i, j] = 1.0
-            tilde[j, i] = 1.0
+        tilde = np.eye(self.node_count)
+        parent, child = self.edges.T
+        tilde[parent, child] = tilde[child, parent] = 1.0
         deg = tilde.sum(axis=1)
-        out[:n, :n] = tilde / np.sqrt(np.outer(deg, deg))
-        return out
-
-
-def _views(prefix: np.ndarray, true_length: int, node_count: int,
-           edges: tuple[tuple[int, int], ...], L: int,
-           N: int) -> tuple[PathSequence, GraphSample]:
-    """Both views, zero-padded to L and N, from a pre-order kind prefix."""
-    indices = np.zeros(L, dtype=np.int64)
-    indices[:true_length] = prefix[:true_length]
-    kinds = np.zeros(N, dtype=np.int64)
-    kinds[:node_count] = prefix[:node_count]
-    return (PathSequence(indices=indices, true_length=true_length),
-            GraphSample(node_kinds=kinds, node_count=node_count, edges=edges))
+        return tilde / np.sqrt(np.outer(deg, deg))
 
 
 def featurize_sample(ast: AstNode, vocab: Vocabulary, L: int,
                      N: int) -> tuple[PathSequence, GraphSample]:
-    """Both views in one pre-order pass; they share node numbering."""
+    """Both views in one pre-order pass; they share node numbering.
+
+    The path is the first L kinds and the graph the first N nodes: two
+    views of one array of the first max(L, N) kinds.
+    """
     if L < 1 or N < 1:
         raise ValueError(f"L and N must be >= 1, got L={L} N={N}")
     limit = max(L, N)
     index, unk = vocab.index, vocab.unk_index
-    prefix, edges = [], []  # kind indices in pre-order, parent-child pairs
-    nodes, parents = [ast], [-1]  # a stack of nodes, with their parents' indices
-    while nodes and len(prefix) < limit:
-        node, parent, count = nodes.pop(), parents.pop(), len(prefix)
-        prefix.append(index.get(node.kind, unk))
-        if 0 <= parent and count < N:  # a parent precedes its children
-            edges.append((parent, count))
+    kinds, parents = [], []  # kind indices and parents' indices, in pre-order
+    nodes, stacked = [ast], [-1]  # a stack of nodes, with their parents' indices
+    while nodes and len(kinds) < limit:
+        node, parent, count = nodes.pop(), stacked.pop(), len(kinds)
+        kinds.append(index.get(node.kind, unk))
+        parents.append(parent)
         if node.children:
             nodes.extend(reversed(node.children))
-            parents.extend([count] * len(node.children))
-    count = len(prefix)
-    return _views(np.array(prefix, dtype=np.int64), min(count, L),
-                  min(count, N), tuple(edges), L, N)
+            stacked.extend([count] * len(node.children))
+    prefix = np.array(kinds, dtype=np.int64)
+    # a parent precedes its children, so node i's edge is row i - 1
+    n = min(len(kinds), N)
+    edges = np.empty((n - 1, 2), dtype=np.int64)
+    edges[:, 0] = parents[1:n]
+    edges[:, 1] = np.arange(1, n)
+    return PathSequence(prefix[:L]), GraphSample(prefix[:N], edges)
 
 
 # --- corpus statistics ----------------------------------------------------
@@ -194,20 +178,14 @@ def write_featurized(path: str | Path, fset: FeaturizedSet) -> None:
         fh.write(struct.pack("<IQ", FORMAT_VERSION, len(blob)))
         fh.write(blob)
         for rec in fset.records:
-            true_length = rec.path.true_length
-            node_count = rec.graph.node_count
-            m = max(true_length, node_count)
-            prefix = np.zeros(m, dtype=np.int64)
-            prefix[:true_length] = rec.path.indices[:true_length]
-            prefix[:node_count] = rec.graph.node_kinds[:node_count]
+            # both views slice one pre-order prefix; the longer one is it
+            prefix = max(rec.path.indices, rec.graph.node_kinds, key=len)
             fh.write(struct.pack("<HHBIII", rec.label, rec.language,
-                                 SPLIT_TAGS[rec.split], true_length,
-                                 node_count, m))
+                                 SPLIT_TAGS[rec.split], rec.path.true_length,
+                                 rec.graph.node_count, len(prefix)))
             fh.write(prefix.astype("<u4").tobytes())
             fh.write(struct.pack("<I", len(rec.graph.edges)))
-            if rec.graph.edges:
-                flat = np.asarray(rec.graph.edges, dtype="<u4")
-                fh.write(flat.tobytes())
+            fh.write(rec.graph.edges.astype("<u4").tobytes())
 
 
 def _record_problem(header: dict, vocab: Vocabulary, label: int,
@@ -218,6 +196,9 @@ def _record_problem(header: dict, vocab: Vocabulary, label: int,
                         ("node_count", node_count)):
         if value == 0:
             return f"{name} 0, but every tree has a root"
+    if len(prefix) != max(true_length, node_count):
+        return (f"{len(prefix)} kinds for true_length {true_length} and "
+                f"node_count {node_count}")
     if true_length > header["L"]:
         return f"true_length {true_length} exceeds L={header['L']}"
     if node_count > header["N"]:
@@ -296,12 +277,10 @@ def read_featurized(path: str | Path) -> FeaturizedSet:
                                       true_length, node_count, pairs)
             if problem:
                 raise DataError(f"{path}: record {len(records)}: {problem}")
-            edges = tuple((int(a), int(b)) for a, b in pairs)
-            path_seq, graph = _views(prefix, true_length, node_count, edges,
-                                     L, N)
             records.append(SampleRecord(
                 label=label, language=language, split=TAG_SPLITS[tag],
-                path=path_seq, graph=graph))
+                path=PathSequence(prefix[:true_length]),
+                graph=GraphSample(prefix[:node_count], pairs)))
     except (struct.error, ValueError) as exc:
         raise DataError(f"{path}: truncated record data: {exc}") from exc
     if offset != len(data):

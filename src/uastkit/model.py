@@ -2,17 +2,17 @@
 
 The sequence side embeds the pre-order path, runs multi-head self-attention
 with Q = K = V (no input projections unless the learned_projections variant
-is switched on), and feeds a stacked bidirectional LSTM.  A batch runs on
-its paths' true steps only, packed one after another as [S x cols] rows
-(autograd.Packing), with attention within each path and a recurrence that
-steps only the paths still running (autograd.attention, lstm_direction).
-Each LSTM direction keeps its parameters as that op reads them: one weight
-[(h + in) x 4h] and one bias [1 x 4h], gate columns i, f, o, c.  The graph
-side builds Â (autograd.Graph) once per batch, one disjoint union of the
-trees' edge lists; its first GCN layer is the constant Â X (X the one-hot
-kinds) times W0, later ones propagate, and each tree's nodes are pooled.
-Features fuse by concatenation, sequence side first, into a softmax
-classifier.
+is switched on), and feeds a stacked bidirectional LSTM.  A batch's paths,
+which hold their true steps only, are packed one after another as
+[S x cols] rows (autograd.Packing), with attention within each path and a
+recurrence that steps only the paths still running (autograd.attention,
+lstm_direction).  Each LSTM direction keeps its parameters as that op reads
+them: one weight [(h + in) x 4h] and one bias [1 x 4h], gate columns
+i, f, o, c.  The graph side builds Â (autograd.Graph) once per batch, one
+disjoint union of the trees' edge lists; its first GCN layer is the
+constant Â X (X the one-hot kinds) times W0, later ones propagate, and each
+tree's nodes are pooled.  Features fuse by concatenation, sequence side
+first, into a softmax classifier.
 
 One function composes the two encoders: forward_batch, which training,
 evaluation and prediction all run.  Its tape holds the same number of nodes
@@ -25,7 +25,7 @@ benchmark's per-layer probe times them, as it does GraphSample.norm_adj.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -224,7 +224,7 @@ def empty_params(cfg: ModelConfig) -> ModelParams:
 # --- sequence side -----------------------------------------------------------
 
 def embed(path: PathSequence, params: ModelParams) -> Tensor:
-    """[L x d] with row t = E[indices[t]]; PAD positions hit the zero row.
+    """[true_length x d] with row t = E[indices[t]].
 
     One sample's embedding, as forward_batch looks it up; the benchmark's
     per-layer probe (perfbench/layers.py) times it.
@@ -250,16 +250,15 @@ def _attend(x: Tensor, packing: ag.Packing, cfg: ModelConfig,
 def self_attention(x: Tensor, true_length: int, cfg: ModelConfig,
                    params: ModelParams | None = None, training: bool = False,
                    rng: np.random.Generator | None = None) -> Tensor:
-    """[L x d] -> [true_length x d]: attention over the real rows only.
+    """[true_length x d] -> [true_length x d]: one path's attention.
 
     The attention op of forward_batch at B=1; the benchmark's per-layer
     probe (perfbench/layers.py) times it.
     """
-    if x.shape != (cfg.L, cfg.d):
-        raise ShapeMismatch(f"self_attention: {x.shape} vs ({cfg.L}, {cfg.d})")
-    packing = ag.Packing([min(true_length, cfg.L)])  # refuses length 0
-    return _attend(ag.gather_rows(x, np.arange(packing.total)), packing, cfg,
-                   params, training, rng)
+    if x.shape != (true_length, cfg.d):
+        raise ShapeMismatch(
+            f"self_attention: {x.shape} vs ({true_length}, {cfg.d})")
+    return _attend(x, ag.Packing([true_length]), cfg, params, training, rng)
 
 
 def _bilstm(x: Tensor, packing: ag.Packing, params: ModelParams,
@@ -300,10 +299,10 @@ def _gcn_layers(node_kinds: np.ndarray, graph: ag.Graph,
 
 @dataclass
 class PreparedSample:
-    """A featurized record with its graph constants materialized once.
+    """A featurized record's arrays, as the model reads them.
 
-    adj is the int64 [E x 2] edge list; node_kinds holds the real nodes.
-    The benchmark's probe reads these fields by name.
+    adj is the graph view's int64 [E x 2] edge list and node_kinds its
+    kinds, not copies.  The benchmark's probe reads these fields by name.
     """
     path: PathSequence | None
     true_length: int
@@ -321,9 +320,7 @@ def prepare_sample(path: PathSequence | None, graph: GraphSample | None,
     if cfg.uses_graph:
         if graph is None:
             raise ShapeMismatch("this mode needs the graph view")
-        adj = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
-        count = graph.node_count
-        kinds = graph.node_kinds[:count]
+        adj, kinds, count = graph.edges, graph.node_kinds, graph.node_count
     true_length = 0
     if cfg.uses_path:
         if path is None:
@@ -346,7 +343,7 @@ def forward_batch(batch: list[PreparedSample], params: ModelParams,
         # the paths' true steps only, one after another
         packing = ag.Packing([s.true_length for s in batch])
         x = ag.embedding_lookup(params.embedding, np.concatenate(
-            [s.path.indices[:s.true_length] for s in batch]))
+            [s.path.indices for s in batch]))
         features.append(_bilstm(_attend(x, packing, cfg, params, training, rng),
                                 packing, params, cfg, training, rng))
 

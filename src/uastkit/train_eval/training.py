@@ -277,9 +277,13 @@ def train(splits: dict[str, list[LabeledSample]], cfg: ModelConfig,
 
 def predict_one(ckpt: Checkpoint, text: str, language: str,
                 table: UnificationTable, is_sexpr: bool = False,
-                ) -> tuple[str, np.ndarray]:
-    """Classify one source text with a trained checkpoint (eval mode)."""
-    tree = load_ast_sexpr(text) if is_sexpr else parse_source(text, language)
+                path: str | None = None) -> tuple[str, np.ndarray]:
+    """Classify one source text with a trained checkpoint (eval mode).
+
+    path, the text's file, names it in the parser's warnings.
+    """
+    tree = load_ast_sexpr(text) if is_sexpr else \
+        parse_source(text, language, path)
     if ckpt.unified:
         tree = unify_ast(tree, language, table)
     path_seq, graph = featurize_sample(tree, ckpt.vocab, ckpt.config.L,

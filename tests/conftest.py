@@ -77,17 +77,13 @@ def chain_tree(kinds: list[str]) -> AstNode:
     return root
 
 
-def make_path(indices, L: int) -> PathSequence:
-    arr = np.zeros(L, dtype=np.int64)
-    arr[:len(indices)] = indices
-    return PathSequence(indices=arr, true_length=len(indices))
+def make_path(indices) -> PathSequence:
+    return PathSequence(np.array(indices, dtype=np.int64))
 
 
-def make_graph(kinds, edges, N: int) -> GraphSample:
-    arr = np.zeros(N, dtype=np.int64)
-    arr[:len(kinds)] = kinds
-    return GraphSample(node_kinds=arr, node_count=len(kinds),
-                       edges=tuple(edges))
+def make_graph(kinds, edges) -> GraphSample:
+    return GraphSample(np.array(kinds, dtype=np.int64),
+                       np.array(edges, dtype=np.int64).reshape(-1, 2))
 
 
 # a checkpoint header whose sizes or model configuration cannot match its

@@ -246,6 +246,14 @@ def padded_lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, lengths,
                  (x, w_all, b_all), bw)
 
 
+def padded_indices(paths, T: int) -> np.ndarray:
+    """The paths' kind indices, each zero-padded to T, one after another."""
+    out = np.zeros((len(paths), T), dtype=np.int64)
+    for row, p in zip(out, paths):
+        row[:p.true_length] = p.indices
+    return out.ravel()
+
+
 def padded_sequence(paths, params, cfg, training=False, rng=None) -> Tensor:
     """[B x 2h] sequence features over [B*T x cols] padded rows.
 
@@ -255,8 +263,7 @@ def padded_sequence(paths, params, cfg, training=False, rng=None) -> Tensor:
     """
     lengths = np.array([p.true_length for p in paths])
     T = int(lengths.max())
-    x = ag.embedding_lookup(params.embedding,
-                            np.concatenate([p.indices[:T] for p in paths]))
+    x = ag.embedding_lookup(params.embedding, padded_indices(paths, T))
     if cfg.learned_projections:
         q, k, v = (ag.matmul(x, w)
                    for w in (params.proj_q, params.proj_k, params.proj_v))
@@ -281,11 +288,7 @@ _ACTIVATIONS = {"relu": ag.relu, "sigmoid": ag.sigmoid, "tanh": ag.tanh}
 
 
 def dense_gcn_nodes(graph, params, cfg) -> Tensor:
-    """[N x d_out] node features through the dense renormalized Â.
-
-    Every row is padded to N: padding rows gather W0's row 0 and stay out
-    of the pooled result only because Â's zero rows and columns erase them.
-    """
+    """[node_count x d_out] node features through the dense renormalized Â."""
     act = _ACTIVATIONS[cfg.gcn_activation]
     adj = Tensor(graph.norm_adj)
     h = act(ag.matmul(adj, ag.gather_rows(params.gcn[0], graph.node_kinds)))
@@ -295,7 +298,7 @@ def dense_gcn_nodes(graph, params, cfg) -> Tensor:
 
 
 def dense_graph_oracle(graph, params, cfg) -> Tensor:
-    """Pooled [1 x d_out] graph features over the first node_count rows."""
+    """Pooled [1 x d_out] graph features over the nodes."""
     return ag.segment_pool(dense_gcn_nodes(graph, params, cfg),
                            [graph.node_count], cfg.pooling == "mean")
 
@@ -386,8 +389,7 @@ def composed_sequence(paths, params, cfg) -> Tensor:
     """[B x 2h] sequence features of a batch, eval mode, op by op."""
     L = cfg.L
     lengths = [p.true_length for p in paths]
-    x_all = ag.embedding_lookup(params.embedding,
-                                np.concatenate([p.indices for p in paths]))
+    x_all = ag.embedding_lookup(params.embedding, padded_indices(paths, L))
     atts = [attend_one(slice_rows(x_all, b * L, (b + 1) * L),
                        attention_mask(L, n), cfg, params)
             for b, n in enumerate(lengths)]

@@ -183,9 +183,8 @@ class TestOpValues:
         graphs.append(featurize_sample(AstNode("alpha"), vocab, 1, 3)[1])
         for graph in graphs:
             n = graph.node_count
-            dense = np.zeros((graph.N, graph.N))
-            dense[:n, :n] = ag.propagate(Tensor(np.eye(n)),
-                                         ag.Graph(graph.edges, n)).data
+            dense = ag.propagate(Tensor(np.eye(n)),
+                                 ag.Graph(graph.edges, n)).data
             assert np.array_equal(dense, graph.norm_adj)
 
     def test_propagate_matches_dense_product(self):
@@ -197,7 +196,7 @@ class TestOpValues:
         n = graph.node_count
         h = rng.normal(size=(n, 3))
         got = ag.propagate(Tensor(h), ag.Graph(graph.edges, n))
-        want = graph.norm_adj[:n, :n] @ h
+        want = graph.norm_adj @ h
         assert np.max(np.abs(got.data - want)) < 1e-14
 
     def test_tensors_are_strictly_2d(self):

@@ -506,6 +506,22 @@ class TestTrainEvalPredict:
         total = sum(payload["probabilities"].values())
         assert abs(total - 1.0) < 1e-9
 
+    def test_predict_warnings_name_the_file(self, tmp_path):
+        # a fresh interpreter, so no warnings filter of the test run applies
+        ckpt = quick_train(tmp_path / "run")
+        source = tmp_path / "warns.py"
+        source.write_text("x = 1if y else 2\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]]
+                     if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run([sys.executable, "-m", "uastkit", "predict",
+                               str(source), "--checkpoint", str(ckpt)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert proc.stderr == \
+            f"WARNING: {source}:1: SyntaxWarning: invalid decimal literal\n"
+
     def test_determinism_across_runs(self, tmp_path):
         # same settings and out_dir; snapshot bytes between the two runs
         out = tmp_path / "run"

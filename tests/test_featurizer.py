@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_tree, random_tree, rewrite_json_header
+from conftest import (
+    chain_tree,
+    make_graph,
+    make_path,
+    random_tree,
+    rewrite_json_header,
+)
 from uastkit.ast_frontend import (
     AstNode,
     build_vocabulary,
@@ -29,7 +35,6 @@ from uastkit.featurizer import (
     MAGIC,
     FeaturizedSet,
     GraphSample,
-    PathSequence,
     SampleRecord,
     StatsReport,
     featurize_sample,
@@ -53,13 +58,11 @@ def vocab():
 # --- path sequences ---------------------------------------------------------
 
 class TestPreorderPath:
-    def test_matches_preorder_and_pads(self, vocab):
+    def test_matches_preorder_without_padding(self, vocab):
         tree = load_ast_sexpr("(alpha (beta (gamma) (delta)) (epsilon))")
         seq = featurize_sample(tree, vocab, L=8, N=1)[0]
-        want = expected_indices(tree, vocab)
         assert seq.true_length == 5
-        assert seq.indices[:5].tolist() == want
-        assert seq.indices[5:].tolist() == [0, 0, 0]
+        assert seq.indices.tolist() == expected_indices(tree, vocab)
 
     def test_truncates_long_trees(self, vocab):
         tree = chain_tree(["alpha"] * 20)
@@ -78,7 +81,7 @@ class TestPreorderPath:
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
     @settings(max_examples=200, deadline=None)
-    def test_pad_truncate_invariants(self, seed, L):
+    def test_truncate_invariants(self, seed, L):
         vocab = vocabulary_from_kinds(KINDS)
         tree = random_tree(np.random.default_rng(seed), max_nodes=50,
                            kinds=KINDS)
@@ -86,27 +89,25 @@ class TestPreorderPath:
         n = node_count(tree)
         want = expected_indices(tree, vocab)
         assert seq.true_length == min(n, L)
-        assert seq.indices.shape == (L,)
-        assert seq.indices[:seq.true_length].tolist() == want[:L]
-        assert (seq.indices[seq.true_length:] == 0).all()
-        assert (seq.indices[:seq.true_length] > 0).all()
+        assert seq.indices.shape == (seq.true_length,)
+        assert seq.indices.tolist() == want[:L]
+        assert (seq.indices > 0).all()
 
 
 # --- graph view ---------------------------------------------------------------
 
 def oracle_norm_adj(graph: GraphSample) -> np.ndarray:
-    """Entry-by-entry rebuild: (adjacency + identity) over real nodes,
+    """Entry-by-entry rebuild: (adjacency + identity) over the nodes,
     each entry divided by sqrt(d_i * d_j)."""
-    size = graph.N
     n = graph.node_count
-    tilde = np.zeros((size, size))
+    tilde = np.zeros((n, n))
     for i in range(n):
         tilde[i, i] = 1.0
-    for i, j in graph.edges:
+    for i, j in graph.edges.tolist():
         tilde[i, j] = 1.0
         tilde[j, i] = 1.0
     deg = tilde.sum(axis=1)
-    out = np.zeros((size, size))
+    out = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             out[i, j] = tilde[i, j] / math.sqrt(deg[i] * deg[j])
@@ -118,15 +119,14 @@ class TestGraph:
         tree = load_ast_sexpr("(alpha (beta (gamma)) (delta))")
         graph = featurize_sample(tree, vocab, L=1, N=6)[1]
         assert graph.node_count == 4
-        assert graph.edges == ((0, 1), (1, 2), (0, 3))
-        assert graph.node_kinds[:4].tolist() == expected_indices(tree, vocab)
-        assert (graph.node_kinds[4:] == 0).all()
+        assert graph.edges.tolist() == [[0, 1], [1, 2], [0, 3]]
+        assert graph.node_kinds.tolist() == expected_indices(tree, vocab)
 
     def test_truncation_drops_edges_to_cut_nodes(self, vocab):
         tree = chain_tree(["alpha"] * 10)
         graph = featurize_sample(tree, vocab, L=1, N=4)[1]
         assert graph.node_count == 4
-        assert graph.edges == ((0, 1), (1, 2), (2, 3))
+        assert graph.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
 
     def test_norm_adj_matches_entrywise_oracle(self, vocab):
         rng = np.random.default_rng(11)
@@ -143,14 +143,11 @@ class TestGraph:
         assert adj[1, 1] == pytest.approx(1 / 2)
         assert adj[0, 1] == pytest.approx(1 / math.sqrt(8))
         assert np.array_equal(adj, adj.T)
-        assert (adj[4:, :] == 0).all()
-        assert (adj[:, 4:] == 0).all()
+        assert adj.shape == (4, 4)
 
     def test_single_node_graph(self, vocab):
         adj = featurize_sample(AstNode("alpha"), vocab, L=1, N=3)[1].norm_adj
-        want = np.zeros((3, 3))
-        want[0, 0] = 1.0
-        assert np.array_equal(adj, want)
+        assert np.array_equal(adj, np.ones((1, 1)))
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 25))
     @settings(max_examples=150, deadline=None)
@@ -160,10 +157,10 @@ class TestGraph:
                            kinds=KINDS)
         graph = featurize_sample(tree, vocab, 1, N)[1]
         assert graph.node_count == min(node_count(tree), N)
-        for parent, child in graph.edges:
+        for parent, child in graph.edges.tolist():
             assert 0 <= parent < child < graph.node_count
         # every surviving non-root node keeps exactly one parent edge
-        children = [c for _, c in graph.edges]
+        children = graph.edges[:, 1].tolist()
         assert sorted(children) == list(range(1, graph.node_count))
         assert np.array_equal(graph.norm_adj, oracle_norm_adj(graph))
 
@@ -183,7 +180,25 @@ class TestSharedNumbering:
         assert path.true_length == alone_path.true_length
         assert np.array_equal(graph.node_kinds, alone_graph.node_kinds)
         assert graph.node_count == alone_graph.node_count
-        assert graph.edges == alone_graph.edges
+        assert np.array_equal(graph.edges, alone_graph.edges)
+
+
+class TestLayout:
+    def test_views_share_one_prefix(self, vocab):
+        tree = chain_tree(["alpha"] * 10)
+        for L, N in ((4, 7), (7, 4), (20, 3), (2, 20)):
+            path, graph = featurize_sample(tree, vocab, L, N)
+            assert np.shares_memory(path.indices, graph.node_kinds)
+            assert path.indices.dtype == graph.node_kinds.dtype == np.int64
+            assert (path.true_length, graph.node_count) == \
+                (min(10, L), min(10, N))
+
+    def test_edges_are_one_int64_array(self, vocab):
+        for tree, shape in ((load_ast_sexpr("(alpha (beta) (gamma))"), (2, 2)),
+                            (AstNode("alpha"), (0, 2))):
+            edges = featurize_sample(tree, vocab, L=1, N=5)[1].edges
+            assert edges.shape == shape and edges.dtype == np.int64
+            assert edges.flags.c_contiguous
 
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -214,9 +229,8 @@ def reference_views(tree, vocab, L, N):
               for child in node.children}
     indices = [vocab.index_of(node.kind) for node in nodes]
     true_length, node_count = min(len(nodes), L), min(len(nodes), N)
-    return (indices[:L] + [0] * (L - true_length), true_length,
-            indices[:N] + [0] * (N - node_count), node_count,
-            tuple((parent[i], i) for i in range(1, node_count)))
+    return (indices[:L], true_length, indices[:N], node_count,
+            [[parent[i], i] for i in range(1, node_count)])
 
 
 class TestAgainstPreorder:
@@ -227,7 +241,8 @@ class TestAgainstPreorder:
         for tree in trees:
             path, graph = featurize_sample(tree, vocab, L, N)
             got = (path.indices.tolist(), path.true_length,
-                   graph.node_kinds.tolist(), graph.node_count, graph.edges)
+                   graph.node_kinds.tolist(), graph.node_count,
+                   graph.edges.tolist())
             assert got == reference_views(tree, vocab, L, N)
             assert path.indices.dtype == graph.node_kinds.dtype == np.int64
             truncated += node_count(tree) > max(L, N)
@@ -304,7 +319,7 @@ class TestFeaturizedFile:
             assert got.path.true_length == orig.path.true_length
             assert np.array_equal(got.graph.node_kinds, orig.graph.node_kinds)
             assert got.graph.node_count == orig.graph.node_count
-            assert got.graph.edges == orig.graph.edges
+            assert np.array_equal(got.graph.edges, orig.graph.edges)
             assert np.array_equal(got.graph.norm_adj, orig.graph.norm_adj)
 
     def test_rewrite_is_bitwise_stable(self, vocab, tmp_path):
@@ -414,11 +429,8 @@ def _bad_record(vocab, **changes) -> FeaturizedSet:
     first = fset.records[0]
     graph = changes.pop("graph", None)
     if graph is not None:
-        kinds, count, edges = graph
-        arr = np.zeros(fset.N, dtype=np.int64)
-        arr[:len(kinds)] = kinds
-        changes["graph"] = GraphSample(node_kinds=arr, node_count=count,
-                                       edges=edges)
+        kinds, edges = graph
+        changes["graph"] = make_graph(kinds, edges)
     records = (dataclasses.replace(first, **changes),) + fset.records[1:]
     return dataclasses.replace(fset, records=records)
 
@@ -428,10 +440,10 @@ class TestFeaturizedRecordChecks:
 
     @pytest.mark.parametrize("graph, reason", [
         # such a record once read back silently and then broke propagate
-        (([1, 2, 3], 3, ((0, 5),)), "edge endpoint 5 outside [0, 3)"),
-        (([1, 2, 3], 3, ((0, 1), (1, 1))), "self edge"),
-        (([1, 2, 3], 3, ((0, 1), (1, 2), (1, 0))), "repeated edge"),
-        (([1, 2, 3], 3, ((0, 1), (0, 1))), "repeated edge"),
+        (([1, 2, 3], [(0, 5)]), "edge endpoint 5 outside [0, 3)"),
+        (([1, 2, 3], [(0, 1), (1, 1)]), "self edge"),
+        (([1, 2, 3], [(0, 1), (1, 2), (1, 0)]), "repeated edge"),
+        (([1, 2, 3], [(0, 1), (0, 1)]), "repeated edge"),
     ])
     def test_bad_edges_raise_data_error(self, vocab, tmp_path, graph, reason):
         out = tmp_path / "bad.feat"
@@ -444,12 +456,26 @@ class TestFeaturizedRecordChecks:
     def test_empty_views_raise(self, vocab, tmp_path, view, name):
         # every tree has its root, so no sample has an empty view; a sast
         # model once read such a record back and classified it
-        empty = {"path": PathSequence(indices=np.zeros(12, dtype=np.int64),
-                                      true_length=0),
-                 "graph": ([], 0, ())}
+        empty = {"path": make_path([]), "graph": ([], [])}
         out = tmp_path / "bad.feat"
         write_featurized(out, _bad_record(vocab, **{view: empty[view]}))
         with pytest.raises(DataError, match=f"record 0: {name} 0"):
+            read_featurized(out)
+
+    def test_lengths_that_disagree_with_the_prefix_raise(self, vocab,
+                                                         tmp_path):
+        # a record holds the longer view's kinds; one kind more than both
+        # lengths would once have been dropped without a word
+        out = tmp_path / "bad.feat"
+        write_featurized(out, _toy_set(vocab))
+        data = bytearray(out.read_bytes())
+        (header_len,) = struct.unpack_from("<Q", data, 12)
+        at = 20 + header_len + 5  # the first record's true_length
+        m = struct.unpack_from("<III", data, at)[2]
+        struct.pack_into("<II", data, at, m - 1, m - 1)
+        out.write_bytes(bytes(data))
+        with pytest.raises(DataError, match=f"record 0: {m} kinds for "
+                                            f"true_length {m - 1}"):
             read_featurized(out)
 
     def test_lengths_beyond_the_header_raise(self, vocab, tmp_path):

@@ -39,12 +39,19 @@ def variant(cfg, **changes) -> ModelConfig:
     return dataclasses.replace(cfg, **changes).validate()
 
 
+def in_longer_buffer(view: np.ndarray, fill: int) -> np.ndarray:
+    """view's values as the head of a buffer whose tail holds fill."""
+    buffer = np.full(len(view) + 4, fill, dtype=np.int64)
+    buffer[:len(view)] = view
+    return buffer[:len(view)]
+
+
 def sample_inputs(rng, cfg, n_nodes=5):
     """A random in-vocabulary path and a small chain graph."""
     idx = rng.integers(1, cfg.vocab_size, size=n_nodes)
-    path = make_path(idx.tolist(), cfg.L)
+    path = make_path(idx.tolist())
     edges = [(i, i + 1) for i in range(n_nodes - 1)]
-    graph = make_graph(idx.tolist(), edges, cfg.N)
+    graph = make_graph(idx.tolist(), edges)
     return path, graph
 
 
@@ -209,7 +216,8 @@ class TestAttention:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(tiny_config.L, tiny_config.d))
         for true_length in (1, 3, tiny_config.L):
-            got = self_attention(Tensor(x), true_length, tiny_config).data
+            got = self_attention(Tensor(x[:true_length]), true_length,
+                                 tiny_config).data
             want = oracle_attention(x, true_length, tiny_config.heads)
             assert got.shape == (true_length, tiny_config.d)
             assert np.max(np.abs(got - want[:true_length])) < 1e-12
@@ -226,25 +234,27 @@ class TestAttention:
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_rows_attend_only_to_real_keys(self, tiny_config):
+        # the path's rows alone give what masking every later key gives
         rng = np.random.default_rng(4)
         x = rng.normal(size=(tiny_config.L, tiny_config.d))
-        base = self_attention(Tensor(x), 3, tiny_config).data
-        noisy = x.copy()
-        noisy[3:] += rng.normal(size=noisy[3:].shape)
-        moved = self_attention(Tensor(noisy), 3, tiny_config).data
-        assert base.shape == (3, tiny_config.d)
-        assert np.array_equal(base, moved)
+        got = self_attention(Tensor(x[:3]), 3, tiny_config).data
+        want = oracle_attention(x, 3, tiny_config.heads)[:3]
+        assert got.shape == (3, tiny_config.d)
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_shape_guards(self, tiny_config):
         with pytest.raises(ShapeMismatch):
-            self_attention(Tensor(np.zeros((3, 3))), 2, tiny_config)
-        good = Tensor(np.zeros((tiny_config.L, tiny_config.d)))
+            self_attention(Tensor(np.zeros((3, 3))), 3, tiny_config)
         with pytest.raises(ShapeMismatch):
-            self_attention(good, 0, tiny_config)
+            self_attention(Tensor(np.zeros((3, tiny_config.d))), 2,
+                           tiny_config)
+        with pytest.raises(ShapeMismatch):
+            self_attention(Tensor(np.zeros((0, tiny_config.d))), 0,
+                           tiny_config)
 
     def test_dropout_only_in_training(self, tiny_config):
         rng = np.random.default_rng(5)
-        x = Tensor(rng.normal(size=(tiny_config.L, tiny_config.d)))
+        x = Tensor(rng.normal(size=(4, tiny_config.d)))
         evald = self_attention(x, 4, tiny_config).data
         t1 = self_attention(x, 4, tiny_config, training=True,
                             rng=np.random.default_rng(1)).data
@@ -284,19 +294,17 @@ class TestForward:
         whole = forward(path, graph, params, tiny_config).data
         assert np.max(np.abs(by_stages - whole)) < 1e-12
 
-    def test_padding_region_content_is_ignored(self, tiny_config):
+    def test_content_beyond_the_views_is_ignored(self, tiny_config):
+        # featurize_sample's views are prefixes of one longer buffer
         params = init_params(tiny_config, 0)
         path, graph = sample_inputs(self.rng, tiny_config, n_nodes=3)
         clean = forward(path, graph, params, tiny_config).data
-
-        dirty_idx = path.indices.copy()
-        dirty_idx[path.true_length:] = tiny_config.vocab_size - 1
-        dirty_kinds = graph.node_kinds.copy()
-        dirty_kinds[graph.node_count:] = tiny_config.vocab_size - 1
         dirty = forward(
-            PathSequence(indices=dirty_idx, true_length=path.true_length),
-            GraphSample(node_kinds=dirty_kinds, node_count=graph.node_count,
-                        edges=graph.edges),
+            PathSequence(in_longer_buffer(path.indices,
+                                          tiny_config.vocab_size - 1)),
+            GraphSample(in_longer_buffer(graph.node_kinds,
+                                         tiny_config.vocab_size - 1),
+                        graph.edges),
             params, tiny_config).data
         assert np.array_equal(clean, dirty)
 
@@ -361,10 +369,9 @@ class TestForward:
         params = init_params(tiny_config, 0)
         path, graph = sample_inputs(self.rng, tiny_config)
         with pytest.raises(ShapeMismatch):
-            forward(path, make_graph([], [], tiny_config.N), params,
-                    tiny_config)
+            forward(path, make_graph([], []), params, tiny_config)
         with pytest.raises(ShapeMismatch):
-            forward(make_path([], tiny_config.L), graph, params, tiny_config)
+            forward(make_path([]), graph, params, tiny_config)
 
     def test_training_dropout_is_seeded(self, tiny_config):
         params = init_params(tiny_config, 0)
@@ -459,9 +466,8 @@ class TestEdgeListOracle:
         params = init_params(cfg, 0)
         _, graph = oracle_batch(np.random.default_rng(6), cfg, (8,))[0]
         kinds = graph.node_kinds.copy()
-        kinds[graph.node_count - 1] = cfg.vocab_size
-        bad = GraphSample(node_kinds=kinds, node_count=graph.node_count,
-                          edges=graph.edges)
+        kinds[-1] = cfg.vocab_size
+        bad = GraphSample(kinds, graph.edges)
         good = prepare_sample(None, graph, cfg)
         with pytest.raises(IndexOutOfVocab):
             forward_batch([good, prepare_sample(None, bad, cfg)], params, cfg)
@@ -481,14 +487,15 @@ class TestEdgeListOracle:
                                         (40, 5)):
             p = prepare_sample(path, graph, cfg)
             assert p.adj.dtype == np.int64 and p.adj.flags.c_contiguous
-            assert p.adj.shape == (len(graph.edges), 2)
-            assert p.adj.tolist() == [list(e) for e in graph.edges]
-            assert p.node_kinds.tolist() == \
-                graph.node_kinds[:graph.node_count].tolist()
+            assert p.adj.shape == (graph.node_count - 1, 2)
+            # the views' own arrays, not copies
+            assert p.adj is graph.edges
+            assert p.node_kinds is graph.node_kinds
+            assert p.path is path
 
     def test_graph_side_reads_real_rows_only(self, tiny_config):
-        # padding nodes hold a kind no real node has; W0's row for that
-        # kind must get no gradient
+        # the buffer past each graph's nodes holds a kind no node has;
+        # W0's row for that kind must get no gradient
         cfg = variant(self._config(tiny_config, mode="gast"),
                       vocab_size=len(ORACLE_KINDS) + 3)
         params = init_params(cfg, 0)
@@ -496,12 +503,9 @@ class TestEdgeListOracle:
         pairs = oracle_batch(np.random.default_rng(5), cfg, (6, 40, 2))
         batch = []
         for _, graph in pairs:
-            kinds = graph.node_kinds.copy()
-            assert spare not in kinds[:graph.node_count]
-            kinds[graph.node_count:] = spare
+            assert spare not in graph.node_kinds
             batch.append(prepare_sample(None, GraphSample(
-                node_kinds=kinds, node_count=graph.node_count,
-                edges=graph.edges), cfg))
+                in_longer_buffer(graph.node_kinds, spare), graph.edges), cfg))
         assert {s.node_count for s in batch} != {cfg.N}
         zero_grads(params.parameters())
         probs = forward_batch(batch, params, cfg)
@@ -517,10 +521,9 @@ def mixed_length_pairs(rng, cfg, lengths):
     for n in lengths:
         idx = rng.integers(1, cfg.vocab_size, size=n).tolist()
         count = min(n, cfg.N)
-        pairs.append((make_path(idx, cfg.L),
+        pairs.append((make_path(idx),
                       make_graph(idx[:count],
-                                 [(i // 2, i) for i in range(1, count)],
-                                 cfg.N)))
+                                 [(i // 2, i) for i in range(1, count)])))
     return pairs
 
 
@@ -561,7 +564,7 @@ class TestFusedSequenceOracle:
         params = init_params(cfg, 4)
         x = Tensor(np.random.default_rng(6).normal(size=(cfg.L, cfg.d)))
         for n in (1, 3, cfg.L):
-            got = self_attention(x, n, cfg, params).data
+            got = self_attention(Tensor(x.data[:n]), n, cfg, params).data
             want = attend_one(x, attention_mask(cfg.L, n), cfg, params).data
             assert np.max(np.abs(got - want[:n])) < 1e-12
 

@@ -499,8 +499,7 @@ class TestBuildFeatures:
             assert np.array_equal(s.path_seq.indices, path.indices)
             assert s.path_seq.true_length == path.true_length
             assert np.array_equal(s.graph.node_kinds, graph.node_kinds)
-            assert (s.graph.node_count, s.graph.edges) == \
-                (graph.node_count, graph.edges)
+            assert np.array_equal(s.graph.edges, graph.edges)
 
     def test_kept_trees_are_the_unified_views(self):
         table = load_default_table()
