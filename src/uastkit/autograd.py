@@ -4,11 +4,15 @@ Everything is a [rows x cols] float64 matrix; scalars live as [1,1].  Ops
 record a backward closure on the output when any input participates in
 gradient computation, so constant subgraphs (masks, one-hot labels) cost
 nothing on the tape.  Graph structure enters as a Graph: Â's weights and
-scatter rounds, built once per batch from an integer edge list.
+scatter rounds, built once per batch from an integer edge list; gcn_layer
+records a whole GCN layer, act(Â H W), as one tape node.
 
 backward() accumulates into .grad: calling it twice without zero_grads in
 between doubles the gradients.  Pass accumulate=False to reset the grads of
-every tensor reachable from the loss first.
+every tensor reachable from the loss first.  A first gradient is stored as
+g + 0.0 (-0.0 becomes 0.0): in place, adopting g, when a backward pass made
+g for that input alone (owned); in a copy when g is the output's gradient
+or a view of it, as add and concat pass on.  No two .grad share memory.
 """
 
 from __future__ import annotations
@@ -67,10 +71,11 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.add(g, 0.0, out=g if owned else np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -108,9 +113,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.shape))
+            _accum(a, _unbroadcast(g * b.data, a.shape), owned=True)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.shape))
+            _accum(b, _unbroadcast(g * a.data, b.shape), owned=True)
 
     return _node(a.data * b.data, (a, b), bw)
 
@@ -120,7 +125,7 @@ def scale(a: Tensor, alpha: float) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, g * alpha)
+            _accum(a, g * alpha, owned=True)
 
     return _node(alpha * a.data, (a,), bw)
 
@@ -131,9 +136,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, g @ b.data.T)
+            _accum(a, g @ b.data.T, owned=True)
         if b.requires_grad:
-            _accum(b, a.data.T @ g)
+            _accum(b, a.data.T @ g, owned=True)
 
     return _node(a.data @ b.data, (a, b), bw)
 
@@ -187,6 +192,8 @@ class Graph:
 
     def __init__(self, edges, n: int):
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise ShapeMismatch(f"Graph: an edge endpoint is outside [0, {n})")
         src, dst = edges[:, 0], edges[:, 1]
         deg = 1.0 + np.bincount(edges.ravel(), minlength=n)
         # 1 / sqrt(d_i * d_j), bit for bit as the dense form has them
@@ -203,21 +210,51 @@ class Graph:
                 self.rounds.append((to[pos], frm[pos], edge_w[pos]))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Â x: the self term, then each round's scatter-add."""
+        """Â x: the self term, then each round's out[to] += w * x[frm]."""
+        if len(x) != len(self.self_w):
+            raise ShapeMismatch(f"{len(x)} rows for {len(self.self_w)} nodes")
         out = self.self_w * x
+        work = np.empty((2,) + x.shape)
         for to, frm, w in self.rounds:
-            out[to] += w * x[frm]
+            term, acc = work[0, :to.size], work[1, :to.size]
+            np.take(x, frm, axis=0, out=term, mode="clip")
+            term *= w
+            np.take(out, to, axis=0, out=acc, mode="clip")
+            out[to] = np.add(acc, term, out=acc)
         return out
 
 
-def propagate(h: Tensor, graph: Graph) -> Tensor:
-    """Â h in O(E * cols), the sums np.add.at gives; its backward is Â g."""
+def gcn_layer(h: Tensor, w: Tensor, graph: Graph | None,
+              activation: str) -> Tensor:
+    """act(Â h w) as one tape node, or act(h w) when graph is None: a first
+    layer whose h is the constant Â X.  act (relu, sigmoid or tanh) runs in
+    place, and the node keeps only its output y, from which the backward
+    pass takes act'; Â is symmetric, so that pass multiplies by Â too."""
+    if h.shape[1] != w.shape[0]:
+        raise ShapeMismatch(f"gcn_layer: {h.shape} @ {w.shape}")
+    y = h.data @ w.data if graph is None else graph.apply(h.data @ w.data)
+    if activation == "relu":
+        np.maximum(y, 0.0, out=y)
+    elif activation == "sigmoid":
+        with np.errstate(over="ignore"):
+            _sigmoid(y, y)
+    elif activation == "tanh":
+        np.tanh(y, out=y)
+    else:
+        raise ValueError(f"gcn_layer: unknown activation {activation!r}")
 
     def bw(g):
+        d = (g * (y > 0) if activation == "relu" else
+             g * y * (1.0 - y) if activation == "sigmoid" else
+             g * (1.0 - y * y))
+        if graph is not None:
+            d = graph.apply(d)
         if h.requires_grad:
-            _accum(h, graph.apply(g))
+            _accum(h, d @ w.data.T, owned=True)
+        if w.requires_grad:
+            _accum(w, h.data.T @ d, owned=True)
 
-    return _node(graph.apply(h.data), (h,), bw)
+    return _node(y, (h, w), bw)
 
 
 def segment_pool(a: Tensor, counts, mean: bool) -> Tensor:
@@ -264,39 +301,10 @@ def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.divide(1.0, np.add(out, 1.0, out=out), out=out)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        s = _sigmoid(a.data, np.empty(a.data.shape))
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * s * (1.0 - s))
-
-    return _node(s, (a,), bw)
-
-
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * (1.0 - t * t))
-
-    return _node(t, (a,), bw)
-
-
-def relu(a: Tensor) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * (a.data > 0))
-
-    return _node(np.maximum(a.data, 0.0), (a,), bw)
-
-
 def log(a: Tensor) -> Tensor:
     def bw(g):
         if a.requires_grad:
-            _accum(a, g / a.data)
+            _accum(a, g / a.data, owned=True)
 
     return _node(np.log(a.data), (a,), bw)
 
@@ -304,7 +312,7 @@ def log(a: Tensor) -> Tensor:
 def clamp_min(a: Tensor, floor: float) -> Tensor:
     def bw(g):
         if a.requires_grad:
-            _accum(a, g * (a.data >= floor))
+            _accum(a, g * (a.data >= floor), owned=True)
 
     return _node(np.maximum(a.data, floor), (a,), bw)
 
@@ -317,7 +325,7 @@ def softmax_rows(a: Tensor) -> Tensor:
     def bw(g):
         if a.requires_grad:
             tmp = g * s
-            _accum(a, tmp - s * tmp.sum(axis=1, keepdims=True))
+            _accum(a, tmp - s * tmp.sum(axis=1, keepdims=True), owned=True)
 
     return _node(s, (a,), bw)
 
@@ -350,7 +358,7 @@ def dropout(a: Tensor, rate: float, training: bool,
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, g * mask)
+            _accum(a, g * mask, owned=True)
 
     return _node(a.data * mask, (a,), bw)
 
@@ -446,7 +454,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, packing: Packing, heads: int,
             grads[2][:, span] = weights.transpose(0, 2, 1) @ gs[:, span]
         for t, grad in zip((q, k, v), grads):
             if t.requires_grad:
-                _accum(t, grad.transpose(1, 0, 2).reshape(rows, d))
+                _accum(t, grad.transpose(1, 0, 2).reshape(rows, d), owned=True)
 
     return _node(out.transpose(1, 0, 2).reshape(rows, d), (q, k, v), bw)
 
@@ -520,12 +528,12 @@ def lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, packing: Packing,
         d_rows = np.empty_like(d_pre)
         d_rows[slots] = d_pre
         if x.requires_grad:
-            _accum(x, d_rows @ w_x.T)
+            _accum(x, d_rows @ w_x.T, owned=True)
         if w_all.requires_grad:
             _accum(w_all, np.vstack([hs[packing.prev].T @ d_pre[first:],
-                                     x.data.T @ d_rows]))
+                                     x.data.T @ d_rows]), owned=True)
         if b_all.requires_grad:
-            _accum(b_all, d_pre.sum(axis=0, keepdims=True))
+            _accum(b_all, d_pre.sum(axis=0, keepdims=True), owned=True)
 
     return _node(out, (x, w_all, b_all), bw)
 
@@ -535,9 +543,7 @@ def lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, packing: Packing,
 def sum_all(a: Tensor) -> Tensor:
     def bw(g):
         if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad += g[0, 0]
+            _accum(a, np.full(a.shape, g[0, 0]), owned=True)
 
     return _node(np.array([[a.data.sum()]]), (a,), bw)
 
@@ -603,16 +609,13 @@ def backward(loss: Tensor, accumulate: bool = True) -> None:
                 stash.append((node, node.grad))
             node.grad = None
 
-    _accum(loss, np.ones((1, 1)))
+    _accum(loss, np.ones((1, 1)), owned=True)
     for node in reversed(topo):
         if node._backward_fn is not None:
             node._backward_fn(node.grad)
 
     for node, old in stash:
-        if node.grad is None:
-            node.grad = old
-        else:
-            node.grad += old
+        _accum(node, old)
 
 
 def zero_grads(tensors) -> None:

@@ -9,10 +9,10 @@ recurrence that steps only the paths still running (autograd.attention,
 lstm_direction).  Each LSTM direction keeps its parameters as that op reads
 them: one weight [(h + in) x 4h] and one bias [1 x 4h], gate columns
 i, f, o, c.  The graph side builds Â (autograd.Graph) once per batch, one
-disjoint union of the trees' edge lists; its first GCN layer is the
-constant Â X (X the one-hot kinds) times W0, later ones propagate, and each
-tree's nodes are pooled.  Features fuse by concatenation, sequence side
-first, into a softmax classifier.
+disjoint union of the trees' edge lists; each GCN layer is one tape node
+(autograd.gcn_layer), the first the constant Â X (X the one-hot kinds)
+times W0, and each tree's nodes are pooled.  Features fuse by
+concatenation, sequence side first, into a softmax classifier.
 
 One function composes the two encoders: forward_batch, which training,
 evaluation and prediction all run.  Its tape holds the same number of nodes
@@ -37,8 +37,6 @@ from .featurizer import GraphSample, PathSequence
 MODES = ("uast", "sast", "gast")
 GCN_ACTIVATIONS = ("relu", "sigmoid", "tanh")
 POOLINGS = ("mean", "sum")
-
-_ACT = {"relu": ag.relu, "sigmoid": ag.sigmoid, "tanh": ag.tanh}
 
 INIT_STREAM = 1  # rng stream id for parameter initialization
 
@@ -148,7 +146,8 @@ class ModelParams:
 
 
 def freeze_pad_gradient(params: ModelParams) -> None:
-    """Zero the PAD embedding row's gradient so that row never moves."""
+    """Zero the PAD embedding row's gradient, which no step writes: train()
+    skips this; the benchmark's train_step (perfbench/layers.py) calls it."""
     e = params.embedding
     if e is not None and e.grad is not None:
         e.grad[0, :] = 0.0
@@ -285,13 +284,12 @@ def _bilstm(x: Tensor, packing: ag.Packing, params: ModelParams,
 
 def _gcn_layers(node_kinds: np.ndarray, graph: ag.Graph,
                 params: ModelParams, cfg: ModelConfig) -> Tensor:
-    """Stacked act(Â H W), the first as act((Â X) W0): X's one-hot rows are
-    the identity's, looked up by kind as embeddings are."""
-    act = _ACT[cfg.gcn_activation]
+    """Stacked act(Â H W), one gcn_layer node each, the first act((Â X) W0):
+    X's one-hot rows are the identity's, looked up by kind as embeddings are."""
     x = ag.embedding_lookup(Tensor(np.eye(cfg.vocab_size)), node_kinds)
-    h = act(ag.matmul(Tensor(graph.apply(x.data)), params.gcn[0]))
-    for w in params.gcn[1:]:
-        h = act(ag.propagate(ag.matmul(h, w), graph))
+    h = Tensor(graph.apply(x.data))
+    for i, w in enumerate(params.gcn):
+        h = ag.gcn_layer(h, w, graph if i else None, cfg.gcn_activation)
     return h
 
 

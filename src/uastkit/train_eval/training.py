@@ -223,7 +223,6 @@ def train(splits: dict[str, list[LabeledSample]], cfg: ModelConfig,
                     "reduce the learning rate or check the input features")
             zero_grads(params.parameters())
             backward(loss)
-            M.freeze_pad_gradient(params)
             adam_step(params.parameters(), opt)
             step += 1
             batch_losses.append(value)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from uastkit.ast_frontend import AstNode, Vocabulary, load_default_table
+from uastkit.autograd import Tensor
 from uastkit.featurizer import GraphSample, PathSequence
 from uastkit.model import ModelConfig
 
@@ -84,6 +85,18 @@ def make_path(indices) -> PathSequence:
 def make_graph(kinds, edges) -> GraphSample:
     return GraphSample(np.array(kinds, dtype=np.int64),
                        np.array(edges, dtype=np.int64).reshape(-1, 2))
+
+
+def tape_tensors(out: Tensor) -> list[Tensor]:
+    """Tensors reachable from out through _parents, out and leaves included."""
+    seen: dict[int, Tensor] = {}
+    stack = [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return list(seen.values())
 
 
 # a checkpoint header whose sizes or model configuration cannot match its

@@ -8,8 +8,11 @@ and direction; and the sequence side as it ran before packing, with the
 padded attention and LSTM ops over [B*T x cols] rows, which draws the same
 dropout masks.  transpose, slice_rows and slice_cols are autograd ops that
 only these compositions use; add_at_propagate is the model's propagation as
-it ran before autograd.Graph, with np.add.at.  tokenize is the C-like
-tokenizer as it ran before it matched every offset with one finditer pass.
+it ran before autograd.Graph, with np.add.at.  propagate, sigmoid, tanh and
+relu are the ops a GCN layer was composed of before autograd.gcn_layer
+fused them into one tape node; composed_gcn_layer composes them.  tokenize
+is the C-like tokenizer as it ran before it matched every offset with one
+finditer pass.
 """
 
 import math
@@ -23,6 +26,7 @@ from uastkit.autograd import (
     _accum,
     _dropout_mask,
     _node,
+    _sigmoid,
 )
 from uastkit.ast_frontend.clike_backend import _KEYWORDS
 from uastkit.errors import ShapeMismatch
@@ -62,6 +66,56 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
             a.grad[:, start:stop] += g
 
     return _node(a.data[:, start:stop].copy(), (a,), bw)
+
+
+def propagate(h: Tensor, graph: ag.Graph) -> Tensor:
+    """Â h in O(E * cols), the sums np.add.at gives; its backward is Â g."""
+
+    def bw(g):
+        if h.requires_grad:
+            _accum(h, graph.apply(g))
+
+    return _node(graph.apply(h.data), (h,), bw)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    with np.errstate(over="ignore"):
+        s = _sigmoid(a.data, np.empty(a.data.shape))
+
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, g * s * (1.0 - s))
+
+    return _node(s, (a,), bw)
+
+
+def tanh(a: Tensor) -> Tensor:
+    t = np.tanh(a.data)
+
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, g * (1.0 - t * t))
+
+    return _node(t, (a,), bw)
+
+
+def relu(a: Tensor) -> Tensor:
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, g * (a.data > 0))
+
+    return _node(np.maximum(a.data, 0.0), (a,), bw)
+
+
+ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid, "tanh": tanh}
+
+
+def composed_gcn_layer(h: Tensor, w: Tensor, graph: ag.Graph | None,
+                       activation: str) -> Tensor:
+    """autograd.gcn_layer as three tape nodes: matmul, propagate (skipped
+    when graph is None), then the activation."""
+    z = ag.matmul(h, w)
+    return ACTIVATIONS[activation](z if graph is None else propagate(z, graph))
 
 
 def add_at_propagate(h: Tensor, edges: np.ndarray) -> Tensor:
@@ -284,12 +338,9 @@ def padded_sequence(paths, params, cfg, training=False, rng=None) -> Tensor:
 
 # --- graph side: dense renormalized adjacency -----------------------------------
 
-_ACTIVATIONS = {"relu": ag.relu, "sigmoid": ag.sigmoid, "tanh": ag.tanh}
-
-
 def dense_gcn_nodes(graph, params, cfg) -> Tensor:
     """[node_count x d_out] node features through the dense renormalized Â."""
-    act = _ACTIVATIONS[cfg.gcn_activation]
+    act = ACTIVATIONS[cfg.gcn_activation]
     adj = Tensor(graph.norm_adj)
     h = act(ag.matmul(adj, ag.gather_rows(params.gcn[0], graph.node_kinds)))
     for w in params.gcn[1:]:
@@ -358,15 +409,15 @@ def _lstm_direction(xs, masks, w_all, b_all, h_dim: int, reverse: bool):
     outs = [None] * len(xs)
     for t in steps:
         pre = ag.add(ag.matmul(ag.concat([h, xs[t]], axis=1), w_all), b_all)
-        i_g = ag.sigmoid(slice_cols(pre, 0, h_dim))
-        f_g = ag.sigmoid(slice_cols(pre, h_dim, 2 * h_dim))
-        o_g = ag.sigmoid(slice_cols(pre, 2 * h_dim, 3 * h_dim))
-        c_hat = ag.tanh(slice_cols(pre, 3 * h_dim, 4 * h_dim))
+        i_g = sigmoid(slice_cols(pre, 0, h_dim))
+        f_g = sigmoid(slice_cols(pre, h_dim, 2 * h_dim))
+        o_g = sigmoid(slice_cols(pre, 2 * h_dim, 3 * h_dim))
+        c_hat = tanh(slice_cols(pre, 3 * h_dim, 4 * h_dim))
         c_new = ag.add(ag.mul(f_g, c), ag.mul(i_g, c_hat))
         live, dead = masks[t]
         c = c_new if live is None else ag.add(ag.mul(c_new, live),
                                               ag.mul(c, dead))
-        h_new = ag.mul(o_g, ag.tanh(c))
+        h_new = ag.mul(o_g, tanh(c))
         h = h_new if live is None else ag.add(ag.mul(h_new, live),
                                               ag.mul(h, dead))
         outs[t] = h

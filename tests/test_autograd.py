@@ -3,13 +3,18 @@
 import numpy as np
 import pytest
 
-from conftest import random_tree
+from conftest import random_tree, tape_tensors
 from oracle import (
     add_at_propagate,
+    composed_gcn_layer,
     padded_attention,
     padded_lstm_direction,
+    propagate,
+    relu,
+    sigmoid,
     slice_cols,
     slice_rows,
+    tanh,
     transpose,
 )
 from uastkit import autograd as ag
@@ -71,7 +76,7 @@ class TestGradients:
     def test_add_broadcasts_rows_and_cols(self):
         a = leaf(self.rng, 3, 4)
         row, col = leaf(self.rng, 1, 4), leaf(self.rng, 3, 1)
-        fd_check(lambda: ag.sum_all(ag.tanh(ag.add(ag.add(a, row), col))),
+        fd_check(lambda: ag.sum_all(tanh(ag.add(ag.add(a, row), col))),
                  [a, row, col])
 
     def test_mul_broadcast(self):
@@ -80,7 +85,7 @@ class TestGradients:
 
     def test_scale(self):
         a = leaf(self.rng, 2, 3)
-        fd_check(lambda: ag.sum_all(ag.sigmoid(ag.scale(a, -2.5))), [a])
+        fd_check(lambda: ag.sum_all(sigmoid(ag.scale(a, -2.5))), [a])
 
     def test_matmul(self):
         a, b = leaf(self.rng, 3, 4), leaf(self.rng, 4, 2)
@@ -106,7 +111,7 @@ class TestGradients:
     def test_gather_rows_accumulates_duplicates(self):
         a = leaf(self.rng, 4, 3)
         idx = np.array([2, 0, 2, 2])
-        fd_check(lambda: ag.sum_all(ag.tanh(ag.gather_rows(a, idx))), [a])
+        fd_check(lambda: ag.sum_all(tanh(ag.gather_rows(a, idx))), [a])
 
     def test_propagate_over_edge_list(self):
         # a star with a tail: node 0 has three children, node 2 one; then
@@ -116,14 +121,14 @@ class TestGradients:
             graph = ag.Graph(np.array(edges), 5)
             h = leaf(self.rng, 5, 3)
             w = Tensor(self.rng.uniform(-1, 1, (5, 3)))
-            fd_check(lambda: ag.sum_all(ag.mul(ag.tanh(ag.propagate(
+            fd_check(lambda: ag.sum_all(ag.mul(tanh(propagate(
                 h, graph)), w)), [h])
 
     def test_propagate_without_edges_scales_by_self_loop(self):
         h = leaf(self.rng, 1, 4)
         graph = ag.Graph(np.zeros((0, 2), dtype=np.int64), 1)
-        fd_check(lambda: ag.sum_all(ag.tanh(ag.propagate(h, graph))), [h])
-        assert np.array_equal(ag.propagate(h, graph).data, h.data)
+        fd_check(lambda: ag.sum_all(tanh(propagate(h, graph))), [h])
+        assert np.array_equal(propagate(h, graph).data, h.data)
 
     def test_embedding_lookup(self):
         table = leaf(self.rng, 5, 3)
@@ -134,9 +139,9 @@ class TestGradients:
     def test_sigmoid_tanh_relu(self):
         a = Tensor(self.rng.uniform(0.2, 1.5, (2, 3)) *
                    np.array([[1, -1, 1], [-1, 1, -1]]), requires_grad=True)
-        fd_check(lambda: ag.sum_all(ag.sigmoid(a)), [a])
-        fd_check(lambda: ag.sum_all(ag.tanh(a)), [a])
-        fd_check(lambda: ag.sum_all(ag.relu(a)), [a])
+        fd_check(lambda: ag.sum_all(sigmoid(a)), [a])
+        fd_check(lambda: ag.sum_all(tanh(a)), [a])
+        fd_check(lambda: ag.sum_all(relu(a)), [a])
 
     def test_log(self):
         a = leaf(self.rng, 2, 3, low=0.5, high=2.0)
@@ -183,7 +188,7 @@ class TestOpValues:
         graphs.append(featurize_sample(AstNode("alpha"), vocab, 1, 3)[1])
         for graph in graphs:
             n = graph.node_count
-            dense = ag.propagate(Tensor(np.eye(n)),
+            dense = propagate(Tensor(np.eye(n)),
                                  ag.Graph(graph.edges, n)).data
             assert np.array_equal(dense, graph.norm_adj)
 
@@ -195,7 +200,7 @@ class TestOpValues:
                                  vocab, 1, 30)[1]
         n = graph.node_count
         h = rng.normal(size=(n, 3))
-        got = ag.propagate(Tensor(h), ag.Graph(graph.edges, n))
+        got = propagate(Tensor(h), ag.Graph(graph.edges, n))
         want = graph.norm_adj @ h
         assert np.max(np.abs(got.data - want)) < 1e-14
 
@@ -309,7 +314,7 @@ class TestPropagateOracle:
         g = Tensor(rng.normal(size=(n, cols)))
         got_h, want_h = (Tensor(h.copy(), requires_grad=True)
                          for _ in range(2))
-        got = ag.propagate(got_h, ag.Graph(edges, n))
+        got = propagate(got_h, ag.Graph(edges, n))
         want = add_at_propagate(want_h, edges)
         ag.sum_all(ag.mul(got, g)).backward()
         ag.sum_all(ag.mul(want, g)).backward()
@@ -345,6 +350,72 @@ class TestPropagateOracle:
         assert len(graph.rounds) == 2 + 100
 
 
+    def test_endpoints_outside_the_nodes_are_refused(self):
+        for edges in ([[0, 3]], [[5, 1]], [[-1, 1]], [[0, 1], [1, 2], [2, 9]]):
+            with pytest.raises(ShapeMismatch):
+                ag.Graph(np.array(edges), 3)
+
+    def test_apply_refuses_a_row_count_other_than_n(self):
+        graph = ag.Graph(np.array([[0, 1], [1, 2]]), 3)
+        for rows in (1, 2, 4):
+            with pytest.raises(ShapeMismatch):
+                graph.apply(np.ones((rows, 2)))
+
+
+# --- the fused GCN layer against its op-composed oracle -----------------------------
+
+class TestGcnLayerOracle:
+    """gcn_layer against the matmul -> propagate -> act chain it fused
+    (tests/oracle.py), in the first-layer form (no graph, h already Â X)
+    and the later-layer form."""
+
+    ACTIVATIONS = ("relu", "sigmoid", "tanh")
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("first", [True, False])
+    def test_bitwise_equal_to_the_composed_chain(self, activation, first):
+        rng = np.random.default_rng(31)
+        graphs = [wide_tree_edges(rng, 6) for _ in range(4)]
+        for edges, n in graphs + distinct_edge_graphs():
+            graph = ag.Graph(edges, n)
+            h = rng.normal(size=(n, 6))
+            h[0] *= 100.0  # saturates sigmoid and tanh in some entries
+            if first:
+                h = graph.apply(h)
+            w, g = rng.normal(size=(6, 4)), Tensor(rng.normal(size=(n, 4)))
+            runs = []
+            for layer in (ag.gcn_layer, composed_gcn_layer):
+                ht = Tensor(h.copy(), requires_grad=True)
+                wt = Tensor(w.copy(), requires_grad=True)
+                out = layer(ht, wt, None if first else graph, activation)
+                ag.sum_all(ag.mul(out, g)).backward()
+                runs.append((out.data, ht.grad, wt.grad))
+            for got, want in zip(*runs):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_finite_differences(self, activation):
+        rng = np.random.default_rng(32)
+        edges, n = distinct_edge_graphs()[0]
+        h, w = leaf(rng, n, 3), leaf(rng, 3, 2)
+        g = Tensor(rng.uniform(-1, 1, (n, 2)))
+        for graph in (ag.Graph(edges, n), None):
+            fd_check(lambda: ag.sum_all(ag.mul(
+                ag.gcn_layer(h, w, graph, activation), g)), [h, w])
+
+    def test_refuses_bad_shapes_and_unknown_activations(self):
+        graph = ag.Graph(np.array([[0, 1]]), 2)
+        with pytest.raises(ShapeMismatch):
+            ag.gcn_layer(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))),
+                         graph, "relu")
+        with pytest.raises(ShapeMismatch):
+            ag.gcn_layer(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2))),
+                         graph, "relu")
+        with pytest.raises(ValueError):
+            ag.gcn_layer(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))),
+                         graph, "gelu")
+
+
 # --- accumulation protocol ---------------------------------------------------------
 
 class TestAccumulation:
@@ -373,6 +444,56 @@ class TestAccumulation:
         ag.sum_all(ag.mul(a, c)).backward()
         assert c.grad is None
         assert a.grad is not None
+
+    def test_first_gradient_of_negative_zero_is_stored_as_zero(self):
+        a = Tensor(np.ones((1, 2)), requires_grad=True)
+        ag.sum_all(ag.mul(a, Tensor(np.array([[-0.0, 2.0]])))).backward()
+        assert a.grad.tolist() == [[0.0, 2.0]]
+        assert not np.signbit(a.grad).any()
+        # a gradient handed over without ownership is copied, not adopted
+        t = Tensor(np.zeros((1, 2)), requires_grad=True)
+        g = np.full((1, 2), -0.0)
+        ag._accum(t, g)
+        assert not np.signbit(t.grad).any() and np.signbit(g).all()
+
+
+class TestGradientOwnership:
+    """After backward no two tensors' .grad arrays share memory, also
+    where an op passes its output's gradient on to an input twice."""
+
+    def _backward_and_check(self, out: Tensor, weights: np.ndarray) -> None:
+        ag.sum_all(ag.mul(out, Tensor(weights))).backward()
+        grads = [t.grad for t in tape_tensors(out) if t.grad is not None]
+        for i, a in enumerate(grads):
+            for b in grads[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_add_of_a_tensor_to_itself(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        out = ag.add(a, a)
+        self._backward_and_check(out, np.ones((2, 3)))
+        assert out.grad.tolist() == [[1.0] * 3] * 2
+        assert a.grad.tolist() == [[2.0] * 3] * 2
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_concat_of_a_tensor_with_itself(self, axis):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        out = ag.concat([a, a], axis=axis)
+        self._backward_and_check(out, np.ones(out.shape))
+        assert (out.grad == 1.0).all() and (a.grad == 2.0).all()
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_attention_with_q_k_v_one_tensor(self, heads):
+        rng = np.random.default_rng(33)
+        packing = ag.Packing([3, 1, 2])
+        x, weights = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+        one = Tensor(x.copy(), requires_grad=True)
+        self._backward_and_check(ag.attention(one, one, one, packing, heads),
+                                 weights)
+        q, k, v = (Tensor(x.copy(), requires_grad=True) for _ in range(3))
+        self._backward_and_check(ag.attention(q, k, v, packing, heads),
+                                 weights)
+        assert np.array_equal(one.grad, q.grad + k.grad + v.grad)
 
 
 # --- fused sequence ops -----------------------------------------------------------

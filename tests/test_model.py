@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_graph, make_path, random_tree
+from conftest import make_graph, make_path, random_tree, tape_tensors
 from oracle import (
     attend_one,
     attention_mask,
@@ -616,18 +616,6 @@ class TestFusedSequenceOracle:
                                                 tiny_config).data)
 
 
-def tape_tensors(out: Tensor) -> list[Tensor]:
-    """Tensors reachable from out through _parents, out and leaves included."""
-    seen: dict[int, Tensor] = {}
-    stack = [out]
-    while stack:
-        t = stack.pop()
-        if id(t) not in seen:
-            seen[id(t)] = t
-            stack.extend(t._parents)
-    return list(seen.values())
-
-
 class TestTapeSize:
     @pytest.mark.parametrize("mode", ["uast", "sast"])
     def test_training_tape_does_not_grow_with_steps_or_batch(self, tiny_config,
@@ -666,6 +654,38 @@ class TestTapeSize:
                 op = t._backward_fn.__qualname__.split(".")[0]
                 assert op not in ("concat", "transpose"), op
 
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_graph_tape_holds_one_node_per_gcn_layer(self, tiny_config,
+                                                     layers):
+        cfg = variant(tiny_config, mode="gast", L=9, N=9, gcn_layers=layers)
+        pairs = mixed_length_pairs(np.random.default_rng(4), cfg, (9, 3, 1))
+        probs = forward_batch([prepare_sample(p, g, cfg) for p, g in pairs],
+                              init_params(cfg, 0), cfg, training=True,
+                              rng=np.random.default_rng(0))
+        ops = [t._backward_fn.__qualname__.split(".")[0]
+               for t in tape_tensors(probs) if t._backward_fn is not None]
+        assert sorted(ops) == sorted(["gcn_layer"] * layers + [
+            "segment_pool", "matmul", "add", "softmax_rows"])
+
+
+class TestGradientOwnership:
+    """No two tensors' gradients share memory after a backward pass."""
+
+    @pytest.mark.parametrize("mode", ["uast", "gast"])
+    def test_batch_gradients_are_distinct_arrays(self, tiny_config, mode):
+        cfg = variant(tiny_config, mode=mode, L=9, N=9, heads=1)
+        params = init_params(cfg, 0)
+        pairs = mixed_length_pairs(np.random.default_rng(5), cfg, (9, 4, 1))
+        probs = forward_batch([prepare_sample(p, g, cfg) for p, g in pairs],
+                              params, cfg, training=True,
+                              rng=np.random.default_rng(0))
+        cross_entropy_loss(probs, [0, 1, 2]).backward()
+        grads = [t.grad for t in tape_tensors(probs) if t.grad is not None]
+        assert len(grads) > len(params.parameters())
+        for i, a in enumerate(grads):
+            for b in grads[i + 1:]:
+                assert not np.shares_memory(a, b)
+
 
 # --- short optimization runs -----------------------------------------------------
 
@@ -691,7 +711,8 @@ class TestTrainingSteps:
             probs = forward_batch(batch, params, tiny_config, training=True,
                                   rng=np.random.default_rng(1))
             cross_entropy_loss(probs, labels).backward()
-            freeze_pad_gradient(params)
+            # as in train(), which does not zero the PAD row's gradient
+            assert not params.embedding.grad[0].any()
             adam_step(tensors, state)
         assert (params.embedding.data[0] == 0.0).all()
         assert not np.array_equal(params.embedding.data[1:],
