@@ -28,7 +28,7 @@ _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
     | (?P<line_comment>//[^\n]*)
-    | (?P<block_comment>/\*.*?\*/)
+    | (?P<block_comment>/\*.*?(?:\*/|\Z))  # an unterminated one runs to the end of the text
     | (?P<preproc>\#[^\n]*)
     | (?P<num>(?:0[xX][0-9a-fA-F]+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)[fFlLuUdD]*)
     | (?P<str>"(?:\\.|[^"\\\n])*")

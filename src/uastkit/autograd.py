@@ -161,10 +161,8 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
 
     def bw(g):
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if not t.requires_grad:
-                continue
-            piece = g[start:stop] if axis == 0 else g[:, start:stop]
-            _accum(t, piece)
+            if t.requires_grad:
+                _accum(t, g[start:stop] if axis == 0 else g[:, start:stop])
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis),
                  tuple(tensors), bw)
@@ -330,37 +328,38 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _node(s, (a,), bw)
 
 
-def _dropout_mask(shape, rate: float, training: bool,
-                  rng: np.random.Generator | None) -> np.ndarray | None:
-    """Inverted-dropout factors of one draw, or None for the identity map."""
+def _dropout_mask(rate: float, training: bool,
+                  rng: np.random.Generator | None):
+    """None for the identity map, else the keep test: a shape's boolean
+    draw.  x * keep * (1 / (1 - rate)) is bit for bit x times the float
+    factors of that draw, -0.0 included."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return None
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    return lambda shape: rng.random(shape) >= rate
 
 
 def dropout(a: Tensor, rate: float, training: bool,
-            rng: np.random.Generator | None = None,
-            packing: "Packing | None" = None) -> Tensor:
-    """Inverted dropout; the identity map when not training or rate is 0.
-
-    With a packing, a holds a packed batch's rows: the mask is drawn over
-    the padded [B*T x cols] layout, and each row takes its padded row's.
-    """
-    rows = a.shape[0] if packing is None else packing.batch * packing.steps
-    mask = _dropout_mask((rows, a.shape[1]), rate, training, rng)
-    if mask is None:
+            rng: np.random.Generator | None, packing: "Packing") -> Tensor:
+    """Inverted dropout over a packed batch's rows; the identity map when
+    not training or rate is 0.  Each path in turn draws a [T x cols] mask,
+    T the longest length, and keeps its first n_b rows as booleans: the
+    stream of one padded [B*T x cols] draw."""
+    test = _dropout_mask(rate, training, rng)
+    if test is None:
         return a
-    mask = mask if packing is None else mask[packing.padded]
+    scale = 1.0 / (1.0 - rate)
+    keep = np.concatenate([test((packing.steps, a.shape[1]))[:n]
+                           for n in packing.lengths.tolist()])
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, g * mask, owned=True)
+            _accum(a, g * keep * scale, owned=True)
 
-    return _node(a.data * mask, (a,), bw)
+    return _node(a.data * keep * scale, (a,), bw)
 
 
 # --- packed sequence ops -----------------------------------------------------
@@ -376,15 +375,14 @@ class Packing:
     (stable), so step t's live[t] sequences are a prefix of step t-1's.
     spans holds each step's (first slot, count); prev, each later slot's
     slot one step earlier; slots[reverse], each slot's row, stepping back
-    from each end when reverse; padded, each row's b*T + t, T = max length.
+    from each end when reverse.  steps is T, the longest length.
     """
 
     def __init__(self, lengths):
         n = np.asarray(lengths, dtype=np.int64).ravel()
         if n.size == 0 or n.min() < 1:
             raise ShapeMismatch(f"lengths {n.tolist()} must all be >= 1")
-        self.lengths, self.batch, self.steps = n, n.size, int(n.max())
-        self.total = int(n.sum())
+        self.lengths, self.steps, self.total = n, int(n.max()), int(n.sum())
         self.starts = np.cumsum(n) - n
         order = np.argsort(-n, kind="stable")
         step, seq = np.nonzero(np.arange(self.steps)[:, None] < n[order])
@@ -396,8 +394,6 @@ class Packing:
                      - np.repeat(self.live[:-1], self.live[1:]))
         self.slots = (self.starts[seq] + step,
                       self.starts[seq] + n[seq] - 1 - step)
-        self.padded = np.arange(self.total) + np.repeat(
-            np.arange(self.batch) * self.steps - self.starts, n)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, packing: Packing, heads: int,
@@ -407,18 +403,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, packing: Packing, heads: int,
 
     q, k and v are [S x d] and may be one tensor.  Head j uses columns
     j*d/heads to (j+1)*d/heads: per sequence, softmax(q k^T / sqrt(d/heads))
-    over its own keys, under inverted dropout, times v.  The dropout mask
-    is drawn once over [B, heads, T, T]; sequence b uses [b, :, :n_b, :n_b].
+    over its own keys, under inverted dropout, times v.  Sequence b in turn
+    draws a [heads, T, T] mask, T the longest length, and keeps its
+    [:, :n_b, :n_b] corner as booleans: the stream of one padded [B, heads,
+    T, T] draw.  The backward pass recomputes the dropped weights.
     """
     rows, d = q.shape
     if (rows != packing.total or k.shape != q.shape or v.shape != q.shape
             or d % heads):
         raise ShapeMismatch(f"attention: q {q.shape}, k {k.shape}, v "
                             f"{v.shape}, {heads} heads, {packing.total} rows")
-    hd = d // heads
+    hd, steps = d // heads, packing.steps
     inv_sqrt = 1.0 / np.sqrt(hd)
-    mask = _dropout_mask((packing.batch, heads, packing.steps, packing.steps),
-                         rate, training, rng)
+    test = _dropout_mask(rate, training, rng)
+    scale = 1.0 / (1.0 - rate)
     spans = [slice(s, s + n) for s, n in
              zip(packing.starts.tolist(), packing.lengths.tolist())]
 
@@ -427,30 +425,32 @@ def attention(q: Tensor, k: Tensor, v: Tensor, packing: Packing, heads: int,
 
     qs, ks, vs = by_head(q.data), by_head(k.data), by_head(v.data)
     out = np.empty((heads, rows, hd))
-    saved = []  # per sequence: probs, dropout factors, weights
-    for b, span in enumerate(spans):
+    saved = []  # per sequence: probs and the keep mask
+    for span in spans:
         n = span.stop - span.start
         probs = qs[:, span] @ ks[:, span].transpose(0, 2, 1)
         probs *= inv_sqrt
         probs -= probs.max(axis=-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True)
-        drop = None if mask is None else mask[b, :, :n, :n]
-        weights = probs if drop is None else probs * drop
+        keep = None if test is None else test((heads, steps, steps))[
+            :, :n, :n].copy()
+        weights = probs if keep is None else probs * keep * scale
         out[:, span] = weights @ vs[:, span]
-        saved.append((probs, drop, weights))
+        saved.append((probs, keep))
 
     def bw(g):
         gs, grads = by_head(g), np.empty((3, heads, rows, hd))
-        for span, (probs, drop, weights) in zip(spans, saved):
+        for span, (probs, keep) in zip(spans, saved):
             d_scores = gs[:, span] @ vs[:, span].transpose(0, 2, 1)
-            if drop is not None:
-                d_scores *= drop
+            if keep is not None:
+                d_scores *= keep * scale
             d_scores *= probs
             d_scores -= probs * d_scores.sum(axis=-1, keepdims=True)
             d_scores *= inv_sqrt
             grads[0][:, span] = d_scores @ ks[:, span]
             grads[1][:, span] = d_scores.transpose(0, 2, 1) @ qs[:, span]
+            weights = probs if keep is None else probs * keep * scale
             grads[2][:, span] = weights.transpose(0, 2, 1) @ gs[:, span]
         for t, grad in zip((q, k, v), grads):
             if t.requires_grad:

@@ -5,14 +5,17 @@ oracles here compute the same function other ways: the graph side as dense
 matrix products with GraphSample.norm_adj; the sequence side op by op, with
 one attention chain per sample and head and one LSTM tape chain per step
 and direction; and the sequence side as it ran before packing, with the
-padded attention and LSTM ops over [B*T x cols] rows, which draws the same
-dropout masks.  transpose, slice_rows and slice_cols are autograd ops that
-only these compositions use; add_at_propagate is the model's propagation as
-it ran before autograd.Graph, with np.add.at.  propagate, sigmoid, tanh and
+padded attention, dropout and LSTM ops over [B*T x cols] rows.  Those draw
+each dropout mask as one draw over the padded layout (_dropout_mask), as
+the model did before it drew per path, so the same rng must give the same
+masks.  transpose, slice_rows and slice_cols are autograd ops that only
+these compositions use; add_at_propagate is the model's propagation as it
+ran before autograd.Graph, with np.add.at.  propagate, sigmoid, tanh and
 relu are the ops a GCN layer was composed of before autograd.gcn_layer
 fused them into one tape node; composed_gcn_layer composes them.  tokenize
 is the C-like tokenizer as it ran before it matched every offset with one
-finditer pass.
+finditer pass; its pattern has the same tokens, an unterminated block
+comment running to the end of the text included.
 """
 
 import math
@@ -24,7 +27,6 @@ from uastkit import autograd as ag
 from uastkit.autograd import (
     Tensor,
     _accum,
-    _dropout_mask,
     _node,
     _sigmoid,
 )
@@ -150,6 +152,33 @@ def add_at_propagate(h: Tensor, edges: np.ndarray) -> Tensor:
 # The model's attention and LSTM ops before they ran on packed rows.  Both
 # take a batch of B sequences padded to T steps as [B*T x cols], row
 # b*T + t holding step t of sequence b, with each sequence's true length.
+
+
+def _dropout_mask(shape, rate: float, training: bool,
+                  rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted-dropout factors of one draw, or None for the identity map."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if not training or rate == 0.0:
+        return None
+    if rng is None:
+        raise ValueError("dropout in training mode needs an rng")
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def padded_dropout(a: Tensor, rate: float, training: bool,
+                   rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout of [B*T x cols] rows, the mask drawn over all rows;
+    the identity map when not training or rate is 0."""
+    mask = _dropout_mask(a.shape, rate, training, rng)
+    if mask is None:
+        return a
+
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, g * mask)
+
+    return _node(a.data * mask, (a,), bw)
 
 
 def _sequence_batch(x: Tensor, lengths) -> tuple[np.ndarray, int]:
@@ -327,8 +356,8 @@ def padded_sequence(paths, params, cfg, training=False, rng=None) -> Tensor:
                               training, rng)
     for layer, (fwd, bwd) in enumerate(params.lstm):
         if layer:
-            inputs = ag.dropout(ag.concat([out_f, out_b], axis=1),
-                                cfg.lstm_dropout, training, rng)
+            inputs = padded_dropout(ag.concat([out_f, out_b], axis=1),
+                                    cfg.lstm_dropout, training, rng)
         out_f = padded_lstm_direction(inputs, *fwd, lengths)
         out_b = padded_lstm_direction(inputs, *bwd, lengths, reverse=True)
     firsts = np.arange(len(lengths)) * T
@@ -492,7 +521,7 @@ TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
     | (?P<line_comment>//[^\n]*)
-    | (?P<block_comment>/\*.*?\*/)
+    | (?P<block_comment>/\*.*?(?:\*/|\Z))  # an unterminated one runs to the end of the text
     | (?P<preproc>\#[^\n]*)
     | (?P<num>(?:0[xX][0-9a-fA-F]+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)[fFlLuUdD]*)
     | (?P<str>"(?:\\.|[^"\\\n])*")

@@ -1,5 +1,7 @@
 """Tensor core: gradients against finite differences, op semantics, Adam."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from oracle import (
     add_at_propagate,
     composed_gcn_layer,
     padded_attention,
+    padded_dropout,
     padded_lstm_direction,
     propagate,
     relu,
@@ -515,14 +518,13 @@ class TestFusedSequenceGradients:
     def test_packing_layout(self):
         p = ag.Packing([3, 1, 4])
         assert p.starts.tolist() == [0, 3, 4] and p.total == 8
-        assert (p.batch, p.steps) == (3, 4)
+        assert p.steps == 4
         # longest first, stably: sequence 2, then 0, then 1
         assert p.live.tolist() == [3, 2, 2, 1]
         assert p.spans == [(0, 3), (3, 2), (5, 2), (7, 1)]
         assert p.slots[False].tolist() == [4, 0, 3, 5, 1, 6, 2, 7]
         assert p.slots[True].tolist() == [7, 2, 3, 6, 1, 5, 0, 4]
         assert p.prev.tolist() == [0, 1, 3, 4, 5]
-        assert p.padded.tolist() == [0, 1, 2, 4, 8, 9, 10, 11]
 
     def test_attention_shared_qkv_masked(self):
         for lengths in self.LENGTHS:
@@ -556,7 +558,9 @@ class TestFusedSequenceGradients:
         live output rows, so every gradient must agree too.
         """
         packing = ag.Packing(lengths)
-        live = packing.padded
+        # each packed row's padded row, b*T + t
+        live = np.concatenate([b * packing.steps + np.arange(n)
+                               for b, n in enumerate(lengths)])
         runs = []
         every = slice(None)
         # (op, its layout, the padded rows it reads, its rows to compare)
@@ -581,7 +585,8 @@ class TestFusedSequenceGradients:
             self._live_rows_match(
                 lengths, lambda p, a, b, c: ag.attention(a, b, c, p, 2),
                 lambda n, a, b, c: padded_attention(a, b, c, n, 2), [x] * 3)
-            # both draw one dropout mask over [B, heads, T, T]
+            # the packed op draws per path, the oracle once over [B, heads,
+            # T, T]: one stream, so the same masks
             self._live_rows_match(
                 lengths,
                 lambda p, a, b, c: ag.attention(
@@ -589,6 +594,16 @@ class TestFusedSequenceGradients:
                 lambda n, a, b, c: padded_attention(
                     a, b, c, n, 3, 0.4, True, np.random.default_rng(5)),
                 [self.rng.normal(size=(rows, 6)) for _ in range(3)])
+
+    def test_dropout_matches_padded_oracle_on_live_rows(self):
+        for lengths in self.LENGTHS:
+            self._live_rows_match(
+                lengths,
+                lambda p, x: ag.dropout(x, 0.5, True,
+                                        np.random.default_rng(5), p),
+                lambda n, x: padded_dropout(x, 0.5, True,
+                                            np.random.default_rng(5)),
+                [self.rng.normal(size=(len(lengths) * max(lengths), 6))])
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm_direction_matches_padded_oracle_on_live_rows(self, reverse):
@@ -634,15 +649,19 @@ class TestFusedSequenceGradients:
 # --- dropout ---------------------------------------------------------------------
 
 class TestDropout:
+    @staticmethod
+    def _drop(x, rate, training, rng=None):
+        return ag.dropout(x, rate, training, rng, ag.Packing([x.shape[0]]))
+
     def test_identity_when_not_training(self):
         x = Tensor(np.ones((4, 4)), requires_grad=True)
-        assert ag.dropout(x, 0.5, training=False) is x
-        assert ag.dropout(x, 0.0, training=True) is x
+        assert self._drop(x, 0.5, training=False) is x
+        assert self._drop(x, 0.0, training=True) is x
 
     def test_training_scales_survivors(self):
         rng = np.random.default_rng(3)
         x = Tensor(np.ones((50, 50)), requires_grad=True)
-        out = ag.dropout(x, 0.2, training=True, rng=rng)
+        out = self._drop(x, 0.2, training=True, rng=rng)
         values = np.unique(out.data)
         assert set(values.tolist()) <= {0.0, 1.0 / 0.8}
         drop_rate = (out.data == 0).mean()
@@ -651,24 +670,56 @@ class TestDropout:
     def test_gradient_uses_same_mask(self):
         rng = np.random.default_rng(4)
         x = Tensor(np.full((10, 10), 2.0), requires_grad=True)
-        out = ag.dropout(x, 0.5, training=True, rng=rng)
+        out = self._drop(x, 0.5, training=True, rng=rng)
         ag.sum_all(out).backward()
         assert np.array_equal(x.grad, out.data / 2.0)
 
     def test_same_seed_same_mask(self):
         x = Tensor(np.ones((8, 8)))
-        a = ag.dropout(x, 0.5, True, np.random.default_rng(9)).data
-        b = ag.dropout(x, 0.5, True, np.random.default_rng(9)).data
+        a = self._drop(x, 0.5, True, np.random.default_rng(9)).data
+        b = self._drop(x, 0.5, True, np.random.default_rng(9)).data
         assert np.array_equal(a, b)
 
     def test_training_without_rng_rejected(self):
         with pytest.raises(ValueError):
-            ag.dropout(Tensor(np.ones((2, 2))), 0.5, training=True)
+            self._drop(Tensor(np.ones((2, 2))), 0.5, training=True)
 
     def test_rate_bounds(self):
         with pytest.raises(ValueError):
-            ag.dropout(Tensor(np.ones((2, 2))), 1.0, training=True,
+            self._drop(Tensor(np.ones((2, 2))), 1.0, training=True,
                        rng=np.random.default_rng(0))
+
+
+class TestDropoutMemory:
+    """Each path draws its own mask and keeps its own rows as booleans.
+
+    One path of 128 steps and 31 of one: a draw over the padded layout
+    would hold 32 * 128^2 attention factors per head, or 32 * 128 rows of
+    LSTM factors, as float64.
+    """
+
+    LENGTHS = [128] + [1] * 31
+
+    def _peak_bytes(self, cols, op):
+        x = Tensor(np.random.default_rng(0).normal(
+            size=(sum(self.LENGTHS), cols)), requires_grad=True)
+        packing = ag.Packing(self.LENGTHS)
+        tracemalloc.start()
+        try:
+            ag.sum_all(op(x, packing, np.random.default_rng(1))).backward()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_attention_forward_and_backward(self):
+        peak = self._peak_bytes(16, lambda x, p, rng: ag.attention(
+            x, x, x, p, 4, 0.2, True, rng))
+        assert peak < 4 * 2**20
+
+    def test_lstm_dropout_forward_and_backward(self):
+        peak = self._peak_bytes(256, lambda x, p, rng: ag.dropout(
+            x, 0.5, True, rng, p))
+        assert peak < 2 * 2**20
 
 
 # --- optimizer --------------------------------------------------------------------

@@ -155,6 +155,14 @@ class TestRecovery:
         assert "declaration" in kinds
         assert "return_statement" in kinds
 
+    def test_unterminated_block_comment_runs_to_the_end(self):
+        # as a compiler reads it: what follows the open comment is comment
+        src = "int f() { return 1; } /* note int g() { return 2; }"
+        assert tokenize(src, "c")[-1] == ("punct", "}")
+        kinds = kinds_of(parse_source(src, "c"))
+        assert kinds.count("function_definition") == 1
+        assert "ERROR" not in kinds
+
     @pytest.mark.parametrize("language", sorted(ADD_SNIPPETS))
     def test_pure_garbage_raises(self, language):
         with pytest.raises(ParseFailure):

@@ -572,8 +572,9 @@ class TestFusedSequenceOracle:
     @pytest.mark.parametrize("projections", [False, True])
     def test_training_matches_padded_composition(self, tiny_config, mode,
                                                  projections):
-        # the packed encoder takes its dropout masks from the padded
-        # layout's draws, so the same rng gives the same numbers
+        # the packed encoder draws each dropout mask path by path, the
+        # padded one in one draw over the padded layout: one stream, so the
+        # same rng gives the same numbers
         cfg = self._config(tiny_config, mode=mode, attn_dropout=0.2,
                            lstm_dropout=0.5, learned_projections=projections)
         pairs = mixed_length_pairs(np.random.default_rng(9), cfg,

@@ -741,6 +741,39 @@ class TestTrain:
             train(splits, small_config(vocab.size), vocab, ["alpha", "beta"],
                   ["python"], table.table_hash, True, seed=0)
 
+    # every batch loss of two epochs on the toy corpus with both dropouts
+    # on, as recorded when each dropout mask was one float64 draw over the
+    # padded layout: the per-path draws must keep that stream
+    PINNED_LOSSES = {
+        "uast": [1.3884311253011439, 1.3951027692914717, 1.3822460048874068,
+                 1.3796266317766164, 1.3358541673428985, 1.3782878286025422,
+                 1.3303401280630878, 1.4364941515370493],
+        "sast": [1.385868948433532, 1.396549912956928, 1.3811518632665245,
+                 1.3831952879365383, 1.2838451997341, 1.4103701090235436,
+                 1.3111178917693054, 1.4732695397380677],
+    }
+
+    @pytest.mark.parametrize("mode", sorted(PINNED_LOSSES))
+    def test_dropout_stream_keeps_its_recorded_losses(self, mode):
+        table = load_default_table()
+        samples = ingest_corpus(TOY_CORPUS)
+        splits = split_dataset(samples, seed=0, ratios=(1.0, 0.0, 0.0))
+        vocab = build_features(splits, table, True, L=96, N=96)
+        labels = corpus_labels(samples)
+        cfg = ModelConfig(vocab_size=vocab.size, k=len(labels), mode=mode,
+                          L=96, N=96, d=32, heads=4, attn_dropout=0.2, h=16,
+                          lstm_layers=2, lstm_dropout=0.5, gcn_layers=2,
+                          gcn_hidden=32, d_out=16)
+        result = train(splits, cfg, vocab, labels, corpus_languages(samples),
+                       table.table_hash, True, seed=0, epochs=2,
+                       batch_size=8, lr=0.01)
+        losses = [x for record in result.history
+                  for x in record["batch_losses"]]
+        # summation-order changes move a loss by about 1e-15; a different
+        # mask moves it far more
+        np.testing.assert_allclose(losses, self.PINNED_LOSSES[mode],
+                                   rtol=1e-10, atol=0)
+
     def test_graph_only_mode_trains(self):
         _, _, _, cfg, result = self._fit(mode="gast")
         names = [n for n, _ in result.checkpoint.params.manifest()]
