@@ -22,7 +22,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .ast_frontend import (
@@ -47,7 +47,7 @@ from .errors import (
     VocabularyMismatch,
 )
 from .featurizer import FeaturizedSet, SampleRecord, path_length_stats, write_featurized
-from .model import GCN_ACTIVATIONS, MODES, POOLINGS, ModelConfig
+from .model import GCN_ACTIVATIONS, MODES, POOLINGS, ModelConfig, ModelSettings
 from .train_eval import (
     DEFAULT_RATIOS,
     SPLIT_NAMES,
@@ -68,8 +68,7 @@ TABLE_ENV = "UASTKIT_TABLE"
 # batch-64 Adam settings over the model defaults, mirroring the published
 # setup; leetcode is exactly this base
 _BASE_PROFILE: dict = {
-    **{f.name: f.default for f in fields(ModelConfig)
-       if f.default is not MISSING and f.name != "mode"},
+    **{f.name: f.default for f in fields(ModelSettings) if f.name != "mode"},
     "epochs": 5, "batch_size": 64, "lr": 0.001,
 }
 PROFILES: dict[str, dict] = {
@@ -86,15 +85,14 @@ DEFAULT_PROFILE = "leetcode"
 LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
 
-@dataclass
-class RunConfig:
+@dataclass(frozen=True)
+class RunConfig(ModelSettings):
     """Everything that determines a run, minus the corpus contents."""
     profile: str = DEFAULT_PROFILE
     corpus: str | None = None
     manifest: str | None = None
     table: str | None = None
     out_dir: str | None = None
-    mode: str = "uast"
     unified: bool = True
     seed: int = 0
     mask_names: tuple[str, ...] = ()
@@ -103,20 +101,6 @@ class RunConfig:
     batch_size: int = 64
     lr: float = 0.001
     max_steps: int | None = None
-    L: int = 200
-    N: int = 400
-    d: int = 200
-    heads: int = 4
-    attn_dropout: float = 0.2
-    h: int = 64
-    lstm_layers: int = 2
-    lstm_dropout: float = 0.5
-    gcn_layers: int = 2
-    gcn_hidden: int = 200
-    d_out: int = 64
-    gcn_activation: str = "relu"
-    pooling: str = "mean"
-    learned_projections: bool = False
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -125,16 +109,12 @@ class RunConfig:
         return out
 
     def model_config(self, vocab_size: int, k: int) -> ModelConfig:
-        return ModelConfig(
-            vocab_size=vocab_size, k=k,
-            **{name: getattr(self, name) for name in _MODEL_FIELD_NAMES},
-        ).validate()
+        settings = {f.name: getattr(self, f.name)
+                    for f in fields(ModelSettings)}
+        return ModelConfig(vocab_size=vocab_size, k=k, **settings).validate()
 
 
 _RUN_FIELD_NAMES = {f.name for f in fields(RunConfig)}
-# every ModelConfig field but the corpus-derived sizes is a run setting
-_MODEL_FIELD_NAMES = tuple(f.name for f in fields(ModelConfig)
-                           if f.name not in ("vocab_size", "k"))
 
 
 def _parse_ratios(text: str) -> tuple[int, int, int]:
@@ -195,15 +175,52 @@ def _load_table(path: str | None) -> UnificationTable:
     return load_default_table()
 
 
-def _require_corpus(rc: RunConfig) -> None:
+def _ingest(rc: RunConfig):
     if not rc.corpus and not rc.manifest:
         raise UsageError("a corpus is required: pass --corpus or --manifest")
-
-
-def _ingest(rc: RunConfig):
-    _require_corpus(rc)
     return ingest_corpus(rc.corpus or ".", rc.manifest,
                          set(rc.mask_names) or None)
+
+
+def _features(rc: RunConfig, table: UnificationTable, L: int):
+    """Ingest, split and featurize the corpus at path length L.
+
+    Returns the splits, the train split's vocabulary, and the corpus's
+    labels and languages.
+    """
+    samples = _ingest(rc)
+    splits = split_dataset(samples, rc.seed, rc.ratios)
+    vocab = build_features(splits, table, rc.unified, L, rc.N)
+    return splits, vocab, corpus_labels(samples), corpus_languages(samples)
+
+
+def _checkpoint_and_table(args: argparse.Namespace):
+    """The checkpoint named by --checkpoint and the active table, which
+    must be the table the checkpoint was trained with."""
+    ckpt = load_checkpoint(args.checkpoint)
+    table = _load_table(args.table)
+    if table.table_hash != ckpt.table_hash:
+        raise VocabularyMismatch(
+            "the active unification table does not match the checkpoint "
+            f"(table {table.table_hash[:12]}… vs checkpoint "
+            f"{ckpt.table_hash[:12]}…)")
+    return ckpt, table
+
+
+def _read_source(name: str, lang: str | None):
+    """A file's text, its language and whether it holds an S-expression.
+
+    --lang wins over the extension; an S-expression file declares no
+    language of its own, so without --lang its language is None.
+    """
+    path = Path(name)
+    text = path.read_text(encoding="utf-8", errors="replace")
+    is_sexpr = path.suffix.lower() == SEXPR_EXTENSION
+    if lang:
+        language = normalize_language(lang)
+    else:
+        language = None if is_sexpr else language_for_extension(path.suffix)
+    return text, language, is_sexpr
 
 
 # --- subcommand bodies --------------------------------------------------------
@@ -211,15 +228,9 @@ def _ingest(rc: RunConfig):
 def cmd_parse(args: argparse.Namespace) -> int:
     table = _load_table(args.table)
     for name in args.files:
-        path = Path(name)
-        text = path.read_text(encoding="utf-8", errors="replace")
-        if path.suffix.lower() == SEXPR_EXTENSION:
-            tree = load_ast_sexpr(text)
-            language = args.lang and normalize_language(args.lang)
-        else:
-            language = normalize_language(args.lang) if args.lang else \
-                language_for_extension(path.suffix)
-            tree = parse_source(text, language, path=name)
+        text, language, is_sexpr = _read_source(name, args.lang)
+        tree = load_ast_sexpr(text) if is_sexpr else \
+            parse_source(text, language, path=name)
         if not args.raw and language:
             tree = unify_ast(tree, language, table)
         print(render_sexpr(tree, pretty=args.pretty))
@@ -246,11 +257,7 @@ _SPLIT_TAG = {"train": "train", "validation": "val", "test": "test"}
 def cmd_featurize(args: argparse.Namespace) -> int:
     rc = resolve_run_config(args)
     table = _load_table(rc.table)
-    samples = _ingest(rc)
-    splits = split_dataset(samples, rc.seed, rc.ratios)
-    vocab = build_features(splits, table, rc.unified, rc.L, rc.N)
-    labels = corpus_labels(samples)
-    languages = corpus_languages(samples)
+    splits, vocab, labels, languages = _features(rc, table, rc.L)
     lang_index = {name: i for i, name in enumerate(languages)}
     records = []
     for split_name, tag in _SPLIT_TAG.items():
@@ -281,10 +288,7 @@ def _train_once(rc: RunConfig, table, splits, vocab, labels, languages,
 def cmd_train(args: argparse.Namespace) -> int:
     rc = resolve_run_config(args)
     table = _load_table(rc.table)
-    samples = _ingest(rc)
-    splits = split_dataset(samples, rc.seed, rc.ratios)
-    vocab = build_features(splits, table, rc.unified, rc.L, rc.N)
-    labels, languages = corpus_labels(samples), corpus_languages(samples)
+    splits, vocab, labels, languages = _features(rc, table, rc.L)
     result, cfg = _train_once(rc, table, splits, vocab, labels, languages,
                               rc.out_dir, args.quiet)
     last = result.history[-1]
@@ -307,38 +311,27 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _eval_corpus_with_checkpoint(ckpt, rc: RunConfig, table, split_name: str):
-    if table.table_hash != ckpt.table_hash:
-        raise VocabularyMismatch(
-            "the active unification table does not match the checkpoint "
-            f"(table {table.table_hash[:12]}… vs checkpoint "
-            f"{ckpt.table_hash[:12]}…)")
+def cmd_eval(args: argparse.Namespace) -> int:
+    rc = resolve_run_config(args)
+    ckpt, table = _checkpoint_and_table(args)
     samples = _ingest(rc)
     labels = corpus_labels(samples)
     if labels != list(ckpt.labels):
         raise DataError(
             f"corpus labels {labels} do not match checkpoint labels "
             f"{list(ckpt.labels)}")
-    run = ckpt.run_config or {}
-    seed = ckpt.seed
-    ratios = tuple(run.get("ratios", DEFAULT_RATIOS))
-    splits = split_dataset(samples, seed, ratios)
-    if split_name == "all":
+    # the checkpoint's seed and ratios rebuild the split it was trained on
+    ratios = tuple((ckpt.run_config or {}).get("ratios", DEFAULT_RATIOS))
+    splits = split_dataset(samples, ckpt.seed, ratios)
+    if args.split == "all":
         chosen = [s for name in SPLIT_NAMES for s in splits[name]]
     else:
-        chosen = splits[split_name]
+        chosen = splits[args.split]
     if not chosen:
-        raise EmptySplit(f"split {split_name!r} is empty")
+        raise EmptySplit(f"split {args.split!r} is empty")
     featurize_with_vocab(chosen, table, ckpt.unified, ckpt.vocab,
                          ckpt.config.L, ckpt.config.N)
-    return evaluate_samples(chosen, ckpt.params, ckpt.config)
-
-
-def cmd_eval(args: argparse.Namespace) -> int:
-    rc = resolve_run_config(args)
-    ckpt = load_checkpoint(args.checkpoint)
-    table = _load_table(rc.table)
-    report = _eval_corpus_with_checkpoint(ckpt, rc, table, args.split)
+    report = evaluate_samples(chosen, ckpt.params, ckpt.config)
     header = {"mode": ckpt.config.mode, "unified": ckpt.unified,
               "seed": ckpt.seed, "split": args.split,
               "checkpoint_epoch": ckpt.epoch, "run_config": ckpt.run_config}
@@ -353,20 +346,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    rc = resolve_run_config(args)
-    ckpt = load_checkpoint(args.checkpoint)
-    table = _load_table(rc.table)
-    if table.table_hash != ckpt.table_hash:
-        raise VocabularyMismatch(
-            "the active unification table does not match the checkpoint")
-    path = Path(args.file)
-    text = path.read_text(encoding="utf-8", errors="replace")
-    is_sexpr = path.suffix.lower() == SEXPR_EXTENSION
-    if is_sexpr:
-        language = normalize_language(args.lang) if args.lang else "sexpr"
-    else:
-        language = normalize_language(args.lang) if args.lang else \
-            language_for_extension(path.suffix)
+    ckpt, table = _checkpoint_and_table(args)
+    text, language, is_sexpr = _read_source(args.file, args.lang)
     label, probs = predict_one(ckpt, text, language, table, is_sexpr,
                                path=args.file)
     if args.json:
@@ -395,20 +376,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise UsageError("--values must name at least one setting")
     table = _load_table(rc.table)
-    samples = _ingest(rc)
-    splits = split_dataset(samples, rc.seed, rc.ratios)
-    labels, languages = corpus_labels(samples), corpus_languages(samples)
-    # one parse, one unification and one vocabulary serve every setting;
-    # only featurization (for path-length) and training repeat
-    vocab = build_features(splits, table, rc.unified, rc.L, rc.N,
-                           keep_trees=True)
+    # one parse, one unification and one featurization serve every
+    # setting; a path length L is the first L steps of the longest paths
+    by_length = args.param == "path-length"
+    splits, vocab, labels, languages = _features(
+        rc, table, max(values) if by_length else rc.L)
+    longest = [(s, s.path_seq) for name in SPLIT_NAMES for s in splits[name]]
     rows = []
     for value in values:
-        if args.param == "path-length":
+        if by_length:
             run = replace(rc, L=value)
-            for name in SPLIT_NAMES:
-                featurize_with_vocab(splits[name], table, False, vocab,
-                                     run.L, run.N, keep_trees=True)
+            for s, path in longest:
+                s.path_seq = replace(path, indices=path.indices[:value])
         else:
             run = replace(rc, gcn_layers=value)
         out_dir = Path(rc.out_dir) / f"{args.param}-{value}" \

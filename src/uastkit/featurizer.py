@@ -8,12 +8,12 @@ padded, and the edges are one int64 [E x 2] array.  The model never builds
 the dense GraphSample.norm_adj: the tests check the edge-list propagation
 against it, and the benchmark's per-layer probe times it.
 
-A featurized corpus is serializable to a single binary file of edge lists.
+A featurized corpus is serializable to a single binary file of edge lists,
+in the frame checkpoints share (uastkit.frame).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import struct
@@ -26,6 +26,7 @@ import numpy as np
 from .ast_frontend import AstNode, Vocabulary, vocabulary_from_kinds
 from .ast_frontend import node_count as tree_size
 from .errors import DataError, EmptyCorpus
+from .frame import read_frame, string_list, write_frame
 
 MAGIC = b"UASTFEAT"
 FORMAT_VERSION = 1
@@ -172,11 +173,8 @@ def write_featurized(path: str | Path, fset: FeaturizedSet) -> None:
         "table_hash": fset.table_hash,
         "count": len(fset.records),
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IQ", FORMAT_VERSION, len(blob)))
-        fh.write(blob)
+        write_frame(fh, MAGIC, FORMAT_VERSION, header)
         for rec in fset.records:
             # both views slice one pre-order prefix; the longer one is it
             prefix = max(rec.path.indices, rec.graph.node_kinds, key=len)
@@ -221,40 +219,19 @@ def _record_problem(header: dict, vocab: Vocabulary, label: int,
 
 
 def read_featurized(path: str | Path) -> FeaturizedSet:
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    if data[:8] != MAGIC:
-        raise DataError(f"{path}: not a featurized corpus file")
-    offset = 8 + 12
-    if len(data) < offset:
-        raise DataError(f"{path}: truncated header")
-    version, header_len = struct.unpack_from("<IQ", data, 8)
-    if version != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported format version {version}")
-    try:
-        header = json.loads(data[offset:offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: corrupt header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise DataError(f"{path}: corrupt header: not a JSON object")
+    header, data, offset = read_frame(path, MAGIC, FORMAT_VERSION, DataError,
+                                      "featurized corpus")
     try:
         L, N, count = (operator.index(header[key])
                        for key in ("L", "N", "count"))
-        for key in ("kinds", "labels", "languages"):
-            if not (isinstance(header[key], list)
-                    and all(isinstance(name, str) for name in header[key])):
-                raise TypeError(f"{key} is not a list of strings")
-        vocab = vocabulary_from_kinds(header["kinds"])
-        labels = tuple(header["labels"])
-        languages = tuple(header["languages"])
+        vocab = vocabulary_from_kinds(string_list(header, "kinds"))
+        labels = tuple(string_list(header, "labels"))
+        languages = tuple(string_list(header, "languages"))
         unified, table_hash = header["unified"], header["table_hash"]
     except KeyError as exc:
         raise DataError(f"{path}: corrupt header: no {exc.args[0]}") from exc
     except TypeError as exc:
         raise DataError(f"{path}: corrupt header: {exc}") from exc
-    offset += header_len
     records: list[SampleRecord] = []
     try:
         for _ in range(count):

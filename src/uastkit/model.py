@@ -42,9 +42,8 @@ INIT_STREAM = 1  # rng stream id for parameter initialization
 
 
 @dataclass(frozen=True)
-class ModelConfig:
-    vocab_size: int
-    k: int
+class ModelSettings:
+    """The hyperparameters a run chooses; the CLI's run config extends it."""
     mode: str = "uast"
     L: int = 200
     d: int = 200
@@ -60,6 +59,13 @@ class ModelConfig:
     gcn_activation: str = "relu"
     pooling: str = "mean"
     learned_projections: bool = False
+
+
+@dataclass(frozen=True)
+class ModelConfig(ModelSettings):
+    """The settings plus the sizes the corpus fixes."""
+    vocab_size: int = field(kw_only=True)
+    k: int = field(kw_only=True)
 
     def validate(self) -> "ModelConfig":
         if self.mode not in MODES:

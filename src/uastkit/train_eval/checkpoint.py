@@ -1,17 +1,15 @@
 """Versioned binary checkpoints.
 
-Layout: magic ``UASTCKPT`` | u32 format version | u64 header length | a
-sorted-keys JSON header | the parameter matrices as raw little-endian
-float64, concatenated in manifest order.  The header carries the model
-configuration, vocabulary, table hash, label and language sets, run
-provenance (config dict and seed), and the epoch/step counters.  Nothing
-time-dependent is written, so identical runs produce identical bytes.
+Layout: the shared frame (uastkit.frame) with magic ``UASTCKPT``, then the
+parameter matrices as raw little-endian float64, concatenated in manifest
+order.  The header carries the model configuration, vocabulary, table
+hash, label and language sets, run provenance (config dict and seed), and
+the epoch/step counters.  Nothing time-dependent is written, so identical
+runs produce identical bytes.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -19,6 +17,7 @@ import numpy as np
 
 from ..ast_frontend import Vocabulary, vocabulary_from_kinds
 from ..errors import CheckpointError, ConfigError
+from ..frame import read_frame, string_list, write_frame
 from ..model import ModelConfig, ModelParams, empty_params
 
 MAGIC = b"UASTCKPT"
@@ -63,13 +62,9 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "params": [{"name": name, "rows": t.shape[0], "cols": t.shape[1]}
                    for name, t in manifest],
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
     try:
         with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", FORMAT_VERSION))
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
+            write_frame(fh, MAGIC, FORMAT_VERSION, header)
             for _, t in manifest:
                 fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
     except OSError as exc:
@@ -77,31 +72,19 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    header, raw, at = read_frame(path, MAGIC, FORMAT_VERSION,
+                                 CheckpointError, "checkpoint")
     try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    base = len(MAGIC) + 4 + 8
-    if len(raw) < base or raw[:len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack_from("<I", raw, len(MAGIC))
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
-    (header_len,) = struct.unpack_from("<Q", raw, len(MAGIC) + 4)
-    if len(raw) < base + header_len:
-        raise CheckpointError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[base:base + header_len].decode("utf-8"))
         config = ModelConfig(**header["config"]).validate()
-        vocab = vocabulary_from_kinds(header["vocab_kinds"])
-        labels = list(header["labels"])
+        vocab = vocabulary_from_kinds(string_list(header, "vocab_kinds"))
+        labels = string_list(header, "labels")
         declared = header["params"]
         if not isinstance(declared, list) \
                 or not all(isinstance(entry, dict) for entry in declared):
             raise CheckpointError(
                 f"{path}: corrupt header: params is not a list of objects")
         fields = dict(
-            languages=list(header["languages"]),
+            languages=string_list(header, "languages"),
             table_hash=header["table_hash"], unified=bool(header["unified"]),
             seed=int(header["seed"]), epoch=int(header["epoch"]),
             step=int(header["step"]), run_config=header.get("run_config"),
@@ -121,7 +104,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     manifest = params.manifest()
     if len(declared) != len(manifest):
         raise CheckpointError(f"{path}: parameter count mismatch")
-    at = base + header_len
     for entry, (name, t) in zip(declared, manifest):
         shape = (entry.get("rows"), entry.get("cols"))
         if entry.get("name") != name or shape != t.shape:

@@ -59,29 +59,26 @@ def unified_view(sample: LabeledSample, table: UnificationTable,
 
 def featurize_with_vocab(samples: list[LabeledSample],
                          table: UnificationTable, unified: bool,
-                         vocab: Vocabulary, L: int, N: int,
-                         keep_trees: bool = False) -> None:
+                         vocab: Vocabulary, L: int, N: int) -> None:
     """Write feature views onto samples in place under a fixed vocabulary.
 
     Kinds outside the vocabulary land on its unknown index.  Trees are
-    released afterwards to bound memory unless keep_trees is set (a sweep
-    refeaturizes the same parse at several lengths).
+    released afterwards to bound memory.
     """
     with collector_paused():
         for s in samples:
             tree = unified_view(s, table, unified)
             s.path_seq, s.graph = featurize_sample(tree, vocab, L, N)
-            if not keep_trees:
-                s.tree = None
+            s.tree = None
 
 
 def build_features(splits: dict[str, list[LabeledSample]],
-                   table: UnificationTable, unified: bool, L: int, N: int,
-                   keep_trees: bool = False) -> Vocabulary:
+                   table: UnificationTable, unified: bool, L: int,
+                   N: int) -> Vocabulary:
     """Fit the vocabulary on the train split, then featurize every split.
 
     Each tree is unified once: its unified view replaces the parse on the
-    sample, so trees kept with keep_trees are unified ones.
+    sample until featurizing releases it.
     """
     if not splits.get("train"):
         raise EmptySplit("cannot fit a vocabulary: train split is empty")
@@ -92,8 +89,7 @@ def build_features(splits: dict[str, list[LabeledSample]],
                 s.tree = unified_view(s, table, unified)
         vocab = build_vocabulary(s.tree for s in splits["train"])
         for samples in parts:
-            featurize_with_vocab(samples, table, False, vocab, L, N,
-                                 keep_trees)
+            featurize_with_vocab(samples, table, False, vocab, L, N)
     return vocab
 
 
@@ -274,16 +270,17 @@ def train(splits: dict[str, list[LabeledSample]], cfg: ModelConfig,
     return result
 
 
-def predict_one(ckpt: Checkpoint, text: str, language: str,
+def predict_one(ckpt: Checkpoint, text: str, language: str | None,
                 table: UnificationTable, is_sexpr: bool = False,
                 path: str | None = None) -> tuple[str, np.ndarray]:
     """Classify one source text with a trained checkpoint (eval mode).
 
-    path, the text's file, names it in the parser's warnings.
+    path, the text's file, names it in the parser's warnings.  An
+    S-expression tree of no declared language (None) is not unified.
     """
     tree = load_ast_sexpr(text) if is_sexpr else \
         parse_source(text, language, path)
-    if ckpt.unified:
+    if ckpt.unified and language is not None:
         tree = unify_ast(tree, language, table)
     path_seq, graph = featurize_sample(tree, ckpt.vocab, ckpt.config.L,
                                        ckpt.config.N)

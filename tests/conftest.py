@@ -120,6 +120,17 @@ MALFORMED_CHECKPOINT_HEADERS = {
     "params_not_list": (lambda h: h.update(params=13), "corrupt header"),
     "params_not_objects": (lambda h: h.update(params=[1] * len(h["params"])),
                            "corrupt header"),
+    # a name list that is not a list of strings, even of the right length
+    "labels_a_string": (lambda h: h.update(labels="xy"),
+                        "corrupt header: labels is not a list of strings"),
+    "labels_not_strings": (lambda h: h.update(labels=[1, 2]),
+                           "corrupt header: labels is not a list of strings"),
+    "languages_not_strings": (
+        lambda h: h.update(languages=[None] * len(h["languages"])),
+        "corrupt header: languages is not a list of strings"),
+    "vocab_kinds_not_strings": (
+        lambda h: h["vocab_kinds"].__setitem__(1, None),
+        "corrupt header: vocab_kinds is not a list of strings"),
 }
 
 

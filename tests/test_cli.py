@@ -1,5 +1,6 @@
 """Command-line interface: every subcommand plus exit codes and layering."""
 
+import argparse
 import hashlib
 import json
 import logging
@@ -8,8 +9,10 @@ import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -18,8 +21,15 @@ from conftest import (
     TOY_CORPUS,
     rewrite_json_header,
 )
-from uastkit.cli import PROFILES, RunConfig, build_parser, main
+from uastkit.cli import (
+    PROFILES,
+    RunConfig,
+    build_parser,
+    main,
+    resolve_run_config,
+)
 from uastkit.featurizer import read_featurized
+from uastkit.model import ModelSettings
 from uastkit.train_eval import ingest_corpus, load_checkpoint, training
 
 TINY_DIMS = ["--L", "16", "--N", "16", "--d", "8", "--heads", "2", "--h", "4",
@@ -355,6 +365,25 @@ class TestConfigLayering:
             (9, 4, "gast", 12, 3, 7, "tanh", "sum", True)
         assert cfg.L == rc.L and cfg.lstm_dropout == rc.lstm_dropout
 
+    def test_every_model_setting_has_profile_values_and_a_train_flag(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest: a for a in commands.choices["train"]._actions}
+        for f in fields(ModelSettings):
+            # a profile serves every mode; --mode picks one per run
+            assert f.name == "mode" or \
+                all(f.name in profile for profile in PROFILES.values())
+            action = flags[f.name]
+            if action.nargs == 0:
+                value, argv = action.const, [action.option_strings[0]]
+            else:
+                value = next(c for c in action.choices if c != f.default) \
+                    if action.choices else f.default + 1
+                argv = [action.option_strings[0], str(value)]
+            rc = resolve_run_config(parser.parse_args(["train", *argv]))
+            assert getattr(rc, f.name) == value != f.default, f.name
+
     def test_config_file_overrides_profile(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"L": 20, "N": 16}))
@@ -506,6 +535,24 @@ class TestTrainEvalPredict:
         total = sum(payload["probabilities"].values())
         assert abs(total - 1.0) < 1e-9
 
+    def test_predict_sexpr_unifies_only_a_declared_language(
+            self, trained_gast, tmp_path, capsys):
+        # a tree file declares no language: with --lang its kinds are
+        # unified, without it they are read as they stand
+        ckpt = ["--checkpoint", str(trained_gast), "--json"]
+        code, expected, _ = run(capsys, "predict", PY_SAMPLE, *ckpt)
+        assert code == 0
+        trees = {}
+        for name, flags in (("raw", ["--raw"]), ("unified", [])):
+            trees[name] = tmp_path / f"{name}.sexpr"
+            trees[name].write_text(run(capsys, "parse", *flags, PY_SAMPLE)[1])
+        assert run(capsys, "predict", str(trees["raw"]), "--lang", "python",
+                   *ckpt) == (0, expected, "")
+        assert run(capsys, "predict", str(trees["unified"]), *ckpt) == \
+            (0, expected, "")
+        code, out, _ = run(capsys, "predict", str(trees["raw"]), *ckpt)
+        assert code == 0 and out != expected
+
     def test_predict_warnings_name_the_file(self, tmp_path):
         # a fresh interpreter, so no warnings filter of the test run applies
         ckpt = quick_train(tmp_path / "run")
@@ -551,6 +598,27 @@ class TestSweep:
         assert len(lines) == 3
         # every tree is unified once, not once per setting
         assert len(calls) == len(ingest_corpus(TOY_CORPUS))
+
+    def test_each_path_length_trains_as_train_at_that_length(self, tmp_path,
+                                                             capsys):
+        # the sweep cuts paths featurized once at its longest length
+        common = ["--corpus", str(TOY_CORPUS), "--profile", "toy", *TINY_DIMS,
+                  "--epochs", "2", "--max-steps", "4"]
+        assert run(capsys, "sweep", *common, "--param", "path-length",
+                   "--values", "40,8", "--out-dir", str(tmp_path))[0] == 0
+        for value in (40, 8):
+            swept = tmp_path / f"path-length-{value}"
+            alone = tmp_path / f"train-{value}"
+            assert run(capsys, "train", *common, "--L", str(value), "--quiet",
+                       "--out-dir", str(alone))[0] == 0
+            a, b = (load_checkpoint(d / "final.ckpt") for d in (swept, alone))
+            assert a.config == b.config and a.config.L == value
+            for (name, x), (_, y) in zip(a.params.manifest(),
+                                         b.params.manifest()):
+                assert np.array_equal(x.data, y.data), name
+            epochs = [(d / "history.jsonl").read_text().splitlines()[1:]
+                      for d in (swept, alone)]
+            assert epochs[0] == epochs[1] and len(epochs[0]) == 2
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "sweep", "--corpus", str(TOY_CORPUS),

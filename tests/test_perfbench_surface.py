@@ -1,13 +1,15 @@
 """The names the benchmark harness calls in uastkit all exist.
 
 perfbench/ imports uastkit from src/ and calls into it by name, some of it
-only in traced runs.  A cleanup that deletes or renames one of those names
-would break the benchmark without failing any other test.  The probe
-itself also runs once, on the bundled toy corpus.
+only in traced runs.  A cleanup that deletes or renames one of those names,
+or drops a parameter a call passes, would break the benchmark without
+failing any other test.  So every such call must bind to its callee's
+signature.  The probe itself also runs once, on the bundled toy corpus.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 from types import ModuleType
 
@@ -32,10 +34,11 @@ def _imported(module: str, name: str):
         return _MISSING
 
 
-def missing_names(source: str) -> list[str]:
-    """uastkit names a script imports or reads off a module alias, absent."""
-    tree = ast.parse(source)
+def _uastkit_imports(tree: ast.AST):
+    """The uastkit modules and other names a script imports, by local
+    alias, and the imported names that do not exist."""
     modules: dict[str, ModuleType] = {}  # local alias -> uastkit module
+    names: dict[str, object] = {}  # local alias -> any other uastkit object
     missing = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -51,6 +54,15 @@ def missing_names(source: str) -> list[str]:
                     missing.append(f"{node.module}.{alias.name}")
                 elif isinstance(value, ModuleType):
                     modules[alias.asname or alias.name] = value
+                else:
+                    names[alias.asname or alias.name] = value
+    return modules, names, missing
+
+
+def missing_names(source: str) -> list[str]:
+    """uastkit names a script imports or reads off a module alias, absent."""
+    tree = ast.parse(source)
+    modules, _, missing = _uastkit_imports(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and \
                 isinstance(node.value, ast.Name) and \
@@ -58,6 +70,36 @@ def missing_names(source: str) -> list[str]:
                 not hasattr(modules[node.value.id], node.attr):
             missing.append(f"{modules[node.value.id].__name__}.{node.attr}")
     return missing
+
+
+def unbound_calls(source: str) -> list[str]:
+    """Calls of an imported uastkit name, or of a name read off a uastkit
+    module alias, whose arguments do not bind to the callee's signature.
+    Calls that pass *args or **kwargs are skipped."""
+    tree = ast.parse(source)
+    modules, names, _ = _uastkit_imports(tree)
+    unbound = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) \
+                or any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in names:
+            callee = names[func.id]
+        elif isinstance(func, ast.Attribute) and \
+                isinstance(func.value, ast.Name) and func.value.id in modules:
+            callee = getattr(modules[func.value.id], func.attr, None)
+        else:
+            continue
+        if not callable(callee):
+            continue
+        try:
+            inspect.signature(callee).bind(
+                *node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as exc:
+            unbound.append(f"line {node.lineno}: {ast.unparse(func)}: {exc}")
+    return unbound
 
 
 def test_the_harness_is_there():
@@ -75,6 +117,23 @@ def test_a_missing_name_is_reported():
               "M.forward_batch\nM.no_such_function\n")
     assert missing_names(source) == ["uastkit.featurizer.gone",
                                      "uastkit.model.no_such_function"]
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_every_uastkit_call_the_harness_makes_binds(script):
+    assert unbound_calls(script.read_text()) == []
+
+
+def test_a_call_that_does_not_bind_is_reported():
+    source = ("from uastkit import model as M\n"
+              "from uastkit.train_eval import build_features, predict_one\n"
+              "predict_one(ckpt, text, table)\n"
+              "build_features(splits, table, True, L, N, True)\n"
+              "M.forward(path, graph, params, cfg, no_such_flag=1)\n"
+              "predict_one(*args)\n"
+              "build_features(splits, **options)\n")
+    assert [line.split(":")[0] for line in unbound_calls(source)] == \
+        ["line 3", "line 4", "line 5"]
 
 
 def test_the_probe_runs_on_the_toy_corpus(tmp_path, monkeypatch):

@@ -501,15 +501,6 @@ class TestBuildFeatures:
             assert np.array_equal(s.graph.node_kinds, graph.node_kinds)
             assert np.array_equal(s.graph.edges, graph.edges)
 
-    def test_kept_trees_are_the_unified_views(self):
-        table = load_default_table()
-        splits = split_dataset(ingest_corpus(TOY_CORPUS), seed=0)
-        samples = [s for name in SPLIT_NAMES for s in splits[name]]
-        unified = unified_copies(samples, table)
-        build_features(splits, table, True, L=96, N=96, keep_trees=True)
-        assert [render_sexpr(s.tree) for s in samples] == \
-            [render_sexpr(tree) for tree in unified]
-
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
