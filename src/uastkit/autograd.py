@@ -17,6 +17,8 @@ or a view of it, as add and concat pass on.  No two .grad share memory.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 from .errors import (
@@ -26,6 +28,21 @@ from .errors import (
     NonScalarLoss,
     ShapeMismatch,
 )
+
+
+def _keep_freed_memory() -> None:
+    """Keep freed memory in glibc's heap, so each step reuses pages already
+    mapped (see the README).  A no-op without glibc's mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 1 << 30)  # M_MMAP_THRESHOLD: no mappings under 1 GiB
+    mallopt(-1, -1)  # M_TRIM_THRESHOLD: never trim the heap
+
+
+_keep_freed_memory()
 
 
 class Tensor:

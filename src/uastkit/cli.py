@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -40,6 +41,7 @@ from .ast_frontend import (
 )
 from .datagen import generate_corpus
 from .errors import (
+    ConfigError,
     DataError,
     EmptySplit,
     UastError,
@@ -101,6 +103,18 @@ class RunConfig(ModelSettings):
     batch_size: int = 64
     lr: float = 0.001
     max_steps: int | None = None
+
+    def __post_init__(self):
+        # what ingest, the split and featurization read, checked before them;
+        # ModelConfig.validate checks the rest once the corpus fixes its sizes
+        for name in ("L", "N"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be a finite number > 0, got {self.lr}")
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -275,14 +289,15 @@ def cmd_featurize(args: argparse.Namespace) -> int:
 
 
 def _train_once(rc: RunConfig, table, splits, vocab, labels, languages,
-                out_dir, quiet: bool):
+                quiet: bool):
     cfg = rc.model_config(vocab.size, len(labels))
     log_fn = None if quiet else \
         (lambda msg: print(msg, file=sys.stderr))
     return train(splits, cfg, vocab, labels, languages, table.table_hash,
                  rc.unified, rc.seed, epochs=rc.epochs,
                  batch_size=rc.batch_size, lr=rc.lr, max_steps=rc.max_steps,
-                 out_dir=out_dir, run_config=rc.to_dict(), log_fn=log_fn), cfg
+                 out_dir=rc.out_dir, run_config=rc.to_dict(),
+                 log_fn=log_fn), cfg
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -290,7 +305,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     table = _load_table(rc.table)
     splits, vocab, labels, languages = _features(rc, table, rc.L)
     result, cfg = _train_once(rc, table, splits, vocab, labels, languages,
-                              rc.out_dir, args.quiet)
+                              args.quiet)
     last = result.history[-1]
     print(f"trained mode={cfg.mode} unified={rc.unified} "
           f"epochs={last['epoch']} steps={last['step']} "
@@ -375,25 +390,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"bad --values {args.values!r}; expected integers")
     if not values:
         raise UsageError("--values must name at least one setting")
+    by_length = args.param == "path-length"
+    # each run checks its settings now and records the directory it writes
+    runs = [replace(rc, **{"L" if by_length else "gcn_layers": value},
+                    out_dir=str(Path(rc.out_dir) / f"{args.param}-{value}")
+                    if rc.out_dir else None)
+            for value in values]
     table = _load_table(rc.table)
     # one parse, one unification and one featurization serve every
     # setting; a path length L is the first L steps of the longest paths
-    by_length = args.param == "path-length"
     splits, vocab, labels, languages = _features(
         rc, table, max(values) if by_length else rc.L)
     longest = [(s, s.path_seq) for name in SPLIT_NAMES for s in splits[name]]
     rows = []
-    for value in values:
+    for value, run in zip(values, runs):
         if by_length:
-            run = replace(rc, L=value)
             for s, path in longest:
                 s.path_seq = replace(path, indices=path.indices[:value])
-        else:
-            run = replace(rc, gcn_layers=value)
-        out_dir = Path(rc.out_dir) / f"{args.param}-{value}" \
-            if rc.out_dir else None
         result, cfg = _train_once(run, table, splits, vocab, labels,
-                                  languages, out_dir, quiet=True)
+                                  languages, quiet=True)
         source = splits["test"] or splits["validation"] or splits["train"]
         report = evaluate_samples(source, result.checkpoint.params, cfg,
                                   run.batch_size)

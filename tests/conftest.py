@@ -1,6 +1,7 @@
 """Shared fixtures and tree builders for the test suite."""
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -12,8 +13,8 @@ from uastkit.autograd import Tensor
 from uastkit.featurizer import GraphSample, PathSequence
 from uastkit.model import ModelConfig
 
-TOY_CORPUS = Path(__file__).resolve().parents[1] / "src" / "uastkit" / \
-    "data" / "toy_corpus"
+SRC = Path(__file__).resolve().parents[1] / "src"
+TOY_CORPUS = SRC / "uastkit" / "data" / "toy_corpus"
 
 # sources nested past the interpreter's recursion limit; the recursive
 # parsers must refuse them with ParseFailure rather than crash
@@ -52,6 +53,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance verdicts")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def src_env() -> dict:
+    """os.environ with this checkout's src/ first on PYTHONPATH, for
+    running uastkit in a subprocess without installing it."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]]
+                      if os.environ.get("PYTHONPATH") else [])))
 
 
 def random_tree(rng: np.random.Generator, max_nodes: int = 30,

@@ -1,11 +1,16 @@
 """Tensor core: gradients against finite differences, op semantics, Adam."""
 
+import json
+import platform
+import statistics
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import random_tree, tape_tensors
+from conftest import random_tree, src_env, tape_tensors
 from oracle import (
     add_at_propagate,
     composed_gcn_layer,
@@ -720,6 +725,59 @@ class TestDropoutMemory:
         peak = self._peak_bytes(256, lambda x, p, rng: ag.dropout(
             x, 0.5, True, rng, p))
         assert peak < 2 * 2**20
+
+
+# B=64 gast steps at leetcode sizes (4,750 nodes, gcn_hidden 200) on one
+# batch; prints the minor page faults of each step after two warm-up steps
+STEP_FAULTS_SCRIPT = """
+import json, resource
+import numpy as np
+from uastkit import autograd as ag
+from uastkit.featurizer import GraphSample
+from uastkit.model import ModelConfig, forward_batch, init_params, prepare_sample
+from uastkit.optim import adam_init, adam_step
+
+cfg = ModelConfig(mode="gast", vocab_size=140, k=4).validate()
+rng = np.random.default_rng(0)
+batch = []
+for _ in range(64):
+    n = int(rng.integers(40, 101))
+    edges = [(int(rng.integers(0, c)), c) for c in range(1, n)]
+    batch.append(prepare_sample(None, GraphSample(
+        rng.integers(0, 140, n), np.array(edges, dtype=np.int64)), cfg))
+y = rng.integers(0, 4, 64)
+params = init_params(cfg, 0)
+opt = adam_init(params.parameters())
+
+
+def step():
+    # the tape and its arrays are freed when a step returns
+    loss = ag.cross_entropy_loss(forward_batch(batch, params, cfg, True), y)
+    ag.zero_grads(params.parameters())
+    ag.backward(loss)
+    adam_step(params.parameters(), opt)
+
+
+faults = []
+for _ in range(7):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    step()
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults[2:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy is glibc's mallopt")
+def test_training_steps_reuse_freed_memory():
+    # a fresh process: heap holes that earlier tests leave behind could
+    # serve a step's arrays and hide the faults
+    proc = subprocess.run([sys.executable, "-c", STEP_FAULTS_SCRIPT],
+                          capture_output=True, text=True, env=src_env(),
+                          check=True)
+    faults = json.loads(proc.stdout)
+    assert statistics.median(faults) < 50, faults
 
 
 # --- optimizer --------------------------------------------------------------------

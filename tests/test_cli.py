@@ -4,13 +4,11 @@ import argparse
 import hashlib
 import json
 import logging
-import os
 import shutil
 import struct
 import subprocess
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +18,7 @@ from conftest import (
     MALFORMED_CHECKPOINT_HEADERS,
     TOY_CORPUS,
     rewrite_json_header,
+    src_env,
 )
 from uastkit.cli import (
     PROFILES,
@@ -88,6 +87,23 @@ class TestExitCodes:
         assert code == 1
         assert "--values" in err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--seed", "-1"), ("--L", "0"), ("--N", "0"), ("--lr", "-1"),
+        ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf")])
+    def test_bad_run_setting_is_usage(self, tmp_path, flag, value):
+        # refused before ingest, as one error line; a subprocess, so that
+        # stderr shows whether a traceback escaped main
+        proc = subprocess.run(
+            [sys.executable, "-m", "uastkit", "train", "--corpus",
+             str(TOY_CORPUS), "--profile", "toy", "--epochs", "1",
+             "--out-dir", str(tmp_path), flag, value],
+            capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert not any(tmp_path.iterdir())
+
     def test_missing_file_is_a_data_problem(self, capsys):
         code, _, err = run(capsys, "parse", "/nowhere/missing.py")
         assert code == 2
@@ -132,12 +148,8 @@ class TestExitCodes:
         assert reason in err
 
     def test_module_runs_without_installation(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]]
-                     if os.environ.get("PYTHONPATH") else [])))
         proc = subprocess.run([sys.executable, "-m", "uastkit", "--help"],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0
         assert "parse" in proc.stdout and "train" in proc.stdout
         assert proc.stdout.startswith("usage: uast")
@@ -275,13 +287,9 @@ class TestLogging:
         # a fresh interpreter, so no warnings filter of the test run applies
         source = tmp_path / "warns.py"
         source.write_text("x = 1if y else 2\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]]
-                     if os.environ.get("PYTHONPATH") else [])))
         proc = subprocess.run([sys.executable, "-m", "uastkit", "--log-level",
                                level, "parse", str(source)],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0 and proc.stdout.startswith("(unit")
         assert proc.stderr == expected.format(source)
 
@@ -558,13 +566,9 @@ class TestTrainEvalPredict:
         ckpt = quick_train(tmp_path / "run")
         source = tmp_path / "warns.py"
         source.write_text("x = 1if y else 2\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]]
-                     if os.environ.get("PYTHONPATH") else [])))
         proc = subprocess.run([sys.executable, "-m", "uastkit", "predict",
                                str(source), "--checkpoint", str(ckpt)],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0
         assert proc.stderr == \
             f"WARNING: {source}:1: SyntaxWarning: invalid decimal literal\n"
@@ -619,6 +623,26 @@ class TestSweep:
             epochs = [(d / "history.jsonl").read_text().splitlines()[1:]
                       for d in (swept, alone)]
             assert epochs[0] == epochs[1] and len(epochs[0]) == 2
+
+    def test_each_run_records_its_own_directory(self, tmp_path, capsys):
+        assert run(capsys, "sweep", "--corpus", str(TOY_CORPUS), "--profile",
+                   "toy", *TINY_DIMS, "--epochs", "1", "--max-steps", "2",
+                   "--param", "path-length", "--values", "8,12",
+                   "--out-dir", str(tmp_path))[0] == 0
+        swept = tmp_path / "path-length-8"
+        header = json.loads(
+            (swept / "history.jsonl").read_text().splitlines()[0])
+        for run_config in (load_checkpoint(swept / "final.ckpt").run_config,
+                           header["run_config"]):
+            assert run_config["out_dir"] == str(swept)
+            assert run_config["L"] == 8
+
+    def test_bad_value_is_refused_before_ingest(self, capsys, monkeypatch):
+        monkeypatch.setattr("uastkit.cli.ingest_corpus", None)
+        code, _, err = run(capsys, "sweep", "--corpus", str(TOY_CORPUS),
+                           "--param", "path-length", "--values", "8,0")
+        assert code == 1
+        assert err == "error: L must be >= 1, got 0\n"
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "sweep", "--corpus", str(TOY_CORPUS),
