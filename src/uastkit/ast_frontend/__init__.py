@@ -3,11 +3,12 @@
 from .backends import (
     EXTENSION_LANGUAGES,
     SEXPR_EXTENSION,
-    language_for_extension,
+    load_tree,
     normalize_language,
     parse_source,
     register_backend,
     registered_languages,
+    source_language,
 )
 from .tree import (
     ERROR_KIND,
@@ -38,7 +39,7 @@ __all__ = [
     "AstNode", "ERROR_KIND", "preorder", "node_count",
     "load_ast_sexpr", "render_sexpr",
     "parse_source", "register_backend", "registered_languages",
-    "normalize_language", "language_for_extension",
+    "normalize_language", "source_language", "load_tree",
     "EXTENSION_LANGUAGES", "SEXPR_EXTENSION",
     "UnificationTable", "unify_ast", "load_unification_table",
     "parse_unification_table", "load_default_table", "identity_table",

@@ -11,11 +11,12 @@ from __future__ import annotations
 import logging
 import warnings
 from functools import partial
+from pathlib import Path
 from typing import Callable
 
 from ..errors import ParseFailure, UnknownExtension, UnsupportedLanguage
 from . import clike_backend, python_backend
-from .tree import AstNode
+from .tree import AstNode, load_ast_sexpr
 
 Backend = Callable[[str], AstNode]
 
@@ -50,11 +51,29 @@ def normalize_language(language: str) -> str:
     return canonical
 
 
-def language_for_extension(ext: str) -> str:
-    lang = EXTENSION_LANGUAGES.get(ext.casefold())
-    if lang is None:
-        raise UnknownExtension(f"no language registered for extension {ext!r}")
-    return lang
+def source_language(path: str | Path,
+                    declared: str | None = None) -> tuple[str | None, bool]:
+    """The language a file is read in, and whether it holds an S-expression.
+
+    A declared language wins over the extension.  An S-expression file
+    declares no language of its own, so without one its language is None.
+    """
+    ext = Path(path).suffix.lower()
+    is_sexpr = ext == SEXPR_EXTENSION
+    if declared:
+        return normalize_language(declared), is_sexpr
+    if is_sexpr:
+        return None, True
+    if ext not in EXTENSION_LANGUAGES:
+        raise UnknownExtension(f"{path}: unknown extension {ext!r}")
+    return EXTENSION_LANGUAGES[ext], False
+
+
+def load_tree(text: str, language: str | None, is_sexpr: bool,
+              path: str | None = None) -> AstNode:
+    """An S-expression read as written, or source parsed (parse_source)."""
+    return load_ast_sexpr(text) if is_sexpr else \
+        parse_source(text, language, path)
 
 
 def register_backend(language: str, parser: Backend) -> None:

@@ -27,16 +27,13 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .ast_frontend import (
-    SEXPR_EXTENSION,
     UnificationTable,
-    language_for_extension,
-    load_ast_sexpr,
     load_default_table,
+    load_tree,
     load_unification_table,
-    normalize_language,
-    parse_source,
     registered_languages,
     render_sexpr,
+    source_language,
     unify_ast,
 )
 from .datagen import generate_corpus
@@ -53,15 +50,18 @@ from .model import GCN_ACTIVATIONS, MODES, POOLINGS, ModelConfig, ModelSettings
 from .train_eval import (
     DEFAULT_RATIOS,
     SPLIT_NAMES,
+    SUMMARY_NAMES,
+    build_features,
+    check_schedule,
+    collector_paused,
     corpus_labels,
     corpus_languages,
     evaluate_samples,
-    featurize_with_vocab,
+    featurize,
     ingest_corpus,
     load_checkpoint,
     predict_one,
     split_dataset,
-    build_features,
     train,
 )
 
@@ -105,12 +105,9 @@ class RunConfig(ModelSettings):
     max_steps: int | None = None
 
     def __post_init__(self):
-        # what ingest, the split and featurization read, checked before them;
-        # ModelConfig.validate checks the rest once the corpus fixes its sizes
-        for name in ("L", "N"):
-            if getattr(self, name) < 1:
-                raise ConfigError(
-                    f"{name} must be >= 1, got {getattr(self, name)}")
+        # checked before ingest; ModelConfig.validate adds the corpus's sizes
+        self.check()
+        check_schedule(self.epochs, self.batch_size, self.max_steps)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -222,19 +219,10 @@ def _checkpoint_and_table(args: argparse.Namespace):
 
 
 def _read_source(name: str, lang: str | None):
-    """A file's text, its language and whether it holds an S-expression.
-
-    --lang wins over the extension; an S-expression file declares no
-    language of its own, so without --lang its language is None.
-    """
-    path = Path(name)
-    text = path.read_text(encoding="utf-8", errors="replace")
-    is_sexpr = path.suffix.lower() == SEXPR_EXTENSION
-    if lang:
-        language = normalize_language(lang)
-    else:
-        language = None if is_sexpr else language_for_extension(path.suffix)
-    return text, language, is_sexpr
+    """A file's text, its language (--lang wins) and whether it holds an
+    S-expression (see source_language)."""
+    text = Path(name).read_text(encoding="utf-8", errors="replace")
+    return (text, *source_language(name, lang))
 
 
 # --- subcommand bodies --------------------------------------------------------
@@ -243,8 +231,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     table = _load_table(args.table)
     for name in args.files:
         text, language, is_sexpr = _read_source(name, args.lang)
-        tree = load_ast_sexpr(text) if is_sexpr else \
-            parse_source(text, language, path=name)
+        tree = load_tree(text, language, is_sexpr, name)
         if not args.raw and language:
             tree = unify_ast(tree, language, table)
         print(render_sexpr(tree, pretty=args.pretty))
@@ -317,9 +304,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if splits["test"]:
         report = evaluate_samples(splits["test"], result.checkpoint.params,
                                   cfg, rc.batch_size)
-        print(f"test: precision {report.precision:.4f} recall "
-              f"{report.recall:.4f} f1 {report.f1:.4f} accuracy "
-              f"{report.accuracy:.4f}")
+        print("test: " + " ".join(f"{name} {value:.4f}" for name, value
+                                  in report.summary().items()))
     if result.final_path is not None:
         print(f"checkpoints: {result.final_path} (final), "
               f"{result.best_path} (best); history: {result.history_path}")
@@ -344,8 +330,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         chosen = splits[args.split]
     if not chosen:
         raise EmptySplit(f"split {args.split!r} is empty")
-    featurize_with_vocab(chosen, table, ckpt.unified, ckpt.vocab,
-                         ckpt.config.L, ckpt.config.N)
+    with collector_paused():
+        featurize(chosen, table, ckpt.unified, ckpt.vocab, ckpt.config.L,
+                  ckpt.config.N)
     report = evaluate_samples(chosen, ckpt.params, ckpt.config)
     header = {"mode": ckpt.config.mode, "unified": ckpt.unified,
               "seed": ckpt.seed, "split": args.split,
@@ -412,19 +399,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         source = splits["test"] or splits["validation"] or splits["train"]
         report = evaluate_samples(source, result.checkpoint.params, cfg,
                                   run.batch_size)
-        rows.append({"value": value, "precision": report.precision,
-                     "recall": report.recall, "f1": report.f1,
-                     "accuracy": report.accuracy})
+        rows.append({"value": value, **report.summary()})
     if args.json:
         print(json.dumps({"param": args.param, "rows": rows},
                          sort_keys=True))
     else:
-        print(f"{args.param:>12} {'precision':>10} {'recall':>10} "
-              f"{'f1':>10} {'accuracy':>10}")
+        print(f"{args.param:>12}" + "".join(f" {name:>10}"
+                                            for name in SUMMARY_NAMES))
         for row in rows:
-            print(f"{row['value']:>12} {row['precision']:>10.4f} "
-                  f"{row['recall']:>10.4f} {row['f1']:>10.4f} "
-                  f"{row['accuracy']:>10.4f}")
+            print(f"{row['value']:>12}" + "".join(f" {row[name]:>10.4f}"
+                                                  for name in SUMMARY_NAMES))
     return 0
 
 

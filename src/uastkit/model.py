@@ -18,7 +18,7 @@ One function composes the two encoders: forward_batch, which training,
 evaluation and prediction all run.  Its tape holds the same number of nodes
 whatever the batch size and path lengths.  forward is forward_batch at B=1;
 embed and self_attention run the embedding and the attention op on one
-sample.  Nothing in the package calls those two; they stay because the
+sample.  Nothing in the package calls those three; they stay because the
 benchmark's per-layer probe times them, as it does GraphSample.norm_adj.
 """
 
@@ -60,23 +60,17 @@ class ModelSettings:
     pooling: str = "mean"
     learned_projections: bool = False
 
-
-@dataclass(frozen=True)
-class ModelConfig(ModelSettings):
-    """The settings plus the sizes the corpus fixes."""
-    vocab_size: int = field(kw_only=True)
-    k: int = field(kw_only=True)
-
-    def validate(self) -> "ModelConfig":
+    def check(self, *sizes: str) -> None:
+        """Refuse settings no model can be built with; sizes names further
+        fields that, like the layer sizes, must be >= 1."""
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.gcn_activation not in GCN_ACTIVATIONS:
             raise ConfigError(f"gcn_activation must be one of {GCN_ACTIVATIONS}")
         if self.pooling not in POOLINGS:
             raise ConfigError(f"pooling must be one of {POOLINGS}")
-        positive = ("vocab_size", "k", "L", "d", "heads", "h", "lstm_layers",
-                    "N", "gcn_layers", "gcn_hidden", "d_out")
-        for name in positive:
+        for name in (*sizes, "L", "d", "heads", "h", "lstm_layers", "N",
+                     "gcn_layers", "gcn_hidden", "d_out"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d % self.heads != 0:
@@ -86,6 +80,16 @@ class ModelConfig(ModelSettings):
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {rate}")
+
+
+@dataclass(frozen=True)
+class ModelConfig(ModelSettings):
+    """The settings plus the sizes the corpus fixes."""
+    vocab_size: int = field(kw_only=True)
+    k: int = field(kw_only=True)
+
+    def validate(self) -> "ModelConfig":
+        self.check("vocab_size", "k")
         return self
 
     @property
@@ -371,7 +375,8 @@ def forward(path: PathSequence | None, graph: GraphSample | None,
             rng: np.random.Generator | None = None) -> Tensor:
     """Single-sample probabilities [1 x k]: forward_batch at B=1.
 
-    predict_one and the benchmark's probe call it.
+    Nothing in the package calls it; it stays because the benchmark's
+    per-layer probe (perfbench/layers.py) does.
     """
     sample = prepare_sample(path, graph, cfg)
     return forward_batch([sample], params, cfg, training, rng)

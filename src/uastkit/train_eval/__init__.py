@@ -6,23 +6,24 @@ from .corpus import (
     MASK_TOKEN,
     SPLIT_NAMES,
     LabeledSample,
+    collector_paused,
     corpus_labels,
     corpus_languages,
     ingest_corpus,
     mask_function_names,
     split_dataset,
 )
-from .metrics import MetricsReport, compute_metrics
+from .metrics import SUMMARY_NAMES, MetricsReport, compute_metrics
 from .training import (
     TrainResult,
     build_features,
-    evaluate_prepared,
+    check_schedule,
     evaluate_samples,
-    featurize_with_vocab,
+    featurize,
     predict_one,
     prepare,
+    score_prepared,
     train,
-    unified_view,
 )
 
 __all__ = [
@@ -32,21 +33,23 @@ __all__ = [
     "MASK_TOKEN",
     "MetricsReport",
     "SPLIT_NAMES",
+    "SUMMARY_NAMES",
     "TrainResult",
     "build_features",
+    "check_schedule",
+    "collector_paused",
     "compute_metrics",
     "corpus_labels",
     "corpus_languages",
-    "evaluate_prepared",
     "evaluate_samples",
-    "featurize_with_vocab",
+    "featurize",
     "ingest_corpus",
     "load_checkpoint",
     "mask_function_names",
     "predict_one",
     "prepare",
     "save_checkpoint",
+    "score_prepared",
     "split_dataset",
     "train",
-    "unified_view",
 ]

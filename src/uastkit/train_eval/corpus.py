@@ -24,12 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from ..ast_frontend import (
-    EXTENSION_LANGUAGES,
     SEXPR_EXTENSION,
     AstNode,
-    load_ast_sexpr,
+    load_tree,
     normalize_language,
-    parse_source,
+    source_language,
 )
 from ..errors import (
     DataError,
@@ -52,7 +51,7 @@ MASK_TOKEN = "XXX"
 class LabeledSample:
     """One source file with its label, parse, and (later) feature views."""
     source_path: str
-    language: str
+    language: str | None  # None only for a tree file to predict
     label: str
     label_index: int
     tree: AstNode | None = None
@@ -87,19 +86,6 @@ def mask_function_names(text: str, names: set[str] | frozenset[str]) -> str:
         text = re.sub(rf"(?<![0-9A-Za-z_$]){re.escape(name)}(?![0-9A-Za-z_$])",
                       MASK_TOKEN, text)
     return text
-
-
-def _language_for(path: Path, declared: str | None) -> str:
-    if declared:
-        return normalize_language(declared)
-    ext = path.suffix.lower()
-    if ext == SEXPR_EXTENSION:
-        raise UnknownExtension(
-            f"{path}: cannot infer a language for {SEXPR_EXTENSION} files; "
-            "declare one in a manifest or a language directory")
-    if ext not in EXTENSION_LANGUAGES:
-        raise UnknownExtension(f"{path}: unknown extension {ext!r}")
-    return EXTENSION_LANGUAGES[ext]
 
 
 def _enumerate_directory(root: Path) -> list[tuple[Path, str, str | None]]:
@@ -171,7 +157,11 @@ def ingest_corpus(root: str | Path, manifest: str | Path | None = None,
     with collector_paused():
         for path, label, declared in rows:
             label_seen.setdefault(label, 0)
-            language = _language_for(path, declared)
+            language, is_sexpr = source_language(path, declared)
+            if language is None:
+                raise UnknownExtension(
+                    f"{path}: cannot infer a language for {SEXPR_EXTENSION} "
+                    "files; declare one in a manifest or a language directory")
             try:
                 blob = path.read_bytes()
             except OSError as exc:
@@ -186,10 +176,7 @@ def ingest_corpus(root: str | Path, manifest: str | Path | None = None,
             if mask_names:
                 text = mask_function_names(text, mask_names)
             try:
-                if path.suffix.lower() == SEXPR_EXTENSION:
-                    tree = load_ast_sexpr(text)
-                else:
-                    tree = parse_source(text, language, path=str(path))
+                tree = load_tree(text, language, is_sexpr, str(path))
             except (ParseFailure, MalformedSExpr) as exc:
                 log.warning("unparseable file skipped: %s (%s)", path, exc)
                 continue

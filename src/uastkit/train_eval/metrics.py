@@ -17,6 +17,9 @@ import numpy as np
 
 from ..errors import DataError
 
+SUMMARY_NAMES = ("precision", "recall", "f1", "accuracy")
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     k: int
@@ -42,8 +45,9 @@ class MetricsReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def summary(self) -> dict[str, float]:
-        return {"precision": self.precision, "recall": self.recall,
-                "f1": self.f1, "accuracy": self.accuracy}
+        """The headline metrics: history, checkpoints and reports carry
+        these, under these names, in this order."""
+        return {name: getattr(self, name) for name in SUMMARY_NAMES}
 
     def format_table(self, labels: list[str] | None = None) -> str:
         names = labels if labels and len(labels) == self.k else \

@@ -1,5 +1,11 @@
 """The training loop, evaluation, and single-file prediction.
 
+Every file takes one path to a score, each stage written once: load_tree
+reads it, featurize unifies and featurizes it, prepare and score_prepared
+give its class probabilities, and MetricsReport.summary names the
+metrics kept of a scored split.  Evaluation and training's validation
+pass run it over a split; predict_one runs it for one file at B=1.
+
 Training minimizes cross-entropy with Adam over seeded shuffled batches.
 Randomness is split into named streams derived from the run seed: split
 shuffling, parameter init, dropout, and batch order each get their own
@@ -19,12 +25,10 @@ import numpy as np
 
 from .. import model as M
 from ..ast_frontend import (
-    AstNode,
     UnificationTable,
     Vocabulary,
     build_vocabulary,
-    load_ast_sexpr,
-    parse_source,
+    load_tree,
     unify_ast,
 )
 from ..autograd import backward, cross_entropy_loss, zero_grads
@@ -39,7 +43,7 @@ from ..model import ModelConfig, ModelParams, PreparedSample
 from ..optim import adam_init, adam_step
 from .checkpoint import Checkpoint, save_checkpoint
 from .corpus import LabeledSample, collector_paused
-from .metrics import MetricsReport, compute_metrics
+from .metrics import SUMMARY_NAMES, MetricsReport, compute_metrics
 
 log = logging.getLogger("uastkit.train")
 
@@ -47,49 +51,39 @@ DROPOUT_STREAM = 2
 BATCH_ORDER_STREAM = 3
 
 
-def unified_view(sample: LabeledSample, table: UnificationTable,
-                 unified: bool) -> AstNode:
-    """The sample's tree with unified kinds; unify_ast relabels it in place."""
-    if sample.tree is None:
-        raise EmptyCorpus(f"{sample.source_path}: tree already released")
-    if not unified:
-        return sample.tree
-    return unify_ast(sample.tree, sample.language, table)
+def featurize(samples: list[LabeledSample], table: UnificationTable,
+              unified: bool, vocab: Vocabulary | None, L: int,
+              N: int) -> Vocabulary:
+    """Unify each sample's tree and write its feature views in place.
 
-
-def featurize_with_vocab(samples: list[LabeledSample],
-                         table: UnificationTable, unified: bool,
-                         vocab: Vocabulary, L: int, N: int) -> None:
-    """Write feature views onto samples in place under a fixed vocabulary.
-
-    Kinds outside the vocabulary land on its unknown index.  Trees are
-    released afterwards to bound memory.
+    Raw runs (unified False) and trees of no declared language keep their
+    kinds.  Kinds outside vocab land on its unknown index; with no vocab,
+    one is fitted on these samples' trees.  Each tree is unified once and
+    released afterwards to bound memory.  Returns the vocabulary.
     """
-    with collector_paused():
-        for s in samples:
-            tree = unified_view(s, table, unified)
-            s.path_seq, s.graph = featurize_sample(tree, vocab, L, N)
-            s.tree = None
+    for s in samples:
+        if s.tree is None:
+            raise EmptyCorpus(f"{s.source_path}: tree already released")
+        if unified and s.language is not None:
+            s.tree = unify_ast(s.tree, s.language, table)
+    if vocab is None:
+        vocab = build_vocabulary(s.tree for s in samples)
+    for s in samples:
+        s.path_seq, s.graph = featurize_sample(s.tree, vocab, L, N)
+        s.tree = None
+    return vocab
 
 
 def build_features(splits: dict[str, list[LabeledSample]],
                    table: UnificationTable, unified: bool, L: int,
                    N: int) -> Vocabulary:
-    """Fit the vocabulary on the train split, then featurize every split.
-
-    Each tree is unified once: its unified view replaces the parse on the
-    sample until featurizing releases it.
-    """
+    """Fit the vocabulary on the train split, then featurize every split."""
     if not splits.get("train"):
         raise EmptySplit("cannot fit a vocabulary: train split is empty")
-    parts = [splits.get(name, []) for name in ("train", "validation", "test")]
     with collector_paused():
-        for samples in parts:
-            for s in samples:
-                s.tree = unified_view(s, table, unified)
-        vocab = build_vocabulary(s.tree for s in splits["train"])
-        for samples in parts:
-            featurize_with_vocab(samples, table, False, vocab, L, N)
+        vocab = featurize(splits["train"], table, unified, None, L, N)
+        featurize(splits.get("validation", []) + splits.get("test", []),
+                  table, unified, vocab, L, N)
     return vocab
 
 
@@ -101,28 +95,39 @@ def prepare(samples: list[LabeledSample],
     return prepped, np.array([s.label_index for s in samples], dtype=np.int64)
 
 
+def check_schedule(epochs: int, batch_size: int,
+                   max_steps: int | None) -> None:
+    """Refuse a schedule with a count below 1; max_steps None means no cap."""
+    for name, value in (("epochs", epochs), ("batch_size", batch_size),
+                        ("max_steps", max_steps)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+
+
 def _batches(n: int, batch_size: int, order=None):
     idx = np.arange(n) if order is None else order
     for at in range(0, n, batch_size):
         yield idx[at:at + batch_size]
 
 
-def evaluate_prepared(prepped: list[PreparedSample], y_true: np.ndarray,
-                      params: ModelParams, cfg: ModelConfig,
-                      batch_size: int = 64) -> MetricsReport:
-    if not prepped:
-        raise EmptySplit("evaluation split is empty")
-    preds = np.empty(len(prepped), dtype=np.int64)
+def score_prepared(prepped: list[PreparedSample], params: ModelParams,
+                   cfg: ModelConfig, batch_size: int = 64) -> np.ndarray:
+    """Eval-mode class probabilities [n x k], batch_size samples a pass."""
+    probs = np.empty((len(prepped), cfg.k))
     for sel in _batches(len(prepped), batch_size):
-        probs = M.forward_batch([prepped[i] for i in sel], params, cfg)
-        preds[sel] = probs.data.argmax(axis=1)
-    return compute_metrics(y_true, preds, cfg.k)
+        probs[sel] = M.forward_batch([prepped[i] for i in sel], params,
+                                     cfg).data
+    return probs
 
 
 def evaluate_samples(samples: list[LabeledSample], params: ModelParams,
                      cfg: ModelConfig, batch_size: int = 64) -> MetricsReport:
+    """Metrics of the scores' argmax against the samples' labels."""
+    if not samples:
+        raise EmptySplit("evaluation split is empty")
     prepped, y_true = prepare(samples, cfg)
-    return evaluate_prepared(prepped, y_true, params, cfg, batch_size)
+    preds = score_prepared(prepped, params, cfg, batch_size).argmax(axis=1)
+    return compute_metrics(y_true, preds, cfg.k)
 
 
 @dataclass
@@ -168,13 +173,10 @@ def train(splits: dict[str, list[LabeledSample]], cfg: ModelConfig,
             f"config vocab_size {cfg.vocab_size} != vocabulary size {vocab.size}")
     if cfg.k != len(labels):
         raise ConfigError(f"config k {cfg.k} != label count {len(labels)}")
-    if epochs < 1 or batch_size < 1:
-        raise ConfigError("epochs and batch size must be >= 1")
+    check_schedule(epochs, batch_size, max_steps)
 
     train_prep, train_y = prepare(splits["train"], cfg)
     has_val = bool(splits.get("validation"))
-    if has_val:
-        val_prep, val_y = prepare(splits["validation"], cfg)
     if not train_prep:
         raise EmptySplit("train split is empty")
 
@@ -220,6 +222,7 @@ def train(splits: dict[str, list[LabeledSample]], cfg: ModelConfig,
             zero_grads(params.parameters())
             backward(loss)
             adam_step(params.parameters(), opt)
+            del probs, loss  # free this step's tape before the next forward
             step += 1
             batch_losses.append(value)
             emit(f"epoch {epoch} step {step} loss {value:.6f}")
@@ -227,32 +230,23 @@ def train(splits: dict[str, list[LabeledSample]], cfg: ModelConfig,
                 stop = True
                 break
 
-        record: dict = {
+        val = dict.fromkeys(SUMMARY_NAMES)
+        if has_val:
+            val = evaluate_samples(splits["validation"], params, cfg,
+                                   batch_size).summary()
+            if best_acc is None or val["accuracy"] > best_acc:
+                best_acc = val["accuracy"]
+                best_epoch = epoch
+                if best_path is not None:
+                    save_checkpoint(snapshot(epoch, step, val), best_path)
+        history.append({
             "record": "epoch", "epoch": epoch, "step": step,
             "train_loss": sum(batch_losses) / max(1, len(batch_losses)),
             "batch_losses": batch_losses,
-            "val_precision": None, "val_recall": None,
-            "val_f1": None, "val_accuracy": None,
-        }
-        if has_val:
-            report = evaluate_prepared(val_prep, val_y, params, cfg,
-                                       batch_size)
-            record.update(val_precision=report.precision,
-                          val_recall=report.recall, val_f1=report.f1,
-                          val_accuracy=report.accuracy)
-            if best_acc is None or report.accuracy > best_acc:
-                best_acc = report.accuracy
-                best_epoch = epoch
-                if best_path is not None:
-                    save_checkpoint(
-                        snapshot(epoch, step, report.summary()), best_path)
-        history.append(record)
+            **{f"val_{name}": value for name, value in val.items()},
+        })
 
-    last_val = None
-    if history and history[-1]["val_accuracy"] is not None:
-        last_val = {name: history[-1]["val_" + name]
-                    for name in ("precision", "recall", "f1", "accuracy")}
-    final = snapshot(epoch, step, last_val)
+    final = snapshot(epoch, step, val if has_val else None)
     result = TrainResult(checkpoint=final, history=history,
                          best_epoch=best_epoch if has_val else epoch,
                          best_val_accuracy=best_acc)
@@ -275,17 +269,16 @@ def predict_one(ckpt: Checkpoint, text: str, language: str | None,
                 path: str | None = None) -> tuple[str, np.ndarray]:
     """Classify one source text with a trained checkpoint (eval mode).
 
-    path, the text's file, names it in the parser's warnings.  An
-    S-expression tree of no declared language (None) is not unified.
+    Evaluation's path for one unlabeled file: load_tree, featurize,
+    prepare and score_prepared at B=1.  path, the text's file, names it in
+    the parser's warnings.  An S-expression tree of no declared language
+    (None) is not unified.
     """
-    tree = load_ast_sexpr(text) if is_sexpr else \
-        parse_source(text, language, path)
-    if ckpt.unified and language is not None:
-        tree = unify_ast(tree, language, table)
-    path_seq, graph = featurize_sample(tree, ckpt.vocab, ckpt.config.L,
-                                       ckpt.config.N)
-    probs = M.forward(path_seq if ckpt.config.uses_path else None,
-                      graph if ckpt.config.uses_graph else None,
-                      ckpt.params, ckpt.config)
-    row = probs.data[0]
-    return ckpt.labels[int(row.argmax())], row.copy()
+    sample = LabeledSample(source_path=path or "", language=language,
+                           label="", label_index=-1,
+                           tree=load_tree(text, language, is_sexpr, path))
+    featurize([sample], table, ckpt.unified, ckpt.vocab, ckpt.config.L,
+              ckpt.config.N)
+    prepped, _ = prepare([sample], ckpt.config)
+    row = score_prepared(prepped, ckpt.params, ckpt.config)[0]
+    return ckpt.labels[int(row.argmax())], row

@@ -19,9 +19,9 @@ from uastkit.ast_frontend.clike_backend import _KEYWORDS, _Parser, tokenize
 from uastkit.ast_frontend.backends import (
     EXTENSION_LANGUAGES,
     SEXPR_EXTENSION,
-    language_for_extension,
     normalize_language,
     registered_languages,
+    source_language,
 )
 from uastkit.cli import main
 from uastkit.errors import (
@@ -205,7 +205,7 @@ class TestGoldenTrees:
         path = GOLDEN / name
         with pytest.raises(ParseFailure):
             parse_source(path.read_text(encoding="utf-8"),
-                         language_for_extension(path.suffix))
+                         source_language(path)[0])
 
 
 class TestLongElseIfChains:
@@ -353,12 +353,17 @@ class TestRegistry:
     @pytest.mark.parametrize("ext,language", sorted(
         EXTENSION_LANGUAGES.items()))
     def test_extension_map(self, ext, language):
-        assert language_for_extension(ext) == language
+        assert source_language(f"f{ext}") == (language, False)
+        assert source_language(f"f{ext.upper()}") == (language, False)
 
     def test_unknown_extension_raises(self):
         with pytest.raises(UnknownExtension):
-            language_for_extension(".rb")
+            source_language("f.rb")
 
     def test_sexpr_extension_is_reserved(self):
         assert SEXPR_EXTENSION == ".sexpr"
         assert SEXPR_EXTENSION not in EXTENSION_LANGUAGES
+        # a tree file has a language only when one is declared
+        assert source_language("t.sexpr") == (None, True)
+        assert source_language("t.SEXPR", "py") == ("python", True)
+        assert source_language("t.rb", "java") == ("java", False)

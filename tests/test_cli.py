@@ -29,7 +29,12 @@ from uastkit.cli import (
 )
 from uastkit.featurizer import read_featurized
 from uastkit.model import ModelSettings
-from uastkit.train_eval import ingest_corpus, load_checkpoint, training
+from uastkit.train_eval import (
+    SUMMARY_NAMES,
+    ingest_corpus,
+    load_checkpoint,
+    training,
+)
 
 TINY_DIMS = ["--L", "16", "--N", "16", "--d", "8", "--heads", "2", "--h", "4",
              "--lstm-layers", "1", "--gcn-layers", "1", "--gcn-hidden", "8",
@@ -89,7 +94,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag,value", [
         ("--seed", "-1"), ("--L", "0"), ("--N", "0"), ("--lr", "-1"),
-        ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf")])
+        ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"), ("--max-steps", "0"),
+        ("--max-steps", "-2")])
     def test_bad_run_setting_is_usage(self, tmp_path, flag, value):
         # refused before ingest, as one error line; a subprocess, so that
         # stderr shows whether a traceback escaped main
@@ -204,6 +210,12 @@ class TestParse:
         code, out, _ = run(capsys, "parse", str(src))
         assert code == 0
         assert out.strip() == "(unit (block (identifier)))"
+        # a tree file has no language of its own: only --lang unifies it
+        raw = run(capsys, "parse", "--raw", JAVA_SAMPLE)[1]
+        src.write_text(raw)
+        assert run(capsys, "parse", str(src)) == (0, raw, "")
+        assert run(capsys, "parse", "--lang", "java", str(src)) == \
+            run(capsys, "parse", JAVA_SAMPLE)
 
 
 # --- stats -------------------------------------------------------------------------
@@ -386,8 +398,10 @@ class TestConfigLayering:
             if action.nargs == 0:
                 value, argv = action.const, [action.option_strings[0]]
             else:
+                # a valid value: d stays divisible by heads, rates below 1
                 value = next(c for c in action.choices if c != f.default) \
-                    if action.choices else f.default + 1
+                    if action.choices else f.default * 2 \
+                    if isinstance(f.default, int) else f.default / 2
                 argv = [action.option_strings[0], str(value)]
             rc = resolve_run_config(parser.parse_args(["train", *argv]))
             assert getattr(rc, f.name) == value != f.default, f.name
@@ -639,22 +653,31 @@ class TestSweep:
 
     def test_bad_value_is_refused_before_ingest(self, capsys, monkeypatch):
         monkeypatch.setattr("uastkit.cli.ingest_corpus", None)
-        code, _, err = run(capsys, "sweep", "--corpus", str(TOY_CORPUS),
-                           "--param", "path-length", "--values", "8,0")
-        assert code == 1
-        assert err == "error: L must be >= 1, got 0\n"
+        for param, field in (("path-length", "L"),
+                             ("gcn-layers", "gcn_layers")):
+            code, _, err = run(capsys, "sweep", "--corpus", str(TOY_CORPUS),
+                               "--param", param, "--values", "8,0")
+            assert code == 1
+            assert err == f"error: {field} must be >= 1, got 0\n"
 
-    def test_json_output(self, capsys):
+    def test_json_output(self, tmp_path, capsys):
         code, out, _ = run(capsys, "sweep", "--corpus", str(TOY_CORPUS),
                            "--profile", "toy", *TINY_DIMS,
                            "--epochs", "1", "--max-steps", "2",
                            "--param", "gcn-layers", "--values", "1,2",
-                           "--json")
+                           "--json", "--out-dir", str(tmp_path))
         assert code == 0
         payload = json.loads(out)
         assert payload["param"] == "gcn-layers"
         assert [r["value"] for r in payload["rows"]] == [1, 2]
-        assert all("accuracy" in r for r in payload["rows"])
+        # each row is the value and the summary of eval's test report
+        for row in payload["rows"]:
+            ckpt = tmp_path / f"gcn-layers-{row['value']}" / "final.ckpt"
+            metrics = json.loads(run(capsys, "eval", "--corpus",
+                                     str(TOY_CORPUS), "--checkpoint",
+                                     str(ckpt), "--json")[1])["metrics"]
+            assert row == {"value": row["value"],
+                           **{name: metrics[name] for name in SUMMARY_NAMES}}
 
     def test_unknown_param_rejected(self, capsys):
         code, _, _ = run(capsys, "sweep", "--corpus", str(TOY_CORPUS),

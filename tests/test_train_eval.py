@@ -5,6 +5,7 @@ import json
 import logging
 import shutil
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,7 @@ from uastkit.errors import (
     UnknownExtension,
     UnsupportedLanguage,
 )
+from uastkit import model as M
 from uastkit.featurizer import GraphSample, featurize_sample
 from uastkit.model import ModelConfig, init_params
 from uastkit.train_eval import (
@@ -58,7 +60,9 @@ from uastkit.train_eval import (
     load_checkpoint,
     mask_function_names,
     predict_one,
+    prepare,
     save_checkpoint,
+    score_prepared,
     split_dataset,
     train,
     training,
@@ -645,10 +649,16 @@ class TestTrain:
         assert losses[-1] < losses[0]
 
     def test_history_records_validation_metrics(self, tmp_path):
-        _, _, _, _, result = self._fit(tmp_path=tmp_path, with_val=True)
+        splits, _, _, cfg, result = self._fit(tmp_path=tmp_path,
+                                              with_val=True)
         record = result.history[-1]
         assert record["record"] == "epoch"
         assert record["val_accuracy"] is not None
+        # exactly the summary of the final parameters' validation report
+        summary = evaluate_samples(splits["validation"],
+                                   result.checkpoint.params, cfg).summary()
+        assert {k: v for k, v in record.items() if k.startswith("val_")} \
+            == {f"val_{k}": v for k, v in summary.items()}
         assert result.best_val_accuracy is not None
         lines = (tmp_path / "history.jsonl").read_text().splitlines()
         header = json.loads(lines[0])
@@ -659,12 +669,32 @@ class TestTrain:
             assert json.loads(line)["record"] == "epoch"
 
     def test_saves_final_and_best_checkpoints(self, tmp_path):
-        self._fit(tmp_path=tmp_path, with_val=True)
+        splits, _, _, cfg, _ = self._fit(tmp_path=tmp_path, with_val=True)
         final = load_checkpoint(tmp_path / "final.ckpt")
         best = load_checkpoint(tmp_path / "best.ckpt")
         assert final.epoch == 12
         assert best.val_metrics is not None
         assert final.labels == ("alpha", "beta")
+        for ckpt in (final, best):
+            report = evaluate_samples(splits["validation"], ckpt.params, cfg)
+            assert ckpt.val_metrics == report.summary()
+
+    def test_each_step_frees_its_tape_before_the_next(self, monkeypatch):
+        # two live tapes would set the peak: the previous step's
+        # probabilities, and with them its tape, must be gone by the time
+        # the next forward pass starts
+        forward_batch = M.forward_batch
+        last = []
+
+        def tracked(*args, **kwargs):
+            assert not last or last[-1]() is None, "the last tape is alive"
+            probs = forward_batch(*args, **kwargs)
+            last.append(weakref.ref(probs.data))
+            return probs
+
+        monkeypatch.setattr(M, "forward_batch", tracked)
+        self._fit(epochs=2)
+        assert len(last) == 6  # three steps an epoch
 
     def test_without_validation_best_equals_final(self, tmp_path):
         self._fit(tmp_path=tmp_path, with_val=False)
@@ -823,20 +853,43 @@ class TestTrain:
             raise AssertionError("dense N x N adjacency built")
 
         monkeypatch.setattr(GraphSample, "norm_adj", property(refuse))
-        table = load_default_table()
-        splits = split_dataset(ingest_corpus(TOY_CORPUS), seed=0)
-        labels = corpus_labels(splits["train"])
-        vocab = build_features(splits, table, True, L=96, N=96)
-        cfg = ModelConfig(vocab_size=vocab.size, k=len(labels), mode=mode,
-                          L=96, d=8, heads=2, attn_dropout=0.1, h=4,
-                          lstm_layers=1, lstm_dropout=0.0, N=96,
-                          gcn_layers=2, gcn_hidden=6, d_out=4)
-        result = train(splits, cfg, vocab, labels, ["java", "python"],
-                       table.table_hash, True, seed=0, epochs=1,
-                       batch_size=8, max_steps=2)
+        table, _, labels, result = toy_run(mode)
         text = (TOY_CORPUS / "matrix_mult" / "java" / "v1.java").read_text()
         label, probs = predict_one(result.checkpoint, text, "java", table)
         assert label in labels and abs(probs.sum() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("mode", ["uast", "sast", "gast"])
+    def test_predict_one_is_the_batched_scorer_at_one_file(self, mode):
+        # a file read, featurized and scored by predict_one gives, bit for
+        # bit, its row of the ingested split scored one sample a batch
+        table, splits, _, result = toy_run(mode)
+        ckpt = result.checkpoint
+        samples = splits["validation"] + splits["test"]
+        rows = score_prepared(prepare(samples, ckpt.config)[0], ckpt.params,
+                              ckpt.config, batch_size=1)
+        for s, row in zip(samples, rows):
+            text = Path(s.source_path).read_text(encoding="utf-8")
+            label, got = predict_one(ckpt, text, s.language, table,
+                                     path=s.source_path)
+            assert np.array_equal(got, row), s.source_path
+            assert label == ckpt.labels[int(row.argmax())]
+
+
+def toy_run(mode):
+    """Two steps on the toy corpus: the table, the featurized splits, the
+    labels and the run's result."""
+    table = load_default_table()
+    splits = split_dataset(ingest_corpus(TOY_CORPUS), seed=0)
+    labels = corpus_labels(splits["train"])
+    vocab = build_features(splits, table, True, L=96, N=96)
+    cfg = ModelConfig(vocab_size=vocab.size, k=len(labels), mode=mode,
+                      L=96, d=8, heads=2, attn_dropout=0.1, h=4,
+                      lstm_layers=1, lstm_dropout=0.0, N=96,
+                      gcn_layers=2, gcn_hidden=6, d_out=4)
+    result = train(splits, cfg, vocab, labels, ["java", "python"],
+                   table.table_hash, True, seed=0, epochs=1,
+                   batch_size=8, max_steps=2)
+    return table, splits, labels, result
 
 
 # --- checkpoint file -------------------------------------------------------------
