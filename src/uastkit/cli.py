@@ -8,11 +8,13 @@ problem.
 
 Settings resolve in three layers: a named profile supplies defaults, a JSON
 config file overrides the profile, and explicit flags override both.  The
-resolved run configuration is embedded in every checkpoint, history file,
-and report for provenance.  The UASTKIT_TABLE environment variable points
-at an alternative unification table; --table wins over it.  Log records,
-such as the warning for each skipped corpus file, go to stderr from
---log-level up (warning by default; -v means info).
+profile is --profile, else the config file's "profile", else leetcode, and
+every value must have its setting's type.  The resolved run configuration
+is embedded in every checkpoint, history file, and report for provenance.
+The UASTKIT_TABLE environment variable points at an alternative
+unification table; --table wins over it.  Log records, such as the warning
+for each skipped corpus file, go to stderr from --log-level up (warning by
+default; -v means info).
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .ast_frontend import (
     UnificationTable,
@@ -97,7 +101,6 @@ class RunConfig(ModelSettings):
     out_dir: str | None = None
     unified: bool = True
     seed: int = 0
-    mask_names: tuple[str, ...] = ()
     ratios: tuple[int, int, int] = DEFAULT_RATIOS
     epochs: int = 5
     batch_size: int = 64
@@ -106,16 +109,23 @@ class RunConfig(ModelSettings):
 
     def __post_init__(self):
         # checked before ingest; ModelConfig.validate adds the corpus's sizes
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, _RUN_TYPES[f.name]):
+                raise ConfigError(
+                    f"{f.name} must be of type {f.type}, got {value!r}")
         self.check()
         check_schedule(self.epochs, self.batch_size, self.max_steps)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be a finite number > 0, got {self.lr}")
+        if any(r < 0 for r in self.ratios) or sum(self.ratios) <= 0:
+            raise ConfigError("ratios must be counts >= 0 with a positive "
+                              f"sum, got {list(self.ratios)}")
 
     def to_dict(self) -> dict:
         out = asdict(self)
-        out["mask_names"] = list(self.mask_names)
         out["ratios"] = list(self.ratios)
         return out
 
@@ -125,56 +135,62 @@ class RunConfig(ModelSettings):
         return ModelConfig(vocab_size=vocab_size, k=k, **settings).validate()
 
 
-_RUN_FIELD_NAMES = {f.name for f in fields(RunConfig)}
+_RUN_TYPES = get_type_hints(RunConfig)
 
 
-def _parse_ratios(text: str) -> tuple[int, int, int]:
+def _has_type(value, kind) -> bool:
+    """The type rule for run settings: a bool is not an int, a float
+    setting also takes an int, and a tuple takes its items' types."""
+    if get_origin(kind) is UnionType:
+        return any(_has_type(value, k) for k in get_args(kind))
+    if get_origin(kind) is tuple:
+        return (type(value) is tuple and len(value) == len(get_args(kind))
+                and all(map(_has_type, value, get_args(kind))))
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
+def _as_ratios(value):
+    """Text like "3,1,1" or a JSON list as a tuple; RunConfig checks it."""
+    if isinstance(value, str):
+        try:
+            return tuple(int(p) for p in value.split(","))
+        except ValueError:
+            raise UsageError(
+                f"bad ratios {value!r}; expected like 3,1,1") from None
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _read_config(path: str) -> dict:
     try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise UsageError(f"bad --ratios {text!r}; expected like 3,1,1")
-    if len(parts) != 3 or any(p < 0 for p in parts) or sum(parts) <= 0:
-        raise UsageError(f"bad --ratios {text!r}; expected three counts")
-    return parts
+        loaded = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot read config {path}: {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"bad JSON in {path}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise DataError(f"{path}: config must be a JSON object")
+    unknown = set(loaded) - set(_RUN_TYPES)
+    if unknown:
+        raise UsageError(f"{path}: unknown keys {sorted(unknown)}")
+    return loaded
 
 
 def resolve_run_config(args: argparse.Namespace) -> RunConfig:
-    """Layer profile defaults, then config-file values, then explicit flags."""
-    profile = getattr(args, "profile", None) or DEFAULT_PROFILE
-    if profile not in PROFILES:
-        raise UsageError(f"unknown profile {profile!r}; "
-                         f"choose from {sorted(PROFILES)}")
-    merged: dict = dict(PROFILES[profile])
-    merged["profile"] = profile
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise DataError(f"cannot read config {config_path}: {exc}") from exc
-        except ValueError as exc:
-            raise DataError(f"bad JSON in {config_path}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise DataError(f"{config_path}: config must be a JSON object")
-        unknown = set(loaded) - _RUN_FIELD_NAMES
-        if unknown:
-            raise UsageError(f"{config_path}: unknown keys {sorted(unknown)}")
-        merged.update(loaded)
-    for name in _RUN_FIELD_NAMES:
-        value = getattr(args, name, None)
-        if value is not None and name not in ("profile",):
-            merged[name] = value
-    if isinstance(merged.get("ratios"), str):
-        merged["ratios"] = _parse_ratios(merged["ratios"])
-    if isinstance(merged.get("ratios"), list):
-        merged["ratios"] = tuple(merged["ratios"])
-    if isinstance(merged.get("mask_names"), str):
-        merged["mask_names"] = tuple(
-            n.strip() for n in merged["mask_names"].split(",") if n.strip())
-    if isinstance(merged.get("mask_names"), list):
-        merged["mask_names"] = tuple(merged["mask_names"])
-    known = {k: v for k, v in merged.items() if k in _RUN_FIELD_NAMES}
-    return RunConfig(**known)
+    """Layer a profile's values, then the config file's, then the flags.
+
+    The profile is --profile, else the config file's "profile", else the
+    default; the run records the profile whose values it used.
+    """
+    loaded = _read_config(args.config) if args.config else {}
+    flags = {name: value for name in _RUN_TYPES
+             if (value := getattr(args, name, None)) is not None}
+    profile = flags.get("profile", loaded.get("profile", DEFAULT_PROFILE))
+    if profile not in (names := sorted(PROFILES)):
+        raise UsageError(f"unknown profile {profile!r}; choose from {names}")
+    merged = {**PROFILES[profile], **loaded, **flags}
+    if "ratios" in merged:
+        merged["ratios"] = _as_ratios(merged["ratios"])
+    return RunConfig(**merged)
 
 
 def _load_table(path: str | None) -> UnificationTable:
@@ -186,11 +202,10 @@ def _load_table(path: str | None) -> UnificationTable:
     return load_default_table()
 
 
-def _ingest(rc: RunConfig):
-    if not rc.corpus and not rc.manifest:
+def _ingest(corpus: str | None, manifest: str | None):
+    if not corpus and not manifest:
         raise UsageError("a corpus is required: pass --corpus or --manifest")
-    return ingest_corpus(rc.corpus or ".", rc.manifest,
-                         set(rc.mask_names) or None)
+    return ingest_corpus(corpus or ".", manifest)
 
 
 def _features(rc: RunConfig, table: UnificationTable, L: int):
@@ -199,7 +214,7 @@ def _features(rc: RunConfig, table: UnificationTable, L: int):
     Returns the splits, the train split's vocabulary, and the corpus's
     labels and languages.
     """
-    samples = _ingest(rc)
+    samples = _ingest(rc.corpus, rc.manifest)
     splits = split_dataset(samples, rc.seed, rc.ratios)
     vocab = build_features(splits, table, rc.unified, L, rc.N)
     return splits, vocab, corpus_labels(samples), corpus_languages(samples)
@@ -239,8 +254,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    rc = resolve_run_config(args)
-    samples = _ingest(rc)
+    samples = _ingest(args.corpus, args.manifest)
     report = path_length_stats(s.tree for s in samples)
     if args.json:
         print(json.dumps(asdict(report), sort_keys=True))
@@ -313,9 +327,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    rc = resolve_run_config(args)
     ckpt, table = _checkpoint_and_table(args)
-    samples = _ingest(rc)
+    samples = _ingest(args.corpus, args.manifest)
     labels = corpus_labels(samples)
     if labels != list(ckpt.labels):
         raise DataError(
@@ -377,6 +390,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"bad --values {args.values!r}; expected integers")
     if not values:
         raise UsageError("--values must name at least one setting")
+    if len(set(values)) < len(values):
+        raise UsageError(f"--values repeats a setting: {args.values!r}")
     by_length = args.param == "path-length"
     # each run checks its settings now and records the directory it writes
     runs = [replace(rc, **{"L" if by_length else "gcn_layers": value},
@@ -424,9 +439,6 @@ def _add_corpus_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--corpus", help="corpus root: <label>/<language>/<file>")
     sub.add_argument("--manifest",
                      help="CSV manifest of path,label[,language] rows")
-    sub.add_argument("--mask-names", dest="mask_names",
-                     help="comma-separated function names to mask before "
-                          "parsing")
 
 
 def _add_run_flags(sub: argparse.ArgumentParser) -> None:

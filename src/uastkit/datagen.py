@@ -171,6 +171,8 @@ def generate_corpus(out_dir: str | Path, seed: int = 42,
     """Write the benchmark tree under out_dir; returns the file count."""
     if per_pair < 1:
         raise UsageError(f"per_pair must be >= 1, got {per_pair}")
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     out = Path(out_dir)
     written = 0
     for label in CLASSES:

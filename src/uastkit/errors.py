@@ -76,7 +76,8 @@ class CheckpointError(DataError):
 
 
 class VocabularyMismatch(DataError):
-    """Featurized data was produced with a different vocabulary."""
+    """The active unification table is not the one a checkpoint was
+    trained with."""
 
 
 # --- numeric core -----------------------------------------------------------

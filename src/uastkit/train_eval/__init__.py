@@ -3,14 +3,12 @@
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .corpus import (
     DEFAULT_RATIOS,
-    MASK_TOKEN,
     SPLIT_NAMES,
     LabeledSample,
     collector_paused,
     corpus_labels,
     corpus_languages,
     ingest_corpus,
-    mask_function_names,
     split_dataset,
 )
 from .metrics import SUMMARY_NAMES, MetricsReport, compute_metrics
@@ -30,7 +28,6 @@ __all__ = [
     "Checkpoint",
     "DEFAULT_RATIOS",
     "LabeledSample",
-    "MASK_TOKEN",
     "MetricsReport",
     "SPLIT_NAMES",
     "SUMMARY_NAMES",
@@ -45,7 +42,6 @@ __all__ = [
     "featurize",
     "ingest_corpus",
     "load_checkpoint",
-    "mask_function_names",
     "predict_one",
     "prepare",
     "save_checkpoint",

@@ -2,11 +2,10 @@
 
 A corpus is either a directory tree `root/<label>/<language>/<file>` or an
 explicit manifest of `path,label,language` rows.  Ingestion reads sources,
-optionally masks a configured set of function names, drops byte-identical
-duplicates, parses each file, and assigns stable lexicographic label
-indices.  Splitting shuffles each language stratum with a seeded generator
-and apportions by largest remainder, so the same seed always yields the
-same disjoint, covering split.
+drops byte-identical duplicates, parses each file, and assigns stable
+lexicographic label indices.  Splitting shuffles each language stratum
+with a seeded generator and apportions by largest remainder, so the same
+seed always yields the same disjoint, covering split.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import gc
 import hashlib
 import logging
 import math
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,7 +42,6 @@ log = logging.getLogger("uastkit.corpus")
 
 SPLIT_NAMES = ("train", "validation", "test")
 DEFAULT_RATIOS = (3, 1, 1)
-MASK_TOKEN = "XXX"
 
 
 @dataclass
@@ -78,14 +75,6 @@ def collector_paused():
     finally:
         if was_enabled:
             gc.enable()
-
-
-def mask_function_names(text: str, names: set[str] | frozenset[str]) -> str:
-    """Replace whole-word occurrences of each name with the mask token."""
-    for name in sorted(names):
-        text = re.sub(rf"(?<![0-9A-Za-z_$]){re.escape(name)}(?![0-9A-Za-z_$])",
-                      MASK_TOKEN, text)
-    return text
 
 
 def _enumerate_directory(root: Path) -> list[tuple[Path, str, str | None]]:
@@ -132,9 +121,8 @@ def _enumerate_manifest(manifest: Path) -> list[tuple[Path, str, str | None]]:
     return rows
 
 
-def ingest_corpus(root: str | Path, manifest: str | Path | None = None,
-                  mask_names: set[str] | frozenset[str] | None = None,
-                  ) -> list[LabeledSample]:
+def ingest_corpus(root: str | Path,
+                  manifest: str | Path | None = None) -> list[LabeledSample]:
     """Read, dedup, and parse a corpus into labeled samples.
 
     Byte-identical files after the first (in sorted path order) are dropped,
@@ -173,8 +161,6 @@ def ingest_corpus(root: str | Path, manifest: str | Path | None = None,
                 continue
             seen[digest] = path
             text = blob.decode("utf-8", errors="replace")
-            if mask_names:
-                text = mask_function_names(text, mask_names)
             try:
                 tree = load_tree(text, language, is_sexpr, str(path))
             except (ParseFailure, MalformedSExpr) as exc:

@@ -4,11 +4,13 @@ import argparse
 import hashlib
 import json
 import logging
+import re
 import shutil
 import struct
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +69,22 @@ def quick_train(tmp_path, capsys=None, *extra):
     return tmp_path / "final.ckpt"
 
 
+def train_refused(out_dir, *argv):
+    """Run `uast train` on the toy corpus and check that it is refused
+    before ingest, as one error line that exits 1 and writes nothing; a
+    subprocess, so that stderr shows whether a traceback escaped main."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "uastkit", "train", "--corpus",
+         str(TOY_CORPUS), "--profile", "toy", "--out-dir", str(out_dir),
+         *argv], capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not out_dir.exists()
+    return proc.stderr
+
+
 @pytest.fixture(scope="module")
 def trained_gast(tmp_path_factory):
     """One gast-mode checkpoint, trained once for the tests that copy it."""
@@ -97,18 +115,17 @@ class TestExitCodes:
         ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"), ("--max-steps", "0"),
         ("--max-steps", "-2")])
     def test_bad_run_setting_is_usage(self, tmp_path, flag, value):
-        # refused before ingest, as one error line; a subprocess, so that
-        # stderr shows whether a traceback escaped main
-        proc = subprocess.run(
-            [sys.executable, "-m", "uastkit", "train", "--corpus",
-             str(TOY_CORPUS), "--profile", "toy", "--epochs", "1",
-             "--out-dir", str(tmp_path), flag, value],
-            capture_output=True, text=True, env=src_env())
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ")
-        assert len(proc.stderr.splitlines()) == 1
-        assert not any(tmp_path.iterdir())
+        train_refused(tmp_path / "out", "--epochs", "1", flag, value)
+
+    @pytest.mark.parametrize("setting,value", [
+        ("L", "7"), ("lr", "0.1"), ("seed", 1.5), ("epochs", 2.5),
+        ("unified", "no"), ("L", True), ("ratios", [3, 1])])
+    def test_config_value_of_another_type_is_usage(self, tmp_path, setting,
+                                                   value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({setting: value}))
+        err = train_refused(tmp_path / "out", "--config", str(config))
+        assert err.startswith(f"error: {setting} must be of type ")
 
     def test_missing_file_is_a_data_problem(self, capsys):
         code, _, err = run(capsys, "parse", "/nowhere/missing.py")
@@ -428,12 +445,57 @@ class TestConfigLayering:
 
     def test_unknown_config_keys_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"learning_rate": 0.1}))
-        code, _, err = run(capsys, "featurize", "--corpus", str(TOY_CORPUS),
-                           "--config", str(cfg), "--out",
-                           str(tmp_path / "x.feat"))
+        for key, value in (("learning_rate", 0.1), ("mask_names", ["add"])):
+            cfg.write_text(json.dumps({key: value}))
+            code, _, err = run(capsys, "featurize", "--corpus",
+                               str(TOY_CORPUS), "--config", str(cfg),
+                               "--out", str(tmp_path / "x.feat"))
+            assert code == 1
+            assert key in err
+
+    def test_config_file_names_the_profile(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"profile": "toy"}))
+        ckpt = load_checkpoint(quick_train(tmp_path, capsys, "--config",
+                                           str(cfg)))
+        toy = PROFILES["toy"]
+        assert ckpt.run_config["profile"] == "toy"
+        assert (ckpt.run_config["batch_size"], ckpt.run_config["lr"]) == \
+            (toy["batch_size"], toy["lr"])
+        assert (ckpt.config.attn_dropout, ckpt.config.lstm_dropout) == \
+            (toy["attn_dropout"], toy["lstm_dropout"])
+        # --profile wins over the file, and its values come with it
+        for profile in ("jc", "leetcode"):
+            rc = resolve_run_config(build_parser().parse_args(
+                ["train", "--config", str(cfg), "--profile", profile]))
+            assert rc == RunConfig(**PROFILES[profile], profile=profile)
+        rc = resolve_run_config(build_parser().parse_args(
+            ["train", "--config", str(cfg)]))
+        assert rc == RunConfig(**toy, profile="toy")
+
+    def test_unknown_profile_in_config_file_is_usage(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"profile": ["toy"]}))
+        code, _, err = run(capsys, "train", "--corpus", str(TOY_CORPUS),
+                           "--config", str(cfg))
         assert code == 1
-        assert "learning_rate" in err
+        assert err == ("error: unknown profile ['toy']; "
+                       "choose from ['jc', 'leetcode', 'toy']\n")
+
+    @pytest.mark.parametrize("values", [
+        {"lr": 1, "attn_dropout": 0, "lstm_dropout": 0},
+        {"max_steps": None, "corpus": None, "ratios": "2,1,1"},
+        {"ratios": [2, 1, 1], "unified": False, "learned_projections": True}])
+    def test_values_of_their_setting_type_resolve_as_given(self, tmp_path,
+                                                           values):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        rc = resolve_run_config(build_parser().parse_args(
+            ["train", "--config", str(cfg)]))
+        for name, value in values.items():
+            expected = (2, 1, 1) if name == "ratios" else value
+            assert getattr(rc, name) == expected
+            assert type(getattr(rc, name)) is type(expected)
 
     def test_table_env_var_is_honored(self, tmp_path, capsys, monkeypatch):
         table = tmp_path / "custom.table"
@@ -659,6 +721,11 @@ class TestSweep:
                                "--param", param, "--values", "8,0")
             assert code == 1
             assert err == f"error: {field} must be >= 1, got 0\n"
+        # a repeated value would train twice and overwrite its directory
+        code, _, err = run(capsys, "sweep", "--corpus", str(TOY_CORPUS),
+                           "--param", "path-length", "--values", "8,12,8")
+        assert code == 1
+        assert err == "error: --values repeats a setting: '8,12,8'\n"
 
     def test_json_output(self, tmp_path, capsys):
         code, out, _ = run(capsys, "sweep", "--corpus", str(TOY_CORPUS),
@@ -709,7 +776,50 @@ class TestDatagen:
         b = sorted((tmp_path / "two").rglob("*.py"))
         assert [p.read_bytes() for p in a] == [p.read_bytes() for p in b]
 
+    def test_negative_seed_is_refused_before_writing(self, tmp_path,
+                                                     capsys):
+        out = tmp_path / "gen"
+        code, _, err = run(capsys, "datagen", "--out", str(out),
+                           "--seed", "-1", "--count", "1")
+        assert code == 1
+        assert err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_count_must_be_positive(self, capsys):
         code, _, _ = run(capsys, "datagen", "--out", "/tmp/unused",
                          "--count", "0")
         assert code == 1
+
+
+# --- documentation -----------------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_section(text, heading):
+    """The text under a `## heading`, its `###` subsections included."""
+    start = text.index(f"\n## {heading}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:end if end >= 0 else None]
+
+
+def parser_options(parser):
+    """Every option string of parser and of its subcommands."""
+    options = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= parser_options(sub)
+    return options
+
+
+class TestReadme:
+    @pytest.mark.parametrize("heading", ["Commands", "Corpus layout",
+                                         "Configuration layering"])
+    def test_every_documented_flag_exists(self, heading):
+        section = readme_section(README.read_text(encoding="utf-8"), heading)
+        named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", section))
+        assert named, heading
+        assert named <= parser_options(build_parser()), \
+            sorted(named - parser_options(build_parser()))

@@ -27,7 +27,6 @@ from uastkit.ast_frontend import (
     identity_table,
     load_ast_sexpr,
     load_default_table,
-    preorder,
     render_sexpr,
     unify_ast,
 )
@@ -58,7 +57,6 @@ from uastkit.train_eval import (
     evaluate_samples,
     ingest_corpus,
     load_checkpoint,
-    mask_function_names,
     predict_one,
     prepare,
     save_checkpoint,
@@ -263,26 +261,6 @@ class TestIngest:
         manifest.write_text("x.py,addition,fortran\n")
         with pytest.raises(UnsupportedLanguage):
             ingest_corpus(tmp_path, manifest=manifest)
-
-
-class TestMasking:
-    def test_whole_word_only(self):
-        out = mask_function_names("add(x); madd(add2); a.add;",
-                                  {"add"})
-        assert out == "XXX(x); madd(add2); a.XXX;"
-
-    def test_multiple_names(self):
-        out = mask_function_names("f(g(h))", {"f", "h"})
-        assert out == "XXX(g(XXX))"
-
-    def test_ingest_applies_masking_before_parsing(self, tmp_path):
-        d = tmp_path / "only" / "python"
-        d.mkdir(parents=True)
-        (d / "a.py").write_text("def target(a):\n    return target(a - 1)\n")
-        samples = ingest_corpus(tmp_path, mask_names={"target"})
-        # masking happens on source text, so the tree still parses cleanly
-        kinds = [n.kind for n in preorder(samples[0].tree)]
-        assert "function_definition" in kinds
 
 
 # --- splitting ---------------------------------------------------------------------
