@@ -6,7 +6,6 @@ from .backends import (
     load_tree,
     normalize_language,
     parse_source,
-    register_backend,
     registered_languages,
     source_language,
 )
@@ -38,7 +37,7 @@ from .vocab import (
 __all__ = [
     "AstNode", "ERROR_KIND", "preorder", "node_count",
     "load_ast_sexpr", "render_sexpr",
-    "parse_source", "register_backend", "registered_languages",
+    "parse_source", "registered_languages",
     "normalize_language", "source_language", "load_tree",
     "EXTENSION_LANGUAGES", "SEXPR_EXTENSION",
     "UnificationTable", "unify_ast", "load_unification_table",

@@ -1,9 +1,7 @@
-"""Registry mapping language ids to parser callables.
+"""One table mapping each language id to its parser.
 
-Built-in backends cover c, cpp, java, javascript (subset recursive descent)
-and python (stdlib parser).  A language with no registered backend can still
-enter the pipeline through pre-parsed S-expression files; parse_source simply
-refuses it.
+The parsers cover c, cpp, java, javascript (subset recursive descent) and
+python (stdlib parser); every id normalize_language returns has one.
 """
 
 from __future__ import annotations
@@ -41,7 +39,13 @@ EXTENSION_LANGUAGES = {
 
 SEXPR_EXTENSION = ".sexpr"
 
-_BACKENDS: dict[str, Backend] = {}
+_BACKENDS: dict[str, Backend] = {
+    "c": partial(clike_backend.parse, language="c"),
+    "cpp": partial(clike_backend.parse, language="cpp"),
+    "java": partial(clike_backend.parse, language="java"),
+    "javascript": partial(clike_backend.parse, language="javascript"),
+    "python": python_backend.parse_python,
+}
 
 
 def normalize_language(language: str) -> str:
@@ -76,11 +80,6 @@ def load_tree(text: str, language: str | None, is_sexpr: bool,
         parse_source(text, language, path)
 
 
-def register_backend(language: str, parser: Backend) -> None:
-    """Attach a parser to a language id, replacing any existing one."""
-    _BACKENDS[normalize_language(language)] = parser
-
-
 def registered_languages() -> list[str]:
     return sorted(_BACKENDS)
 
@@ -89,17 +88,15 @@ def parse_source(text: str, language: str, path: str | None = None
                  ) -> AstNode:
     """Parse source text in the given language into an AST.
 
-    Raises UnsupportedLanguage when no backend is registered for the
-    language, ParseFailure when the backend cannot produce a tree at all,
-    including input nested deeper than the interpreter's recursion limit.
+    Raises UnsupportedLanguage for an unknown language id, ParseFailure
+    when the backend cannot produce a tree at all, including input nested
+    deeper than the interpreter's recursion limit.
     Trees containing ERROR nodes are returned, not rejected.  Warnings a
     successful parse raises (the stdlib parser's SyntaxWarnings) go to the
     `uastkit.frontend` logger, each naming `path` when one is given.
     """
     lang = normalize_language(language)
-    backend = _BACKENDS.get(lang)
-    if backend is None:
-        raise UnsupportedLanguage(f"no grammar backend registered for {lang!r}")
+    backend = _BACKENDS[lang]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", SyntaxWarning)
         try:
@@ -111,8 +108,3 @@ def parse_source(text: str, language: str, path: str | None = None
         log.warning("%s:%s: %s: %s", path or w.filename, w.lineno,
                     w.category.__name__, w.message)
     return tree
-
-
-for _language in ("c", "cpp", "java", "javascript"):
-    register_backend(_language, partial(clike_backend.parse, language=_language))
-register_backend("python", python_backend.parse_python)

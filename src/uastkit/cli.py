@@ -27,8 +27,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 from .ast_frontend import (
     UnificationTable,
@@ -109,11 +108,6 @@ class RunConfig(ModelSettings):
 
     def __post_init__(self):
         # checked before ingest; ModelConfig.validate adds the corpus's sizes
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _has_type(value, _RUN_TYPES[f.name]):
-                raise ConfigError(
-                    f"{f.name} must be of type {f.type}, got {value!r}")
         self.check()
         check_schedule(self.epochs, self.batch_size, self.max_steps)
         if self.seed < 0:
@@ -136,17 +130,6 @@ class RunConfig(ModelSettings):
 
 
 _RUN_TYPES = get_type_hints(RunConfig)
-
-
-def _has_type(value, kind) -> bool:
-    """The type rule for run settings: a bool is not an int, a float
-    setting also takes an int, and a tuple takes its items' types."""
-    if get_origin(kind) is UnionType:
-        return any(_has_type(value, k) for k in get_args(kind))
-    if get_origin(kind) is tuple:
-        return (type(value) is tuple and len(value) == len(get_args(kind))
-                and all(map(_has_type, value, get_args(kind))))
-    return type(value) in ((int, float) if kind is float else (kind,))
 
 
 def _as_ratios(value):
@@ -203,8 +186,8 @@ def _load_table(path: str | None) -> UnificationTable:
 
 
 def _ingest(corpus: str | None, manifest: str | None):
-    if not corpus and not manifest:
-        raise UsageError("a corpus is required: pass --corpus or --manifest")
+    if bool(corpus) == bool(manifest):
+        raise UsageError("pass exactly one of --corpus and --manifest")
     return ingest_corpus(corpus or ".", manifest)
 
 
@@ -335,7 +318,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"corpus labels {labels} do not match checkpoint labels "
             f"{list(ckpt.labels)}")
     # the checkpoint's seed and ratios rebuild the split it was trained on
-    ratios = tuple((ckpt.run_config or {}).get("ratios", DEFAULT_RATIOS))
+    ratios = (ckpt.run_config or {}).get("ratios", DEFAULT_RATIOS)
     splits = split_dataset(samples, ckpt.seed, ratios)
     if args.split == "all":
         chosen = [s for name in SPLIT_NAMES for s in splits[name]]

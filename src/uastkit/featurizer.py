@@ -15,7 +15,6 @@ in the frame checkpoints share (uastkit.frame).
 from __future__ import annotations
 
 import math
-import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,13 +25,17 @@ import numpy as np
 from .ast_frontend import AstNode, Vocabulary, vocabulary_from_kinds
 from .ast_frontend import node_count as tree_size
 from .errors import DataError, EmptyCorpus
-from .frame import read_frame, string_list, write_frame
+from .frame import check_types, read_frame, write_frame
 
 MAGIC = b"UASTFEAT"
 FORMAT_VERSION = 1
 
 SPLIT_TAGS = {"train": 0, "val": 1, "test": 2}
 TAG_SPLITS = {v: k for k, v in SPLIT_TAGS.items()}
+# the type of each header value (frame.has_type)
+_HEADER_TYPES = {"L": int, "N": int, "kinds": list[str], "labels": list[str],
+                 "languages": list[str], "unified": bool, "table_hash": str,
+                 "count": int}
 
 
 @dataclass(frozen=True)
@@ -222,19 +225,15 @@ def read_featurized(path: str | Path) -> FeaturizedSet:
     header, data, offset = read_frame(path, MAGIC, FORMAT_VERSION, DataError,
                                       "featurized corpus")
     try:
-        L, N, count = (operator.index(header[key])
-                       for key in ("L", "N", "count"))
-        vocab = vocabulary_from_kinds(string_list(header, "kinds"))
-        labels = tuple(string_list(header, "labels"))
-        languages = tuple(string_list(header, "languages"))
-        unified, table_hash = header["unified"], header["table_hash"]
+        check_types(header, _HEADER_TYPES)
+        vocab = vocabulary_from_kinds(header["kinds"])
     except KeyError as exc:
         raise DataError(f"{path}: corrupt header: no {exc.args[0]}") from exc
     except TypeError as exc:
         raise DataError(f"{path}: corrupt header: {exc}") from exc
     records: list[SampleRecord] = []
     try:
-        for _ in range(count):
+        for _ in range(header["count"]):
             (label, language, tag, true_length, node_count,
              m) = struct.unpack_from("<HHBIII", data, offset)
             offset += struct.calcsize("<HHBIII")
@@ -263,5 +262,7 @@ def read_featurized(path: str | Path) -> FeaturizedSet:
     if offset != len(data):
         raise DataError(f"{path}: {len(data) - offset} trailing bytes")
     return FeaturizedSet(
-        L=L, N=N, vocab=vocab, labels=labels, languages=languages,
-        unified=unified, table_hash=table_hash, records=tuple(records))
+        L=header["L"], N=header["N"], vocab=vocab,
+        labels=tuple(header["labels"]), languages=tuple(header["languages"]),
+        unified=header["unified"], table_hash=header["table_hash"],
+        records=tuple(records))

@@ -10,6 +10,9 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
+from reprlib import repr as brief
+from types import UnionType
+from typing import get_args, get_origin
 
 _PREFIX = struct.Struct("<8sIQ")
 
@@ -48,10 +51,27 @@ def read_frame(path: str | Path, magic: bytes, version: int, error,
     return header, raw, start
 
 
-def string_list(header: dict, key: str) -> list[str]:
-    """header[key], which must be a list of strings (TypeError if not)."""
-    value = header[key]
-    if not (isinstance(value, list)
-            and all(isinstance(name, str) for name in value)):
-        raise TypeError(f"{key} is not a list of strings")
-    return value
+def has_type(value, kind) -> bool:
+    """The type rule for every value read from outside: a bool is not an
+    int, a float also takes an int, X | Y takes either, list[X] and
+    tuple[X, ...] take any number of X, and tuple[X, Y] exactly X then Y."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is UnionType:
+        return any(has_type(value, k) for k in args)
+    if origin in (list, tuple):
+        if type(value) is not origin:
+            return False
+        if origin is list or args[-1:] == (...,):
+            args = (args[0],) * len(value)
+        return len(value) == len(args) and all(map(has_type, value, args))
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
+def check_types(values: dict, types: dict, error=TypeError) -> None:
+    """Raise error naming the first key whose value lacks its type in types
+    (has_type), or KeyError for a missing key whose type excludes None."""
+    for key, kind in types.items():
+        value = values.get(key) if has_type(None, kind) else values[key]
+        if not has_type(value, kind):
+            name = kind.__name__ if type(kind) is type else kind
+            raise error(f"{key} must be of type {name}, got {brief(value)}")

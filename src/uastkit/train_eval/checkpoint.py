@@ -17,11 +17,18 @@ import numpy as np
 
 from ..ast_frontend import Vocabulary, vocabulary_from_kinds
 from ..errors import CheckpointError, ConfigError
-from ..frame import read_frame, string_list, write_frame
+from ..frame import check_types, read_frame, write_frame
 from ..model import ModelConfig, ModelParams, empty_params
 
 MAGIC = b"UASTCKPT"
 FORMAT_VERSION = 2
+
+# each header value's type (frame.has_type); one that may be null may be absent
+_HEADER_TYPES = {
+    "config": dict, "vocab_kinds": list[str], "labels": list[str],
+    "languages": list[str], "table_hash": str, "unified": bool, "seed": int,
+    "epoch": int, "step": int, "params": list[dict],
+    "run_config": dict | None, "val_metrics": dict | None}
 
 
 @dataclass
@@ -75,22 +82,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     header, raw, at = read_frame(path, MAGIC, FORMAT_VERSION,
                                  CheckpointError, "checkpoint")
     try:
+        check_types(header, _HEADER_TYPES)
         config = ModelConfig(**header["config"]).validate()
-        vocab = vocabulary_from_kinds(string_list(header, "vocab_kinds"))
-        labels = string_list(header, "labels")
-        declared = header["params"]
-        if not isinstance(declared, list) \
-                or not all(isinstance(entry, dict) for entry in declared):
-            raise CheckpointError(
-                f"{path}: corrupt header: params is not a list of objects")
-        fields = dict(
-            languages=string_list(header, "languages"),
-            table_hash=header["table_hash"], unified=bool(header["unified"]),
-            seed=int(header["seed"]), epoch=int(header["epoch"]),
-            step=int(header["step"]), run_config=header.get("run_config"),
-            val_metrics=header.get("val_metrics"))
+        vocab = vocabulary_from_kinds(header["vocab_kinds"])
     except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+    labels, declared = header["labels"], header["params"]
     # the model indexes its embedding and GCN rows by kind and its output
     # columns by label, so both sizes must be the stored ones
     if config.vocab_size != vocab.size:
@@ -118,5 +115,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         at += nbytes
     if at != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after parameters")
-    return Checkpoint(config=config, params=params, vocab=vocab,
-                      labels=labels, **fields)
+    return Checkpoint(config=config, params=params, vocab=vocab, **{
+        key: header.get(key) for key in _HEADER_TYPES
+        if key not in ("config", "vocab_kinds", "params")})

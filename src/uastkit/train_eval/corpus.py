@@ -37,11 +37,14 @@ from ..errors import (
     UnknownExtension,
 )
 from ..featurizer import GraphSample, PathSequence
+from ..frame import has_type
 
 log = logging.getLogger("uastkit.corpus")
 
 SPLIT_NAMES = ("train", "validation", "test")
 DEFAULT_RATIOS = (3, 1, 1)
+# three numbers, as a run config holds them or as a checkpoint records them
+_RATIOS = tuple[float, ...] | list[float]
 
 
 @dataclass
@@ -212,7 +215,8 @@ def split_dataset(samples: list[LabeledSample], seed: int,
     Equal fractional remainders favor the earlier part, so a 5-sample
     stratum under 3:1:1 lands exactly 3/1/1.
     """
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or sum(ratios) <= 0:
+    if not (has_type(ratios, _RATIOS) and len(ratios) == 3) \
+            or any(r < 0 for r in ratios) or not 0 < sum(ratios) < math.inf:
         raise DataError(f"bad split ratios {ratios!r}")
     rng = np.random.default_rng([seed, 0])
     out: dict[str, list[LabeledSample]] = {name: [] for name in SPLIT_NAMES}

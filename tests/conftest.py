@@ -131,15 +131,32 @@ MALFORMED_CHECKPOINT_HEADERS = {
                            "corrupt header"),
     # a name list that is not a list of strings, even of the right length
     "labels_a_string": (lambda h: h.update(labels="xy"),
-                        "corrupt header: labels is not a list of strings"),
+                        "corrupt header: labels must be of type list[str]"),
     "labels_not_strings": (lambda h: h.update(labels=[1, 2]),
-                           "corrupt header: labels is not a list of strings"),
+                           "corrupt header: labels must be of type list[str]"),
     "languages_not_strings": (
         lambda h: h.update(languages=[None] * len(h["languages"])),
-        "corrupt header: languages is not a list of strings"),
+        "corrupt header: languages must be of type list[str]"),
     "vocab_kinds_not_strings": (
         lambda h: h["vocab_kinds"].__setitem__(1, None),
-        "corrupt header: vocab_kinds is not a list of strings"),
+        "corrupt header: vocab_kinds must be of type list[str]"),
+    # a value of another type, even one that int() or bool() would read,
+    # at the top of the header or in its model configuration
+    **{f"{key}_{type(value).__name__}": (
+        lambda h, key=key, value=value: h.update({key: value}),
+        f"corrupt header: {key} must be of type {kind}, got {value!r}")
+       for key, kind, value in (
+           ("seed", "int", 1.5), ("seed", "int", "7"), ("seed", "int", True),
+           ("unified", "bool", "no"), ("unified", "bool", 0),
+           ("epoch", "int", 2.9), ("val_metrics", "dict | None", 5),
+           ("table_hash", "str", 5), ("run_config", "dict | None", [1]),
+           ("config", "dict", [1]))},
+    **{f"config_{key}_{type(value).__name__}": (
+        lambda h, key=key, value=value: h["config"].update({key: value}),
+        f"corrupt header: {key} must be of type {kind}, got {value!r}")
+       for key, kind, value in (
+           ("L", "int", True), ("L", "int", 7.5),
+           ("learned_projections", "bool", "no"))},
 }
 
 

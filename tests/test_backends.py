@@ -17,6 +17,7 @@ from uastkit.ast_frontend import (
 )
 from uastkit.ast_frontend.clike_backend import _KEYWORDS, _Parser, tokenize
 from uastkit.ast_frontend.backends import (
+    _ALIASES,
     EXTENSION_LANGUAGES,
     SEXPR_EXTENSION,
     normalize_language,
@@ -343,6 +344,14 @@ class TestRegistry:
     ])
     def test_aliases_normalize(self, alias, canonical):
         assert normalize_language(alias) == canonical
+
+    def test_every_language_id_has_a_parser(self):
+        # so parse_source needs no branch for a language without one
+        ids = {normalize_language(alias) for alias in _ALIASES}
+        assert ids | set(EXTENSION_LANGUAGES.values()) \
+            == set(registered_languages())
+        for language in sorted(ids):
+            assert parse_source(ADD_SNIPPETS[language], language).kind
 
     def test_unknown_language_raises(self):
         with pytest.raises(UnsupportedLanguage):

@@ -170,6 +170,67 @@ class TestExitCodes:
         assert code == 2
         assert reason in err
 
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CHECKPOINT_HEADERS))
+    @pytest.mark.parametrize("command", [["eval", "--corpus", str(TOY_CORPUS)],
+                                         ["predict", PY_SAMPLE]],
+                             ids=["eval", "predict"])
+    def test_malformed_checkpoint_is_one_error_line(self, trained_gast,
+                                                    tmp_path, capsys,
+                                                    command, name):
+        change, reason = MALFORMED_CHECKPOINT_HEADERS[name]
+        ckpt = tmp_path / "model.ckpt"
+        shutil.copyfile(trained_gast, ckpt)
+        rewrite_json_header(ckpt, change)
+        code, _, err = run(capsys, *command, "--checkpoint", str(ckpt))
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert reason in err
+
+    def test_recorded_ratios_of_another_type_are_a_data_problem(
+            self, trained_gast, tmp_path):
+        ckpt = tmp_path / "model.ckpt"
+        shutil.copyfile(trained_gast, ckpt)
+        rewrite_json_header(ckpt, lambda h: h["run_config"].update(
+            ratios="abc"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "uastkit", "eval", "--corpus",
+             str(TOY_CORPUS), "--checkpoint", str(ckpt)],
+            capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: bad split ratios 'abc'\n"
+
+    def test_unknown_recorded_run_setting_still_evaluates(
+            self, trained_gast, tmp_path, capsys):
+        # such as mask_names, which earlier versions recorded
+        argv = ["eval", "--corpus", str(TOY_CORPUS), "--json"]
+        code, out, _ = run(capsys, *argv, "--checkpoint", str(trained_gast))
+        assert code == 0
+        ckpt = tmp_path / "model.ckpt"
+        shutil.copyfile(trained_gast, ckpt)
+        rewrite_json_header(ckpt, lambda h: h["run_config"].update(
+            mask_names=False))
+        code, changed, _ = run(capsys, *argv, "--checkpoint", str(ckpt))
+        assert code == 0
+        assert json.loads(changed)["metrics"] == json.loads(out)["metrics"]
+        assert json.loads(changed)["header"]["run_config"]["mask_names"] \
+            is False
+
+    @pytest.mark.parametrize("command", ["stats", "train", "sweep"])
+    def test_corpus_with_a_manifest_is_usage(self, tmp_path, capsys,
+                                             command):
+        manifest = tmp_path / "files.csv"
+        manifest.write_text(f"{PY_SAMPLE},sum_loop\n")
+        out = ["--out-dir", str(tmp_path / "out")]
+        extra = {"stats": [], "train": out,
+                 "sweep": ["--param", "path-length", "--values", "8", *out]}
+        code, _, err = run(capsys, command, *extra[command], "--corpus",
+                           "/nonexistent", "--manifest", str(manifest))
+        assert code == 1
+        assert err == ("error: pass exactly one of --corpus and "
+                       "--manifest\n")
+        assert not (tmp_path / "out").exists()
+
     def test_module_runs_without_installation(self):
         proc = subprocess.run([sys.executable, "-m", "uastkit", "--help"],
                               capture_output=True, text=True, env=src_env())

@@ -397,6 +397,20 @@ class TestFeaturizedFile:
         with pytest.raises(DataError, match="corrupt header"):
             read_featurized(out)
 
+    # values of another type, each refused with the type its key needs
+    @pytest.mark.parametrize("key, kind, value", [
+        ("unified", "bool", "no"), ("table_hash", "str", 5),
+        ("L", "int", True)])
+    def test_header_value_of_another_type_names_it(self, vocab, tmp_path,
+                                                   key, kind, value):
+        out = tmp_path / "c.feat"
+        write_featurized(out, _toy_set(vocab))
+        rewrite_json_header(out, lambda h: h.update({key: value}))
+        with pytest.raises(DataError, match=re.escape(
+                f"corrupt header: {key} must be of type {kind}, "
+                f"got {value!r}")):
+            read_featurized(out)
+
     @pytest.mark.parametrize("key", ["labels", "languages", "kinds"])
     @pytest.mark.parametrize("value", ["xy", [1, 2], ["x", None], {"x": 1}])
     def test_header_names_that_are_not_a_list_of_strings(self, vocab, tmp_path,
@@ -404,8 +418,8 @@ class TestFeaturizedFile:
         out = tmp_path / "c.feat"
         write_featurized(out, _toy_set(vocab))
         rewrite_json_header(out, lambda h: h.update({key: value}))
-        with pytest.raises(DataError,
-                           match=f"corrupt header: {key} is not a list of strings"):
+        with pytest.raises(DataError, match=re.escape(
+                f"corrupt header: {key} must be of type list[str]")):
             read_featurized(out)
 
     def test_file_shorter_than_its_frame(self, tmp_path):
