@@ -19,7 +19,6 @@ from .tree import (
 )
 from .unify import (
     UnificationTable,
-    identity_table,
     load_default_table,
     load_unification_table,
     parse_unification_table,
@@ -27,8 +26,6 @@ from .unify import (
 )
 from .vocab import (
     PAD_INDEX,
-    PAD_LABEL,
-    UNK_LABEL,
     Vocabulary,
     build_vocabulary,
     vocabulary_from_kinds,
@@ -41,7 +38,7 @@ __all__ = [
     "normalize_language", "source_language", "load_tree",
     "EXTENSION_LANGUAGES", "SEXPR_EXTENSION",
     "UnificationTable", "unify_ast", "load_unification_table",
-    "parse_unification_table", "load_default_table", "identity_table",
+    "parse_unification_table", "load_default_table",
     "Vocabulary", "build_vocabulary", "vocabulary_from_kinds",
-    "PAD_INDEX", "PAD_LABEL", "UNK_LABEL",
+    "PAD_INDEX",
 ]

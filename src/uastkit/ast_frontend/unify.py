@@ -41,12 +41,6 @@ def _canon_language(name: str) -> str:
 class UnificationTable:
     sections: dict[str, dict[str, str]] = field(default_factory=dict)
 
-    def lookup(self, language: str, kind: str) -> str:
-        section = self.sections.get(_canon_language(language))
-        if section is None:
-            return kind
-        return section.get(kind, kind)
-
     def canonical(self) -> str:
         """Comment-free serialization; basis for the table hash."""
         lines: list[str] = []
@@ -121,11 +115,6 @@ def load_default_table() -> UnificationTable:
     ref = resources.files("uastkit.data").joinpath(DEFAULT_TABLE_RESOURCE)
     return parse_unification_table(ref.read_text(encoding="utf-8"),
                                    source=DEFAULT_TABLE_RESOURCE)
-
-
-def identity_table() -> UnificationTable:
-    """Pass-through table, used when unification is switched off."""
-    return UnificationTable({})
 
 
 def unify_ast(root: AstNode, language: str, table: UnificationTable) -> AstNode:

@@ -17,8 +17,6 @@ from ..errors import EmptyCorpus
 from .tree import AstNode
 
 PAD_INDEX = 0
-PAD_LABEL = "<pad>"
-UNK_LABEL = "<unk>"
 
 
 @dataclass(frozen=True)
@@ -38,18 +36,6 @@ class Vocabulary:
     def size(self) -> int:
         """Total index count including PAD and UNK."""
         return len(self.kinds) + 2
-
-    def index_of(self, kind: str) -> int:
-        return self.index.get(kind, self.unk_index)
-
-    def kind_of(self, index: int) -> str:
-        if index == PAD_INDEX:
-            return PAD_LABEL
-        if index == self.unk_index:
-            return UNK_LABEL
-        if 1 <= index <= len(self.kinds):
-            return self.kinds[index - 1]
-        raise IndexError(f"index {index} outside vocabulary of size {self.size}")
 
     @property
     def vocab_hash(self) -> str:

@@ -62,17 +62,10 @@ class Tensor:
     def shape(self) -> tuple[int, int]:
         return self.data.shape  # type: ignore[return-value]
 
-    @classmethod
-    def scalar(cls, value: float, requires_grad: bool = False) -> "Tensor":
-        return cls(np.array([[float(value)]]), requires_grad)
-
     def item(self) -> float:
         if self.data.shape != (1, 1):
             raise NonScalarLoss(f"item() needs shape (1,1), got {self.data.shape}")
         return float(self.data[0, 0])
-
-    def backward(self, accumulate: bool = True) -> None:
-        backward(self, accumulate=accumulate)
 
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""

@@ -48,7 +48,7 @@ from .errors import (
     UsageError,
     VocabularyMismatch,
 )
-from .featurizer import FeaturizedSet, SampleRecord, path_length_stats, write_featurized
+from .featurizer import path_length_stats, write_featurized
 from .model import GCN_ACTIVATIONS, MODES, POOLINGS, ModelConfig, ModelSettings
 from .train_eval import (
     DEFAULT_RATIOS,
@@ -249,25 +249,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-_SPLIT_TAG = {"train": "train", "validation": "val", "test": "test"}
-
-
 def cmd_featurize(args: argparse.Namespace) -> int:
     rc = resolve_run_config(args)
     table = _load_table(rc.table)
     splits, vocab, labels, languages = _features(rc, table, rc.L)
-    lang_index = {name: i for i, name in enumerate(languages)}
-    records = []
-    for split_name, tag in _SPLIT_TAG.items():
-        for s in splits[split_name]:
-            records.append(SampleRecord(
-                label=s.label_index, language=lang_index[s.language],
-                split=tag, path=s.path_seq, graph=s.graph))
-    fset = FeaturizedSet(L=rc.L, N=rc.N, vocab=vocab, labels=tuple(labels),
-                         languages=tuple(languages), unified=rc.unified,
-                         table_hash=table.table_hash, records=tuple(records))
-    write_featurized(args.out, fset)
-    print(f"wrote {len(records)} records ({len(labels)} classes, "
+    count = write_featurized(args.out, splits, vocab, labels, languages, rc.L,
+                             rc.N, rc.unified, table.table_hash)
+    print(f"wrote {count} records ({len(labels)} classes, "
           f"{len(languages)} languages, vocab {vocab.size}) to {args.out}")
     return 0
 

@@ -8,8 +8,9 @@ padded, and the edges are one int64 [E x 2] array.  The model never builds
 the dense GraphSample.norm_adj: the tests check the edge-list propagation
 against it, and the benchmark's per-layer probe times it.
 
-A featurized corpus is serializable to a single binary file of edge lists,
-in the frame checkpoints share (uastkit.frame).
+A featurized corpus can be written to one binary file of edge lists, in
+the frame checkpoints share (uastkit.frame).  Nothing in the package reads
+it back; tests/feature_file.py is the reference reader of its layout.
 """
 
 from __future__ import annotations
@@ -22,20 +23,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .ast_frontend import AstNode, Vocabulary, vocabulary_from_kinds
+from .ast_frontend import AstNode, Vocabulary
 from .ast_frontend import node_count as tree_size
-from .errors import DataError, EmptyCorpus
-from .frame import check_types, read_frame, write_frame
+from .errors import EmptyCorpus
+from .frame import write_frame
 
 MAGIC = b"UASTFEAT"
 FORMAT_VERSION = 1
-
-SPLIT_TAGS = {"train": 0, "val": 1, "test": 2}
-TAG_SPLITS = {v: k for k, v in SPLIT_TAGS.items()}
-# the type of each header value (frame.has_type)
-_HEADER_TYPES = {"L": int, "N": int, "kinds": list[str], "labels": list[str],
-                 "languages": list[str], "unified": bool, "table_hash": str,
-                 "count": int}
 
 
 @dataclass(frozen=True)
@@ -141,128 +135,38 @@ def path_length_stats(corpus: Iterable[AstNode]) -> StatsReport:
 
 # --- featurized corpus file ------------------------------------------------
 
-@dataclass(frozen=True)
-class SampleRecord:
-    label: int
-    language: int
-    split: str  # train | val | test
-    path: PathSequence
-    graph: GraphSample
+def write_featurized(path: str | Path, splits: dict[str, list],
+                     vocab: Vocabulary, labels: list[str],
+                     languages: list[str], L: int, N: int, unified: bool,
+                     table_hash: str) -> int:
+    """Write featurized samples (corpus.LabeledSample) to one binary file
+    and return how many.
 
-
-@dataclass(frozen=True)
-class FeaturizedSet:
-    L: int
-    N: int
-    vocab: Vocabulary
-    labels: tuple[str, ...]
-    languages: tuple[str, ...]
-    unified: bool
-    table_hash: str
-    records: tuple[SampleRecord, ...]
-
-    def split_records(self, split: str) -> list[SampleRecord]:
-        return [r for r in self.records if r.split == split]
-
-
-def write_featurized(path: str | Path, fset: FeaturizedSet) -> None:
+    splits is split_dataset's train, validation and test lists, in that
+    order; each record's split tag is its list's position: 0, 1 or 2.
+    """
+    lang_index = {name: i for i, name in enumerate(languages)}
     header = {
-        "L": fset.L,
-        "N": fset.N,
-        "kinds": list(fset.vocab.kinds),
-        "labels": list(fset.labels),
-        "languages": list(fset.languages),
-        "unified": fset.unified,
-        "table_hash": fset.table_hash,
-        "count": len(fset.records),
+        "L": L,
+        "N": N,
+        "kinds": list(vocab.kinds),
+        "labels": list(labels),
+        "languages": list(languages),
+        "unified": unified,
+        "table_hash": table_hash,
+        "count": sum(map(len, splits.values())),
     }
     with open(path, "wb") as fh:
         write_frame(fh, MAGIC, FORMAT_VERSION, header)
-        for rec in fset.records:
-            # both views slice one pre-order prefix; the longer one is it
-            prefix = max(rec.path.indices, rec.graph.node_kinds, key=len)
-            fh.write(struct.pack("<HHBIII", rec.label, rec.language,
-                                 SPLIT_TAGS[rec.split], rec.path.true_length,
-                                 rec.graph.node_count, len(prefix)))
-            fh.write(prefix.astype("<u4").tobytes())
-            fh.write(struct.pack("<I", len(rec.graph.edges)))
-            fh.write(rec.graph.edges.astype("<u4").tobytes())
-
-
-def _record_problem(header: dict, vocab: Vocabulary, label: int,
-                    language: int, prefix: np.ndarray, true_length: int,
-                    node_count: int, pairs: np.ndarray) -> str | None:
-    """Why a record read back could not have been written from a sample."""
-    for name, value in (("true_length", true_length),
-                        ("node_count", node_count)):
-        if value == 0:
-            return f"{name} 0, but every tree has a root"
-    if len(prefix) != max(true_length, node_count):
-        return (f"{len(prefix)} kinds for true_length {true_length} and "
-                f"node_count {node_count}")
-    if true_length > header["L"]:
-        return f"true_length {true_length} exceeds L={header['L']}"
-    if node_count > header["N"]:
-        return f"node_count {node_count} exceeds N={header['N']}"
-    for name, index, size in (
-            ("label", label, len(header["labels"])),
-            ("language", language, len(header["languages"])),
-            ("kind", int(prefix.max(initial=0)), vocab.size)):
-        if index >= size:
-            return f"{name} index {index} outside [0, {size})"
-    if pairs.size:
-        if pairs.max() >= node_count:
-            return f"edge endpoint {pairs.max()} outside [0, {node_count})"
-        low, high = pairs.min(axis=1), pairs.max(axis=1)
-        if (low == high).any():
-            return f"self edge at node {low[low == high][0]}"
-        if np.unique(low * node_count + high).size < len(pairs):
-            return "repeated edge"
-    return None
-
-
-def read_featurized(path: str | Path) -> FeaturizedSet:
-    header, data, offset = read_frame(path, MAGIC, FORMAT_VERSION, DataError,
-                                      "featurized corpus")
-    try:
-        check_types(header, _HEADER_TYPES)
-        vocab = vocabulary_from_kinds(header["kinds"])
-    except KeyError as exc:
-        raise DataError(f"{path}: corrupt header: no {exc.args[0]}") from exc
-    except TypeError as exc:
-        raise DataError(f"{path}: corrupt header: {exc}") from exc
-    records: list[SampleRecord] = []
-    try:
-        for _ in range(header["count"]):
-            (label, language, tag, true_length, node_count,
-             m) = struct.unpack_from("<HHBIII", data, offset)
-            offset += struct.calcsize("<HHBIII")
-            if tag not in TAG_SPLITS or offset + 4 * m > len(data):
-                raise DataError(f"{path}: corrupt record")
-            prefix = np.frombuffer(data, dtype="<u4", count=m,
-                                   offset=offset).astype(np.int64)
-            offset += 4 * m
-            (edge_count,) = struct.unpack_from("<I", data, offset)
-            offset += 4
-            if offset + 8 * edge_count > len(data):
-                raise DataError(f"{path}: corrupt record")
-            pairs = np.frombuffer(data, dtype="<u4", count=2 * edge_count,
-                                  offset=offset).astype(np.int64).reshape(-1, 2)
-            offset += 8 * edge_count
-            problem = _record_problem(header, vocab, label, language, prefix,
-                                      true_length, node_count, pairs)
-            if problem:
-                raise DataError(f"{path}: record {len(records)}: {problem}")
-            records.append(SampleRecord(
-                label=label, language=language, split=TAG_SPLITS[tag],
-                path=PathSequence(prefix[:true_length]),
-                graph=GraphSample(prefix[:node_count], pairs)))
-    except (struct.error, ValueError) as exc:
-        raise DataError(f"{path}: truncated record data: {exc}") from exc
-    if offset != len(data):
-        raise DataError(f"{path}: {len(data) - offset} trailing bytes")
-    return FeaturizedSet(
-        L=header["L"], N=header["N"], vocab=vocab,
-        labels=tuple(header["labels"]), languages=tuple(header["languages"]),
-        unified=header["unified"], table_hash=header["table_hash"],
-        records=tuple(records))
+        for tag, samples in enumerate(splits.values()):
+            for s in samples:
+                # both views slice one pre-order prefix; the longer one is it
+                prefix = max(s.path_seq.indices, s.graph.node_kinds, key=len)
+                fh.write(struct.pack("<HHBIII", s.label_index,
+                                     lang_index[s.language], tag,
+                                     s.path_seq.true_length,
+                                     s.graph.node_count, len(prefix)))
+                fh.write(prefix.astype("<u4").tobytes())
+                fh.write(struct.pack("<I", len(s.graph.edges)))
+                fh.write(s.graph.edges.astype("<u4").tobytes())
+    return header["count"]

@@ -69,9 +69,11 @@ def has_type(value, kind) -> bool:
 
 def check_types(values: dict, types: dict, error=TypeError) -> None:
     """Raise error naming the first key whose value lacks its type in types
-    (has_type), or KeyError for a missing key whose type excludes None."""
+    (has_type): "no <key>" for a missing key whose type excludes None."""
     for key, kind in types.items():
-        value = values.get(key) if has_type(None, kind) else values[key]
+        value = values.get(key)
+        if key not in values and not has_type(None, kind):
+            raise error(f"no {key}")
         if not has_type(value, kind):
             name = kind.__name__ if type(kind) is type else kind
             raise error(f"{key} must be of type {name}, got {brief(value)}")

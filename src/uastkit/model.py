@@ -96,10 +96,6 @@ class ModelConfig(ModelSettings):
         return self
 
     @property
-    def head_dim(self) -> int:
-        return self.d // self.heads
-
-    @property
     def fusion_dim(self) -> int:
         if self.mode == "sast":
             return 2 * self.h
@@ -153,9 +149,6 @@ class ModelParams:
 
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.manifest()]
-
-    def all_finite(self) -> bool:
-        return all(np.isfinite(t.data).all() for t in self.parameters())
 
 
 def freeze_pad_gradient(params: ModelParams) -> None:

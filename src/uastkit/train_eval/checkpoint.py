@@ -85,7 +85,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         check_types(header, _HEADER_TYPES)
         config = ModelConfig(**header["config"]).validate()
         vocab = vocabulary_from_kinds(header["vocab_kinds"])
-    except (ValueError, KeyError, TypeError, ConfigError) as exc:
+    except (ValueError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
     labels, declared = header["labels"], header["params"]
     # the model indexes its embedding and GCN rows by kind and its output

@@ -218,6 +218,8 @@ def split_dataset(samples: list[LabeledSample], seed: int,
     if not (has_type(ratios, _RATIOS) and len(ratios) == 3) \
             or any(r < 0 for r in ratios) or not 0 < sum(ratios) < math.inf:
         raise DataError(f"bad split ratios {ratios!r}")
+    if not (has_type(seed, int) and seed >= 0):
+        raise DataError(f"bad split seed {seed!r}; expected an integer >= 0")
     rng = np.random.default_rng([seed, 0])
     out: dict[str, list[LabeledSample]] = {name: [] for name in SPLIT_NAMES}
     by_language: dict[str, list[LabeledSample]] = {}

@@ -10,7 +10,6 @@ true negatives, which differs from the plain one whenever k > 2.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -40,9 +39,6 @@ class MetricsReport:
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         return {name: v.tolist() if isinstance(v, np.ndarray) else v
                 for name, v in values.items()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def summary(self) -> dict[str, float]:
         """The headline metrics: history, checkpoints and reports carry

@@ -122,7 +122,8 @@ BAD_CHECKPOINT_HEADERS = {
 # a checkpoint header that lacks a field or holds one of the wrong type;
 # each is refused on loading as a corrupt header
 MALFORMED_CHECKPOINT_HEADERS = {
-    **{f"no_{key}": (lambda h, key=key: h.pop(key), key)
+    **{f"no_{key}": (lambda h, key=key: h.pop(key),
+                     f"corrupt header: no {key}")
        for key in ("config", "vocab_kinds", "labels", "params", "languages",
                    "table_hash", "unified", "seed", "epoch", "step")},
     "seed_not_int": (lambda h: h.update(seed="abc"), "corrupt header"),

@@ -402,7 +402,7 @@ def attend_one(x: Tensor, mask: Tensor | None, cfg, params) -> Tensor:
         v_all = ag.matmul(x, params.proj_v)
     else:
         q_all = k_all = v_all = x
-    hd = cfg.head_dim
+    hd = cfg.d // cfg.heads
     heads_out = []
     for head in range(cfg.heads):
         lo, hi = head * hd, (head + 1) * hd

@@ -11,13 +11,10 @@ from hypothesis import strategies as st
 from conftest import chain_tree, random_tree
 from uastkit.ast_frontend import (
     PAD_INDEX,
-    PAD_LABEL,
-    UNK_LABEL,
     AstNode,
     UnificationTable,
     Vocabulary,
     build_vocabulary,
-    identity_table,
     load_ast_sexpr,
     load_default_table,
     node_count,
@@ -90,23 +87,28 @@ module = unit
 """
 
 
+def unified(table: UnificationTable, language: str, kind: str) -> str:
+    """The kind a one-node tree of kind has after unification."""
+    return unify_ast(AstNode(kind), language, table).kind
+
+
 class TestTableParsing:
     def test_sections_and_lookup(self):
         table = parse_unification_table(TABLE_TEXT)
-        assert table.lookup("java", "program") == "unit"
-        assert table.lookup("python", "module") == "unit"
+        assert unified(table, "java", "program") == "unit"
+        assert unified(table, "python", "module") == "unit"
         # unmapped kinds pass through
-        assert table.lookup("java", "identifier") == "identifier"
-        assert table.lookup("ruby", "anything") == "anything"
+        assert unified(table, "java", "identifier") == "identifier"
+        assert unified(table, "ruby", "anything") == "anything"
 
     def test_comments_and_blank_lines_ignored(self):
         table = parse_unification_table(
             "# top\n\n[java]\n  # indented comment\nprogram = unit  # tail\n")
-        assert table.lookup("java", "program") == "unit"
+        assert unified(table, "java", "program") == "unit"
 
     def test_empty_text_is_passthrough(self):
         table = parse_unification_table("")
-        assert table.lookup("java", "program") == "program"
+        assert unified(table, "java", "program") == "program"
 
     def test_targets_must_be_fixed_points(self):
         # a target that is itself remapped would make lookup order-dependent
@@ -123,7 +125,7 @@ class TestTableParsing:
 
     def test_repeated_identical_entry_allowed(self):
         table = parse_unification_table("[java]\nx = a\nx = a\n")
-        assert table.lookup("java", "x") == "a"
+        assert unified(table, "java", "x") == "a"
 
     @pytest.mark.parametrize("text,line", [
         ("x = y\n", 1),              # entry before any section
@@ -154,11 +156,12 @@ class TestDefaultTable:
         for language, kind in (("java", "program"),
                                ("cpp", "translation_unit"),
                                ("python", "module")):
-            assert default_table.lookup(language, kind) == "unit"
+            assert unified(default_table, language, kind) == "unit"
 
     def test_block_kinds_unify(self, default_table):
-        assert default_table.lookup("cpp", "compound_statement") == "block"
-        assert default_table.lookup("javascript", "statement_block") == "block"
+        assert unified(default_table, "cpp", "compound_statement") == "block"
+        assert unified(default_table, "javascript",
+                       "statement_block") == "block"
 
     def test_all_targets_are_fixed_points(self, default_table):
         for language, section in default_table.sections.items():
@@ -183,7 +186,7 @@ class TestUnifyAst:
 
     def test_identity_table_is_noop(self):
         tree = load_ast_sexpr("(a (b) (c (d)))")
-        assert unify_ast(tree, "java", identity_table()) == tree
+        assert unify_ast(tree, "java", UnificationTable({})) == tree
 
     def test_shape_preserved_on_random_trees(self, default_table):
         rng = np.random.default_rng(3)
@@ -198,7 +201,7 @@ class TestUnifyAst:
             assert len(pairs) == node_count(before) == node_count(out)
             for src, dst in pairs:
                 assert len(src.children) == len(dst.children)
-                assert dst.kind == default_table.lookup("python", src.kind)
+                assert dst.kind == unified(default_table, "python", src.kind)
 
 
 # --- vocabulary -----------------------------------------------------------------
@@ -208,22 +211,16 @@ class TestVocabulary:
         vocab = build_vocabulary([load_ast_sexpr("(b (a) (c))")])
         assert vocab.kinds == ("a", "b", "c")
         assert PAD_INDEX == 0
-        assert vocab.index_of("a") == 1
-        assert vocab.index_of("c") == 3
+        assert vocab.index["a"] == 1
+        assert vocab.index["c"] == 3
         assert vocab.unk_index == 4
         assert vocab.size == 5
 
     def test_unknown_kind_maps_to_unk(self):
         vocab = vocabulary_from_kinds(["x"])
-        assert vocab.index_of("never_seen") == vocab.unk_index
-
-    def test_kind_of_labels(self):
-        vocab = vocabulary_from_kinds(["x", "y"])
-        assert vocab.kind_of(0) == PAD_LABEL
-        assert vocab.kind_of(1) == "x"
-        assert vocab.kind_of(3) == UNK_LABEL
-        with pytest.raises(IndexError):
-            vocab.kind_of(4)
+        # featurize_sample reads an absent kind as unk_index, no real kind's
+        assert "never_seen" not in vocab.index
+        assert vocab.unk_index == 2 and 2 not in vocab.index.values()
 
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpus):
@@ -239,7 +236,7 @@ class TestVocabulary:
     @settings(max_examples=50, deadline=None)
     def test_indices_are_a_bijection(self, kinds):
         vocab = vocabulary_from_kinds(sorted(kinds))
-        seen = {vocab.index_of(k) for k in kinds}
+        seen = {vocab.index[k] for k in kinds}
         assert len(seen) == len(kinds)
         assert all(0 < i < vocab.unk_index for i in seen)
 

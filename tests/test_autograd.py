@@ -50,7 +50,7 @@ def fd_check(make_loss, params):
     """
     loss = make_loss()
     ag.zero_grads(params)
-    loss.backward()
+    ag.backward(loss)
     for p in params:
         assert p.grad is not None
         grad = p.grad.copy()
@@ -162,7 +162,7 @@ class TestGradients:
 
     def test_clamp_min_blocks_gradient_below_floor(self):
         a = Tensor(np.array([[-1.0, 3.0]]), requires_grad=True)
-        ag.sum_all(ag.clamp_min(a, 0.0)).backward()
+        ag.backward(ag.sum_all(ag.clamp_min(a, 0.0)))
         assert a.grad.tolist() == [[0.0, 1.0]]
 
     def test_softmax(self):
@@ -219,7 +219,7 @@ class TestOpValues:
             Tensor(np.zeros((2, 2, 2)))
 
     def test_scalar_and_item(self):
-        assert Tensor.scalar(2.5).item() == 2.5
+        assert Tensor([[2.5]]).item() == 2.5
         with pytest.raises(NonScalarLoss):
             Tensor(np.zeros((1, 2))).item()
 
@@ -281,7 +281,7 @@ class TestOpValues:
     def test_backward_requires_scalar(self):
         a = Tensor(np.zeros((2, 2)), requires_grad=True)
         with pytest.raises(NonScalarLoss):
-            ag.add(a, a).backward()
+            ag.backward(ag.add(a, a))
 
 
 # --- propagate against the np.add.at oracle ----------------------------------------
@@ -324,8 +324,8 @@ class TestPropagateOracle:
                          for _ in range(2))
         got = propagate(got_h, ag.Graph(edges, n))
         want = add_at_propagate(want_h, edges)
-        ag.sum_all(ag.mul(got, g)).backward()
-        ag.sum_all(ag.mul(want, g)).backward()
+        ag.backward(ag.sum_all(ag.mul(got, g)))
+        ag.backward(ag.sum_all(ag.mul(want, g)))
         assert np.array_equal(got.data, want.data)
         assert np.array_equal(got_h.grad, want_h.grad)
 
@@ -396,7 +396,7 @@ class TestGcnLayerOracle:
                 ht = Tensor(h.copy(), requires_grad=True)
                 wt = Tensor(w.copy(), requires_grad=True)
                 out = layer(ht, wt, None if first else graph, activation)
-                ag.sum_all(ag.mul(out, g)).backward()
+                ag.backward(ag.sum_all(ag.mul(out, g)))
                 runs.append((out.data, ht.grad, wt.grad))
             for got, want in zip(*runs):
                 assert got.tobytes() == want.tobytes()
@@ -429,33 +429,33 @@ class TestGcnLayerOracle:
 class TestAccumulation:
     def test_two_backwards_double_without_reset(self):
         a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
-        ag.sum_all(a).backward()
+        ag.backward(ag.sum_all(a))
         assert a.grad.tolist() == [[1.0, 1.0]]
-        ag.sum_all(a).backward()
+        ag.backward(ag.sum_all(a))
         assert a.grad.tolist() == [[2.0, 2.0]]
 
     def test_accumulate_false_resets_reachable_grads(self):
         a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
-        ag.sum_all(a).backward()
-        ag.sum_all(a).backward(accumulate=False)
+        ag.backward(ag.sum_all(a))
+        ag.backward(ag.sum_all(a), accumulate=False)
         assert a.grad.tolist() == [[1.0, 1.0]]
 
     def test_zero_grads(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
-        ag.sum_all(a).backward()
+        ag.backward(ag.sum_all(a))
         ag.zero_grads([a])
         assert a.grad is None or not a.grad.any()
 
     def test_constant_subgraphs_get_no_gradient(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         c = Tensor(np.ones((2, 2)))
-        ag.sum_all(ag.mul(a, c)).backward()
+        ag.backward(ag.sum_all(ag.mul(a, c)))
         assert c.grad is None
         assert a.grad is not None
 
     def test_first_gradient_of_negative_zero_is_stored_as_zero(self):
         a = Tensor(np.ones((1, 2)), requires_grad=True)
-        ag.sum_all(ag.mul(a, Tensor(np.array([[-0.0, 2.0]])))).backward()
+        ag.backward(ag.sum_all(ag.mul(a, Tensor(np.array([[-0.0, 2.0]])))))
         assert a.grad.tolist() == [[0.0, 2.0]]
         assert not np.signbit(a.grad).any()
         # a gradient handed over without ownership is copied, not adopted
@@ -470,7 +470,7 @@ class TestGradientOwnership:
     where an op passes its output's gradient on to an input twice."""
 
     def _backward_and_check(self, out: Tensor, weights: np.ndarray) -> None:
-        ag.sum_all(ag.mul(out, Tensor(weights))).backward()
+        ag.backward(ag.sum_all(ag.mul(out, Tensor(weights))))
         grads = [t.grad for t in tape_tensors(out) if t.grad is not None]
         for i, a in enumerate(grads):
             for b in grads[i + 1:]:
@@ -577,7 +577,7 @@ class TestFusedSequenceGradients:
             if not runs:
                 weight = np.zeros((len(rows[0]), out.shape[1]))
                 weight[live] = self.rng.normal(size=out.shape)
-            ag.sum_all(ag.mul(out, Tensor(weight[take]))).backward()
+            ag.backward(ag.sum_all(ag.mul(out, Tensor(weight[take]))))
             runs.append([out.data[keep]] + [t.grad[keep] for t in leaves]
                         + [t.grad for t in params])
         for got, want in zip(*runs):
@@ -676,7 +676,7 @@ class TestDropout:
         rng = np.random.default_rng(4)
         x = Tensor(np.full((10, 10), 2.0), requires_grad=True)
         out = self._drop(x, 0.5, training=True, rng=rng)
-        ag.sum_all(out).backward()
+        ag.backward(ag.sum_all(out))
         assert np.array_equal(x.grad, out.data / 2.0)
 
     def test_same_seed_same_mask(self):
@@ -711,7 +711,7 @@ class TestDropoutMemory:
         packing = ag.Packing(self.LENGTHS)
         tracemalloc.start()
         try:
-            ag.sum_all(op(x, packing, np.random.default_rng(1))).backward()
+            ag.backward(ag.sum_all(op(x, packing, np.random.default_rng(1))))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -809,7 +809,7 @@ class TestAdam:
         state = adam_init([p], lr=0.1)
         for _ in range(300):
             ag.zero_grads([p])
-            ag.sum_all(ag.mul(p, p)).backward()
+            ag.backward(ag.sum_all(ag.mul(p, p)))
             adam_step([p], state)
         assert abs(p.data[0, 0]) < 0.05
 

@@ -22,6 +22,7 @@ from conftest import (
     rewrite_json_header,
     src_env,
 )
+from feature_file import read_featurized
 from uastkit.cli import (
     PROFILES,
     RunConfig,
@@ -29,7 +30,6 @@ from uastkit.cli import (
     main,
     resolve_run_config,
 )
-from uastkit.featurizer import read_featurized
 from uastkit.model import ModelSettings
 from uastkit.train_eval import (
     SUMMARY_NAMES,
@@ -199,6 +199,19 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr == "error: bad split ratios 'abc'\n"
+
+    def test_recorded_negative_seed_is_a_data_problem(self, trained_gast,
+                                                      tmp_path):
+        ckpt = tmp_path / "model.ckpt"
+        shutil.copyfile(trained_gast, ckpt)
+        rewrite_json_header(ckpt, lambda h: h.update(seed=-1))
+        proc = subprocess.run(
+            [sys.executable, "-m", "uastkit", "eval", "--corpus",
+             str(TOY_CORPUS), "--checkpoint", str(ckpt)],
+            capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: bad split seed -1; expected an "
+                               "integer >= 0\n")
 
     def test_unknown_recorded_run_setting_still_evaluates(
             self, trained_gast, tmp_path, capsys):
@@ -400,8 +413,8 @@ class TestFeaturize:
                                "matrix_mult", "sum_loop")
         assert fset.languages == ("java", "python")
         assert fset.unified is True
-        assert len(fset.records) == 32
-        assert {r.split for r in fset.records} == {"train", "val", "test"}
+        assert sum(map(len, fset.splits.values())) == 32
+        assert all(fset.splits.values())
 
     @pytest.mark.parametrize("corpus, profile", [("toy", "toy"),
                                                  ("datagen", "leetcode")])

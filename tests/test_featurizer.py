@@ -18,6 +18,7 @@ from conftest import (
     random_tree,
     rewrite_json_header,
 )
+from feature_file import FeaturizedSet, read_featurized
 from uastkit.ast_frontend import (
     AstNode,
     build_vocabulary,
@@ -33,21 +34,19 @@ from uastkit.errors import DataError, EmptyCorpus
 from uastkit.featurizer import (
     FORMAT_VERSION,
     MAGIC,
-    FeaturizedSet,
     GraphSample,
-    SampleRecord,
     StatsReport,
     featurize_sample,
     path_length_stats,
-    read_featurized,
     write_featurized,
 )
+from uastkit.train_eval import LabeledSample
 
 KINDS = ("alpha", "beta", "gamma", "delta", "epsilon")
 
 
 def expected_indices(tree, vocab):
-    return [vocab.index_of(n.kind) for n in preorder(tree)]
+    return [vocab.index.get(n.kind, vocab.unk_index) for n in preorder(tree)]
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +68,7 @@ class TestPreorderPath:
         seq = featurize_sample(tree, vocab, L=6, N=1)[0]
         assert seq.true_length == 6
         assert seq.indices.shape == (6,)
-        assert (seq.indices == vocab.index_of("alpha")).all()
+        assert (seq.indices == vocab.index["alpha"]).all()
 
     def test_unknown_kinds_become_unk(self, vocab):
         seq = featurize_sample(AstNode("mystery"), vocab, L=3, N=1)[0]
@@ -222,12 +221,12 @@ def corpus_trees(tmp_path_factory, default_table):
 
 
 def reference_views(tree, vocab, L, N):
-    """featurize_sample's fields, from preorder and Vocabulary.index_of."""
+    """featurize_sample's fields, from preorder and Vocabulary.index."""
     nodes = list(preorder(tree))
     number = {id(node): i for i, node in enumerate(nodes)}
     parent = {number[id(child)]: i for i, node in enumerate(nodes)
               for child in node.children}
-    indices = [vocab.index_of(node.kind) for node in nodes]
+    indices = [vocab.index.get(node.kind, vocab.unk_index) for node in nodes]
     true_length, node_count = min(len(nodes), L), min(len(nodes), N)
     return (indices[:L], true_length, indices[:N], node_count,
             [[parent[i], i] for i in range(1, node_count)])
@@ -288,22 +287,30 @@ class TestStats:
 
 def _toy_set(vocab) -> FeaturizedSet:
     rng = np.random.default_rng(5)
-    records = []
-    for i, split in enumerate(("train", "train", "val", "test")):
+    labels, languages = ("neg", "pos"), ("cpp", "java", "python")
+    splits = {"train": [], "validation": [], "test": []}
+    for i, split in enumerate(("train", "train", "validation", "test")):
         tree = random_tree(rng, max_nodes=25, kinds=KINDS)
         path, graph = featurize_sample(tree, vocab, L=12, N=10)
-        records.append(SampleRecord(label=i % 2, language=i % 3, split=split,
-                                    path=path, graph=graph))
-    return FeaturizedSet(L=12, N=10, vocab=vocab, labels=("neg", "pos"),
-                         languages=("cpp", "java", "python"), unified=True,
-                         table_hash="ab" * 32, records=tuple(records))
+        splits[split].append(LabeledSample(
+            source_path=f"s{i}", language=languages[i % 3],
+            label=labels[i % 2], label_index=i % 2, path_seq=path,
+            graph=graph))
+    return FeaturizedSet(splits=splits, vocab=vocab, labels=labels,
+                         languages=languages, L=12, N=10, unified=True,
+                         table_hash="ab" * 32)
+
+
+def _records(fset: FeaturizedSet) -> list[tuple[str, LabeledSample]]:
+    return [(name, s) for name, samples in fset.splits.items()
+            for s in samples]
 
 
 class TestFeaturizedFile:
     def test_roundtrip(self, vocab, tmp_path):
         fset = _toy_set(vocab)
         out = tmp_path / "corpus.feat"
-        write_featurized(out, fset)
+        write_featurized(out, **vars(fset))
         back = read_featurized(out)
         assert (back.L, back.N) == (fset.L, fset.N)
         assert back.vocab.kinds == fset.vocab.kinds
@@ -311,12 +318,13 @@ class TestFeaturizedFile:
         assert back.languages == fset.languages
         assert back.unified is True
         assert back.table_hash == fset.table_hash
-        assert len(back.records) == len(fset.records)
-        for orig, got in zip(fset.records, back.records):
-            assert (got.label, got.language, got.split) == (
-                orig.label, orig.language, orig.split)
-            assert np.array_equal(got.path.indices, orig.path.indices)
-            assert got.path.true_length == orig.path.true_length
+        assert len(_records(back)) == len(_records(fset))
+        for (split, orig), (got_split, got) in zip(_records(fset),
+                                                   _records(back)):
+            assert (got.label, got.label_index, got.language, got_split) == (
+                orig.label, orig.label_index, orig.language, split)
+            assert np.array_equal(got.path_seq.indices, orig.path_seq.indices)
+            assert got.path_seq.true_length == orig.path_seq.true_length
             assert np.array_equal(got.graph.node_kinds, orig.graph.node_kinds)
             assert got.graph.node_count == orig.graph.node_count
             assert np.array_equal(got.graph.edges, orig.graph.edges)
@@ -325,14 +333,9 @@ class TestFeaturizedFile:
     def test_rewrite_is_bitwise_stable(self, vocab, tmp_path):
         fset = _toy_set(vocab)
         a, b = tmp_path / "a.feat", tmp_path / "b.feat"
-        write_featurized(a, fset)
-        write_featurized(b, read_featurized(a))
+        write_featurized(a, **vars(fset))
+        write_featurized(b, **vars(read_featurized(a)))
         assert a.read_bytes() == b.read_bytes()
-
-    def test_split_records_filter(self, vocab):
-        fset = _toy_set(vocab)
-        assert len(fset.split_records("train")) == 2
-        assert len(fset.split_records("val")) == 1
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
@@ -340,7 +343,7 @@ class TestFeaturizedFile:
 
     def test_wrong_magic(self, vocab, tmp_path):
         out = tmp_path / "c.feat"
-        write_featurized(out, _toy_set(vocab))
+        write_featurized(out, **vars(_toy_set(vocab)))
         data = bytearray(out.read_bytes())
         data[0] ^= 0xFF
         out.write_bytes(bytes(data))
@@ -349,7 +352,7 @@ class TestFeaturizedFile:
 
     def test_unsupported_version(self, vocab, tmp_path):
         out = tmp_path / "c.feat"
-        write_featurized(out, _toy_set(vocab))
+        write_featurized(out, **vars(_toy_set(vocab)))
         data = bytearray(out.read_bytes())
         data[8] = 99
         out.write_bytes(bytes(data))
@@ -358,7 +361,7 @@ class TestFeaturizedFile:
 
     def test_corrupt_header_json(self, vocab, tmp_path):
         out = tmp_path / "c.feat"
-        write_featurized(out, _toy_set(vocab))
+        write_featurized(out, **vars(_toy_set(vocab)))
         data = bytearray(out.read_bytes())
         data[25] = ord("{")
         out.write_bytes(bytes(data))
@@ -367,14 +370,14 @@ class TestFeaturizedFile:
 
     def test_truncated_records(self, vocab, tmp_path):
         out = tmp_path / "c.feat"
-        write_featurized(out, _toy_set(vocab))
+        write_featurized(out, **vars(_toy_set(vocab)))
         out.write_bytes(out.read_bytes()[:-9])
         with pytest.raises(DataError):
             read_featurized(out)
 
     def test_trailing_bytes(self, vocab, tmp_path):
         out = tmp_path / "c.feat"
-        write_featurized(out, _toy_set(vocab))
+        write_featurized(out, **vars(_toy_set(vocab)))
         out.write_bytes(out.read_bytes() + b"\x00\x01")
         with pytest.raises(DataError):
             read_featurized(out)
@@ -382,7 +385,7 @@ class TestFeaturizedFile:
     @pytest.mark.parametrize("key", ["L", "N", "kinds", "count"])
     def test_header_without_a_field(self, vocab, tmp_path, key):
         out = tmp_path / "c.feat"
-        write_featurized(out, _toy_set(vocab))
+        write_featurized(out, **vars(_toy_set(vocab)))
         rewrite_json_header(out, lambda h: h.pop(key))
         with pytest.raises(DataError, match=f"corrupt header: no {key}$"):
             read_featurized(out)
@@ -392,7 +395,7 @@ class TestFeaturizedFile:
     def test_header_field_of_the_wrong_type(self, vocab, tmp_path, key,
                                             value):
         out = tmp_path / "c.feat"
-        write_featurized(out, _toy_set(vocab))
+        write_featurized(out, **vars(_toy_set(vocab)))
         rewrite_json_header(out, lambda h: h.update({key: value}))
         with pytest.raises(DataError, match="corrupt header"):
             read_featurized(out)
@@ -404,7 +407,7 @@ class TestFeaturizedFile:
     def test_header_value_of_another_type_names_it(self, vocab, tmp_path,
                                                    key, kind, value):
         out = tmp_path / "c.feat"
-        write_featurized(out, _toy_set(vocab))
+        write_featurized(out, **vars(_toy_set(vocab)))
         rewrite_json_header(out, lambda h: h.update({key: value}))
         with pytest.raises(DataError, match=re.escape(
                 f"corrupt header: {key} must be of type {kind}, "
@@ -416,7 +419,7 @@ class TestFeaturizedFile:
     def test_header_names_that_are_not_a_list_of_strings(self, vocab, tmp_path,
                                                          key, value):
         out = tmp_path / "c.feat"
-        write_featurized(out, _toy_set(vocab))
+        write_featurized(out, **vars(_toy_set(vocab)))
         rewrite_json_header(out, lambda h: h.update({key: value}))
         with pytest.raises(DataError, match=re.escape(
                 f"corrupt header: {key} must be of type list[str]")):
@@ -438,15 +441,20 @@ class TestFeaturizedFile:
 
 
 def _bad_record(vocab, **changes) -> FeaturizedSet:
-    """The toy set with its first record's graph or fields replaced."""
+    """The toy set with its first sample's views replaced."""
     fset = _toy_set(vocab)
-    first = fset.records[0]
-    graph = changes.pop("graph", None)
-    if graph is not None:
-        kinds, edges = graph
-        changes["graph"] = make_graph(kinds, edges)
-    records = (dataclasses.replace(first, **changes),) + fset.records[1:]
-    return dataclasses.replace(fset, records=records)
+    train = fset.splits["train"]
+    train[0] = dataclasses.replace(train[0], **changes)
+    return fset
+
+
+def _patch_first_record(path: Path, field: str, value: int) -> None:
+    """Overwrite one u16 index of the file's first record."""
+    data = bytearray(path.read_bytes())
+    (header_len,) = struct.unpack_from("<Q", data, 12)
+    at = 20 + header_len + {"label": 0, "language": 2}[field]
+    struct.pack_into("<H", data, at, value)
+    path.write_bytes(bytes(data))
 
 
 class TestFeaturizedRecordChecks:
@@ -461,7 +469,8 @@ class TestFeaturizedRecordChecks:
     ])
     def test_bad_edges_raise_data_error(self, vocab, tmp_path, graph, reason):
         out = tmp_path / "bad.feat"
-        write_featurized(out, _bad_record(vocab, graph=graph))
+        fset = _bad_record(vocab, graph=make_graph(*graph))
+        write_featurized(out, **vars(fset))
         with pytest.raises(DataError, match=re.escape("record 0: " + reason)):
             read_featurized(out)
 
@@ -470,9 +479,10 @@ class TestFeaturizedRecordChecks:
     def test_empty_views_raise(self, vocab, tmp_path, view, name):
         # every tree has its root, so no sample has an empty view; a sast
         # model once read such a record back and classified it
-        empty = {"path": make_path([]), "graph": ([], [])}
+        empty = {"path": {"path_seq": make_path([])},
+                 "graph": {"graph": make_graph([], [])}}
         out = tmp_path / "bad.feat"
-        write_featurized(out, _bad_record(vocab, **{view: empty[view]}))
+        write_featurized(out, **vars(_bad_record(vocab, **empty[view])))
         with pytest.raises(DataError, match=f"record 0: {name} 0"):
             read_featurized(out)
 
@@ -481,7 +491,7 @@ class TestFeaturizedRecordChecks:
         # a record holds the longer view's kinds; one kind more than both
         # lengths would once have been dropped without a word
         out = tmp_path / "bad.feat"
-        write_featurized(out, _toy_set(vocab))
+        write_featurized(out, **vars(_toy_set(vocab)))
         data = bytearray(out.read_bytes())
         (header_len,) = struct.unpack_from("<Q", data, 12)
         at = 20 + header_len + 5  # the first record's true_length
@@ -496,12 +506,10 @@ class TestFeaturizedRecordChecks:
         fset = _toy_set(vocab)
         long_path, big_graph = featurize_sample(
             chain_tree(["alpha"] * 20), vocab, L=fset.L + 1, N=fset.N + 1)
-        for changes, reason in (({"path": long_path}, "true_length 13"),
+        for changes, reason in (({"path_seq": long_path}, "true_length 13"),
                                 ({"graph": big_graph}, "node_count 11")):
-            records = (dataclasses.replace(fset.records[0], **changes),) \
-                + fset.records[1:]
             out = tmp_path / "bad.feat"
-            write_featurized(out, dataclasses.replace(fset, records=records))
+            write_featurized(out, **vars(_bad_record(vocab, **changes)))
             with pytest.raises(DataError, match=reason):
                 read_featurized(out)
 
@@ -511,8 +519,12 @@ class TestFeaturizedRecordChecks:
     ])
     def test_indices_outside_header_lists_raise(self, vocab, tmp_path,
                                                 changes, reason):
+        # the writer maps each sample's language name through the header's
+        # list, so an index outside it can only be planted in the bytes
         out = tmp_path / "bad.feat"
-        write_featurized(out, _bad_record(vocab, **changes))
+        write_featurized(out, **vars(_toy_set(vocab)))
+        [(field, value)] = changes.items()
+        _patch_first_record(out, field, value)
         with pytest.raises(DataError, match=re.escape(reason)):
             read_featurized(out)
 
@@ -520,6 +532,6 @@ class TestFeaturizedRecordChecks:
         fset = _toy_set(vocab)
         small = vocabulary_from_kinds(KINDS[:1])
         out = tmp_path / "bad.feat"
-        write_featurized(out, dataclasses.replace(fset, vocab=small))
+        write_featurized(out, **vars(dataclasses.replace(fset, vocab=small)))
         with pytest.raises(DataError, match="kind index"):
             read_featurized(out)

@@ -24,8 +24,8 @@ from conftest import (
     rewrite_json_header,
 )
 from uastkit.ast_frontend import (
+    UnificationTable,
     build_vocabulary,
-    identity_table,
     load_ast_sexpr,
     load_default_table,
     render_sexpr,
@@ -335,6 +335,12 @@ class TestSplits:
         with pytest.raises(DataError):
             split_dataset(flat_samples(5), seed=0, ratios=ratios)
 
+    # a checkpoint's seed is read as any int; numpy refuses a negative one
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DataError, match="bad split seed"):
+            split_dataset(flat_samples(5), seed=seed)
+
     def test_ratios_as_a_list_or_as_floats_split_as_the_tuple(self):
         # run configs hold a tuple, checkpoints record a list, and the
         # acceptance tests split with floats
@@ -432,7 +438,7 @@ class TestMetrics:
 
     def test_json_and_table_render(self):
         report = compute_metrics([0, 1], [0, 1], k=2)
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.to_dict(), sort_keys=True))
         assert data["accuracy"] == 1.0
         table = report.format_table(("first", "second"))
         assert "first" in table and "second" in table
@@ -615,7 +621,7 @@ class TestTrain:
     def _fit(self, tmp_path=None, lr=0.05, epochs=12, with_val=False,
              seed=0, mode="uast"):
         splits = memorizable_splits(with_val=with_val)
-        table = identity_table()
+        table = UnificationTable({})
         vocab = build_features(splits, table, True, L=8, N=8)
         cfg = small_config(vocab.size, mode)
         result = train(splits, cfg, vocab, ["alpha", "beta"], ["python"],
@@ -712,7 +718,7 @@ class TestTrain:
     def test_max_steps_stops_early(self):
         _, _, _, _, result = self._fit(epochs=50)
         splits = memorizable_splits()
-        table = identity_table()
+        table = UnificationTable({})
         vocab = build_features(splits, table, True, L=8, N=8)
         cfg = small_config(vocab.size)
         capped = train(splits, cfg, vocab, ["alpha", "beta"], ["python"],
@@ -722,7 +728,7 @@ class TestTrain:
 
     def test_divergence_has_a_dedicated_error(self):
         splits = memorizable_splits()
-        table = identity_table()
+        table = UnificationTable({})
         vocab = build_features(splits, table, True, L=8, N=8)
         cfg = small_config(vocab.size)
         with pytest.raises(DivergenceDetected) as err, \
@@ -734,7 +740,7 @@ class TestTrain:
 
     def test_config_vocab_and_label_guards(self):
         splits = memorizable_splits()
-        table = identity_table()
+        table = UnificationTable({})
         vocab = build_features(splits, table, True, L=8, N=8)
         with pytest.raises(ConfigError):
             train(splits, small_config(vocab.size + 1), vocab,
@@ -747,7 +753,7 @@ class TestTrain:
 
     def test_empty_train_split_rejected(self):
         splits = memorizable_splits()
-        table = identity_table()
+        table = UnificationTable({})
         vocab = build_features(splits, table, True, L=8, N=8)
         splits["train"] = []
         with pytest.raises(EmptySplit):
