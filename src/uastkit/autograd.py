@@ -7,12 +7,14 @@ nothing on the tape.  Graph structure enters as a Graph: Â's weights and
 scatter rounds, built once per batch from an integer edge list; gcn_layer
 records a whole GCN layer, act(Â H W), as one tape node.
 
-backward() accumulates into .grad: calling it twice without zero_grads in
-between doubles the gradients.  Pass accumulate=False to reset the grads of
-every tensor reachable from the loss first.  A first gradient is stored as
-g + 0.0 (-0.0 becomes 0.0): in place, adopting g, when a backward pass made
-g for that input alone (owned); in a copy when g is the output's gradient
-or a view of it, as add and concat pass on.  No two .grad share memory.
+backward() consumes the tape: it drops each closure once run, so a node
+saves only what its backward pass cannot recompute bit for bit.  .grad
+accumulates over tapes until zero_grads; accumulate=False first resets the
+grads of every tensor reachable from the loss.  A first gradient is stored
+as g + 0.0 (-0.0 becomes 0.0): in place, adopting g, when a backward pass
+made g for that input alone (owned); in a copy when g is the output's
+gradient or a view of it, as add and concat pass on.  No two .grad share
+memory.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import numpy as np
 from .errors import (
     IndexOutOfVocab,
     LabelOutOfRange,
-    MissingGradient,
     NonScalarLoss,
     ShapeMismatch,
+    UastError,
 )
 
 
@@ -89,8 +91,6 @@ def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    if g.shape == shape:
-        return g
     if shape[0] == 1 and g.shape[0] != 1:
         g = g.sum(axis=0, keepdims=True)
     if shape[1] == 1 and g.shape[1] != 1:
@@ -416,7 +416,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, packing: Packing, heads: int,
     over its own keys, under inverted dropout, times v.  Sequence b in turn
     draws a [heads, T, T] mask, T the longest length, and keeps its
     [:, :n_b, :n_b] corner as booleans: the stream of one padded [B, heads,
-    T, T] draw.  The backward pass recomputes the dropped weights.
+    T, T] draw.  The node keeps each row's largest score and sum and the
+    masks; the backward pass recomputes the weights from q and k.
     """
     rows, d = q.shape
     if (rows != packing.total or k.shape != q.shape or v.shape != q.shape
@@ -434,24 +435,33 @@ def attention(q: Tensor, k: Tensor, v: Tensor, packing: Packing, heads: int,
         return a.reshape(rows, heads, hd).transpose(1, 0, 2)
 
     qs, ks, vs = by_head(q.data), by_head(k.data), by_head(v.data)
-    out = np.empty((heads, rows, hd))
-    saved = []  # per sequence: probs and the keep mask
-    for span in spans:
-        n = span.stop - span.start
+
+    def softmax(span: slice, top=None, total=None):
+        # per head over one sequence; bw passes in the forward's max and sum
         probs = qs[:, span] @ ks[:, span].transpose(0, 2, 1)
         probs *= inv_sqrt
-        probs -= probs.max(axis=-1, keepdims=True)
+        top = probs.max(axis=-1, keepdims=True) if top is None else top
+        probs -= top
         np.exp(probs, out=probs)
-        probs /= probs.sum(axis=-1, keepdims=True)
+        total = probs.sum(axis=-1, keepdims=True) if total is None else total
+        probs /= total
+        return probs, top, total
+
+    out = np.empty((heads, rows, hd))
+    saved = []  # per sequence: each row's largest score and sum, and keep
+    for span in spans:
+        n = span.stop - span.start
+        probs, top, total = softmax(span)
         keep = None if test is None else test((heads, steps, steps))[
             :, :n, :n].copy()
         weights = probs if keep is None else probs * keep * scale
         out[:, span] = weights @ vs[:, span]
-        saved.append((probs, keep))
+        saved.append((top, total, keep))
 
     def bw(g):
         gs, grads = by_head(g), np.empty((3, heads, rows, hd))
-        for span, (probs, keep) in zip(spans, saved):
+        for span, (top, total, keep) in zip(spans, saved):
+            probs = softmax(span, top, total)[0]
             d_scores = gs[:, span] @ vs[:, span].transpose(0, 2, 1)
             if keep is not None:
                 d_scores *= keep * scale
@@ -490,8 +500,9 @@ def lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, packing: Packing,
     # every buffer is indexed by slot, so each step's rows are contiguous;
     # gates holds the input projections and turns into the gate
     # activations in place
-    gates = (x.data @ w_x + b_all.data)[slots]
-    hs, cs, c_tanh = (np.empty((rows, h)) for _ in range(3))
+    gates = x.data @ w_x
+    gates = np.add(gates, b_all.data, out=gates)[slots]
+    hs, cs = np.empty((rows, h)), np.empty((rows, h))
     back = 0  # the step before's first slot
     with np.errstate(over="ignore"):  # for the gates' sigmoid
         for lo, n in packing.spans:
@@ -503,8 +514,7 @@ def lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, packing: Packing,
             np.multiply(act[:, :h], act[:, 3 * h:], out=cs[lo:hi])
             if lo:
                 cs[lo:hi] += act[:, h:2 * h] * cs[back:back + n]
-            np.tanh(cs[lo:hi], out=c_tanh[lo:hi])
-            np.multiply(act[:, 2 * h:3 * h], c_tanh[lo:hi], out=hs[lo:hi])
+            np.multiply(act[:, 2 * h:3 * h], np.tanh(cs[lo:hi]), out=hs[lo:hi])
             back = lo
     out = np.empty((rows, h))
     out[slots] = hs
@@ -513,6 +523,7 @@ def lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, packing: Packing,
         i_g, f_g, o_g, c_hat = (gates[:, j * h:(j + 1) * h] for j in range(4))
         # every factor that does not depend on the carried dh and dc, over
         # all slots at once, and the cell state entering each slot
+        c_tanh = np.tanh(cs)
         dc_dh = o_g * (1.0 - c_tanh * c_tanh)
         d_sig = gates[:, :3 * h] * (1.0 - gates[:, :3 * h])
         d_tanh = 1.0 - c_hat * c_hat
@@ -535,15 +546,19 @@ def lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, packing: Packing,
                         out=dp[:, 2 * h:3 * h])
             np.multiply(dc * i_g[lo:hi], d_tanh[lo:hi], out=dp[:, 3 * h:])
             dh_carry, dc_carry = dp @ w_h.T, dc * f_g[lo:hi]
+        # free the per-slot factors, and views of them, before d_rows
+        del c_tanh, dc_dh, d_sig, d_tanh, c_prev, d_h, dh, sig
+        d_wh = out[slots[packing.prev]].T @ d_pre[first:]
+        d_b = d_pre.sum(axis=0, keepdims=True)
         d_rows = np.empty_like(d_pre)
         d_rows[slots] = d_pre
+        del d_pre, dp
         if x.requires_grad:
             _accum(x, d_rows @ w_x.T, owned=True)
         if w_all.requires_grad:
-            _accum(w_all, np.vstack([hs[packing.prev].T @ d_pre[first:],
-                                     x.data.T @ d_rows]), owned=True)
+            _accum(w_all, np.vstack([d_wh, x.data.T @ d_rows]), owned=True)
         if b_all.requires_grad:
-            _accum(b_all, d_pre.sum(axis=0, keepdims=True), owned=True)
+            _accum(b_all, d_b, owned=True)
 
     return _node(out, (x, w_all, b_all), bw)
 
@@ -587,7 +602,7 @@ def backward(loss: Tensor, accumulate: bool = True) -> None:
     """Populate .grad on every requires_grad ancestor of a scalar loss.
 
     Gradients add into any existing .grad arrays; with accumulate=False the
-    grads of the reachable subgraph are cleared first.
+    grads of the reachable subgraph are cleared first.  Consumes the tape.
     """
     if loss.data.shape != (1, 1):
         raise NonScalarLoss(f"backward needs a (1,1) loss, got {loss.data.shape}")
@@ -601,28 +616,26 @@ def backward(loss: Tensor, accumulate: bool = True) -> None:
         node, processed = stack.pop()
         if processed:
             topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent.requires_grad and id(parent) not in visited:
-                stack.append((parent, False))
+        elif id(node) not in visited:
+            if node._parents and node._backward_fn is None:
+                raise UastError("backward: this tape was already consumed")
+            visited.add(id(node))
+            stack.append((node, True))
+            for parent in node._parents:
+                if parent.requires_grad and id(parent) not in visited:
+                    stack.append((parent, False))
 
     # each pass runs on fresh buffers; prior grads are added back at the end
     # so one call contributes exactly one unit of loss gradient
-    stash: list[tuple[Tensor, np.ndarray]] = []
+    stash = [(t, t.grad) for t in topo if accumulate and t.grad is not None]
     for node in topo:
-        if node.grad is not None:
-            if accumulate:
-                stash.append((node, node.grad))
-            node.grad = None
+        node.grad = None
 
     _accum(loss, np.ones((1, 1)), owned=True)
     for node in reversed(topo):
         if node._backward_fn is not None:
             node._backward_fn(node.grad)
+            node._backward_fn = None  # frees what its closure saved
 
     for node, old in stash:
         _accum(node, old)

@@ -10,7 +10,7 @@ runs produce identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +83,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                                  CheckpointError, "checkpoint")
     try:
         check_types(header, _HEADER_TYPES)
+        # every setting by name: one left out would load as its default
+        names = {f.name for f in fields(ModelConfig)}
+        for k in sorted(names ^ header["config"].keys()):
+            raise ValueError(f"no {k}" if k in names else f"unknown key {k}")
         config = ModelConfig(**header["config"]).validate()
         vocab = vocabulary_from_kinds(header["vocab_kinds"])
     except (ValueError, TypeError, ConfigError) as exc:

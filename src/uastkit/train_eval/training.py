@@ -222,7 +222,7 @@ def train(splits: dict[str, list[LabeledSample]], cfg: ModelConfig,
             zero_grads(params.parameters())
             backward(loss)
             adam_step(params.parameters(), opt)
-            del probs, loss  # free this step's tape before the next forward
+            del probs, loss  # backward freed the closures; this frees the tape
             step += 1
             batch_losses.append(value)
             emit(f"epoch {epoch} step {step} loss {value:.6f}")

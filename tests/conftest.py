@@ -126,6 +126,10 @@ MALFORMED_CHECKPOINT_HEADERS = {
                      f"corrupt header: no {key}")
        for key in ("config", "vocab_kinds", "labels", "params", "languages",
                    "table_hash", "unified", "seed", "epoch", "step")},
+    # a model setting missing from the config would load as its default
+    "config_no_L": (lambda h: h["config"].pop("L"), "corrupt header: no L"),
+    "config_unknown_key": (lambda h: h["config"].update(bogus=1),
+                           "corrupt header: unknown key bogus"),
     "seed_not_int": (lambda h: h.update(seed="abc"), "corrupt header"),
     "params_not_list": (lambda h: h.update(params=13), "corrupt header"),
     "params_not_objects": (lambda h: h.update(params=[1] * len(h["params"])),

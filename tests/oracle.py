@@ -8,14 +8,17 @@ and direction; and the sequence side as it ran before packing, with the
 padded attention, dropout and LSTM ops over [B*T x cols] rows.  Those draw
 each dropout mask as one draw over the padded layout (_dropout_mask), as
 the model did before it drew per path, so the same rng must give the same
-masks.  transpose, slice_rows and slice_cols are autograd ops that only
-these compositions use; add_at_propagate is the model's propagation as it
-ran before autograd.Graph, with np.add.at.  propagate, sigmoid, tanh and
-relu are the ops a GCN layer was composed of before autograd.gcn_layer
-fused them into one tape node; composed_gcn_layer composes them.  tokenize
-is the C-like tokenizer as it ran before it matched every offset with one
-finditer pass; its pattern has the same tokens, an unterminated block
-comment running to the end of the text included.
+masks.  saved_attention and saved_lstm_direction are the packed sequence
+ops as they ran when their nodes kept probs, h and tanh(c) for the backward
+pass, which now recomputes them.  transpose, slice_rows and slice_cols are
+autograd ops that only these compositions use; add_at_propagate is the
+model's propagation as it ran before autograd.Graph, with np.add.at.
+propagate, sigmoid, tanh and relu are the ops a GCN layer was composed of
+before autograd.gcn_layer fused them into one tape node; composed_gcn_layer
+composes them.  tokenize is the C-like tokenizer as it ran before it
+matched every offset with one finditer pass; its pattern has the same
+tokens, an unterminated block comment running to the end of the text
+included.
 """
 
 import math
@@ -145,6 +148,142 @@ def add_at_propagate(h: Tensor, edges: np.ndarray) -> Tensor:
             _accum(h, apply(g))
 
     return _node(apply(h.data), (h,), bw)
+
+
+# --- the packed sequence ops as their nodes kept their arrays -----------------
+#
+# The backward passes of these read what the forward pass kept: attention
+# each sequence's probs, the LSTM every slot's h and tanh(c).  The autograd
+# ops keep less and recompute the rest, by the same operations.
+
+
+def saved_attention(q: Tensor, k: Tensor, v: Tensor, packing: ag.Packing,
+                    heads: int, rate: float = 0.0, training: bool = False,
+                    rng: np.random.Generator | None = None) -> Tensor:
+    """autograd.attention as it was when its node kept each sequence's
+    probs: the same operations in the same order, so the same bits."""
+    rows, d = q.shape
+    if (rows != packing.total or k.shape != q.shape or v.shape != q.shape
+            or d % heads):
+        raise ShapeMismatch(f"attention: q {q.shape}, k {k.shape}, v "
+                            f"{v.shape}, {heads} heads, {packing.total} rows")
+    hd, steps = d // heads, packing.steps
+    inv_sqrt = 1.0 / np.sqrt(hd)
+    test = ag._dropout_mask(rate, training, rng)
+    scale = 1.0 / (1.0 - rate)
+    spans = [slice(s, s + n) for s, n in
+             zip(packing.starts.tolist(), packing.lengths.tolist())]
+
+    def by_head(a: np.ndarray) -> np.ndarray:  # [S x d] -> [heads, S, hd]
+        return a.reshape(rows, heads, hd).transpose(1, 0, 2)
+
+    qs, ks, vs = by_head(q.data), by_head(k.data), by_head(v.data)
+    out = np.empty((heads, rows, hd))
+    saved = []  # per sequence: probs and the keep mask
+    for span in spans:
+        n = span.stop - span.start
+        probs = qs[:, span] @ ks[:, span].transpose(0, 2, 1)
+        probs *= inv_sqrt
+        probs -= probs.max(axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        keep = None if test is None else test((heads, steps, steps))[
+            :, :n, :n].copy()
+        weights = probs if keep is None else probs * keep * scale
+        out[:, span] = weights @ vs[:, span]
+        saved.append((probs, keep))
+
+    def bw(g):
+        gs, grads = by_head(g), np.empty((3, heads, rows, hd))
+        for span, (probs, keep) in zip(spans, saved):
+            d_scores = gs[:, span] @ vs[:, span].transpose(0, 2, 1)
+            if keep is not None:
+                d_scores *= keep * scale
+            d_scores *= probs
+            d_scores -= probs * d_scores.sum(axis=-1, keepdims=True)
+            d_scores *= inv_sqrt
+            grads[0][:, span] = d_scores @ ks[:, span]
+            grads[1][:, span] = d_scores.transpose(0, 2, 1) @ qs[:, span]
+            weights = probs if keep is None else probs * keep * scale
+            grads[2][:, span] = weights.transpose(0, 2, 1) @ gs[:, span]
+        for t, grad in zip((q, k, v), grads):
+            if t.requires_grad:
+                _accum(t, grad.transpose(1, 0, 2).reshape(rows, d), owned=True)
+
+    return _node(out.transpose(1, 0, 2).reshape(rows, d), (q, k, v), bw)
+
+
+def saved_lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor,
+                         packing: ag.Packing, reverse: bool = False) -> Tensor:
+    """autograd.lstm_direction as it was when its node kept every slot's
+    h and tanh(c): the same operations in the same order, so the same bits."""
+    rows, in_dim = x.shape
+    h = b_all.shape[1] // 4
+    if (rows != packing.total or b_all.shape != (1, 4 * h)
+            or w_all.shape != (h + in_dim, 4 * h)):
+        raise ShapeMismatch(f"lstm_direction: x {x.shape}, w_all {w_all.shape}"
+                            f", b_all {b_all.shape}, {packing.total} rows")
+    w_h, w_x = w_all.data[:h], w_all.data[h:]
+    slots, first = packing.slots[reverse], packing.live[0]
+    # every buffer is indexed by slot, so each step's rows are contiguous;
+    # gates holds the input projections and turns into the gate
+    # activations in place
+    gates = (x.data @ w_x + b_all.data)[slots]
+    hs, cs, c_tanh = (np.empty((rows, h)) for _ in range(3))
+    back = 0  # the step before's first slot
+    with np.errstate(over="ignore"):  # for the gates' sigmoid
+        for lo, n in packing.spans:
+            act, hi = gates[lo:lo + n], lo + n
+            if lo:
+                act += hs[back:back + n] @ w_h
+            _sigmoid(act[:, :3 * h], act[:, :3 * h])
+            np.tanh(act[:, 3 * h:], out=act[:, 3 * h:])
+            np.multiply(act[:, :h], act[:, 3 * h:], out=cs[lo:hi])
+            if lo:
+                cs[lo:hi] += act[:, h:2 * h] * cs[back:back + n]
+            np.tanh(cs[lo:hi], out=c_tanh[lo:hi])
+            np.multiply(act[:, 2 * h:3 * h], c_tanh[lo:hi], out=hs[lo:hi])
+            back = lo
+    out = np.empty((rows, h))
+    out[slots] = hs
+
+    def bw(g):
+        i_g, f_g, o_g, c_hat = (gates[:, j * h:(j + 1) * h] for j in range(4))
+        # every factor that does not depend on the carried dh and dc, over
+        # all slots at once, and the cell state entering each slot
+        dc_dh = o_g * (1.0 - c_tanh * c_tanh)
+        d_sig = gates[:, :3 * h] * (1.0 - gates[:, :3 * h])
+        d_tanh = 1.0 - c_hat * c_hat
+        c_prev = np.zeros((rows, h))
+        c_prev[first:] = cs[packing.prev]
+        d_h, d_pre = g[slots], np.empty((rows, 4 * h))
+        # carried into the step before, whose first slots they update
+        dh_carry = dc_carry = np.zeros((0, h))
+        for lo, n in reversed(packing.spans):
+            hi = lo + n
+            dh = d_h[lo:hi]
+            dh[:len(dh_carry)] += dh_carry
+            dc = dh * dc_dh[lo:hi]
+            dc[:len(dc_carry)] += dc_carry
+            dp, sig = d_pre[lo:hi], d_sig[lo:hi]
+            np.multiply(dc * c_hat[lo:hi], sig[:, :h], out=dp[:, :h])
+            np.multiply(dc * c_prev[lo:hi], sig[:, h:2 * h],
+                        out=dp[:, h:2 * h])
+            np.multiply(dh * c_tanh[lo:hi], sig[:, 2 * h:],
+                        out=dp[:, 2 * h:3 * h])
+            np.multiply(dc * i_g[lo:hi], d_tanh[lo:hi], out=dp[:, 3 * h:])
+            dh_carry, dc_carry = dp @ w_h.T, dc * f_g[lo:hi]
+        d_rows = np.empty_like(d_pre)
+        d_rows[slots] = d_pre
+        if x.requires_grad:
+            _accum(x, d_rows @ w_x.T, owned=True)
+        if w_all.requires_grad:
+            _accum(w_all, np.vstack([hs[packing.prev].T @ d_pre[first:],
+                                     x.data.T @ d_rows]), owned=True)
+        if b_all.requires_grad:
+            _accum(b_all, d_pre.sum(axis=0, keepdims=True), owned=True)
+
+    return _node(out, (x, w_all, b_all), bw)
 
 
 # --- the padded sequence ops ---------------------------------------------------

@@ -19,6 +19,8 @@ from oracle import (
     padded_lstm_direction,
     propagate,
     relu,
+    saved_attention,
+    saved_lstm_direction,
     sigmoid,
     slice_cols,
     slice_rows,
@@ -34,6 +36,7 @@ from uastkit.errors import (
     MissingGradient,
     NonScalarLoss,
     ShapeMismatch,
+    UastError,
 )
 from uastkit.featurizer import featurize_sample
 from uastkit.optim import adam_init, adam_step
@@ -465,6 +468,40 @@ class TestAccumulation:
         assert not np.signbit(t.grad).any() and np.signbit(g).all()
 
 
+class TestConsumedTape:
+    """backward drops each node's backward function once it has run, which
+    frees the arrays the function saved, so a tape runs backward once."""
+
+    def _loss(self):
+        rng = np.random.default_rng(7)
+        packing = ag.Packing([3, 1, 2])
+        x, w_all, b_all = leaf(rng, 6, 4), leaf(rng, 2 + 4, 8), leaf(rng, 1, 8)
+        out = ag.lstm_direction(ag.attention(x, x, x, packing, 2), w_all,
+                                b_all, packing)
+        return ag.sum_all(ag.mul(out, leaf(rng, 6, 2))), [x, w_all, b_all]
+
+    def test_backward_drops_every_backward_function(self):
+        loss, leaves = self._loss()
+        interior = [t for t in tape_tensors(loss) if t._parents]
+        assert len(interior) == 4
+        assert all(t._backward_fn is not None for t in interior)
+        ag.backward(loss)
+        assert all(t._backward_fn is None for t in interior)
+        assert all(t.grad is not None for t in leaves + interior)
+
+    @pytest.mark.parametrize("accumulate", [True, False])
+    def test_second_backward_raises_and_keeps_the_gradients(self,
+                                                            accumulate):
+        loss, leaves = self._loss()
+        ag.backward(loss)
+        grads = [t.grad for t in leaves]
+        copies = [g.copy() for g in grads]
+        with pytest.raises(UastError, match="consumed"):
+            ag.backward(loss, accumulate=accumulate)
+        for t, g, c in zip(leaves, grads, copies):
+            assert t.grad is g and np.array_equal(g, c)
+
+
 class TestGradientOwnership:
     """After backward no two tensors' .grad arrays share memory, also
     where an op passes its output's gradient on to an input twice."""
@@ -649,6 +686,55 @@ class TestFusedSequenceGradients:
             ag.segment_pool(a, [2, 0], mean=True)
         with pytest.raises(ShapeMismatch):
             ag.segment_pool(a, [4, 3], mean=False)
+
+
+class TestSavedArrayOracle:
+    """attention and lstm_direction recompute in backward what their nodes
+    kept before (tests/oracle.py): the output and every gradient must keep
+    their bits, -0.0 included."""
+
+    # unsorted, with lengths of 1, and a single path of 1
+    LENGTHS = ([3, 1, 4, 2], [1, 5, 1, 1, 5], [1])
+
+    def _same_bits(self, op, oracle, shapes, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(size=shape) for shape in shapes]
+        runs = []
+        for fn in (oracle, op):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = fn(*leaves)
+            weight = np.random.default_rng(seed + 1).normal(size=out.shape)
+            ag.backward(ag.sum_all(ag.mul(out, Tensor(weight))))
+            runs.append([out.data] + [t.grad for t in leaves])
+        for want, got in zip(*runs):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_attention(self, rate, shared):
+        # both draw from one stream seeded alike, so the same masks
+        for seed, lengths in enumerate(self.LENGTHS):
+            packing = ag.Packing(lengths)
+
+            def run(attend):
+                def op(*qkv):
+                    return attend(*(qkv * 3 if shared else qkv), packing, 3,
+                                  rate, True, np.random.default_rng(5))
+                return op
+
+            self._same_bits(run(ag.attention), run(saved_attention),
+                            [(packing.total, 6)] * (1 if shared else 3),
+                            seed)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm_direction(self, reverse):
+        for seed, lengths in enumerate(self.LENGTHS):
+            packing = ag.Packing(lengths)
+            self._same_bits(
+                lambda x, w, b: ag.lstm_direction(x, w, b, packing, reverse),
+                lambda x, w, b: saved_lstm_direction(x, w, b, packing,
+                                                     reverse),
+                [(packing.total, 3), (4 + 3, 16), (1, 16)], seed)
 
 
 # --- dropout ---------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -654,6 +655,29 @@ class TestTapeSize:
             if any(id(p) in ids for p in t._parents):
                 op = t._backward_fn.__qualname__.split(".")[0]
                 assert op not in ("concat", "transpose"), op
+
+    def test_backward_frees_more_than_the_gradients_take(self, tiny_config):
+        # each node's saved arrays go as its backward function runs, so a
+        # training step holds less when backward returns than after its
+        # forward pass, although every tensor on the tape then has a .grad
+        cfg = variant(tiny_config, L=24, N=24, d=16, h=8)
+        params = init_params(cfg, 0)
+        rng = np.random.default_rng(0)
+        pairs = mixed_length_pairs(rng, cfg,
+                                   [1, 24, *rng.integers(1, 25, size=14)])
+        batch = [prepare_sample(p, g, cfg) for p, g in pairs]
+        labels = [i % cfg.k for i in range(len(batch))]
+        tracemalloc.start()
+        try:
+            loss = cross_entropy_loss(forward_batch(
+                batch, params, cfg, training=True,
+                rng=np.random.default_rng(1)), labels)
+            after_forward = tracemalloc.get_traced_memory()[0]
+            ag.backward(loss)
+            after_backward = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after_backward < after_forward, (after_backward, after_forward)
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_graph_tape_holds_one_node_per_gcn_layer(self, tiny_config,
