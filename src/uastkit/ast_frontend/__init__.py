@@ -12,9 +12,10 @@ from .backends import (
 from .tree import (
     ERROR_KIND,
     AstNode,
+    FlatTree,
+    flatten,
     load_ast_sexpr,
     node_count,
-    preorder,
     render_sexpr,
 )
 from .unify import (
@@ -32,7 +33,7 @@ from .vocab import (
 )
 
 __all__ = [
-    "AstNode", "ERROR_KIND", "preorder", "node_count",
+    "AstNode", "FlatTree", "ERROR_KIND", "flatten", "node_count",
     "load_ast_sexpr", "render_sexpr",
     "parse_source", "registered_languages",
     "normalize_language", "source_language", "load_tree",

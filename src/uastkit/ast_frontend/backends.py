@@ -14,7 +14,7 @@ from typing import Callable
 
 from ..errors import ParseFailure, UnknownExtension, UnsupportedLanguage
 from . import clike_backend, python_backend
-from .tree import AstNode, load_ast_sexpr
+from .tree import AstNode, FlatTree, flatten, load_ast_sexpr
 
 Backend = Callable[[str], AstNode]
 
@@ -74,9 +74,9 @@ def source_language(path: str | Path,
 
 
 def load_tree(text: str, language: str | None, is_sexpr: bool,
-              path: str | None = None) -> AstNode:
+              path: str | None = None) -> FlatTree:
     """An S-expression read as written, or source parsed (parse_source)."""
-    return load_ast_sexpr(text) if is_sexpr else \
+    return flatten(load_ast_sexpr(text)) if is_sexpr else \
         parse_source(text, language, path)
 
 
@@ -85,8 +85,8 @@ def registered_languages() -> list[str]:
 
 
 def parse_source(text: str, language: str, path: str | None = None
-                 ) -> AstNode:
-    """Parse source text in the given language into an AST.
+                 ) -> FlatTree:
+    """Parse source text in the given language into a flat pre-order tree.
 
     Raises UnsupportedLanguage for an unknown language id, ParseFailure
     when the backend cannot produce a tree at all, including input nested
@@ -107,4 +107,4 @@ def parse_source(text: str, language: str, path: str | None = None
     for w in caught:
         log.warning("%s:%s: %s: %s", path or w.filename, w.lineno,
                     w.category.__name__, w.message)
-    return tree
+    return flatten(tree)

@@ -1,20 +1,26 @@
 """Rooted ordered trees of node-kind labels, plus the S-expression interchange.
 
 Node identity is the grammar kind label only; token text is never stored.
-All traversals are iterative so deep trees cannot hit the recursion limit.
+The parsers and the S-expression reader build a graph of AstNode objects,
+and flatten turns it into the one form every other caller gets: a FlatTree
+holds each node's kind in pre-order (node first, then its subtrees left to
+right) and each node's parent index in a 4-byte integer array, -1 at the
+root.  A parent precedes its children, so any prefix of the pre-order is a
+tree.  All walks are iterative so deep trees cannot hit the recursion limit.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import NamedTuple
 
 from ..errors import MalformedSExpr
 
 ERROR_KIND = "ERROR"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False, repr=False)
 class AstNode:
     """One node of a parse tree: a kind label and an ordered child list."""
 
@@ -25,33 +31,31 @@ class AstNode:
         if not self.kind:
             raise ValueError("AstNode kind must be non-empty")
 
-    def __eq__(self, other):
-        if not isinstance(other, AstNode):
-            return NotImplemented
-        # iterative comparison; trees can be deep
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a.kind != b.kind or len(a.children) != len(b.children):
-                return False
-            stack.extend(zip(a.children, b.children))
-        return True
 
-    def __repr__(self):
-        return f"AstNode({self.kind!r}, {len(self.children)} children)"
+class FlatTree(NamedTuple):
+    """A tree in pre-order: node i has kind kinds[i] and parent parents[i]."""
+
+    kinds: list[str]
+    parents: array  # array('i'); parents[0] == -1
 
 
-def preorder(root: AstNode) -> Iterator[AstNode]:
-    """Yield nodes in pre-order: node first, then subtrees left to right."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
+def flatten(root: AstNode) -> FlatTree:
+    """The tree under root in pre-order, in one walk."""
+    kinds: list[str] = []
+    parents = array("i")
+    nodes, stacked = [root], [-1]  # a stack of nodes, with their parents
+    while nodes:
+        node, at = nodes.pop(), len(kinds)
+        kinds.append(node.kind)
+        parents.append(stacked.pop())
+        if node.children:
+            nodes.extend(reversed(node.children))
+            stacked.extend([at] * len(node.children))
+    return FlatTree(kinds, parents)
 
 
-def node_count(root: AstNode) -> int:
-    return sum(1 for _ in preorder(root))
+def node_count(tree: FlatTree) -> int:
+    return len(tree.kinds)
 
 
 # --- S-expression interchange -------------------------------------------------
@@ -60,10 +64,8 @@ def node_count(root: AstNode) -> int:
 #   tree  := '(' kind tree* ')'
 #   kind  := one or more characters excluding whitespace and parentheses
 #
-# Whitespace separates tokens and is otherwise ignored.
-
-_KIND_FORBIDDEN = set("() \t\r\n")
-
+# Whitespace (any str.isspace() character) separates tokens and is
+# otherwise ignored.
 
 def load_ast_sexpr(text: str) -> AstNode:
     """Parse a parenthesized tree string into an AstNode.
@@ -84,7 +86,7 @@ def load_ast_sexpr(text: str) -> AstNode:
             while i < n and text[i].isspace():
                 i += 1
             j = i
-            while j < n and text[j] not in _KIND_FORBIDDEN:
+            while j < n and not text[j].isspace() and text[j] not in "()":
                 j += 1
             if j == i:
                 raise MalformedSExpr("empty kind", start)
@@ -111,23 +113,18 @@ def load_ast_sexpr(text: str) -> AstNode:
     return root
 
 
-def render_sexpr(root: AstNode, pretty: bool = False) -> str:
+def render_sexpr(tree: FlatTree, pretty: bool = False) -> str:
     """Render a tree back to S-expression text (inverse of load_ast_sexpr)."""
     out: list[str] = []
-    # stack entries: (node, depth) or the literal ")" sentinel
-    stack: list = [(root, 0)]
-    while stack:
-        item = stack.pop()
-        if item == ")":
-            out.append(")")
-            continue
-        node, depth = item
-        if any(ch in _KIND_FORBIDDEN for ch in node.kind):
-            raise ValueError(f"kind {node.kind!r} cannot be rendered")
-        if out:
-            out.append("\n" + "  " * depth if pretty else " ")
-        out.append(f"({node.kind}")
-        stack.append(")")
-        for child in reversed(node.children):
-            stack.append((child, depth + 1))
+    depths: list[int] = []
+    for kind, parent in zip(*tree):
+        if any(c.isspace() or c in "()" for c in kind):
+            raise ValueError(f"kind {kind!r} cannot be rendered")
+        depth = depths[parent] + 1 if depths else 0
+        if depths:  # close each open node but this one's parent
+            out.append(")" * (depths[-1] - depth + 1)
+                       + ("\n" + "  " * depth if pretty else " "))
+        depths.append(depth)
+        out.append(f"({kind}")
+    out.append(")" * (depths[-1] + 1))
     return "".join(out)

@@ -12,8 +12,9 @@ touching code:
 
 Within a section, every mapping target must itself be a fixed point (either
 absent from the keys or mapped to itself); this keeps unification idempotent.
-``unify_ast`` relabels a parsed tree in place: each caller replaces its tree
-with the unified one and has no further use for the raw kinds.
+``unify_ast`` relabels a parsed tree's kind list in place, one pass over
+the pre-order kinds: each caller replaces its tree with the unified one and
+has no further use for the raw kinds.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 from ..errors import DuplicateMapping, TableFormatError, UnsupportedLanguage
 from .backends import normalize_language
-from .tree import AstNode
+from .tree import FlatTree
 
 DEFAULT_TABLE_RESOURCE = "default_unification.tbl"
 
@@ -117,19 +118,15 @@ def load_default_table() -> UnificationTable:
                                    source=DEFAULT_TABLE_RESOURCE)
 
 
-def unify_ast(root: AstNode, language: str, table: UnificationTable) -> AstNode:
+def unify_ast(root: FlatTree, language: str,
+              table: UnificationTable) -> FlatTree:
     """Replace each kind in the tree with its unified label, in place.
 
-    Returns root, so a caller writes ``tree = unify_ast(tree, ...)``.  Shape
-    and child order are untouched.  Unifying a tree twice changes nothing
-    more, since every mapping target is a fixed point.  Iterative so
-    arbitrarily deep trees are safe.
+    Returns root, so a caller writes ``tree = unify_ast(tree, ...)``.  The
+    parents are untouched.  Unifying a tree twice changes nothing more,
+    since every mapping target is a fixed point.
     """
     section = table.sections.get(_canon_language(language))
     if section:
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            node.kind = section.get(node.kind, node.kind)
-            stack.extend(node.children)
+        root.kinds[:] = map(section.get, root.kinds, root.kinds)
     return root

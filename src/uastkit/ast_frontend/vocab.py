@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..errors import EmptyCorpus
-from .tree import AstNode
+from .tree import FlatTree
 
 PAD_INDEX = 0
 
@@ -43,21 +43,16 @@ class Vocabulary:
         return hashlib.sha256(payload).hexdigest()
 
 
-def build_vocabulary(corpus: Iterable[AstNode]) -> Vocabulary:
+def build_vocabulary(corpus: Iterable[FlatTree]) -> Vocabulary:
     """Collect unified kinds from training trees into a frozen vocabulary.
 
     Kinds are sorted lexicographically and indexed from 1; raises
     EmptyCorpus when the iterator yields nothing.
     """
-    stack = list(corpus)
-    if not stack:
+    trees = list(corpus)
+    if not trees:
         raise EmptyCorpus("cannot build a vocabulary from zero trees")
-    seen: set[str] = set()
-    while stack:
-        node = stack.pop()
-        seen.add(node.kind)
-        stack.extend(node.children)
-    return Vocabulary(tuple(sorted(seen)))
+    return Vocabulary(tuple(sorted(set().union(*(t.kinds for t in trees)))))
 
 
 def vocabulary_from_kinds(kinds: Iterable[str]) -> Vocabulary:

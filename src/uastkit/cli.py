@@ -56,7 +56,6 @@ from .train_eval import (
     SUMMARY_NAMES,
     build_features,
     check_schedule,
-    collector_paused,
     corpus_labels,
     corpus_languages,
     evaluate_samples,
@@ -314,9 +313,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         chosen = splits[args.split]
     if not chosen:
         raise EmptySplit(f"split {args.split!r} is empty")
-    with collector_paused():
-        featurize(chosen, table, ckpt.unified, ckpt.vocab, ckpt.config.L,
-                  ckpt.config.N)
+    featurize(chosen, table, ckpt.unified, ckpt.vocab, ckpt.config.L,
+              ckpt.config.N)
     report = evaluate_samples(chosen, ckpt.params, ckpt.config)
     header = {"mode": ckpt.config.mode, "unified": ckpt.unified,
               "seed": ckpt.seed, "split": args.split,

@@ -1,10 +1,11 @@
 """Model inputs derived from unified ASTs.
 
-Each tree yields two views from one pre-order walk, sharing its numbering:
-the first L kind indices as the path, and the first N nodes' kinds with
-their parent-child edges as the graph, which the model propagates over.
-Both views are slices of one int64 array of kind indices, nothing is
-padded, and the edges are one int64 [E x 2] array.  The model never builds
+Each tree yields two views of its flat pre-order form, sharing its
+numbering: the first L kind indices as the path, and the first N nodes'
+kinds with their parent-child edges as the graph, which the model
+propagates over.  Both views are slices of one int64 array, the indices of
+the tree's first max(L, N) kinds; nothing is padded, and the edges are one
+int64 [E x 2] array read from the tree's parents.  The model never builds
 the dense GraphSample.norm_adj: the tests check the edge-list propagation
 against it, and the benchmark's per-layer probe times it.
 
@@ -23,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ast_frontend import AstNode, Vocabulary
+from .ast_frontend import FlatTree, Vocabulary
 from .ast_frontend import node_count as tree_size
 from .errors import EmptyCorpus
 from .frame import write_frame
@@ -67,31 +68,22 @@ class GraphSample:
         return tilde / np.sqrt(np.outer(deg, deg))
 
 
-def featurize_sample(ast: AstNode, vocab: Vocabulary, L: int,
+def featurize_sample(ast: FlatTree, vocab: Vocabulary, L: int,
                      N: int) -> tuple[PathSequence, GraphSample]:
-    """Both views in one pre-order pass; they share node numbering.
+    """Both views of one tree; they share its pre-order numbering.
 
     The path is the first L kinds and the graph the first N nodes: two
     views of one array of the first max(L, N) kinds.
     """
     if L < 1 or N < 1:
         raise ValueError(f"L and N must be >= 1, got L={L} N={N}")
-    limit = max(L, N)
     index, unk = vocab.index, vocab.unk_index
-    kinds, parents = [], []  # kind indices and parents' indices, in pre-order
-    nodes, stacked = [ast], [-1]  # a stack of nodes, with their parents' indices
-    while nodes and len(kinds) < limit:
-        node, parent, count = nodes.pop(), stacked.pop(), len(kinds)
-        kinds.append(index.get(node.kind, unk))
-        parents.append(parent)
-        if node.children:
-            nodes.extend(reversed(node.children))
-            stacked.extend([count] * len(node.children))
-    prefix = np.array(kinds, dtype=np.int64)
+    prefix = np.array([index.get(kind, unk) for kind in ast.kinds[:max(L, N)]],
+                      dtype=np.int64)
     # a parent precedes its children, so node i's edge is row i - 1
-    n = min(len(kinds), N)
+    n = min(len(prefix), N)
     edges = np.empty((n - 1, 2), dtype=np.int64)
-    edges[:, 0] = parents[1:n]
+    edges[:, 0] = np.frombuffer(ast.parents, dtype=np.intc, count=n)[1:]
     edges[:, 1] = np.arange(1, n)
     return PathSequence(prefix[:L]), GraphSample(prefix[:N], edges)
 
@@ -115,9 +107,9 @@ def _nearest_rank(sorted_values: list[int], pct: float) -> int:
     return sorted_values[rank - 1]
 
 
-def path_length_stats(corpus: Iterable[AstNode]) -> StatsReport:
+def path_length_stats(corpus: Iterable[FlatTree]) -> StatsReport:
     """Distribution of untruncated pre-order lengths across a corpus."""
-    lengths = [tree_size(root) for root in corpus]
+    lengths = [tree_size(tree) for tree in corpus]
     if not lengths:
         raise EmptyCorpus("no trees to take statistics over")
     lengths.sort()

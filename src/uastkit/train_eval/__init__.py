@@ -5,7 +5,6 @@ from .corpus import (
     DEFAULT_RATIOS,
     SPLIT_NAMES,
     LabeledSample,
-    collector_paused,
     corpus_labels,
     corpus_languages,
     ingest_corpus,
@@ -34,7 +33,6 @@ __all__ = [
     "TrainResult",
     "build_features",
     "check_schedule",
-    "collector_paused",
     "compute_metrics",
     "corpus_labels",
     "corpus_languages",

@@ -11,11 +11,9 @@ seed always yields the same disjoint, covering split.
 from __future__ import annotations
 
 import csv
-import gc
 import hashlib
 import logging
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +21,7 @@ import numpy as np
 
 from ..ast_frontend import (
     SEXPR_EXTENSION,
-    AstNode,
+    FlatTree,
     load_tree,
     normalize_language,
     source_language,
@@ -54,30 +52,9 @@ class LabeledSample:
     language: str | None  # None only for a tree file to predict
     label: str
     label_index: int
-    tree: AstNode | None = None
+    tree: FlatTree | None = None
     path_seq: PathSequence | None = None
     graph: GraphSample | None = None
-
-
-@contextmanager
-def collector_paused():
-    """Run the body with the cyclic GC off, then freeze what it left alive.
-
-    Trees hold no reference cycles, so collecting while they are built frees
-    nothing, yet each full collection would rescan every tree kept so far.
-    If the collector was on at entry, a body that completes moves every
-    object alive into the permanent generation (`gc.freeze`), and the
-    collector is turned back on however the body exits.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-        if was_enabled:
-            gc.freeze()
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def _enumerate_directory(root: Path) -> list[tuple[Path, str, str | None]]:
@@ -143,34 +120,33 @@ def ingest_corpus(root: str | Path,
     rows.sort(key=lambda r: (r[1], str(r[0])))
 
     seen: dict[str, Path] = {}
-    parsed: list[tuple[str, str, Path, AstNode]] = []
+    parsed: list[tuple[str, str, Path, FlatTree]] = []
     label_seen: dict[str, int] = {}
-    with collector_paused():
-        for path, label, declared in rows:
-            label_seen.setdefault(label, 0)
-            language, is_sexpr = source_language(path, declared)
-            if language is None:
-                raise UnknownExtension(
-                    f"{path}: cannot infer a language for {SEXPR_EXTENSION} "
-                    "files; declare one in a manifest or a language directory")
-            try:
-                blob = path.read_bytes()
-            except OSError as exc:
-                raise DataError(f"cannot read {path}: {exc}") from exc
-            digest = hashlib.sha256(blob).hexdigest()
-            if digest in seen:
-                log.warning("duplicate file skipped: %s (same bytes as %s)",
-                            path, seen[digest])
-                continue
-            seen[digest] = path
-            text = blob.decode("utf-8", errors="replace")
-            try:
-                tree = load_tree(text, language, is_sexpr, str(path))
-            except (ParseFailure, MalformedSExpr) as exc:
-                log.warning("unparseable file skipped: %s (%s)", path, exc)
-                continue
-            parsed.append((label, language, path, tree))
-            label_seen[label] += 1
+    for path, label, declared in rows:
+        label_seen.setdefault(label, 0)
+        language, is_sexpr = source_language(path, declared)
+        if language is None:
+            raise UnknownExtension(
+                f"{path}: cannot infer a language for {SEXPR_EXTENSION} "
+                "files; declare one in a manifest or a language directory")
+        try:
+            blob = path.read_bytes()
+        except OSError as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
+        digest = hashlib.sha256(blob).hexdigest()
+        if digest in seen:
+            log.warning("duplicate file skipped: %s (same bytes as %s)",
+                        path, seen[digest])
+            continue
+        seen[digest] = path
+        text = blob.decode("utf-8", errors="replace")
+        try:
+            tree = load_tree(text, language, is_sexpr, str(path))
+        except (ParseFailure, MalformedSExpr) as exc:
+            log.warning("unparseable file skipped: %s (%s)", path, exc)
+            continue
+        parsed.append((label, language, path, tree))
+        label_seen[label] += 1
     log.info("ingested %s: %d files attempted, %d parsed, %d duplicates "
              "skipped, %d unparseable skipped", manifest or root, len(rows),
              len(parsed), len(rows) - len(seen), len(seen) - len(parsed))

@@ -42,7 +42,7 @@ from ..featurizer import featurize_sample
 from ..model import ModelConfig, ModelParams, PreparedSample
 from ..optim import adam_init, adam_step
 from .checkpoint import Checkpoint, save_checkpoint
-from .corpus import LabeledSample, collector_paused
+from .corpus import LabeledSample
 from .metrics import SUMMARY_NAMES, MetricsReport, compute_metrics
 
 log = logging.getLogger("uastkit.train")
@@ -80,10 +80,9 @@ def build_features(splits: dict[str, list[LabeledSample]],
     """Fit the vocabulary on the train split, then featurize every split."""
     if not splits.get("train"):
         raise EmptySplit("cannot fit a vocabulary: train split is empty")
-    with collector_paused():
-        vocab = featurize(splits["train"], table, unified, None, L, N)
-        featurize(splits.get("validation", []) + splits.get("test", []),
-                  table, unified, vocab, L, N)
+    vocab = featurize(splits["train"], table, unified, None, L, N)
+    featurize(splits.get("validation", []) + splits.get("test", []),
+              table, unified, vocab, L, N)
     return vocab
 
 

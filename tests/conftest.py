@@ -3,12 +3,20 @@
 import json
 import os
 import struct
+from array import array
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uastkit.ast_frontend import AstNode, Vocabulary, load_default_table
+from uastkit.ast_frontend import (
+    AstNode,
+    FlatTree,
+    Vocabulary,
+    flatten,
+    load_default_table,
+    load_tree,
+)
 from uastkit.autograd import Tensor
 from uastkit.featurizer import GraphSample, PathSequence
 from uastkit.model import ModelConfig
@@ -64,7 +72,8 @@ def src_env() -> dict:
 
 
 def random_tree(rng: np.random.Generator, max_nodes: int = 30,
-                kinds=("alpha", "beta", "gamma", "delta", "epsilon")) -> AstNode:
+                kinds=("alpha", "beta", "gamma", "delta", "epsilon")
+                ) -> FlatTree:
     """Random rooted ordered tree; each new node picks a random parent."""
     n = int(rng.integers(1, max_nodes + 1))
     nodes = [AstNode(str(rng.choice(kinds)))]
@@ -73,18 +82,17 @@ def random_tree(rng: np.random.Generator, max_nodes: int = 30,
         child = AstNode(str(rng.choice(kinds)))
         parent.children.append(child)
         nodes.append(child)
-    return nodes[0]
+    return flatten(nodes[0])
 
 
-def chain_tree(kinds: list[str]) -> AstNode:
+def chain_tree(kinds: list[str]) -> FlatTree:
     """A single path: kinds[0] -> kinds[1] -> ... -> kinds[-1]."""
-    root = AstNode(kinds[0])
-    at = root
-    for kind in kinds[1:]:
-        node = AstNode(kind)
-        at.children.append(node)
-        at = node
-    return root
+    return FlatTree(list(kinds), array("i", range(-1, len(kinds) - 1)))
+
+
+def sexpr_tree(text: str) -> FlatTree:
+    """The tree an S-expression text reads as."""
+    return load_tree(text, None, True)
 
 
 def make_path(indices) -> PathSequence:

@@ -18,7 +18,10 @@ before autograd.gcn_layer fused them into one tape node; composed_gcn_layer
 composes them.  tokenize is the C-like tokenizer as it ran before it
 matched every offset with one finditer pass; its pattern has the same
 tokens, an unterminated block comment running to the end of the text
-included.
+included.  unify_ast, build_vocabulary, featurize_sample, node_count and
+render_sexpr are the walks over a graph of AstNode objects that ran before
+every tree became one flat pre-order form; unflatten rebuilds that graph
+from the flat form.
 """
 
 import math
@@ -33,8 +36,11 @@ from uastkit.autograd import (
     _node,
     _sigmoid,
 )
+from uastkit.ast_frontend import AstNode, FlatTree, Vocabulary
 from uastkit.ast_frontend.clike_backend import _KEYWORDS
-from uastkit.errors import ShapeMismatch
+from uastkit.ast_frontend.unify import _canon_language
+from uastkit.errors import EmptyCorpus, ShapeMismatch
+from uastkit.featurizer import GraphSample, PathSequence
 
 # --- ops only the oracles use -------------------------------------------------
 
@@ -702,3 +708,98 @@ def tokenize(text: str, language: str) -> list[tuple[str, str]]:
             tokens.append((kind, value))
         pos = m.end()
     return tokens
+
+
+# --- the walks over a graph of AstNode objects ---------------------------------
+
+def unflatten(tree: FlatTree) -> AstNode:
+    """The node graph of a flat tree; children keep their pre-order order."""
+    nodes = [AstNode(kind) for kind in tree.kinds]
+    for child, parent in enumerate(tree.parents):
+        if parent >= 0:
+            nodes[parent].children.append(nodes[child])
+    return nodes[0]
+
+
+def preorder(root: AstNode):
+    """Yield nodes in pre-order: node first, then subtrees left to right."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
+def node_count(root: AstNode) -> int:
+    return sum(1 for _ in preorder(root))
+
+
+_KIND_FORBIDDEN = set("() \t\r\n")
+
+
+def render_sexpr(root: AstNode, pretty: bool = False) -> str:
+    out: list[str] = []
+    # stack entries: (node, depth) or the literal ")" sentinel
+    stack: list = [(root, 0)]
+    while stack:
+        item = stack.pop()
+        if item == ")":
+            out.append(")")
+            continue
+        node, depth = item
+        if any(ch in _KIND_FORBIDDEN for ch in node.kind):
+            raise ValueError(f"kind {node.kind!r} cannot be rendered")
+        if out:
+            out.append("\n" + "  " * depth if pretty else " ")
+        out.append(f"({node.kind}")
+        stack.append(")")
+        for child in reversed(node.children):
+            stack.append((child, depth + 1))
+    return "".join(out)
+
+
+def unify_ast(root: AstNode, language: str, table) -> AstNode:
+    section = table.sections.get(_canon_language(language))
+    if section:
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            node.kind = section.get(node.kind, node.kind)
+            stack.extend(node.children)
+    return root
+
+
+def build_vocabulary(corpus) -> Vocabulary:
+    stack = list(corpus)
+    if not stack:
+        raise EmptyCorpus("cannot build a vocabulary from zero trees")
+    seen: set[str] = set()
+    while stack:
+        node = stack.pop()
+        seen.add(node.kind)
+        stack.extend(node.children)
+    return Vocabulary(tuple(sorted(seen)))
+
+
+def featurize_sample(ast: AstNode, vocab: Vocabulary, L: int,
+                     N: int) -> tuple[PathSequence, GraphSample]:
+    if L < 1 or N < 1:
+        raise ValueError(f"L and N must be >= 1, got L={L} N={N}")
+    limit = max(L, N)
+    index, unk = vocab.index, vocab.unk_index
+    kinds, parents = [], []  # kind indices and parents' indices, in pre-order
+    nodes, stacked = [ast], [-1]  # a stack of nodes, with their parents' indices
+    while nodes and len(kinds) < limit:
+        node, parent, count = nodes.pop(), stacked.pop(), len(kinds)
+        kinds.append(index.get(node.kind, unk))
+        parents.append(parent)
+        if node.children:
+            nodes.extend(reversed(node.children))
+            stacked.extend([count] * len(node.children))
+    prefix = np.array(kinds, dtype=np.int64)
+    # a parent precedes its children, so node i's edge is row i - 1
+    n = min(len(kinds), N)
+    edges = np.empty((n - 1, 2), dtype=np.int64)
+    edges[:, 0] = parents[1:n]
+    edges[:, 1] = np.arange(1, n)
+    return PathSequence(prefix[:L]), GraphSample(prefix[:N], edges)

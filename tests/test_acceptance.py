@@ -23,7 +23,6 @@ from uastkit import autograd as ag
 from uastkit.ast_frontend import (
     load_default_table,
     parse_source,
-    preorder,
     unify_ast,
     vocabulary_from_kinds,
 )
@@ -269,8 +268,8 @@ def test_graph_normalization_and_path_extraction_invariants():
         for L, N in ((32, 32), (8, 40), (40, 8)):
             for _ in range(333):
                 tree = random_tree(rng)
-                expected = [vocab.index.get(node.kind, vocab.unk_index)
-                            for node in preorder(tree)]
+                expected = [vocab.index.get(kind, vocab.unk_index)
+                            for kind in tree.kinds]
                 path, graph = featurize_sample(tree, vocab, L, N)
                 t = min(len(expected), L)
                 n = min(len(expected), N)
@@ -315,8 +314,8 @@ def test_cross_language_sources_share_unified_kinds(default_table):
     for language, source in ADD_SNIPPETS:
         tree = unify_ast(parse_source(source, language), language,
                          default_table)
-        roots[language] = tree.kind
-        kind_sets[language] = {node.kind for node in preorder(tree)}
+        roots[language] = tree.kinds[0]
+        kind_sets[language] = set(tree.kinds)
     shared = set.intersection(*kind_sets.values())
     problems = []
     if set(roots.values()) != {"unit"}:

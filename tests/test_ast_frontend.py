@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_tree, random_tree
+from conftest import chain_tree, random_tree, sexpr_tree
 from uastkit.ast_frontend import (
     PAD_INDEX,
-    AstNode,
     UnificationTable,
     Vocabulary,
     build_vocabulary,
@@ -20,7 +19,6 @@ from uastkit.ast_frontend import (
     node_count,
     parse_source,
     parse_unification_table,
-    preorder,
     render_sexpr,
     unify_ast,
     vocabulary_from_kinds,
@@ -37,16 +35,16 @@ from uastkit.errors import (
 
 class TestSExpr:
     def test_roundtrip_simple(self):
-        tree = load_ast_sexpr("(unit (function_definition (block)))")
-        assert tree.kind == "unit"
+        tree = sexpr_tree("(unit (function_definition (block)))")
+        assert tree.kinds[0] == "unit"
         assert render_sexpr(tree) == "(unit (function_definition (block)))"
 
     def test_leaf_renders_bare(self):
-        assert render_sexpr(AstNode("identifier")) == "(identifier)"
+        assert render_sexpr(sexpr_tree("(identifier)")) == "(identifier)"
 
     def test_whitespace_is_insignificant(self):
-        a = load_ast_sexpr("(a(b)(c))")
-        b = load_ast_sexpr("  ( a \n ( b )\t( c ) ) ")
+        a = sexpr_tree("(a(b)(c))")
+        b = sexpr_tree("  ( a \n ( b )\t( c ) ) ")
         assert a == b
 
     @pytest.mark.parametrize("text", ["", "(", ")", "(a", "(a))", "(a) (b)",
@@ -56,22 +54,37 @@ class TestSExpr:
             load_ast_sexpr(text)
         assert err.value.offset >= 0
 
+    def test_any_whitespace_ends_a_kind(self):
+        # a form feed separates tokens, so it cannot end up inside a kind
+        assert sexpr_tree("(a\x0c(b))") == sexpr_tree("(a (b))")
+
+    def test_whitespace_inside_a_kind_is_malformed(self):
+        with pytest.raises(MalformedSExpr) as err:
+            load_ast_sexpr("(a\xa0b)")
+        assert err.value.offset == 3
+
+    @pytest.mark.parametrize("kind", ["a\x0c", "a\xa0b", "a b", "a(", "a)"])
+    def test_unreadable_kind_is_not_rendered(self, kind):
+        with pytest.raises(ValueError, match="cannot be rendered"):
+            render_sexpr(chain_tree(["root", kind]))
+
     def test_preorder_order(self):
-        tree = load_ast_sexpr("(a (b (c) (d)) (e))")
-        assert [n.kind for n in preorder(tree)] == ["a", "b", "c", "d", "e"]
+        tree = sexpr_tree("(a (b (c) (d)) (e))")
+        assert tree.kinds == ["a", "b", "c", "d", "e"]
+        assert list(tree.parents) == [-1, 0, 1, 1, 0]
 
     def test_random_trees_roundtrip(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             tree = random_tree(rng, max_nodes=40)
-            again = load_ast_sexpr(render_sexpr(tree))
+            again = sexpr_tree(render_sexpr(tree))
             assert again == tree
             assert node_count(again) == node_count(tree)
 
     def test_deep_tree_no_recursion_limit(self):
         deep = chain_tree(["k"] * 5000)
         text = render_sexpr(deep)
-        assert node_count(load_ast_sexpr(text)) == 5000
+        assert node_count(sexpr_tree(text)) == 5000
 
 
 # --- unification tables --------------------------------------------------------
@@ -89,7 +102,7 @@ module = unit
 
 def unified(table: UnificationTable, language: str, kind: str) -> str:
     """The kind a one-node tree of kind has after unification."""
-    return unify_ast(AstNode(kind), language, table).kind
+    return unify_ast(sexpr_tree(f"({kind})"), language, table).kinds[0]
 
 
 class TestTableParsing:
@@ -172,21 +185,22 @@ class TestDefaultTable:
 class TestUnifyAst:
     def test_renames_and_preserves_shape(self):
         table = parse_unification_table("[java]\nprogram = unit\n")
-        tree = load_ast_sexpr("(program (method (program)))")
+        tree = sexpr_tree("(program (method (program)))")
         before = render_sexpr(tree)
-        nodes = list(preorder(tree))
+        kinds, parents = tree
         out = unify_ast(tree, "java", table)
         assert before == "(program (method (program)))"
         assert render_sexpr(out) == "(unit (method (unit)))"
-        # the tree is relabeled in place: the same root and the same nodes
+        # the tree is relabeled in place: the same kind list and parents
         assert out is tree
-        assert all(a is b for a, b in zip(preorder(out), nodes))
+        assert out.kinds is kinds and out.parents is parents
         # and a second pass changes nothing more
         assert render_sexpr(unify_ast(out, "java", table)) == "(unit (method (unit)))"
 
     def test_identity_table_is_noop(self):
-        tree = load_ast_sexpr("(a (b) (c (d)))")
-        assert unify_ast(tree, "java", UnificationTable({})) == tree
+        tree = sexpr_tree("(a (b) (c (d)))")
+        assert unify_ast(tree, "java", UnificationTable({})) == \
+            sexpr_tree("(a (b) (c (d)))")
 
     def test_shape_preserved_on_random_trees(self, default_table):
         rng = np.random.default_rng(3)
@@ -194,21 +208,20 @@ class TestUnifyAst:
             tree = random_tree(rng, max_nodes=60,
                                kinds=("program", "block", "identifier",
                                       "binary_operator"))
-            before = load_ast_sexpr(render_sexpr(tree))  # taken before the call
+            before = sexpr_tree(render_sexpr(tree))  # taken before the call
             out = unify_ast(tree, "python", default_table)
             assert out is tree
-            pairs = list(zip(preorder(before), preorder(out)))
-            assert len(pairs) == node_count(before) == node_count(out)
-            for src, dst in pairs:
-                assert len(src.children) == len(dst.children)
-                assert dst.kind == unified(default_table, "python", src.kind)
+            assert node_count(before) == node_count(out)
+            assert before.parents == out.parents
+            assert out.kinds == [unified(default_table, "python", kind)
+                                 for kind in before.kinds]
 
 
 # --- vocabulary -----------------------------------------------------------------
 
 class TestVocabulary:
     def test_layout(self):
-        vocab = build_vocabulary([load_ast_sexpr("(b (a) (c))")])
+        vocab = build_vocabulary([sexpr_tree("(b (a) (c))")])
         assert vocab.kinds == ("a", "b", "c")
         assert PAD_INDEX == 0
         assert vocab.index["a"] == 1
@@ -227,8 +240,8 @@ class TestVocabulary:
             build_vocabulary([])
 
     def test_hash_depends_only_on_kinds(self):
-        a = build_vocabulary([load_ast_sexpr("(a (b))")])
-        b = build_vocabulary([load_ast_sexpr("(b (a) (a))")])
+        a = build_vocabulary([sexpr_tree("(a (b))")])
+        b = build_vocabulary([sexpr_tree("(b (a) (a))")])
         assert a.vocab_hash == b.vocab_hash
 
     @given(st.lists(st.text(alphabet="abcdefg", min_size=1, max_size=6),
@@ -246,16 +259,16 @@ class TestVocabulary:
 class TestPythonBackend:
     def test_module_and_function(self):
         tree = parse_source("def f(a, b):\n    return a + b\n", "python")
-        kinds = [n.kind for n in preorder(tree)]
-        assert tree.kind == "module"
+        kinds = tree.kinds
+        assert kinds[0] == "module"
         assert "function_definition" in kinds
         assert "binary_operator" in kinds
 
     def test_unifies_to_shared_kinds(self, default_table):
         tree = parse_source("def f(a):\n    return a\n", "python")
         out = unify_ast(tree, "python", default_table)
-        kinds = {n.kind for n in preorder(out)}
-        assert out.kind == "unit"
+        kinds = set(out.kinds)
+        assert out.kinds[0] == "unit"
         assert "block" in kinds
 
     def test_empty_source_gives_bare_root(self):
@@ -269,7 +282,7 @@ class TestPythonBackend:
             warnings.simplefilter("error")  # a warning that escapes fails
             with caplog.at_level(logging.WARNING, logger="uastkit"):
                 tree = parse_source("x = 1if y else 2\n", "python", path=path)
-        assert tree.kind == "module"
+        assert tree.kinds[0] == "module"
         assert "SyntaxWarning" not in capfd.readouterr().err
         assert [(r.name, r.getMessage()) for r in caplog.records] == [
             ("uastkit.frontend",

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_tree, src_env, tape_tensors
+from conftest import chain_tree, random_tree, src_env, tape_tensors
 from oracle import (
     add_at_propagate,
     composed_gcn_layer,
@@ -28,7 +28,7 @@ from oracle import (
     transpose,
 )
 from uastkit import autograd as ag
-from uastkit.ast_frontend import AstNode, vocabulary_from_kinds
+from uastkit.ast_frontend import vocabulary_from_kinds
 from uastkit.autograd import Tensor
 from uastkit.errors import (
     IndexOutOfVocab,
@@ -196,7 +196,7 @@ class TestOpValues:
         graphs = [featurize_sample(random_tree(rng, max_nodes=40), vocab, 1,
                                    25)[1]
                   for _ in range(40)]
-        graphs.append(featurize_sample(AstNode("alpha"), vocab, 1, 3)[1])
+        graphs.append(featurize_sample(chain_tree(["alpha"]), vocab, 1, 3)[1])
         for graph in graphs:
             n = graph.node_count
             dense = propagate(Tensor(np.eye(n)),

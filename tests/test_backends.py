@@ -10,9 +10,9 @@ import oracle
 from conftest import DEEP_SOURCES, else_if_chain
 from uastkit.ast_frontend import (
     AstNode,
+    flatten,
     node_count,
     parse_source,
-    preorder,
     unify_ast,
 )
 from uastkit.ast_frontend.clike_backend import _KEYWORDS, _Parser, tokenize
@@ -49,7 +49,7 @@ NOTHING_SOURCES = sorted(p.name for p in GOLDEN.glob("[Nn]othing.*"))
 
 
 def kinds_of(tree):
-    return [n.kind for n in preorder(tree)]
+    return tree.kinds
 
 
 # --- per-language structure -----------------------------------------------------
@@ -119,10 +119,12 @@ class TestParsing:
 
     def test_nested_calls_nest_in_tree(self):
         tree = parse_source("def f(a):\n    return g(h(a))\n", "python")
-        calls = [n for n in preorder(tree) if n.kind == "call"]
+        calls = [i for i, kind in enumerate(tree.kinds) if kind == "call"]
         assert len(calls) == 2
-        assert any(c.kind == "call" for outer in calls
-                   for c in preorder(outer) if c is not outer)
+        outer, inner = calls
+        while inner > outer:  # walk up from the inner call to the outer
+            inner = tree.parents[inner]
+        assert inner == outer
 
     def test_same_function_different_languages_share_unified_kinds(
             self, default_table):
@@ -131,7 +133,7 @@ class TestParsing:
             tree = unify_ast(parse_source(src, language), language,
                              default_table)
             kinds = set(kinds_of(tree))
-            assert tree.kind == "unit"
+            assert tree.kinds[0] == "unit"
             shared = kinds if shared is None else shared & kinds
         assert "block" in shared
         assert "identifier" in shared
@@ -216,7 +218,7 @@ class TestLongElseIfChains:
     def _extended(short: AstNode, branches: int) -> AstNode:
         # short is a two-branch chain; the tree of a longer one nests the
         # outer link's pattern around the inner if_statement again and again
-        outer, inner = [n for n in preorder(short)
+        outer, inner = [n for n in oracle.preorder(short)
                         if n.kind == "if_statement"][:2]
 
         def swap(node: AstNode, old: AstNode, new: AstNode) -> AstNode:
@@ -240,7 +242,8 @@ class TestLongElseIfChains:
         for branches in (3, 1000):
             tree = parse_source(else_if_chain(language, branches, final_else),
                                 language)
-            assert tree == self._extended(short, branches)
+            assert tree == flatten(self._extended(oracle.unflatten(short),
+                                                  branches))
             assert kinds_of(tree).count("if_statement") == branches
 
 
@@ -351,7 +354,7 @@ class TestRegistry:
         assert ids | set(EXTENSION_LANGUAGES.values()) \
             == set(registered_languages())
         for language in sorted(ids):
-            assert parse_source(ADD_SNIPPETS[language], language).kind
+            assert parse_source(ADD_SNIPPETS[language], language).kinds
 
     def test_unknown_language_raises(self):
         with pytest.raises(UnsupportedLanguage):

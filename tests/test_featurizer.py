@@ -17,15 +17,14 @@ from conftest import (
     make_path,
     random_tree,
     rewrite_json_header,
+    sexpr_tree,
 )
 from feature_file import FeaturizedSet, read_featurized
+import oracle
 from uastkit.ast_frontend import (
-    AstNode,
     build_vocabulary,
-    load_ast_sexpr,
     node_count,
     parse_source,
-    preorder,
     unify_ast,
     vocabulary_from_kinds,
 )
@@ -46,7 +45,7 @@ KINDS = ("alpha", "beta", "gamma", "delta", "epsilon")
 
 
 def expected_indices(tree, vocab):
-    return [vocab.index.get(n.kind, vocab.unk_index) for n in preorder(tree)]
+    return [vocab.index.get(kind, vocab.unk_index) for kind in tree.kinds]
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +57,7 @@ def vocab():
 
 class TestPreorderPath:
     def test_matches_preorder_without_padding(self, vocab):
-        tree = load_ast_sexpr("(alpha (beta (gamma) (delta)) (epsilon))")
+        tree = sexpr_tree("(alpha (beta (gamma) (delta)) (epsilon))")
         seq = featurize_sample(tree, vocab, L=8, N=1)[0]
         assert seq.true_length == 5
         assert seq.indices.tolist() == expected_indices(tree, vocab)
@@ -71,12 +70,12 @@ class TestPreorderPath:
         assert (seq.indices == vocab.index["alpha"]).all()
 
     def test_unknown_kinds_become_unk(self, vocab):
-        seq = featurize_sample(AstNode("mystery"), vocab, L=3, N=1)[0]
+        seq = featurize_sample(chain_tree(["mystery"]), vocab, L=3, N=1)[0]
         assert seq.indices[0] == vocab.unk_index
 
     def test_rejects_nonpositive_length(self, vocab):
         with pytest.raises(ValueError):
-            featurize_sample(AstNode("alpha"), vocab, L=0, N=1)
+            featurize_sample(chain_tree(["alpha"]), vocab, L=0, N=1)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
     @settings(max_examples=200, deadline=None)
@@ -115,7 +114,7 @@ def oracle_norm_adj(graph: GraphSample) -> np.ndarray:
 
 class TestGraph:
     def test_edges_follow_preorder_numbering(self, vocab):
-        tree = load_ast_sexpr("(alpha (beta (gamma)) (delta))")
+        tree = sexpr_tree("(alpha (beta (gamma)) (delta))")
         graph = featurize_sample(tree, vocab, L=1, N=6)[1]
         assert graph.node_count == 4
         assert graph.edges.tolist() == [[0, 1], [1, 2], [0, 3]]
@@ -135,7 +134,7 @@ class TestGraph:
             assert np.array_equal(graph.norm_adj, oracle_norm_adj(graph))
 
     def test_norm_adj_structure(self, vocab):
-        tree = load_ast_sexpr("(alpha (beta) (gamma) (delta))")
+        tree = sexpr_tree("(alpha (beta) (gamma) (delta))")
         adj = featurize_sample(tree, vocab, L=1, N=6)[1].norm_adj
         # root: degree 4 (three children plus self loop); leaves: degree 2
         assert adj[0, 0] == pytest.approx(1 / 4)
@@ -145,7 +144,7 @@ class TestGraph:
         assert adj.shape == (4, 4)
 
     def test_single_node_graph(self, vocab):
-        adj = featurize_sample(AstNode("alpha"), vocab, L=1, N=3)[1].norm_adj
+        adj = featurize_sample(chain_tree(["alpha"]), vocab, L=1, N=3)[1].norm_adj
         assert np.array_equal(adj, np.ones((1, 1)))
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 25))
@@ -193,8 +192,8 @@ class TestLayout:
                 (min(10, L), min(10, N))
 
     def test_edges_are_one_int64_array(self, vocab):
-        for tree, shape in ((load_ast_sexpr("(alpha (beta) (gamma))"), (2, 2)),
-                            (AstNode("alpha"), (0, 2))):
+        for tree, shape in ((sexpr_tree("(alpha (beta) (gamma))"), (2, 2)),
+                            (chain_tree(["alpha"]), (0, 2))):
             edges = featurize_sample(tree, vocab, L=1, N=5)[1].edges
             assert edges.shape == shape and edges.dtype == np.int64
             assert edges.flags.c_contiguous
@@ -215,14 +214,14 @@ def corpus_trees(tmp_path_factory, default_table):
         trees.append(parse_source(text, language))
         unified.append(unify_ast(parse_source(text, language), language,
                                  default_table))
-    golden = [load_ast_sexpr(p.read_text(encoding="utf-8"))
+    golden = [sexpr_tree(p.read_text(encoding="utf-8"))
               for p in sorted(GOLDEN.glob("*.sexpr"))]
     return trees + unified + golden, build_vocabulary(unified[::2])
 
 
 def reference_views(tree, vocab, L, N):
     """featurize_sample's fields, from preorder and Vocabulary.index."""
-    nodes = list(preorder(tree))
+    nodes = list(oracle.preorder(oracle.unflatten(tree)))
     number = {id(node): i for i, node in enumerate(nodes)}
     parent = {number[id(child)]: i for i, node in enumerate(nodes)
               for child in node.children}

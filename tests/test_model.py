@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_graph, make_path, random_tree, tape_tensors
+from conftest import chain_tree, make_graph, make_path, random_tree, tape_tensors
 from oracle import (
     attend_one,
     attention_mask,
@@ -16,7 +16,7 @@ from oracle import (
     padded_probs,
 )
 from uastkit import autograd as ag
-from uastkit.ast_frontend import AstNode, vocabulary_from_kinds
+from uastkit.ast_frontend import vocabulary_from_kinds
 from uastkit.autograd import Tensor, cross_entropy_loss, zero_grads
 from uastkit.errors import ConfigError, IndexOutOfVocab, ShapeMismatch
 from uastkit.featurizer import GraphSample, PathSequence, featurize_sample
@@ -403,7 +403,7 @@ def oracle_batch(rng, cfg, sizes):
     """Random trees of mixed sizes (some beyond N) plus a single node."""
     vocab = vocabulary_from_kinds(ORACLE_KINDS)
     trees = [random_tree(rng, max_nodes=m, kinds=ORACLE_KINDS) for m in sizes]
-    trees.append(AstNode("gamma"))
+    trees.append(chain_tree(["gamma"]))
     return [featurize_sample(t, vocab, cfg.L, cfg.N) for t in trees]
 
 
@@ -476,7 +476,7 @@ class TestEdgeListOracle:
     def test_single_node_graph_alone(self, tiny_config):
         cfg = self._config(tiny_config, mode="gast", gcn_activation="tanh")
         vocab = vocabulary_from_kinds(ORACLE_KINDS)
-        pairs = [featurize_sample(AstNode("beta"), vocab, cfg.L, cfg.N)]
+        pairs = [featurize_sample(chain_tree(["beta"]), vocab, cfg.L, cfg.N)]
         params = init_params(cfg, 2)
         got = forward_batch([prepare_sample(*pairs[0], cfg)], params, cfg)
         want = oracle_probs(pairs, params, cfg)

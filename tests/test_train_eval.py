@@ -22,11 +22,11 @@ from conftest import (
     chain_tree,
     else_if_chain,
     rewrite_json_header,
+    sexpr_tree,
 )
 from uastkit.ast_frontend import (
     UnificationTable,
     build_vocabulary,
-    load_ast_sexpr,
     load_default_table,
     render_sexpr,
     unify_ast,
@@ -470,7 +470,7 @@ def unified_copies(samples, table):
     under test does not unify.
     """
     raw = [render_sexpr(s.tree) for s in samples]
-    unified = [unify_ast(load_ast_sexpr(text), s.language, table)
+    unified = [unify_ast(sexpr_tree(text), s.language, table)
                for text, s in zip(raw, samples)]
     assert [render_sexpr(s.tree) for s in samples] == raw
     assert any(render_sexpr(tree) != text for tree, text in zip(unified, raw))
@@ -539,8 +539,9 @@ def ingest_and_featurize(root):
 
 
 class TestCollector:
-    """Ingest and featurization pause the cyclic GC and freeze what they
-    keep; that is safe only because they leave no reference cycles."""
+    """Ingest and featurization leave no reference cycles, keep too few
+    tracked objects to set off a full collection, and leave the cyclic GC
+    as the caller set it."""
 
     @pytest.fixture
     def collector_on_exit(self):
