@@ -19,6 +19,7 @@ with no parseable content at all raises ParseFailure.
 from __future__ import annotations
 
 import re
+import sys
 from typing import NamedTuple
 
 from ..errors import ParseFailure
@@ -310,7 +311,7 @@ class _Parser:
         word = self.word()
         if word in ("package", "import"):
             self._skip_to(";")
-            return AstNode(f"{word}_declaration")
+            return AstNode(sys.intern(f"{word}_declaration"))
         mods = self.java_modifiers()
         if self.at("class") or self.at("interface") or self.at("enum"):
             return self.java_class(mods)
@@ -696,7 +697,7 @@ class _Parser:
             self._end_statement()
             return AstNode("return_statement", children)
         if word in ("break", "continue"):
-            kind = f"{self.next().value}_statement"
+            kind = sys.intern(f"{self.next().value}_statement")
             if self.peek().type == "id":
                 self.next()  # a label
             self._end_statement()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ast
 import re
+import sys
 from functools import cache
 
 from ..errors import ParseFailure
@@ -56,7 +57,7 @@ _CAMEL = re.compile(r"(?<!^)(?=[A-Z])")
 
 @cache
 def _snake(name: str) -> str:
-    return _CAMEL.sub("_", name).lower()
+    return sys.intern(_CAMEL.sub("_", name).lower())
 
 
 def parse_python(text: str) -> AstNode:

@@ -11,6 +11,7 @@ tree.  All walks are iterative so deep trees cannot hit the recursion limit.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -90,7 +91,9 @@ def load_ast_sexpr(text: str) -> AstNode:
                 j += 1
             if j == i:
                 raise MalformedSExpr("empty kind", start)
-            node = AstNode(text[i:j])
+            # interned, so a corpus holds one string per distinct kind, as
+            # the parsers' kinds are, not one per node
+            node = AstNode(sys.intern(text[i:j]))
             if stack:
                 stack[-1].children.append(node)
             elif root is not None:

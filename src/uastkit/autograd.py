@@ -2,15 +2,15 @@
 
 Everything is a [rows x cols] float64 matrix; scalars live as [1,1].  Ops
 record a backward closure on the output when any input participates in
-gradient computation, so constant subgraphs (masks, one-hot labels) cost
-nothing on the tape.  Graph structure enters as a Graph: Â's weights and
-scatter rounds, built once per batch from an integer edge list; gcn_layer
-records a whole GCN layer, act(Â H W), as one tape node.
+gradient computation, so constant subgraphs (masks, Â X) cost nothing on
+the tape.  Graph structure enters as a Graph: Â's weights and scatter
+rounds, built once per batch from an integer edge list; gcn_layer records
+a whole GCN layer, act(Â H W), as one tape node, and cross_entropy_loss
+the whole loss.
 
 backward() consumes the tape: it drops each closure once run, so a node
 saves only what its backward pass cannot recompute bit for bit.  .grad
-accumulates over tapes until zero_grads; accumulate=False first resets the
-grads of every tensor reachable from the loss.  A first gradient is stored
+accumulates over tapes until zero_grads.  A first gradient is stored
 as g + 0.0 (-0.0 becomes 0.0): in place, adopting g, when a backward pass
 made g for that input alone (owned); in a copy when g is the output's
 gradient or a view of it, as add and concat pass on.  No two .grad share
@@ -115,29 +115,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, _unbroadcast(g, b.shape))
 
     return _node(a.data + b.data, (a, b), bw)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if not _broadcastable(a.shape, b.shape):
-        raise ShapeMismatch(f"mul: {a.shape} vs {b.shape}")
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.shape), owned=True)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.shape), owned=True)
-
-    return _node(a.data * b.data, (a, b), bw)
-
-
-def scale(a: Tensor, alpha: float) -> Tensor:
-    """alpha * a, with a python-float coefficient."""
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * alpha, owned=True)
-
-    return _node(alpha * a.data, (a,), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -307,22 +284,6 @@ def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     gives 0; the caller enters np.errstate(over="ignore") for that."""
     np.exp(np.negative(x, out=out), out=out)
     return np.divide(1.0, np.add(out, 1.0, out=out), out=out)
-
-
-def log(a: Tensor) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g / a.data, owned=True)
-
-    return _node(np.log(a.data), (a,), bw)
-
-
-def clamp_min(a: Tensor, floor: float) -> Tensor:
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * (a.data >= floor), owned=True)
-
-    return _node(np.maximum(a.data, floor), (a,), bw)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -579,8 +540,10 @@ def cross_entropy_loss(probs: Tensor, labels) -> Tensor:
     """Mean over the batch of -log(p_label), probabilities clamped at 1e-12.
 
     probs is [B x k]; labels is an int sequence of length B.  With B = 1
-    this is exactly -log(p_label).  Composed from primitive ops so the
-    gradient flows through the same machinery as everything else.
+    this is exactly -log(p_label).  One tape node, whose loss and gradient
+    are bit for bit those of the clamp, log, one-hot product, sum and scale
+    it was once composed of: the sum runs over the whole [B x k] product,
+    and a label's gradient is 0 where its probability is under the clamp.
     """
     lab = np.asarray(labels, dtype=np.int64).ravel()
     batch, k = probs.shape
@@ -590,19 +553,28 @@ def cross_entropy_loss(probs: Tensor, labels) -> Tensor:
     if lab.size and (lab.min() < 0 or lab.max() >= k):
         bad = lab[(lab < 0) | (lab >= k)][0]
         raise LabelOutOfRange(f"label {bad} outside [0, {k})")
+    rows, alpha = np.arange(batch), -1.0 / batch
+    clamped = np.maximum(probs.data, 1e-12)
     onehot = np.zeros((batch, k))
-    onehot[np.arange(batch), lab] = 1.0
-    picked = mul(log(clamp_min(probs, 1e-12)), Tensor(onehot))
-    return scale(sum_all(picked), -1.0 / batch)
+    onehot[rows, lab] = 1.0
+    loss = alpha * np.array([[(np.log(clamped) * onehot).sum()]])
+    picked, live = clamped[rows, lab], probs.data[rows, lab] >= 1e-12
+
+    def bw(g):
+        if probs.requires_grad:
+            d = np.zeros((batch, k))
+            d[rows, lab] = np.where(live, (g[0, 0] * alpha) / picked, 0.0)
+            _accum(probs, d, owned=True)
+
+    return _node(loss, (probs,), bw)
 
 
 # --- reverse pass -------------------------------------------------------------
 
-def backward(loss: Tensor, accumulate: bool = True) -> None:
+def backward(loss: Tensor) -> None:
     """Populate .grad on every requires_grad ancestor of a scalar loss.
 
-    Gradients add into any existing .grad arrays; with accumulate=False the
-    grads of the reachable subgraph are cleared first.  Consumes the tape.
+    Gradients add into any existing .grad arrays.  Consumes the tape.
     """
     if loss.data.shape != (1, 1):
         raise NonScalarLoss(f"backward needs a (1,1) loss, got {loss.data.shape}")
@@ -627,7 +599,7 @@ def backward(loss: Tensor, accumulate: bool = True) -> None:
 
     # each pass runs on fresh buffers; prior grads are added back at the end
     # so one call contributes exactly one unit of loss gradient
-    stash = [(t, t.grad) for t in topo if accumulate and t.grad is not None]
+    stash = [(t, t.grad) for t in topo if t.grad is not None]
     for node in topo:
         node.grad = None
 

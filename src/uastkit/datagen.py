@@ -52,10 +52,10 @@ def _dead_java(nm: _Namer, rng: np.random.Generator) -> str:
     return f"        int {nm.pick(_VARS)} = {int(rng.integers(0, 50))};\n"
 
 
-def _dead_py(nm: _Namer, rng: np.random.Generator, indent: str = "    ") -> str:
+def _dead_py(nm: _Namer, rng: np.random.Generator) -> str:
     if rng.random() < 0.5:
         return ""
-    return f"{indent}{nm.pick(_VARS)} = {int(rng.integers(0, 50))}\n"
+    return f"    {nm.pick(_VARS)} = {int(rng.integers(0, 50))}\n"
 
 
 def _iterative_sum(language: str, rng: np.random.Generator) -> str:

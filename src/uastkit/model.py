@@ -367,12 +367,10 @@ def forward_batch(batch: list[PreparedSample], params: ModelParams,
 
 
 def forward(path: PathSequence | None, graph: GraphSample | None,
-            params: ModelParams, cfg: ModelConfig, training: bool = False,
-            rng: np.random.Generator | None = None) -> Tensor:
-    """Single-sample probabilities [1 x k]: forward_batch at B=1.
+            params: ModelParams, cfg: ModelConfig) -> Tensor:
+    """Single-sample probabilities [1 x k]: forward_batch at B=1, eval mode.
 
     Nothing in the package calls it; it stays because the benchmark's
     per-layer probe (perfbench/layers.py) does.
     """
-    sample = prepare_sample(path, graph, cfg)
-    return forward_batch([sample], params, cfg, training, rng)
+    return forward_batch([prepare_sample(path, graph, cfg)], params, cfg)

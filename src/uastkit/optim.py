@@ -14,22 +14,20 @@ import numpy as np
 from .autograd import Tensor
 from .errors import MissingGradient
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
 
 
-def adam_init(params: list[Tensor], lr: float = 0.001, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def adam_init(params: list[Tensor], lr: float = 0.001) -> AdamState:
     return AdamState(
-        lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=0,
+        lr=lr, t=0,
         m=[np.zeros_like(p.data) for p in params],
         v=[np.zeros_like(p.data) for p in params],
     )
@@ -41,16 +39,16 @@ def adam_step(params: list[Tensor], state: AdamState) -> None:
         raise MissingGradient(
             f"optimizer state holds {len(state.m)} parameters, got {len(params)}")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for i, p in enumerate(params):
         if p.grad is None:
             raise MissingGradient(f"parameter {i} has no gradient")
         g = p.grad
         m = state.m[i]
         v = state.v[i]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)

@@ -10,8 +10,11 @@ each dropout mask as one draw over the padded layout (_dropout_mask), as
 the model did before it drew per path, so the same rng must give the same
 masks.  saved_attention and saved_lstm_direction are the packed sequence
 ops as they ran when their nodes kept probs, h and tanh(c) for the backward
-pass, which now recomputes them.  transpose, slice_rows and slice_cols are
-autograd ops that only these compositions use; add_at_propagate is the
+pass, which now recomputes them.  transpose, slice_rows, slice_cols, mul
+and scale are autograd ops that only these compositions use.  log and
+clamp_min, with mul, sum_all and scale, are the ops cross-entropy was
+composed of before autograd.cross_entropy_loss fused it into one tape node;
+composed_cross_entropy_loss composes them.  add_at_propagate is the
 model's propagation as it ran before autograd.Graph, with np.add.at.
 propagate, sigmoid, tanh and relu are the ops a GCN layer was composed of
 before autograd.gcn_layer fused them into one tape node; composed_gcn_layer
@@ -33,13 +36,15 @@ from uastkit import autograd as ag
 from uastkit.autograd import (
     Tensor,
     _accum,
+    _broadcastable,
     _node,
     _sigmoid,
+    _unbroadcast,
 )
 from uastkit.ast_frontend import AstNode, FlatTree, Vocabulary
 from uastkit.ast_frontend.clike_backend import _KEYWORDS
 from uastkit.ast_frontend.unify import _canon_language
-from uastkit.errors import EmptyCorpus, ShapeMismatch
+from uastkit.errors import EmptyCorpus, LabelOutOfRange, ShapeMismatch
 from uastkit.featurizer import GraphSample, PathSequence
 
 # --- ops only the oracles use -------------------------------------------------
@@ -77,6 +82,61 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
             a.grad[:, start:stop] += g
 
     return _node(a.data[:, start:stop].copy(), (a,), bw)
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    if not _broadcastable(a.shape, b.shape):
+        raise ShapeMismatch(f"mul: {a.shape} vs {b.shape}")
+
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.shape), owned=True)
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.shape), owned=True)
+
+    return _node(a.data * b.data, (a, b), bw)
+
+
+def scale(a: Tensor, alpha: float) -> Tensor:
+    """alpha * a, with a python-float coefficient."""
+
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, g * alpha, owned=True)
+
+    return _node(alpha * a.data, (a,), bw)
+
+
+def log(a: Tensor) -> Tensor:
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, g / a.data, owned=True)
+
+    return _node(np.log(a.data), (a,), bw)
+
+
+def clamp_min(a: Tensor, floor: float) -> Tensor:
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, g * (a.data >= floor), owned=True)
+
+    return _node(np.maximum(a.data, floor), (a,), bw)
+
+def composed_cross_entropy_loss(probs: Tensor, labels) -> Tensor:
+    """autograd.cross_entropy_loss as the five tape nodes it was composed
+    of: clamp_min, log, mul by a one-hot constant, sum_all and scale."""
+    lab = np.asarray(labels, dtype=np.int64).ravel()
+    batch, k = probs.shape
+    if lab.shape[0] != batch:
+        raise ShapeMismatch(
+            f"cross_entropy_loss: {batch} prob rows vs {lab.shape[0]} labels")
+    if lab.size and (lab.min() < 0 or lab.max() >= k):
+        bad = lab[(lab < 0) | (lab >= k)][0]
+        raise LabelOutOfRange(f"label {bad} outside [0, {k})")
+    onehot = np.zeros((batch, k))
+    onehot[np.arange(batch), lab] = 1.0
+    picked = mul(log(clamp_min(probs, 1e-12)), Tensor(onehot))
+    return scale(ag.sum_all(picked), -1.0 / batch)
 
 
 def propagate(h: Tensor, graph: ag.Graph) -> Tensor:
@@ -554,7 +614,7 @@ def attend_one(x: Tensor, mask: Tensor | None, cfg, params) -> Tensor:
         q = slice_cols(q_all, lo, hi)
         k = q if k_all is q_all else slice_cols(k_all, lo, hi)
         v = q if v_all is q_all else slice_cols(v_all, lo, hi)
-        scores = ag.scale(ag.matmul(q, transpose(k)), 1.0 / math.sqrt(hd))
+        scores = scale(ag.matmul(q, transpose(k)), 1.0 / math.sqrt(hd))
         if mask is not None:
             scores = ag.add(scores, mask)
         heads_out.append(ag.matmul(ag.softmax_rows(scores), v))
@@ -587,13 +647,13 @@ def _lstm_direction(xs, masks, w_all, b_all, h_dim: int, reverse: bool):
         f_g = sigmoid(slice_cols(pre, h_dim, 2 * h_dim))
         o_g = sigmoid(slice_cols(pre, 2 * h_dim, 3 * h_dim))
         c_hat = tanh(slice_cols(pre, 3 * h_dim, 4 * h_dim))
-        c_new = ag.add(ag.mul(f_g, c), ag.mul(i_g, c_hat))
+        c_new = ag.add(mul(f_g, c), mul(i_g, c_hat))
         live, dead = masks[t]
-        c = c_new if live is None else ag.add(ag.mul(c_new, live),
-                                              ag.mul(c, dead))
-        h_new = ag.mul(o_g, tanh(c))
-        h = h_new if live is None else ag.add(ag.mul(h_new, live),
-                                              ag.mul(h, dead))
+        c = c_new if live is None else ag.add(mul(c_new, live),
+                                              mul(c, dead))
+        h_new = mul(o_g, tanh(c))
+        h = h_new if live is None else ag.add(mul(h_new, live),
+                                              mul(h, dead))
         outs[t] = h
     return outs, h
 

@@ -13,7 +13,11 @@ import pytest
 from conftest import chain_tree, random_tree, src_env, tape_tensors
 from oracle import (
     add_at_propagate,
+    clamp_min,
+    composed_cross_entropy_loss,
     composed_gcn_layer,
+    log,
+    mul,
     padded_attention,
     padded_dropout,
     padded_lstm_direction,
@@ -21,6 +25,7 @@ from oracle import (
     relu,
     saved_attention,
     saved_lstm_direction,
+    scale,
     sigmoid,
     slice_cols,
     slice_rows,
@@ -81,7 +86,7 @@ class TestGradients:
 
     def test_add(self):
         a, b = leaf(self.rng, 2, 3), leaf(self.rng, 2, 3)
-        fd_check(lambda: ag.sum_all(ag.mul(ag.add(a, b), ag.add(a, b))),
+        fd_check(lambda: ag.sum_all(mul(ag.add(a, b), ag.add(a, b))),
                  [a, b])
 
     def test_add_broadcasts_rows_and_cols(self):
@@ -92,11 +97,11 @@ class TestGradients:
 
     def test_mul_broadcast(self):
         a, b = leaf(self.rng, 3, 2), leaf(self.rng, 1, 2)
-        fd_check(lambda: ag.sum_all(ag.mul(a, b)), [a, b])
+        fd_check(lambda: ag.sum_all(mul(a, b)), [a, b])
 
     def test_scale(self):
         a = leaf(self.rng, 2, 3)
-        fd_check(lambda: ag.sum_all(sigmoid(ag.scale(a, -2.5))), [a])
+        fd_check(lambda: ag.sum_all(sigmoid(scale(a, -2.5))), [a])
 
     def test_matmul(self):
         a, b = leaf(self.rng, 3, 4), leaf(self.rng, 4, 2)
@@ -108,16 +113,16 @@ class TestGradients:
 
     def test_concat_both_axes(self):
         a, b = leaf(self.rng, 2, 3), leaf(self.rng, 2, 3)
-        fd_check(lambda: ag.sum_all(ag.mul(ag.concat([a, b], axis=0),
-                                           ag.concat([b, a], axis=0))),
+        fd_check(lambda: ag.sum_all(mul(ag.concat([a, b], axis=0),
+                                        ag.concat([b, a], axis=0))),
                  [a, b])
         fd_check(lambda: ag.sum_all(ag.concat([a, b, a], axis=1)), [a, b])
 
     def test_slices(self):
         a = leaf(self.rng, 4, 5)
         fd_check(lambda: ag.sum_all(slice_rows(a, 1, 3)), [a])
-        fd_check(lambda: ag.sum_all(ag.mul(slice_cols(a, 0, 2),
-                                           slice_cols(a, 3, 5))), [a])
+        fd_check(lambda: ag.sum_all(mul(slice_cols(a, 0, 2),
+                                        slice_cols(a, 3, 5))), [a])
 
     def test_gather_rows_accumulates_duplicates(self):
         a = leaf(self.rng, 4, 3)
@@ -132,7 +137,7 @@ class TestGradients:
             graph = ag.Graph(np.array(edges), 5)
             h = leaf(self.rng, 5, 3)
             w = Tensor(self.rng.uniform(-1, 1, (5, 3)))
-            fd_check(lambda: ag.sum_all(ag.mul(tanh(propagate(
+            fd_check(lambda: ag.sum_all(mul(tanh(propagate(
                 h, graph)), w)), [h])
 
     def test_propagate_without_edges_scales_by_self_loop(self):
@@ -156,22 +161,22 @@ class TestGradients:
 
     def test_log(self):
         a = leaf(self.rng, 2, 3, low=0.5, high=2.0)
-        fd_check(lambda: ag.sum_all(ag.log(a)), [a])
+        fd_check(lambda: ag.sum_all(log(a)), [a])
 
     def test_clamp_min_away_from_floor(self):
         a = Tensor(np.array([[0.5, 2.0], [-1.0, 1.0]]), requires_grad=True)
-        fd_check(lambda: ag.sum_all(ag.mul(ag.clamp_min(a, 0.1),
-                                           ag.clamp_min(a, 0.1))), [a])
+        fd_check(lambda: ag.sum_all(mul(clamp_min(a, 0.1),
+                                        clamp_min(a, 0.1))), [a])
 
     def test_clamp_min_blocks_gradient_below_floor(self):
         a = Tensor(np.array([[-1.0, 3.0]]), requires_grad=True)
-        ag.backward(ag.sum_all(ag.clamp_min(a, 0.0)))
+        ag.backward(ag.sum_all(clamp_min(a, 0.0)))
         assert a.grad.tolist() == [[0.0, 1.0]]
 
     def test_softmax(self):
         a = leaf(self.rng, 3, 4, low=-2, high=2)
         w = Tensor(self.rng.uniform(-1, 1, (3, 4)))
-        fd_check(lambda: ag.sum_all(ag.mul(ag.softmax_rows(a), w)), [a])
+        fd_check(lambda: ag.sum_all(mul(ag.softmax_rows(a), w)), [a])
 
     def test_cross_entropy_via_softmax(self):
         logits = leaf(self.rng, 4, 3, low=-2, high=2)
@@ -327,8 +332,8 @@ class TestPropagateOracle:
                          for _ in range(2))
         got = propagate(got_h, ag.Graph(edges, n))
         want = add_at_propagate(want_h, edges)
-        ag.backward(ag.sum_all(ag.mul(got, g)))
-        ag.backward(ag.sum_all(ag.mul(want, g)))
+        ag.backward(ag.sum_all(mul(got, g)))
+        ag.backward(ag.sum_all(mul(want, g)))
         assert np.array_equal(got.data, want.data)
         assert np.array_equal(got_h.grad, want_h.grad)
 
@@ -399,7 +404,7 @@ class TestGcnLayerOracle:
                 ht = Tensor(h.copy(), requires_grad=True)
                 wt = Tensor(w.copy(), requires_grad=True)
                 out = layer(ht, wt, None if first else graph, activation)
-                ag.backward(ag.sum_all(ag.mul(out, g)))
+                ag.backward(ag.sum_all(mul(out, g)))
                 runs.append((out.data, ht.grad, wt.grad))
             for got, want in zip(*runs):
                 assert got.tobytes() == want.tobytes()
@@ -411,7 +416,7 @@ class TestGcnLayerOracle:
         h, w = leaf(rng, n, 3), leaf(rng, 3, 2)
         g = Tensor(rng.uniform(-1, 1, (n, 2)))
         for graph in (ag.Graph(edges, n), None):
-            fd_check(lambda: ag.sum_all(ag.mul(
+            fd_check(lambda: ag.sum_all(mul(
                 ag.gcn_layer(h, w, graph, activation), g)), [h, w])
 
     def test_refuses_bad_shapes_and_unknown_activations(self):
@@ -427,6 +432,70 @@ class TestGcnLayerOracle:
                          graph, "gelu")
 
 
+# --- the fused loss against its op-composed oracle ----------------------------------
+
+class TestCrossEntropyOracle:
+    """cross_entropy_loss against the clamp_min -> log -> mul -> sum_all ->
+    scale chain it fused (tests/oracle.py)."""
+
+    @staticmethod
+    def _runs(probs: np.ndarray, labels, prior: np.ndarray | None = None):
+        """(loss, probs.grad) from each form, probs a leaf; prior, if
+        given, is a gradient probs already holds."""
+        runs = []
+        for loss_fn in (ag.cross_entropy_loss, composed_cross_entropy_loss):
+            p = Tensor(probs.copy(), requires_grad=True)
+            if prior is not None:
+                p.grad = prior.copy()
+            loss = loss_fn(p, labels)
+            ag.backward(loss)
+            runs.append((loss.data, p.grad))
+        return runs
+
+    def test_one_tape_node_with_probs_its_only_parent(self):
+        probs = Tensor(np.full((3, 4), 0.25), requires_grad=True)
+        loss = ag.cross_entropy_loss(probs, [0, 3, 1])
+        assert loss._parents == (probs,)
+        assert len(tape_tensors(loss)) == 2
+        for name in ("mul", "scale", "log", "clamp_min"):
+            assert not hasattr(ag, name)
+
+    def test_bitwise_equal_to_the_composed_chain(self):
+        rng = np.random.default_rng(41)
+        under = 0  # labels whose probability lies below the 1e-12 clamp
+        for trial in range(400):
+            batch, k = (1 if trial < 40 else int(rng.integers(2, 70)),
+                        int(rng.integers(2, 9)))
+            logits = rng.normal(size=(batch, k)) * rng.choice([1.0, 10, 40])
+            labels = rng.integers(0, k, batch)
+            # the softmax's rows, probabilities that underflow included
+            probs = ag.softmax_rows(Tensor(logits)).data
+            under += int((probs[np.arange(batch), labels] < 1e-12).sum())
+            prior = rng.normal(size=(batch, k)) if trial % 2 else None
+            runs = self._runs(probs, labels, prior)
+            for got, want in zip(*runs):
+                assert got.tobytes() == want.tobytes()
+        assert under > 0
+
+    def test_probabilities_at_and_under_the_clamp(self):
+        probs = np.array([[0.0, 1.0], [1e-13, 1.0], [1e-12, 1.0],
+                          [2e-12, 1.0]])
+        runs = self._runs(probs, [0, 0, 0, 0])
+        for got, want in zip(*runs):
+            assert got.tobytes() == want.tobytes()
+        grad = runs[0][1]
+        assert grad[:2].tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert grad[2, 0] == -0.25 / 1e-12 and grad[3, 0] == -0.25 / 2e-12
+        assert not np.signbit(grad[grad == 0]).any()  # no -0.0
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(42)
+        for batch in (1, 5):
+            probs = leaf(rng, batch, 3, low=0.05, high=1.0)
+            labels = rng.integers(0, 3, batch)
+            fd_check(lambda: ag.cross_entropy_loss(probs, labels), [probs])
+
+
 # --- accumulation protocol ---------------------------------------------------------
 
 class TestAccumulation:
@@ -437,12 +506,6 @@ class TestAccumulation:
         ag.backward(ag.sum_all(a))
         assert a.grad.tolist() == [[2.0, 2.0]]
 
-    def test_accumulate_false_resets_reachable_grads(self):
-        a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
-        ag.backward(ag.sum_all(a))
-        ag.backward(ag.sum_all(a), accumulate=False)
-        assert a.grad.tolist() == [[1.0, 1.0]]
-
     def test_zero_grads(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         ag.backward(ag.sum_all(a))
@@ -452,13 +515,13 @@ class TestAccumulation:
     def test_constant_subgraphs_get_no_gradient(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         c = Tensor(np.ones((2, 2)))
-        ag.backward(ag.sum_all(ag.mul(a, c)))
+        ag.backward(ag.sum_all(mul(a, c)))
         assert c.grad is None
         assert a.grad is not None
 
     def test_first_gradient_of_negative_zero_is_stored_as_zero(self):
         a = Tensor(np.ones((1, 2)), requires_grad=True)
-        ag.backward(ag.sum_all(ag.mul(a, Tensor(np.array([[-0.0, 2.0]])))))
+        ag.backward(ag.sum_all(mul(a, Tensor(np.array([[-0.0, 2.0]])))))
         assert a.grad.tolist() == [[0.0, 2.0]]
         assert not np.signbit(a.grad).any()
         # a gradient handed over without ownership is copied, not adopted
@@ -478,7 +541,7 @@ class TestConsumedTape:
         x, w_all, b_all = leaf(rng, 6, 4), leaf(rng, 2 + 4, 8), leaf(rng, 1, 8)
         out = ag.lstm_direction(ag.attention(x, x, x, packing, 2), w_all,
                                 b_all, packing)
-        return ag.sum_all(ag.mul(out, leaf(rng, 6, 2))), [x, w_all, b_all]
+        return ag.sum_all(mul(out, leaf(rng, 6, 2))), [x, w_all, b_all]
 
     def test_backward_drops_every_backward_function(self):
         loss, leaves = self._loss()
@@ -489,15 +552,13 @@ class TestConsumedTape:
         assert all(t._backward_fn is None for t in interior)
         assert all(t.grad is not None for t in leaves + interior)
 
-    @pytest.mark.parametrize("accumulate", [True, False])
-    def test_second_backward_raises_and_keeps_the_gradients(self,
-                                                            accumulate):
+    def test_second_backward_raises_and_keeps_the_gradients(self):
         loss, leaves = self._loss()
         ag.backward(loss)
         grads = [t.grad for t in leaves]
         copies = [g.copy() for g in grads]
         with pytest.raises(UastError, match="consumed"):
-            ag.backward(loss, accumulate=accumulate)
+            ag.backward(loss)
         for t, g, c in zip(leaves, grads, copies):
             assert t.grad is g and np.array_equal(g, c)
 
@@ -507,7 +568,7 @@ class TestGradientOwnership:
     where an op passes its output's gradient on to an input twice."""
 
     def _backward_and_check(self, out: Tensor, weights: np.ndarray) -> None:
-        ag.backward(ag.sum_all(ag.mul(out, Tensor(weights))))
+        ag.backward(ag.sum_all(mul(out, Tensor(weights))))
         grads = [t.grad for t in tape_tensors(out) if t.grad is not None]
         for i, a in enumerate(grads):
             for b in grads[i + 1:]:
@@ -555,7 +616,7 @@ class TestFusedSequenceGradients:
 
     def _weighted(self, out):
         w = Tensor(np.random.default_rng(22).uniform(-1, 1, out.shape))
-        return ag.sum_all(ag.mul(out, w))
+        return ag.sum_all(mul(out, w))
 
     def test_packing_layout(self):
         p = ag.Packing([3, 1, 4])
@@ -614,7 +675,7 @@ class TestFusedSequenceGradients:
             if not runs:
                 weight = np.zeros((len(rows[0]), out.shape[1]))
                 weight[live] = self.rng.normal(size=out.shape)
-            ag.backward(ag.sum_all(ag.mul(out, Tensor(weight[take]))))
+            ag.backward(ag.sum_all(mul(out, Tensor(weight[take]))))
             runs.append([out.data[keep]] + [t.grad[keep] for t in leaves]
                         + [t.grad for t in params])
         for got, want in zip(*runs):
@@ -704,7 +765,7 @@ class TestSavedArrayOracle:
             leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
             out = fn(*leaves)
             weight = np.random.default_rng(seed + 1).normal(size=out.shape)
-            ag.backward(ag.sum_all(ag.mul(out, Tensor(weight))))
+            ag.backward(ag.sum_all(mul(out, Tensor(weight))))
             runs.append([out.data] + [t.grad for t in leaves])
         for want, got in zip(*runs):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -895,7 +956,7 @@ class TestAdam:
         state = adam_init([p], lr=0.1)
         for _ in range(300):
             ag.zero_grads([p])
-            ag.backward(ag.sum_all(ag.mul(p, p)))
+            ag.backward(ag.sum_all(mul(p, p)))
             adam_step([p], state)
         assert abs(p.data[0, 0]) < 0.05
 

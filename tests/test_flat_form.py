@@ -155,6 +155,17 @@ def test_ingest_holds_few_bytes_per_node(tmp_path):
     assert held / nodes < 40
 
 
+def test_sexpr_kinds_are_the_parsers_strings():
+    # a kind read from an S-expression is interned, so a .sexpr corpus holds
+    # one string a kind, as parsed source does, and not one a node
+    for text, language, is_sexpr in sources(GOLDEN, skip={"nothing"}):
+        if not is_sexpr:
+            parsed = load_tree(text, language, False)
+            read = load_tree(render_sexpr(parsed), None, True)
+            assert read.kinds == parsed.kinds
+            assert all(a is b for a, b in zip(read.kinds, parsed.kinds))
+
+
 def test_frontend_imports_no_numpy():
     code = ("import sys, uastkit.ast_frontend\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n")

@@ -377,10 +377,10 @@ class TestForward:
     def test_training_dropout_is_seeded(self, tiny_config):
         params = init_params(tiny_config, 0)
         path, graph = sample_inputs(self.rng, tiny_config)
-        t1 = forward(path, graph, params, tiny_config, training=True,
-                     rng=np.random.default_rng(3)).data
-        t2 = forward(path, graph, params, tiny_config, training=True,
-                     rng=np.random.default_rng(3)).data
+        batch = [prepare_sample(path, graph, tiny_config)]
+        t1, t2 = (forward_batch(batch, params, tiny_config, training=True,
+                                rng=np.random.default_rng(3)).data
+                  for _ in range(2))
         evald = forward(path, graph, params, tiny_config).data
         assert np.array_equal(t1, t2)
         assert not np.array_equal(t1, evald)
