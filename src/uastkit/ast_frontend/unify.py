@@ -20,7 +20,7 @@ has no further use for the raw kinds.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -40,7 +40,7 @@ def _canon_language(name: str) -> str:
 
 @dataclass(frozen=True)
 class UnificationTable:
-    sections: dict[str, dict[str, str]] = field(default_factory=dict)
+    sections: dict[str, dict[str, str]]
 
     def canonical(self) -> str:
         """Comment-free serialization; basis for the table hash."""

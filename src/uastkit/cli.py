@@ -1,10 +1,10 @@
 """The ``uast`` command line.
 
-Subcommands cover the whole pipeline: parse (S-expression ASTs), featurize
-(binary feature files), stats (path-length distribution), train, eval,
-predict, sweep (hyperparameter series), and datagen (the bundled benchmark
-generator).  Exit codes: 0 success, 1 usage, 2 data problem, 3 runtime
-problem.
+Subcommands cover the whole pipeline: parse (S-expression ASTs), stats
+(path-length distribution), train, eval, predict, sweep (hyperparameter
+series), and datagen (the bundled benchmark generator).  A command that
+needs features computes them in memory; none is written to disk.  Exit
+codes: 0 success, 1 usage, 2 data problem, 3 runtime problem.
 
 Settings resolve in three layers: a named profile supplies defaults, a JSON
 config file overrides the profile, and explicit flags override both.  The
@@ -48,7 +48,7 @@ from .errors import (
     UsageError,
     VocabularyMismatch,
 )
-from .featurizer import path_length_stats, write_featurized
+from .featurizer import path_length_stats
 from .model import GCN_ACTIVATIONS, MODES, POOLINGS, ModelConfig, ModelSettings
 from .train_eval import (
     DEFAULT_RATIOS,
@@ -245,17 +245,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print(f"mean    {report.mean:.1f}")
         for name in ("median", "p70", "p80", "p90", "min", "max"):
             print(f"{name:<8}{getattr(report, name)}")
-    return 0
-
-
-def cmd_featurize(args: argparse.Namespace) -> int:
-    rc = resolve_run_config(args)
-    table = _load_table(rc.table)
-    splits, vocab, labels, languages = _features(rc, table, rc.L)
-    count = write_featurized(args.out, splits, vocab, labels, languages, rc.L,
-                             rc.N, rc.unified, table.table_hash)
-    print(f"wrote {count} records ({len(labels)} classes, "
-          f"{len(languages)} languages, vocab {vocab.size}) to {args.out}")
     return 0
 
 
@@ -466,13 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_stats)
-
-    p = commands.add_parser("featurize",
-                            help="write a binary feature file")
-    _add_corpus_flags(p)
-    _add_run_flags(p)
-    p.add_argument("--out", required=True, help="output feature file")
-    p.set_defaults(func=cmd_featurize)
 
     p = commands.add_parser("train", help="fit a model")
     _add_corpus_flags(p)

@@ -7,19 +7,14 @@ propagates over.  Both views are slices of one int64 array, the indices of
 the tree's first max(L, N) kinds; nothing is padded, and the edges are one
 int64 [E x 2] array read from the tree's parents.  The model never builds
 the dense GraphSample.norm_adj: the tests check the edge-list propagation
-against it, and the benchmark's per-layer probe times it.
-
-A featurized corpus can be written to one binary file of edge lists, in
-the frame checkpoints share (uastkit.frame).  Nothing in the package reads
-it back; tests/feature_file.py is the reference reader of its layout.
+against it, and the benchmark's per-layer probe times it.  Features live
+in memory only: every command featurizes the corpus it runs on.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -27,10 +22,6 @@ import numpy as np
 from .ast_frontend import FlatTree, Vocabulary
 from .ast_frontend import node_count as tree_size
 from .errors import EmptyCorpus
-from .frame import write_frame
-
-MAGIC = b"UASTFEAT"
-FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -123,42 +114,3 @@ def path_length_stats(corpus: Iterable[FlatTree]) -> StatsReport:
         min=lengths[0],
         max=lengths[-1],
     )
-
-
-# --- featurized corpus file ------------------------------------------------
-
-def write_featurized(path: str | Path, splits: dict[str, list],
-                     vocab: Vocabulary, labels: list[str],
-                     languages: list[str], L: int, N: int, unified: bool,
-                     table_hash: str) -> int:
-    """Write featurized samples (corpus.LabeledSample) to one binary file
-    and return how many.
-
-    splits is split_dataset's train, validation and test lists, in that
-    order; each record's split tag is its list's position: 0, 1 or 2.
-    """
-    lang_index = {name: i for i, name in enumerate(languages)}
-    header = {
-        "L": L,
-        "N": N,
-        "kinds": list(vocab.kinds),
-        "labels": list(labels),
-        "languages": list(languages),
-        "unified": unified,
-        "table_hash": table_hash,
-        "count": sum(map(len, splits.values())),
-    }
-    with open(path, "wb") as fh:
-        write_frame(fh, MAGIC, FORMAT_VERSION, header)
-        for tag, samples in enumerate(splits.values()):
-            for s in samples:
-                # both views slice one pre-order prefix; the longer one is it
-                prefix = max(s.path_seq.indices, s.graph.node_kinds, key=len)
-                fh.write(struct.pack("<HHBIII", s.label_index,
-                                     lang_index[s.language], tag,
-                                     s.path_seq.true_length,
-                                     s.graph.node_count, len(prefix)))
-                fh.write(prefix.astype("<u4").tobytes())
-                fh.write(struct.pack("<I", len(s.graph.edges)))
-                fh.write(s.graph.edges.astype("<u4").tobytes())
-    return header["count"]

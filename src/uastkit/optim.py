@@ -7,7 +7,7 @@ to every adam_step.  All updates are in-place on the parameter arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,10 +19,10 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    lr: float = 0.001
-    t: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    lr: float
+    t: int
+    m: list[np.ndarray]
+    v: list[np.ndarray]
 
 
 def adam_init(params: list[Tensor], lr: float = 0.001) -> AdamState:

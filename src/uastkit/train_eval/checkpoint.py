@@ -1,15 +1,18 @@
 """Versioned binary checkpoints.
 
-Layout: the shared frame (uastkit.frame) with magic ``UASTCKPT``, then the
-parameter matrices as raw little-endian float64, concatenated in manifest
-order.  The header carries the model configuration, vocabulary, table
-hash, label and language sets, run provenance (config dict and seed), and
-the epoch/step counters.  Nothing time-dependent is written, so identical
-runs produce identical bytes.
+Layout: the 8-byte magic ``UASTCKPT`` | u32 format version | u64 header
+length | a sorted-keys JSON header object | the parameter matrices as raw
+little-endian float64, concatenated in manifest order.  The header carries
+the model configuration, vocabulary, table hash, label and language sets,
+run provenance (config dict and seed), and the epoch/step counters.
+Nothing time-dependent is written, so identical runs produce identical
+bytes.
 """
 
 from __future__ import annotations
 
+import json
+import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -17,11 +20,12 @@ import numpy as np
 
 from ..ast_frontend import Vocabulary, vocabulary_from_kinds
 from ..errors import CheckpointError, ConfigError
-from ..frame import check_types, read_frame, write_frame
+from ..frame import check_types
 from ..model import ModelConfig, ModelParams, empty_params
 
 MAGIC = b"UASTCKPT"
 FORMAT_VERSION = 2
+_PREFIX = struct.Struct("<8sIQ")
 
 # each header value's type (frame.has_type); one that may be null may be absent
 _HEADER_TYPES = {
@@ -69,18 +73,44 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "params": [{"name": name, "rows": t.shape[0], "cols": t.shape[1]}
                    for name, t in manifest],
     }
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
     try:
         with open(path, "wb") as fh:
-            write_frame(fh, MAGIC, FORMAT_VERSION, header)
+            fh.write(_PREFIX.pack(MAGIC, FORMAT_VERSION, len(blob)))
+            fh.write(blob)
             for _, t in manifest:
                 fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
+def _read_frame(path: str | Path) -> tuple[dict, bytes, int]:
+    """The JSON header, the file's bytes and the parameters' offset."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if raw[:len(MAGIC)] != MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file")
+    if len(raw) < _PREFIX.size:
+        raise CheckpointError(f"{path}: truncated header")
+    _, version, header_len = _PREFIX.unpack_from(raw)
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"{path}: unsupported format version {version}")
+    start = _PREFIX.size + header_len
+    if len(raw) < start:
+        raise CheckpointError(f"{path}: truncated header")
+    try:
+        header = json.loads(raw[_PREFIX.size:start].decode("utf-8"))
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt header: not a JSON object")
+    return header, raw, start
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    header, raw, at = read_frame(path, MAGIC, FORMAT_VERSION,
-                                 CheckpointError, "checkpoint")
+    header, raw, at = _read_frame(path)
     try:
         check_types(header, _HEADER_TYPES)
         # every setting by name: one left out would load as its default

@@ -52,7 +52,7 @@ class LabeledSample:
     language: str | None  # None only for a tree file to predict
     label: str
     label_index: int
-    tree: FlatTree | None = None
+    tree: FlatTree | None
     path_seq: PathSequence | None = None
     graph: GraphSample | None = None
 

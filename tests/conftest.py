@@ -174,8 +174,8 @@ MALFORMED_CHECKPOINT_HEADERS = {
 
 
 def rewrite_json_header(path: Path, change) -> None:
-    """Apply change to the JSON header of the checkpoint or featurized file
-    at path; both frame it as magic, u32 version and u64 header length."""
+    """Apply change to the JSON header of the checkpoint at path, which
+    follows its magic, u32 version and u64 header length."""
     data = path.read_bytes()
     (length,) = struct.unpack_from("<Q", data, 12)
     header = json.loads(data[20:20 + length])

@@ -1,7 +1,6 @@
 """Command-line interface: every subcommand plus exit codes and layering."""
 
 import argparse
-import hashlib
 import json
 import logging
 import re
@@ -22,7 +21,6 @@ from conftest import (
     rewrite_json_header,
     src_env,
 )
-from feature_file import read_featurized
 from uastkit.cli import (
     PROFILES,
     RunConfig,
@@ -43,13 +41,6 @@ TINY_DIMS = ["--L", "16", "--N", "16", "--d", "8", "--heads", "2", "--h", "4",
              "--d-out", "4"]
 PY_SAMPLE = str(TOY_CORPUS / "sum_loop" / "python" / "v1.py")
 JAVA_SAMPLE = str(TOY_CORPUS / "sum_loop" / "java" / "v1.java")
-# sha256 of `uast featurize` output: the bundled toy corpus at the toy
-# profile, and a `datagen --seed 1 --count 4` corpus at leetcode
-GOLDEN_FEATURES = {
-    "toy": "f1714065cfc0a7827c56cf956d269f7d50facbb51f2c83ada3df27bbcbb918ab",
-    "datagen":
-        "073ee52707bf56e8f54202d70d0a113c3041461a1bbdffe490ef6f97e6ee6069",
-}
 
 
 def run(capsys, *argv):
@@ -103,6 +94,14 @@ class TestExitCodes:
 
     def test_unknown_flag_is_usage(self, capsys):
         assert run(capsys, "parse", "--nonsense", PY_SAMPLE)[0] == 1
+
+    def test_removed_featurize_command_is_usage(self, tmp_path, capsys):
+        # features live in memory; no command writes them to a file
+        code, _, err = run(capsys, "featurize", "--corpus", str(TOY_CORPUS),
+                           "--out", str(tmp_path / "x.feat"))
+        assert code == 1
+        assert "invalid choice: 'featurize'" in err
+        assert not (tmp_path / "x.feat").exists()
 
     def test_bad_flag_value_is_usage(self, capsys):
         code, _, err = run(capsys, "sweep", "--corpus", str(TOY_CORPUS),
@@ -397,54 +396,6 @@ class TestLogging:
         assert proc.stderr == expected.format(source)
 
 
-# --- featurize ----------------------------------------------------------------------
-
-class TestFeaturize:
-    def test_writes_a_loadable_feature_file(self, tmp_path, capsys):
-        out_file = tmp_path / "toy.feat"
-        code, out, _ = run(capsys, "featurize", "--corpus", str(TOY_CORPUS),
-                           "--profile", "toy", "--L", "16", "--N", "16",
-                           "--out", str(out_file))
-        assert code == 0
-        assert "32 records" in out
-        fset = read_featurized(out_file)
-        assert (fset.L, fset.N) == (16, 16)
-        assert fset.labels == ("fib_recursive", "filter_count",
-                               "matrix_mult", "sum_loop")
-        assert fset.languages == ("java", "python")
-        assert fset.unified is True
-        assert sum(map(len, fset.splits.values())) == 32
-        assert all(fset.splits.values())
-
-    @pytest.mark.parametrize("corpus, profile", [("toy", "toy"),
-                                                 ("datagen", "leetcode")])
-    def test_feature_file_bytes_are_pinned(self, tmp_path, capsys, corpus,
-                                           profile):
-        # the record layout must not drift: any change to these bytes is a
-        # format change and needs a new FORMAT_VERSION
-        root = TOY_CORPUS
-        if corpus == "datagen":
-            root = tmp_path / "gen"
-            assert run(capsys, "datagen", "--out", str(root), "--seed", "1",
-                       "--count", "4")[0] == 0
-        out_file = tmp_path / "pinned.feat"
-        assert run(capsys, "featurize", "--corpus", str(root), "--profile",
-                   profile, "--out", str(out_file))[0] == 0
-        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == \
-            GOLDEN_FEATURES[corpus]
-
-    def test_no_unified_vocab_keeps_raw_kinds(self, tmp_path, capsys):
-        out_file = tmp_path / "raw.feat"
-        code, _, _ = run(capsys, "featurize", "--corpus", str(TOY_CORPUS),
-                         "--profile", "toy", "--no-unified-vocab",
-                         "--out", str(out_file))
-        assert code == 0
-        fset = read_featurized(out_file)
-        assert fset.unified is False
-        assert "module" in fset.vocab.kinds
-        assert "unit" not in fset.vocab.kinds
-
-
 # --- configuration layering -----------------------------------------------------------
 
 class TestConfigLayering:
@@ -497,33 +448,28 @@ class TestConfigLayering:
             rc = resolve_run_config(parser.parse_args(["train", *argv]))
             assert getattr(rc, f.name) == value != f.default, f.name
 
-    def test_config_file_overrides_profile(self, tmp_path, capsys):
+    def test_config_file_overrides_profile(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"L": 20, "N": 16}))
-        out_file = tmp_path / "c.feat"
-        code, _, _ = run(capsys, "featurize", "--corpus", str(TOY_CORPUS),
-                         "--profile", "toy", "--config", str(cfg),
-                         "--out", str(out_file))
-        assert code == 0
-        assert read_featurized(out_file).L == 20
+        rc = resolve_run_config(build_parser().parse_args(
+            ["train", "--profile", "toy", "--config", str(cfg)]))
+        assert (rc.L, rc.N, rc.d) == (20, 16, PROFILES["toy"]["d"])
 
-    def test_explicit_flag_overrides_config_file(self, tmp_path, capsys):
+    def test_explicit_flag_overrides_config_file(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"L": 20}))
-        out_file = tmp_path / "c.feat"
-        code, _, _ = run(capsys, "featurize", "--corpus", str(TOY_CORPUS),
-                         "--profile", "toy", "--config", str(cfg),
-                         "--L", "24", "--out", str(out_file))
-        assert code == 0
-        assert read_featurized(out_file).L == 24
+        rc = resolve_run_config(build_parser().parse_args(
+            ["train", "--profile", "toy", "--config", str(cfg), "--L", "24"]))
+        assert rc.L == 24
 
-    def test_unknown_config_keys_rejected(self, tmp_path, capsys):
+    def test_unknown_config_keys_rejected(self, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.setattr("uastkit.cli.ingest_corpus", None)
         cfg = tmp_path / "run.json"
         for key, value in (("learning_rate", 0.1), ("mask_names", ["add"])):
             cfg.write_text(json.dumps({key: value}))
-            code, _, err = run(capsys, "featurize", "--corpus",
-                               str(TOY_CORPUS), "--config", str(cfg),
-                               "--out", str(tmp_path / "x.feat"))
+            code, _, err = run(capsys, "train", "--corpus", str(TOY_CORPUS),
+                               "--config", str(cfg))
             assert code == 1
             assert key in err
 
@@ -631,6 +577,17 @@ class TestTrainEvalPredict:
         assert (tmp_path / "best.ckpt").exists()
         lines = (tmp_path / "history.jsonl").read_text().splitlines()
         assert json.loads(lines[0])["record"] == "run"
+
+    def test_no_unified_vocab_keeps_raw_kinds(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "train", "--corpus", str(TOY_CORPUS),
+                         "--profile", "toy", *TINY_DIMS, "--max-steps", "1",
+                         "--quiet", "--no-unified-vocab",
+                         "--out-dir", str(tmp_path))
+        assert code == 0
+        ckpt = load_checkpoint(tmp_path / "final.ckpt")
+        assert ckpt.unified is False
+        assert "module" in ckpt.vocab.kinds
+        assert "unit" not in ckpt.vocab.kinds
 
     def test_saved_checkpoint_carries_run_config(self, tmp_path):
         ckpt = load_checkpoint(quick_train(tmp_path))
@@ -889,6 +846,15 @@ def parser_options(parser):
 
 
 class TestReadme:
+    def test_one_section_per_command_in_the_parsers_order(self):
+        # a command added or removed cannot leave the docs behind
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        headings = re.findall(r"^### `uast (\w+)",
+                              README.read_text(encoding="utf-8"), re.M)
+        assert headings == list(commands.choices) == [
+            "parse", "stats", "train", "eval", "predict", "sweep", "datagen"]
+
     @pytest.mark.parametrize("heading", ["Commands", "Corpus layout",
                                          "Configuration layering"])
     def test_every_documented_flag_exists(self, heading):

@@ -1,9 +1,8 @@
-"""Path sequences, graph views, corpus statistics, and the featurized file."""
+"""Path sequences, graph views, what training featurizes, and corpus
+statistics."""
 
-import dataclasses
+import hashlib
 import math
-import re
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -11,15 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (
-    chain_tree,
-    make_graph,
-    make_path,
-    random_tree,
-    rewrite_json_header,
-    sexpr_tree,
-)
-from feature_file import FeaturizedSet, read_featurized
+from conftest import TOY_CORPUS, chain_tree, random_tree, sexpr_tree
 import oracle
 from uastkit.ast_frontend import (
     build_vocabulary,
@@ -28,18 +19,21 @@ from uastkit.ast_frontend import (
     unify_ast,
     vocabulary_from_kinds,
 )
+from uastkit.cli import build_parser, resolve_run_config
 from uastkit.datagen import generate_corpus
-from uastkit.errors import DataError, EmptyCorpus
+from uastkit.errors import EmptyCorpus
 from uastkit.featurizer import (
-    FORMAT_VERSION,
-    MAGIC,
     GraphSample,
     StatsReport,
     featurize_sample,
     path_length_stats,
-    write_featurized,
 )
-from uastkit.train_eval import LabeledSample
+from uastkit.train_eval import (
+    SPLIT_NAMES,
+    build_features,
+    ingest_corpus,
+    split_dataset,
+)
 
 KINDS = ("alpha", "beta", "gamma", "delta", "epsilon")
 
@@ -248,6 +242,49 @@ class TestAgainstPreorder:
         assert truncated > (len(trees) // 2 if max(L, N) < 50 else 0)
 
 
+# --- what training featurizes -----------------------------------------------
+
+# sha256 of features_digest: the bundled toy corpus at the toy profile, and
+# a `datagen --seed 1 --count 4` corpus at leetcode
+GOLDEN_FEATURES = {
+    "toy": "8f24c2d98d5209be9de7347d52275cdb83e983cf06620efc813924c6dbc5c9c9",
+    "datagen":
+        "d6debbda29526d56be08fbb86eb655fdeb4b156840d5426950fea9234f2d2771",
+}
+
+
+def features_digest(root, profile: str, table) -> str:
+    """sha256 over what `uast train` featurizes from the corpus at root:
+    each sample in split order, its split, label index, language and view
+    shapes, then its path indices, graph kinds and edges as <i8."""
+    rc = resolve_run_config(build_parser().parse_args(
+        ["train", "--corpus", str(root), "--profile", profile]))
+    splits = split_dataset(ingest_corpus(rc.corpus), rc.seed, rc.ratios)
+    build_features(splits, table, rc.unified, rc.L, rc.N)
+    digest = hashlib.sha256()
+    for name in SPLIT_NAMES:
+        for s in splits[name]:
+            views = (s.path_seq.indices, s.graph.node_kinds, s.graph.edges)
+            digest.update(f"{name} {s.label_index} {s.language} "
+                          f"{[v.shape for v in views]}\n".encode())
+            for view in views:
+                digest.update(view.astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
+class TestFeaturizedCorpusIsPinned:
+    @pytest.mark.parametrize("corpus, profile", [("toy", "toy"),
+                                                 ("datagen", "leetcode")])
+    def test_digest(self, tmp_path, default_table, corpus, profile):
+        # what every model trains on: a change here changes every run
+        root = TOY_CORPUS
+        if corpus == "datagen":
+            root = tmp_path / "gen"
+            generate_corpus(root, seed=1, per_pair=4)
+        assert features_digest(root, profile, default_table) == \
+            GOLDEN_FEATURES[corpus]
+
+
 # --- statistics -----------------------------------------------------------------
 
 class TestStats:
@@ -281,256 +318,3 @@ class TestStats:
             assert value in lengths
         assert stats.median <= stats.p70 <= stats.p80 <= stats.p90
 
-
-# --- featurized corpus file -------------------------------------------------------
-
-def _toy_set(vocab) -> FeaturizedSet:
-    rng = np.random.default_rng(5)
-    labels, languages = ("neg", "pos"), ("cpp", "java", "python")
-    splits = {"train": [], "validation": [], "test": []}
-    for i, split in enumerate(("train", "train", "validation", "test")):
-        tree = random_tree(rng, max_nodes=25, kinds=KINDS)
-        path, graph = featurize_sample(tree, vocab, L=12, N=10)
-        splits[split].append(LabeledSample(
-            source_path=f"s{i}", language=languages[i % 3],
-            label=labels[i % 2], label_index=i % 2, path_seq=path,
-            graph=graph))
-    return FeaturizedSet(splits=splits, vocab=vocab, labels=labels,
-                         languages=languages, L=12, N=10, unified=True,
-                         table_hash="ab" * 32)
-
-
-def _records(fset: FeaturizedSet) -> list[tuple[str, LabeledSample]]:
-    return [(name, s) for name, samples in fset.splits.items()
-            for s in samples]
-
-
-class TestFeaturizedFile:
-    def test_roundtrip(self, vocab, tmp_path):
-        fset = _toy_set(vocab)
-        out = tmp_path / "corpus.feat"
-        write_featurized(out, **vars(fset))
-        back = read_featurized(out)
-        assert (back.L, back.N) == (fset.L, fset.N)
-        assert back.vocab.kinds == fset.vocab.kinds
-        assert back.labels == fset.labels
-        assert back.languages == fset.languages
-        assert back.unified is True
-        assert back.table_hash == fset.table_hash
-        assert len(_records(back)) == len(_records(fset))
-        for (split, orig), (got_split, got) in zip(_records(fset),
-                                                   _records(back)):
-            assert (got.label, got.label_index, got.language, got_split) == (
-                orig.label, orig.label_index, orig.language, split)
-            assert np.array_equal(got.path_seq.indices, orig.path_seq.indices)
-            assert got.path_seq.true_length == orig.path_seq.true_length
-            assert np.array_equal(got.graph.node_kinds, orig.graph.node_kinds)
-            assert got.graph.node_count == orig.graph.node_count
-            assert np.array_equal(got.graph.edges, orig.graph.edges)
-            assert np.array_equal(got.graph.norm_adj, orig.graph.norm_adj)
-
-    def test_rewrite_is_bitwise_stable(self, vocab, tmp_path):
-        fset = _toy_set(vocab)
-        a, b = tmp_path / "a.feat", tmp_path / "b.feat"
-        write_featurized(a, **vars(fset))
-        write_featurized(b, **vars(read_featurized(a)))
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError):
-            read_featurized(tmp_path / "absent.feat")
-
-    def test_wrong_magic(self, vocab, tmp_path):
-        out = tmp_path / "c.feat"
-        write_featurized(out, **vars(_toy_set(vocab)))
-        data = bytearray(out.read_bytes())
-        data[0] ^= 0xFF
-        out.write_bytes(bytes(data))
-        with pytest.raises(DataError):
-            read_featurized(out)
-
-    def test_unsupported_version(self, vocab, tmp_path):
-        out = tmp_path / "c.feat"
-        write_featurized(out, **vars(_toy_set(vocab)))
-        data = bytearray(out.read_bytes())
-        data[8] = 99
-        out.write_bytes(bytes(data))
-        with pytest.raises(DataError):
-            read_featurized(out)
-
-    def test_corrupt_header_json(self, vocab, tmp_path):
-        out = tmp_path / "c.feat"
-        write_featurized(out, **vars(_toy_set(vocab)))
-        data = bytearray(out.read_bytes())
-        data[25] = ord("{")
-        out.write_bytes(bytes(data))
-        with pytest.raises(DataError):
-            read_featurized(out)
-
-    def test_truncated_records(self, vocab, tmp_path):
-        out = tmp_path / "c.feat"
-        write_featurized(out, **vars(_toy_set(vocab)))
-        out.write_bytes(out.read_bytes()[:-9])
-        with pytest.raises(DataError):
-            read_featurized(out)
-
-    def test_trailing_bytes(self, vocab, tmp_path):
-        out = tmp_path / "c.feat"
-        write_featurized(out, **vars(_toy_set(vocab)))
-        out.write_bytes(out.read_bytes() + b"\x00\x01")
-        with pytest.raises(DataError):
-            read_featurized(out)
-
-    @pytest.mark.parametrize("key", ["L", "N", "kinds", "count"])
-    def test_header_without_a_field(self, vocab, tmp_path, key):
-        out = tmp_path / "c.feat"
-        write_featurized(out, **vars(_toy_set(vocab)))
-        rewrite_json_header(out, lambda h: h.pop(key))
-        with pytest.raises(DataError, match=f"corrupt header: no {key}$"):
-            read_featurized(out)
-
-    @pytest.mark.parametrize("key, value", [("count", "x"), ("L", "x"),
-                                            ("N", 2.5), ("kinds", 5)])
-    def test_header_field_of_the_wrong_type(self, vocab, tmp_path, key,
-                                            value):
-        out = tmp_path / "c.feat"
-        write_featurized(out, **vars(_toy_set(vocab)))
-        rewrite_json_header(out, lambda h: h.update({key: value}))
-        with pytest.raises(DataError, match="corrupt header"):
-            read_featurized(out)
-
-    # values of another type, each refused with the type its key needs
-    @pytest.mark.parametrize("key, kind, value", [
-        ("unified", "bool", "no"), ("table_hash", "str", 5),
-        ("L", "int", True)])
-    def test_header_value_of_another_type_names_it(self, vocab, tmp_path,
-                                                   key, kind, value):
-        out = tmp_path / "c.feat"
-        write_featurized(out, **vars(_toy_set(vocab)))
-        rewrite_json_header(out, lambda h: h.update({key: value}))
-        with pytest.raises(DataError, match=re.escape(
-                f"corrupt header: {key} must be of type {kind}, "
-                f"got {value!r}")):
-            read_featurized(out)
-
-    @pytest.mark.parametrize("key", ["labels", "languages", "kinds"])
-    @pytest.mark.parametrize("value", ["xy", [1, 2], ["x", None], {"x": 1}])
-    def test_header_names_that_are_not_a_list_of_strings(self, vocab, tmp_path,
-                                                         key, value):
-        out = tmp_path / "c.feat"
-        write_featurized(out, **vars(_toy_set(vocab)))
-        rewrite_json_header(out, lambda h: h.update({key: value}))
-        with pytest.raises(DataError, match=re.escape(
-                f"corrupt header: {key} must be of type list[str]")):
-            read_featurized(out)
-
-    def test_file_shorter_than_its_frame(self, tmp_path):
-        out = tmp_path / "c.feat"
-        out.write_bytes(MAGIC + b"\x01\x00")
-        with pytest.raises(DataError, match="truncated header"):
-            read_featurized(out)
-
-    def test_header_that_is_not_an_object(self, tmp_path):
-        out = tmp_path / "c.feat"
-        blob = b"[1, 2, 3]"
-        out.write_bytes(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob))
-                        + blob)
-        with pytest.raises(DataError, match="not a JSON object"):
-            read_featurized(out)
-
-
-def _bad_record(vocab, **changes) -> FeaturizedSet:
-    """The toy set with its first sample's views replaced."""
-    fset = _toy_set(vocab)
-    train = fset.splits["train"]
-    train[0] = dataclasses.replace(train[0], **changes)
-    return fset
-
-
-def _patch_first_record(path: Path, field: str, value: int) -> None:
-    """Overwrite one u16 index of the file's first record."""
-    data = bytearray(path.read_bytes())
-    (header_len,) = struct.unpack_from("<Q", data, 12)
-    at = 20 + header_len + {"label": 0, "language": 2}[field]
-    struct.pack_into("<H", data, at, value)
-    path.write_bytes(bytes(data))
-
-
-class TestFeaturizedRecordChecks:
-    """Records no featurized sample can produce are refused on reading."""
-
-    @pytest.mark.parametrize("graph, reason", [
-        # such a record once read back silently and then broke propagate
-        (([1, 2, 3], [(0, 5)]), "edge endpoint 5 outside [0, 3)"),
-        (([1, 2, 3], [(0, 1), (1, 1)]), "self edge"),
-        (([1, 2, 3], [(0, 1), (1, 2), (1, 0)]), "repeated edge"),
-        (([1, 2, 3], [(0, 1), (0, 1)]), "repeated edge"),
-    ])
-    def test_bad_edges_raise_data_error(self, vocab, tmp_path, graph, reason):
-        out = tmp_path / "bad.feat"
-        fset = _bad_record(vocab, graph=make_graph(*graph))
-        write_featurized(out, **vars(fset))
-        with pytest.raises(DataError, match=re.escape("record 0: " + reason)):
-            read_featurized(out)
-
-    @pytest.mark.parametrize("view, name", [("path", "true_length"),
-                                            ("graph", "node_count")])
-    def test_empty_views_raise(self, vocab, tmp_path, view, name):
-        # every tree has its root, so no sample has an empty view; a sast
-        # model once read such a record back and classified it
-        empty = {"path": {"path_seq": make_path([])},
-                 "graph": {"graph": make_graph([], [])}}
-        out = tmp_path / "bad.feat"
-        write_featurized(out, **vars(_bad_record(vocab, **empty[view])))
-        with pytest.raises(DataError, match=f"record 0: {name} 0"):
-            read_featurized(out)
-
-    def test_lengths_that_disagree_with_the_prefix_raise(self, vocab,
-                                                         tmp_path):
-        # a record holds the longer view's kinds; one kind more than both
-        # lengths would once have been dropped without a word
-        out = tmp_path / "bad.feat"
-        write_featurized(out, **vars(_toy_set(vocab)))
-        data = bytearray(out.read_bytes())
-        (header_len,) = struct.unpack_from("<Q", data, 12)
-        at = 20 + header_len + 5  # the first record's true_length
-        m = struct.unpack_from("<III", data, at)[2]
-        struct.pack_into("<II", data, at, m - 1, m - 1)
-        out.write_bytes(bytes(data))
-        with pytest.raises(DataError, match=f"record 0: {m} kinds for "
-                                            f"true_length {m - 1}"):
-            read_featurized(out)
-
-    def test_lengths_beyond_the_header_raise(self, vocab, tmp_path):
-        fset = _toy_set(vocab)
-        long_path, big_graph = featurize_sample(
-            chain_tree(["alpha"] * 20), vocab, L=fset.L + 1, N=fset.N + 1)
-        for changes, reason in (({"path_seq": long_path}, "true_length 13"),
-                                ({"graph": big_graph}, "node_count 11")):
-            out = tmp_path / "bad.feat"
-            write_featurized(out, **vars(_bad_record(vocab, **changes)))
-            with pytest.raises(DataError, match=reason):
-                read_featurized(out)
-
-    @pytest.mark.parametrize("changes, reason", [
-        ({"label": 2}, "label index 2 outside [0, 2)"),
-        ({"language": 3}, "language index 3 outside [0, 3)"),
-    ])
-    def test_indices_outside_header_lists_raise(self, vocab, tmp_path,
-                                                changes, reason):
-        # the writer maps each sample's language name through the header's
-        # list, so an index outside it can only be planted in the bytes
-        out = tmp_path / "bad.feat"
-        write_featurized(out, **vars(_toy_set(vocab)))
-        [(field, value)] = changes.items()
-        _patch_first_record(out, field, value)
-        with pytest.raises(DataError, match=re.escape(reason)):
-            read_featurized(out)
-
-    def test_kind_outside_vocabulary_raises(self, vocab, tmp_path):
-        fset = _toy_set(vocab)
-        small = vocabulary_from_kinds(KINDS[:1])
-        out = tmp_path / "bad.feat"
-        write_featurized(out, **vars(dataclasses.replace(fset, vocab=small)))
-        with pytest.raises(DataError, match="kind index"):
-            read_featurized(out)

@@ -268,7 +268,8 @@ class TestIngest:
 
 def flat_samples(count, language="python", label="a"):
     return [LabeledSample(source_path=f"{label}/{language}/{i:05}",
-                          language=language, label=label, label_index=0)
+                          language=language, label=label, label_index=0,
+                          tree=None)
             for i in range(count)]
 
 
@@ -937,6 +938,9 @@ class TestCheckpoint:
         lambda d: d[:len(d) // 2],                      # truncated arrays
         lambda d: d + b"\x00" * 8,                      # trailing bytes
         lambda d: d[:40],                               # truncated header
+        lambda d: d[:12],                               # shorter than prefix
+        lambda d: d[:20] + b"x" + d[21:],               # header not JSON
+        lambda d: d[:12] + struct.pack("<Q", 9) + b"[1, 2, 3]",  # not object
     ])
     def test_corrupt_files_rejected(self, tmp_path, mangle):
         path = tmp_path / "model.ckpt"
