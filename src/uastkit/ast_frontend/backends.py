@@ -76,7 +76,7 @@ def source_language(path: str | Path,
 def load_tree(text: str, language: str | None, is_sexpr: bool,
               path: str | None = None) -> FlatTree:
     """An S-expression read as written, or source parsed (parse_source)."""
-    return flatten(load_ast_sexpr(text)) if is_sexpr else \
+    return load_ast_sexpr(text) if is_sexpr else \
         parse_source(text, language, path)
 
 

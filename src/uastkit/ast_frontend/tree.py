@@ -1,12 +1,13 @@
 """Rooted ordered trees of node-kind labels, plus the S-expression interchange.
 
 Node identity is the grammar kind label only; token text is never stored.
-The parsers and the S-expression reader build a graph of AstNode objects,
-and flatten turns it into the one form every other caller gets: a FlatTree
-holds each node's kind in pre-order (node first, then its subtrees left to
-right) and each node's parent index in a 4-byte integer array, -1 at the
-root.  A parent precedes its children, so any prefix of the pre-order is a
-tree.  All walks are iterative so deep trees cannot hit the recursion limit.
+The parsers build a graph of AstNode objects, and flatten turns it into the
+one form every other caller gets: a FlatTree holds each node's kind in
+pre-order (node first, then its subtrees left to right) and each node's
+parent index in a 4-byte integer array, -1 at the root.  S-expression text
+is already in pre-order, so its reader builds the flat form directly.  A
+parent precedes its children, so any prefix of the pre-order is a tree.
+All walks are iterative so deep trees cannot hit the recursion limit.
 """
 
 from __future__ import annotations
@@ -68,14 +69,15 @@ def node_count(tree: FlatTree) -> int:
 # Whitespace (any str.isspace() character) separates tokens and is
 # otherwise ignored.
 
-def load_ast_sexpr(text: str) -> AstNode:
-    """Parse a parenthesized tree string into an AstNode.
+def load_ast_sexpr(text: str) -> FlatTree:
+    """Read a parenthesized tree string into its flat pre-order form.
 
     Raises MalformedSExpr with the byte offset of the first problem.
     """
     i, n = 0, len(text)
-    root: AstNode | None = None
-    stack: list[AstNode] = []
+    kinds: list[str] = []
+    parents = array("i")
+    open_nodes: list[int] = []  # the indices of the nodes not yet closed
     while i < n:
         c = text[i]
         if c.isspace():
@@ -91,29 +93,26 @@ def load_ast_sexpr(text: str) -> AstNode:
                 j += 1
             if j == i:
                 raise MalformedSExpr("empty kind", start)
+            if kinds and not open_nodes:
+                raise MalformedSExpr("multiple root trees", start)
+            parents.append(open_nodes[-1] if open_nodes else -1)
+            open_nodes.append(len(kinds))
             # interned, so a corpus holds one string per distinct kind, as
             # the parsers' kinds are, not one per node
-            node = AstNode(sys.intern(text[i:j]))
-            if stack:
-                stack[-1].children.append(node)
-            elif root is not None:
-                raise MalformedSExpr("multiple root trees", start)
-            else:
-                root = node
-            stack.append(node)
+            kinds.append(sys.intern(text[i:j]))
             i = j
         elif c == ")":
-            if not stack:
+            if not open_nodes:
                 raise MalformedSExpr("unbalanced ')'", i)
-            stack.pop()
+            open_nodes.pop()
             i += 1
         else:
             raise MalformedSExpr(f"unexpected character {c!r}", i)
-    if stack:
+    if open_nodes:
         raise MalformedSExpr("unbalanced '(': tree left open", n)
-    if root is None:
+    if not kinds:
         raise MalformedSExpr("no tree found", 0)
-    return root
+    return FlatTree(kinds, parents)
 
 
 def render_sexpr(tree: FlatTree, pretty: bool = False) -> str:

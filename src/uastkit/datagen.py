@@ -4,8 +4,9 @@ Emits three algorithm classes (iterative_sum, binary_search, bubble_sort)
 in Java and Python with surface-level randomization: identifier names,
 constants, optional dead statements, and loop-style variation.  The class
 structure stays intact, so a correct model can generalize across the
-surface noise.  Everything derives from one seed, making generated corpora
-reproducible byte for byte.
+surface noise.  Each class is built once, as a list of statements that a
+per-language syntax table prints.  Everything derives from one seed, making
+generated corpora reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .errors import UsageError
 
 CLASSES = ("iterative_sum", "binary_search", "bubble_sort")
 LANGUAGES = ("java", "python")
-_EXT = {"java": ".java", "python": ".py"}
 
 _NAMES = ["total", "probe", "walker", "runner", "scan", "merge", "lookup",
           "handle", "process", "compute", "resolve", "gather", "reduce",
@@ -46,119 +46,106 @@ class _Namer:
         return name
 
 
-def _dead_java(nm: _Namer, rng: np.random.Generator) -> str:
+# A statement is (kind, args, *blocks).  A language prints it as its
+# table's format for kind, filled with args, then each block one level
+# deeper, an "else" line before a second block, and an "end" line after the
+# last, where the language has one.  A language with a "class" format wraps
+# the function in a class whose name it draws; one with a "swap" format
+# draws whether bubble_sort swaps in one statement.
+_SYNTAX = {
+    "java": {"ext": ".java", "len": "{}.length", "div": "/",
+             "class": "class {} {{", "def": "{} {}({}) {{", "param": "{} {}",
+             "decl": "int {} = {};", "assign": "{} = {};",
+             "return": "return {};", "while": "while ({}) {{",
+             "for": "for (int {0} = {1}; {0} < {2}; {0}++) {{",
+             "for0": "for (int {0} = 0; {0} < {1}; {0}++) {{",
+             "if": "if ({}) {{", "else": "} else {", "end": "}"},
+    "python": {"ext": ".py", "len": "len({})", "div": "//",
+               "def": "def {1}({2}):", "param": "{1}", "decl": "{} = {}",
+               "assign": "{} = {}", "swap": "{0}, {1} = {1}, {0}",
+               "return": "return {}", "while": "while {}:", "if": "if {}:",
+               "for": "for {} in range({}, {}):",
+               "for0": "for {} in range({}):", "else": "else:", "end": None},
+}
+
+
+def _lines(statements: list, syntax: dict, depth: int = 0):
+    pad = "    " * depth
+    for kind, args, *blocks in statements:
+        yield pad + syntax[kind].format(*args)
+        for k, block in enumerate(blocks):
+            if k:
+                yield pad + syntax["else"]
+            yield from _lines(block, syntax, depth + 1)
+        if blocks and syntax["end"]:
+            yield pad + syntax["end"]
+
+
+def _head(syntax: dict, nm: _Namer, rng: np.random.Generator):
+    """The class name where the language has classes, then a dead statement."""
+    cls = nm.pick(_CLASSNAMES) if "class" in syntax else None
     if rng.random() < 0.5:
-        return ""
-    return f"        int {nm.pick(_VARS)} = {int(rng.integers(0, 50))};\n"
+        return cls, []
+    return cls, [("decl", (nm.pick(_VARS), int(rng.integers(0, 50))))]
 
 
-def _dead_py(nm: _Namer, rng: np.random.Generator) -> str:
-    if rng.random() < 0.5:
-        return ""
-    return f"    {nm.pick(_VARS)} = {int(rng.integers(0, 50))}\n"
+def _file(syntax: dict, cls: str | None, ret: str, fn: str,
+          params: list[tuple[str, str]], body: list) -> str:
+    params = ", ".join(syntax["param"].format(*p) for p in params)
+    program = [("def", (ret, fn, params), body)]
+    program = [("class", (cls,), program)] if cls else program
+    return "".join(line + "\n" for line in _lines(program, syntax))
 
 
-def _iterative_sum(language: str, rng: np.random.Generator) -> str:
+def _iterative_sum(syntax: dict, rng: np.random.Generator) -> str:
     nm = _Namer(rng)
     fn, n, s, i = (nm.pick(_NAMES), nm.pick(_VARS), nm.pick(_VARS),
                    nm.pick(["i", "j", "k", "t"]))
     start = int(rng.integers(0, 3))
     use_while = bool(rng.random() < 0.5)
-    if language == "java":
-        cls = nm.pick(_CLASSNAMES)
-        dead = _dead_java(nm, rng)
-        if use_while:
-            body = (f"        int {i} = {start};\n"
-                    f"        while ({i} < {n}) {{\n"
-                    f"            {s} = {s} + {i};\n"
-                    f"            {i} = {i} + 1;\n"
-                    f"        }}\n")
-        else:
-            body = (f"        for (int {i} = {start}; {i} < {n}; {i}++) {{\n"
-                    f"            {s} = {s} + {i};\n"
-                    f"        }}\n")
-        return (f"class {cls} {{\n"
-                f"    int {fn}(int {n}) {{\n"
-                f"        int {s} = 0;\n{dead}{body}"
-                f"        return {s};\n    }}\n}}\n")
-    dead = _dead_py(nm, rng)
+    cls, dead = _head(syntax, nm, rng)
+    add, step = ("assign", (s, f"{s} + {i}")), ("assign", (i, f"{i} + 1"))
+    loop = [("for", (i, start, n), [add])]
     if use_while:
-        body = (f"    {i} = {start}\n    while {i} < {n}:\n"
-                f"        {s} = {s} + {i}\n        {i} = {i} + 1\n")
-    else:
-        body = (f"    for {i} in range({start}, {n}):\n"
-                f"        {s} = {s} + {i}\n")
-    return f"def {fn}({n}):\n    {s} = 0\n{dead}{body}    return {s}\n"
+        loop = [("decl", (i, start)), ("while", (f"{i} < {n}",), [add, step])]
+    body = [("decl", (s, 0)), *dead, *loop, ("return", (s,))]
+    return _file(syntax, cls, "int", fn, [("int", n)], body)
 
 
-def _binary_search(language: str, rng: np.random.Generator) -> str:
+def _binary_search(syntax: dict, rng: np.random.Generator) -> str:
     nm = _Namer(rng)
     fn, arr, target = nm.pick(_NAMES), nm.pick(_VARS), nm.pick(_VARS)
     lo, hi, mid = nm.pick(_VARS), nm.pick(_VARS), nm.pick(_VARS)
     miss = int(rng.integers(1, 3)) * -1
-    if language == "java":
-        cls = nm.pick(_CLASSNAMES)
-        dead = _dead_java(nm, rng)
-        return (f"class {cls} {{\n"
-                f"    int {fn}(int[] {arr}, int {target}) {{\n"
-                f"        int {lo} = 0;\n"
-                f"        int {hi} = {arr}.length - 1;\n{dead}"
-                f"        while ({lo} <= {hi}) {{\n"
-                f"            int {mid} = ({lo} + {hi}) / 2;\n"
-                f"            if ({arr}[{mid}] == {target}) {{\n"
-                f"                return {mid};\n            }}\n"
-                f"            if ({arr}[{mid}] < {target}) {{\n"
-                f"                {lo} = {mid} + 1;\n"
-                f"            }} else {{\n"
-                f"                {hi} = {mid} - 1;\n            }}\n"
-                f"        }}\n"
-                f"        return {miss};\n    }}\n}}\n")
-    dead = _dead_py(nm, rng)
-    return (f"def {fn}({arr}, {target}):\n"
-            f"    {lo} = 0\n"
-            f"    {hi} = len({arr}) - 1\n{dead}"
-            f"    while {lo} <= {hi}:\n"
-            f"        {mid} = ({lo} + {hi}) // 2\n"
-            f"        if {arr}[{mid}] == {target}:\n"
-            f"            return {mid}\n"
-            f"        if {arr}[{mid}] < {target}:\n"
-            f"            {lo} = {mid} + 1\n"
-            f"        else:\n"
-            f"            {hi} = {mid} - 1\n"
-            f"    return {miss}\n")
+    cls, dead = _head(syntax, nm, rng)
+    at = f"{arr}[{mid}]"
+    body = [("decl", (lo, 0)),
+            ("decl", (hi, syntax["len"].format(arr) + " - 1")), *dead,
+            ("while", (f"{lo} <= {hi}",), [
+                ("decl", (mid, f"({lo} + {hi}) {syntax['div']} 2")),
+                ("if", (f"{at} == {target}",), [("return", (mid,))]),
+                ("if", (f"{at} < {target}",),
+                 [("assign", (lo, f"{mid} + 1"))],
+                 [("assign", (hi, f"{mid} - 1"))])]),
+            ("return", (miss,))]
+    return _file(syntax, cls, "int", fn, [("int[]", arr), ("int", target)],
+                 body)
 
 
-def _bubble_sort(language: str, rng: np.random.Generator) -> str:
+def _bubble_sort(syntax: dict, rng: np.random.Generator) -> str:
     nm = _Namer(rng)
     fn, a = nm.pick(_NAMES), nm.pick(_VARS)
     i, j = nm.pick(["i", "x", "r"]), nm.pick(["j", "y", "c"])
     t = nm.pick(_VARS)
-    if language == "java":
-        cls = nm.pick(_CLASSNAMES)
-        dead = _dead_java(nm, rng)
-        return (f"class {cls} {{\n"
-                f"    void {fn}(int[] {a}) {{\n{dead}"
-                f"        for (int {i} = 0; {i} < {a}.length; {i}++) {{\n"
-                f"            for (int {j} = 0; {j} < {a}.length - 1; {j}++) {{\n"
-                f"                if ({a}[{j}] > {a}[{j} + 1]) {{\n"
-                f"                    int {t} = {a}[{j}];\n"
-                f"                    {a}[{j}] = {a}[{j} + 1];\n"
-                f"                    {a}[{j} + 1] = {t};\n"
-                f"                }}\n            }}\n        }}\n"
-                f"    }}\n}}\n")
-    dead = _dead_py(nm, rng)
-    swap_tuple = bool(rng.random() < 0.5)
-    if swap_tuple:
-        swap = (f"                {a}[{j}], {a}[{j} + 1] = "
-                f"{a}[{j} + 1], {a}[{j}]\n")
-    else:
-        swap = (f"                {t} = {a}[{j}]\n"
-                f"                {a}[{j}] = {a}[{j} + 1]\n"
-                f"                {a}[{j} + 1] = {t}\n")
-    return (f"def {fn}({a}):\n{dead}"
-            f"    for {i} in range(len({a})):\n"
-            f"        for {j} in range(len({a}) - 1):\n"
-            f"            if {a}[{j}] > {a}[{j} + 1]:\n{swap}")
+    cls, dead = _head(syntax, nm, rng)
+    x, y = f"{a}[{j}]", f"{a}[{j} + 1]"
+    swap = [("decl", (t, x)), ("assign", (x, y)), ("assign", (y, t))]
+    if "swap" in syntax and rng.random() < 0.5:
+        swap = [("swap", (x, y))]
+    size = syntax["len"].format(a)
+    body = [*dead, ("for0", (i, size), [
+        ("for0", (j, size + " - 1"), [("if", (f"{x} > {y}",), swap)])])]
+    return _file(syntax, cls, "void", fn, [("int[]", a)], body)
 
 
 _BUILDERS = {"iterative_sum": _iterative_sum,
@@ -183,8 +170,8 @@ def generate_corpus(out_dir: str | Path, seed: int = 42,
                 rng = np.random.default_rng(
                     [seed, CLASSES.index(label), LANGUAGES.index(language),
                      index])
-                text = _BUILDERS[label](language, rng)
-                name = f"sample_{index:03d}{_EXT[language]}"
+                text = _BUILDERS[label](_SYNTAX[language], rng)
+                name = f"sample_{index:03d}{_SYNTAX[language]['ext']}"
                 (target / name).write_text(text, encoding="utf-8")
                 written += 1
     return written

@@ -34,7 +34,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .errors import ConfigError, ShapeMismatch
 from .featurizer import GraphSample, PathSequence
-from .frame import check_types
+from .typecheck import check_types
 
 MODES = ("uast", "sast", "gast")
 GCN_ACTIVATIONS = ("relu", "sigmoid", "tanh")
@@ -63,8 +63,8 @@ class ModelSettings:
     learned_projections: bool = False
 
     def check(self, *sizes: str) -> None:
-        """Refuse a setting not of its declared type (frame.has_type) or one
-        no model can be built with; sizes: more fields that must be >= 1."""
+        """Refuse a setting not of its declared type (typecheck.has_type) or
+        one no model can be built with; sizes: more fields, each >= 1."""
         check_types(vars(self), get_type_hints(type(self)), ConfigError)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")

@@ -20,14 +20,14 @@ import numpy as np
 
 from ..ast_frontend import Vocabulary, vocabulary_from_kinds
 from ..errors import CheckpointError, ConfigError
-from ..frame import check_types
 from ..model import ModelConfig, ModelParams, empty_params
+from ..typecheck import check_types
 
 MAGIC = b"UASTCKPT"
 FORMAT_VERSION = 2
 _PREFIX = struct.Struct("<8sIQ")
 
-# each header value's type (frame.has_type); one that may be null may be absent
+# each header value's type (typecheck.has_type); a nullable one may be absent
 _HEADER_TYPES = {
     "config": dict, "vocab_kinds": list[str], "labels": list[str],
     "languages": list[str], "table_hash": str, "unified": bool, "seed": int,

@@ -35,7 +35,7 @@ from ..errors import (
     UnknownExtension,
 )
 from ..featurizer import GraphSample, PathSequence
-from ..frame import has_type
+from ..typecheck import has_type
 
 log = logging.getLogger("uastkit.corpus")
 

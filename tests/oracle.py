@@ -24,11 +24,13 @@ tokens, an unterminated block comment running to the end of the text
 included.  unify_ast, build_vocabulary, featurize_sample, node_count and
 render_sexpr are the walks over a graph of AstNode objects that ran before
 every tree became one flat pre-order form; unflatten rebuilds that graph
-from the flat form.
+from the flat form.  load_ast_sexpr is the S-expression reader as it ran
+when it built that graph, before it built the flat form in its one pass.
 """
 
 import math
 import re
+import sys
 
 import numpy as np
 
@@ -44,7 +46,12 @@ from uastkit.autograd import (
 from uastkit.ast_frontend import AstNode, FlatTree, Vocabulary
 from uastkit.ast_frontend.clike_backend import _KEYWORDS
 from uastkit.ast_frontend.unify import _canon_language
-from uastkit.errors import EmptyCorpus, LabelOutOfRange, ShapeMismatch
+from uastkit.errors import (
+    EmptyCorpus,
+    LabelOutOfRange,
+    MalformedSExpr,
+    ShapeMismatch,
+)
 from uastkit.featurizer import GraphSample, PathSequence
 
 # --- ops only the oracles use -------------------------------------------------
@@ -779,6 +786,48 @@ def unflatten(tree: FlatTree) -> AstNode:
         if parent >= 0:
             nodes[parent].children.append(nodes[child])
     return nodes[0]
+
+
+def load_ast_sexpr(text: str) -> AstNode:
+    i, n = 0, len(text)
+    root: AstNode | None = None
+    stack: list[AstNode] = []
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c == "(":
+            start = i
+            i += 1
+            while i < n and text[i].isspace():
+                i += 1
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in "()":
+                j += 1
+            if j == i:
+                raise MalformedSExpr("empty kind", start)
+            node = AstNode(sys.intern(text[i:j]))
+            if stack:
+                stack[-1].children.append(node)
+            elif root is not None:
+                raise MalformedSExpr("multiple root trees", start)
+            else:
+                root = node
+            stack.append(node)
+            i = j
+        elif c == ")":
+            if not stack:
+                raise MalformedSExpr("unbalanced ')'", i)
+            stack.pop()
+            i += 1
+        else:
+            raise MalformedSExpr(f"unexpected character {c!r}", i)
+    if stack:
+        raise MalformedSExpr("unbalanced '(': tree left open", n)
+    if root is None:
+        raise MalformedSExpr("no tree found", 0)
+    return root
 
 
 def preorder(root: AstNode):

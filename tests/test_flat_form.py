@@ -1,9 +1,11 @@
 """The flat pre-order form against the node-graph walks it replaced.
 
 Each parser builds a graph of AstNode objects and flatten turns it into the
-one tree form every caller gets.  The walks over the node graph live on in
-oracle.py; on every tree here the functions that take the flat form must
-give the same counts, strings, vocabularies and arrays, bit for bit.
+one tree form every caller gets; the S-expression reader builds that form
+directly.  The walks over the node graph, and the reader that built one,
+live on in oracle.py; on every tree here the functions that take the flat
+form must give the same counts, strings, vocabularies and arrays, bit for
+bit.
 """
 
 import subprocess
@@ -19,6 +21,7 @@ import oracle
 from conftest import TOY_CORPUS, src_env
 from uastkit.ast_frontend import (
     build_vocabulary,
+    flatten,
     load_ast_sexpr,
     load_tree,
     node_count,
@@ -29,19 +32,20 @@ from uastkit.ast_frontend import (
 )
 from uastkit.ast_frontend.backends import _BACKENDS
 from uastkit.datagen import generate_corpus
-from uastkit.errors import ParseFailure
+from uastkit.errors import MalformedSExpr, ParseFailure
 from uastkit.featurizer import featurize_sample
 from uastkit.train_eval import ingest_corpus
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 # the leetcode limits, limits shorter than most trees, and the shortest
 LIMITS = [(200, 400), (16, 24), (40, 12), (1, 1)]
+DEEP_CHAIN = "(method_declaration " * 100_000 + ")" * 100_000
 
 
 def node_graph(text, language, is_sexpr):
     """The AstNode graph a parser or the S-expression reader builds."""
     if is_sexpr:
-        return load_ast_sexpr(text)
+        return oracle.load_ast_sexpr(text)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SyntaxWarning)
         return _BACKENDS[language](text)
@@ -123,14 +127,42 @@ def test_nothing_parseable_fails_on_both(name):
 
 
 def test_deep_chain_stays_iterative(default_table):
-    depth = 100_000
-    text = "(method_declaration " * depth + ")" * depth
     # its indented rendering would grow with the square of the depth
-    [flat] = assert_same_as_oracle([(text, "java", True)], default_table,
-                                   pretty_views=[False])
-    assert node_count(flat) == depth
+    [flat] = assert_same_as_oracle([(DEEP_CHAIN, "java", True)],
+                                   default_table, pretty_views=[False])
+    assert node_count(flat) == 100_000
     assert list(flat.parents[:3]) == [-1, 0, 1]
     assert flat.kinds[-1] == "function_definition"
+
+
+# every golden tree, a chain past any recursion limit, and odd spacing
+SEXPR_TEXTS = {
+    **{path.name: path.read_text(encoding="utf-8")
+       for path in GOLDEN.glob("*.sexpr")},
+    "deep_chain": DEEP_CHAIN, "no_spaces": "(a(b)(c))",
+    "spaced": "  ( a \n ( b )\t( c ) ) ", "form_feed": "(a\x0c(b))",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEXPR_TEXTS))
+def test_sexpr_reader_builds_the_graph_readers_tree(name):
+    text = SEXPR_TEXTS[name]
+    tree = load_ast_sexpr(text)
+    assert tree == flatten(oracle.load_ast_sexpr(text))
+    assert tree.parents.typecode == "i"
+
+
+@pytest.mark.parametrize("text", ["", "(", ")", "(a", "(a))", "(a) (b)",
+                                  "()", "( )", "a", "(a\xa0b)", "(a) x",
+                                  " (a (b) (c)) )", "(a (b)\n(c) ) (d)",
+                                  DEEP_CHAIN + ")"])
+def test_malformed_sexpr_fails_as_the_graph_reader_did(text):
+    with pytest.raises(MalformedSExpr) as want:
+        oracle.load_ast_sexpr(text)
+    with pytest.raises(MalformedSExpr) as got:
+        load_ast_sexpr(text)
+    assert str(got.value) == str(want.value)
+    assert got.value.offset == want.value.offset
 
 
 def test_parent_array_is_four_bytes_per_node():
