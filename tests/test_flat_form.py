@@ -65,6 +65,7 @@ def assert_same_as_oracle(files, table, pretty_views=(False, True)):
     for text, language, is_sexpr in files:
         flat = load_tree(text, language, is_sexpr)
         graph = node_graph(text, language, is_sexpr)
+        assert flat == flatten(graph)
         assert node_count(flat) == oracle.node_count(graph)
         for pretty in pretty_views:
             assert render_sexpr(flat, pretty) == \
@@ -133,23 +134,6 @@ def test_deep_chain_stays_iterative(default_table):
     assert node_count(flat) == 100_000
     assert list(flat.parents[:3]) == [-1, 0, 1]
     assert flat.kinds[-1] == "function_definition"
-
-
-# every golden tree, a chain past any recursion limit, and odd spacing
-SEXPR_TEXTS = {
-    **{path.name: path.read_text(encoding="utf-8")
-       for path in GOLDEN.glob("*.sexpr")},
-    "deep_chain": DEEP_CHAIN, "no_spaces": "(a(b)(c))",
-    "spaced": "  ( a \n ( b )\t( c ) ) ", "form_feed": "(a\x0c(b))",
-}
-
-
-@pytest.mark.parametrize("name", sorted(SEXPR_TEXTS))
-def test_sexpr_reader_builds_the_graph_readers_tree(name):
-    text = SEXPR_TEXTS[name]
-    tree = load_ast_sexpr(text)
-    assert tree == flatten(oracle.load_ast_sexpr(text))
-    assert tree.parents.typecode == "i"
 
 
 @pytest.mark.parametrize("text", ["", "(", ")", "(a", "(a))", "(a) (b)",
