@@ -797,6 +797,31 @@ class TestSavedArrayOracle:
                                                      reverse),
                 [(packing.total, 3), (4 + 3, 16), (1, 16)], seed)
 
+    # the leetcode profile's sizes, where BLAS runs the kernels training
+    # runs: 20 paths over about 2,000 rows, one of them a single row
+    BIG = [1] + np.random.default_rng(11).integers(2, 201, 19).tolist()
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_attention_at_benchmark_sizes(self, shared):
+        packing = ag.Packing(self.BIG)
+
+        def run(attend):
+            def op(*qkv):
+                return attend(*(qkv * 3 if shared else qkv), packing, 4,
+                              0.2, True, np.random.default_rng(5))
+            return op
+
+        self._same_bits(run(ag.attention), run(saved_attention),
+                        [(packing.total, 200)] * (1 if shared else 3), 3)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm_direction_at_benchmark_sizes(self, reverse):
+        packing = ag.Packing(self.BIG)
+        self._same_bits(
+            lambda x, w, b: ag.lstm_direction(x, w, b, packing, reverse),
+            lambda x, w, b: saved_lstm_direction(x, w, b, packing, reverse),
+            [(packing.total, 200), (64 + 200, 256), (1, 256)], 4)
+
 
 # --- dropout ---------------------------------------------------------------------
 
