@@ -414,6 +414,7 @@ class _Parser:
         return AstNode(self.k["params"], self._comma_list(")", self.java_param))
 
     def java_param(self) -> AstNode:
+        mods = self.java_modifiers()
         t = self.java_type()
         self.accept("...")
         if self.peek().type != "id":
@@ -421,7 +422,7 @@ class _Parser:
         self.next()
         while self.accept("["):
             self.expect("]")
-        return AstNode(self.k["param"], [t, AstNode("identifier")])
+        return AstNode(self.k["param"], mods + [t, AstNode("identifier")])
 
     def java_type_list(self) -> None:
         """`Type, Type, ...` after extends, implements or throws."""

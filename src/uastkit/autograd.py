@@ -9,7 +9,8 @@ a whole GCN layer, act(Â H W), as one tape node, and cross_entropy_loss
 the whole loss.
 
 backward() consumes the tape: it drops each closure once run, so a node
-saves only what its backward pass cannot recompute bit for bit.  .grad
+saves only what its backward pass cannot recompute bit for bit, and that
+pass may write over what its node saved and drop it early.  .grad
 accumulates over tapes until zero_grads.  A first gradient is stored
 as g + 0.0 (-0.0 becomes 0.0): in place, adopting g, when a backward pass
 made g for that input alone (owned); in a copy when g is the output's
@@ -378,7 +379,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, packing: Packing, heads: int,
     draws a [heads, T, T] mask, T the longest length, and keeps its
     [:, :n_b, :n_b] corner as booleans: the stream of one padded [B, heads,
     T, T] draw.  The node keeps each row's largest score and sum and the
-    masks; the backward pass recomputes the weights from q and k.
+    masks; the backward pass recomputes the weights from q and k.  Both
+    passes write each head through a view of an [S x d] array, so the
+    output and the three gradients need no transposing copy.
     """
     rows, d = q.shape
     if (rows != packing.total or k.shape != q.shape or v.shape != q.shape
@@ -408,7 +411,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, packing: Packing, heads: int,
         probs /= total
         return probs, top, total
 
-    out = np.empty((heads, rows, hd))
+    out = np.empty((rows, d))
     saved = []  # per sequence: each row's largest score and sum, and keep
     for span in spans:
         n = span.stop - span.start
@@ -416,11 +419,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, packing: Packing, heads: int,
         keep = None if test is None else test((heads, steps, steps))[
             :, :n, :n].copy()
         weights = probs if keep is None else probs * keep * scale
-        out[:, span] = weights @ vs[:, span]
+        by_head(out)[:, span] = weights @ vs[:, span]
         saved.append((top, total, keep))
 
     def bw(g):
-        gs, grads = by_head(g), np.empty((3, heads, rows, hd))
+        gs, grads = by_head(g), [np.empty((rows, d)) for _ in range(3)]
+        dq, dk, dv = (by_head(a) for a in grads)
         for span, (top, total, keep) in zip(spans, saved):
             probs = softmax(span, top, total)[0]
             d_scores = gs[:, span] @ vs[:, span].transpose(0, 2, 1)
@@ -429,15 +433,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, packing: Packing, heads: int,
             d_scores *= probs
             d_scores -= probs * d_scores.sum(axis=-1, keepdims=True)
             d_scores *= inv_sqrt
-            grads[0][:, span] = d_scores @ ks[:, span]
-            grads[1][:, span] = d_scores.transpose(0, 2, 1) @ qs[:, span]
+            dq[:, span] = d_scores @ ks[:, span]
+            dk[:, span] = d_scores.transpose(0, 2, 1) @ qs[:, span]
             weights = probs if keep is None else probs * keep * scale
-            grads[2][:, span] = weights.transpose(0, 2, 1) @ gs[:, span]
+            dv[:, span] = weights.transpose(0, 2, 1) @ gs[:, span]
         for t, grad in zip((q, k, v), grads):
             if t.requires_grad:
-                _accum(t, grad.transpose(1, 0, 2).reshape(rows, d), owned=True)
+                _accum(t, grad, owned=True)
 
-    return _node(out.transpose(1, 0, 2).reshape(rows, d), (q, k, v), bw)
+    return _node(out, (q, k, v), bw)
 
 
 def lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, packing: Packing,
@@ -448,7 +452,10 @@ def lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, packing: Packing,
     b_all is [1 x 4h], gate columns in the order i, f, o, c.  Each sequence
     starts from a zero state at its first row, or at its last when reverse.
     Every row's input projection is one GEMM before the recurrence, whose
-    step t updates only the packing's live[t] sequences.
+    step t updates only the packing's live[t] sequences.  The backward pass
+    computes each step's factors from that step's slots and writes its
+    pre-activation gradients over its gate rows; above the node, it then
+    allocates only the row-ordered [S x 4h] gradient and x's.
     """
     rows, in_dim = x.shape
     h = b_all.shape[1] // 4
@@ -481,34 +488,31 @@ def lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, packing: Packing,
     out[slots] = hs
 
     def bw(g):
-        i_g, f_g, o_g, c_hat = (gates[:, j * h:(j + 1) * h] for j in range(4))
-        # every factor that does not depend on the carried dh and dc, over
-        # all slots at once, and the cell state entering each slot
-        c_tanh = np.tanh(cs)
-        dc_dh = o_g * (1.0 - c_tanh * c_tanh)
-        d_sig = gates[:, :3 * h] * (1.0 - gates[:, :3 * h])
-        d_tanh = 1.0 - c_hat * c_hat
-        c_prev = np.zeros((rows, h))
-        c_prev[first:] = cs[packing.prev]
-        d_h, d_pre = g[slots], np.empty((rows, 4 * h))
+        nonlocal gates, cs
+        i_, f_, o_, c_ = (slice(j * h, (j + 1) * h) for j in range(4))
         # carried into the step before, whose first slots they update
         dh_carry = dc_carry = np.zeros((0, h))
-        for lo, n in reversed(packing.spans):
-            hi = lo + n
-            dh = d_h[lo:hi]
+        for t, (lo, n) in reversed(list(enumerate(packing.spans))):
+            # the step's factors from its own slots; its d_pre then goes
+            # over its gate rows, which no step before it reads
+            dp, hi = gates[lo:lo + n], lo + n
+            c_tanh = np.tanh(cs[lo:hi])
+            sig = dp[:, :3 * h] * (1.0 - dp[:, :3 * h])
+            d_tanh = 1.0 - dp[:, c_] * dp[:, c_]
+            back = packing.spans[t - 1][0]  # the step before's first slot
+            c_prev = cs[back:back + n] if t else np.zeros((n, h))
+            dh = g[slots[lo:hi]]
             dh[:len(dh_carry)] += dh_carry
-            dc = dh * dc_dh[lo:hi]
+            dc = dh * (dp[:, o_] * (1.0 - c_tanh * c_tanh))
             dc[:len(dc_carry)] += dc_carry
-            dp, sig = d_pre[lo:hi], d_sig[lo:hi]
-            np.multiply(dc * c_hat[lo:hi], sig[:, :h], out=dp[:, :h])
-            np.multiply(dc * c_prev[lo:hi], sig[:, h:2 * h],
-                        out=dp[:, h:2 * h])
-            np.multiply(dh * c_tanh[lo:hi], sig[:, 2 * h:],
-                        out=dp[:, 2 * h:3 * h])
-            np.multiply(dc * i_g[lo:hi], d_tanh[lo:hi], out=dp[:, 3 * h:])
-            dh_carry, dc_carry = dp @ w_h.T, dc * f_g[lo:hi]
-        # free the per-slot factors, and views of them, before d_rows
-        del c_tanh, dc_dh, d_sig, d_tanh, c_prev, d_h, dh, sig
+            # the gates' own values are read before their rows are written
+            d_i, d_c, dc_carry = dc * dp[:, c_], dc * dp[:, i_], dc * dp[:, f_]
+            np.multiply(d_i, sig[:, i_], out=dp[:, i_])
+            np.multiply(dc * c_prev, sig[:, f_], out=dp[:, f_])
+            np.multiply(dh * c_tanh, sig[:, o_], out=dp[:, o_])
+            np.multiply(d_c, d_tanh, out=dp[:, c_])
+            dh_carry = dp @ w_h.T
+        d_pre, gates, cs = gates, None, None  # d_pre freed after d_rows
         d_wh = out[slots[packing.prev]].T @ d_pre[first:]
         d_b = d_pre.sum(axis=0, keepdims=True)
         d_rows = np.empty_like(d_pre)

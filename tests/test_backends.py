@@ -13,6 +13,7 @@ from uastkit.ast_frontend import (
     flatten,
     node_count,
     parse_source,
+    render_sexpr,
     unify_ast,
 )
 from uastkit.ast_frontend.clike_backend import _KEYWORDS, _Parser, tokenize
@@ -62,6 +63,16 @@ class TestParsing:
         assert node_count(tree) >= 5
         assert "identifier" in kinds
         assert "ERROR" not in kinds
+
+    @pytest.mark.parametrize("param", ["final int[] xs", "@Deprecated int n"])
+    def test_java_parameter_modifiers_keep_the_class_body(self, param):
+        src = (f"class A {{ static long f({param}, int m) {{ return m; }} "
+               "int g() { return 1; } }")
+        tree = parse_source(src, "java")
+        assert "ERROR" not in tree.kinds
+        assert tree.kinds.count("method_declaration") == 2
+        # the parameter's modifiers come before its type, as a method's do
+        assert render_sexpr(tree).count("(formal_parameter (modifiers) (") == 1
 
     def test_java_structure(self):
         kinds = kinds_of(parse_source(ADD_SNIPPETS["java"], "java"))
