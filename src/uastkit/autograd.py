@@ -5,7 +5,7 @@ record a backward closure on the output when any input participates in
 gradient computation, so constant subgraphs (masks, Â X) cost nothing on
 the tape.  Graph structure enters as a Graph: Â's weights and scatter
 rounds, built once per batch from an integer edge list; gcn_layer records
-a whole GCN layer, act(Â H W), as one tape node, and cross_entropy_loss
+a whole GCN layer, relu(Â H W), as one tape node, and cross_entropy_loss
 the whole loss.
 
 backward() consumes the tape: it drops each closure once run, so a node
@@ -210,29 +210,18 @@ class Graph:
         return out
 
 
-def gcn_layer(h: Tensor, w: Tensor, graph: Graph | None,
-              activation: str) -> Tensor:
-    """act(Â h w) as one tape node, or act(h w) when graph is None: a first
-    layer whose h is the constant Â X.  act (relu, sigmoid or tanh) runs in
-    place, and the node keeps only its output y, from which the backward
-    pass takes act'; Â is symmetric, so that pass multiplies by Â too."""
+def gcn_layer(h: Tensor, w: Tensor, graph: Graph | None) -> Tensor:
+    """relu(Â h w) as one tape node, or relu(h w) when graph is None: a
+    first layer whose h is the constant Â X.  The ReLU runs in place, and
+    the node keeps only its output y, whose positive entries pass the
+    gradient; Â is symmetric, so the backward pass multiplies by Â too."""
     if h.shape[1] != w.shape[0]:
         raise ShapeMismatch(f"gcn_layer: {h.shape} @ {w.shape}")
     y = h.data @ w.data if graph is None else graph.apply(h.data @ w.data)
-    if activation == "relu":
-        np.maximum(y, 0.0, out=y)
-    elif activation == "sigmoid":
-        with np.errstate(over="ignore"):
-            _sigmoid(y, y)
-    elif activation == "tanh":
-        np.tanh(y, out=y)
-    else:
-        raise ValueError(f"gcn_layer: unknown activation {activation!r}")
+    np.maximum(y, 0.0, out=y)
 
     def bw(g):
-        d = (g * (y > 0) if activation == "relu" else
-             g * y * (1.0 - y) if activation == "sigmoid" else
-             g * (1.0 - y * y))
+        d = g * (y > 0)
         if graph is not None:
             d = graph.apply(d)
         if h.requires_grad:
@@ -243,8 +232,8 @@ def gcn_layer(h: Tensor, w: Tensor, graph: Graph | None,
     return _node(y, (h, w), bw)
 
 
-def segment_pool(a: Tensor, counts, mean: bool) -> Tensor:
-    """[len(counts) x cols]: sum or mean of consecutive row segments of a.
+def segment_pool(a: Tensor, counts) -> Tensor:
+    """[len(counts) x cols]: the mean of consecutive row segments of a.
 
     Segment i covers the counts[i] rows after the previous segments; rows
     past sum(counts) take no part.
@@ -255,16 +244,13 @@ def segment_pool(a: Tensor, counts, mean: bool) -> Tensor:
                             f"over {a.shape[0]} rows")
     total = int(counts.sum())
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    out = np.add.reduceat(a.data[:total], starts, axis=0)
-    if mean:
-        out = out / counts[:, None]
+    out = np.add.reduceat(a.data[:total], starts, axis=0) / counts[:, None]
 
     def bw(g):
         if a.requires_grad:
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            per_row = g / counts[:, None] if mean else g
-            a.grad[:total] += np.repeat(per_row, counts, axis=0)
+            a.grad[:total] += np.repeat(g / counts[:, None], counts, axis=0)
 
     return _node(out, (a,), bw)
 
@@ -368,26 +354,28 @@ class Packing:
                       self.starts[seq] + n[seq] - 1 - step)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, packing: Packing, heads: int,
-              rate: float = 0.0, training: bool = False,
+def attention(x: Tensor, packing: Packing, heads: int, rate: float = 0.0,
+              training: bool = False,
               rng: np.random.Generator | None = None) -> Tensor:
     """Multi-head self-attention within each sequence of a packed batch.
 
-    q, k and v are [S x d] and may be one tensor.  Head j uses columns
-    j*d/heads to (j+1)*d/heads: per sequence, softmax(q k^T / sqrt(d/heads))
-    over its own keys, under inverted dropout, times v.  Sequence b in turn
-    draws a [heads, T, T] mask, T the longest length, and keeps its
-    [:, :n_b, :n_b] corner as booleans: the stream of one padded [B, heads,
-    T, T] draw.  The node keeps each row's largest score and sum and the
-    masks; the backward pass recomputes the weights from q and k.  Both
-    passes write each head through a view of an [S x d] array, so the
-    output and the three gradients need no transposing copy.
+    x is [S x d] and serves as the queries, keys and values.  Head j uses
+    columns j*d/heads to (j+1)*d/heads: per sequence, softmax(x x^T /
+    sqrt(d/heads)) over its own keys, under inverted dropout, times x.
+    Sequence b in turn draws a [heads, T, T] mask, T the longest length,
+    and keeps its [:, :n_b, :n_b] corner as booleans: the stream of one
+    padded [B, heads, T, T] draw.  The node keeps each row's largest score
+    and sum and the masks; the backward pass recomputes the weights from
+    x.  Both passes write each head through a view of an [S x d] array,
+    with no transposing copy.  The backward pass writes x's gradient as a
+    query there, then adds its gradients as a key and as a value, in the
+    order an op taking q, k and v apart would add them into x's gradient,
+    so the bits are that op's.
     """
-    rows, d = q.shape
-    if (rows != packing.total or k.shape != q.shape or v.shape != q.shape
-            or d % heads):
-        raise ShapeMismatch(f"attention: q {q.shape}, k {k.shape}, v "
-                            f"{v.shape}, {heads} heads, {packing.total} rows")
+    rows, d = x.shape
+    if rows != packing.total or d % heads:
+        raise ShapeMismatch(f"attention: x {x.shape}, {heads} heads, "
+                            f"{packing.total} rows")
     hd, steps = d // heads, packing.steps
     inv_sqrt = 1.0 / np.sqrt(hd)
     test = _dropout_mask(rate, training, rng)
@@ -398,11 +386,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, packing: Packing, heads: int,
     def by_head(a: np.ndarray) -> np.ndarray:  # [S x d] -> [heads, S, hd]
         return a.reshape(rows, heads, hd).transpose(1, 0, 2)
 
-    qs, ks, vs = by_head(q.data), by_head(k.data), by_head(v.data)
+    xs = by_head(x.data)
 
     def softmax(span: slice, top=None, total=None):
         # per head over one sequence; bw passes in the forward's max and sum
-        probs = qs[:, span] @ ks[:, span].transpose(0, 2, 1)
+        probs = xs[:, span] @ xs[:, span].transpose(0, 2, 1)
         probs *= inv_sqrt
         top = probs.max(axis=-1, keepdims=True) if top is None else top
         probs -= top
@@ -419,29 +407,28 @@ def attention(q: Tensor, k: Tensor, v: Tensor, packing: Packing, heads: int,
         keep = None if test is None else test((heads, steps, steps))[
             :, :n, :n].copy()
         weights = probs if keep is None else probs * keep * scale
-        by_head(out)[:, span] = weights @ vs[:, span]
+        by_head(out)[:, span] = weights @ xs[:, span]
         saved.append((top, total, keep))
 
     def bw(g):
-        gs, grads = by_head(g), [np.empty((rows, d)) for _ in range(3)]
-        dq, dk, dv = (by_head(a) for a in grads)
+        gs, grad = by_head(g), np.empty((rows, d))
+        dx = by_head(grad)
         for span, (top, total, keep) in zip(spans, saved):
             probs = softmax(span, top, total)[0]
-            d_scores = gs[:, span] @ vs[:, span].transpose(0, 2, 1)
+            d_scores = gs[:, span] @ xs[:, span].transpose(0, 2, 1)
             if keep is not None:
                 d_scores *= keep * scale
             d_scores *= probs
             d_scores -= probs * d_scores.sum(axis=-1, keepdims=True)
             d_scores *= inv_sqrt
-            dq[:, span] = d_scores @ ks[:, span]
-            dk[:, span] = d_scores.transpose(0, 2, 1) @ qs[:, span]
+            dx[:, span] = d_scores @ xs[:, span]
+            dx[:, span] += d_scores.transpose(0, 2, 1) @ xs[:, span]
             weights = probs if keep is None else probs * keep * scale
-            dv[:, span] = weights.transpose(0, 2, 1) @ gs[:, span]
-        for t, grad in zip((q, k, v), grads):
-            if t.requires_grad:
-                _accum(t, grad, owned=True)
+            dx[:, span] += weights.transpose(0, 2, 1) @ gs[:, span]
+        if x.requires_grad:
+            _accum(x, grad, owned=True)
 
-    return _node(out, (q, k, v), bw)
+    return _node(out, (x,), bw)
 
 
 def lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, packing: Packing,

@@ -49,7 +49,7 @@ from .errors import (
     VocabularyMismatch,
 )
 from .featurizer import path_length_stats
-from .model import GCN_ACTIVATIONS, MODES, POOLINGS, ModelConfig, ModelSettings
+from .model import MODES, ModelConfig, ModelSettings
 from .train_eval import (
     DEFAULT_RATIOS,
     SPLIT_NAMES,
@@ -420,13 +420,6 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(f"--{name}", dest=name.replace("-", "_"), type=int)
     sub.add_argument("--attn-dropout", dest="attn_dropout", type=float)
     sub.add_argument("--lstm-dropout", dest="lstm_dropout", type=float)
-    sub.add_argument("--gcn-activation", dest="gcn_activation",
-                     choices=GCN_ACTIVATIONS)
-    sub.add_argument("--pooling", choices=POOLINGS)
-    sub.add_argument("--learned-projections", dest="learned_projections",
-                     action="store_const", const=True,
-                     help="learn attention input projections instead of "
-                          "sharing the raw embedding")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,18 +1,18 @@
 """The classifier network over both AST views.
 
 The sequence side embeds the pre-order path, runs multi-head self-attention
-with Q = K = V (no input projections unless the learned_projections variant
-is switched on), and feeds a stacked bidirectional LSTM.  A batch's paths,
-which hold their true steps only, are packed one after another as
-[S x cols] rows (autograd.Packing), with attention within each path and a
-recurrence that steps only the paths still running (autograd.attention,
-lstm_direction).  Each LSTM direction keeps its parameters as that op reads
-them: one weight [(h + in) x 4h] and one bias [1 x 4h], gate columns
-i, f, o, c.  The graph side builds Â (autograd.Graph) once per batch, one
-disjoint union of the trees' edge lists; each GCN layer is one tape node
-(autograd.gcn_layer), the first the constant Â X (X the one-hot kinds)
-times W0, and each tree's nodes are pooled.  Features fuse by
-concatenation, sequence side first, into a softmax classifier.
+with Q = K = V, the embedded path itself (no input projections), and feeds
+a stacked bidirectional LSTM.  A batch's paths, which hold their true steps
+only, are packed one after another as [S x cols] rows (autograd.Packing),
+with attention within each path and a recurrence that steps only the paths
+still running (autograd.attention, lstm_direction).  Each LSTM direction
+keeps its parameters as that op reads them: one weight [(h + in) x 4h] and
+one bias [1 x 4h], gate columns i, f, o, c.  The graph side builds Â
+(autograd.Graph) once per batch, one disjoint union of the trees' edge
+lists; each GCN layer is one tape node (autograd.gcn_layer), relu(Â H W),
+the first the constant Â X (X the one-hot kinds) times W0, and each tree's
+nodes are mean-pooled.  Features fuse by concatenation, sequence side
+first, into a softmax classifier.
 
 One function composes the two encoders: forward_batch, which training,
 evaluation and prediction all run.  Its tape holds the same number of nodes
@@ -37,8 +37,6 @@ from .featurizer import GraphSample, PathSequence
 from .typecheck import check_types
 
 MODES = ("uast", "sast", "gast")
-GCN_ACTIVATIONS = ("relu", "sigmoid", "tanh")
-POOLINGS = ("mean", "sum")
 
 INIT_STREAM = 1  # rng stream id for parameter initialization
 
@@ -58,9 +56,6 @@ class ModelSettings:
     gcn_layers: int = 2
     gcn_hidden: int = 200
     d_out: int = 64
-    gcn_activation: str = "relu"
-    pooling: str = "mean"
-    learned_projections: bool = False
 
     def check(self, *sizes: str) -> None:
         """Refuse a setting not of its declared type (typecheck.has_type) or
@@ -68,10 +63,6 @@ class ModelSettings:
         check_types(vars(self), get_type_hints(type(self)), ConfigError)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.gcn_activation not in GCN_ACTIVATIONS:
-            raise ConfigError(f"gcn_activation must be one of {GCN_ACTIVATIONS}")
-        if self.pooling not in POOLINGS:
-            raise ConfigError(f"pooling must be one of {POOLINGS}")
         for name in (*sizes, "L", "d", "heads", "h", "lstm_layers", "N",
                      "gcn_layers", "gcn_hidden", "d_out"):
             if getattr(self, name) < 1:
@@ -116,9 +107,6 @@ class ModelConfig(ModelSettings):
 class ModelParams:
     config: ModelConfig
     embedding: Tensor | None = None
-    proj_q: Tensor | None = None
-    proj_k: Tensor | None = None
-    proj_v: Tensor | None = None
     # per layer, (fwd, bwd); each direction is (w, b) as lstm_direction
     # reads them: w [(h + in) x 4h], recurrent rows first, b [1 x 4h],
     # gate columns in the order i, f, o, c
@@ -133,10 +121,6 @@ class ModelParams:
         out: list[tuple[str, Tensor]] = []
         if self.embedding is not None:
             out.append(("embedding", self.embedding))
-        for name, t in (("proj_q", self.proj_q), ("proj_k", self.proj_k),
-                        ("proj_v", self.proj_v)):
-            if t is not None:
-                out.append((name, t))
         for layer, (fwd, bwd) in enumerate(self.lstm):
             for direction, (w, b) in (("fwd", fwd), ("bwd", bwd)):
                 out.append((f"lstm.{layer}.{direction}.w", w))
@@ -169,10 +153,6 @@ def _build_params(cfg: ModelConfig, uniform, bias) -> ModelParams:
     params = ModelParams(config=cfg)
     if cfg.uses_path:
         params.embedding = uniform(cfg.vocab_size, cfg.d, cfg.d)
-        if cfg.learned_projections:
-            params.proj_q = uniform(cfg.d, cfg.d, cfg.d)
-            params.proj_k = uniform(cfg.d, cfg.d, cfg.d)
-            params.proj_v = uniform(cfg.d, cfg.d, cfg.d)
         forget_one = np.repeat([0.0, 1.0, 0.0, 0.0], cfg.h)
         in_dim = cfg.d
         for _ in range(cfg.lstm_layers):
@@ -237,33 +217,21 @@ def embed(path: PathSequence, params: ModelParams) -> Tensor:
     return ag.embedding_lookup(params.embedding, path.indices)
 
 
-def _attend(x: Tensor, packing: ag.Packing, cfg: ModelConfig,
-            params: ModelParams | None, training: bool,
-            rng: np.random.Generator | None) -> Tensor:
-    """Multi-head attention over a packed batch's [S x d] rows."""
-    if cfg.learned_projections:
-        if params is None or params.proj_q is None:
-            raise ConfigError("learned_projections on but no projection weights")
-        q, k, v = (ag.matmul(x, w)
-                   for w in (params.proj_q, params.proj_k, params.proj_v))
-    else:
-        q = k = v = x
-    return ag.attention(q, k, v, packing, cfg.heads, cfg.attn_dropout,
-                        training, rng)
-
-
 def self_attention(x: Tensor, true_length: int, cfg: ModelConfig,
                    params: ModelParams | None = None, training: bool = False,
                    rng: np.random.Generator | None = None) -> Tensor:
     """[true_length x d] -> [true_length x d]: one path's attention.
 
     The attention op of forward_batch at B=1; the benchmark's per-layer
-    probe (perfbench/layers.py) times it.
+    probe (perfbench/layers.py) times it.  Attention has no parameters,
+    so params goes unread: it stays because that probe passes it by
+    position.
     """
     if x.shape != (true_length, cfg.d):
         raise ShapeMismatch(
             f"self_attention: {x.shape} vs ({true_length}, {cfg.d})")
-    return _attend(x, ag.Packing([true_length]), cfg, params, training, rng)
+    return ag.attention(x, ag.Packing([true_length]), cfg.heads,
+                        cfg.attn_dropout, training, rng)
 
 
 def _bilstm(x: Tensor, packing: ag.Packing, params: ModelParams,
@@ -290,12 +258,13 @@ def _bilstm(x: Tensor, packing: ag.Packing, params: ModelParams,
 
 def _gcn_layers(node_kinds: np.ndarray, graph: ag.Graph,
                 params: ModelParams, cfg: ModelConfig) -> Tensor:
-    """Stacked act(Â H W), one gcn_layer node each, the first act((Â X) W0):
-    X's one-hot rows are the identity's, looked up by kind as embeddings are."""
+    """Stacked relu(Â H W), one gcn_layer node each, the first
+    relu((Â X) W0): X's one-hot rows are the identity's, looked up by kind
+    as embeddings are."""
     x = ag.embedding_lookup(Tensor(np.eye(cfg.vocab_size)), node_kinds)
     h = Tensor(graph.apply(x.data))
     for i, w in enumerate(params.gcn):
-        h = ag.gcn_layer(h, w, graph if i else None, cfg.gcn_activation)
+        h = ag.gcn_layer(h, w, graph if i else None)
     return h
 
 
@@ -348,8 +317,9 @@ def forward_batch(batch: list[PreparedSample], params: ModelParams,
         packing = ag.Packing([s.true_length for s in batch])
         x = ag.embedding_lookup(params.embedding, np.concatenate(
             [s.path.indices for s in batch]))
-        features.append(_bilstm(_attend(x, packing, cfg, params, training, rng),
-                                packing, params, cfg, training, rng))
+        x = ag.attention(x, packing, cfg.heads, cfg.attn_dropout, training,
+                         rng)
+        features.append(_bilstm(x, packing, params, cfg, training, rng))
 
     if cfg.uses_graph:
         # one disjoint union: each sample's edges shift by its first node
@@ -359,7 +329,7 @@ def forward_batch(batch: list[PreparedSample], params: ModelParams,
                                          in zip(batch, starts)]), starts[-1])
         h = _gcn_layers(np.concatenate([s.node_kinds for s in batch]), graph,
                         params, cfg)
-        features.append(ag.segment_pool(h, counts, cfg.pooling == "mean"))
+        features.append(ag.segment_pool(h, counts))
 
     # the sequence features come first in the fused row
     h_code = ag.concat(features, axis=1) if len(features) == 2 else features[0]

@@ -24,7 +24,7 @@ from ..model import ModelConfig, ModelParams, empty_params
 from ..typecheck import check_types
 
 MAGIC = b"UASTCKPT"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _PREFIX = struct.Struct("<8sIQ")
 
 # each header value's type (typecheck.has_type); a nullable one may be absent

@@ -169,7 +169,7 @@ MALFORMED_CHECKPOINT_HEADERS = {
         f"corrupt header: {key} must be of type {kind}, got {value!r}")
        for key, kind, value in (
            ("L", "int", True), ("L", "int", 7.5),
-           ("learned_projections", "bool", "no"))},
+           ("attn_dropout", "float", "0.2"))},
 }
 
 

@@ -10,18 +10,20 @@ each dropout mask as one draw over the padded layout (_dropout_mask), as
 the model did before it drew per path, so the same rng must give the same
 masks.  saved_attention and saved_lstm_direction are the packed sequence
 ops as they ran when their nodes kept probs, h and tanh(c) for the backward
-pass, which now recomputes them.  transpose, slice_rows, slice_cols, mul
-and scale are autograd ops that only these compositions use.  log and
-clamp_min, with mul, sum_all and scale, are the ops cross-entropy was
-composed of before autograd.cross_entropy_loss fused it into one tape node;
-composed_cross_entropy_loss composes them.  add_at_propagate is the
-model's propagation as it ran before autograd.Graph, with np.add.at.
-propagate, sigmoid, tanh and relu are the ops a GCN layer was composed of
-before autograd.gcn_layer fused them into one tape node; composed_gcn_layer
-composes them.  tokenize is the C-like tokenizer as it ran before it
-matched every offset with one finditer pass; its pattern has the same
-tokens, an unterminated block comment running to the end of the text
-included.  unify_ast, build_vocabulary, featurize_sample, node_count and
+pass, which now recomputes them; saved_attention also takes q, k and v
+apart, as attention did before it took one tensor.  transpose, slice_rows,
+slice_cols, mul and scale are autograd ops that only these compositions
+use.  log and clamp_min, with mul, sum_all and scale, are the ops
+cross-entropy was composed of before autograd.cross_entropy_loss fused it
+into one tape node; composed_cross_entropy_loss composes them.
+add_at_propagate is the model's propagation as it ran before
+autograd.Graph, with np.add.at.  propagate and relu are the ops a GCN
+layer was composed of before autograd.gcn_layer fused them into one tape
+node; composed_gcn_layer composes them.  sigmoid and tanh are the LSTM
+gates' ops.  tokenize is the C-like tokenizer as it ran before it matched
+every offset with one finditer pass; its pattern has the same tokens, an
+unterminated block comment running to the end of the text included.
+unify_ast, build_vocabulary, featurize_sample, node_count and
 render_sexpr are the walks over a graph of AstNode objects that ran before
 every tree became one flat pre-order form; unflatten rebuilds that graph
 from the flat form.  load_ast_sexpr is the S-expression reader as it ran
@@ -185,15 +187,11 @@ def relu(a: Tensor) -> Tensor:
     return _node(np.maximum(a.data, 0.0), (a,), bw)
 
 
-ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid, "tanh": tanh}
-
-
-def composed_gcn_layer(h: Tensor, w: Tensor, graph: ag.Graph | None,
-                       activation: str) -> Tensor:
+def composed_gcn_layer(h: Tensor, w: Tensor, graph: ag.Graph | None) -> Tensor:
     """autograd.gcn_layer as three tape nodes: matmul, propagate (skipped
-    when graph is None), then the activation."""
+    when graph is None), then relu."""
     z = ag.matmul(h, w)
-    return ACTIVATIONS[activation](z if graph is None else propagate(z, graph))
+    return relu(z if graph is None else propagate(z, graph))
 
 
 def add_at_propagate(h: Tensor, edges: np.ndarray) -> Tensor:
@@ -559,12 +557,7 @@ def padded_sequence(paths, params, cfg, training=False, rng=None) -> Tensor:
     lengths = np.array([p.true_length for p in paths])
     T = int(lengths.max())
     x = ag.embedding_lookup(params.embedding, padded_indices(paths, T))
-    if cfg.learned_projections:
-        q, k, v = (ag.matmul(x, w)
-                   for w in (params.proj_q, params.proj_k, params.proj_v))
-    else:
-        q = k = v = x
-    inputs = padded_attention(q, k, v, lengths, cfg.heads, cfg.attn_dropout,
+    inputs = padded_attention(x, x, x, lengths, cfg.heads, cfg.attn_dropout,
                               training, rng)
     for layer, (fwd, bwd) in enumerate(params.lstm):
         if layer:
@@ -581,18 +574,17 @@ def padded_sequence(paths, params, cfg, training=False, rng=None) -> Tensor:
 
 def dense_gcn_nodes(graph, params, cfg) -> Tensor:
     """[node_count x d_out] node features through the dense renormalized Â."""
-    act = ACTIVATIONS[cfg.gcn_activation]
     adj = Tensor(graph.norm_adj)
-    h = act(ag.matmul(adj, ag.gather_rows(params.gcn[0], graph.node_kinds)))
+    h = relu(ag.matmul(adj, ag.gather_rows(params.gcn[0], graph.node_kinds)))
     for w in params.gcn[1:]:
-        h = act(ag.matmul(adj, ag.matmul(h, w)))
+        h = relu(ag.matmul(adj, ag.matmul(h, w)))
     return h
 
 
 def dense_graph_oracle(graph, params, cfg) -> Tensor:
-    """Pooled [1 x d_out] graph features over the nodes."""
+    """Mean-pooled [1 x d_out] graph features over the nodes."""
     return ag.segment_pool(dense_gcn_nodes(graph, params, cfg),
-                           [graph.node_count], cfg.pooling == "mean")
+                           [graph.node_count])
 
 
 # --- sequence side: one tape chain per head and per step ------------------------
@@ -606,25 +598,17 @@ def attention_mask(L: int, true_length: int) -> Tensor | None:
     return Tensor(row)
 
 
-def attend_one(x: Tensor, mask: Tensor | None, cfg, params) -> Tensor:
-    """Multi-head attention over one sample's [L x d] rows, eval mode."""
-    if cfg.learned_projections:
-        q_all = ag.matmul(x, params.proj_q)
-        k_all = ag.matmul(x, params.proj_k)
-        v_all = ag.matmul(x, params.proj_v)
-    else:
-        q_all = k_all = v_all = x
+def attend_one(x: Tensor, mask: Tensor | None, cfg) -> Tensor:
+    """Multi-head attention over one sample's [L x d] rows, eval mode, with
+    Q = K = V = x."""
     hd = cfg.d // cfg.heads
     heads_out = []
     for head in range(cfg.heads):
-        lo, hi = head * hd, (head + 1) * hd
-        q = slice_cols(q_all, lo, hi)
-        k = q if k_all is q_all else slice_cols(k_all, lo, hi)
-        v = q if v_all is q_all else slice_cols(v_all, lo, hi)
-        scores = scale(ag.matmul(q, transpose(k)), 1.0 / math.sqrt(hd))
+        q = slice_cols(x, head * hd, (head + 1) * hd)
+        scores = scale(ag.matmul(q, transpose(q)), 1.0 / math.sqrt(hd))
         if mask is not None:
             scores = ag.add(scores, mask)
-        heads_out.append(ag.matmul(ag.softmax_rows(scores), v))
+        heads_out.append(ag.matmul(ag.softmax_rows(scores), q))
     return ag.concat(heads_out, axis=1) if len(heads_out) > 1 else heads_out[0]
 
 
@@ -683,7 +667,7 @@ def composed_sequence(paths, params, cfg) -> Tensor:
     lengths = [p.true_length for p in paths]
     x_all = ag.embedding_lookup(params.embedding, padded_indices(paths, L))
     atts = [attend_one(slice_rows(x_all, b * L, (b + 1) * L),
-                       attention_mask(L, n), cfg, params)
+                       attention_mask(L, n), cfg)
             for b, n in enumerate(lengths)]
     att_all = ag.concat(atts, axis=0) if len(atts) > 1 else atts[0]
     base = np.arange(len(paths)) * L

@@ -94,6 +94,16 @@ class TestExitCodes:
 
     def test_unknown_flag_is_usage(self, capsys):
         assert run(capsys, "parse", "--nonsense", PY_SAMPLE)[0] == 1
+        # the model has one design: these switches were removed
+        for command in (["train"], ["sweep", "--param", "path-length",
+                                    "--values", "8"]):
+            for flag in (["--learned-projections"], ["--gcn-activation",
+                                                     "relu"],
+                         ["--pooling", "mean"]):
+                code, _, err = run(capsys, *command, "--corpus",
+                                   str(TOY_CORPUS), *flag)
+                assert code == 1
+                assert f"unrecognized arguments: {' '.join(flag)}" in err
 
     def test_removed_featurize_command_is_usage(self, tmp_path, capsys):
         # features live in memory; no command writes them to a file
@@ -137,12 +147,14 @@ class TestExitCodes:
         assert run(capsys, "parse", str(odd))[0] == 2
 
     def test_old_checkpoint_version_is_a_data_problem(self, tmp_path, capsys):
-        old = tmp_path / "v1.ckpt"
-        old.write_bytes(b"UASTCKPT" + struct.pack("<IQ", 1, 0))
-        code, _, err = run(capsys, "predict", PY_SAMPLE,
-                           "--checkpoint", str(old))
-        assert code == 2
-        assert "version 1" in err
+        for version in (1, 2):
+            old = tmp_path / f"v{version}.ckpt"
+            old.write_bytes(b"UASTCKPT" + struct.pack("<IQ", version, 0))
+            for command in (["predict", PY_SAMPLE],
+                            ["eval", "--corpus", str(TOY_CORPUS)]):
+                code, _, err = run(capsys, *command, "--checkpoint", str(old))
+                assert code == 2
+                assert f"unsupported format version {version}" in err
 
     @pytest.mark.parametrize("name", sorted(BAD_CHECKPOINT_HEADERS))
     def test_inconsistent_checkpoint_is_a_data_problem(self, tmp_path, capsys,
@@ -408,9 +420,8 @@ class TestConfigLayering:
     def test_profiles_resolve_to_their_published_settings(self):
         base = dict(L=200, N=400, d=200, heads=4, attn_dropout=0.2, h=64,
                     lstm_layers=2, lstm_dropout=0.5, gcn_layers=2,
-                    gcn_hidden=200, d_out=64, gcn_activation="relu",
-                    pooling="mean", learned_projections=False,
-                    epochs=5, batch_size=64, lr=0.001)
+                    gcn_hidden=200, d_out=64, epochs=5, batch_size=64,
+                    lr=0.001)
         assert PROFILES["leetcode"] == base
         assert PROFILES["jc"] == {**base, "L": 700}
         assert PROFILES["toy"] == {
@@ -419,12 +430,10 @@ class TestConfigLayering:
             "epochs": 50, "batch_size": 8, "lr": 0.01}
 
     def test_run_config_builds_the_model_config(self):
-        rc = RunConfig(mode="gast", d=12, heads=3, gcn_activation="tanh",
-                       pooling="sum", learned_projections=True, N=7)
+        rc = RunConfig(mode="gast", d=12, heads=3, gcn_layers=3, N=7)
         cfg = rc.model_config(vocab_size=9, k=4)
         assert (cfg.vocab_size, cfg.k, cfg.mode, cfg.d, cfg.heads, cfg.N,
-                cfg.gcn_activation, cfg.pooling, cfg.learned_projections) == \
-            (9, 4, "gast", 12, 3, 7, "tanh", "sum", True)
+                cfg.gcn_layers) == (9, 4, "gast", 12, 3, 7, 3)
         assert cfg.L == rc.L and cfg.lstm_dropout == rc.lstm_dropout
 
     def test_every_model_setting_has_profile_values_and_a_train_flag(self):
@@ -466,12 +475,16 @@ class TestConfigLayering:
                                           monkeypatch):
         monkeypatch.setattr("uastkit.cli.ingest_corpus", None)
         cfg = tmp_path / "run.json"
-        for key, value in (("learning_rate", 0.1), ("mask_names", ["add"])):
+        # the last three are the removed model switches, at their old
+        # defaults
+        for key, value in (("learning_rate", 0.1), ("mask_names", ["add"]),
+                           ("learned_projections", False),
+                           ("gcn_activation", "relu"), ("pooling", "mean")):
             cfg.write_text(json.dumps({key: value}))
             code, _, err = run(capsys, "train", "--corpus", str(TOY_CORPUS),
                                "--config", str(cfg))
             assert code == 1
-            assert key in err
+            assert f"unknown keys ['{key}']" in err
 
     def test_config_file_names_the_profile(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -505,7 +518,7 @@ class TestConfigLayering:
     @pytest.mark.parametrize("values", [
         {"lr": 1, "attn_dropout": 0, "lstm_dropout": 0},
         {"max_steps": None, "corpus": None, "ratios": "2,1,1"},
-        {"ratios": [2, 1, 1], "unified": False, "learned_projections": True}])
+        {"ratios": [2, 1, 1], "unified": False}])
     def test_values_of_their_setting_type_resolve_as_given(self, tmp_path,
                                                            values):
         cfg = tmp_path / "run.json"

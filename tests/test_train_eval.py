@@ -954,9 +954,23 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(self._ckpt(), path)
         data = path.read_bytes()
-        assert struct.unpack_from("<I", data, 8) == (2,)
+        assert struct.unpack_from("<I", data, 8) == (3,)
         path.write_bytes(data[:8] + struct.pack("<I", 1) + data[12:])
         with pytest.raises(CheckpointError, match="format version 1"):
+            load_checkpoint(path)
+
+    def test_version_two_checkpoint_is_refused(self, tmp_path):
+        # version 2's config also held gcn_activation, pooling and
+        # learned_projections; it is refused by its version, not read as a
+        # header with unknown keys
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._ckpt(), path)
+        rewrite_json_header(path, lambda h: h["config"].update(
+            gcn_activation="relu", pooling="mean", learned_projections=False))
+        data = path.read_bytes()
+        path.write_bytes(data[:8] + struct.pack("<I", 2) + data[12:])
+        with pytest.raises(CheckpointError,
+                           match="unsupported format version 2$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("name", sorted(BAD_CHECKPOINT_HEADERS))
