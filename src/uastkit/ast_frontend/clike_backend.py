@@ -261,6 +261,8 @@ class _Parser:
                 depth += 1
             elif word == "}":
                 depth -= 1
+                if depth == 0:
+                    break  # the skipped { ... } group is closed
             elif word == ";" and depth == 0:
                 break
         if self.pos == start:  # stray '}' or EOF: still must make progress

@@ -8,11 +8,13 @@ rounds, built once per batch from an integer edge list; gcn_layer records
 a whole GCN layer, relu(Â H W), as one tape node, and cross_entropy_loss
 the whole loss.
 
-backward() consumes the tape: it drops each closure once run, so a node
-saves only what its backward pass cannot recompute bit for bit, and that
-pass may write over what its node saved and drop it early.  .grad
-accumulates over tapes until zero_grads.  A first gradient is stored
-as g + 0.0 (-0.0 becomes 0.0): in place, adopting g, when a backward pass
+backward() consumes the tape: it drops each closure and each interior
+.grad once the closure has run, so a node saves only what its backward
+pass cannot recompute bit for bit, and that pass may write over what its
+node saved, and over the gradient g it is handed, and drop them early.
+.grad stays on leaves only, the tensors with no backward function, and
+accumulates over tapes until zero_grads.  A first gradient is stored as
+g + 0.0 (-0.0 becomes 0.0): in place, adopting g, when a backward pass
 made g for that input alone (owned); in a copy when g is the output's
 gradient or a view of it, as add and concat pass on.  No two .grad share
 memory.
@@ -173,8 +175,12 @@ class Graph:
 
     Each scatter direction splits into rounds, round r holding every
     target's r-th occurrence in edge order: no round repeats a target, and
-    the rounds in turn do np.add.at's additions in its order.
+    the rounds in turn do np.add.at's additions in its order.  A round
+    longer than CHUNK rows runs as consecutive parts of at most CHUNK, so
+    apply's work buffers stay small and in cache.
     """
+
+    CHUNK = 256
 
     def __init__(self, edges, n: int):
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -193,41 +199,47 @@ class Graph:
             rank[order] = np.arange(to.size) - np.searchsorted(ranked, ranked)
             for pos in np.split(np.argsort(rank, kind="stable"),
                                 np.cumsum(np.bincount(rank))[:-1]):
-                self.rounds.append((to[pos], frm[pos], edge_w[pos]))
+                for part in np.split(pos, range(self.CHUNK, pos.size,
+                                                self.CHUNK)):
+                    self.rounds.append((to[part], frm[part], edge_w[part]))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Â x: the self term, then each round's out[to] += w * x[frm]."""
+        """Â x written over x, which it returns: the self term, then each
+        round's x[to] += w * x0[frm], x0 a copy of x taken first."""
         if len(x) != len(self.self_w):
             raise ShapeMismatch(f"{len(x)} rows for {len(self.self_w)} nodes")
-        out = self.self_w * x
-        work = np.empty((2,) + x.shape)
+        x0 = x.copy()
+        np.multiply(x, self.self_w, out=x)
+        work = np.empty((2, min(len(x), self.CHUNK), x.shape[1]))
         for to, frm, w in self.rounds:
             term, acc = work[0, :to.size], work[1, :to.size]
-            np.take(x, frm, axis=0, out=term, mode="clip")
+            np.take(x0, frm, axis=0, out=term, mode="clip")
             term *= w
-            np.take(out, to, axis=0, out=acc, mode="clip")
-            out[to] = np.add(acc, term, out=acc)
-        return out
+            np.take(x, to, axis=0, out=acc, mode="clip")
+            x[to] = np.add(acc, term, out=acc)
+        return x
 
 
 def gcn_layer(h: Tensor, w: Tensor, graph: Graph | None) -> Tensor:
     """relu(Â h w) as one tape node, or relu(h w) when graph is None: a
     first layer whose h is the constant Â X.  The ReLU runs in place, and
     the node keeps only its output y, whose positive entries pass the
-    gradient; Â is symmetric, so the backward pass multiplies by Â too."""
+    gradient; Â is symmetric, so the backward pass multiplies by Â too.
+    Both passes propagate in place: the forward pass over the fresh h w,
+    the backward pass over the consumed g, which it masks in place."""
     if h.shape[1] != w.shape[0]:
         raise ShapeMismatch(f"gcn_layer: {h.shape} @ {w.shape}")
     y = h.data @ w.data if graph is None else graph.apply(h.data @ w.data)
     np.maximum(y, 0.0, out=y)
 
     def bw(g):
-        d = g * (y > 0)
+        np.multiply(g, y > 0, out=g)
         if graph is not None:
-            d = graph.apply(d)
+            graph.apply(g)
         if h.requires_grad:
-            _accum(h, d @ w.data.T, owned=True)
+            _accum(h, g @ w.data.T, owned=True)
         if w.requires_grad:
-            _accum(w, h.data.T @ d, owned=True)
+            _accum(w, h.data.T @ g, owned=True)
 
     return _node(y, (h, w), bw)
 
@@ -563,9 +575,11 @@ def cross_entropy_loss(probs: Tensor, labels) -> Tensor:
 # --- reverse pass -------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every requires_grad ancestor of a scalar loss.
+    """Populate .grad on every requires_grad leaf ancestor of a scalar loss.
 
-    Gradients add into any existing .grad arrays.  Consumes the tape.
+    Gradients add into any existing .grad arrays.  Consumes the tape: each
+    interior node's backward function and .grad go once the function has
+    run, so .grad stays on leaves only, and a second call raises.
     """
     if loss.data.shape != (1, 1):
         raise NonScalarLoss(f"backward needs a (1,1) loss, got {loss.data.shape}")
@@ -598,7 +612,8 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward_fn is not None:
             node._backward_fn(node.grad)
-            node._backward_fn = None  # frees what its closure saved
+            # frees what its closure saved and the gradient it consumed
+            node._backward_fn = node.grad = None
 
     for node, old in stash:
         _accum(node, old)

@@ -155,7 +155,7 @@ def propagate(h: Tensor, graph: ag.Graph) -> Tensor:
         if h.requires_grad:
             _accum(h, graph.apply(g))
 
-    return _node(graph.apply(h.data), (h,), bw)
+    return _node(graph.apply(h.data.copy()), (h,), bw)
 
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -169,6 +169,16 @@ class TestRecovery:
         assert "declaration" in kinds
         assert "return_statement" in kinds
 
+    def test_recovery_stops_after_the_skipped_brace_group(self):
+        # the members after a bad one keep their trees
+        tree = parse_source("class { } class B { int f() { return 1; } }",
+                            "java")
+        kinds = kinds_of(tree)
+        top = [k for k, p in zip(kinds, tree.parents) if p == 0]
+        assert top == ["ERROR", "class_declaration"]
+        assert kinds.count("ERROR") == 1
+        assert "method_declaration" in kinds and "return_statement" in kinds
+
     def test_unterminated_block_comment_runs_to_the_end(self):
         # as a compiler reads it: what follows the open comment is comment
         src = "int f() { return 1; } /* note int g() { return 2; }"

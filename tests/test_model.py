@@ -633,7 +633,7 @@ class TestTapeSize:
     def test_backward_frees_more_than_the_gradients_take(self, tiny_config):
         # each node's saved arrays go as its backward function runs, so a
         # training step holds less when backward returns than after its
-        # forward pass, although every tensor on the tape then has a .grad
+        # forward pass, although every parameter then has a .grad
         cfg = variant(tiny_config, L=24, N=24, d=16, h=8)
         params = init_params(cfg, 0)
         rng = np.random.default_rng(0)
@@ -668,7 +668,8 @@ class TestTapeSize:
 
 
 class TestGradientOwnership:
-    """No two tensors' gradients share memory after a backward pass."""
+    """After a backward pass each parameter holds the one gradient on the
+    tape, and no two of them share memory."""
 
     @pytest.mark.parametrize("mode", ["uast", "gast"])
     def test_batch_gradients_are_distinct_arrays(self, tiny_config, mode):
@@ -680,7 +681,8 @@ class TestGradientOwnership:
                               rng=np.random.default_rng(0))
         ag.backward(cross_entropy_loss(probs, [0, 1, 2]))
         grads = [t.grad for t in tape_tensors(probs) if t.grad is not None]
-        assert len(grads) > len(params.parameters())
+        assert len(grads) == len(params.parameters())
+        assert all(t.grad is not None for t in params.parameters())
         for i, a in enumerate(grads):
             for b in grads[i + 1:]:
                 assert not np.shares_memory(a, b)
