@@ -310,6 +310,8 @@ class _Parser:
     # --- java ----------------------------------------------------------
 
     def java_top_level(self) -> AstNode:
+        if self.accept(";"):
+            return AstNode("empty_statement")
         word = self.word()
         if word in ("package", "import"):
             self._skip_to(";")

@@ -46,7 +46,6 @@ _KIND_MAP = {
     "IfExp": "conditional_expression",
     "NamedExpr": "named_expression",
     "YieldFrom": "yield",
-    "JoinedStr": "string",
     "FormattedValue": "interpolation",
 }
 
@@ -241,6 +240,12 @@ _CONVERTERS = {
         "lambda", [_parameters(node.args), _convert(node.body)]),
     ast.ListComp: _comprehension, ast.SetComp: _comprehension,
     ast.GeneratorExp: _comprehension, ast.DictComp: _comprehension,
+    # CPython 3.12.1 appends an empty constant to a nested format spec
+    # (f"{n:>{width}}"), where 3.10, 3.11 and 3.13 do not; skipping empty
+    # constants gives every interpreter one tree
+    ast.JoinedStr: lambda node: AstNode("string", [
+        _convert(v) for v in node.values
+        if not (isinstance(v, ast.Constant) and v.value == "")]),
     ast.Dict: lambda node: AstNode("dictionary", [
         AstNode("pair", [_convert(k), _convert(v)])
         for k, v in zip(node.keys, node.values) if k is not None]),

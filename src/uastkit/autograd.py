@@ -12,6 +12,10 @@ backward() consumes the tape: it drops each closure and each interior
 .grad once the closure has run, so a node saves only what its backward
 pass cannot recompute bit for bit, and that pass may write over what its
 node saved, and over the gradient g it is handed, and drop them early.
+So no node of the sequence ops keeps what a backward pass never reads:
+attention gathers its rows from the embedding table itself, dropout joins
+its inputs into the array it masks, and lstm_direction keeps its gates,
+from which its backward pass recomputes the cell states.
 .grad stays on leaves only, the tensors with no backward function, and
 accumulates over tapes until zero_grads.  A first gradient is stored as
 g + 0.0 (-0.0 becomes 0.0): in place, adopting g, when a backward pass
@@ -135,7 +139,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 # --- structure --------------------------------------------------------------
 
-def concat(tensors: list[Tensor], axis: int) -> Tensor:
+def _join(tensors: list[Tensor], axis: int):
+    """The tensors' arrays joined into one fresh array, and the backward
+    function that hands each tensor its part of a gradient."""
     if axis not in (0, 1):
         raise ShapeMismatch(f"concat: axis must be 0 or 1, got {axis}")
     if not tensors:
@@ -154,8 +160,22 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
             if t.requires_grad:
                 _accum(t, g[start:stop] if axis == 0 else g[:, start:stop])
 
-    return _node(np.concatenate([t.data for t in tensors], axis=axis),
-                 tuple(tensors), bw)
+    return np.concatenate([t.data for t in tensors], axis=axis), bw
+
+
+def concat(tensors: list[Tensor], axis: int) -> Tensor:
+    data, bw = _join(tensors, axis)
+    return _node(data, tuple(tensors), bw)
+
+
+def _rows(table: Tensor, indices) -> np.ndarray:
+    """indices as int64 rows of table, refusing one outside it."""
+    idx = np.asarray(indices, dtype=np.int64).ravel()
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        bad = idx[(idx < 0) | (idx >= table.shape[0])][0]
+        raise IndexOutOfVocab(
+            f"index {bad} outside embedding table of {table.shape[0]} rows")
+    return idx
 
 
 def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
@@ -268,12 +288,7 @@ def segment_pool(a: Tensor, counts) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
-    idx = np.asarray(indices, dtype=np.int64).ravel()
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        bad = idx[(idx < 0) | (idx >= table.shape[0])][0]
-        raise IndexOutOfVocab(
-            f"index {bad} outside embedding table of {table.shape[0]} rows")
-    return gather_rows(table, idx)
+    return gather_rows(table, _rows(table, indices))
 
 
 # --- nonlinearities ---------------------------------------------------------
@@ -312,24 +327,30 @@ def _dropout_mask(rate: float, training: bool,
     return lambda shape: rng.random(shape) >= rate
 
 
-def dropout(a: Tensor, rate: float, training: bool,
+def dropout(parts: list[Tensor], rate: float, training: bool,
             rng: np.random.Generator | None, packing: "Packing") -> Tensor:
-    """Inverted dropout over a packed batch's rows; the identity map when
-    not training or rate is 0.  Each path in turn draws a [T x cols] mask,
-    T the longest length, and keeps its first n_b rows as booleans: the
-    stream of one padded [B*T x cols] draw."""
+    """Inverted dropout over concat(parts, axis=1), a packed batch's rows,
+    as one tape node; only the join when not training or rate is 0.  Each
+    path in turn draws a [T x cols] mask, T the longest length, and keeps
+    its first n_b rows as booleans: the stream of one padded [B*T x cols]
+    draw.  The forward pass masks its fresh join in place, the backward
+    pass the consumed g, with concat's and dropout's bits."""
     test = _dropout_mask(rate, training, rng)
+    out, join_bw = _join(parts, axis=1)
     if test is None:
-        return a
+        return _node(out, tuple(parts), join_bw)
     scale = 1.0 / (1.0 - rate)
-    keep = np.concatenate([test((packing.steps, a.shape[1]))[:n]
+    keep = np.concatenate([test((packing.steps, out.shape[1]))[:n]
                            for n in packing.lengths.tolist()])
+    np.multiply(out, keep, out=out)
+    out *= scale
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, g * keep * scale, owned=True)
+        np.multiply(g, keep, out=g)
+        g *= scale
+        join_bw(g)
 
-    return _node(a.data * keep * scale, (a,), bw)
+    return _node(out, tuple(parts), bw)
 
 
 # --- packed sequence ops -----------------------------------------------------
@@ -366,28 +387,32 @@ class Packing:
                       self.starts[seq] + n[seq] - 1 - step)
 
 
-def attention(x: Tensor, packing: Packing, heads: int, rate: float = 0.0,
-              training: bool = False,
+def attention(table: Tensor, indices, packing: Packing, heads: int,
+              rate: float = 0.0, training: bool = False,
               rng: np.random.Generator | None = None) -> Tensor:
     """Multi-head self-attention within each sequence of a packed batch.
 
-    x is [S x d] and serves as the queries, keys and values.  Head j uses
-    columns j*d/heads to (j+1)*d/heads: per sequence, softmax(x x^T /
+    The packed [S x d] input x is embedding_lookup(table, indices), and
+    serves as the queries, keys and values.  Head j uses columns
+    j*d/heads to (j+1)*d/heads: per sequence, softmax(x x^T /
     sqrt(d/heads)) over its own keys, under inverted dropout, times x.
     Sequence b in turn draws a [heads, T, T] mask, T the longest length,
     and keeps its [:, :n_b, :n_b] corner as booleans: the stream of one
-    padded [B, heads, T, T] draw.  The node keeps each row's largest score
-    and sum and the masks; the backward pass recomputes the weights from
-    x.  Both passes write each head through a view of an [S x d] array,
-    with no transposing copy.  The backward pass writes x's gradient as a
-    query there, then adds its gradients as a key and as a value, in the
-    order an op taking q, k and v apart would add them into x's gradient,
-    so the bits are that op's.
+    padded [B, heads, T, T] draw.  The node keeps the table, not x, and
+    each row's largest score and sum and the masks.  Both passes gather
+    one sequence's rows of x at a time and write each head through a
+    view, with no transposing copy.  The backward pass recomputes the
+    weights, writes the rows' gradient as queries, adds it as keys and as
+    values, in the order an op taking q, k and v apart would, then adds
+    it into the table's gradient with np.add.at in row order, as
+    embedding_lookup would: the bits of those ops composed.  For x of its
+    own, pass x as the table and np.arange(len(x)) as the indices.
     """
-    rows, d = x.shape
-    if rows != packing.total or d % heads:
-        raise ShapeMismatch(f"attention: x {x.shape}, {heads} heads, "
-                            f"{packing.total} rows")
+    idx = _rows(table, indices)
+    d = table.shape[1]
+    if idx.size != packing.total or d % heads:
+        raise ShapeMismatch(f"attention: {idx.size} rows of {d} columns, "
+                            f"{heads} heads, {packing.total} rows")
     hd, steps = d // heads, packing.steps
     inv_sqrt = 1.0 / np.sqrt(hd)
     test = _dropout_mask(rate, training, rng)
@@ -395,14 +420,12 @@ def attention(x: Tensor, packing: Packing, heads: int, rate: float = 0.0,
     spans = [slice(s, s + n) for s, n in
              zip(packing.starts.tolist(), packing.lengths.tolist())]
 
-    def by_head(a: np.ndarray) -> np.ndarray:  # [S x d] -> [heads, S, hd]
-        return a.reshape(rows, heads, hd).transpose(1, 0, 2)
+    def by_head(a: np.ndarray) -> np.ndarray:  # [n x d] -> [heads, n, hd]
+        return a.reshape(len(a), heads, hd).transpose(1, 0, 2)
 
-    xs = by_head(x.data)
-
-    def softmax(span: slice, top=None, total=None):
+    def softmax(xs: np.ndarray, top=None, total=None):
         # per head over one sequence; bw passes in the forward's max and sum
-        probs = xs[:, span] @ xs[:, span].transpose(0, 2, 1)
+        probs = xs @ xs.transpose(0, 2, 1)
         probs *= inv_sqrt
         top = probs.max(axis=-1, keepdims=True) if top is None else top
         probs -= top
@@ -411,36 +434,50 @@ def attention(x: Tensor, packing: Packing, heads: int, rate: float = 0.0,
         probs /= total
         return probs, top, total
 
-    out = np.empty((rows, d))
+    out = np.empty((packing.total, d))
     saved = []  # per sequence: each row's largest score and sum, and keep
     for span in spans:
         n = span.stop - span.start
-        probs, top, total = softmax(span)
+        xs = by_head(table.data[idx[span]])
+        probs, top, total = softmax(xs)
         keep = None if test is None else test((heads, steps, steps))[
             :, :n, :n].copy()
         weights = probs if keep is None else probs * keep * scale
-        by_head(out)[:, span] = weights @ xs[:, span]
+        by_head(out[span])[:] = weights @ xs
         saved.append((top, total, keep))
 
     def bw(g):
-        gs, grad = by_head(g), np.empty((rows, d))
-        dx = by_head(grad)
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
         for span, (top, total, keep) in zip(spans, saved):
-            probs = softmax(span, top, total)[0]
-            d_scores = gs[:, span] @ xs[:, span].transpose(0, 2, 1)
+            xs, gs = by_head(table.data[idx[span]]), by_head(g[span])
+            grad = np.empty((span.stop - span.start, d))
+            dx = by_head(grad)
+            probs = softmax(xs, top, total)[0]
+            d_scores = gs @ xs.transpose(0, 2, 1)
             if keep is not None:
                 d_scores *= keep * scale
             d_scores *= probs
             d_scores -= probs * d_scores.sum(axis=-1, keepdims=True)
             d_scores *= inv_sqrt
-            dx[:, span] = d_scores @ xs[:, span]
-            dx[:, span] += d_scores.transpose(0, 2, 1) @ xs[:, span]
+            dx[:] = d_scores @ xs
+            dx += d_scores.transpose(0, 2, 1) @ xs
             weights = probs if keep is None else probs * keep * scale
-            dx[:, span] += weights.transpose(0, 2, 1) @ gs[:, span]
-        if x.requires_grad:
-            _accum(x, grad, owned=True)
+            dx += weights.transpose(0, 2, 1) @ gs
+            np.add.at(table.grad, idx[span], grad)
 
-    return _node(out, (x,), bw)
+    return _node(out, (table,), bw)
+
+
+def _cell_state(act: np.ndarray, cs: np.ndarray, lo: int, back: int,
+                h: int) -> np.ndarray:
+    """A step's c = i * c~ + f * c_prev, from its gate activations act, into
+    cs at its slots from lo on; back is the step before's first slot, and
+    a sequence's first step has no c_prev."""
+    c = np.multiply(act[:, :h], act[:, 3 * h:], out=cs[lo:lo + len(act)])
+    if lo:
+        c += act[:, h:2 * h] * cs[back:back + len(act)]
+    return c
 
 
 def lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, packing: Packing,
@@ -451,10 +488,13 @@ def lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, packing: Packing,
     b_all is [1 x 4h], gate columns in the order i, f, o, c.  Each sequence
     starts from a zero state at its first row, or at its last when reverse.
     Every row's input projection is one GEMM before the recurrence, whose
-    step t updates only the packing's live[t] sequences.  The backward pass
-    computes each step's factors from that step's slots and writes its
-    pre-activation gradients over its gate rows; above the node, it then
-    allocates only the row-ordered [S x 4h] gradient and x's.
+    step t updates only the packing's live[t] sequences.  The node keeps
+    the gate activations and the output, not the cell states, which the
+    backward pass first recomputes from the gates (_cell_state, with the
+    forward's bits).  It then computes each step's factors from that
+    step's slots and writes its pre-activation gradients over its gate
+    rows; it drops the cell states before it allocates the row-ordered
+    [S x 4h] gradient and x's.
     """
     rows, in_dim = x.shape
     h = b_all.shape[1] // 4
@@ -473,22 +513,24 @@ def lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, packing: Packing,
     back = 0  # the step before's first slot
     with np.errstate(over="ignore"):  # for the gates' sigmoid
         for lo, n in packing.spans:
-            act, hi = gates[lo:lo + n], lo + n
+            act = gates[lo:lo + n]
             if lo:
                 act += hs[back:back + n] @ w_h
             _sigmoid(act[:, :3 * h], act[:, :3 * h])
             np.tanh(act[:, 3 * h:], out=act[:, 3 * h:])
-            np.multiply(act[:, :h], act[:, 3 * h:], out=cs[lo:hi])
-            if lo:
-                cs[lo:hi] += act[:, h:2 * h] * cs[back:back + n]
-            np.multiply(act[:, 2 * h:3 * h], np.tanh(cs[lo:hi]), out=hs[lo:hi])
+            c = _cell_state(act, cs, lo, back, h)
+            np.multiply(act[:, 2 * h:3 * h], np.tanh(c), out=hs[lo:lo + n])
             back = lo
     out = np.empty((rows, h))
     out[slots] = hs
 
     def bw(g):
-        nonlocal gates, cs
+        nonlocal gates
         i_, f_, o_, c_ = (slice(j * h, (j + 1) * h) for j in range(4))
+        cs, back = np.empty((rows, h)), 0
+        for lo, n in packing.spans:
+            _cell_state(gates[lo:lo + n], cs, lo, back, h)
+            back = lo
         # carried into the step before, whose first slots they update
         dh_carry = dc_carry = np.zeros((0, h))
         for t, (lo, n) in reversed(list(enumerate(packing.spans))):

@@ -5,7 +5,10 @@ with Q = K = V, the embedded path itself (no input projections), and feeds
 a stacked bidirectional LSTM.  A batch's paths, which hold their true steps
 only, are packed one after another as [S x cols] rows (autograd.Packing),
 with attention within each path and a recurrence that steps only the paths
-still running (autograd.attention, lstm_direction).  Each LSTM direction
+still running (autograd.attention, lstm_direction).  Attention looks the
+path up in the embedding table itself, one path at a time, so no tape node
+holds the embedded path; between LSTM layers, one dropout node joins the
+two directions' outputs and masks the join.  Each LSTM direction
 keeps its parameters as that op reads them: one weight [(h + in) x 4h] and
 one bias [1 x 4h], gate columns i, f, o, c.  The graph side builds Â
 (autograd.Graph) once per batch, one disjoint union of the trees' edge
@@ -222,16 +225,17 @@ def self_attention(x: Tensor, true_length: int, cfg: ModelConfig,
                    rng: np.random.Generator | None = None) -> Tensor:
     """[true_length x d] -> [true_length x d]: one path's attention.
 
-    The attention op of forward_batch at B=1; the benchmark's per-layer
-    probe (perfbench/layers.py) times it.  Attention has no parameters,
-    so params goes unread: it stays because that probe passes it by
+    The attention op of forward_batch at B=1, with x as its table and
+    its rows in order; the benchmark's per-layer probe
+    (perfbench/layers.py) times it.  Attention has no parameters, so
+    params goes unread: it stays because that probe passes it by
     position.
     """
     if x.shape != (true_length, cfg.d):
         raise ShapeMismatch(
             f"self_attention: {x.shape} vs ({true_length}, {cfg.d})")
-    return ag.attention(x, ag.Packing([true_length]), cfg.heads,
-                        cfg.attn_dropout, training, rng)
+    return ag.attention(x, np.arange(true_length), ag.Packing([true_length]),
+                        cfg.heads, cfg.attn_dropout, training, rng)
 
 
 def _bilstm(x: Tensor, packing: ag.Packing, params: ModelParams,
@@ -239,14 +243,15 @@ def _bilstm(x: Tensor, packing: ag.Packing, params: ModelParams,
             rng: np.random.Generator | None) -> Tensor:
     """[S x d] -> [B x 2h]: top layer's forward and backward finals.
 
-    The forward final is each sequence's state at its last row, the
-    backward final at its first.
+    A later layer reads the layer below's two directions joined side by
+    side under dropout, one tape node.  The forward final is each
+    sequence's state at its last row, the backward final at its first.
     """
     inputs = x
     for layer, (fwd, bwd) in enumerate(params.lstm):
         if layer:
-            inputs = ag.dropout(ag.concat([out_f, out_b], axis=1),
-                                cfg.lstm_dropout, training, rng, packing)
+            inputs = ag.dropout([out_f, out_b], cfg.lstm_dropout, training,
+                                rng, packing)
         out_f = ag.lstm_direction(inputs, *fwd, packing)
         out_b = ag.lstm_direction(inputs, *bwd, packing, reverse=True)
     return ag.concat([
@@ -315,10 +320,9 @@ def forward_batch(batch: list[PreparedSample], params: ModelParams,
     if cfg.uses_path:
         # the paths' true steps only, one after another
         packing = ag.Packing([s.true_length for s in batch])
-        x = ag.embedding_lookup(params.embedding, np.concatenate(
-            [s.path.indices for s in batch]))
-        x = ag.attention(x, packing, cfg.heads, cfg.attn_dropout, training,
-                         rng)
+        x = ag.attention(params.embedding, np.concatenate(
+            [s.path.indices for s in batch]), packing, cfg.heads,
+            cfg.attn_dropout, training, rng)
         features.append(_bilstm(x, packing, params, cfg, training, rng))
 
     if cfg.uses_graph:

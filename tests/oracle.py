@@ -9,9 +9,14 @@ padded attention, dropout and LSTM ops over [B*T x cols] rows.  Those draw
 each dropout mask as one draw over the padded layout (_dropout_mask), as
 the model did before it drew per path, so the same rng must give the same
 masks.  saved_attention and saved_lstm_direction are the packed sequence
-ops as they ran when their nodes kept probs, h and tanh(c) for the backward
-pass, which now recomputes them; saved_attention also takes q, k and v
-apart, as attention did before it took one tensor.  transpose, slice_rows,
+ops as they ran when their nodes kept probs, h, c and tanh(c) for the
+backward pass, which now recomputes them; saved_attention also takes q, k
+and v apart, as attention did before it took one tensor, and the embedded
+path itself, as attention did before it gathered its rows from the
+embedding table: embedding_lookup followed by saved_attention is the
+attention op's oracle.  packed_dropout is the dropout op as it ran on
+one tensor, before it joined its inputs: concat followed by
+packed_dropout is its oracle.  transpose, slice_rows,
 slice_cols, mul and scale are autograd ops that only these compositions
 use.  log and clamp_min, with mul, sum_all and scale, are the ops
 cross-entropy was composed of before autograd.cross_entropy_loss fused it
@@ -224,8 +229,9 @@ def add_at_propagate(h: Tensor, edges: np.ndarray) -> Tensor:
 # --- the packed sequence ops as their nodes kept their arrays -----------------
 #
 # The backward passes of these read what the forward pass kept: attention
-# each sequence's probs, the LSTM every slot's h and tanh(c).  The autograd
-# ops keep less and recompute the rest, by the same operations.
+# its q, k and v and each sequence's probs, the LSTM every slot's h, c and
+# tanh(c).  The autograd ops keep less and recompute the rest, by the same
+# operations.
 
 
 def saved_attention(q: Tensor, k: Tensor, v: Tensor, packing: ag.Packing,
@@ -287,7 +293,8 @@ def saved_attention(q: Tensor, k: Tensor, v: Tensor, packing: ag.Packing,
 def saved_lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor,
                          packing: ag.Packing, reverse: bool = False) -> Tensor:
     """autograd.lstm_direction as it was when its node kept every slot's
-    h and tanh(c): the same operations in the same order, so the same bits."""
+    h, c and tanh(c): the same operations in the same order, so the same
+    bits."""
     rows, in_dim = x.shape
     h = b_all.shape[1] // 4
     if (rows != packing.total or b_all.shape != (1, 4 * h)
@@ -355,6 +362,25 @@ def saved_lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor,
             _accum(b_all, d_pre.sum(axis=0, keepdims=True), owned=True)
 
     return _node(out, (x, w_all, b_all), bw)
+
+
+def packed_dropout(a: Tensor, rate: float, training: bool,
+                   rng: np.random.Generator | None,
+                   packing: ag.Packing) -> Tensor:
+    """autograd.dropout as it was when it masked one tensor, into a fresh
+    array, and was the identity map when not training or rate is 0."""
+    test = ag._dropout_mask(rate, training, rng)
+    if test is None:
+        return a
+    scale = 1.0 / (1.0 - rate)
+    keep = np.concatenate([test((packing.steps, a.shape[1]))[:n]
+                           for n in packing.lengths.tolist()])
+
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, g * keep * scale, owned=True)
+
+    return _node(a.data * keep * scale, (a,), bw)
 
 
 # --- the padded sequence ops ---------------------------------------------------

@@ -1,5 +1,6 @@
 """Trees, the S-expression interchange, tables, vocabulary, and unification."""
 
+import ast
 import logging
 import warnings
 
@@ -14,6 +15,7 @@ from uastkit.ast_frontend import (
     UnificationTable,
     Vocabulary,
     build_vocabulary,
+    flatten,
     load_ast_sexpr,
     load_default_table,
     node_count,
@@ -23,6 +25,7 @@ from uastkit.ast_frontend import (
     unify_ast,
     vocabulary_from_kinds,
 )
+from uastkit.ast_frontend.python_backend import _convert
 from uastkit.errors import (
     DuplicateMapping,
     EmptyCorpus,
@@ -273,6 +276,21 @@ class TestPythonBackend:
 
     def test_empty_source_gives_bare_root(self):
         assert node_count(parse_source("", "python")) == 1
+
+    def test_empty_constant_in_a_format_spec_changes_nothing(self):
+        # CPython 3.12.1 appends Constant('') to a nested format spec, where
+        # 3.11 and 3.13 do not: the tree must be the same either way
+        module = ast.parse('f"{n!r:>{width}}"\n')
+        spec = next(node.format_spec for node in ast.walk(module)
+                    if isinstance(node, ast.FormattedValue) and node.format_spec)
+        spec.values = [v for v in spec.values
+                       if not (isinstance(v, ast.Constant) and v.value == "")]
+        want = render_sexpr(flatten(_convert(module)))
+        spec.values.append(ast.Constant(""))
+        assert render_sexpr(flatten(_convert(module))) == want
+        assert want == ("(module (expression_statement (string (interpolation"
+                        " (identifier) (string (string) (interpolation"
+                        " (identifier)))))))")
 
     @pytest.mark.parametrize("path, where", [("w.py", "w.py"),
                                              (None, "<unknown>")])

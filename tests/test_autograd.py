@@ -18,6 +18,7 @@ from oracle import (
     composed_gcn_layer,
     log,
     mul,
+    packed_dropout,
     padded_attention,
     padded_dropout,
     padded_lstm_direction,
@@ -544,8 +545,8 @@ class TestConsumedTape:
         rng = np.random.default_rng(7)
         packing = ag.Packing([3, 1, 2])
         x, w_all, b_all = leaf(rng, 6, 4), leaf(rng, 2 + 4, 8), leaf(rng, 1, 8)
-        out = ag.lstm_direction(ag.attention(x, packing, 2), w_all, b_all,
-                                packing)
+        out = ag.lstm_direction(ag.attention(x, np.arange(6), packing, 2),
+                                w_all, b_all, packing)
         return ag.sum_all(mul(out, leaf(rng, 6, 2))), [x, w_all, b_all]
 
     def test_backward_drops_every_backward_function(self):
@@ -603,7 +604,8 @@ class TestGradientOwnership:
         packing = ag.Packing([3, 1, 2])
         x, weights = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
         one = Tensor(x.copy(), requires_grad=True)
-        self._backward_and_check(ag.attention(one, packing, heads), weights)
+        self._backward_and_check(ag.attention(one, np.arange(6), packing,
+                                              heads), weights)
         q, k, v = (Tensor(x.copy(), requires_grad=True) for _ in range(3))
         ag.backward(ag.sum_all(mul(saved_attention(q, k, v, packing, heads),
                                    Tensor(weights))))
@@ -641,14 +643,25 @@ class TestFusedSequenceGradients:
         for lengths in self.LENGTHS:
             x = leaf(self.rng, sum(lengths), 4)
             fd_check(lambda: self._weighted(ag.attention(
-                x, ag.Packing(lengths), heads=2)), [x])
+                x, np.arange(sum(lengths)), ag.Packing(lengths), heads=2)),
+                [x])
 
     def test_attention_under_fixed_dropout(self):
         for lengths in self.LENGTHS:
             x = leaf(self.rng, sum(lengths), 6)
             fd_check(lambda: self._weighted(ag.attention(
-                x, ag.Packing(lengths), heads=3, rate=0.4, training=True,
-                rng=np.random.default_rng(5))), [x])
+                x, np.arange(sum(lengths)), ag.Packing(lengths), heads=3,
+                rate=0.4, training=True, rng=np.random.default_rng(5))), [x])
+
+    def test_attention_gathers_from_a_table(self):
+        # a 3-row table whose rows each recur within and across sequences,
+        # so a row's gradient sums what every position it fills sends back
+        for lengths in self.LENGTHS:
+            table = leaf(self.rng, 3, 6)
+            rows = self.rng.integers(0, 3, sum(lengths))
+            fd_check(lambda: self._weighted(ag.attention(
+                table, rows, ag.Packing(lengths), heads=2, rate=0.4,
+                training=True, rng=np.random.default_rng(5))), [table])
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm_direction_masked(self, reverse):
@@ -694,14 +707,14 @@ class TestFusedSequenceGradients:
             rows = len(lengths) * max(lengths)
             x = self.rng.normal(size=(rows, 4))
             self._live_rows_match(
-                lengths, lambda p, a: ag.attention(a, p, 2),
+                lengths, lambda p, a: ag.attention(a, np.arange(p.total), p, 2),
                 lambda n, a: padded_attention(a, a, a, n, 2), [x])
             # the packed op draws per path, the oracle once over [B, heads,
             # T, T]: one stream, so the same masks
             self._live_rows_match(
                 lengths,
-                lambda p, a: ag.attention(
-                    a, p, 3, 0.4, True, np.random.default_rng(5)),
+                lambda p, a: ag.attention(a, np.arange(p.total), p, 3, 0.4,
+                                          True, np.random.default_rng(5)),
                 lambda n, a: padded_attention(
                     a, a, a, n, 3, 0.4, True, np.random.default_rng(5)),
                 [self.rng.normal(size=(rows, 6))])
@@ -710,7 +723,7 @@ class TestFusedSequenceGradients:
         for lengths in self.LENGTHS:
             self._live_rows_match(
                 lengths,
-                lambda p, x: ag.dropout(x, 0.5, True,
+                lambda p, x: ag.dropout([x], 0.5, True,
                                         np.random.default_rng(5), p),
                 lambda n, x: padded_dropout(x, 0.5, True,
                                             np.random.default_rng(5)),
@@ -729,13 +742,16 @@ class TestFusedSequenceGradients:
 
     def test_sequence_shape_guards(self):
         x = Tensor(np.zeros((8, 4)))
+        rows = np.arange(8)
         for lengths in ([3, 1, 4, 2], [3, 1, 3], [3, 0, 5]):
             with pytest.raises(ShapeMismatch):
-                ag.attention(x, ag.Packing(lengths), heads=2)
+                ag.attention(x, rows, ag.Packing(lengths), heads=2)
         with pytest.raises(ShapeMismatch):
             ag.Packing([])
         with pytest.raises(ShapeMismatch):
-            ag.attention(x, ag.Packing([3, 1, 4]), heads=3)
+            ag.attention(x, rows, ag.Packing([3, 1, 4]), heads=3)
+        with pytest.raises(IndexOutOfVocab):
+            ag.attention(x, rows + 1, ag.Packing([3, 1, 4]), heads=2)
         with pytest.raises(ShapeMismatch):
             ag.lstm_direction(x, Tensor(np.zeros((5, 8))),
                               Tensor(np.zeros((1, 8))), ag.Packing([3, 1, 4]))
@@ -756,9 +772,11 @@ class TestFusedSequenceGradients:
 
 
 class TestSavedArrayOracle:
-    """attention and lstm_direction recompute in backward what their nodes
-    kept before (tests/oracle.py): the output and every gradient must keep
-    their bits, -0.0 included."""
+    """attention, dropout and lstm_direction keep less than their nodes
+    kept before, and recompute the rest (tests/oracle.py): attention
+    gathers its rows from the embedding table, dropout joins its inputs
+    and masks the join in place, and the LSTM recomputes its cell states.
+    The output and every gradient must keep their bits, -0.0 included."""
 
     # unsorted, with lengths of 1, and a single path of 1
     LENGTHS = ([3, 1, 4, 2], [1, 5, 1, 1, 5], [1])
@@ -776,6 +794,17 @@ class TestSavedArrayOracle:
         for want, got in zip(*runs):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    def _attention(self, packing, heads, d, rate, vocab, seed):
+        # the table's rows recur across the packed rows, as kinds do
+        rows = np.random.default_rng(seed).integers(0, vocab, packing.total)
+        self._same_bits(
+            lambda t: ag.attention(t, rows, packing, heads, rate, True,
+                                   np.random.default_rng(5)),
+            lambda t: saved_attention(
+                *[ag.embedding_lookup(t, rows)] * 3, packing, heads, rate,
+                True, np.random.default_rng(5)),
+            [(vocab, d)], seed)
+
     @pytest.mark.parametrize("rate", [0.0, 0.4])
     def test_attention(self, rate):
         # both draw from one stream seeded alike, so the same masks; the
@@ -783,11 +812,30 @@ class TestSavedArrayOracle:
         for seed, lengths in enumerate(self.LENGTHS):
             packing = ag.Packing(lengths)
             self._same_bits(
-                lambda x: ag.attention(x, packing, 3, rate, True,
-                                       np.random.default_rng(5)),
+                lambda x: ag.attention(x, np.arange(packing.total), packing,
+                                       3, rate, True, np.random.default_rng(5)),
                 lambda x: saved_attention(x, x, x, packing, 3, rate, True,
                                           np.random.default_rng(5)),
                 [(packing.total, 6)], seed)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    def test_attention_gathers_from_the_table(self, rate):
+        # the oracle embeds the path first and attends over the embedding
+        for seed, lengths in enumerate(self.LENGTHS):
+            self._attention(ag.Packing(lengths), 3, 6, rate, 4, seed)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_dropout(self, training):
+        # the oracle joins the two directions with concat first
+        for seed, lengths in enumerate(self.LENGTHS):
+            packing = ag.Packing(lengths)
+            self._same_bits(
+                lambda a, b: ag.dropout([a, b], 0.5, training,
+                                        np.random.default_rng(5), packing),
+                lambda a, b: packed_dropout(
+                    ag.concat([a, b], axis=1), 0.5, training,
+                    np.random.default_rng(5), packing),
+                [(packing.total, 3), (packing.total, 3)], seed)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm_direction(self, reverse):
@@ -800,17 +848,21 @@ class TestSavedArrayOracle:
                 [(packing.total, 3), (4 + 3, 16), (1, 16)], seed)
 
     # the leetcode profile's sizes, where BLAS runs the kernels training
-    # runs: 20 paths over about 2,000 rows, one of them a single row
+    # runs: 20 paths over about 2,000 rows, one of them a single row, of
+    # 31 kinds
     BIG = [1] + np.random.default_rng(11).integers(2, 201, 19).tolist()
 
     def test_attention_at_benchmark_sizes(self):
+        self._attention(ag.Packing(self.BIG), 4, 200, 0.2, 31, 3)
+
+    def test_dropout_at_benchmark_sizes(self):
         packing = ag.Packing(self.BIG)
         self._same_bits(
-            lambda x: ag.attention(x, packing, 4, 0.2, True,
-                                   np.random.default_rng(5)),
-            lambda x: saved_attention(x, x, x, packing, 4, 0.2, True,
-                                      np.random.default_rng(5)),
-            [(packing.total, 200)], 3)
+            lambda a, b: ag.dropout([a, b], 0.5, True,
+                                    np.random.default_rng(5), packing),
+            lambda a, b: packed_dropout(ag.concat([a, b], axis=1), 0.5, True,
+                                        np.random.default_rng(5), packing),
+            [(packing.total, 64), (packing.total, 64)], 5)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm_direction_at_benchmark_sizes(self, reverse):
@@ -826,12 +878,23 @@ class TestSavedArrayOracle:
 class TestDropout:
     @staticmethod
     def _drop(x, rate, training, rng=None):
-        return ag.dropout(x, rate, training, rng, ag.Packing([x.shape[0]]))
+        return ag.dropout([x], rate, training, rng, ag.Packing([x.shape[0]]))
 
     def test_identity_when_not_training(self):
-        x = Tensor(np.ones((4, 4)), requires_grad=True)
-        assert self._drop(x, 0.5, training=False) is x
-        assert self._drop(x, 0.0, training=True) is x
+        x = Tensor(np.random.default_rng(2).normal(size=(4, 4)),
+                   requires_grad=True)
+        for out in (self._drop(x, 0.5, training=False),
+                    self._drop(x, 0.0, training=True)):
+            assert out.data.tobytes() == x.data.tobytes()
+
+    def test_joins_its_parts_side_by_side(self):
+        a, b = (Tensor(np.full((3, n), float(n)), requires_grad=True)
+                for n in (2, 1))
+        out = ag.dropout([a, b], 0.0, False, None, ag.Packing([2, 1]))
+        assert out.data.tolist() == [[2.0, 2.0, 1.0]] * 3
+        ag.backward(ag.sum_all(mul(out, Tensor(np.arange(9.0).reshape(3, 3)))))
+        assert a.grad.tolist() == [[0.0, 1.0], [3.0, 4.0], [6.0, 7.0]]
+        assert b.grad.tolist() == [[2.0], [5.0], [8.0]]
 
     def test_training_scales_survivors(self):
         rng = np.random.default_rng(3)
@@ -888,21 +951,24 @@ class TestDropoutMemory:
 
     def test_attention_forward_and_backward(self):
         peak = self._peak_bytes(16, lambda x, p, rng: ag.attention(
-            x, p, 4, 0.2, True, rng))
+            x, np.arange(p.total), p, 4, 0.2, True, rng))
         assert peak < 4 * 2**20
 
     def test_lstm_dropout_forward_and_backward(self):
         peak = self._peak_bytes(256, lambda x, p, rng: ag.dropout(
-            x, 0.5, True, rng, p))
+            [x], 0.5, True, rng, p))
         assert peak < 2 * 2**20
 
 
 class TestBackwardMemory:
     """What one backward pass allocates above its tape, at leetcode widths
-    over 1,024 rows.  lstm_direction takes 1.14 [S x 4h] arrays, and 3.05
-    with its factors and pre-activation gradients held for all slots at
-    once; attention takes 1.38 [S x d] arrays, and 3.38 with its query,
-    key and value gradients in three arrays.  gcn_layer, over 2,048 nodes
+    over 1,024 rows.  lstm_direction takes 1.39 [S x 4h] arrays, 0.25 of
+    them the cell states it recomputes, which its node no longer keeps
+    (1.14 when it kept them), and 3.05 with its factors and pre-activation
+    gradients held for all slots at once.  attention, gathering from a 31-row table, takes 0.54 [S x d]
+    arrays, its one sequence's work arrays; it took 1.38 when it wrote a
+    gradient for the whole embedded path, and 3.38 with its query, key and
+    value gradients in three such arrays.  gcn_layer, over 2,048 nodes
     and 200 columns, takes 0.15 [n x 200] arrays as a first layer and 1.27
     as a later one, where a fresh mask array adds one, and so does a
     propagation into a fresh result while the gradient it read stays
@@ -935,11 +1001,12 @@ class TestBackwardMemory:
         assert peak < 2 * self.ROWS * 256 * 8
 
     def test_attention(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(self.ROWS, 200)),
-                   requires_grad=True)
+        rng = np.random.default_rng(0)
+        table = Tensor(rng.normal(size=(31, 200)), requires_grad=True)
+        rows = rng.integers(0, 31, self.ROWS)
         peak = self._backward_peak(lambda p: ag.attention(
-            x, p, 4, 0.2, True, np.random.default_rng(1)))
-        assert peak < 2 * self.ROWS * 200 * 8
+            table, rows, p, 4, 0.2, True, np.random.default_rng(1)))
+        assert peak < 1.0 * self.ROWS * 200 * 8
 
     @pytest.mark.parametrize("first", [True, False])
     def test_gcn_layer(self, first):

@@ -179,6 +179,16 @@ class TestRecovery:
         assert kinds.count("ERROR") == 1
         assert "method_declaration" in kinds and "return_statement" in kinds
 
+    def test_java_lone_semicolon_at_top_level_is_empty(self):
+        # javac takes a lone `;` between type declarations as an empty
+        # declaration, as a class body takes one as an empty member
+        tree = parse_source("; class A { ; } ;", "java")
+        kinds = kinds_of(tree)
+        top = [k for k, p in zip(kinds, tree.parents) if p == 0]
+        assert top == ["empty_statement", "class_declaration",
+                       "empty_statement"]
+        assert kinds.count("empty_statement") == 3 and "ERROR" not in kinds
+
     def test_unterminated_block_comment_runs_to_the_end(self):
         # as a compiler reads it: what follows the open comment is comment
         src = "int f() { return 1; } /* note int g() { return 2; }"
