@@ -5,8 +5,9 @@ record a backward closure on the output when any input participates in
 gradient computation, so constant subgraphs (masks, Â X) cost nothing on
 the tape.  Graph structure enters as a Graph: Â's weights and scatter
 rounds, built once per batch from an integer edge list; gcn_layer records
-a whole GCN layer, relu(Â H W), as one tape node, and cross_entropy_loss
-the whole loss.
+a whole GCN layer, relu(Â H W), as one tape node, classify the whole
+softmax head over the joined features, and cross_entropy_loss the whole
+loss.
 
 backward() consumes the tape: it drops each closure and each interior
 .grad once the closure has run, so a node saves only what its backward
@@ -20,8 +21,8 @@ from which its backward pass recomputes the cell states.
 accumulates over tapes until zero_grads.  A first gradient is stored as
 g + 0.0 (-0.0 becomes 0.0): in place, adopting g, when a backward pass
 made g for that input alone (owned); in a copy when g is the output's
-gradient or a view of it, as add and concat pass on.  No two .grad share
-memory.
+gradient or a view of it, as add and a join (dropout's, classify's) pass
+on.  No two .grad share memory.
 """
 
 from __future__ import annotations
@@ -97,75 +98,42 @@ def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
         t.grad += g
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    if shape[0] == 1 and g.shape[0] != 1:
-        g = g.sum(axis=0, keepdims=True)
-    if shape[1] == 1 and g.shape[1] != 1:
-        g = g.sum(axis=1, keepdims=True)
-    return g
-
-
-def _broadcastable(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return all(x == y or x == 1 or y == 1 for x, y in zip(a, b))
-
-
 # --- arithmetic -------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if not _broadcastable(a.shape, b.shape):
+    """a + b, of one shape.  Nothing in the package calls it; it stays
+    because the benchmark's per-layer probe (perfbench/layers.py) sums
+    with it."""
+    if a.shape != b.shape:
         raise ShapeMismatch(f"add: {a.shape} vs {b.shape}")
 
     def bw(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
+            _accum(a, g)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.shape))
+            _accum(b, g)
 
     return _node(a.data + b.data, (a, b), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T, owned=True)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g, owned=True)
-
-    return _node(a.data @ b.data, (a, b), bw)
-
-
 # --- structure --------------------------------------------------------------
 
-def _join(tensors: list[Tensor], axis: int):
-    """The tensors' arrays joined into one fresh array, and the backward
-    function that hands each tensor its part of a gradient."""
-    if axis not in (0, 1):
-        raise ShapeMismatch(f"concat: axis must be 0 or 1, got {axis}")
+def _join(tensors: list[Tensor]):
+    """The tensors' arrays side by side in one fresh array, and the
+    backward function that hands each tensor its columns of a gradient."""
     if not tensors:
-        raise ShapeMismatch("concat: empty input list")
-    other = 1 - axis
-    base = tensors[0].shape[other]
+        raise ShapeMismatch("join: empty input list")
     for t in tensors[1:]:
-        if t.shape[other] != base:
-            raise ShapeMismatch(
-                f"concat axis {axis}: {tensors[0].shape} vs {t.shape}")
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+        if t.shape[0] != tensors[0].shape[0]:
+            raise ShapeMismatch(f"join: {tensors[0].shape} vs {t.shape}")
+    offsets = np.cumsum([0] + [t.shape[1] for t in tensors])
 
     def bw(g):
         for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                _accum(t, g[start:stop] if axis == 0 else g[:, start:stop])
+                _accum(t, g[:, start:stop])
 
-    return np.concatenate([t.data for t in tensors], axis=axis), bw
-
-
-def concat(tensors: list[Tensor], axis: int) -> Tensor:
-    data, bw = _join(tensors, axis)
-    return _node(data, tuple(tensors), bw)
+    return np.concatenate([t.data for t in tensors], axis=1), bw
 
 
 def _rows(table: Tensor, indices) -> np.ndarray:
@@ -300,19 +268,6 @@ def _sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.divide(1.0, np.add(out, 1.0, out=out), out=out)
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
-
-    def bw(g):
-        if a.requires_grad:
-            tmp = g * s
-            _accum(a, tmp - s * tmp.sum(axis=1, keepdims=True), owned=True)
-
-    return _node(s, (a,), bw)
-
-
 def _dropout_mask(rate: float, training: bool,
                   rng: np.random.Generator | None):
     """None for the identity map, else the keep test: a shape's boolean
@@ -329,14 +284,15 @@ def _dropout_mask(rate: float, training: bool,
 
 def dropout(parts: list[Tensor], rate: float, training: bool,
             rng: np.random.Generator | None, packing: "Packing") -> Tensor:
-    """Inverted dropout over concat(parts, axis=1), a packed batch's rows,
-    as one tape node; only the join when not training or rate is 0.  Each
-    path in turn draws a [T x cols] mask, T the longest length, and keeps
-    its first n_b rows as booleans: the stream of one padded [B*T x cols]
-    draw.  The forward pass masks its fresh join in place, the backward
-    pass the consumed g, with concat's and dropout's bits."""
+    """Inverted dropout over the parts joined side by side, a packed
+    batch's rows, as one tape node; only the join when not training or
+    rate is 0.  Each path in turn draws a [T x cols] mask, T the longest
+    length, and keeps its first n_b rows as booleans: the stream of one
+    padded [B*T x cols] draw.  The forward pass masks its fresh join in
+    place, the backward pass the consumed g, with the bits of the concat
+    and dropout it was once composed of (tests/oracle.py)."""
     test = _dropout_mask(rate, training, rng)
-    out, join_bw = _join(parts, axis=1)
+    out, join_bw = _join(parts)
     if test is None:
         return _node(out, tuple(parts), join_bw)
     scale = 1.0 / (1.0 - rate)
@@ -572,6 +528,10 @@ def lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, packing: Packing,
 # --- reductions --------------------------------------------------------------
 
 def sum_all(a: Tensor) -> Tensor:
+    """[1 x 1]: the sum of a's entries.  Nothing in the package calls it;
+    it stays because the benchmark's per-layer probe (perfbench/layers.py)
+    sums with it."""
+
     def bw(g):
         if a.requires_grad:
             _accum(a, np.full(a.shape, g[0, 0]), owned=True)
@@ -579,7 +539,44 @@ def sum_all(a: Tensor) -> Tensor:
     return _node(np.array([[a.data.sum()]]), (a,), bw)
 
 
-# --- loss --------------------------------------------------------------------
+# --- head and loss -------------------------------------------------------------
+
+def classify(parts: list[Tensor], w: Tensor, b: Tensor) -> Tensor:
+    """[B x k] probabilities: softmax(join(parts) w + b) by rows, one node.
+
+    The [B x cols] parts are joined side by side, the first leftmost; w is
+    [cols x k] and b [1 x k].  The node keeps the joined input and the
+    probabilities.  Both passes run, in order, the operations of the
+    concat, matmul, broadcasting add and row softmax the head was once
+    composed of (tests/oracle.py): the backward pass stores the logits'
+    gradient as g + 0.0, sums its rows into b's gradient, and hands each
+    part its columns of the joined input's gradient, so every bit is
+    theirs, -0.0 included.
+    """
+    x, join_bw = _join(parts)
+    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ShapeMismatch(f"classify: {x.shape} @ {w.shape} + {b.shape}")
+    s = x @ w.data
+    s += b.data
+    s -= s.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
+
+    def bw(g):
+        g *= s
+        d = g - s * g.sum(axis=1, keepdims=True)
+        d += 0.0
+        if b.requires_grad:
+            _accum(b, d.sum(axis=0, keepdims=True), owned=True)
+        if any(t.requires_grad for t in parts):
+            dx = d @ w.data.T
+            dx += 0.0
+            join_bw(dx)
+        if w.requires_grad:
+            _accum(w, x.T @ d, owned=True)
+
+    return _node(s, (*parts, w, b), bw)
+
 
 def cross_entropy_loss(probs: Tensor, labels) -> Tensor:
     """Mean over the batch of -log(p_label), probabilities clamped at 1e-12.

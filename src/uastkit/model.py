@@ -14,8 +14,9 @@ one bias [1 x 4h], gate columns i, f, o, c.  The graph side builds Â
 (autograd.Graph) once per batch, one disjoint union of the trees' edge
 lists; each GCN layer is one tape node (autograd.gcn_layer), relu(Â H W),
 the first the constant Â X (X the one-hot kinds) times W0, and each tree's
-nodes are mean-pooled.  Features fuse by concatenation, sequence side
-first, into a softmax classifier.
+nodes are mean-pooled.  The features, the top LSTM layer's two finals
+then the pooled graph rows, are joined side by side and classified by one
+softmax layer, one tape node (autograd.classify).
 
 One function composes the two encoders: forward_batch, which training,
 evaluation and prediction all run.  Its tape holds the same number of nodes
@@ -151,11 +152,23 @@ def _gcn_dims(cfg: ModelConfig) -> list[tuple[int, int]]:
     return list(zip(dims[:-1], dims[1:]))
 
 
-def _build_params(cfg: ModelConfig, uniform, bias) -> ModelParams:
-    """Assemble the mode-dependent parameter structure from filler callables."""
+def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
+    """Uniform(-sqrt(1/fan_in), sqrt(1/fan_in)) per matrix; forget bias 1."""
+    cfg.validate()
+    rng = np.random.default_rng([seed, INIT_STREAM])
+
+    def uniform(rows: int, cols: int, fan_in: int) -> Tensor:
+        bound = math.sqrt(1.0 / fan_in)
+        return Tensor(rng.uniform(-bound, bound, size=(rows, cols)),
+                      requires_grad=True)
+
+    def bias(cols: int, value: float | np.ndarray = 0.0) -> Tensor:
+        return Tensor(np.full((1, cols), value), requires_grad=True)
+
     params = ModelParams(config=cfg)
     if cfg.uses_path:
         params.embedding = uniform(cfg.vocab_size, cfg.d, cfg.d)
+        params.embedding.data[0, :] = 0.0  # PAD row starts zero, stays zero
         forget_one = np.repeat([0.0, 1.0, 0.0, 0.0], cfg.h)
         in_dim = cfg.d
         for _ in range(cfg.lstm_layers):
@@ -175,38 +188,6 @@ def _build_params(cfg: ModelConfig, uniform, bias) -> ModelParams:
     params.clf_w = uniform(cfg.fusion_dim, cfg.k, cfg.fusion_dim)
     params.clf_b = bias(cfg.k)
     return params
-
-
-def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
-    """Uniform(-sqrt(1/fan_in), sqrt(1/fan_in)) per matrix; forget bias 1."""
-    cfg.validate()
-    rng = np.random.default_rng([seed, INIT_STREAM])
-
-    def uniform(rows: int, cols: int, fan_in: int) -> Tensor:
-        bound = math.sqrt(1.0 / fan_in)
-        return Tensor(rng.uniform(-bound, bound, size=(rows, cols)),
-                      requires_grad=True)
-
-    def bias(cols: int, value: float | np.ndarray = 0.0) -> Tensor:
-        return Tensor(np.full((1, cols), value), requires_grad=True)
-
-    params = _build_params(cfg, uniform, bias)
-    if params.embedding is not None:
-        params.embedding.data[0, :] = 0.0  # PAD row starts zero, stays zero
-    return params
-
-
-def empty_params(cfg: ModelConfig) -> ModelParams:
-    """Zero-filled parameters with the canonical shapes, for deserialization."""
-    cfg.validate()
-
-    def uniform(rows: int, cols: int, fan_in: int) -> Tensor:
-        return Tensor(np.zeros((rows, cols)), requires_grad=True)
-
-    def bias(cols: int, value: float | np.ndarray = 0.0) -> Tensor:
-        return Tensor(np.zeros((1, cols)), requires_grad=True)
-
-    return _build_params(cfg, uniform, bias)
 
 
 # --- sequence side -----------------------------------------------------------
@@ -240,8 +221,8 @@ def self_attention(x: Tensor, true_length: int, cfg: ModelConfig,
 
 def _bilstm(x: Tensor, packing: ag.Packing, params: ModelParams,
             cfg: ModelConfig, training: bool,
-            rng: np.random.Generator | None) -> Tensor:
-    """[S x d] -> [B x 2h]: top layer's forward and backward finals.
+            rng: np.random.Generator | None) -> list[Tensor]:
+    """[S x d] -> the top layer's forward and backward finals, [B x h] each.
 
     A later layer reads the layer below's two directions joined side by
     side under dropout, one tape node.  The forward final is each
@@ -254,9 +235,8 @@ def _bilstm(x: Tensor, packing: ag.Packing, params: ModelParams,
                                 rng, packing)
         out_f = ag.lstm_direction(inputs, *fwd, packing)
         out_b = ag.lstm_direction(inputs, *bwd, packing, reverse=True)
-    return ag.concat([
-        ag.gather_rows(out_f, packing.starts + packing.lengths - 1),
-        ag.gather_rows(out_b, packing.starts)], axis=1)
+    return [ag.gather_rows(out_f, packing.starts + packing.lengths - 1),
+            ag.gather_rows(out_b, packing.starts)]
 
 
 # --- graph side --------------------------------------------------------------
@@ -323,7 +303,7 @@ def forward_batch(batch: list[PreparedSample], params: ModelParams,
         x = ag.attention(params.embedding, np.concatenate(
             [s.path.indices for s in batch]), packing, cfg.heads,
             cfg.attn_dropout, training, rng)
-        features.append(_bilstm(x, packing, params, cfg, training, rng))
+        features += _bilstm(x, packing, params, cfg, training, rng)
 
     if cfg.uses_graph:
         # one disjoint union: each sample's edges shift by its first node
@@ -336,8 +316,7 @@ def forward_batch(batch: list[PreparedSample], params: ModelParams,
         features.append(ag.segment_pool(h, counts))
 
     # the sequence features come first in the fused row
-    h_code = ag.concat(features, axis=1) if len(features) == 2 else features[0]
-    return ag.softmax_rows(ag.add(ag.matmul(h_code, params.clf_w), params.clf_b))
+    return ag.classify(features, params.clf_w, params.clf_b)
 
 
 def forward(path: PathSequence | None, graph: GraphSample | None,

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..ast_frontend import Vocabulary, vocabulary_from_kinds
 from ..errors import CheckpointError, ConfigError
-from ..model import ModelConfig, ModelParams, empty_params
+from ..model import ModelConfig, ModelParams, init_params
 from ..typecheck import check_types
 
 MAGIC = b"UASTCKPT"
@@ -131,7 +131,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if config.k != len(labels):
         raise CheckpointError(f"{path}: config k {config.k} does not match "
                               f"the {len(labels)} stored labels")
-    params = empty_params(config)
+    # every array below is overwritten from the file
+    params = init_params(config, 0)
     manifest = params.manifest()
     if len(declared) != len(manifest):
         raise CheckpointError(f"{path}: parameter count mismatch")

@@ -16,9 +16,12 @@ path itself, as attention did before it gathered its rows from the
 embedding table: embedding_lookup followed by saved_attention is the
 attention op's oracle.  packed_dropout is the dropout op as it ran on
 one tensor, before it joined its inputs: concat followed by
-packed_dropout is its oracle.  transpose, slice_rows,
-slice_cols, mul and scale are autograd ops that only these compositions
-use.  log and clamp_min, with mul, sum_all and scale, are the ops
+packed_dropout is its oracle.  add (which broadcasts), matmul, concat
+and softmax_rows are the ops the softmax head was composed of before
+autograd.classify fused them into one tape node, and with them left
+autograd; composed_classify composes them, and the other compositions
+build on them.  transpose, slice_rows, slice_cols, mul and scale are
+autograd ops that only these compositions use.  log and clamp_min, with mul, sum_all and scale, are the ops
 cross-entropy was composed of before autograd.cross_entropy_loss fused it
 into one tape node; composed_cross_entropy_loss composes them.
 add_at_propagate is the model's propagation as it ran before
@@ -42,14 +45,7 @@ import sys
 import numpy as np
 
 from uastkit import autograd as ag
-from uastkit.autograd import (
-    Tensor,
-    _accum,
-    _broadcastable,
-    _node,
-    _sigmoid,
-    _unbroadcast,
-)
+from uastkit.autograd import Tensor, _accum, _node, _sigmoid
 from uastkit.ast_frontend import AstNode, FlatTree, Vocabulary
 from uastkit.ast_frontend.clike_backend import _KEYWORDS
 from uastkit.ast_frontend.unify import _canon_language
@@ -62,6 +58,85 @@ from uastkit.errors import (
 from uastkit.featurizer import GraphSample, PathSequence
 
 # --- ops only the oracles use -------------------------------------------------
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    if shape[0] == 1 and g.shape[0] != 1:
+        g = g.sum(axis=0, keepdims=True)
+    if shape[1] == 1 and g.shape[1] != 1:
+        g = g.sum(axis=1, keepdims=True)
+    return g
+
+
+def _broadcastable(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    return all(x == y or x == 1 or y == 1 for x, y in zip(a, b))
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b, a [1 x cols] or [rows x 1] side broadcasting."""
+    if not _broadcastable(a.shape, b.shape):
+        raise ShapeMismatch(f"add: {a.shape} vs {b.shape}")
+
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.shape))
+
+    return _node(a.data + b.data, (a, b), bw)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape[1] != b.shape[0]:
+        raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
+
+    def bw(g):
+        if a.requires_grad:
+            _accum(a, g @ b.data.T, owned=True)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g, owned=True)
+
+    return _node(a.data @ b.data, (a, b), bw)
+
+
+def concat(tensors: list[Tensor], axis: int) -> Tensor:
+    if axis not in (0, 1):
+        raise ShapeMismatch(f"concat: axis must be 0 or 1, got {axis}")
+    if not tensors:
+        raise ShapeMismatch("concat: empty input list")
+    other = 1 - axis
+    for t in tensors[1:]:
+        if t.shape[other] != tensors[0].shape[other]:
+            raise ShapeMismatch(
+                f"concat axis {axis}: {tensors[0].shape} vs {t.shape}")
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+
+    def bw(g):
+        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                _accum(t, g[start:stop] if axis == 0 else g[:, start:stop])
+
+    return _node(np.concatenate([t.data for t in tensors], axis=axis),
+                 tuple(tensors), bw)
+
+
+def softmax_rows(a: Tensor) -> Tensor:
+    shifted = a.data - a.data.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=1, keepdims=True)
+
+    def bw(g):
+        if a.requires_grad:
+            tmp = g * s
+            _accum(a, tmp - s * tmp.sum(axis=1, keepdims=True), owned=True)
+
+    return _node(s, (a,), bw)
+
+
+def composed_classify(parts: list[Tensor], w: Tensor, b: Tensor) -> Tensor:
+    """autograd.classify as the four tape nodes it was composed of: concat,
+    matmul, the broadcasting add of b, then softmax_rows."""
+    return softmax_rows(add(matmul(concat(parts, axis=1), w), b))
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -195,7 +270,7 @@ def relu(a: Tensor) -> Tensor:
 def composed_gcn_layer(h: Tensor, w: Tensor, graph: ag.Graph | None) -> Tensor:
     """autograd.gcn_layer as three tape nodes: matmul, propagate (skipped
     when graph is None), then relu."""
-    z = ag.matmul(h, w)
+    z = matmul(h, w)
     return relu(z if graph is None else propagate(z, graph))
 
 
@@ -587,13 +662,13 @@ def padded_sequence(paths, params, cfg, training=False, rng=None) -> Tensor:
                               training, rng)
     for layer, (fwd, bwd) in enumerate(params.lstm):
         if layer:
-            inputs = padded_dropout(ag.concat([out_f, out_b], axis=1),
+            inputs = padded_dropout(concat([out_f, out_b], axis=1),
                                     cfg.lstm_dropout, training, rng)
         out_f = padded_lstm_direction(inputs, *fwd, lengths)
         out_b = padded_lstm_direction(inputs, *bwd, lengths, reverse=True)
     firsts = np.arange(len(lengths)) * T
-    return ag.concat([ag.gather_rows(out_f, firsts + T - 1),
-                      ag.gather_rows(out_b, firsts)], axis=1)
+    return concat([ag.gather_rows(out_f, firsts + T - 1),
+                   ag.gather_rows(out_b, firsts)], axis=1)
 
 
 # --- graph side: dense renormalized adjacency -----------------------------------
@@ -601,9 +676,9 @@ def padded_sequence(paths, params, cfg, training=False, rng=None) -> Tensor:
 def dense_gcn_nodes(graph, params, cfg) -> Tensor:
     """[node_count x d_out] node features through the dense renormalized Â."""
     adj = Tensor(graph.norm_adj)
-    h = relu(ag.matmul(adj, ag.gather_rows(params.gcn[0], graph.node_kinds)))
+    h = relu(matmul(adj, ag.gather_rows(params.gcn[0], graph.node_kinds)))
     for w in params.gcn[1:]:
-        h = relu(ag.matmul(adj, ag.matmul(h, w)))
+        h = relu(matmul(adj, matmul(h, w)))
     return h
 
 
@@ -631,11 +706,11 @@ def attend_one(x: Tensor, mask: Tensor | None, cfg) -> Tensor:
     heads_out = []
     for head in range(cfg.heads):
         q = slice_cols(x, head * hd, (head + 1) * hd)
-        scores = scale(ag.matmul(q, transpose(q)), 1.0 / math.sqrt(hd))
+        scores = scale(matmul(q, transpose(q)), 1.0 / math.sqrt(hd))
         if mask is not None:
-            scores = ag.add(scores, mask)
-        heads_out.append(ag.matmul(ag.softmax_rows(scores), q))
-    return ag.concat(heads_out, axis=1) if len(heads_out) > 1 else heads_out[0]
+            scores = add(scores, mask)
+        heads_out.append(matmul(softmax_rows(scores), q))
+    return concat(heads_out, axis=1) if len(heads_out) > 1 else heads_out[0]
 
 
 def _masks_for_batch(true_lengths, T: int) -> list[tuple]:
@@ -659,18 +734,16 @@ def _lstm_direction(xs, masks, w_all, b_all, h_dim: int, reverse: bool):
     steps = range(len(xs) - 1, -1, -1) if reverse else range(len(xs))
     outs = [None] * len(xs)
     for t in steps:
-        pre = ag.add(ag.matmul(ag.concat([h, xs[t]], axis=1), w_all), b_all)
+        pre = add(matmul(concat([h, xs[t]], axis=1), w_all), b_all)
         i_g = sigmoid(slice_cols(pre, 0, h_dim))
         f_g = sigmoid(slice_cols(pre, h_dim, 2 * h_dim))
         o_g = sigmoid(slice_cols(pre, 2 * h_dim, 3 * h_dim))
         c_hat = tanh(slice_cols(pre, 3 * h_dim, 4 * h_dim))
-        c_new = ag.add(mul(f_g, c), mul(i_g, c_hat))
+        c_new = add(mul(f_g, c), mul(i_g, c_hat))
         live, dead = masks[t]
-        c = c_new if live is None else ag.add(mul(c_new, live),
-                                              mul(c, dead))
+        c = c_new if live is None else add(mul(c_new, live), mul(c, dead))
         h_new = mul(o_g, tanh(c))
-        h = h_new if live is None else ag.add(mul(h_new, live),
-                                              mul(h, dead))
+        h = h_new if live is None else add(mul(h_new, live), mul(h, dead))
         outs[t] = h
     return outs, h
 
@@ -683,8 +756,8 @@ def _bilstm_over_steps(xs, true_lengths, params, cfg) -> Tensor:
                                             reverse=False)
         outs_b, final_bwd = _lstm_direction(inputs, masks, *bwd, cfg.h,
                                             reverse=True)
-        inputs = [ag.concat([f, b], axis=1) for f, b in zip(outs_f, outs_b)]
-    return ag.concat([final_fwd, final_bwd], axis=1)
+        inputs = [concat([f, b], axis=1) for f, b in zip(outs_f, outs_b)]
+    return concat([final_fwd, final_bwd], axis=1)
 
 
 def composed_sequence(paths, params, cfg) -> Tensor:
@@ -695,7 +768,7 @@ def composed_sequence(paths, params, cfg) -> Tensor:
     atts = [attend_one(slice_rows(x_all, b * L, (b + 1) * L),
                        attention_mask(L, n), cfg)
             for b, n in enumerate(lengths)]
-    att_all = ag.concat(atts, axis=0) if len(atts) > 1 else atts[0]
+    att_all = concat(atts, axis=0) if len(atts) > 1 else atts[0]
     base = np.arange(len(paths)) * L
     steps = [ag.gather_rows(att_all, base + t) for t in range(max(lengths))]
     return _bilstm_over_steps(steps, lengths, params, cfg)
@@ -709,10 +782,9 @@ def _classify(sequence, pairs, params, cfg) -> Tensor:
     dense graph oracle per sample, sequence side first."""
     features = [] if sequence is None else [sequence]
     if cfg.uses_graph:
-        features.append(ag.concat([dense_graph_oracle(g, params, cfg)
-                                   for _, g in pairs], axis=0))
-    h = ag.concat(features, axis=1) if len(features) == 2 else features[0]
-    return ag.softmax_rows(ag.add(ag.matmul(h, params.clf_w), params.clf_b))
+        features.append(concat([dense_graph_oracle(g, params, cfg)
+                                for _, g in pairs], axis=0))
+    return composed_classify(features, params.clf_w, params.clf_b)
 
 
 def oracle_probs(pairs, params, cfg) -> Tensor:

@@ -12,11 +12,15 @@ import pytest
 
 from conftest import chain_tree, random_tree, src_env, tape_tensors
 from oracle import (
+    add,
     add_at_propagate,
     clamp_min,
+    composed_classify,
     composed_cross_entropy_loss,
     composed_gcn_layer,
+    concat,
     log,
+    matmul,
     mul,
     packed_dropout,
     padded_attention,
@@ -30,6 +34,7 @@ from oracle import (
     sigmoid,
     slice_cols,
     slice_rows,
+    softmax_rows,
     tanh,
     transpose,
 )
@@ -93,7 +98,7 @@ class TestGradients:
     def test_add_broadcasts_rows_and_cols(self):
         a = leaf(self.rng, 3, 4)
         row, col = leaf(self.rng, 1, 4), leaf(self.rng, 3, 1)
-        fd_check(lambda: ag.sum_all(tanh(ag.add(ag.add(a, row), col))),
+        fd_check(lambda: ag.sum_all(tanh(add(add(a, row), col))),
                  [a, row, col])
 
     def test_mul_broadcast(self):
@@ -106,18 +111,18 @@ class TestGradients:
 
     def test_matmul(self):
         a, b = leaf(self.rng, 3, 4), leaf(self.rng, 4, 2)
-        fd_check(lambda: ag.sum_all(ag.matmul(a, b)), [a, b])
+        fd_check(lambda: ag.sum_all(matmul(a, b)), [a, b])
 
     def test_matmul_chain_with_transpose(self):
         a, b = leaf(self.rng, 2, 3), leaf(self.rng, 2, 3)
-        fd_check(lambda: ag.sum_all(ag.matmul(a, transpose(b))), [a, b])
+        fd_check(lambda: ag.sum_all(matmul(a, transpose(b))), [a, b])
 
     def test_concat_both_axes(self):
         a, b = leaf(self.rng, 2, 3), leaf(self.rng, 2, 3)
-        fd_check(lambda: ag.sum_all(mul(ag.concat([a, b], axis=0),
-                                        ag.concat([b, a], axis=0))),
+        fd_check(lambda: ag.sum_all(mul(concat([a, b], axis=0),
+                                        concat([b, a], axis=0))),
                  [a, b])
-        fd_check(lambda: ag.sum_all(ag.concat([a, b, a], axis=1)), [a, b])
+        fd_check(lambda: ag.sum_all(concat([a, b, a], axis=1)), [a, b])
 
     def test_slices(self):
         a = leaf(self.rng, 4, 5)
@@ -177,17 +182,17 @@ class TestGradients:
     def test_softmax(self):
         a = leaf(self.rng, 3, 4, low=-2, high=2)
         w = Tensor(self.rng.uniform(-1, 1, (3, 4)))
-        fd_check(lambda: ag.sum_all(mul(ag.softmax_rows(a), w)), [a])
+        fd_check(lambda: ag.sum_all(mul(softmax_rows(a), w)), [a])
 
     def test_cross_entropy_via_softmax(self):
         logits = leaf(self.rng, 4, 3, low=-2, high=2)
         labels = [0, 2, 1, 2]
-        fd_check(lambda: ag.cross_entropy_loss(ag.softmax_rows(logits),
+        fd_check(lambda: ag.cross_entropy_loss(softmax_rows(logits),
                                                labels), [logits])
 
     def test_shared_input_used_twice(self):
         a = leaf(self.rng, 2, 2)
-        fd_check(lambda: ag.sum_all(ag.matmul(a, a)), [a])
+        fd_check(lambda: ag.sum_all(matmul(a, a)), [a])
 
 
 # --- op semantics -----------------------------------------------------------------
@@ -235,14 +240,14 @@ class TestOpValues:
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.uniform(-30, 30, (6, 9)))
-        out = ag.softmax_rows(x).data
+        out = softmax_rows(x).data
         assert np.all(out > 0)
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
 
     def test_softmax_shift_invariance(self):
         x = np.array([[1.0, 2.0, 3.0]])
-        a = ag.softmax_rows(Tensor(x)).data
-        b = ag.softmax_rows(Tensor(x + 500.0)).data
+        a = softmax_rows(Tensor(x)).data
+        b = softmax_rows(Tensor(x + 500.0)).data
         assert np.allclose(a, b, atol=1e-15)
         assert np.isfinite(b).all()
 
@@ -265,11 +270,15 @@ class TestOpValues:
 
     def test_matmul_shape_guard(self):
         with pytest.raises(ShapeMismatch):
-            ag.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
     def test_add_shape_guard(self):
+        # autograd's add does not broadcast; the oracle's add does
+        for shape in ((2, 4), (1, 3), (2, 1)):
+            with pytest.raises(ShapeMismatch):
+                ag.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(shape)))
         with pytest.raises(ShapeMismatch):
-            ag.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+            add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
 
     def test_embedding_lookup_bounds(self):
         table = Tensor(np.zeros((4, 2)))
@@ -473,7 +482,7 @@ class TestCrossEntropyOracle:
             logits = rng.normal(size=(batch, k)) * rng.choice([1.0, 10, 40])
             labels = rng.integers(0, k, batch)
             # the softmax's rows, probabilities that underflow included
-            probs = ag.softmax_rows(Tensor(logits)).data
+            probs = softmax_rows(Tensor(logits)).data
             under += int((probs[np.arange(batch), labels] < 1e-12).sum())
             prior = rng.normal(size=(batch, k)) if trial % 2 else None
             runs = self._runs(probs, labels, prior)
@@ -498,6 +507,99 @@ class TestCrossEntropyOracle:
             probs = leaf(rng, batch, 3, low=0.05, high=1.0)
             labels = rng.integers(0, 3, batch)
             fd_check(lambda: ag.cross_entropy_loss(probs, labels), [probs])
+
+
+# --- the fused head against its op-composed oracle ----------------------------------
+
+class TestClassifyOracle:
+    """classify against the concat -> matmul -> add -> softmax_rows chain it
+    fused (tests/oracle.py): the probabilities and every gradient keep
+    their bits, -0.0 included."""
+
+    @staticmethod
+    def _runs(widths, batch, seed, frozen=(), weight=None):
+        """(probs, w.grad, b.grad, each part's grad) from each form, under
+        the upstream gradient weight; the parts in frozen need none."""
+        rng = np.random.default_rng(seed)
+        parts = [rng.normal(size=(batch, n)) for n in widths]
+        w, b = rng.normal(size=(sum(widths), 4)), rng.normal(size=(1, 4))
+        if weight is None:
+            weight = rng.normal(size=(batch, 4))
+        runs = []
+        for op in (composed_classify, ag.classify):
+            leaves = [Tensor(a.copy(), requires_grad=i not in frozen)
+                      for i, a in enumerate(parts)]
+            wt, bt = (Tensor(a.copy(), requires_grad=True) for a in (w, b))
+            out = op(leaves, wt, bt)
+            ag.backward(ag.sum_all(mul(out, Tensor(weight))))
+            runs.append([out.data, wt.grad, bt.grad]
+                        + [t.grad for t in leaves])
+        return runs
+
+    @staticmethod
+    def _same_bits(runs):
+        for want, got in zip(*runs):
+            if want is None or got is None:
+                assert want is None and got is None
+            else:
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_one_tape_node_over_the_parts_and_the_weights(self):
+        parts = [Tensor(np.ones((2, n)), requires_grad=True) for n in (1, 2)]
+        w, b = Tensor(np.ones((3, 4))), Tensor(np.zeros((1, 4)))
+        out = ag.classify(parts, w, b)
+        assert out._parents == (*parts, w, b)
+        assert len(tape_tensors(out)) == 5
+        for name in ("concat", "matmul", "softmax_rows", "_unbroadcast",
+                     "_broadcastable"):
+            assert not hasattr(ag, name)
+
+    @pytest.mark.parametrize("widths", [[5], [3, 4], [2, 3, 4]])
+    @pytest.mark.parametrize("batch", [1, 6])
+    def test_bitwise_equal_to_the_composed_chain(self, widths, batch):
+        for seed in range(5):
+            self._same_bits(self._runs(widths, batch, seed))
+
+    @pytest.mark.parametrize("batch", [1, 6])
+    def test_upstream_gradient_holding_negative_zero(self, batch):
+        # rows of -0.0 only, -0.0 beside 0.0, and -0.0 among values: the
+        # logits' gradient then holds -0.0 before its + 0.0
+        weight = np.random.default_rng(7).normal(size=(batch, 4))
+        weight[0] = [-0.0, 0.0, 0.0, -0.0]
+        weight[1:3] = -0.0
+        weight[3:, 1] = -0.0
+        runs = self._runs([3, 4], batch, 8, weight=weight[:batch])
+        self._same_bits(runs)
+        for grad in runs[1][1:]:
+            assert not np.signbit(grad[grad == 0]).any()
+
+    @pytest.mark.parametrize("frozen", [(0,), (1,), (0, 2)])
+    def test_a_part_that_needs_no_gradient(self, frozen):
+        runs = self._runs([2, 3, 4], 5, 9, frozen=frozen)
+        self._same_bits(runs)
+        assert all(runs[1][3 + i] is None for i in frozen)
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(43)
+        for batch in (1, 5):
+            a, c = leaf(rng, batch, 3), leaf(rng, batch, 2)
+            w, b = leaf(rng, 5, 4), leaf(rng, 1, 4)
+            weight = Tensor(rng.uniform(-1, 1, (batch, 4)))
+            fd_check(lambda: ag.sum_all(mul(ag.classify([a, c], w, b),
+                                            weight)), [a, c, w, b])
+
+    def test_shape_guards(self):
+        a, c = Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2)))
+        w, b = Tensor(np.zeros((5, 4))), Tensor(np.zeros((1, 4)))
+        for parts, w_, b_ in (([], w, b),
+                              ([a, Tensor(np.zeros((3, 2)))], w, b),
+                              ([a], w, b),
+                              ([a, c], w, Tensor(np.zeros((2, 4)))),
+                              ([a, c], w, Tensor(np.zeros((1, 3))))):
+            with pytest.raises(ShapeMismatch):
+                ag.classify(parts, w_, b_)
+        assert ag.classify([a, c], w, b).shape == (2, 4)
 
 
 # --- accumulation protocol ---------------------------------------------------------
@@ -592,9 +694,24 @@ class TestGradientOwnership:
     @pytest.mark.parametrize("axis", [0, 1])
     def test_concat_of_a_tensor_with_itself(self, axis):
         a = Tensor(np.ones((2, 3)), requires_grad=True)
-        out = ag.concat([a, a], axis=axis)
+        out = concat([a, a], axis=axis)
         self._backward_and_check(out, np.ones(out.shape))
         assert out.grad is None and (a.grad == 2.0).all()
+
+    def test_classify_of_a_tensor_beside_itself(self):
+        # a's gradient is the sum of its two column blocks', as the
+        # composed chain gives it
+        rng = np.random.default_rng(34)
+        x, w, weights = (rng.normal(size=shape)
+                         for shape in ((3, 2), (4, 5), (3, 5)))
+        grads = []
+        for op in (ag.classify, composed_classify):
+            a = Tensor(x.copy(), requires_grad=True)
+            out = op([a, a], Tensor(w), Tensor(np.zeros((1, 5))))
+            self._backward_and_check(out, weights)
+            assert out.grad is None
+            grads.append(a.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
 
     @pytest.mark.parametrize("heads", [1, 2])
     def test_attention_with_q_k_v_one_tensor(self, heads):
@@ -833,7 +950,7 @@ class TestSavedArrayOracle:
                 lambda a, b: ag.dropout([a, b], 0.5, training,
                                         np.random.default_rng(5), packing),
                 lambda a, b: packed_dropout(
-                    ag.concat([a, b], axis=1), 0.5, training,
+                    concat([a, b], axis=1), 0.5, training,
                     np.random.default_rng(5), packing),
                 [(packing.total, 3), (packing.total, 3)], seed)
 
@@ -860,7 +977,7 @@ class TestSavedArrayOracle:
         self._same_bits(
             lambda a, b: ag.dropout([a, b], 0.5, True,
                                     np.random.default_rng(5), packing),
-            lambda a, b: packed_dropout(ag.concat([a, b], axis=1), 0.5, True,
+            lambda a, b: packed_dropout(concat([a, b], axis=1), 0.5, True,
                                         np.random.default_rng(5), packing),
             [(packing.total, 64), (packing.total, 64)], 5)
 

@@ -21,8 +21,8 @@ from uastkit.errors import ConfigError, IndexOutOfVocab, ShapeMismatch
 from uastkit.featurizer import GraphSample, PathSequence, featurize_sample
 from uastkit.model import (
     INIT_STREAM,
+    MODES,
     ModelConfig,
-    empty_params,
     forward,
     forward_batch,
     freeze_pad_gradient,
@@ -31,6 +31,11 @@ from uastkit.model import (
     self_attention,
 )
 from uastkit.optim import adam_init, adam_step
+from uastkit.train_eval.checkpoint import (
+    Checkpoint,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def variant(cfg, **changes) -> ModelConfig:
@@ -174,12 +179,28 @@ class TestInit:
         assert np.abs(params.gcn[0].data).max() <= math.sqrt(1 / cfg.vocab_size)
         assert np.abs(params.clf_w.data).max() <= math.sqrt(1 / cfg.fusion_dim)
 
-    def test_empty_params_mirror_shapes(self, tiny_config):
-        live = init_params(tiny_config, 0).manifest()
-        blank = empty_params(tiny_config).manifest()
-        assert [(n, t.data.shape) for n, t in live] == \
-               [(n, t.data.shape) for n, t in blank]
-        assert all(not t.data.any() for _, t in blank)
+    def test_checkpoint_load_overwrites_every_array(self, tiny_config,
+                                                    tmp_path):
+        # loading starts from init_params(config, 0), so parameters drawn
+        # from another seed must come back from the file, every one
+        for mode in MODES:
+            cfg = variant(tiny_config, mode=mode)
+            saved = init_params(cfg, 7)
+            path = tmp_path / f"{mode}.ckpt"
+            save_checkpoint(Checkpoint(
+                config=cfg, params=saved,
+                vocab=vocabulary_from_kinds([f"k{i}" for i in range(8)]),
+                labels=("a", "b", "c"), languages=("python",),
+                table_hash="00" * 32, unified=True, seed=7), path)
+            loaded = load_checkpoint(path).params.manifest()
+            seed0 = init_params(cfg, 0).manifest()
+            assert [n for n, _ in loaded] == [n for n, _ in saved.manifest()]
+            for (name, got), (_, want), (_, fresh) in zip(
+                    loaded, saved.manifest(), seed0):
+                assert got.data.tobytes() == want.data.tobytes(), name
+                assert got.requires_grad and got.data.flags.c_contiguous
+                if not name.endswith(".b"):  # biases start constant
+                    assert not np.array_equal(got.data, fresh.data), name
 
     def test_all_parameters_require_grad(self, tiny_config):
         params = init_params(tiny_config, 0)
@@ -592,7 +613,30 @@ class TestFusedSequenceOracle:
                                                 tiny_config).data)
 
 
+def tape_ops(probs: Tensor) -> list[str]:
+    """The sorted names of the ops that recorded probs' tape nodes."""
+    return sorted(t._backward_fn.__qualname__.split(".")[0]
+                  for t in tape_tensors(probs) if t._backward_fn is not None)
+
+
+# each encoder's nodes at two LSTM layers and two GCN layers
+SEQUENCE_OPS = ["attention", *["lstm_direction"] * 4, "dropout",
+                "gather_rows", "gather_rows"]
+GRAPH_OPS = ["gcn_layer", "gcn_layer", "segment_pool"]
+
+
 class TestTapeSize:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_tape_holds_one_node_per_op(self, tiny_config, mode):
+        cfg = variant(tiny_config, mode=mode, L=9, N=9)
+        pairs = mixed_length_pairs(np.random.default_rng(4), cfg, (9, 3, 1))
+        probs = forward_batch([prepare_sample(p, g, cfg) for p, g in pairs],
+                              init_params(cfg, 0), cfg, training=True,
+                              rng=np.random.default_rng(0))
+        ops = (SEQUENCE_OPS if cfg.uses_path else []) + (
+            GRAPH_OPS if cfg.uses_graph else [])
+        assert tape_ops(probs) == sorted(ops + ["classify"])
+
     @pytest.mark.parametrize("mode", ["uast", "sast"])
     def test_training_tape_does_not_grow_with_steps_or_batch(self, tiny_config,
                                                              mode):
@@ -612,8 +656,8 @@ class TestTapeSize:
         assert count((9, 4, 9, 1, 5)) == short_pair
 
     def test_parameters_enter_the_tape_unpacked(self, tiny_config):
-        # every parameter is a leaf of the tape, and none is concatenated
-        # or transposed on it
+        # every parameter is a leaf of the tape, read only by the fused ops
+        # that take it as it is stored, never joined or transposed on it
         cfg = variant(tiny_config, L=9, N=9)
         params = init_params(cfg, 0)
         rng = np.random.default_rng(3)
@@ -628,7 +672,8 @@ class TestTapeSize:
         for t in tape:
             if any(id(p) in ids for p in t._parents):
                 op = t._backward_fn.__qualname__.split(".")[0]
-                assert op not in ("concat", "transpose"), op
+                assert op in ("attention", "lstm_direction", "gcn_layer",
+                              "classify"), op
 
     def test_backward_frees_more_than_the_gradients_take(self, tiny_config):
         # each node's saved arrays go as its backward function runs, so a
@@ -683,10 +728,8 @@ class TestTapeSize:
         probs = forward_batch([prepare_sample(p, g, cfg) for p, g in pairs],
                               init_params(cfg, 0), cfg, training=True,
                               rng=np.random.default_rng(0))
-        ops = [t._backward_fn.__qualname__.split(".")[0]
-               for t in tape_tensors(probs) if t._backward_fn is not None]
-        assert sorted(ops) == sorted(["gcn_layer"] * layers + [
-            "segment_pool", "matmul", "add", "softmax_rows"])
+        assert tape_ops(probs) == sorted(["gcn_layer"] * layers + [
+            "segment_pool", "classify"])
 
 
 class TestGradientOwnership:
