@@ -18,11 +18,14 @@ attention gathers its rows from the embedding table itself, dropout joins
 its inputs into the array it masks, and lstm_direction keeps its gates,
 from which its backward pass recomputes the cell states.
 .grad stays on leaves only, the tensors with no backward function, and
-accumulates over tapes until zero_grads.  A first gradient is stored as
-g + 0.0 (-0.0 becomes 0.0): in place, adopting g, when a backward pass
-made g for that input alone (owned); in a copy when g is the output's
-gradient or a view of it, as add and a join (dropout's, classify's) pass
-on.  No two .grad share memory.
+accumulates over tapes until zero_grads.  _accum is the only op code that
+writes .grad: each backward pass hands it an input's gradient g.  A first
+gradient is stored as g + 0.0 (-0.0 becomes 0.0): in place, adopting g,
+when a backward pass made g for that input alone (owned), as the row
+scatters of gather_rows, segment_pool and attention do into a fresh zero
+array; in a copy when g is the output's gradient or a view of it, as add
+and a join (dropout's, classify's) pass on.  A later gradient is added.
+No two .grad share memory.
 """
 
 from __future__ import annotations
@@ -142,18 +145,19 @@ def _rows(table: Tensor, indices) -> np.ndarray:
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         bad = idx[(idx < 0) | (idx >= table.shape[0])][0]
         raise IndexOutOfVocab(
-            f"index {bad} outside embedding table of {table.shape[0]} rows")
+            f"index {bad} outside a table of {table.shape[0]} rows")
     return idx
 
 
-def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
-    idx = np.asarray(indices, dtype=np.int64).ravel()
+def gather_rows(a: Tensor, indices) -> Tensor:
+    """a's rows at indices, refusing one outside a; the backward pass adds
+    them into a fresh zero array with np.add.at, in row order."""
+    idx = _rows(a, indices)
 
     def bw(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, idx, g)
+        d = np.zeros_like(a.data)
+        np.add.at(d, idx, g)
+        _accum(a, d, owned=True)
 
     return _node(a.data[idx], (a,), bw)
 
@@ -247,16 +251,11 @@ def segment_pool(a: Tensor, counts) -> Tensor:
     out = np.add.reduceat(a.data[:total], starts, axis=0) / counts[:, None]
 
     def bw(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[:total] += np.repeat(g / counts[:, None], counts, axis=0)
+        d = np.zeros_like(a.data)
+        d[:total] = np.repeat(g / counts[:, None], counts, axis=0)
+        _accum(a, d, owned=True)
 
     return _node(out, (a,), bw)
-
-
-def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
-    return gather_rows(table, _rows(table, indices))
 
 
 # --- nonlinearities ---------------------------------------------------------
@@ -348,7 +347,7 @@ def attention(table: Tensor, indices, packing: Packing, heads: int,
               rng: np.random.Generator | None = None) -> Tensor:
     """Multi-head self-attention within each sequence of a packed batch.
 
-    The packed [S x d] input x is embedding_lookup(table, indices), and
+    The packed [S x d] input x is gather_rows(table, indices), and
     serves as the queries, keys and values.  Head j uses columns
     j*d/heads to (j+1)*d/heads: per sequence, softmax(x x^T /
     sqrt(d/heads)) over its own keys, under inverted dropout, times x.
@@ -361,7 +360,7 @@ def attention(table: Tensor, indices, packing: Packing, heads: int,
     weights, writes the rows' gradient as queries, adds it as keys and as
     values, in the order an op taking q, k and v apart would, then adds
     it into the table's gradient with np.add.at in row order, as
-    embedding_lookup would: the bits of those ops composed.  For x of its
+    gather_rows does: the bits of those ops composed.  For x of its
     own, pass x as the table and np.arange(len(x)) as the indices.
     """
     idx = _rows(table, indices)
@@ -403,8 +402,7 @@ def attention(table: Tensor, indices, packing: Packing, heads: int,
         saved.append((top, total, keep))
 
     def bw(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
+        d_table = np.zeros_like(table.data)
         for span, (top, total, keep) in zip(spans, saved):
             xs, gs = by_head(table.data[idx[span]]), by_head(g[span])
             grad = np.empty((span.stop - span.start, d))
@@ -420,7 +418,8 @@ def attention(table: Tensor, indices, packing: Packing, heads: int,
             dx += d_scores.transpose(0, 2, 1) @ xs
             weights = probs if keep is None else probs * keep * scale
             dx += weights.transpose(0, 2, 1) @ gs
-            np.add.at(table.grad, idx[span], grad)
+            np.add.at(d_table, idx[span], grad)
+        _accum(table, d_table, owned=True)
 
     return _node(out, (table,), bw)
 
@@ -548,10 +547,10 @@ def classify(parts: list[Tensor], w: Tensor, b: Tensor) -> Tensor:
     [cols x k] and b [1 x k].  The node keeps the joined input and the
     probabilities.  Both passes run, in order, the operations of the
     concat, matmul, broadcasting add and row softmax the head was once
-    composed of (tests/oracle.py): the backward pass stores the logits'
-    gradient as g + 0.0, sums its rows into b's gradient, and hands each
-    part its columns of the joined input's gradient, so every bit is
-    theirs, -0.0 included.
+    composed of (tests/oracle.py): the backward pass sums the logits'
+    gradient's rows into b's gradient and hands each part its columns of
+    the joined input's gradient, so every bit is theirs once _accum has
+    stored it, -0.0 included.
     """
     x, join_bw = _join(parts)
     if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
@@ -565,13 +564,10 @@ def classify(parts: list[Tensor], w: Tensor, b: Tensor) -> Tensor:
     def bw(g):
         g *= s
         d = g - s * g.sum(axis=1, keepdims=True)
-        d += 0.0
         if b.requires_grad:
             _accum(b, d.sum(axis=0, keepdims=True), owned=True)
         if any(t.requires_grad for t in parts):
-            dx = d @ w.data.T
-            dx += 0.0
-            join_bw(dx)
+            join_bw(d @ w.data.T)
         if w.requires_grad:
             _accum(w, x.T @ d, owned=True)
 
@@ -616,9 +612,11 @@ def cross_entropy_loss(probs: Tensor, labels) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Populate .grad on every requires_grad leaf ancestor of a scalar loss.
 
-    Gradients add into any existing .grad arrays.  Consumes the tape: each
-    interior node's backward function and .grad go once the function has
-    run, so .grad stays on leaves only, and a second call raises.
+    Every gradient is stored by _accum, so it adds into an existing .grad:
+    a second tape's backward without zero_grads sums the two.  Consumes
+    the tape: each interior node's backward function and .grad go once the
+    function has run, so .grad stays on leaves only, and a second call
+    through the same tape raises.
     """
     if loss.data.shape != (1, 1):
         raise NonScalarLoss(f"backward needs a (1,1) loss, got {loss.data.shape}")
@@ -641,21 +639,12 @@ def backward(loss: Tensor) -> None:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
 
-    # each pass runs on fresh buffers; prior grads are added back at the end
-    # so one call contributes exactly one unit of loss gradient
-    stash = [(t, t.grad) for t in topo if t.grad is not None]
-    for node in topo:
-        node.grad = None
-
     _accum(loss, np.ones((1, 1)), owned=True)
     for node in reversed(topo):
         if node._backward_fn is not None:
             node._backward_fn(node.grad)
             # frees what its closure saved and the gradient it consumed
             node._backward_fn = node.grad = None
-
-    for node, old in stash:
-        _accum(node, old)
 
 
 def zero_grads(tensors) -> None:

@@ -340,8 +340,6 @@ SWEEP_PARAMS = ("path-length", "gcn-layers")
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     rc = resolve_run_config(args)
-    if args.param not in SWEEP_PARAMS:
-        raise UsageError(f"--param must be one of {SWEEP_PARAMS}")
     try:
         values = [int(v) for v in args.values.split(",") if v.strip()]
     except ValueError:

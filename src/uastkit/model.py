@@ -20,7 +20,9 @@ softmax layer, one tape node (autograd.classify).
 
 One function composes the two encoders: forward_batch, which training,
 evaluation and prediction all run.  Its tape holds the same number of nodes
-whatever the batch size and path lengths.  forward is forward_batch at B=1;
+whatever the batch size and path lengths.  It reads only each
+PreparedSample's views, and its caller holds the config and labels.
+forward is forward_batch at B=1;
 embed and self_attention run the embedding and the attention op on one
 sample.  Nothing in the package calls those three; they stay because the
 benchmark's per-layer probe times them, as it does GraphSample.norm_adj.
@@ -109,7 +111,6 @@ class ModelConfig(ModelSettings):
 
 @dataclass
 class ModelParams:
-    config: ModelConfig
     embedding: Tensor | None = None
     # per layer, (fwd, bwd); each direction is (w, b) as lstm_direction
     # reads them: w [(h + in) x 4h], recurrent rows first, b [1 x 4h],
@@ -165,7 +166,7 @@ def init_params(cfg: ModelConfig, seed: int) -> ModelParams:
     def bias(cols: int, value: float | np.ndarray = 0.0) -> Tensor:
         return Tensor(np.full((1, cols), value), requires_grad=True)
 
-    params = ModelParams(config=cfg)
+    params = ModelParams()
     if cfg.uses_path:
         params.embedding = uniform(cfg.vocab_size, cfg.d, cfg.d)
         params.embedding.data[0, :] = 0.0  # PAD row starts zero, stays zero
@@ -198,7 +199,7 @@ def embed(path: PathSequence, params: ModelParams) -> Tensor:
     One sample's embedding, as forward_batch looks it up; the benchmark's
     per-layer probe (perfbench/layers.py) times it.
     """
-    return ag.embedding_lookup(params.embedding, path.indices)
+    return ag.gather_rows(params.embedding, path.indices)
 
 
 def self_attention(x: Tensor, true_length: int, cfg: ModelConfig,
@@ -246,7 +247,7 @@ def _gcn_layers(node_kinds: np.ndarray, graph: ag.Graph,
     """Stacked relu(Â H W), one gcn_layer node each, the first
     relu((Â X) W0): X's one-hot rows are the identity's, looked up by kind
     as embeddings are."""
-    x = ag.embedding_lookup(Tensor(np.eye(cfg.vocab_size)), node_kinds)
+    x = ag.gather_rows(Tensor(np.eye(cfg.vocab_size)), node_kinds)
     h = Tensor(graph.apply(x.data))
     for i, w in enumerate(params.gcn):
         h = ag.gcn_layer(h, w, graph if i else None)
@@ -257,36 +258,28 @@ def _gcn_layers(node_kinds: np.ndarray, graph: ag.Graph,
 
 @dataclass
 class PreparedSample:
-    """A featurized record's arrays, as the model reads them.
+    """A featurized record's views, as the model reads them: each is None
+    where the mode does not read it.
 
-    adj is the graph view's int64 [E x 2] edge list and node_kinds its
-    kinds, not copies.  The benchmark's probe reads these fields by name.
+    path is the path view; adj is the graph view's int64 [E x 2] edge list
+    and node_kinds its kinds, one a node, not copies.  The benchmark's
+    probe reads these fields by name.
     """
     path: PathSequence | None
-    true_length: int
     adj: np.ndarray | None
     node_kinds: np.ndarray | None
-    node_count: int
-    label: int
 
 
 def prepare_sample(path: PathSequence | None, graph: GraphSample | None,
-                   cfg: ModelConfig, label: int = -1) -> PreparedSample:
-    adj = None
-    kinds = None
-    count = 0
-    if cfg.uses_graph:
-        if graph is None:
-            raise ShapeMismatch("this mode needs the graph view")
-        adj, kinds, count = graph.edges, graph.node_kinds, graph.node_count
-    true_length = 0
-    if cfg.uses_path:
-        if path is None:
-            raise ShapeMismatch("this mode needs the path view")
-        true_length = path.true_length
-    return PreparedSample(path=path if cfg.uses_path else None,
-                          true_length=true_length, adj=adj, node_kinds=kinds,
-                          node_count=count, label=label)
+                   cfg: ModelConfig) -> PreparedSample:
+    if cfg.uses_graph and graph is None:
+        raise ShapeMismatch("this mode needs the graph view")
+    if cfg.uses_path and path is None:
+        raise ShapeMismatch("this mode needs the path view")
+    return PreparedSample(
+        path=path if cfg.uses_path else None,
+        adj=graph.edges if cfg.uses_graph else None,
+        node_kinds=graph.node_kinds if cfg.uses_graph else None)
 
 
 def forward_batch(batch: list[PreparedSample], params: ModelParams,
@@ -299,7 +292,7 @@ def forward_batch(batch: list[PreparedSample], params: ModelParams,
 
     if cfg.uses_path:
         # the paths' true steps only, one after another
-        packing = ag.Packing([s.true_length for s in batch])
+        packing = ag.Packing([s.path.true_length for s in batch])
         x = ag.attention(params.embedding, np.concatenate(
             [s.path.indices for s in batch]), packing, cfg.heads,
             cfg.attn_dropout, training, rng)
@@ -307,7 +300,7 @@ def forward_batch(batch: list[PreparedSample], params: ModelParams,
 
     if cfg.uses_graph:
         # one disjoint union: each sample's edges shift by its first node
-        counts = [s.node_count for s in batch]
+        counts = [len(s.node_kinds) for s in batch]
         starts = np.cumsum([0] + counts)
         graph = ag.Graph(np.concatenate([s.adj + start for s, start
                                          in zip(batch, starts)]), starts[-1])

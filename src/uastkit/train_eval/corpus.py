@@ -154,8 +154,6 @@ def ingest_corpus(root: str | Path,
     for label, count in sorted(label_seen.items()):
         if count == 0:
             raise EmptyClass(f"label {label!r} has no usable files")
-    if not parsed:
-        raise EmptyCorpus(f"{root}: no usable files")
 
     labels = sorted(label_seen)
     index = {name: i for i, name in enumerate(labels)}

@@ -45,14 +45,13 @@ class MetricsReport:
         these, under these names, in this order."""
         return {name: getattr(self, name) for name in SUMMARY_NAMES}
 
-    def format_table(self, labels: list[str] | None = None) -> str:
-        names = labels if labels and len(labels) == self.k else \
-            [str(i) for i in range(self.k)]
-        width = max(6, max(len(n) for n in names) + 1)
+    def format_table(self, labels: list[str]) -> str:
+        """The per-class counts, row i named labels[i], then the metrics."""
+        width = max(6, max(len(n) for n in labels) + 1)
         lines = ["per-class counts:"]
         head = f"{'class':<{width}} {'tp':>6} {'fp':>6} {'fn':>6} {'tn':>6} {'support':>8}"
         lines.append(head)
-        for i, name in enumerate(names):
+        for i, name in enumerate(labels):
             lines.append(f"{name:<{width}} {self.tp[i]:>6} {self.fp[i]:>6} "
                          f"{self.fn[i]:>6} {self.tn[i]:>6} {self.support[i]:>8}")
         lines.append("")

@@ -89,8 +89,7 @@ def build_features(splits: dict[str, list[LabeledSample]],
 def prepare(samples: list[LabeledSample],
             cfg: ModelConfig) -> tuple[list[PreparedSample], np.ndarray]:
     """Materialize per-sample model constants and the label vector."""
-    prepped = [M.prepare_sample(s.path_seq, s.graph, cfg, s.label_index)
-               for s in samples]
+    prepped = [M.prepare_sample(s.path_seq, s.graph, cfg) for s in samples]
     return prepped, np.array([s.label_index for s in samples], dtype=np.int64)
 
 

@@ -124,6 +124,12 @@ BAD_CHECKPOINT_HEADERS = {
     "extra_label": (lambda h: h["labels"].append("zz"), "config k"),
     "invalid_config": (lambda h: h["config"].update(attn_dropout=1.5),
                        "attn_dropout"),
+    "one_param_short": (lambda h: h["params"].pop(),
+                        "parameter count mismatch"),
+    "param_renamed": (lambda h: h["params"][0].update(name="zz"),
+                      "parameter 'zz' does not match the expected"),
+    "param_reshaped": (lambda h: h["params"][-1].update(
+        cols=h["params"][-1]["cols"] + 1), "does not match the expected"),
 }
 
 

@@ -13,7 +13,7 @@ ops as they ran when their nodes kept probs, h, c and tanh(c) for the
 backward pass, which now recomputes them; saved_attention also takes q, k
 and v apart, as attention did before it took one tensor, and the embedded
 path itself, as attention did before it gathered its rows from the
-embedding table: embedding_lookup followed by saved_attention is the
+embedding table: gather_rows followed by saved_attention is the
 attention op's oracle.  packed_dropout is the dropout op as it ran on
 one tensor, before it joined its inputs: concat followed by
 packed_dropout is its oracle.  add (which broadcasts), matmul, concat
@@ -657,7 +657,7 @@ def padded_sequence(paths, params, cfg, training=False, rng=None) -> Tensor:
     """
     lengths = np.array([p.true_length for p in paths])
     T = int(lengths.max())
-    x = ag.embedding_lookup(params.embedding, padded_indices(paths, T))
+    x = ag.gather_rows(params.embedding, padded_indices(paths, T))
     inputs = padded_attention(x, x, x, lengths, cfg.heads, cfg.attn_dropout,
                               training, rng)
     for layer, (fwd, bwd) in enumerate(params.lstm):
@@ -764,7 +764,7 @@ def composed_sequence(paths, params, cfg) -> Tensor:
     """[B x 2h] sequence features of a batch, eval mode, op by op."""
     L = cfg.L
     lengths = [p.true_length for p in paths]
-    x_all = ag.embedding_lookup(params.embedding, padded_indices(paths, L))
+    x_all = ag.gather_rows(params.embedding, padded_indices(paths, L))
     atts = [attend_one(slice_rows(x_all, b * L, (b + 1) * L),
                        attention_mask(L, n), cfg)
             for b, n in enumerate(lengths)]

@@ -79,8 +79,7 @@ def test_whole_model_gradients_match_finite_differences():
         idx = rng.integers(1, cfg.vocab_size, size=n_nodes).tolist()
         path = make_path(idx)
         graph = make_graph(idx, [(i, i + 1) for i in range(n_nodes - 1)])
-        batch.append(prepare_sample(path, graph, cfg,
-                                    label=labels[len(batch)]))
+        batch.append(prepare_sample(path, graph, cfg))
     params = init_params(cfg, seed=7)
 
     def loss_value() -> float:

@@ -1,5 +1,7 @@
 """Tensor core: gradients against finite differences, op semantics, Adam."""
 
+import ast
+import inspect
 import json
 import platform
 import statistics
@@ -155,8 +157,7 @@ class TestGradients:
     def test_embedding_lookup(self):
         table = leaf(self.rng, 5, 3)
         idx = np.array([0, 4, 1, 0])
-        fd_check(lambda: ag.sum_all(ag.embedding_lookup(table, idx)),
-                 [table])
+        fd_check(lambda: ag.sum_all(ag.gather_rows(table, idx)), [table])
 
     def test_sigmoid_tanh_relu(self):
         a = Tensor(self.rng.uniform(0.2, 1.5, (2, 3)) *
@@ -281,11 +282,13 @@ class TestOpValues:
             add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
 
     def test_embedding_lookup_bounds(self):
+        # gather_rows is the embedding lookup, and refuses a row outside
+        # its table
         table = Tensor(np.zeros((4, 2)))
         with pytest.raises(IndexOutOfVocab):
-            ag.embedding_lookup(table, np.array([0, 4]))
+            ag.gather_rows(table, np.array([0, 4]))
         with pytest.raises(IndexOutOfVocab):
-            ag.embedding_lookup(table, np.array([-1]))
+            ag.gather_rows(table, np.array([-1]))
 
     def test_label_bounds(self):
         probs = Tensor(np.full((1, 3), 1 / 3))
@@ -637,6 +640,24 @@ class TestAccumulation:
         assert not np.signbit(t.grad).any() and np.signbit(g).all()
 
 
+def test_only_accum_backward_and_zero_grads_mention_grad():
+    # every op hands its inputs' gradients to _accum, which stores them;
+    # backward passes each node its own and drops it, zero_grads clears
+    # them, and Tensor's constructor starts each at None
+    mentions = set()
+    for top in ast.parse(inspect.getsource(ag)).body:
+        defs = top.body if isinstance(top, ast.ClassDef) else [top]
+        for node in defs:
+            if isinstance(node, ast.FunctionDef) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "grad"
+                    for n in ast.walk(node)):
+                name = node.name
+                if isinstance(top, ast.ClassDef):
+                    name = f"{top.name}.{name}"
+                mentions.add(name)
+    assert mentions == {"Tensor.__init__", "_accum", "backward", "zero_grads"}
+
+
 class TestConsumedTape:
     """backward drops each node's backward function and gradient once the
     function has run, which frees the arrays the function saved and the
@@ -918,7 +939,7 @@ class TestSavedArrayOracle:
             lambda t: ag.attention(t, rows, packing, heads, rate, True,
                                    np.random.default_rng(5)),
             lambda t: saved_attention(
-                *[ag.embedding_lookup(t, rows)] * 3, packing, heads, rate,
+                *[ag.gather_rows(t, rows)] * 3, packing, heads, rate,
                 True, np.random.default_rng(5)),
             [(vocab, d)], seed)
 

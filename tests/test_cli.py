@@ -136,6 +136,51 @@ class TestExitCodes:
         err = train_refused(tmp_path / "out", "--config", str(config))
         assert err.startswith(f"error: {setting} must be of type ")
 
+    @pytest.mark.parametrize("arg,reason", [
+        (["--ratios", "3,x,1"], "bad ratios '3,x,1'; expected like 3,1,1"),
+        (["--ratios=-1,1,1"], "ratios must be counts >= 0")])
+    def test_bad_ratios_are_usage(self, tmp_path, arg, reason):
+        assert reason in train_refused(tmp_path / "out", *arg)
+
+    @pytest.mark.parametrize("text,reason", [
+        (None, "cannot read config"), ("{", "bad JSON in"),
+        ("[1]", "config must be a JSON object")],
+        ids=["missing", "bad_json", "list"])
+    def test_unreadable_config_is_a_data_problem(self, tmp_path, capsys,
+                                                 text, reason):
+        config = tmp_path / "run.json"
+        if text is not None:
+            config.write_text(text)
+        code, _, err = run(capsys, "train", "--corpus", str(TOY_CORPUS),
+                           "--config", str(config),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert reason in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [["eval", "--corpus", str(TOY_CORPUS)],
+                                         ["predict", PY_SAMPLE]],
+                             ids=["eval", "predict"])
+    def test_table_other_than_the_checkpoints_is_a_data_problem(
+            self, trained_gast, tmp_path, capsys, command):
+        table = tmp_path / "other.table"
+        table.write_text("[python]\nmodule = shoebox\n")
+        code, out, err = run(capsys, *command, "--checkpoint",
+                             str(trained_gast), "--table", str(table))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the active unification table does "
+                              "not match the checkpoint")
+
+    def test_eval_of_an_empty_split_is_a_data_problem(self, tmp_path,
+                                                      capsys):
+        ckpt = quick_train(tmp_path, capsys, "--ratios", "1,0,1")
+        code, _, err = run(capsys, "eval", "--corpus", str(TOY_CORPUS),
+                           "--checkpoint", str(ckpt), "--split",
+                           "validation")
+        assert code == 2
+        assert err == "error: split 'validation' is empty\n"
+
     def test_missing_file_is_a_data_problem(self, capsys):
         code, _, err = run(capsys, "parse", "/nowhere/missing.py")
         assert code == 2
@@ -770,6 +815,10 @@ class TestSweep:
                            "--param", "path-length", "--values", "8,12,8")
         assert code == 1
         assert err == "error: --values repeats a setting: '8,12,8'\n"
+        code, _, err = run(capsys, "sweep", "--corpus", str(TOY_CORPUS),
+                           "--param", "path-length", "--values", "8,x")
+        assert code == 1
+        assert err == "error: bad --values '8,x'; expected integers\n"
 
     def test_json_output(self, tmp_path, capsys):
         code, out, _ = run(capsys, "sweep", "--corpus", str(TOY_CORPUS),

@@ -508,7 +508,7 @@ class TestEdgeListOracle:
             assert spare not in graph.node_kinds
             batch.append(prepare_sample(None, GraphSample(
                 in_longer_buffer(graph.node_kinds, spare), graph.edges), cfg))
-        assert {s.node_count for s in batch} != {cfg.N}
+        assert {len(s.node_kinds) for s in batch} != {cfg.N}
         zero_grads(params.parameters())
         probs = forward_batch(batch, params, cfg)
         ag.backward(cross_entropy_loss(probs, [0] * len(batch)))
@@ -708,7 +708,7 @@ class TestTapeSize:
         rng = np.random.default_rng(0)
         pairs = mixed_length_pairs(rng, cfg, rng.integers(40, 201, size=16))
         batch = [prepare_sample(p, g, cfg) for p, g in pairs]
-        rows = sum(s.true_length for s in batch)
+        rows = sum(s.path.true_length for s in batch)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -761,7 +761,7 @@ class TestTrainingSteps:
         labels = []
         for i in range(size):
             path, graph = sample_inputs(rng, cfg, n_nodes=2 + i % 4)
-            batch.append(prepare_sample(path, graph, cfg, label=i % cfg.k))
+            batch.append(prepare_sample(path, graph, cfg))
             labels.append(i % cfg.k)
         return batch, labels
 

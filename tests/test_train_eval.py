@@ -932,6 +932,10 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.ckpt")
 
+    def test_save_to_a_directory_is_refused(self, tmp_path):
+        with pytest.raises(CheckpointError, match="cannot write checkpoint"):
+            save_checkpoint(self._ckpt(), tmp_path)
+
     @pytest.mark.parametrize("mangle", [
         lambda d: b"NOTMAGIC" + d[8:],                  # wrong magic
         lambda d: d[:8] + b"\x63" + d[9:],              # wrong version
