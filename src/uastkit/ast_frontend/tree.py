@@ -29,10 +29,6 @@ class AstNode:
     kind: str
     children: list["AstNode"] = field(default_factory=list)
 
-    def __post_init__(self):
-        if not self.kind:
-            raise ValueError("AstNode kind must be non-empty")
-
 
 class FlatTree(NamedTuple):
     """A tree in pre-order: node i has kind kinds[i] and parent parents[i]."""

@@ -9,8 +9,10 @@ codes: 0 success, 1 usage, 2 data problem, 3 runtime problem.
 Settings resolve in three layers: a named profile supplies defaults, a JSON
 config file overrides the profile, and explicit flags override both.  The
 profile is --profile, else the config file's "profile", else leetcode, and
-every value must have its setting's type.  The resolved run configuration
-is embedded in every checkpoint, history file, and report for provenance.
+every value must have its setting's type.  The result is one RunConfig
+(train_eval.training), which train and each sweep run take whole; train
+records it in every checkpoint and history file, and eval's report repeats
+the checkpoint's copy.
 The UASTKIT_TABLE environment variable points at an alternative
 unification table; --table wins over it.  Log records, such as the warning
 for each skipped corpus file, go to stderr from --log-level up (warning by
@@ -22,10 +24,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -41,7 +42,6 @@ from .ast_frontend import (
 )
 from .datagen import generate_corpus
 from .errors import (
-    ConfigError,
     DataError,
     EmptySplit,
     UastError,
@@ -49,13 +49,13 @@ from .errors import (
     VocabularyMismatch,
 )
 from .featurizer import path_length_stats
-from .model import MODES, ModelConfig, ModelSettings
+from .model import MODES, ModelSettings
 from .train_eval import (
     DEFAULT_RATIOS,
     SPLIT_NAMES,
     SUMMARY_NAMES,
+    RunConfig,
     build_features,
-    check_schedule,
     corpus_labels,
     corpus_languages,
     evaluate_samples,
@@ -85,48 +85,8 @@ PROFILES: dict[str, dict] = {
             "h": 16, "lstm_dropout": 0.0, "gcn_hidden": 32, "d_out": 16,
             "epochs": 50, "batch_size": 8, "lr": 0.01},
 }
-DEFAULT_PROFILE = "leetcode"
+DEFAULT_PROFILE = RunConfig.profile
 LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
-
-
-@dataclass(frozen=True)
-class RunConfig(ModelSettings):
-    """Everything that determines a run, minus the corpus contents."""
-    profile: str = DEFAULT_PROFILE
-    corpus: str | None = None
-    manifest: str | None = None
-    table: str | None = None
-    out_dir: str | None = None
-    unified: bool = True
-    seed: int = 0
-    ratios: tuple[int, int, int] = DEFAULT_RATIOS
-    epochs: int = 5
-    batch_size: int = 64
-    lr: float = 0.001
-    max_steps: int | None = None
-
-    def __post_init__(self):
-        # checked before ingest; ModelConfig.validate adds the corpus's sizes
-        self.check()
-        check_schedule(self.epochs, self.batch_size, self.max_steps)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError(f"lr must be a finite number > 0, got {self.lr}")
-        if any(r < 0 for r in self.ratios) or sum(self.ratios) <= 0:
-            raise ConfigError("ratios must be counts >= 0 with a positive "
-                              f"sum, got {list(self.ratios)}")
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["ratios"] = list(self.ratios)
-        return out
-
-    def model_config(self, vocab_size: int, k: int) -> ModelConfig:
-        settings = {f.name: getattr(self, f.name)
-                    for f in fields(ModelSettings)}
-        return ModelConfig(vocab_size=vocab_size, k=k, **settings).validate()
-
 
 _RUN_TYPES = get_type_hints(RunConfig)
 
@@ -248,24 +208,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _train_once(rc: RunConfig, table, splits, vocab, labels, languages,
-                quiet: bool):
-    cfg = rc.model_config(vocab.size, len(labels))
-    log_fn = None if quiet else \
-        (lambda msg: print(msg, file=sys.stderr))
-    return train(splits, cfg, vocab, labels, languages, table.table_hash,
-                 rc.unified, rc.seed, epochs=rc.epochs,
-                 batch_size=rc.batch_size, lr=rc.lr, max_steps=rc.max_steps,
-                 out_dir=rc.out_dir, run_config=rc.to_dict(),
-                 log_fn=log_fn), cfg
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     rc = resolve_run_config(args)
     table = _load_table(rc.table)
     splits, vocab, labels, languages = _features(rc, table, rc.L)
-    result, cfg = _train_once(rc, table, splits, vocab, labels, languages,
-                              args.quiet)
+    result = train(splits, rc, vocab, labels, languages, table.table_hash,
+                   None if args.quiet else
+                   (lambda msg: print(msg, file=sys.stderr)))
+    cfg = result.checkpoint.config
     last = result.history[-1]
     print(f"trained mode={cfg.mode} unified={rc.unified} "
           f"epochs={last['epoch']} steps={last['step']} "
@@ -279,9 +229,10 @@ def cmd_train(args: argparse.Namespace) -> int:
                                   cfg, rc.batch_size)
         print("test: " + " ".join(f"{name} {value:.4f}" for name, value
                                   in report.summary().items()))
-    if result.final_path is not None:
-        print(f"checkpoints: {result.final_path} (final), "
-              f"{result.best_path} (best); history: {result.history_path}")
+    if rc.out_dir is not None:
+        out = Path(rc.out_dir)
+        print(f"checkpoints: {out / 'final.ckpt'} (final), "
+              f"{out / 'best.ckpt'} (best); history: {out / 'history.jsonl'}")
     return 0
 
 
@@ -365,10 +316,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if by_length:
             for s, path in longest:
                 s.path_seq = replace(path, indices=path.indices[:value])
-        result, cfg = _train_once(run, table, splits, vocab, labels,
-                                  languages, quiet=True)
+        ckpt = train(splits, run, vocab, labels, languages,
+                     table.table_hash).checkpoint
         source = splits["test"] or splits["validation"] or splits["train"]
-        report = evaluate_samples(source, result.checkpoint.params, cfg,
+        report = evaluate_samples(source, ckpt.params, ckpt.config,
                                   run.batch_size)
         rows.append({"value": value, **report.summary()})
     if args.json:

@@ -31,7 +31,11 @@ _CLASSNAMES = ["Runner", "Solver", "Engine", "Worker", "Helper", "Core",
 
 
 class _Namer:
-    """Draws distinct identifiers for one file."""
+    """Draws distinct identifiers for one file.
+
+    A file draws at most 6 of the 24 _VARS, one of _NAMES and one of
+    _CLASSNAMES, and each loop-name pool once, so no pool runs out.
+    """
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
@@ -39,8 +43,6 @@ class _Namer:
 
     def pick(self, pool: list[str]) -> str:
         options = [n for n in pool if n not in self.used]
-        if not options:
-            options = [n + str(int(self.rng.integers(2, 99))) for n in pool]
         name = options[int(self.rng.integers(len(options)))]
         self.used.add(name)
         return name

@@ -49,7 +49,8 @@ INIT_STREAM = 1  # rng stream id for parameter initialization
 
 @dataclass(frozen=True)
 class ModelSettings:
-    """The hyperparameters a run chooses; the CLI's run config extends it."""
+    """The hyperparameters a run chooses; train_eval.RunConfig extends it
+    with the rest of a run's settings."""
     mode: str = "uast"
     L: int = 200
     d: int = 200

@@ -12,9 +12,9 @@ from .corpus import (
 )
 from .metrics import SUMMARY_NAMES, MetricsReport, compute_metrics
 from .training import (
+    RunConfig,
     TrainResult,
     build_features,
-    check_schedule,
     evaluate_samples,
     featurize,
     predict_one,
@@ -28,11 +28,11 @@ __all__ = [
     "DEFAULT_RATIOS",
     "LabeledSample",
     "MetricsReport",
+    "RunConfig",
     "SPLIT_NAMES",
     "SUMMARY_NAMES",
     "TrainResult",
     "build_features",
-    "check_schedule",
     "compute_metrics",
     "corpus_labels",
     "corpus_languages",

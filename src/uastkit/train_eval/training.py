@@ -6,19 +6,24 @@ give its class probabilities, and MetricsReport.summary names the
 metrics kept of a scored split.  Evaluation and training's validation
 pass run it over a split; predict_one runs it for one file at B=1.
 
-Training minimizes cross-entropy with Adam over seeded shuffled batches.
-Randomness is split into named streams derived from the run seed: split
-shuffling, parameter init, dropout, and batch order each get their own
-generator, so every byte of a run is reproducible from (config, seed).
-History is a JSONL file: one run header line, then one record per epoch
-carrying the mean train loss, every batch loss, and validation metrics.
+A RunConfig holds every setting of a run, and train takes nothing else:
+it builds the model config from it and records it, whole, in every
+checkpoint and in the history header, so what a run records is what it
+ran.  Training minimizes cross-entropy with Adam over seeded shuffled
+batches.  Randomness is split into named streams derived from the run
+seed: split shuffling, parameter init, dropout, and batch order each get
+their own generator, so every byte of a run is reproducible from its
+RunConfig and corpus.  History is a JSONL file: one run header line, then
+one record per epoch carrying the mean train loss, every batch loss, and
+validation metrics.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,16 +44,56 @@ from ..errors import (
     EmptySplit,
 )
 from ..featurizer import featurize_sample
-from ..model import ModelConfig, ModelParams, PreparedSample
+from ..model import ModelConfig, ModelParams, ModelSettings, PreparedSample
 from ..optim import adam_init, adam_step
 from .checkpoint import Checkpoint, save_checkpoint
-from .corpus import LabeledSample
+from .corpus import DEFAULT_RATIOS, LabeledSample
 from .metrics import SUMMARY_NAMES, MetricsReport, compute_metrics
 
 log = logging.getLogger("uastkit.train")
 
 DROPOUT_STREAM = 2
 BATCH_ORDER_STREAM = 3
+
+
+@dataclass(frozen=True)
+class RunConfig(ModelSettings):
+    """Everything that determines a run, minus the corpus contents."""
+    profile: str = "leetcode"
+    corpus: str | None = None
+    manifest: str | None = None
+    table: str | None = None
+    out_dir: str | None = None
+    unified: bool = True
+    seed: int = 0
+    ratios: tuple[int, int, int] = DEFAULT_RATIOS
+    epochs: int = 5
+    batch_size: int = 64
+    lr: float = 0.001
+    max_steps: int | None = None  # None: no cap
+
+    def __post_init__(self):
+        # checked before ingest; ModelConfig.validate adds the corpus's sizes
+        self.check("epochs", "batch_size")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be a finite number > 0, got {self.lr}")
+        if any(r < 0 for r in self.ratios) or sum(self.ratios) <= 0:
+            raise ConfigError("ratios must be counts >= 0 with a positive "
+                              f"sum, got {list(self.ratios)}")
+
+    def to_dict(self) -> dict:
+        out = asdict(self)
+        out["ratios"] = list(self.ratios)
+        return out
+
+    def model_config(self, vocab_size: int, k: int) -> ModelConfig:
+        settings = {f.name: getattr(self, f.name)
+                    for f in fields(ModelSettings)}
+        return ModelConfig(vocab_size=vocab_size, k=k, **settings).validate()
 
 
 def featurize(samples: list[LabeledSample], table: UnificationTable,
@@ -93,15 +138,6 @@ def prepare(samples: list[LabeledSample],
     return prepped, np.array([s.label_index for s in samples], dtype=np.int64)
 
 
-def check_schedule(epochs: int, batch_size: int,
-                   max_steps: int | None) -> None:
-    """Refuse a schedule with a count below 1; max_steps None means no cap."""
-    for name, value in (("epochs", epochs), ("batch_size", batch_size),
-                        ("max_steps", max_steps)):
-        if value is not None and value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
-
-
 def _batches(n: int, batch_size: int, order=None):
     idx = np.arange(n) if order is None else order
     for at in range(0, n, batch_size):
@@ -134,9 +170,6 @@ class TrainResult:
     history: list[dict]
     best_epoch: int
     best_val_accuracy: float | None
-    final_path: Path | None = None
-    best_path: Path | None = None
-    history_path: Path | None = None
 
 
 def _history_header(ckpt: Checkpoint) -> dict:
@@ -153,46 +186,38 @@ def _history_header(ckpt: Checkpoint) -> dict:
     }
 
 
-def train(splits: dict[str, list[LabeledSample]], cfg: ModelConfig,
+def train(splits: dict[str, list[LabeledSample]], run: RunConfig,
           vocab: Vocabulary, labels: list[str], languages: list[str],
-          table_hash: str, unified: bool, seed: int, *,
-          epochs: int = 5, batch_size: int = 64, lr: float = 0.001,
-          max_steps: int | None = None, out_dir: str | Path | None = None,
-          run_config: dict | None = None, log_fn=None) -> TrainResult:
-    """Fit the model; returns the final state plus per-epoch history.
+          table_hash: str, log_fn=None) -> TrainResult:
+    """Fit the model run describes; returns the final state plus history.
 
-    Saves ``final.ckpt``, ``best.ckpt`` (highest validation accuracy, or
-    the final state when there is no validation split), and
-    ``history.jsonl`` under out_dir when one is given.
+    The model config is run's settings at the vocabulary's size and the
+    label count, and every checkpoint and the history header record
+    run.to_dict().  Saves ``final.ckpt``, ``best.ckpt`` (highest
+    validation accuracy, or the final state when there is no validation
+    split), and ``history.jsonl`` under run.out_dir when it is set.
     """
-    cfg.validate()
-    if cfg.vocab_size != vocab.size:
-        raise ConfigError(
-            f"config vocab_size {cfg.vocab_size} != vocabulary size {vocab.size}")
-    if cfg.k != len(labels):
-        raise ConfigError(f"config k {cfg.k} != label count {len(labels)}")
-    check_schedule(epochs, batch_size, max_steps)
-
+    cfg = run.model_config(vocab.size, len(labels))
     train_prep, train_y = prepare(splits["train"], cfg)
     has_val = bool(splits.get("validation"))
     if not train_prep:
         raise EmptySplit("train split is empty")
 
-    params = M.init_params(cfg, seed)
-    opt = adam_init(params.parameters(), lr=lr)
-    order_rng = np.random.default_rng([seed, BATCH_ORDER_STREAM])
-    dropout_rng = np.random.default_rng([seed, DROPOUT_STREAM])
+    params = M.init_params(cfg, run.seed)
+    opt = adam_init(params.parameters(), lr=run.lr)
+    order_rng = np.random.default_rng([run.seed, BATCH_ORDER_STREAM])
+    dropout_rng = np.random.default_rng([run.seed, DROPOUT_STREAM])
     emit = log_fn if log_fn is not None else \
         (lambda msg: log.debug("%s", msg))
 
     def snapshot(epoch: int, step: int, metrics: dict | None) -> Checkpoint:
         return Checkpoint(config=cfg, params=params, vocab=vocab,
                           labels=labels, languages=languages,
-                          table_hash=table_hash, unified=unified, seed=seed,
-                          epoch=epoch, step=step, run_config=run_config,
-                          val_metrics=metrics)
+                          table_hash=table_hash, unified=run.unified,
+                          seed=run.seed, epoch=epoch, step=step,
+                          run_config=run.to_dict(), val_metrics=metrics)
 
-    out = Path(out_dir) if out_dir is not None else None
+    out = Path(run.out_dir) if run.out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
@@ -203,11 +228,11 @@ def train(splits: dict[str, list[LabeledSample]], cfg: ModelConfig,
     step = 0
     stop = False
     epoch = 0
-    while epoch < epochs and not stop:
+    while epoch < run.epochs and not stop:
         epoch += 1
         batch_losses: list[float] = []
         order = order_rng.permutation(len(train_prep))
-        for sel in _batches(len(train_prep), batch_size, order):
+        for sel in _batches(len(train_prep), run.batch_size, order):
             batch = [train_prep[i] for i in sel]
             probs = M.forward_batch(batch, params, cfg, training=True,
                                     rng=dropout_rng)
@@ -224,14 +249,14 @@ def train(splits: dict[str, list[LabeledSample]], cfg: ModelConfig,
             step += 1
             batch_losses.append(value)
             emit(f"epoch {epoch} step {step} loss {value:.6f}")
-            if max_steps is not None and step >= max_steps:
+            if run.max_steps is not None and step >= run.max_steps:
                 stop = True
                 break
 
         val = dict.fromkeys(SUMMARY_NAMES)
         if has_val:
             val = evaluate_samples(splits["validation"], params, cfg,
-                                   batch_size).summary()
+                                   run.batch_size).summary()
             if best_acc is None or val["accuracy"] > best_acc:
                 best_acc = val["accuracy"]
                 best_epoch = epoch
@@ -249,13 +274,10 @@ def train(splits: dict[str, list[LabeledSample]], cfg: ModelConfig,
                          best_epoch=best_epoch if has_val else epoch,
                          best_val_accuracy=best_acc)
     if out is not None:
-        result.final_path = out / "final.ckpt"
-        save_checkpoint(final, result.final_path)
+        save_checkpoint(final, out / "final.ckpt")
         if not has_val:
             save_checkpoint(final, best_path)
-        result.best_path = best_path
-        result.history_path = out / "history.jsonl"
-        with open(result.history_path, "w", encoding="utf-8") as fh:
+        with open(out / "history.jsonl", "w", encoding="utf-8") as fh:
             fh.write(json.dumps(_history_header(final), sort_keys=True) + "\n")
             for record in history:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")

@@ -31,6 +31,7 @@ from uastkit.datagen import generate_corpus
 from uastkit.featurizer import featurize_sample, path_length_stats
 from uastkit.model import ModelConfig, forward_batch, init_params, prepare_sample
 from uastkit.train_eval import (
+    RunConfig,
     build_features,
     compute_metrics,
     corpus_labels,
@@ -122,18 +123,15 @@ def test_whole_model_gradients_match_finite_differences():
 
 def _train_bundled(corpus: Path, mode: str, seed: int, ratios, epochs: int,
                    max_steps: int | None):
+    run = RunConfig(mode=mode, **SMALL_DIMS, seed=seed, ratios=ratios,
+                    epochs=epochs, batch_size=8, lr=0.01, max_steps=max_steps)
     table = load_default_table()
     samples = ingest_corpus(corpus)
-    splits = split_dataset(samples, seed=seed, ratios=ratios)
-    vocab = build_features(splits, table, True, SMALL_DIMS["L"],
-                           SMALL_DIMS["N"])
-    cfg = ModelConfig(vocab_size=vocab.size, k=len(corpus_labels(samples)),
-                      mode=mode, **SMALL_DIMS)
-    result = train(splits, cfg, vocab, corpus_labels(samples),
-                   corpus_languages(samples), table.table_hash, True,
-                   seed=seed, epochs=epochs, batch_size=8, lr=0.01,
-                   max_steps=max_steps)
-    return splits, result.checkpoint.params, cfg
+    splits = split_dataset(samples, seed=run.seed, ratios=run.ratios)
+    vocab = build_features(splits, table, run.unified, run.L, run.N)
+    result = train(splits, run, vocab, corpus_labels(samples),
+                   corpus_languages(samples), table.table_hash)
+    return splits, result.checkpoint.params, result.checkpoint.config
 
 
 def test_toy_corpus_is_memorized_in_every_mode():
@@ -143,7 +141,7 @@ def test_toy_corpus_is_memorized_in_every_mode():
     accuracy = {}
     for mode in ("uast", "sast", "gast"):
         splits, params, cfg = _train_bundled(
-            TOY_CORPUS, mode, seed=0, ratios=(1.0, 0.0, 0.0), epochs=1000,
+            TOY_CORPUS, mode, seed=0, ratios=(1, 0, 0), epochs=1000,
             max_steps=200)
         accuracy[mode] = evaluate_samples(splits["train"], params,
                                           cfg).accuracy

@@ -300,6 +300,27 @@ class TestExitCodes:
                        "--manifest\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_manifest_row_that_cannot_be_read_is_a_data_problem(
+            self, tmp_path, capsys, kind):
+        target = tmp_path / "row.py"
+        if kind == "directory":
+            target.mkdir()
+        manifest = tmp_path / "files.csv"
+        manifest.write_text(f"{PY_SAMPLE},sum_loop\n{target},sum_loop\n")
+        code, out, err = run(capsys, "stats", "--manifest", str(manifest))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {target}: ")
+        assert err.count("\n") == 1
+
+    def test_empty_train_split_is_a_data_problem(self, tmp_path, capsys):
+        code, out, err = run(capsys, "train", "--corpus", str(TOY_CORPUS),
+                             "--profile", "toy", "--ratios", "0,1,1",
+                             "--out-dir", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == "error: cannot fit a vocabulary: train split is empty\n"
+        assert not (tmp_path / "out").exists()
+
     def test_module_runs_without_installation(self):
         proc = subprocess.run([sys.executable, "-m", "uastkit", "--help"],
                               capture_output=True, text=True, env=src_env())

@@ -34,7 +34,6 @@ from uastkit.ast_frontend import (
 from uastkit.datagen import generate_corpus
 from uastkit.errors import (
     CheckpointError,
-    ConfigError,
     DataError,
     DivergenceDetected,
     EmptyClass,
@@ -46,11 +45,12 @@ from uastkit.errors import (
 )
 from uastkit import model as M
 from uastkit.featurizer import GraphSample, featurize_sample
-from uastkit.model import ModelConfig, init_params
+from uastkit.model import init_params
 from uastkit.train_eval import (
     SPLIT_NAMES,
     Checkpoint,
     LabeledSample,
+    RunConfig,
     build_features,
     compute_metrics,
     corpus_labels,
@@ -612,29 +612,42 @@ class TestCollector:
         assert 2 not in generations
 
 
+def small_run(mode="uast", **settings):
+    """A RunConfig of the tiny model the library tests train."""
+    return RunConfig(mode=mode, L=8, d=4, heads=2, attn_dropout=0.0, h=3,
+                     lstm_layers=1, lstm_dropout=0.0, N=8, gcn_layers=1,
+                     gcn_hidden=3, d_out=3, **settings)
+
+
 def small_config(vocab_size, mode="uast"):
-    return ModelConfig(vocab_size=vocab_size, k=2, mode=mode, L=8, d=4,
-                       heads=2, attn_dropout=0.0, h=3, lstm_layers=1,
-                       lstm_dropout=0.0, N=8, gcn_layers=1, gcn_hidden=3,
-                       d_out=3)
+    return small_run(mode).model_config(vocab_size, k=2)
+
+
+def fit_memorizable(run, with_val=False):
+    """The splits, table, vocabulary and result of run on the memorizable
+    corpus."""
+    splits = memorizable_splits(with_val=with_val)
+    table = UnificationTable({})
+    vocab = build_features(splits, table, run.unified, run.L, run.N)
+    result = train(splits, run, vocab, ["alpha", "beta"], ["python"],
+                   table.table_hash)
+    return splits, table, vocab, result
 
 
 class TestTrain:
     def _fit(self, tmp_path=None, lr=0.05, epochs=12, with_val=False,
              seed=0, mode="uast"):
-        splits = memorizable_splits(with_val=with_val)
-        table = UnificationTable({})
-        vocab = build_features(splits, table, True, L=8, N=8)
-        cfg = small_config(vocab.size, mode)
-        result = train(splits, cfg, vocab, ["alpha", "beta"], ["python"],
-                       table.table_hash, True, seed=seed, epochs=epochs,
-                       batch_size=4, lr=lr,
-                       out_dir=tmp_path)
-        return splits, table, vocab, cfg, result
+        run = small_run(mode, seed=seed, epochs=epochs, batch_size=4, lr=lr,
+                        out_dir=None if tmp_path is None else str(tmp_path))
+        splits, table, vocab, result = fit_memorizable(run, with_val)
+        return splits, table, vocab, result.checkpoint.config, result
 
-    def test_zero_learning_rate_keeps_initial_parameters(self):
-        splits, _, vocab, cfg, result = self._fit(lr=0.0, epochs=2)
-        fresh = init_params(cfg, 0)
+    def test_training_starts_from_the_seeded_init(self, monkeypatch):
+        # with the optimizer step a no-op, the parameters stay the ones
+        # init_params draws from the run's config and seed
+        monkeypatch.setattr(training, "adam_step", lambda params, opt: None)
+        _, _, _, cfg, result = self._fit(epochs=2, seed=3)
+        fresh = init_params(cfg, 3)
         for (name, got), (_, want) in zip(
                 result.checkpoint.params.manifest(), fresh.manifest()):
             assert np.array_equal(got.data, want.data), name
@@ -702,13 +715,13 @@ class TestTrain:
             (tmp_path / "best.ckpt").read_bytes()
 
     def test_repeat_run_is_bitwise_identical(self, tmp_path):
-        a, b = tmp_path / "one", tmp_path / "two"
-        self._fit(tmp_path=a, with_val=True, epochs=3)
-        self._fit(tmp_path=b, with_val=True, epochs=3)
-        assert (a / "final.ckpt").read_bytes() == \
-            (b / "final.ckpt").read_bytes()
-        assert (a / "history.jsonl").read_text() == \
-            (b / "history.jsonl").read_text()
+        # a run records its out_dir, so the repeat writes where the first did
+        self._fit(tmp_path=tmp_path, with_val=True, epochs=3)
+        first = {name: (tmp_path / name).read_bytes()
+                 for name in ("final.ckpt", "best.ckpt", "history.jsonl")}
+        self._fit(tmp_path=tmp_path, with_val=True, epochs=3)
+        for name, data in first.items():
+            assert (tmp_path / name).read_bytes() == data, name
 
     def test_seed_changes_the_run(self, tmp_path):
         a, b = tmp_path / "one", tmp_path / "two"
@@ -718,40 +731,25 @@ class TestTrain:
             (b / "final.ckpt").read_bytes()
 
     def test_max_steps_stops_early(self):
-        _, _, _, _, result = self._fit(epochs=50)
-        splits = memorizable_splits()
-        table = UnificationTable({})
-        vocab = build_features(splits, table, True, L=8, N=8)
-        cfg = small_config(vocab.size)
-        capped = train(splits, cfg, vocab, ["alpha", "beta"], ["python"],
-                       table.table_hash, True, seed=0, epochs=50,
-                       batch_size=4, lr=0.05, max_steps=5)
+        _, _, _, capped = fit_memorizable(
+            small_run(epochs=50, batch_size=4, lr=0.05, max_steps=5))
         assert capped.checkpoint.step == 5
 
     def test_divergence_has_a_dedicated_error(self):
-        splits = memorizable_splits()
-        table = UnificationTable({})
-        vocab = build_features(splits, table, True, L=8, N=8)
-        cfg = small_config(vocab.size)
         with pytest.raises(DivergenceDetected) as err, \
                 np.errstate(all="ignore"):
-            train(splits, cfg, vocab, ["alpha", "beta"], ["python"],
-                  table.table_hash, True, seed=0, epochs=3, batch_size=4,
-                  lr=1e308)
+            fit_memorizable(small_run(epochs=3, batch_size=4, lr=1e308))
         assert "epoch" in str(err.value)
 
-    def test_config_vocab_and_label_guards(self):
-        splits = memorizable_splits()
-        table = UnificationTable({})
-        vocab = build_features(splits, table, True, L=8, N=8)
-        with pytest.raises(ConfigError):
-            train(splits, small_config(vocab.size + 1), vocab,
-                  ["alpha", "beta"], ["python"], table.table_hash, True,
-                  seed=0)
-        with pytest.raises(ConfigError):
-            train(splits, small_config(vocab.size), vocab,
-                  ["alpha", "beta", "gamma"], ["python"], table.table_hash,
-                  True, seed=0)
+    def test_model_sizes_come_from_vocabulary_and_labels(self, tmp_path):
+        # train builds its model config from the run, the vocabulary and
+        # the labels, so no config of other sizes can reach it
+        _, _, vocab, result = fit_memorizable(
+            small_run(epochs=1, out_dir=str(tmp_path)))
+        for cfg in (result.checkpoint.config,
+                    load_checkpoint(tmp_path / "final.ckpt").config):
+            assert (cfg.vocab_size, cfg.k) == (vocab.size, 2)
+            assert cfg == small_config(vocab.size)
 
     def test_empty_train_split_rejected(self):
         splits = memorizable_splits()
@@ -759,8 +757,34 @@ class TestTrain:
         vocab = build_features(splits, table, True, L=8, N=8)
         splits["train"] = []
         with pytest.raises(EmptySplit):
-            train(splits, small_config(vocab.size), vocab, ["alpha", "beta"],
-                  ["python"], table.table_hash, True, seed=0)
+            train(splits, small_run(), vocab, ["alpha", "beta"], ["python"],
+                  table.table_hash)
+
+    def test_records_the_run_it_was_given(self, tmp_path):
+        # every RunConfig field off its default: the checkpoints and the
+        # history header record each one as the run holds it
+        run = RunConfig(
+            mode="gast", L=9, d=6, heads=3, attn_dropout=0.1, h=2,
+            lstm_layers=3, lstm_dropout=0.25, N=10, gcn_layers=3,
+            gcn_hidden=5, d_out=4, profile="toy", corpus="some/corpus",
+            manifest="some/manifest.csv", table="some/table.tbl",
+            out_dir=str(tmp_path / "run"), unified=False, seed=7,
+            ratios=(2, 2, 1), epochs=2, batch_size=3, lr=0.02, max_steps=3)
+        defaults = RunConfig()
+        assert all(getattr(run, name) != getattr(defaults, name)
+                   for name in run.to_dict())
+        _, _, _, result = fit_memorizable(run, with_val=True)
+        out = tmp_path / "run"
+        header = json.loads(
+            (out / "history.jsonl").read_text().splitlines()[0])
+        for record in (result.checkpoint.run_config,
+                       load_checkpoint(out / "final.ckpt").run_config,
+                       load_checkpoint(out / "best.ckpt").run_config,
+                       header["run_config"]):
+            assert record == run.to_dict()
+        ckpt = load_checkpoint(out / "final.ckpt")
+        assert (ckpt.seed, ckpt.unified, ckpt.step) == (7, False, 3)
+        assert ckpt.config == run.model_config(ckpt.vocab.size, 2)
 
     # every batch loss of two epochs on the toy corpus with both dropouts
     # on, as recorded when each dropout mask was one float64 draw over the
@@ -781,13 +805,12 @@ class TestTrain:
         splits = split_dataset(samples, seed=0, ratios=(1.0, 0.0, 0.0))
         vocab = build_features(splits, table, True, L=96, N=96)
         labels = corpus_labels(samples)
-        cfg = ModelConfig(vocab_size=vocab.size, k=len(labels), mode=mode,
-                          L=96, N=96, d=32, heads=4, attn_dropout=0.2, h=16,
-                          lstm_layers=2, lstm_dropout=0.5, gcn_layers=2,
-                          gcn_hidden=32, d_out=16)
-        result = train(splits, cfg, vocab, labels, corpus_languages(samples),
-                       table.table_hash, True, seed=0, epochs=2,
-                       batch_size=8, lr=0.01)
+        run = RunConfig(mode=mode, L=96, N=96, d=32, heads=4,
+                        attn_dropout=0.2, h=16, lstm_layers=2,
+                        lstm_dropout=0.5, gcn_layers=2, gcn_hidden=32,
+                        d_out=16, seed=0, epochs=2, batch_size=8, lr=0.01)
+        result = train(splits, run, vocab, labels, corpus_languages(samples),
+                       table.table_hash)
         losses = [x for record in result.history
                   for x in record["batch_losses"]]
         # summation-order changes move a loss by about 1e-15; a different
@@ -832,13 +855,13 @@ class TestTrain:
         splits = {"train": samples, "validation": [], "test": []}
         table = load_default_table()
         vocab = build_features(splits, table, True, L=40, N=40)
-        cfg = ModelConfig(vocab_size=vocab.size, k=2, mode="uast", L=40, d=4,
-                          heads=2, attn_dropout=0.0, h=3, lstm_layers=1,
-                          lstm_dropout=0.0, N=40, gcn_layers=1, gcn_hidden=3,
-                          d_out=3)
-        result = train(splits, cfg, vocab, ["addition", "looping"],
-                       ["java", "python"], table.table_hash, True, seed=0,
-                       epochs=20, batch_size=4, lr=0.05)
+        run = RunConfig(mode="uast", L=40, d=4, heads=2, attn_dropout=0.0,
+                        h=3, lstm_layers=1, lstm_dropout=0.0, N=40,
+                        gcn_layers=1, gcn_hidden=3, d_out=3, seed=0,
+                        epochs=20, batch_size=4, lr=0.05)
+        result = train(splits, run, vocab, ["addition", "looping"],
+                       ["java", "python"], table.table_hash)
+        cfg = result.checkpoint.config
         label, _ = predict_one(result.checkpoint, PY_LOOP % 7, "python",
                                table)
         assert label in ("addition", "looping")
@@ -882,13 +905,12 @@ def toy_run(mode):
     splits = split_dataset(ingest_corpus(TOY_CORPUS), seed=0)
     labels = corpus_labels(splits["train"])
     vocab = build_features(splits, table, True, L=96, N=96)
-    cfg = ModelConfig(vocab_size=vocab.size, k=len(labels), mode=mode,
-                      L=96, d=8, heads=2, attn_dropout=0.1, h=4,
-                      lstm_layers=1, lstm_dropout=0.0, N=96,
-                      gcn_layers=2, gcn_hidden=6, d_out=4)
-    result = train(splits, cfg, vocab, labels, ["java", "python"],
-                   table.table_hash, True, seed=0, epochs=1,
-                   batch_size=8, max_steps=2)
+    run = RunConfig(mode=mode, L=96, d=8, heads=2, attn_dropout=0.1, h=4,
+                    lstm_layers=1, lstm_dropout=0.0, N=96, gcn_layers=2,
+                    gcn_hidden=6, d_out=4, seed=0, epochs=1, batch_size=8,
+                    max_steps=2)
+    result = train(splits, run, vocab, labels, ["java", "python"],
+                   table.table_hash)
     return table, splits, labels, result
 
 
