@@ -15,8 +15,8 @@ records it in every checkpoint and history file, and eval's report repeats
 the checkpoint's copy.
 The UASTKIT_TABLE environment variable points at an alternative
 unification table; --table wins over it.  Log records, such as the warning
-for each skipped corpus file, go to stderr from --log-level up (warning by
-default; -v means info).
+for each skipped corpus file and the loss of each training step, go to
+stderr from --log-level up (warning by default; -v means info).
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .train_eval import (
     RunConfig,
     build_features,
     corpus_labels,
-    corpus_languages,
     evaluate_samples,
     featurize,
     ingest_corpus,
@@ -69,11 +68,12 @@ from .train_eval import (
 
 TABLE_ENV = "UASTKIT_TABLE"
 
-# batch-64 Adam settings over the model defaults, mirroring the published
-# setup; leetcode is exactly this base
+# RunConfig's defaults for the model and its batch-64 Adam schedule,
+# mirroring the published setup; leetcode is exactly this base
 _BASE_PROFILE: dict = {
-    **{f.name: f.default for f in fields(ModelSettings) if f.name != "mode"},
-    "epochs": 5, "batch_size": 64, "lr": 0.001,
+    name: getattr(RunConfig, name)
+    for name in (*(f.name for f in fields(ModelSettings) if f.name != "mode"),
+                 "epochs", "batch_size", "lr")
 }
 PROFILES: dict[str, dict] = {
     "leetcode": dict(_BASE_PROFILE),
@@ -153,13 +153,11 @@ def _ingest(corpus: str | None, manifest: str | None):
 def _features(rc: RunConfig, table: UnificationTable, L: int):
     """Ingest, split and featurize the corpus at path length L.
 
-    Returns the splits, the train split's vocabulary, and the corpus's
-    labels and languages.
+    Returns the splits and the train split's vocabulary.
     """
     samples = _ingest(rc.corpus, rc.manifest)
     splits = split_dataset(samples, rc.seed, rc.ratios)
-    vocab = build_features(splits, table, rc.unified, L, rc.N)
-    return splits, vocab, corpus_labels(samples), corpus_languages(samples)
+    return splits, build_features(splits, table, rc.unified, L, rc.N)
 
 
 def _checkpoint_and_table(args: argparse.Namespace):
@@ -211,19 +209,18 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     rc = resolve_run_config(args)
     table = _load_table(rc.table)
-    splits, vocab, labels, languages = _features(rc, table, rc.L)
-    result = train(splits, rc, vocab, labels, languages, table.table_hash,
-                   None if args.quiet else
-                   (lambda msg: print(msg, file=sys.stderr)))
+    splits, vocab = _features(rc, table, rc.L)
+    result = train(splits, rc, vocab, table.table_hash)
     cfg = result.checkpoint.config
     last = result.history[-1]
     print(f"trained mode={cfg.mode} unified={rc.unified} "
           f"epochs={last['epoch']} steps={last['step']} "
           f"train_loss={last['train_loss']:.4f}")
     if last["val_accuracy"] is not None:
+        # the first epoch of the highest accuracy, the one best.ckpt holds
+        best = max(result.history, key=lambda r: r["val_accuracy"])
         print(f"validation accuracy {last['val_accuracy']:.4f} "
-              f"(best {result.best_val_accuracy:.4f} "
-              f"at epoch {result.best_epoch})")
+              f"(best {best['val_accuracy']:.4f} at epoch {best['epoch']})")
     if splits["test"]:
         report = evaluate_samples(splits["test"], result.checkpoint.params,
                                   cfg, rc.batch_size)
@@ -308,16 +305,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     table = _load_table(rc.table)
     # one parse, one unification and one featurization serve every
     # setting; a path length L is the first L steps of the longest paths
-    splits, vocab, labels, languages = _features(
-        rc, table, max(values) if by_length else rc.L)
+    splits, vocab = _features(rc, table,
+                              max(values) if by_length else rc.L)
     longest = [(s, s.path_seq) for name in SPLIT_NAMES for s in splits[name]]
     rows = []
     for value, run in zip(values, runs):
         if by_length:
             for s, path in longest:
                 s.path_seq = replace(path, indices=path.indices[:value])
-        ckpt = train(splits, run, vocab, labels, languages,
-                     table.table_hash).checkpoint
+        ckpt = train(splits, run, vocab, table.table_hash).checkpoint
         source = splits["test"] or splits["validation"] or splits["train"]
         report = evaluate_samples(source, ckpt.params, ckpt.config,
                                   run.batch_size)
@@ -403,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p)
     p.add_argument("--out-dir", dest="out_dir",
                    help="directory for checkpoints and history")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-batch loss lines")
     p.set_defaults(func=cmd_train)
 
     p = commands.add_parser("eval", help="score a split with a checkpoint")

@@ -85,7 +85,7 @@ def _enumerate_manifest(manifest: Path) -> list[tuple[Path, str, str | None]]:
             for lineno, row in enumerate(csv.reader(fh), start=1):
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
-                if len(row) < 2:
+                if len(row) < 2 or not (row[0].strip() and row[1].strip()):
                     raise DataError(
                         f"{manifest}:{lineno}: need path,label[,language]")
                 path = Path(row[0].strip())

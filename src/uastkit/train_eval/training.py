@@ -9,8 +9,10 @@ pass run it over a split; predict_one runs it for one file at B=1.
 A RunConfig holds every setting of a run, and train takes nothing else:
 it builds the model config from it and records it, whole, in every
 checkpoint and in the history header, so what a run records is what it
-ran.  Training minimizes cross-entropy with Adam over seeded shuffled
-batches.  Randomness is split into named streams derived from the run
+ran.  The labels and languages train records are its splits' own.
+Training minimizes cross-entropy with Adam over seeded shuffled batches,
+and logs each step's loss as one INFO record on the uastkit.train
+logger.  Randomness is split into named streams derived from the run
 seed: split shuffling, parameter init, dropout, and batch order each get
 their own generator, so every byte of a run is reproducible from its
 RunConfig and corpus.  History is a JSONL file: one run header line, then
@@ -47,7 +49,12 @@ from ..featurizer import featurize_sample
 from ..model import ModelConfig, ModelParams, ModelSettings, PreparedSample
 from ..optim import adam_init, adam_step
 from .checkpoint import Checkpoint, save_checkpoint
-from .corpus import DEFAULT_RATIOS, LabeledSample
+from .corpus import (
+    DEFAULT_RATIOS,
+    LabeledSample,
+    corpus_labels,
+    corpus_languages,
+)
 from .metrics import SUMMARY_NAMES, MetricsReport, compute_metrics
 
 log = logging.getLogger("uastkit.train")
@@ -168,8 +175,6 @@ def evaluate_samples(samples: list[LabeledSample], params: ModelParams,
 class TrainResult:
     checkpoint: Checkpoint
     history: list[dict]
-    best_epoch: int
-    best_val_accuracy: float | None
 
 
 def _history_header(ckpt: Checkpoint) -> dict:
@@ -187,28 +192,29 @@ def _history_header(ckpt: Checkpoint) -> dict:
 
 
 def train(splits: dict[str, list[LabeledSample]], run: RunConfig,
-          vocab: Vocabulary, labels: list[str], languages: list[str],
-          table_hash: str, log_fn=None) -> TrainResult:
+          vocab: Vocabulary, table_hash: str) -> TrainResult:
     """Fit the model run describes; returns the final state plus history.
 
     The model config is run's settings at the vocabulary's size and the
-    label count, and every checkpoint and the history header record
-    run.to_dict().  Saves ``final.ckpt``, ``best.ckpt`` (highest
-    validation accuracy, or the final state when there is no validation
-    split), and ``history.jsonl`` under run.out_dir when it is set.
+    count of labels over every split, and every checkpoint and the
+    history header record run.to_dict() and the splits' labels and
+    languages.  Saves ``final.ckpt``, ``best.ckpt`` (the first epoch of
+    highest validation accuracy, or the final state when there is no
+    validation split), and ``history.jsonl`` under run.out_dir when it is
+    set.
     """
+    if not splits.get("train"):
+        raise EmptySplit("train split is empty")
+    samples = [s for part in splits.values() for s in part]
+    labels, languages = corpus_labels(samples), corpus_languages(samples)
     cfg = run.model_config(vocab.size, len(labels))
     train_prep, train_y = prepare(splits["train"], cfg)
     has_val = bool(splits.get("validation"))
-    if not train_prep:
-        raise EmptySplit("train split is empty")
 
     params = M.init_params(cfg, run.seed)
     opt = adam_init(params.parameters(), lr=run.lr)
     order_rng = np.random.default_rng([run.seed, BATCH_ORDER_STREAM])
     dropout_rng = np.random.default_rng([run.seed, DROPOUT_STREAM])
-    emit = log_fn if log_fn is not None else \
-        (lambda msg: log.debug("%s", msg))
 
     def snapshot(epoch: int, step: int, metrics: dict | None) -> Checkpoint:
         return Checkpoint(config=cfg, params=params, vocab=vocab,
@@ -223,7 +229,6 @@ def train(splits: dict[str, list[LabeledSample]], run: RunConfig,
 
     history: list[dict] = []
     best_acc: float | None = None
-    best_epoch = 0
     best_path = out / "best.ckpt" if out is not None else None
     step = 0
     stop = False
@@ -248,7 +253,7 @@ def train(splits: dict[str, list[LabeledSample]], run: RunConfig,
             del probs, loss  # backward freed the closures; this frees the tape
             step += 1
             batch_losses.append(value)
-            emit(f"epoch {epoch} step {step} loss {value:.6f}")
+            log.info("epoch %d step %d loss %.6f", epoch, step, value)
             if run.max_steps is not None and step >= run.max_steps:
                 stop = True
                 break
@@ -259,7 +264,6 @@ def train(splits: dict[str, list[LabeledSample]], run: RunConfig,
                                    run.batch_size).summary()
             if best_acc is None or val["accuracy"] > best_acc:
                 best_acc = val["accuracy"]
-                best_epoch = epoch
                 if best_path is not None:
                     save_checkpoint(snapshot(epoch, step, val), best_path)
         history.append({
@@ -270,9 +274,7 @@ def train(splits: dict[str, list[LabeledSample]], run: RunConfig,
         })
 
     final = snapshot(epoch, step, val if has_val else None)
-    result = TrainResult(checkpoint=final, history=history,
-                         best_epoch=best_epoch if has_val else epoch,
-                         best_val_accuracy=best_acc)
+    result = TrainResult(checkpoint=final, history=history)
     if out is not None:
         save_checkpoint(final, out / "final.ckpt")
         if not has_val:

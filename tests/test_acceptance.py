@@ -34,8 +34,6 @@ from uastkit.train_eval import (
     RunConfig,
     build_features,
     compute_metrics,
-    corpus_labels,
-    corpus_languages,
     evaluate_samples,
     ingest_corpus,
     split_dataset,
@@ -129,8 +127,7 @@ def _train_bundled(corpus: Path, mode: str, seed: int, ratios, epochs: int,
     samples = ingest_corpus(corpus)
     splits = split_dataset(samples, seed=run.seed, ratios=run.ratios)
     vocab = build_features(splits, table, run.unified, run.L, run.N)
-    result = train(splits, run, vocab, corpus_labels(samples),
-                   corpus_languages(samples), table.table_hash)
+    result = train(splits, run, vocab, table.table_hash)
     return splits, result.checkpoint.params, result.checkpoint.config
 
 
@@ -335,7 +332,7 @@ def test_identical_settings_reproduce_identical_artifacts(tmp_path):
             "--L", "16", "--N", "16", "--d", "8", "--heads", "2",
             "--h", "4", "--lstm-layers", "1", "--gcn-layers", "1",
             "--gcn-hidden", "8", "--d-out", "4", "--epochs", "2",
-            "--quiet", "--out-dir", str(out_dir)]
+            "--out-dir", str(out_dir)]
     assert main(list(argv)) == 0
     files = ("final.ckpt", "best.ckpt", "history.jsonl")
     first = {f: (out_dir / f).read_bytes() for f in files}
@@ -351,7 +348,7 @@ def test_identical_settings_reproduce_identical_artifacts(tmp_path):
 
 def _cli_accuracy(capsys, out_dir, corpus, profile, mode, unified) -> float:
     argv = ["train", "--corpus", str(corpus), "--profile", profile,
-            "--mode", mode, "--quiet", "--out-dir", str(out_dir)]
+            "--mode", mode, "--out-dir", str(out_dir)]
     if not unified:
         argv.append("--no-unified-vocab")
     assert main(argv) == 0

@@ -52,7 +52,7 @@ def run(capsys, *argv):
 def quick_train(tmp_path, capsys=None, *extra):
     """A deliberately underfit but fast training run for plumbing tests."""
     args = ["train", "--corpus", str(TOY_CORPUS), "--profile", "toy",
-            *TINY_DIMS, "--epochs", "1", "--max-steps", "3", "--quiet",
+            *TINY_DIMS, "--epochs", "1", "--max-steps", "3",
             "--out-dir", str(tmp_path), *extra]
     assert main(args) == 0
     if capsys is not None:
@@ -459,6 +459,40 @@ class TestLogging:
         assert "2 files attempted, 1 parsed, 0 duplicates skipped, " \
             "1 unparseable skipped" in err
 
+    @staticmethod
+    def step_lines(run_dir):
+        """The per-step lines a run's history implies, as -v prints them."""
+        lines = (run_dir / "history.jsonl").read_text().splitlines()[1:]
+        step, out = 0, []
+        for record in map(json.loads, lines):
+            for loss in record["batch_losses"]:
+                step += 1
+                out.append(f"INFO: epoch {record['epoch']} step {step} "
+                           f"loss {loss:.6f}")
+        return out
+
+    def test_train_step_losses_follow_the_log_level(self, tmp_path, capsys):
+        argv = ["train", "--corpus", str(TOY_CORPUS), "--profile", "toy",
+                *TINY_DIMS, "--epochs", "2", "--max-steps", "5",
+                "--out-dir", str(tmp_path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        code, loud_out, loud_err = run(capsys, "-v", *argv)
+        assert code == 0 and loud_out == out
+        steps = [line for line in loud_err.splitlines() if " step " in line]
+        assert steps == self.step_lines(tmp_path) and len(steps) == 5
+
+    def test_sweep_logs_each_runs_steps_under_v(self, tmp_path, capsys):
+        code, _, err = run(capsys, "-v", "sweep", "--corpus", str(TOY_CORPUS),
+                           "--profile", "toy", *TINY_DIMS, "--epochs", "1",
+                           "--max-steps", "2", "--param", "path-length",
+                           "--values", "8,12", "--out-dir", str(tmp_path))
+        assert code == 0
+        steps = [line for line in err.splitlines() if " step " in line]
+        assert steps == [line for value in (8, 12) for line in
+                         self.step_lines(tmp_path / f"path-length-{value}")]
+        assert len(steps) == 4
+
     @pytest.mark.parametrize("level, expected", [
         ("warning", "WARNING: {}:1: SyntaxWarning: invalid decimal literal\n"),
         ("error", "")])
@@ -494,6 +528,13 @@ class TestConfigLayering:
             **base, "L": 96, "N": 96, "d": 32, "attn_dropout": 0.0, "h": 16,
             "lstm_dropout": 0.0, "gcn_hidden": 32, "d_out": 16,
             "epochs": 50, "batch_size": 8, "lr": 0.01}
+
+    def test_leetcode_is_the_run_config_defaults(self):
+        # the profiles take their base from RunConfig's field defaults
+        defaults = RunConfig()
+        for name, value in PROFILES["leetcode"].items():
+            want = getattr(defaults, name)
+            assert (value, type(value)) == (want, type(want)), name
 
     def test_run_config_builds_the_model_config(self):
         rc = RunConfig(mode="gast", d=12, heads=3, gcn_layers=3, N=7)
@@ -646,7 +687,7 @@ class TestTrainEvalPredict:
     def test_train_reports_and_saves(self, tmp_path, capsys):
         code, out, _ = run(capsys, "train", "--corpus", str(TOY_CORPUS),
                            "--profile", "toy", *TINY_DIMS, "--epochs", "1",
-                           "--max-steps", "3", "--quiet",
+                           "--max-steps", "3",
                            "--out-dir", str(tmp_path))
         assert code == 0
         assert "trained mode=uast" in out
@@ -657,10 +698,20 @@ class TestTrainEvalPredict:
         lines = (tmp_path / "history.jsonl").read_text().splitlines()
         assert json.loads(lines[0])["record"] == "run"
 
+    def test_train_reports_the_epoch_best_ckpt_holds(self, tmp_path,
+                                                     capsys):
+        code, out, _ = run(capsys, "train", "--corpus", str(TOY_CORPUS),
+                           "--profile", "toy", *TINY_DIMS, "--epochs", "4",
+                           "--out-dir", str(tmp_path))
+        assert code == 0
+        best = load_checkpoint(tmp_path / "best.ckpt")
+        assert (f"(best {best.val_metrics['accuracy']:.4f} "
+                f"at epoch {best.epoch})") in out
+
     def test_no_unified_vocab_keeps_raw_kinds(self, tmp_path, capsys):
         code, _, _ = run(capsys, "train", "--corpus", str(TOY_CORPUS),
                          "--profile", "toy", *TINY_DIMS, "--max-steps", "1",
-                         "--quiet", "--no-unified-vocab",
+                         "--no-unified-vocab",
                          "--out-dir", str(tmp_path))
         assert code == 0
         ckpt = load_checkpoint(tmp_path / "final.ckpt")
@@ -799,7 +850,7 @@ class TestSweep:
         for value in (40, 8):
             swept = tmp_path / f"path-length-{value}"
             alone = tmp_path / f"train-{value}"
-            assert run(capsys, "train", *common, "--L", str(value), "--quiet",
+            assert run(capsys, "train", *common, "--L", str(value),
                        "--out-dir", str(alone))[0] == 0
             a, b = (load_checkpoint(d / "final.ckpt") for d in (swept, alone))
             assert a.config == b.config and a.config.L == value

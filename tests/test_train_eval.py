@@ -250,6 +250,17 @@ class TestIngest:
         with pytest.raises(DataError):
             ingest_corpus(tmp_path, manifest=manifest)
 
+    @pytest.mark.parametrize("row", ["x.py, ,python", " ,addition,python",
+                                     "x.py,", ",addition"])
+    def test_manifest_refuses_an_empty_path_or_label(self, tmp_path, row):
+        (tmp_path / "x.py").write_text(PY_ADD % 0)
+        manifest = tmp_path / "files.csv"
+        manifest.write_text(f"x.py,addition\n{row}\n")
+        with pytest.raises(DataError) as err:
+            ingest_corpus(tmp_path, manifest=manifest)
+        assert str(err.value) == f"{manifest}:2: need path,label[,language]"
+        assert err.value.exit_code == 2
+
     def test_empty_manifest_raises(self, tmp_path):
         manifest = tmp_path / "files.csv"
         manifest.write_text("\n\n")
@@ -629,8 +640,7 @@ def fit_memorizable(run, with_val=False):
     splits = memorizable_splits(with_val=with_val)
     table = UnificationTable({})
     vocab = build_features(splits, table, run.unified, run.L, run.N)
-    result = train(splits, run, vocab, ["alpha", "beta"], ["python"],
-                   table.table_hash)
+    result = train(splits, run, vocab, table.table_hash)
     return splits, table, vocab, result
 
 
@@ -661,6 +671,18 @@ class TestTrain:
         losses = [r["train_loss"] for r in result.history]
         assert losses[-1] < losses[0]
 
+    def test_logs_one_info_record_per_step(self, caplog):
+        with caplog.at_level(logging.INFO, logger="uastkit.train"):
+            *_, result = self._fit(epochs=3)
+        got = [(r.levelno, r.getMessage()) for r in caplog.records
+               if r.name == "uastkit.train"]
+        losses = [(r["epoch"], x) for r in result.history
+                  for x in r["batch_losses"]]
+        assert got == [(logging.INFO, f"epoch {epoch} step {step} "
+                                      f"loss {loss:.6f}")
+                       for step, (epoch, loss) in enumerate(losses, 1)]
+        assert len(got) == 9  # 3 epochs of 12 samples in batches of 4
+
     def test_history_records_validation_metrics(self, tmp_path):
         splits, _, _, cfg, result = self._fit(tmp_path=tmp_path,
                                               with_val=True)
@@ -672,7 +694,10 @@ class TestTrain:
                                    result.checkpoint.params, cfg).summary()
         assert {k: v for k, v in record.items() if k.startswith("val_")} \
             == {f"val_{k}": v for k, v in summary.items()}
-        assert result.best_val_accuracy is not None
+        # best.ckpt holds the first epoch of the highest validation accuracy
+        best = max(result.history, key=lambda r: r["val_accuracy"])
+        assert best["val_accuracy"] is not None
+        assert load_checkpoint(tmp_path / "best.ckpt").epoch == best["epoch"]
         lines = (tmp_path / "history.jsonl").read_text().splitlines()
         header = json.loads(lines[0])
         assert header["record"] == "run"
@@ -757,8 +782,38 @@ class TestTrain:
         vocab = build_features(splits, table, True, L=8, N=8)
         splits["train"] = []
         with pytest.raises(EmptySplit):
-            train(splits, small_run(), vocab, ["alpha", "beta"], ["python"],
+            train(splits, small_run(), vocab, table.table_hash)
+        # with no sample anywhere there is no label either: the empty
+        # train split is still what is refused
+        with pytest.raises(EmptySplit):
+            train({name: [] for name in SPLIT_NAMES}, small_run(), vocab,
                   table.table_hash)
+
+    def test_labels_and_languages_come_from_every_split(self, tmp_path):
+        # a label seen only in validation and a language seen only in test
+        # still reach the model's k and everything the run records
+        splits = memorizable_splits(with_val=True)
+        splits["validation"].append(LabeledSample(
+            source_path="mem/gamma/0", language="python", label="gamma",
+            label_index=2, tree=chain_tree(["z"] * 3)))
+        splits["test"].append(LabeledSample(
+            source_path="mem/beta/java", language="java", label="beta",
+            label_index=1, tree=chain_tree(["y"] * 4)))
+        run = small_run(epochs=2, batch_size=4, out_dir=str(tmp_path))
+        table = UnificationTable({})
+        vocab = build_features(splits, table, run.unified, run.L, run.N)
+        result = train(splits, run, vocab, table.table_hash)
+        header = json.loads(
+            (tmp_path / "history.jsonl").read_text().splitlines()[0])
+        assert header["labels"] == ["alpha", "beta", "gamma"]
+        assert header["languages"] == ["java", "python"]
+        assert header["config"]["k"] == 3
+        for ckpt in (result.checkpoint,
+                     load_checkpoint(tmp_path / "final.ckpt"),
+                     load_checkpoint(tmp_path / "best.ckpt")):
+            assert ckpt.labels == ("alpha", "beta", "gamma")
+            assert ckpt.languages == ("java", "python")
+            assert ckpt.config.k == 3
 
     def test_records_the_run_it_was_given(self, tmp_path):
         # every RunConfig field off its default: the checkpoints and the
@@ -804,13 +859,11 @@ class TestTrain:
         samples = ingest_corpus(TOY_CORPUS)
         splits = split_dataset(samples, seed=0, ratios=(1.0, 0.0, 0.0))
         vocab = build_features(splits, table, True, L=96, N=96)
-        labels = corpus_labels(samples)
         run = RunConfig(mode=mode, L=96, N=96, d=32, heads=4,
                         attn_dropout=0.2, h=16, lstm_layers=2,
                         lstm_dropout=0.5, gcn_layers=2, gcn_hidden=32,
                         d_out=16, seed=0, epochs=2, batch_size=8, lr=0.01)
-        result = train(splits, run, vocab, labels, corpus_languages(samples),
-                       table.table_hash)
+        result = train(splits, run, vocab, table.table_hash)
         losses = [x for record in result.history
                   for x in record["batch_losses"]]
         # summation-order changes move a loss by about 1e-15; a different
@@ -859,8 +912,7 @@ class TestTrain:
                         h=3, lstm_layers=1, lstm_dropout=0.0, N=40,
                         gcn_layers=1, gcn_hidden=3, d_out=3, seed=0,
                         epochs=20, batch_size=4, lr=0.05)
-        result = train(splits, run, vocab, ["addition", "looping"],
-                       ["java", "python"], table.table_hash)
+        result = train(splits, run, vocab, table.table_hash)
         cfg = result.checkpoint.config
         label, _ = predict_one(result.checkpoint, PY_LOOP % 7, "python",
                                table)
@@ -903,15 +955,13 @@ def toy_run(mode):
     labels and the run's result."""
     table = load_default_table()
     splits = split_dataset(ingest_corpus(TOY_CORPUS), seed=0)
-    labels = corpus_labels(splits["train"])
     vocab = build_features(splits, table, True, L=96, N=96)
     run = RunConfig(mode=mode, L=96, d=8, heads=2, attn_dropout=0.1, h=4,
                     lstm_layers=1, lstm_dropout=0.0, N=96, gcn_layers=2,
                     gcn_hidden=6, d_out=4, seed=0, epochs=1, batch_size=8,
                     max_steps=2)
-    result = train(splits, run, vocab, labels, ["java", "python"],
-                   table.table_hash)
-    return table, splits, labels, result
+    result = train(splits, run, vocab, table.table_hash)
+    return table, splits, list(result.checkpoint.labels), result
 
 
 # --- checkpoint file -------------------------------------------------------------
