@@ -304,15 +304,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for value in values]
     table = _load_table(rc.table)
     # one parse, one unification and one featurization serve every
-    # setting; a path length L is the first L steps of the longest paths
+    # setting; a run at path length L reads the first L steps of the
+    # longest paths, and no sample is rewritten
     splits, vocab = _features(rc, table,
                               max(values) if by_length else rc.L)
-    longest = [(s, s.path_seq) for name in SPLIT_NAMES for s in splits[name]]
     rows = []
     for value, run in zip(values, runs):
-        if by_length:
-            for s, path in longest:
-                s.path_seq = replace(path, indices=path.indices[:value])
         ckpt = train(splits, run, vocab, table.table_hash).checkpoint
         source = splits["test"] or splits["validation"] or splits["train"]
         report = evaluate_samples(source, ckpt.params, ckpt.config,

@@ -262,9 +262,10 @@ class PreparedSample:
     """A featurized record's views, as the model reads them: each is None
     where the mode does not read it.
 
-    path is the path view; adj is the graph view's int64 [E x 2] edge list
-    and node_kinds its kinds, one a node, not copies.  The benchmark's
-    probe reads these fields by name.
+    path is the path view cut to its first L steps; adj is the graph
+    view's int64 [E x 2] edge list and node_kinds its kinds, one a node:
+    views of the featurized arrays, never copies.  The benchmark's probe
+    reads these fields by name.
     """
     path: PathSequence | None
     adj: np.ndarray | None
@@ -277,6 +278,8 @@ def prepare_sample(path: PathSequence | None, graph: GraphSample | None,
         raise ShapeMismatch("this mode needs the graph view")
     if cfg.uses_path and path is None:
         raise ShapeMismatch("this mode needs the path view")
+    if cfg.uses_path and path.true_length > cfg.L:
+        path = PathSequence(path.indices[:cfg.L])
     return PreparedSample(
         path=path if cfg.uses_path else None,
         adj=graph.edges if cfg.uses_graph else None,

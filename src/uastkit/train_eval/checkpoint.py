@@ -4,7 +4,8 @@ Layout: the 8-byte magic ``UASTCKPT`` | u32 format version | u64 header
 length | a sorted-keys JSON header object | the parameter matrices as raw
 little-endian float64, concatenated in manifest order.  The header carries
 the model configuration, vocabulary, table hash, label and language sets,
-run provenance (config dict and seed), and the epoch/step counters.
+run provenance (config dict and seed), and the epoch/step counters;
+run_header gives its run keys, which a history file's first record repeats.
 Nothing time-dependent is written, so identical runs produce identical
 bytes.
 """
@@ -55,21 +56,21 @@ class Checkpoint:
         self.languages = tuple(self.languages)
 
 
+def run_header(ckpt: Checkpoint) -> dict:
+    """What a run records about itself: the checkpoint header's run keys,
+    which the history header repeats."""
+    return {"config": asdict(ckpt.config), "labels": ckpt.labels,
+            "languages": ckpt.languages, "run_config": ckpt.run_config,
+            "seed": ckpt.seed, "table_hash": ckpt.table_hash,
+            "unified": ckpt.unified}
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     manifest = ckpt.params.manifest()
     header = {
-        "format_version": FORMAT_VERSION,
-        "config": asdict(ckpt.config),
-        "labels": list(ckpt.labels),
-        "languages": list(ckpt.languages),
-        "table_hash": ckpt.table_hash,
-        "unified": ckpt.unified,
-        "seed": ckpt.seed,
-        "epoch": ckpt.epoch,
-        "step": ckpt.step,
-        "run_config": ckpt.run_config,
-        "val_metrics": ckpt.val_metrics,
-        "vocab_kinds": list(ckpt.vocab.kinds),
+        **run_header(ckpt), "format_version": FORMAT_VERSION,
+        "epoch": ckpt.epoch, "step": ckpt.step,
+        "val_metrics": ckpt.val_metrics, "vocab_kinds": ckpt.vocab.kinds,
         "params": [{"name": name, "rows": t.shape[0], "cols": t.shape[1]}
                    for name, t in manifest],
     }

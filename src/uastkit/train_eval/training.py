@@ -48,7 +48,7 @@ from ..errors import (
 from ..featurizer import featurize_sample
 from ..model import ModelConfig, ModelParams, ModelSettings, PreparedSample
 from ..optim import adam_init, adam_step
-from .checkpoint import Checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, run_header, save_checkpoint
 from .corpus import (
     DEFAULT_RATIOS,
     LabeledSample,
@@ -177,20 +177,6 @@ class TrainResult:
     history: list[dict]
 
 
-def _history_header(ckpt: Checkpoint) -> dict:
-    return {
-        "record": "run",
-        "config": asdict(ckpt.config),
-        "labels": ckpt.labels,
-        "languages": ckpt.languages,
-        "run_config": ckpt.run_config,
-        "seed": ckpt.seed,
-        "table_hash": ckpt.table_hash,
-        "unified": ckpt.unified,
-        "vocab_hash": ckpt.vocab.vocab_hash,
-    }
-
-
 def train(splits: dict[str, list[LabeledSample]], run: RunConfig,
           vocab: Vocabulary, table_hash: str) -> TrainResult:
     """Fit the model run describes; returns the final state plus history.
@@ -280,8 +266,9 @@ def train(splits: dict[str, list[LabeledSample]], run: RunConfig,
         if not has_val:
             save_checkpoint(final, best_path)
         with open(out / "history.jsonl", "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(_history_header(final), sort_keys=True) + "\n")
-            for record in history:
+            header = {"record": "run", **run_header(final),
+                      "vocab_hash": vocab.vocab_hash}
+            for record in [header, *history]:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
     return result
 

@@ -66,6 +66,7 @@ from uastkit.train_eval import (
     train,
     training,
 )
+from uastkit.train_eval import checkpoint
 
 JAVA_ADD = ("public class C%d { static int f(int a, int b) "
             "{ return a + b; } }")
@@ -515,6 +516,29 @@ class TestBuildFeatures:
             assert np.array_equal(s.graph.node_kinds, graph.node_kinds)
             assert np.array_equal(s.graph.edges, graph.edges)
 
+    def test_prepare_reads_the_first_L_steps_without_rewriting(self):
+        # a sweep featurizes once at its longest length and prepares each
+        # run at its own: the prepared path is the one featurizing at that
+        # length gives, and the sample keeps its longer path
+        table = load_default_table()
+
+        def featurized(L):
+            splits = split_dataset(ingest_corpus(TOY_CORPUS), seed=0)
+            vocab = build_features(splits, table, True, L=L, N=32)
+            return vocab, [s for name in SPLIT_NAMES for s in splits[name]]
+
+        vocab, long = featurized(32)
+        _, short = featurized(16)
+        kept = [s.path_seq.indices.copy() for s in long]
+        assert any(len(steps) > 16 for steps in kept)
+        cfg = RunConfig(L=16, N=32).model_config(vocab.size,
+                                                 len(corpus_labels(long)))
+        prepped, _ = prepare(long, cfg)
+        for p, s, cut, steps in zip(prepped, long, short, kept, strict=True):
+            assert s.source_path == cut.source_path
+            assert np.array_equal(p.path.indices, cut.path_seq.indices)
+            assert np.array_equal(s.path_seq.indices, steps)
+
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -705,6 +729,21 @@ class TestTrain:
         assert len(lines) == 1 + len(result.history)
         for line in lines[1:]:
             assert json.loads(line)["record"] == "epoch"
+
+    def test_history_header_is_the_checkpoints_run_header(self, tmp_path):
+        _, _, vocab, _, result = self._fit(tmp_path=tmp_path, epochs=2,
+                                           with_val=True)
+        header = json.loads(
+            (tmp_path / "history.jsonl").read_text().splitlines()[0])
+        run_keys = checkpoint.run_header(result.checkpoint).keys()
+        assert sorted(run_keys) == ["config", "labels", "languages",
+                                    "run_config", "seed", "table_hash",
+                                    "unified"]
+        for name in ("final.ckpt", "best.ckpt"):
+            saved, _, _ = checkpoint._read_frame(tmp_path / name)
+            assert header == {"record": "run",
+                              "vocab_hash": vocab.vocab_hash,
+                              **{key: saved[key] for key in run_keys}}
 
     def test_saves_final_and_best_checkpoints(self, tmp_path):
         splits, _, _, cfg, _ = self._fit(tmp_path=tmp_path, with_val=True)
@@ -992,6 +1031,14 @@ class TestCheckpoint:
         for (name, got), (_, want) in zip(back.params.manifest(),
                                           ckpt.params.manifest()):
             assert np.array_equal(got.data, want.data), name
+
+    def test_loading_reads_every_key_saving_writes(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._ckpt(), path)
+        header, _, _ = checkpoint._read_frame(path)
+        assert header.keys() - {"format_version"} \
+            == checkpoint._HEADER_TYPES.keys()
+        assert header["format_version"] == checkpoint.FORMAT_VERSION
 
     def test_save_again_is_bitwise_stable(self, tmp_path):
         ckpt = self._ckpt()
