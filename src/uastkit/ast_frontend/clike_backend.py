@@ -2,8 +2,9 @@
 
 One tokenizer and one parser, ``parse(text, language)``, cover c, cpp, java
 and javascript.  The tokenizer is one ``finditer`` pass of a pattern that
-matches at every offset, and it drops whitespace and comments before building
-a ``(type, value)`` token.  The parser also keeps each token's text where it
+matches each token with the whitespace before it, or the text's
+whitespace-only tail, and it drops comments before building a ``(type,
+value)`` token.  The parser also keeps each token's text where it
 is punctuation or a keyword, so testing for a word is one index and one
 compare.  Each production is written once.  A difference between the
 languages that is only a kind name lives in ``_KINDS``; one that a language's
@@ -27,19 +28,21 @@ from .tree import ERROR_KIND, AstNode
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<line_comment>//[^\n]*)
-    | (?P<block_comment>/\*.*?(?:\*/|\Z))  # an unterminated one runs to the end of the text
-    | (?P<preproc>\#[^\n]*)
-    | (?P<num>(?:0[xX][0-9a-fA-F]+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)[fFlLuUdD]*)
-    | (?P<str>"(?:\\.|[^"\\\n])*")
-    | (?P<chr>'(?:\\.|[^'\\\n])*')
-    | (?P<template>`(?:\\.|[^`\\])*`)
-    | (?P<id>[A-Za-z_$][A-Za-z0-9_$]*)
-    | (?P<punct>>>>=|<<=|>>=|===|!==|>>>|\.\.\.|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\|
-                |\+=|-=|\*=|/=|%=|&=|\|=|\^=|=>|->|::|[-+*/%<>=!&|^~?:;,.(){}\[\]@])
-    | (?P<open_str>["'`][^\n]*)  # an unterminated literal runs to the end of its line
-    | (?P<stray>.)
+      \s*(?:
+        (?P<line_comment>//[^\n]*)
+      | (?P<block_comment>/\*.*?(?:\*/|\Z))  # an unterminated one runs to the end of the text
+      | (?P<preproc>\#[^\n]*)
+      | (?P<num>(?:0[xX][0-9a-fA-F]+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)[fFlLuUdD]*)
+      | (?P<str>"(?:\\.|[^"\\\n])*")
+      | (?P<chr>'(?:\\.|[^'\\\n])*')
+      | (?P<template>`(?:\\.|[^`\\])*`)
+      | (?P<id>[A-Za-z_$][A-Za-z0-9_$]*)
+      | (?P<punct>>>>=|<<=|>>=|===|!==|>>>|\.\.\.|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\|
+                  |\+=|-=|\*=|/=|%=|&=|\|=|\^=|=>|->|::|[-+*/%<>=!&|^~?:;,.(){}\[\]@])
+      | (?P<open_str>["'`][^\n]*)  # an unterminated literal runs to the end of its line
+      | (?P<stray>\S)
+    )
+    | (?P<tail>\s+)\Z
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -156,23 +159,27 @@ class _Token(NamedTuple):
 
 
 _EOF = _Token("eof", "")
-_SKIPPED = frozenset(("ws", "line_comment", "block_comment"))
+_SKIPPED = frozenset(("line_comment", "block_comment", "tail"))
 _RETYPED = {"open_str": "str", "stray": "punct"}
+# each group's token type, by group number: None where the parser skips it
+_TYPE_OF_GROUP = (None, *(
+    None if name in _SKIPPED else _RETYPED.get(name, name)
+    for name in sorted(_TOKEN_RE.groupindex, key=_TOKEN_RE.groupindex.get)))
 
 
 def tokenize(text: str, language: str) -> list[_Token]:
     keywords = _KEYWORDS[language]
     tokens: list[_Token] = []
-    for m in _TOKEN_RE.finditer(text):  # some group matches at every offset
-        kind = m.lastgroup
-        if kind in _SKIPPED:
+    # every match is one token, whitespace before it folded in, or the
+    # text's whitespace-only tail
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        kind = _TYPE_OF_GROUP[group]
+        if kind is None:
             continue
-        value = m.group()
-        if kind == "id":
-            if value in keywords:
-                kind = "kw"
-        elif kind in _RETYPED:
-            kind = _RETYPED[kind]
+        value = m.group(group)
+        if kind == "id" and value in keywords:
+            kind = "kw"
         tokens.append(_Token(kind, value))
     return tokens
 

@@ -26,6 +26,10 @@ scatters of gather_rows, segment_pool and attention do into a fresh zero
 array; in a copy when g is the output's gradient or a view of it, as add
 and a join (dropout's, classify's) pass on.  A later gradient is added.
 No two .grad share memory.
+
+bilstm_rows is the one function that records nothing: a forward-only
+stacked BiLSTM over one path, both directions of a layer stepped in one
+gate-major row, with lstm_direction's bits.
 """
 
 from __future__ import annotations
@@ -522,6 +526,59 @@ def lstm_direction(x: Tensor, w_all: Tensor, b_all: Tensor, packing: Packing,
             _accum(b_all, d_b, owned=True)
 
     return _node(out, (x, w_all, b_all), bw)
+
+
+def bilstm_rows(x: np.ndarray, layers) -> np.ndarray:
+    """A stacked BiLSTM over one path's [T x in] rows, forward only, with
+    no tape: the top layer's [T x 2h] rows, forward states then backward.
+
+    layers holds each layer's ((w, b), (w, b)) tensors as lstm_direction
+    reads them, forward direction first; a layer reads the rows of the one
+    below joined side by side, as eval-mode dropout leaves them.  Each
+    direction's input projection is lstm_direction's, x @ w_x + b.  Step t
+    holds both directions' gates as one gate-major row, [4, 2, 1, h] by
+    gate, direction and unit, the backward direction's from row T - 1 - t.
+    One matmul of the two directions' states, stacked [2, 1, h], by their
+    stacked recurrent blocks [2, h, 4h] runs each direction's product
+    lstm_direction makes, and one add puts both into the row; the sigmoid
+    then covers 6h columns, and tanh and the cell and state updates 2h, in
+    one call each, so each state has lstm_direction's bits.
+    """
+    steps = len(x)
+    for (wf, bf), (wb, bb) in layers:
+        h = bf.shape[1] // 4
+        gates = np.empty((steps, 4, 2, 1, h))
+        for d, (w, b) in enumerate(((wf, bf), (wb, bb))):
+            if w.shape != (h + x.shape[1], 4 * h) or b.shape != (1, 4 * h):
+                raise ShapeMismatch(f"bilstm_rows: x {x.shape}, w {w.shape}"
+                                    f", b {b.shape}")
+            proj = x @ w.data[h:]
+            np.add(proj, b.data, out=proj)
+            gates[:, :, d, 0] = (proj[::-1] if d else proj).reshape(
+                steps, 4, h)
+        w_h = np.stack([wf.data[:h], wb.data[:h]])
+        rec = np.empty((2, 1, 4 * h))
+        rec_by_gate = rec.reshape(2, 1, 4, h).transpose(2, 0, 1, 3)
+        hs, cs = np.empty((steps, 2, 1, h)), np.empty((steps, 2, 1, h))
+        h_prev = c_prev = None
+        with np.errstate(over="ignore"):  # for the gates' sigmoid
+            for act, sig, i, f, o, cand, hr, cr in zip(
+                    gates, gates[:, :3], gates[:, 0], gates[:, 1],
+                    gates[:, 2], gates[:, 3], hs, cs):
+                if h_prev is not None:
+                    np.matmul(h_prev, w_h, out=rec)
+                    act += rec_by_gate
+                _sigmoid(sig, sig)
+                np.tanh(cand, out=cand)
+                np.multiply(i, cand, out=cr)
+                if c_prev is not None:
+                    cr += f * c_prev
+                np.multiply(o, np.tanh(cr), out=hr)
+                h_prev, c_prev = hr, cr
+        x = np.empty((steps, 2 * h))
+        x[:, :h] = hs[:, 0, 0]
+        x[:, h:] = hs[::-1, 1, 0]
+    return x
 
 
 # --- reductions --------------------------------------------------------------

@@ -20,8 +20,12 @@ softmax layer, one tape node (autograd.classify).
 
 One function composes the two encoders: forward_batch, which training,
 evaluation and prediction all run.  Its tape holds the same number of nodes
-whatever the batch size and path lengths.  It reads only each
-PreparedSample's views, and its caller holds the config and labels.
+whatever the batch size and path lengths.  Evaluation runs it on
+ModelParams.detached(), the trained arrays in tensors that need no
+gradient, so it records no tape; a batch of one such path runs the BiLSTM
+as autograd.bilstm_rows, with the bits of the direction ops.  It reads
+only each PreparedSample's views, and its caller holds the config and
+labels.
 forward is forward_batch at B=1;
 embed and self_attention run the embedding and the attention op on one
 sample.  Nothing in the package calls those three; they stay because the
@@ -140,6 +144,19 @@ class ModelParams:
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.manifest()]
 
+    def detached(self) -> "ModelParams":
+        """The same arrays as tensors that require no gradient, so that a
+        pass over them records no tape."""
+        def leaf(t: Tensor | None) -> Tensor | None:
+            return None if t is None else Tensor(t.data)
+
+        return ModelParams(
+            embedding=leaf(self.embedding),
+            lstm=[tuple(tuple(leaf(t) for t in d) for d in pair)
+                  for pair in self.lstm],
+            gcn=[leaf(w) for w in self.gcn], clf_w=leaf(self.clf_w),
+            clf_b=leaf(self.clf_b))
+
 
 def freeze_pad_gradient(params: ModelParams) -> None:
     """Zero the PAD embedding row's gradient, which no step writes: train()
@@ -229,7 +246,14 @@ def _bilstm(x: Tensor, packing: ag.Packing, params: ModelParams,
     A later layer reads the layer below's two directions joined side by
     side under dropout, one tape node.  The forward final is each
     sequence's state at its last row, the backward final at its first.
+    One path in eval mode, with no input requiring a gradient, runs as
+    autograd.bilstm_rows, with the same bits and no tape.
     """
+    if (len(packing.lengths) == 1 and not training and not x.requires_grad
+            and not any(t.requires_grad for pair in params.lstm
+                        for direction in pair for t in direction)):
+        rows = ag.bilstm_rows(x.data, params.lstm)
+        return [Tensor(rows[-1:, :cfg.h]), Tensor(rows[:1, cfg.h:])]
     inputs = x
     for layer, (fwd, bwd) in enumerate(params.lstm):
         if layer:

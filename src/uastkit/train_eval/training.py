@@ -153,10 +153,12 @@ def _batches(n: int, batch_size: int, order=None):
 
 def score_prepared(prepped: list[PreparedSample], params: ModelParams,
                    cfg: ModelConfig, batch_size: int = 64) -> np.ndarray:
-    """Eval-mode class probabilities [n x k], batch_size samples a pass."""
+    """Eval-mode class probabilities [n x k], batch_size samples a pass,
+    over params detached from the tape: a pass records no node."""
     probs = np.empty((len(prepped), cfg.k))
+    detached = params.detached()
     for sel in _batches(len(prepped), batch_size):
-        probs[sel] = M.forward_batch([prepped[i] for i in sel], params,
+        probs[sel] = M.forward_batch([prepped[i] for i in sel], detached,
                                      cfg).data
     return probs
 

@@ -31,6 +31,9 @@ node; composed_gcn_layer composes them.  sigmoid and tanh are the LSTM
 gates' ops.  tokenize is the C-like tokenizer as it ran before it matched
 every offset with one finditer pass; its pattern has the same tokens, an
 unterminated block comment running to the end of the text included.
+finditer_tokenize is that finditer pass as it ran before each match took
+one token with the whitespace before it: a run of whitespace was a match
+of its own.
 unify_ast, build_vocabulary, featurize_sample, node_count and
 render_sexpr are the walks over a graph of AstNode objects that ran before
 every tree became one flat pre-order form; unflatten rebuilds that graph
@@ -856,6 +859,45 @@ def tokenize(text: str, language: str) -> list[tuple[str, str]]:
         else:
             tokens.append((kind, value))
         pos = m.end()
+    return tokens
+
+
+FINDITER_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>\s+)
+    | (?P<line_comment>//[^\n]*)
+    | (?P<block_comment>/\*.*?(?:\*/|\Z))  # an unterminated one runs to the end of the text
+    | (?P<preproc>\#[^\n]*)
+    | (?P<num>(?:0[xX][0-9a-fA-F]+|(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)[fFlLuUdD]*)
+    | (?P<str>"(?:\\.|[^"\\\n])*")
+    | (?P<chr>'(?:\\.|[^'\\\n])*')
+    | (?P<template>`(?:\\.|[^`\\])*`)
+    | (?P<id>[A-Za-z_$][A-Za-z0-9_$]*)
+    | (?P<punct>>>>=|<<=|>>=|===|!==|>>>|\.\.\.|\+\+|--|<<|>>|<=|>=|==|!=|&&|\|\|
+                |\+=|-=|\*=|/=|%=|&=|\|=|\^=|=>|->|::|[-+*/%<>=!&|^~?:;,.(){}\[\]@])
+    | (?P<open_str>["'`][^\n]*)  # an unterminated literal runs to the end of its line
+    | (?P<stray>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def finditer_tokenize(text: str, language: str) -> list[tuple[str, str]]:
+    """(type, value) of each token, one match for each token and one for
+    each run of whitespace, dispatched on the match's group name."""
+    keywords = _KEYWORDS[language]
+    tokens: list[tuple[str, str]] = []
+    for m in FINDITER_TOKEN_RE.finditer(text):  # some group matches at every offset
+        kind = m.lastgroup
+        if kind in ("ws", "line_comment", "block_comment"):
+            continue
+        value = m.group()
+        if kind == "id":
+            if value in keywords:
+                kind = "kw"
+        elif kind in ("open_str", "stray"):
+            kind = "str" if kind == "open_str" else "punct"
+        tokens.append((kind, value))
     return tokens
 
 

@@ -26,6 +26,7 @@ from uastkit.ast_frontend.backends import (
     source_language,
 )
 from uastkit.cli import main
+from uastkit.datagen import generate_corpus
 from uastkit.errors import (
     ParseFailure,
     UastError,
@@ -361,6 +362,50 @@ class TestTokenizer:
         for language in sorted(_KEYWORDS):
             assert [tuple(t) for t in tokenize(text, language)] \
                 == oracle.tokenize(text, language)
+
+
+def _c_like_sources(root: Path) -> list[tuple[str, str]]:
+    """(text, language) of every file under root that is not Python."""
+    return [(p.read_text(encoding="utf-8"), p.parent.name)
+            for p in sorted(root.rglob("*")) if p.is_file()
+            and p.suffix in (".c", ".cpp", ".java", ".js")]
+
+
+class TestOneMatchPerToken:
+    """tokenize, one match a token with the whitespace before it folded
+    in, gives the tokens of oracle.finditer_tokenize, whose pattern also
+    matched each run of whitespace on its own."""
+
+    @staticmethod
+    def _same_tokens(text, languages=tuple(sorted(_KEYWORDS))):
+        for language in languages:
+            assert [tuple(t) for t in tokenize(text, language)] \
+                == oracle.finditer_tokenize(text, language)
+
+    @pytest.mark.parametrize("text", [
+        "", " ", " \t\r\n ", "/* an unterminated comment", "x /* open\n",
+        '"an unterminated string', "s = 'open\n;", "`open", "@", "\x00",
+        "a \u00e9 \\ ` #x\n \u0663", "\u2028x\u2028", "int x = 1;  \n"])
+    def test_edge_strings(self, text):
+        self._same_tokens(text)
+
+    @pytest.mark.parametrize("name", [n for n in GOLDEN_SOURCES
+                                      if not n.endswith(".py")])
+    def test_golden_sources(self, name):
+        self._same_tokens((GOLDEN / name).read_text(encoding="utf-8"))
+
+    def test_toy_corpus(self, toy_corpus_dir):
+        sources = _c_like_sources(toy_corpus_dir)
+        assert sources
+        for text, language in sources:
+            self._same_tokens(text, [language])
+
+    def test_generated_corpus(self, tmp_path):
+        generate_corpus(tmp_path, seed=1)
+        sources = _c_like_sources(tmp_path)
+        assert len(sources) == 180
+        for text, language in sources:
+            self._same_tokens(text, [language])
 
 
 # --- registry -----------------------------------------------------------------

@@ -28,7 +28,7 @@ from uastkit.cli import (
     main,
     resolve_run_config,
 )
-from uastkit.model import ModelSettings
+from uastkit.model import ModelParams, ModelSettings
 from uastkit.train_eval import (
     SUMMARY_NAMES,
     ingest_corpus,
@@ -779,6 +779,24 @@ class TestTrainEvalPredict:
         assert payload["label"] == label
         total = sum(payload["probabilities"].values())
         assert abs(total - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("mode", ["uast", "sast"])
+    def test_untaped_eval_and_predict_keep_their_bytes(self, mode, tmp_path,
+                                                       capsys, monkeypatch):
+        # eval and predict score on parameters detached from the tape, and
+        # predict's one path takes the BiLSTM's row path: their output is
+        # the taped pass's, byte for byte
+        ckpt = str(quick_train(tmp_path, capsys, "--mode", mode,
+                               "--lstm-layers", "2"))
+        commands = [
+            ["eval", "--corpus", str(TOY_CORPUS), "--checkpoint", ckpt,
+             "--split", "all", "--json"],
+            ["predict", PY_SAMPLE, "--checkpoint", ckpt, "--json"],
+            ["predict", JAVA_SAMPLE, "--checkpoint", ckpt, "--json"]]
+        untaped = [run(capsys, *argv) for argv in commands]
+        monkeypatch.setattr(ModelParams, "detached", lambda params: params)
+        assert [run(capsys, *argv) for argv in commands] == untaped
+        assert all(code == 0 for code, _, _ in untaped)
 
     def test_predict_sexpr_unifies_only_a_declared_language(
             self, trained_gast, tmp_path, capsys):

@@ -732,6 +732,124 @@ class TestTapeSize:
             "segment_pool", "classify"])
 
 
+# the toy and leetcode profiles' sequence widths
+ROW_WIDTHS = {"toy": dict(L=96, N=96, d=32, h=16),
+              "leetcode": dict(L=200, N=400, d=200, h=64)}
+
+
+class TestRowPath:
+    """One path in eval mode, its inputs needing no gradient, runs the
+    BiLSTM as autograd.bilstm_rows: both directions of a layer step in one
+    gate-major row.  Its probabilities are compared with the taped path's
+    byte for byte.  That rests on one assumption, which these tests check:
+    numpy runs a stacked [2, 1, h] @ [2, h, 4h] matmul as one [1 x h] @
+    [h x 4h] product per direction, the call lstm_direction makes, so each
+    direction's recurrent sum has the same terms in the same order.  The
+    rest of a step is elementwise."""
+
+    @staticmethod
+    def _config(width, mode, layers):
+        return ModelConfig(vocab_size=40, k=5, mode=mode, lstm_layers=layers,
+                           **ROW_WIDTHS[width]).validate()
+
+    @staticmethod
+    def _no_taped_lstm(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the row path ran lstm_direction")
+
+        monkeypatch.setattr(ag, "lstm_direction", refuse)
+
+    @pytest.mark.parametrize("width", sorted(ROW_WIDTHS))
+    @pytest.mark.parametrize("mode", ["uast", "sast"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("length", [1, 2, 75])
+    def test_bytes_equal_the_taped_path(self, width, mode, layers, length,
+                                        monkeypatch):
+        cfg = self._config(width, mode, layers)
+        params = init_params(cfg, layers)
+        (path, graph), = mixed_length_pairs(
+            np.random.default_rng(length), cfg, [length])
+        sample = prepare_sample(path, graph, cfg)
+        taped = forward_batch([sample], params, cfg)
+        assert tape_ops(taped).count("lstm_direction") == 2 * layers
+        self._no_taped_lstm(monkeypatch)
+        rows = forward_batch([sample], params.detached(), cfg)
+        assert rows.data.tobytes() == taped.data.tobytes()
+
+    @pytest.mark.parametrize("width", sorted(ROW_WIDTHS))
+    def test_long_file_cut_at_L(self, width, monkeypatch):
+        cfg = self._config(width, "uast", 2)
+        params = init_params(cfg, 5)
+        (path, graph), = mixed_length_pairs(
+            np.random.default_rng(9), cfg, [cfg.L + 57])
+        sample = prepare_sample(path, graph, cfg)
+        assert sample.path.true_length == cfg.L
+        taped = forward_batch([sample], params, cfg)
+        self._no_taped_lstm(monkeypatch)
+        rows = forward_batch([sample], params.detached(), cfg)
+        assert rows.data.tobytes() == taped.data.tobytes()
+
+    def test_rows_equal_each_direction_op(self):
+        # the function itself, against lstm_direction and the eval join
+        cfg = self._config("toy", "sast", 3)
+        params = init_params(cfg, 2)
+        x = np.random.default_rng(0).uniform(-1, 1, (33, cfg.d))
+        packing = ag.Packing([33])
+        inputs = Tensor(x)
+        for fwd, bwd in params.lstm:
+            out_f = ag.lstm_direction(inputs, *fwd, packing)
+            out_b = ag.lstm_direction(inputs, *bwd, packing, reverse=True)
+            inputs = Tensor(np.hstack([out_f.data, out_b.data]))
+        rows = ag.bilstm_rows(x, params.lstm)
+        assert rows.tobytes() == inputs.data.tobytes()
+        with pytest.raises(ShapeMismatch):
+            ag.bilstm_rows(x[:, 1:], params.lstm)
+
+    def test_training_pass_at_one_path_is_taped(self, tiny_config):
+        cfg = variant(tiny_config, mode="sast", L=9)
+        (path, graph), = mixed_length_pairs(np.random.default_rng(1), cfg,
+                                            [7])
+        probs = forward_batch([prepare_sample(path, graph, cfg)],
+                              init_params(cfg, 0), cfg, training=True,
+                              rng=np.random.default_rng(0))
+        assert tape_ops(probs).count("lstm_direction") == 4
+
+    def test_training_pass_needing_no_gradient_keeps_its_dropout(
+            self, tiny_config):
+        cfg = variant(tiny_config, mode="sast", L=9, lstm_dropout=0.5)
+        (path, graph), = mixed_length_pairs(np.random.default_rng(1), cfg,
+                                            [7])
+        sample, params = prepare_sample(path, graph, cfg), init_params(cfg, 0)
+        runs = [forward_batch([sample], p, cfg, training=True,
+                              rng=np.random.default_rng(0)).data
+                for p in (params, params.detached())]
+        assert runs[0].tobytes() == runs[1].tobytes()
+
+    def test_eval_pass_of_two_paths_runs_the_direction_ops(self, tiny_config,
+                                                           monkeypatch):
+        cfg = variant(tiny_config, L=9, N=9)
+        pairs = mixed_length_pairs(np.random.default_rng(2), cfg, (9, 4))
+        batch = [prepare_sample(p, g, cfg) for p, g in pairs]
+        params = init_params(cfg, 0)
+        taped = forward_batch(batch, params, cfg)
+        calls = []
+        direction = ag.lstm_direction
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("reverse", False))
+            return direction(*args, **kwargs)
+
+        def refuse(*args):
+            raise AssertionError("two paths ran the row path")
+
+        monkeypatch.setattr(ag, "lstm_direction", counted)
+        monkeypatch.setattr(ag, "bilstm_rows", refuse)
+        untaped = forward_batch(batch, params.detached(), cfg)
+        assert calls == [False, True, False, True]
+        assert untaped.data.tobytes() == taped.data.tobytes()
+        assert untaped._backward_fn is None and untaped._parents == ()
+
+
 class TestGradientOwnership:
     """After a backward pass each parameter holds the one gradient on the
     tape, and no two of them share memory."""

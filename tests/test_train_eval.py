@@ -6,6 +6,7 @@ import logging
 import re
 import shutil
 import struct
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -987,6 +988,76 @@ class TestTrain:
                                      path=s.source_path)
             assert np.array_equal(got, row), s.source_path
             assert label == ckpt.labels[int(row.argmax())]
+
+
+class TestUntapedEval:
+    """score_prepared runs forward_batch on the parameters detached from
+    the tape: the same arrays in tensors that need no gradient."""
+
+    @pytest.mark.parametrize("mode", ["uast", "sast", "gast"])
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_scores_record_no_tape(self, mode, batch_size, monkeypatch):
+        _, splits, _, result = toy_run(mode)
+        ckpt = result.checkpoint
+        prepped = prepare(splits["validation"], ckpt.config)[0]
+        grads = [t.grad for t in ckpt.params.parameters()]
+        taped = np.vstack([M.forward_batch(prepped[i:i + batch_size],
+                                           ckpt.params, ckpt.config).data
+                           for i in range(0, len(prepped), batch_size)])
+        outputs = []
+        forward = M.forward_batch
+
+        def kept(*args, **kwargs):
+            outputs.append(forward(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(M, "forward_batch", kept)
+        probs = score_prepared(prepped, ckpt.params, ckpt.config, batch_size)
+        assert len(outputs) == -(-len(prepped) // batch_size)
+        for out in outputs:
+            assert out._backward_fn is None and out._parents == ()
+            assert not out.requires_grad
+        assert probs.tobytes() == taped.tobytes()
+        # the trained tensors are left as they were
+        for t, grad in zip(ckpt.params.parameters(), grads):
+            assert t.requires_grad and t.grad is grad
+
+    def test_detached_parameters_share_the_arrays(self):
+        cfg = M.ModelConfig(vocab_size=9, k=3, L=8, d=8, heads=2, h=4,
+                            N=8, gcn_hidden=6, d_out=4).validate()
+        params = init_params(cfg, 0)
+        detached = params.detached()
+        assert [name for name, _ in detached.manifest()] == \
+            [name for name, _ in params.manifest()]
+        for t, d in zip(params.parameters(), detached.parameters()):
+            assert d is not t and d.data is t.data and not d.requires_grad
+
+    def test_eval_peak_is_under_six_tenths_of_a_taped_pass(self):
+        # one B=64 batch at leetcode widths: a taped pass keeps every node's
+        # saved arrays until the batch is scored, an untaped one frees each
+        # op's as the next op reads its output
+        cfg = M.ModelConfig(vocab_size=31, k=3).validate()
+        params = init_params(cfg, 0)
+        rng = np.random.default_rng(0)
+        prepped = []
+        for n in rng.integers(40, 201, size=64):
+            kinds = rng.integers(1, cfg.vocab_size, size=n)
+            prepped.append(M.prepare_sample(
+                M.PathSequence(kinds), GraphSample(kinds, np.array(
+                    [(i // 2, i) for i in range(1, n)], dtype=np.int64)), cfg))
+
+        def peak(score) -> int:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                score()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        untaped = peak(lambda: score_prepared(prepped, params, cfg, 64))
+        taped = peak(lambda: M.forward_batch(prepped, params, cfg))
+        assert untaped <= 0.6 * taped, (untaped, taped)
 
 
 def toy_run(mode):
